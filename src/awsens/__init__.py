@@ -6,6 +6,7 @@ from .adapted_wasserstein import (
     CouplingTree,
     PairNode,
     aw_distance,
+    aw_pth_power,
     bicausalize,
     brute_force_bicausal,
     check_causal,

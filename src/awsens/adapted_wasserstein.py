@@ -7,6 +7,16 @@ to the stage cost |x - y|^p plus the already-computed value of the child
 pair.  The recursion's optimal plans assemble into a coupling tree that is
 bicausal by construction.
 
+At the last stage the cost is |x - y|^p alone, so every pair of child
+families is a sorted 1-d problem; all of them are solved at once per pair
+of family sizes by the lockstep north-west-corner kernel.  Interior stages
+run the transportation simplex per node pair.  One recursion serves two
+entries: :func:`aw_distance` (distance, per-stage costs, coupling) and the
+distance-only :func:`aw_pth_power`, which keeps no plans.  Batching never
+changes a summation order: each objective is summed over the row-major
+plan as ``np.vdot`` sums it, so results are bit-identical to solving one
+node pair at a time.
+
 A brute-force LP over joint path probabilities with explicit (cross-
 multiplied) causality constraints serves as an independent oracle for the
 same quantity at small scale.
@@ -14,16 +24,15 @@ same quantity at small scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
-from .discrete_ot import TransportProblem, solve_exact, solve_sorted_1d
+from .discrete_ot import TransportProblem, solve_exact, solve_sorted_1d_batch
 from .errors import (
     DeltaTooSmall,
     HorizonMismatch,
@@ -39,6 +48,8 @@ Direction = Literal["x_to_y", "y_to_x"]
 
 ORACLE_MAX_PAIRS = 10_000
 ORACLE_MAX_HORIZON = 3
+# plan cells per batched last-stage solve; bounds the kernel's temporaries
+_BATCH_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -238,51 +249,133 @@ def product_coupling(P: ScenarioTree, Q: ScenarioTree) -> CouplingTree:
 # -- exact distance via backward recursion ------------------------------------
 
 
-def aw_distance(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> AWResult:
-    """Exact adapted distance by dynamic programming over node pairs.
+def _node_arrays(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per node: its index within its time level, its value (0 at the root)
+    and its conditional probability."""
+    pos = np.empty(len(tree.nodes), dtype=np.intp)
+    for level in tree.levels:
+        pos[list(level)] = np.arange(len(level))
+    values = np.array([0.0 if nd.value is None else nd.value for nd in tree.nodes])
+    weights = np.array([nd.cond_prob for nd in tree.nodes])
+    return pos, values, weights
 
-    The last stage uses the monotone 1-d fast path (the stage cost has no
-    value-function addend there); all interior stages solve the full
-    transport problem since the recursion's cost matrix need not be
-    submodular.
+
+def _sorted_families(tree: ScenarioTree, t: int, arrays):
+    """Child families of the time-t nodes, grouped by size.
+
+    Yields ``(rows, values, weights, order, parents)`` per family size: the
+    parents' positions in level t, the children's values and conditional
+    probabilities sorted by value (stable), the sorting permutation, and the
+    parent ids.
+    """
+    pos, values, weights = arrays
+    by_size: dict[int, list[int]] = {}
+    for nid in tree.levels[t]:
+        by_size.setdefault(len(tree.children[nid]), []).append(nid)
+    for parents in by_size.values():
+        kids = np.array([tree.children[nid] for nid in parents])
+        order = np.argsort(values[kids], axis=1, kind="stable")
+        kids = np.take_along_axis(kids, order, axis=1)
+        yield pos[parents], values[kids], weights[kids], order, parents
+
+
+def _last_stage(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None,
+                ax, ay) -> np.ndarray:
+    """Values of all time-(T-1) node pairs, batched 1-d solves per size class.
+
+    There the cost is the stage cost alone, submodular on sorted atoms, so
+    the north-west-corner plan is optimal.  With ``plans`` given, each pair's
+    plan is stored in the children's original order.
+    """
+    t = P.horizon - 1
+    value = np.empty((len(P.levels[t]), len(Q.levels[t])))
+    yfam = list(_sorted_families(Q, t, ay))
+    for xrows, xv, xw, ox, xpar in _sorted_families(P, t, ax):
+        m = xv.shape[1]
+        for yrows, yv, yw, oy, ypar in yfam:
+            cy, n = yv.shape
+            step = max(1, _BATCH_CELLS // (cy * m * n))
+            for lo in range(0, len(xpar), step):
+                bx = slice(lo, lo + step)
+                cx = len(xpar[bx])
+                plan, obj = solve_sorted_1d_batch(
+                    np.repeat(xv[bx], cy, axis=0), np.repeat(xw[bx], cy, axis=0),
+                    np.tile(yv, (cx, 1)), np.tile(yw, (cx, 1)), p,
+                )
+                value[np.ix_(xrows[bx], yrows)] = obj.reshape(cx, cy)
+                if plans is None:
+                    continue
+                unsorted = np.empty_like(plan)
+                unsorted[
+                    np.arange(cx * cy)[:, None, None],
+                    np.repeat(ox[bx], cy, axis=0)[:, :, None],
+                    np.tile(oy, (cx, 1))[:, None, :],
+                ] = plan
+                for f, (xn, yn) in enumerate(itertools.product(xpar[bx], ypar)):
+                    plans[(xn, yn)] = (unsorted[f], P.children[xn], Q.children[yn])
+    return value
+
+
+def _families(tree: ScenarioTree, t: int, arrays):
+    """Per time-t node: its id, the children's level positions, values and
+    conditional probabilities, in the tree's child order."""
+    pos, values, weights = arrays
+    out = []
+    for nid in tree.levels[t]:
+        kids = list(tree.children[nid])
+        out.append((nid, pos[kids], values[kids], weights[kids]))
+    return out
+
+
+def _recursion(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -> float:
+    """p-th power of the adapted distance by backward recursion.
+
+    ``value`` holds one level's pair values as a matrix indexed by the two
+    nodes' level positions.  Interior stages add the children's values to
+    the stage cost, which breaks submodularity, so they run the simplex.
     """
     if P.horizon != Q.horizon:
         raise HorizonMismatch(f"horizons differ: {P.horizon} vs {Q.horizon}")
-    T = P.horizon
+    ax, ay = _node_arrays(P), _node_arrays(Q)
+    value = _last_stage(P, Q, p, plans, ax, ay)
+    for t in range(P.horizon - 2, -1, -1):
+        yfam = _families(Q, t, ay)
+        level = np.empty((len(P.levels[t]), len(yfam)))
+        for a, (xn, xpos, xv, xw) in enumerate(_families(P, t, ax)):
+            for b, (yn, ypos, yv, yw) in enumerate(yfam):
+                cost = np.abs(xv[:, None] - yv[None, :]) ** p + value[np.ix_(xpos, ypos)]
+                sub = solve_exact(TransportProblem(xw, yw, cost))
+                level[a, b] = sub.objective
+                if plans is not None:
+                    plans[(xn, yn)] = (sub.plan, P.children[xn], Q.children[yn])
+        value = level
+    return float(value[0, 0])
+
+
+def aw_pth_power(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> float:
+    """p-th power of the adapted distance, without coupling or stage costs.
+
+    Runs the recursion of :func:`aw_distance` and keeps no plans, so it
+    returns ``aw_distance(P, Q, params).pth_power`` bit for bit; the
+    distance is ``aw_pth_power(P, Q, params) ** (1.0 / params.p)``.
+    """
+    return _recursion(P, Q, params.p, None)
+
+
+def aw_distance(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> AWResult:
+    """Exact adapted distance by dynamic programming over node pairs.
+
+    The last stage has no value-function addend, so all its family pairs
+    are solved at once by the monotone 1-d kernel, grouped by family size;
+    interior stages solve the full transport problem per node pair.  Every
+    sum runs in the order of the per-pair solvers (``np.vdot`` over the
+    row-major plan), so the distance, plans and coupling do not depend on
+    the batching.  The optimal plans then assemble into the coupling.
+    """
     p = params.p
-
-    values: dict[tuple[int, int], float] = {}
     plans: dict[tuple[int, int], tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]] = {}
-    for t in range(T - 1, -1, -1):
-        level_values: dict[tuple[int, int], float] = {}
-        for xn in P.levels[t]:
-            xc = P.children[xn]
-            xv = np.array([P.nodes[c].value for c in xc])
-            xw = np.array([P.nodes[c].cond_prob for c in xc])
-            for yn in Q.levels[t]:
-                yc = Q.children[yn]
-                yv = np.array([Q.nodes[c].value for c in yc])
-                yw = np.array([Q.nodes[c].cond_prob for c in yc])
-                if t == T - 1:
-                    ox = np.argsort(xv, kind="stable")
-                    oy = np.argsort(yv, kind="stable")
-                    sub = solve_sorted_1d(xv[ox], xw[ox], yv[oy], yw[oy], p)
-                    plan = np.zeros_like(sub.plan)
-                    plan[np.ix_(ox, oy)] = sub.plan
-                    obj = sub.objective
-                else:
-                    cost = np.abs(xv[:, None] - yv[None, :]) ** p
-                    for i, cxi in enumerate(xc):
-                        for j, cyj in enumerate(yc):
-                            cost[i, j] += values[(cxi, cyj)]
-                    sub = solve_exact(TransportProblem(xw, yw, cost))
-                    plan = sub.plan
-                    obj = sub.objective
-                level_values[(xn, yn)] = obj
-                plans[(xn, yn)] = (plan, xc, yc)
-        values = level_values
-
-    pth_power = values[(P.root, Q.root)]
+    pth_power = _recursion(P, Q, p, plans)
+    T = P.horizon
     pairs = [PairNode(0, 0, P.root, Q.root, 1.0, None)]
     queue = [(0, P.root, Q.root)]
     while queue:
@@ -336,6 +429,9 @@ def brute_force_bicausal(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> 
     prefix class H of the other tree,
     ``pi(x, H) * w(x') == pi(x', H) * w(x)``.
     """
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     if P.horizon != Q.horizon:
         raise HorizonMismatch(f"horizons differ: {P.horizon} vs {Q.horizon}")
     T = P.horizon

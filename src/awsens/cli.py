@@ -152,6 +152,9 @@ def serialize_coupling(coupling: CouplingTree) -> dict:
 # -- run configuration ---------------------------------------------------------
 
 
+DEFAULT_RADII = (1e-4, 1e-3, 1e-2, 1e-1)  # ascending, as RobustQuery requires
+
+
 @dataclass(frozen=True)
 class RunConfig:
     problem_class: str
@@ -159,7 +162,7 @@ class RunConfig:
     model_params: dict
     p: float
     L: float = 10.0
-    radii: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4)
+    radii: tuple[float, ...] = DEFAULT_RADII
     seed: int = 0
     value_tol: float = 1e-9
     stopping_tol: float = 1e-9
@@ -191,7 +194,7 @@ class RunConfig:
             model_params=dict(model.get("params", {})),
             p=p,
             L=float(doc.get("bounds", {}).get("L", 10.0)),
-            radii=tuple(float(r) for r in doc.get("radii", (1e-1, 1e-2, 1e-3, 1e-4))),
+            radii=tuple(float(r) for r in doc.get("radii", DEFAULT_RADII)),
             seed=int(doc.get("seed", 0)),
             value_tol=float(tolerances.get("value_tol", 1e-9)),
             stopping_tol=float(tolerances.get("stopping_tol", 1e-9)),

@@ -23,11 +23,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionMismatch, InvalidParams
 
 Array = np.ndarray
+
+
+def _expit(x: Array) -> Array:
+    """Logistic sigmoid; exp(-x) overflows to inf far in the left tail,
+    where the result is the exact limit 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _fd_hessian(model: "CostModel", x: Array, a: Array, step: float = 1e-5) -> Array:
@@ -242,7 +248,7 @@ def make_payoff(name: str, params: dict | None, T: int) -> PayoffFunction:
 
         def dg(x):
             out = np.zeros_like(x)
-            out[:, -1] = expit(beta * (x[:, -1] - K))
+            out[:, -1] = _expit(beta * (x[:, -1] - K))
             return out
 
         return PayoffFunction(name, {"strike": K, "sharpness": beta}, g, dg, True)
@@ -273,7 +279,7 @@ def make_scalar_payoff(name: str, params: dict | None = None):
             raise InvalidParams("softplus sharpness must be positive")
         return (
             (lambda v: np.logaddexp(0.0, beta * (K - v)) / beta),
-            (lambda v: -expit(beta * (K - v))),
+            (lambda v: -_expit(beta * (K - v))),
             {"strike": K, "sharpness": beta},
         )
     if name == "sin":
@@ -403,7 +409,7 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
 
         def sc_grad(x):
             out = np.zeros_like(x)
-            out[:, -1] = expit(beta * (x[:, -1] - K))
+            out[:, -1] = _expit(beta * (x[:, -1] - K))
             return out
 
         return CostModel(

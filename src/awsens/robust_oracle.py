@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapted_wasserstein import AWParams, aw_distance, _bicausalize_pairs
+from .adapted_wasserstein import AWParams, aw_pth_power, _bicausalize_pairs
 from .cost_models import CostModel
 from .errors import (
     AmbiguousStopping,
@@ -129,7 +129,7 @@ def ball_membership(
     P: ScenarioTree, Q: ScenarioTree, p: float, r: float
 ) -> tuple[bool, float]:
     """Exact distance plus a boolean with 1e-8 slack."""
-    dist = aw_distance(P, Q, AWParams(p)).distance
+    dist = aw_pth_power(P, Q, AWParams(p)) ** (1.0 / p)
     return dist <= r + 1e-8, dist
 
 
@@ -144,6 +144,7 @@ class _Ascent:
             nid for t in range(1, self.tree.horizon + 1) for nid in self.tree.levels[t]
         ]
         self.vpos = {nid: k for k, nid in enumerate(self.vnodes)}
+        self.vprob = np.array([self.tree.node_prob[nid] for nid in self.vnodes])
         anc = self.tree.ancestor_matrix
         self.vidx = np.empty((anc.shape[0], self.tree.horizon), dtype=np.int64)
         for t in range(1, self.tree.horizon + 1):
@@ -176,17 +177,30 @@ class _Ascent:
         )
         return out, False
 
+    def distance(self, tree: ScenarioTree) -> float:
+        """Exact adapted distance from the base tree."""
+        return aw_pth_power(self.tree, tree, self.params) ** (1.0 / self.params.p)
+
     def shrink_to_ball(self, shifts: np.ndarray, r: float):
-        """Scale the displacement until the exact distance fits the radius."""
+        """Scale the displacement until the exact distance fits the radius.
+
+        When the base structure survives, the identity coupling is bicausal
+        and its cost bounds the distance from above; a bound within r
+        accepts the shift without a solve, exactly where the solved distance
+        would have passed the test below.
+        """
+        p = self.params.p
         for _ in range(40):
             try:
                 tree, same = self.displace(shifts)
             except (InvalidTree, DeltaTooSmall):
                 shifts = 0.5 * shifts
                 continue
-            dist = aw_distance(self.tree, tree, self.params).distance
+            if same and float(self.vprob @ np.abs(shifts) ** p) ** (1.0 / p) <= r:
+                return shifts, tree, same
+            dist = self.distance(tree)
             if dist <= r * (1.0 + 1e-12):
-                return shifts, tree, same, dist
+                return shifts, tree, same
             shifts = shifts * min(0.999, r / dist)
         return None
 
@@ -250,7 +264,7 @@ class _Ascent:
     def run_radius(self, r: float, zvec: np.ndarray, extra_seeds: list[np.ndarray], rng):
         q = self.query
         best_val = -math.inf
-        best = None  # (shifts, dist)
+        best = None  # shifts of the best candidate
         seeded_value = None
 
         ladder = [1.0, 1.0 - 1e-3, 1.0 - 1e-2, 1.0 - 1e-1]
@@ -258,16 +272,16 @@ class _Ascent:
             fit = self.shrink_to_ball(fac * r * zvec, r)
             if fit is None:
                 continue
-            shifts, tree, _, dist = fit
+            shifts, tree, _ = fit
             val = self.try_value(tree)
             if val is not None:
                 seeded_value = val
-                best_val, best = val, (shifts, dist)
+                best_val, best = val, shifts
                 break
 
         starts: list[np.ndarray] = []
         if best is not None:
-            starts.append(best[0])
+            starts.append(best)
         starts.extend(extra_seeds)
         while len(starts) < max(1, q.restarts):
             starts.append(rng.normal(scale=r / math.sqrt(len(self.vnodes)),
@@ -277,14 +291,14 @@ class _Ascent:
             fit = self.shrink_to_ball(start.copy(), r)
             if fit is None:
                 continue
-            shifts, tree, same, dist = fit
+            shifts, tree, same = fit
             val = self.try_value(tree)
             if val is None:
                 continue
             if val > best_val:
-                best_val, best = val, (shifts, dist)
+                best_val, best = val, shifts
             eta = 0.5
-            cur_shifts, cur_tree, cur_same, cur_dist, cur_val = shifts, tree, same, dist, val
+            cur_shifts, cur_tree, cur_same, cur_val = shifts, tree, same, val
             for _ in range(q.max_iters):
                 if not cur_same:
                     break
@@ -302,14 +316,12 @@ class _Ascent:
                     if eta < 1e-3:
                         break
                     continue
-                t_shifts, t_tree, t_same, t_dist = fit
+                t_shifts, t_tree, t_same = fit
                 t_val = self.try_value(t_tree)
                 if t_val is not None and t_val > cur_val + 1e-15:
-                    cur_shifts, cur_tree, cur_same, cur_dist, cur_val = (
-                        t_shifts, t_tree, t_same, t_dist, t_val,
-                    )
+                    cur_shifts, cur_tree, cur_same, cur_val = t_shifts, t_tree, t_same, t_val
                     if cur_val > best_val:
-                        best_val, best = cur_val, (cur_shifts, cur_dist)
+                        best_val, best = cur_val, cur_shifts
                     eta = min(eta * 1.5, 1.0)
                 else:
                     eta *= 0.5
@@ -347,14 +359,14 @@ def robust_curve(query: RobustQuery) -> RobustCurve:
             rows.append(CurveRow(r, math.nan, seeded_lb, r * report.first_order,
                                  math.nan, {}, False))
             continue
-        shifts, dist = best
+        shifts = best
         rows.append(
             CurveRow(
                 radius=r,
                 lower_bound=lb,
                 seeded_value=seeded_lb,
                 first_order_value=r * report.first_order,
-                distance=dist,
+                distance=engine.distance(engine.displace(shifts)[0]),
                 displacement={nid: float(shifts[kk]) for kk, nid in enumerate(engine.vnodes)},
                 converged=converged,
             )

@@ -25,7 +25,7 @@ from .adapted_wasserstein import (
     CouplingTree,
     PairNode,
     _bicausalize_pairs,
-    aw_distance,
+    aw_pth_power,
 )
 from .cost_models import CostModel, UtilityModel, build_utility_cost
 from .errors import AwsensError, DeltaTooSmall, FlatStep, InvalidParams
@@ -287,7 +287,7 @@ def perturbed_model_with_coupling(
     if verify:
         norm = direction.norm_check ** (1.0 / direction.p) if direction.norm_check > 0 else 1.0
         bound = r * max(norm, 1.0) + delta_used * T ** (1.0 / direction.p) + 1e-9
-        dist = aw_distance(tree, out, AWParams(direction.p)).distance
+        dist = aw_pth_power(tree, out, AWParams(direction.p)) ** (1.0 / direction.p)
         if dist > bound:
             raise AwsensError(
                 f"perturbed tree left its ball: distance {dist!r} exceeds bound {bound!r}"

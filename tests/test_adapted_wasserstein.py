@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from awsens import (
@@ -12,10 +12,15 @@ from awsens import (
     HorizonMismatch,
     InvalidCoupling,
     InvalidParams,
+    InvalidTree,
     NotCausal,
+    Node,
     PairNode,
+    ScenarioTree,
     TooLarge,
+    TransportProblem,
     aw_distance,
+    aw_pth_power,
     bicausalize,
     brute_force_bicausal,
     check_causal,
@@ -26,8 +31,12 @@ from awsens import (
     is_bicausal,
     is_isomorphic,
     product_coupling,
+    solve_exact,
+    solve_sorted_1d,
     tree_from_nested,
 )
+from awsens import adapted_wasserstein
+from awsens.discrete_ot import solve_sorted_1d_batch
 
 P2 = AWParams(2.0)
 
@@ -176,6 +185,154 @@ def test_distance_zero_iff_isomorphic():
     )
     assert is_isomorphic(A, B)
     assert aw_distance(A, B, P2).distance == pytest.approx(0.0, abs=1e-12)
+
+
+# -- batched recursion against the per-pair solvers ---------------------------
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_batched_last_stage_matches_per_pair_fast_path(p):
+    rng = np.random.default_rng(int(10 * p))
+    for m in range(1, 9):
+        for n in range(1, 9):
+            F = 4
+            x = np.sort(rng.normal(size=(F, m)), axis=1)
+            y = np.sort(rng.normal(size=(F, n)), axis=1)
+            mu = rng.dirichlet(np.ones(m), size=F)
+            nu = rng.dirichlet(np.ones(n), size=F)
+            plans, objectives = solve_sorted_1d_batch(x, mu, y, nu, p)
+            for f in range(F):
+                ref = solve_sorted_1d(x[f], mu[f], y[f], nu[f], p)
+                assert np.array_equal(plans[f], ref.plan)
+                assert objectives[f] == ref.objective
+
+
+def _per_pair_pth_power(P, Q, p):
+    """The recursion solved one node pair at a time, as a reference."""
+    values = {}
+    for t in range(P.horizon - 1, -1, -1):
+        level = {}
+        for xn in P.levels[t]:
+            xc = P.children[xn]
+            xv = np.array([P.nodes[c].value for c in xc])
+            xw = np.array([P.nodes[c].cond_prob for c in xc])
+            for yn in Q.levels[t]:
+                yc = Q.children[yn]
+                yv = np.array([Q.nodes[c].value for c in yc])
+                yw = np.array([Q.nodes[c].cond_prob for c in yc])
+                if t == P.horizon - 1:
+                    ox, oy = np.argsort(xv, kind="stable"), np.argsort(yv, kind="stable")
+                    level[(xn, yn)] = solve_sorted_1d(xv[ox], xw[ox], yv[oy], yw[oy], p).objective
+                    continue
+                cost = np.abs(xv[:, None] - yv[None, :]) ** p
+                for i, cx in enumerate(xc):
+                    for j, cy in enumerate(yc):
+                        cost[i, j] += values[(cx, cy)]
+                level[(xn, yn)] = solve_exact(TransportProblem(xw, yw, cost)).objective
+        values = level
+    return values[(P.root, Q.root)]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_recursion_matches_per_pair_reference_with_mixed_family_sizes(p):
+    # last-stage families of sizes 1, 2, 3 against 4, 2: each size class is
+    # one batch, and the batches must land on the right node pairs
+    P = tree_from_nested(2, [
+        (0.5, 0.25, [(1.0, 1.0)]),
+        (-0.25, 0.5, [(0.75, 0.5), (-1.5, 0.5)]),
+        (2.0, 0.25, [(3.0, 0.125), (-1.0, 0.375), (0.5, 0.5)]),
+    ])
+    Q = tree_from_nested(2, [
+        (0.0, 0.75, [(2.0, 0.25), (-2.0, 0.25), (0.25, 0.25), (1.0, 0.25)]),
+        (1.0, 0.25, [(-0.5, 0.625), (1.5, 0.375)]),
+    ])
+    for A, B in ((P, Q), (Q, P)):
+        res = aw_distance(A, B, AWParams(p))
+        assert res.pth_power == _per_pair_pth_power(A, B, p)
+        # the coupling's last-stage kernels are the per-pair monotone plans
+        c = res.coupling
+        for pn in c.pair_nodes:
+            if pn.time != 1:
+                continue
+            xc, yc = A.children[pn.x_node], B.children[pn.y_node]
+            xv = np.array([A.nodes[k].value for k in xc])
+            yv = np.array([B.nodes[k].value for k in yc])
+            ox, oy = np.argsort(xv, kind="stable"), np.argsort(yv, kind="stable")
+            ref = solve_sorted_1d(xv[ox], np.array([A.nodes[k].cond_prob for k in xc])[ox],
+                                  yv[oy], np.array([B.nodes[k].cond_prob for k in yc])[oy], p)
+            want = {(xc[ox[i]], yc[oy[j]]): ref.plan[i, j]
+                    for i, j in zip(*np.nonzero(ref.plan > 1e-15))}
+            got = {(c.pair_nodes[k].x_node, c.pair_nodes[k].y_node): c.pair_nodes[k].cond_prob
+                   for k in c.children[pn.id]}
+            assert got == want
+
+
+def test_chunked_last_stage_is_bit_identical(monkeypatch):
+    A, B = gen_random(3, 3, 5), gen_random(3, 4, 6)
+    whole = aw_distance(A, B, P2)
+    monkeypatch.setattr(adapted_wasserstein, "_BATCH_CELLS", 20)  # one x family per chunk
+    chunked = aw_distance(A, B, P2)
+    assert chunked.pth_power == whole.pth_power
+    assert chunked.coupling.pair_nodes == whole.coupling.pair_nodes
+
+
+@pytest.mark.parametrize("T,b", [(1, 5), (2, 3), (3, 3), (4, 2)])
+def test_pth_power_entry_matches_full_result(T, b):
+    for k, p in enumerate((1.5, 2.0, 3.0)):
+        A = gen_random(T, b, 100 * T + k)
+        B = gen_random(T, b + k % 2, 200 * T + k)
+        prm = AWParams(p)
+        full = aw_distance(A, B, prm)
+        assert aw_pth_power(A, B, prm) == full.pth_power
+        assert aw_pth_power(A, B, prm) == _per_pair_pth_power(A, B, p)
+        assert full.distance == aw_pth_power(A, B, prm) ** (1.0 / p)
+
+
+# -- properties beyond the oracle's size guard ---------------------------------
+
+
+def _moved(tree, shift):
+    """``tree`` with every node value moved by ``shift(node_id)``."""
+    return ScenarioTree(tree.horizon, [
+        Node(nd.id, nd.time, None if nd.parent is None else nd.value + shift(nd.id),
+             nd.cond_prob, nd.parent)
+        for nd in tree.nodes
+    ])
+
+
+@given(seed=st.integers(0, 20_000), scale=st.sampled_from([1e-3, 0.1, 2.0]),
+       p=st.sampled_from([1.5, 2.0, 3.0]))
+@settings(max_examples=10, deadline=None)
+def test_identity_coupling_bounds_displacement_distance(seed, scale, p):
+    A = gen_random(4, 4, seed)
+    shifts = np.random.default_rng(seed).normal(scale=scale, size=len(A.nodes))
+    try:
+        B = _moved(A, lambda nid: float(shifts[nid]))
+    except InvalidTree:  # shifted siblings collided
+        assume(False)
+    bound = sum(A.node_prob[nd.id] * abs(shifts[nd.id]) ** p
+                for nd in A.nodes if nd.parent is not None) ** (1.0 / p)
+    assert aw_pth_power(A, B, AWParams(p)) ** (1.0 / p) <= bound * (1.0 + 1e-12)
+
+
+@given(seed=st.integers(0, 20_000), p=st.sampled_from([1.5, 2.0, 3.0]))
+@settings(max_examples=10, deadline=None)
+def test_symmetry_at_scale(seed, p):
+    A = gen_random(4, 4, seed)
+    B = gen_random(4, 3, seed + 50_000)
+    prm = AWParams(p)
+    assert aw_pth_power(A, B, prm) == pytest.approx(aw_pth_power(B, A, prm), rel=1e-12)
+
+
+@given(seed=st.integers(0, 20_000), offset=st.integers(-512, 512))
+@settings(max_examples=10, deadline=None)
+def test_common_translation_invariance_at_scale(seed, offset):
+    A = gen_random(4, 4, seed)
+    B = gen_random(4, 4, seed + 60_000)
+    c = offset / 64.0
+    before = aw_pth_power(A, B, P2)
+    after = aw_pth_power(_moved(A, lambda _: c), _moved(B, lambda _: c), P2)
+    assert after == pytest.approx(before, rel=1e-12)
 
 
 # -- causality ----------------------------------------------------------------

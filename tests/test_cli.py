@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -164,6 +165,29 @@ def test_curve_reproduces_committed_bytes(tmp_path, capsys):
     assert code == 0
     assert csv.read_bytes() == (FIXTURES / "expected" / "curve_linear.csv").read_bytes()
     assert js.read_bytes() == (FIXTURES / "expected" / "curve_linear.json").read_bytes()
+
+
+def test_curve_without_radii_uses_ascending_defaults(tmp_path, capsys):
+    # the committed config lists the default radii, so dropping them from it
+    # must reproduce the committed curve
+    doc = json.loads((FIXTURES / "config_sens_linear.json").read_text())
+    del doc["radii"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    csv = tmp_path / "curve.csv"
+    code, _, err = run_cli(capsys, "curve", FIXTURES / "iid_signs.json",
+                           "--config", cfg, "--out-csv", csv)
+    assert code == 0, err
+    assert csv.read_bytes() == (FIXTURES / "expected" / "curve_linear.csv").read_bytes()
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, awsens.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    src = str(FIXTURES.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, capsys):
