@@ -183,24 +183,31 @@ class RunConfig:
             raise InvalidParams(
                 f"unknown model {model['name']!r}; catalog: {', '.join(catalog_names())}"
             )
-        p = float(doc["p"])
-        if not p > 1.0:
-            raise InvalidParams(f"p must exceed 1, got {p}")
+        for key in ("bounds", "tolerances", "ascent"):
+            if not isinstance(doc.get(key, {}), dict):
+                raise InvalidParams(f"config {key!r} must be an object")
+        bounds = doc.get("bounds", {})
         tolerances = doc.get("tolerances", {})
         ascent = doc.get("ascent", {})
-        return cls(
-            problem_class=doc["problem_class"],
-            model_name=model["name"],
-            model_params=dict(model.get("params", {})),
-            p=p,
-            L=float(doc.get("bounds", {}).get("L", 10.0)),
-            radii=tuple(float(r) for r in doc.get("radii", DEFAULT_RADII)),
-            seed=int(doc.get("seed", 0)),
-            value_tol=float(tolerances.get("value_tol", 1e-9)),
-            stopping_tol=float(tolerances.get("stopping_tol", 1e-9)),
-            restarts=int(ascent.get("restarts", 2)),
-            max_iters=int(ascent.get("max_iters", 25)),
-        )
+        try:
+            p = float(doc["p"])
+            if not p > 1.0:
+                raise InvalidParams(f"p must exceed 1, got {p}")
+            return cls(
+                problem_class=doc["problem_class"],
+                model_name=model["name"],
+                model_params=dict(model.get("params", {})),
+                p=p,
+                L=float(bounds.get("L", 10.0)),
+                radii=tuple(float(r) for r in doc.get("radii", DEFAULT_RADII)),
+                seed=int(doc.get("seed", 0)),
+                value_tol=float(tolerances.get("value_tol", 1e-9)),
+                stopping_tol=float(tolerances.get("stopping_tol", 1e-9)),
+                restarts=int(ascent.get("restarts", 2)),
+                max_iters=int(ascent.get("max_iters", 25)),
+            )
+        except (TypeError, ValueError) as e:  # a field of the wrong JSON type
+            raise InvalidParams(f"config: {e}") from None
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -229,32 +236,43 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    params = json.loads(args.params)
-    if args.kind == "binomial":
-        tree = gen_binomial(
-            T=int(params["T"]),
-            start=float(params.get("start", 0.0)),
-            up=float(params.get("up", 1.0)),
-            down=float(params.get("down", -1.0)),
-            p_up=float(params.get("p_up", 0.5)),
-            drift=float(params.get("drift", 0.0)),
-        )
-    elif args.kind == "lattice":
-        tree = gen_lattice(
-            T=int(params["T"]),
-            start=float(params.get("start", 0.0)),
-            steps=params["steps"],
-            probs=params["probs"],
-            drift=float(params.get("drift", 0.0)),
-        )
-    elif args.kind == "random":
-        tree = gen_random(
-            T=int(params["T"]),
-            branching=int(params.get("branching", 2)),
-            seed=int(params.get("seed", 0)),
-        )
-    else:
-        raise InvalidParams(f"unknown generator kind {args.kind!r}")
+    try:
+        params = json.loads(args.params)
+    except json.JSONDecodeError as e:
+        raise InvalidParams(f"--params is not valid JSON: {e}") from None
+    if not isinstance(params, dict):
+        raise InvalidParams("--params must be a JSON object")
+    try:
+        if args.kind == "binomial":
+            gen, kwargs = gen_binomial, dict(
+                T=int(params["T"]),
+                start=float(params.get("start", 0.0)),
+                up=float(params.get("up", 1.0)),
+                down=float(params.get("down", -1.0)),
+                p_up=float(params.get("p_up", 0.5)),
+                drift=float(params.get("drift", 0.0)),
+            )
+        elif args.kind == "lattice":
+            gen, kwargs = gen_lattice, dict(
+                T=int(params["T"]),
+                start=float(params.get("start", 0.0)),
+                steps=[float(v) for v in params["steps"]],
+                probs=[float(v) for v in params["probs"]],
+                drift=float(params.get("drift", 0.0)),
+            )
+        elif args.kind == "random":
+            gen, kwargs = gen_random, dict(
+                T=int(params["T"]),
+                branching=int(params.get("branching", 2)),
+                seed=int(params.get("seed", 0)),
+            )
+        else:
+            raise InvalidParams(f"unknown generator kind {args.kind!r}")
+    except KeyError as e:
+        raise InvalidParams(f"--params for {args.kind} needs {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise InvalidParams(f"--params for {args.kind}: {e}") from None
+    tree = gen(**kwargs)
     save_tree(tree, args.out)
     return 0
 

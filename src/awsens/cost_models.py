@@ -75,6 +75,7 @@ class CostModel:
     hess_a_fn: Callable | None = None
     growth_order: float | None = None
     utility: "UtilityModel | None" = None
+    bind_fn: Callable | None = None
 
     def _args(self, x, a, t):
         if self.kind == "terminal":
@@ -120,6 +121,17 @@ class CostModel:
         ab, _ = _as_batch(a, self.horizon, "a")
         out = self.grad_a_fn(xb, ab)
         return out[0] if single else out
+
+    def bind(self, x: Array):
+        """Fix a path batch of a controlled model: returns ``(value(a),
+        value_and_grad_a(a))`` over control batches shaped like ``x``, equal
+        bit for bit to ``value_fn(x, a)`` and ``grad_a_fn(x, a)``."""
+        if self.kind != "controlled" or self.grad_a_fn is None:
+            raise InvalidParams(f"model {self.name!r} has no control gradient")
+        if self.bind_fn is not None:
+            return self.bind_fn(x)
+        return ((lambda a: self.value_fn(x, a)),
+                (lambda a: (self.value_fn(x, a), self.grad_a_fn(x, a))))
 
     def hess_a(self, x, a):
         if self.kind != "controlled":
@@ -312,30 +324,47 @@ def build_utility_cost(u: UtilityModel, T: int) -> CostModel:
       d/dx_t   = l'(Z) (d/dx_t g(x) + a_t - a_{t+1}),   a_{T+1} = 0
       Hessian  = l''(Z) dx dx'   (rank one; its diagonal is l'' dx_t^2)
     with Z = g(x) + sum_t a_t (x_t - x_{t-1}).
+
+    ``bind(x)`` computes g(x) and the increments dx once for the batch and
+    then only Z, shared by l(Z) and l'(Z) dx, per control batch.
     """
     zgrid = np.linspace(-3.0, 3.0, 13)
     if np.any(u.loss.second(zgrid) <= 0.0):
         raise InvalidParams(f"loss {u.loss.name!r} is not strictly convex on the probe grid")
 
-    def zval(x, a):
-        return u.payoff.value(x) + np.sum(a * _increments(x, u.x0), axis=1)
+    def bind(x):
+        gx, dx = u.payoff.value(x), _increments(x, u.x0)
+
+        def zval(a):
+            return gx + np.sum(a * dx, axis=1)
+
+        def value_and_grad_a(a):
+            z = zval(a)
+            return u.loss.value(z), u.loss.deriv(z)[:, None] * dx
+
+        return (lambda a: u.loss.value(zval(a))), value_and_grad_a
+
+    def zval_and_dx(x, a):
+        dx = _increments(x, u.x0)
+        return u.payoff.value(x) + np.sum(a * dx, axis=1), dx
 
     def value(x, a):
-        return u.loss.value(zval(x, a))
+        return u.loss.value(zval_and_dx(x, a)[0])
 
     def grad_a(x, a):
-        return u.loss.deriv(zval(x, a))[:, None] * _increments(x, u.x0)
+        z, dx = zval_and_dx(x, a)
+        return u.loss.deriv(z)[:, None] * dx
 
     def grad_x(x, a):
-        lp = u.loss.deriv(zval(x, a))
+        lp = u.loss.deriv(zval_and_dx(x, a)[0])
         astep = np.empty_like(a)
         astep[:, :-1] = a[:, :-1] - a[:, 1:]
         astep[:, -1] = a[:, -1]
         return lp[:, None] * (u.payoff.grad(x) + astep)
 
     def hess_a(x, a):
-        dx = _increments(x, u.x0)
-        lpp = u.loss.second(zval(x, a))
+        z, dx = zval_and_dx(x, a)
+        lpp = u.loss.second(z)
         return lpp[:, None, None] * dx[:, :, None] * dx[:, None, :]
 
     return CostModel(
@@ -352,6 +381,7 @@ def build_utility_cost(u: UtilityModel, T: int) -> CostModel:
         grad_a_fn=grad_a,
         hess_a_fn=hess_a,
         utility=u,
+        bind_fn=bind,
     )
 
 

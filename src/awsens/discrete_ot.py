@@ -44,9 +44,11 @@ class TransportProblem:
             raise Infeasible("weights must be nonnegative")
         if not np.all(np.isfinite(cost)):
             raise InvalidParams("cost entries must be finite")
-        if abs(mu.sum() - 1.0) > WEIGHT_TOL or abs(nu.sum() - 1.0) > WEIGHT_TOL:
+        # written as the good case: a NaN weight fails every comparison
+        if not (abs(mu.sum() - 1.0) <= WEIGHT_TOL and abs(nu.sum() - 1.0) <= WEIGHT_TOL):
             raise Infeasible(
-                f"weights must sum to 1 within {WEIGHT_TOL}; got {mu.sum()!r}, {nu.sum()!r}"
+                f"weights must be finite and sum to 1 within {WEIGHT_TOL}; "
+                f"got {mu.sum()!r}, {nu.sum()!r}"
             )
 
 
@@ -274,8 +276,9 @@ def solve_sorted_1d_batch(
     if not np.all(np.isfinite(cost)):
         raise InvalidParams("cost entries must be finite")
     mu_sum, nu_sum = mu.sum(axis=1), nu.sum(axis=1)
-    if np.any(np.abs(mu_sum - 1.0) > WEIGHT_TOL) or np.any(np.abs(nu_sum - 1.0) > WEIGHT_TOL):
-        raise Infeasible(f"weights must sum to 1 within {WEIGHT_TOL}")
+    if not (np.all(np.abs(mu_sum - 1.0) <= WEIGHT_TOL)
+            and np.all(np.abs(nu_sum - 1.0) <= WEIGHT_TOL)):
+        raise Infeasible(f"weights must be finite and sum to 1 within {WEIGHT_TOL}")
     a = mu.copy()
     b = nu * (mu_sum / nu_sum)[:, None]
     plan = np.zeros((F, m, n))

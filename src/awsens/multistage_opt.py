@@ -68,6 +68,12 @@ def _variable_layout(tree: ScenarioTree):
     return ids, aidx
 
 
+def scatter_sum(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
+    """Length-n sums of ``vals`` grouped by ``idx`` (same shape), added in C
+    order from zero: bit for bit ``np.add.at(np.zeros(n), idx, vals)``."""
+    return np.bincount(idx.ravel(), weights=vals.ravel(), minlength=n)
+
+
 def _check_convex(tree: ScenarioTree, model: CostModel, bounds: ControlBounds, seed: int = 0):
     rng = np.random.default_rng(seed)
     xs = tree.paths.values
@@ -100,17 +106,14 @@ def solve_value(
     w = tree.paths.probs
     L = bounds.L
     nvar = len(ids)
+    value, value_and_grad_a = model.bind(xs)
 
     def phi_and_grad(z: np.ndarray):
-        actions = z[aidx]
-        phi = float(w @ model.value_fn(xs, actions))
-        grads = model.grad_a_fn(xs, actions)
-        g = np.zeros(nvar)
-        np.add.at(g, aidx, w[:, None] * grads)
-        return phi, g
+        vals, grads = value_and_grad_a(z[aidx])
+        return float(w @ vals), scatter_sum(aidx, w[:, None] * grads, nvar)
 
     def phi_only(z: np.ndarray) -> float:
-        return float(w @ model.value_fn(xs, z[aidx]))
+        return float(w @ value(z[aidx]))
 
     z = np.clip(np.zeros(nvar) if z0 is None else np.asarray(z0, float).copy(), -L, L)
     phi, g = phi_and_grad(z)

@@ -29,7 +29,7 @@ from .errors import (
     MaxIterations,
     NotConvex,
 )
-from .multistage_opt import ControlBounds, solve_value
+from .multistage_opt import ControlBounds, scatter_sum, solve_value
 from .optimal_stopping import solve_stopping
 from .process_tree import Node, ScenarioTree
 from .sensitivity import (
@@ -145,6 +145,7 @@ class _Ascent:
         ]
         self.vpos = {nid: k for k, nid in enumerate(self.vnodes)}
         self.vprob = np.array([self.tree.node_prob[nid] for nid in self.vnodes])
+        self.last = None  # (shifts bytes, try_solve result) of the last solve
         anc = self.tree.ancestor_matrix
         self.vidx = np.empty((anc.shape[0], self.tree.horizon), dtype=np.int64)
         for t in range(1, self.tree.horizon + 1):
@@ -207,50 +208,51 @@ class _Ascent:
     # -- class values ------------------------------------------------------
 
     def base_value(self) -> float:
-        return self.value(self.tree)
+        return self.class_solve(self.tree)[0]
 
-    def value(self, tree: ScenarioTree) -> float:
+    def class_solve(self, tree: ScenarioTree):
+        """Class value plus the optimizer its gradient holds fixed: the
+        control policy, the stopping policy, or None for terminal costs."""
         q = self.query
         if q.problem_class == "terminal":
-            return float(tree.paths.probs @ q.model.value_fn(tree.paths.values))
+            return float(tree.paths.probs @ q.model.value_fn(tree.paths.values)), None
         if q.problem_class == "controlled":
-            return solve_value(tree, q.model, q.bounds,
-                               tol=q.solver_tol, check_convexity=False).value
-        return solve_stopping(tree, q.model, tol=q.solver_tol)[0]
+            rep = solve_value(tree, q.model, q.bounds, tol=q.solver_tol, check_convexity=False)
+            return rep.value, rep.policy
+        return solve_stopping(tree, q.model, tol=q.solver_tol)[:2]
 
-    def value_and_gradient(self, tree: ScenarioTree):
-        """Class value plus its gradient in the node displacements.
-
-        The gradient holds the optimizer fixed (envelope argument), so one
-        inner solve gives both numbers.
-        """
+    def gradient(self, tree: ScenarioTree, policy) -> np.ndarray:
+        """Gradient of the class value in the node displacements, with the
+        optimizer fixed (envelope argument), so it needs no further solve."""
         q = self.query
         xs = tree.paths.values
         w = tree.paths.probs
         if q.problem_class == "terminal":
-            val = float(w @ q.model.value_fn(xs))
             leaf_grads = q.model.grad_x_fn(xs)
         elif q.problem_class == "controlled":
-            rep = solve_value(tree, q.model, q.bounds, tol=q.solver_tol, check_convexity=False)
-            val = rep.value
-            leaf_grads = q.model.grad_x_fn(xs, rep.policy.path_matrix(tree))
+            leaf_grads = q.model.grad_x_fn(xs, policy.path_matrix(tree))
         else:
-            val, policy, _ = solve_stopping(tree, q.model, tol=q.solver_tol)
             leaf_grads = np.zeros_like(xs)
             taus = np.array([policy.tau[leaf] for leaf in tree.leaves])
             for t in range(1, tree.horizon + 1):
                 mask = taus == t
                 if np.any(mask):
                     leaf_grads[mask] = q.model.grad_x_fn(xs[mask], t)
-        g = np.zeros(len(self.vnodes))
-        np.add.at(g, self.vidx, w[:, None] * leaf_grads)
-        return val, g
+        return scatter_sum(self.vidx, w[:, None] * leaf_grads, len(self.vnodes))
 
-    def try_value(self, tree: ScenarioTree) -> float | None:
+    def try_solve(self, shifts: np.ndarray, tree: ScenarioTree):
+        """``class_solve`` of the candidate ``displace(shifts)``, or None when
+        its inner problem fails.  The last solve is carried: refitting the
+        seeded shifts as the first start rebuilds the same tree."""
+        key = shifts.tobytes()
+        if self.last is not None and self.last[0] == key:
+            return self.last[1]
         try:
-            return self.value(tree)
+            sol = self.class_solve(tree)
         except (AmbiguousStopping, NotConvex, MaxIterations):
-            return None
+            sol = None
+        self.last = (key, sol)
+        return sol
 
     # -- per-radius ascent ---------------------------------------------------
 
@@ -273,10 +275,10 @@ class _Ascent:
             if fit is None:
                 continue
             shifts, tree, _ = fit
-            val = self.try_value(tree)
-            if val is not None:
-                seeded_value = val
-                best_val, best = val, shifts
+            sol = self.try_solve(shifts, tree)
+            if sol is not None:
+                seeded_value = sol[0]
+                best_val, best = sol[0], shifts
                 break
 
         starts: list[np.ndarray] = []
@@ -292,20 +294,19 @@ class _Ascent:
             if fit is None:
                 continue
             shifts, tree, same = fit
-            val = self.try_value(tree)
-            if val is None:
+            sol = self.try_solve(shifts, tree)
+            if sol is None:
                 continue
-            if val > best_val:
-                best_val, best = val, shifts
+            if sol[0] > best_val:
+                best_val, best = sol[0], shifts
             eta = 0.5
-            cur_shifts, cur_tree, cur_same, cur_val = shifts, tree, same, val
+            cur_shifts, cur_tree, cur_same, (cur_val, cur_policy) = shifts, tree, same, sol
+            grad = None  # of the current candidate, kept until it changes
             for _ in range(q.max_iters):
                 if not cur_same:
                     break
-                try:
-                    _, grad = self.value_and_gradient(cur_tree)
-                except (AmbiguousStopping, NotConvex, MaxIterations):
-                    break
+                if grad is None:
+                    grad = self.gradient(cur_tree, cur_policy)
                 gmax = float(np.max(np.abs(grad)))
                 if gmax == 0.0:
                     break
@@ -317,9 +318,11 @@ class _Ascent:
                         break
                     continue
                 t_shifts, t_tree, t_same = fit
-                t_val = self.try_value(t_tree)
-                if t_val is not None and t_val > cur_val + 1e-15:
-                    cur_shifts, cur_tree, cur_same, cur_val = t_shifts, t_tree, t_same, t_val
+                t_sol = self.try_solve(t_shifts, t_tree)
+                if t_sol is not None and t_sol[0] > cur_val + 1e-15:
+                    cur_shifts, cur_tree, cur_same, (cur_val, cur_policy) = (
+                        t_shifts, t_tree, t_same, t_sol)
+                    grad = None
                     if cur_val > best_val:
                         best_val, best = cur_val, cur_shifts
                     eta = min(eta * 1.5, 1.0)

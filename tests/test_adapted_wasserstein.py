@@ -335,6 +335,26 @@ def test_common_translation_invariance_at_scale(seed, offset):
     assert after == pytest.approx(before, rel=1e-12)
 
 
+
+@given(seed=st.integers(0, 20_000), c=st.sampled_from([-3.0, -0.5, 0.1, 0.75, 2.0]),
+       p=st.sampled_from([1.5, 2.0, 3.0]))
+@settings(max_examples=10, deadline=None)
+def test_homogeneity_at_scale(seed, c, p):
+    A = gen_random(4, 4, seed)
+    B = gen_random(4, 4, seed + 80_000)
+    prm = AWParams(p)
+
+    def scaled(tree):
+        return ScenarioTree(tree.horizon, [
+            Node(nd.id, nd.time, None if nd.value is None else c * nd.value,
+                 nd.cond_prob, nd.parent)
+            for nd in tree.nodes
+        ])
+
+    before = aw_pth_power(A, B, prm) ** (1.0 / p)
+    after = aw_pth_power(scaled(A), scaled(B), prm) ** (1.0 / p)
+    assert after == pytest.approx(abs(c) * before, rel=1e-12)
+
 # -- causality ----------------------------------------------------------------
 
 

@@ -6,7 +6,14 @@ import sys
 
 import pytest
 
-from awsens import AmbiguousStopping, InvalidTree, NotConvex, TooLarge, gen_binomial
+from awsens import (
+    AmbiguousStopping,
+    InvalidParams,
+    InvalidTree,
+    NotConvex,
+    TooLarge,
+    gen_binomial,
+)
 from awsens.cli import main, parse_tree, serialize_tree
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -246,6 +253,36 @@ def test_exit_codes(tmp_path, capsys):
     assert AmbiguousStopping.exit_code == 3
     assert InvalidTree.exit_code == 2
 
+
+
+@pytest.mark.parametrize("kind, params, needle", [
+    ("binomial", "{not json", "not valid JSON"),
+    ("binomial", json.dumps({"start": 0.0}), "'T'"),
+    ("lattice", json.dumps({"T": 1, "steps": 1.0, "probs": [0.5, 0.5]}), "lattice"),
+])
+def test_malformed_gen_params_are_invalid_params(tmp_path, capsys, kind, params, needle):
+    code, _, err = run_cli(capsys, "gen", "--kind", kind, "--params", params,
+                           "--out", tmp_path / "tree.json")
+    assert code == InvalidParams.exit_code and "InvalidParams" in err and needle in err
+    assert not (tmp_path / "tree.json").exists()
+
+
+@pytest.mark.parametrize("field, needle", [
+    ({"bounds": 3}, "'bounds'"),
+    ({"p": "two"}, "two"),
+    ({"radii": 3}, "config"),
+    ({"seed": [1]}, "config"),
+])
+def test_malformed_config_is_invalid_params(tmp_path, capsys, field, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "problem_class": "controlled",
+        "model": {"name": "quadratic_control"},
+        "p": 2.0,
+        **field,
+    }))
+    code, _, err = run_cli(capsys, "value", FIXTURES / "drifted_binomial.json", "--config", cfg)
+    assert code == InvalidParams.exit_code and "InvalidParams" in err and needle in err
 
 def test_console_entry_point(tmp_path):
     # one subprocess run to prove the installed script wires up

@@ -64,6 +64,8 @@ def test_kind_argument_discipline():
         s.eval(np.array([1.0, 2.0]))
     with pytest.raises(InvalidParams):
         s.eval(np.array([1.0, 2.0]), t=3)
+    with pytest.raises(InvalidParams):
+        m.bind(np.zeros((4, 2)))
 
 
 # -- hedging cost --------------------------------------------------------------
@@ -213,3 +215,48 @@ def test_growth_flags_are_metadata_only():
     assert m.growth_order == 1.0
     e = make_cost_model("exp_sum", {"beta": 2.0}, T)
     assert e.growth_order is None
+
+
+LOSSES = [("quadratic", {}), ("exponential", {"rate": 0.7}), ("smoothed_power", {"exponent": 3.0})]
+PAYOFFS = [
+    ("zero", {}),
+    ("linear", {"coeffs": [0.5, -1.0, 2.0]}),
+    ("final_value", {"scale": 1.5}),
+    ("mean", {}),
+    ("softplus_call", {"strike": 0.2, "sharpness": 2.0}),
+]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _check_binding(m, rng, n=64):
+    x = rng.uniform(-2.0, 2.0, size=(n, T))
+    value, value_and_grad_a = m.bind(x)
+    for _ in range(3):
+        a = rng.uniform(-1.5, 1.5, size=(n, T))
+        v, g = value_and_grad_a(a)
+        assert _same_bits(value(a), m.value_fn(x, a))
+        assert _same_bits(v, m.value_fn(x, a))
+        assert _same_bits(g, m.grad_a_fn(x, a))
+
+
+@pytest.mark.parametrize("loss", LOSSES, ids=[name for name, _ in LOSSES])
+@pytest.mark.parametrize("payoff", PAYOFFS, ids=[name for name, _ in PAYOFFS])
+def test_utility_binding_matches_callbacks_bit_for_bit(loss, payoff):
+    u = make_utility_model(
+        {"loss": {"name": loss[0], "params": loss[1]},
+         "payoff": {"name": payoff[0], "params": payoff[1]}, "x0": 0.3},
+        T,
+    )
+    _check_binding(build_utility_cost(u, T), np.random.default_rng(len(loss[0]) + len(payoff[0])))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("quadratic_control", {"targets": [0.5, -0.25, 1.0], "coeffs": [1.0, 0.0, -2.0]}),
+    ("tracking_control", {"weight": 0.8, "x0": 0.1}),
+])
+def test_default_binding_matches_callbacks_bit_for_bit(name, params):
+    _check_binding(make_cost_model(name, params, T), np.random.default_rng(3))

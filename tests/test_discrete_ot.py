@@ -11,6 +11,7 @@ from awsens import (
     solve_exact,
     solve_sorted_1d,
 )
+from awsens.discrete_ot import solve_sorted_1d_batch
 
 
 def random_problem(rng, m, n):
@@ -66,6 +67,25 @@ def test_mismatched_weights_rejected():
         TransportProblem([0.5, 0.4], [1.0], [[1.0], [1.0]])
     with pytest.raises(InvalidParams):
         TransportProblem([0.5, 0.5], [1.0], [[np.inf], [1.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_rejected(bad):
+    with pytest.raises(Infeasible):
+        TransportProblem([bad, 0.5], [1.0], [[1.0], [1.0]])
+    with pytest.raises(Infeasible):
+        TransportProblem([1.0], [0.5, bad], [[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_batch_non_finite_weights_rejected(bad):
+    x = np.array([[0.0, 1.0], [0.0, 1.0]])
+    mu = np.array([[0.5, 0.5], [bad, 0.5]])
+    good = np.array([[0.5, 0.5], [0.5, 0.5]])
+    with pytest.raises(Infeasible):
+        solve_sorted_1d_batch(x, mu, x, good, 2.0)
+    with pytest.raises(Infeasible):
+        solve_sorted_1d_batch(x, good, x, mu, 2.0)
 
 
 def test_sorted_1d_identity():

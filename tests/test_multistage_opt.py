@@ -19,7 +19,7 @@ from awsens import (
     tree_from_nested,
     uniqueness_spread,
 )
-from awsens.multistage_opt import _variable_layout, strong_convexity_probe
+from awsens.multistage_opt import _variable_layout, scatter_sum, strong_convexity_probe
 from awsens.process_tree import Node, ScenarioTree
 
 L10 = ControlBounds(10.0)
@@ -227,3 +227,27 @@ def test_deterministic_across_runs():
     b = solve_value(tree, m, ControlBounds(4.0))
     assert a.value == b.value
     assert a.policy.values == b.policy.values
+
+
+def _add_at_reference(idx, vals, n):
+    """The unbuffered scatter ``scatter_sum`` replaced, kept as its reference."""
+    out = np.zeros(n)
+    np.add.at(out, idx, vals)
+    return out
+
+
+@pytest.mark.parametrize("T, b, seed", [(2, 2, 0), (3, 3, 1), (4, 2, 2), (3, 5, 3)])
+def test_scatter_sum_matches_add_at_bit_for_bit(T, b, seed):
+    tree = gen_random(T, b, seed)
+    ids, aidx = _variable_layout(tree)
+    rng = np.random.default_rng(seed)
+    w = tree.paths.probs
+    for vals in (rng.normal(size=aidx.shape), rng.normal(scale=1e8, size=aidx.shape),
+                 np.where(rng.random(aidx.shape) < 0.5, -0.0, 0.0)):
+        got = scatter_sum(aidx, w[:, None] * vals, len(ids))
+        want = _add_at_reference(aidx, w[:, None] * vals, len(ids))
+        assert got.tobytes() == want.tobytes()
+    # an index set that leaves some slots empty
+    idx = rng.integers(0, 7, size=(40, 3))
+    vals = rng.normal(size=idx.shape)
+    assert scatter_sum(idx, vals, 9).tobytes() == _add_at_reference(idx, vals, 9).tobytes()

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from awsens import (
     ball_membership,
     build_utility_cost,
     gen_binomial,
+    gen_random,
     make_cost_model,
     make_utility_model,
     perturbed_model,
@@ -160,3 +162,32 @@ def test_distance_audit_matches_direct_computation(split_dirac_pair):
     params = AWParams(2.0)
     _, dist = ball_membership(P, Q, 2.0, 10.0)
     assert dist == aw_distance(P, Q, params).distance
+
+
+def test_controlled_curve_solves_each_candidate_once(monkeypatch):
+    from awsens import robust_oracle
+
+    solved = []
+    real = robust_oracle.solve_value
+
+    def counting(tree, *args, **kwargs):
+        solved.append(tree.paths.values.tobytes())
+        return real(tree, *args, **kwargs)
+
+    monkeypatch.setattr(robust_oracle, "solve_value", counting)
+    tree = gen_random(3, 3, 0)
+    spec = {"loss": {"name": "exponential", "params": {"rate": 1.0}}, "payoff": {"name": "zero"}}
+    radii = (1e-2, 1e-1)
+    curve = robust_curve(RobustQuery("controlled", tree, make_cost_model("utility", spec, 3),
+                                     2.0, radii, bounds=ControlBounds(10.0)))
+    assert all(row.converged for row in curve.rows)
+    # pinned to the ascent that re-solves every candidate for its gradient:
+    # reusing solves must not move a bit
+    assert [row.lower_bound for row in curve.rows] == [0.04690025804843467, 0.37984158582318794]
+    counts = Counter(solved)
+    assert counts[tree.paths.values.tobytes()] == 1  # the base
+    # no candidate is solved twice in a row (value, then gradient, then a
+    # rejected trial); the one repeat a later radius may make is the previous
+    # radius's maximizer, which seeds it
+    assert all(a != b for a, b in zip(solved, solved[1:]))
+    assert len(solved) <= len(counts) + len(radii) - 1
