@@ -68,7 +68,6 @@ from .process_tree import (
     ScenarioTree,
     conditional_expectation,
     drop_last_stage,
-    enumerate_paths,
     gen_binomial,
     gen_lattice,
     gen_random,

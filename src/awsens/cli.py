@@ -11,35 +11,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
 from .adapted_wasserstein import AWParams, CouplingTree, aw_distance
-from .cost_models import CostModel, catalog_names, make_cost_model
+from .cost_models import CATALOG, CostModel, make_cost_model
 from .errors import AwsensError, InvalidParams, InvalidTree
 from .multistage_opt import ControlBounds, solve_value
 from .optimal_stopping import solve_stopping
 from .process_tree import Node, ScenarioTree, gen_binomial, gen_lattice, gen_random
 from .robust_oracle import RobustCurve, RobustQuery, robust_curve
-from .sensitivity import (
-    sensitivity_control,
-    sensitivity_stopping,
-    sensitivity_terminal,
-    utility_first_order,
-    worst_case_direction,
-)
+from .sensitivity import first_order, utility_first_order, worst_case_direction
 
 TREE_SCHEMA = "aw-tree/1"
-THREADS_ENV = "AWSENS_THREADS"
-
-# worker cap for module-level parallelism; computations are deterministic
-# regardless of its value (reductions run in fixed order)
-_thread_cap = 1
-
-
-def get_thread_cap() -> int:
-    return _thread_cap
 
 
 def _fmt(v: float) -> str:
@@ -67,6 +51,11 @@ def serialize_tree(tree: ScenarioTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_number(v) -> bool:
+    """JSON numbers only: Python's bool is an int, so true/false are excluded."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def parse_tree(text: str) -> ScenarioTree:
     """Parse and validate a tree file, anchoring errors to node entries."""
     try:
@@ -78,7 +67,7 @@ def parse_tree(text: str) -> ScenarioTree:
     if doc.get("schema_version") != TREE_SCHEMA:
         raise InvalidTree(f'schema_version must be "{TREE_SCHEMA}"')
     horizon = doc.get("horizon")
-    if not isinstance(horizon, int) or horizon < 1:
+    if isinstance(horizon, bool) or not isinstance(horizon, int) or horizon < 1:
         raise InvalidTree(f"horizon must be a positive integer, got {horizon!r}")
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
@@ -89,6 +78,8 @@ def parse_tree(text: str) -> ScenarioTree:
         if not isinstance(row, dict) or "id" not in row:
             raise InvalidTree(f"nodes[{i}]: each node needs an id")
         label = row["id"]
+        if isinstance(label, (list, dict)):
+            raise InvalidTree(f"nodes[{i}]: id must be a string or a number, got {label!r}")
         if label in ids:
             raise InvalidTree(f"nodes[{i}] (id={label!r}): duplicate id")
         ids[label] = i
@@ -99,20 +90,23 @@ def parse_tree(text: str) -> ScenarioTree:
         where = f"nodes[{i}] (id={label!r})"
         parent = row.get("parent")
         if parent is not None:
-            if parent not in ids:
+            if isinstance(parent, (list, dict)) or parent not in ids:
                 raise InvalidTree(f"{where}: unknown parent {parent!r}")
             parent = ids[parent]
         time = row.get("time")
-        if not isinstance(time, int):
+        if isinstance(time, bool) or not isinstance(time, int):
             raise InvalidTree(f"{where}: time must be an integer")
         value = row.get("value")
-        if value is not None and not isinstance(value, (int, float)):
+        if value is not None and not _is_number(value):
             raise InvalidTree(f"{where}: value must be a number or null")
         cond_prob = row.get("cond_prob", 1.0)
-        if not isinstance(cond_prob, (int, float)):
+        if not _is_number(cond_prob):
             raise InvalidTree(f"{where}: cond_prob must be a number")
-        nodes.append(Node(i, time, None if value is None else float(value),
-                          float(cond_prob), parent))
+        try:
+            nodes.append(Node(i, time, None if value is None else float(value),
+                              float(cond_prob), parent))
+        except OverflowError:  # an integer literal beyond the float range
+            raise InvalidTree(f"{where}: number out of range") from None
     return ScenarioTree(horizon, nodes)
 
 
@@ -176,12 +170,18 @@ class RunConfig:
         for key in ("problem_class", "model", "p"):
             if key not in doc:
                 raise InvalidParams(f"config is missing {key!r}")
+        problem_class = doc["problem_class"]
+        if not isinstance(problem_class, str) or problem_class not in CATALOG:
+            raise InvalidParams(
+                f"unknown problem_class {problem_class!r}; one of: {', '.join(CATALOG)}"
+            )
         model = doc["model"]
         if not isinstance(model, dict) or "name" not in model:
             raise InvalidParams("config model must be an object with a name")
-        if model["name"] not in catalog_names():
+        if model["name"] not in CATALOG[problem_class]:
             raise InvalidParams(
-                f"unknown model {model['name']!r}; catalog: {', '.join(catalog_names())}"
+                f"unknown {problem_class} model {model['name']!r}; "
+                f"catalog: {', '.join(CATALOG[problem_class])}"
             )
         for key in ("bounds", "tolerances", "ascent"):
             if not isinstance(doc.get(key, {}), dict):
@@ -194,7 +194,7 @@ class RunConfig:
             if not p > 1.0:
                 raise InvalidParams(f"p must exceed 1, got {p}")
             return cls(
-                problem_class=doc["problem_class"],
+                problem_class=problem_class,
                 model_name=model["name"],
                 model_params=dict(model.get("params", {})),
                 p=p,
@@ -206,7 +206,7 @@ class RunConfig:
                 restarts=int(ascent.get("restarts", 2)),
                 max_iters=int(ascent.get("max_iters", 25)),
             )
-        except (TypeError, ValueError) as e:  # a field of the wrong JSON type
+        except (TypeError, ValueError, OverflowError) as e:  # a field of the wrong JSON type
             raise InvalidParams(f"config: {e}") from None
 
     @classmethod
@@ -219,6 +219,11 @@ class RunConfig:
         except json.JSONDecodeError as e:
             raise InvalidParams(f"{path}: not valid JSON: {e}") from None
         return cls.from_dict(doc)
+
+    @property
+    def solver_tol(self) -> float:
+        """The tolerance of this problem class's inner solve."""
+        return self.stopping_tol if self.problem_class == "stopping" else self.value_tol
 
     def build_model(self, T: int) -> CostModel:
         return make_cost_model(self.model_name, self.model_params, T)
@@ -332,21 +337,12 @@ def cmd_sens(args) -> int:
     tree = load_tree(args.tree)
     cfg = RunConfig.from_file(args.config)
     model = cfg.build_model(tree.horizon)
-    if cfg.problem_class == "terminal":
-        report = sensitivity_terminal(tree, model, cfg.p)
-    elif cfg.problem_class == "controlled":
-        if model.utility is not None:
-            report, _ = utility_first_order(
-                tree, model.utility, ControlBounds(cfg.L), cfg.p, tol=cfg.value_tol
-            )
-        else:
-            report, _ = sensitivity_control(
-                tree, model, ControlBounds(cfg.L), cfg.p, tol=cfg.value_tol
-            )
-    elif cfg.problem_class == "stopping":
-        report, _ = sensitivity_stopping(tree, model, cfg.p, tol=cfg.stopping_tol)
+    if model.utility is not None:
+        report, _ = utility_first_order(
+            tree, model.utility, ControlBounds(cfg.L), cfg.p, tol=cfg.solver_tol
+        )
     else:
-        raise InvalidParams(f"unknown problem class {cfg.problem_class!r}")
+        report = first_order(tree, model, cfg.p, ControlBounds(cfg.L), cfg.solver_tol)[0]
     direction = worst_case_direction(tree, report)
     _emit(
         {
@@ -385,11 +381,11 @@ def cmd_curve(args) -> int:
         model=model,
         p=cfg.p,
         radii=cfg.radii,
-        bounds=ControlBounds(cfg.L) if cfg.problem_class == "controlled" else None,
+        bounds=ControlBounds(cfg.L),
         restarts=cfg.restarts,
         max_iters=cfg.max_iters,
         seed=cfg.seed,
-        solver_tol=cfg.value_tol,
+        solver_tol=cfg.solver_tol,
     )
     curve: RobustCurve = robust_curve(query)
     with open(args.out_csv, "w", encoding="utf-8") as fh:
@@ -413,12 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="awsens",
         description="Adapted-Wasserstein distances and model-risk sensitivities on scenario trees",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get(THREADS_ENV, "1")),
-        help="cap on module-level worker counts (results do not depend on it)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -464,13 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _thread_cap
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
-    _thread_cap = args.threads
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except AwsensError as e:

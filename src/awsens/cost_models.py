@@ -11,10 +11,6 @@ shape (N, T).  The catalog is addressable by name + parameter dict; arbitrary
 user models can be registered, in which case their derivatives are audited
 against central finite differences and (for stopping models) probed for
 measurability before use.
-
-The growth bounds the sensitivity theory assumes (|grad| below a constant
-times 1 + sum_s |x_s|^(p-1)) are recorded as metadata only: on finitely
-supported trees every smooth function satisfies them.
 """
 
 from __future__ import annotations
@@ -73,7 +69,6 @@ class CostModel:
     grad_x_fn: Callable
     grad_a_fn: Callable | None = None
     hess_a_fn: Callable | None = None
-    growth_order: float | None = None
     utility: "UtilityModel | None" = None
     bind_fn: Callable | None = None
 
@@ -161,13 +156,12 @@ class LossFunction:
 
 @dataclass(frozen=True)
 class PayoffFunction:
-    """Path functional g with gradient; ``bounded_derivative`` is metadata."""
+    """Path functional g with its gradient."""
 
     name: str
     params: dict
     value: Callable[[Array], Array]  # (N, T) -> (N,)
     grad: Callable[[Array], Array]  # (N, T) -> (N, T)
-    bounded_derivative: bool
 
 
 @dataclass(frozen=True)
@@ -218,7 +212,6 @@ def make_payoff(name: str, params: dict | None, T: int) -> PayoffFunction:
             name, params,
             lambda x: np.zeros(x.shape[0]),
             lambda x: np.zeros_like(x),
-            True,
         )
     if name == "linear":
         c = np.asarray(params.get("coeffs", [1.0] * T), dtype=np.float64)
@@ -228,7 +221,6 @@ def make_payoff(name: str, params: dict | None, T: int) -> PayoffFunction:
             name, {"coeffs": list(map(float, c))},
             lambda x: x @ c,
             lambda x: np.broadcast_to(c, x.shape).copy(),
-            True,
         )
     if name == "final_value":
         scale = float(params.get("scale", 1.0))
@@ -241,13 +233,12 @@ def make_payoff(name: str, params: dict | None, T: int) -> PayoffFunction:
             out[:, -1] = scale
             return out
 
-        return PayoffFunction(name, {"scale": scale}, g, dg, True)
+        return PayoffFunction(name, {"scale": scale}, g, dg)
     if name == "mean":
         return PayoffFunction(
             name, params,
             lambda x: x.mean(axis=1),
             lambda x: np.full_like(x, 1.0 / x.shape[1]),
-            True,
         )
     if name == "softplus_call":
         K = float(params.get("strike", 0.0))
@@ -263,7 +254,7 @@ def make_payoff(name: str, params: dict | None, T: int) -> PayoffFunction:
             out[:, -1] = _expit(beta * (x[:, -1] - K))
             return out
 
-        return PayoffFunction(name, {"strike": K, "sharpness": beta}, g, dg, True)
+        return PayoffFunction(name, {"strike": K, "sharpness": beta}, g, dg)
     raise InvalidParams(f"unknown payoff {name!r}")
 
 
@@ -412,7 +403,6 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
             "terminal", name, T, {"coeffs": list(map(float, c))},
             value_fn=lambda x: x @ c,
             grad_x_fn=lambda x: np.broadcast_to(c, x.shape).copy(),
-            growth_order=1.0,
         )
 
     if name == "quadratic_tracking":
@@ -425,7 +415,6 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
             {"weights": list(map(float, w)), "targets": list(map(float, m))},
             value_fn=lambda x: np.sum(w * (x - m) ** 2, axis=1),
             grad_x_fn=lambda x: 2.0 * w * (x - m),
-            growth_order=2.0,
         )
 
     if name == "softplus_call":
@@ -444,7 +433,7 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
 
         return CostModel(
             "terminal", name, T, {"strike": K, "sharpness": beta},
-            value_fn=sc_value, grad_x_fn=sc_grad, growth_order=1.0,
+            value_fn=sc_value, grad_x_fn=sc_grad,
         )
 
     if name == "exp_sum":

@@ -187,11 +187,6 @@ class ScenarioTree:
         return v
 
 
-def enumerate_paths(tree: ScenarioTree) -> PathTable:
-    """Return one entry per leaf with the path values and the product probability."""
-    return tree.paths
-
-
 def conditional_expectation(
     tree: ScenarioTree, leaf_values: Mapping[int, float], t: int
 ) -> dict[int, float]:
@@ -300,8 +295,11 @@ def gen_lattice(
     """Random walk with an arbitrary finite step distribution, emitted as a full tree."""
     if T < 1:
         raise InvalidParams(f"T must be >= 1, got {T}")
-    steps = [float(s) for s in steps]
-    probs = [float(w) for w in probs]
+    try:
+        steps = [float(s) for s in steps]
+        probs = [float(w) for w in probs]
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InvalidParams(f"steps and probs must be sequences of numbers: {e}") from None
     if len(steps) < 2 or len(steps) != len(probs):
         raise InvalidParams("steps and probs must have equal length >= 2")
     if len(set(steps)) != len(steps):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapted_wasserstein import AWParams, aw_pth_power, _bicausalize_pairs
-from .cost_models import CostModel
+from .adapted_wasserstein import AWParams, aw_pth_power
+from .cost_models import CATALOG, CostModel
 from .errors import (
     AmbiguousStopping,
     DeltaTooSmall,
@@ -29,19 +29,16 @@ from .errors import (
     MaxIterations,
     NotConvex,
 )
-from .multistage_opt import ControlBounds, scatter_sum, solve_value
-from .optimal_stopping import solve_stopping
-from .process_tree import Node, ScenarioTree
+from .multistage_opt import ControlBounds, scatter_sum
+from .process_tree import ScenarioTree
 from .sensitivity import (
-    SensitivityReport,
     WorstCaseDirection,
-    sensitivity_control,
-    sensitivity_stopping,
-    sensitivity_terminal,
+    class_solve,
+    displace,
+    first_order,
+    leaf_gradients,
     worst_case_direction,
 )
-
-PROBLEM_CLASSES = ("terminal", "controlled", "stopping")
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ class RobustQuery:
     solver_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.problem_class not in PROBLEM_CLASSES:
+        if self.problem_class not in CATALOG:
             raise InvalidParams(f"unknown problem class {self.problem_class!r}")
         radii = tuple(float(r) for r in self.radii)
         object.__setattr__(self, "radii", radii)
@@ -156,27 +153,11 @@ class _Ascent:
     def displace(self, shifts: np.ndarray) -> tuple[ScenarioTree, bool]:
         """Tree with node values moved by ``shifts``; False when collisions
         forced a bicausal repair (structure then differs from the base)."""
-        tree = self.tree
-        shifted = {nid: tree.nodes[nid].value + float(shifts[k]) for k, nid in enumerate(self.vnodes)}
-        collision = any(
-            len({shifted[c] for c in tree.children[nid]}) != len(tree.children[nid])
-            for t in range(tree.horizon)
-            for nid in tree.levels[t]
-        )
-        if not collision:
-            nodes = [
-                Node(nd.id, nd.time, shifted.get(nd.id), nd.cond_prob, nd.parent)
-                for nd in tree.nodes
-            ]
-            return ScenarioTree(tree.horizon, nodes), True
+        nodes = self.tree.nodes
+        shifted = {nid: nodes[nid].value + float(shifts[k]) for k, nid in enumerate(self.vnodes)}
         delta = max(float(np.max(np.abs(shifts))), 1e-12) * 1e-6
-        parent = [nd.parent for nd in tree.nodes]
-        times = [nd.time for nd in tree.nodes]
-        _, out = _bicausalize_pairs(
-            tree, parent, times, list(range(len(tree.nodes))),
-            [shifted.get(nd.id) for nd in tree.nodes], list(tree.node_prob), delta,
-        )
-        return out, False
+        out, coupling = displace(self.tree, shifted, delta)
+        return out, coupling is None
 
     def distance(self, tree: ScenarioTree) -> float:
         """Exact adapted distance from the base tree."""
@@ -207,38 +188,11 @@ class _Ascent:
 
     # -- class values ------------------------------------------------------
 
-    def base_value(self) -> float:
-        return self.class_solve(self.tree)[0]
-
-    def class_solve(self, tree: ScenarioTree):
-        """Class value plus the optimizer its gradient holds fixed: the
-        control policy, the stopping policy, or None for terminal costs."""
-        q = self.query
-        if q.problem_class == "terminal":
-            return float(tree.paths.probs @ q.model.value_fn(tree.paths.values)), None
-        if q.problem_class == "controlled":
-            rep = solve_value(tree, q.model, q.bounds, tol=q.solver_tol, check_convexity=False)
-            return rep.value, rep.policy
-        return solve_stopping(tree, q.model, tol=q.solver_tol)[:2]
-
-    def gradient(self, tree: ScenarioTree, policy) -> np.ndarray:
+    def gradient(self, tree: ScenarioTree, optimizer) -> np.ndarray:
         """Gradient of the class value in the node displacements, with the
         optimizer fixed (envelope argument), so it needs no further solve."""
-        q = self.query
-        xs = tree.paths.values
-        w = tree.paths.probs
-        if q.problem_class == "terminal":
-            leaf_grads = q.model.grad_x_fn(xs)
-        elif q.problem_class == "controlled":
-            leaf_grads = q.model.grad_x_fn(xs, policy.path_matrix(tree))
-        else:
-            leaf_grads = np.zeros_like(xs)
-            taus = np.array([policy.tau[leaf] for leaf in tree.leaves])
-            for t in range(1, tree.horizon + 1):
-                mask = taus == t
-                if np.any(mask):
-                    leaf_grads[mask] = q.model.grad_x_fn(xs[mask], t)
-        return scatter_sum(self.vidx, w[:, None] * leaf_grads, len(self.vnodes))
+        leaf_grads = leaf_gradients(tree, self.query.model, optimizer)
+        return scatter_sum(self.vidx, tree.paths.probs[:, None] * leaf_grads, len(self.vnodes))
 
     def try_solve(self, shifts: np.ndarray, tree: ScenarioTree):
         """``class_solve`` of the candidate ``displace(shifts)``, or None when
@@ -247,8 +201,9 @@ class _Ascent:
         key = shifts.tobytes()
         if self.last is not None and self.last[0] == key:
             return self.last[1]
+        q = self.query
         try:
-            sol = self.class_solve(tree)
+            sol = class_solve(tree, q.model, q.bounds, q.solver_tol, check_convexity=False)
         except (AmbiguousStopping, NotConvex, MaxIterations):
             sol = None
         self.last = (key, sol)
@@ -340,10 +295,10 @@ def robust_curve(query: RobustQuery) -> RobustCurve:
     the next radius, so the reported lower bounds are nondecreasing in r.
     """
     engine = _Ascent(query)
-    report = _class_report(query)
+    report, base, _ = first_order(query.tree, query.model, query.p, query.bounds,
+                                  query.solver_tol)
     direction = worst_case_direction(query.tree, report)
     zvec = engine.seed_direction(direction)
-    base = engine.base_value()
 
     rows: list[CurveRow] = []
     carry: list[np.ndarray] = []
@@ -385,15 +340,6 @@ def robust_curve(query: RobustQuery) -> RobustCurve:
         slope_estimate=slope,
         slope_stderr=stderr,
     )
-
-
-def _class_report(query: RobustQuery) -> SensitivityReport:
-    if query.problem_class == "terminal":
-        return sensitivity_terminal(query.tree, query.model, query.p)
-    if query.problem_class == "controlled":
-        return sensitivity_control(query.tree, query.model, query.bounds, query.p,
-                                   tol=query.solver_tol)[0]
-    return sensitivity_stopping(query.tree, query.model, query.p, tol=query.solver_tol)[0]
 
 
 def _extrapolate_slope(rows: list[CurveRow]) -> tuple[float, float]:

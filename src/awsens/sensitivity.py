@@ -84,13 +84,63 @@ def _condition_leaf_gradients(
     return _report_from_node_values(tree, node_vals, p, problem_class)
 
 
+def class_solve(
+    tree: ScenarioTree,
+    model: CostModel,
+    bounds: ControlBounds | None,
+    tol: float,
+    check_convexity: bool = True,
+):
+    """Class value plus the optimizer its gradient holds fixed: the control
+    policy, the stopping policy, or None for terminal costs."""
+    if model.kind == "terminal":
+        return float(tree.paths.probs @ model.value_fn(tree.paths.values)), None
+    if model.kind == "controlled":
+        rep = solve_value(tree, model, bounds, tol=tol, check_convexity=check_convexity)
+        return rep.value, rep.policy
+    return solve_stopping(tree, model, tol=tol)[:2]
+
+
+def leaf_gradients(tree: ScenarioTree, model: CostModel, optimizer) -> np.ndarray:
+    """Path gradient of the integrand at ``class_solve``'s optimizer, one
+    row per leaf; a stopped path takes the gradient of its stopping stage."""
+    xs = tree.paths.values
+    if model.kind == "terminal":
+        return model.grad_x_fn(xs)
+    if model.kind == "controlled":
+        return model.grad_x_fn(xs, optimizer.path_matrix(tree))
+    grads = np.zeros_like(xs)
+    taus = np.array([optimizer.tau[leaf] for leaf in tree.leaves])
+    for t in range(1, tree.horizon + 1):
+        mask = taus == t
+        if np.any(mask):
+            grads[mask] = model.grad_x_fn(xs[mask], t)
+    return grads
+
+
+def first_order(
+    tree: ScenarioTree,
+    model: CostModel,
+    p: float,
+    bounds: ControlBounds | None = None,
+    tol: float = 1e-9,
+) -> tuple[SensitivityReport, float, object]:
+    """Report, class value and optimizer of one solve, for any model kind."""
+    AWParams(p)  # validates p > 1
+    value, optimizer = class_solve(tree, model, bounds, tol)
+    grads = leaf_gradients(tree, model, optimizer)
+    return _condition_leaf_gradients(tree, grads, p, model.kind), value, optimizer
+
+
+def _expect_kind(model: CostModel, kind: str) -> None:
+    if model.kind != kind:
+        raise InvalidParams(f"expected a {kind} model, got {model.kind!r}")
+
+
 def sensitivity_terminal(tree: ScenarioTree, model: CostModel, p: float) -> SensitivityReport:
     """First-order term for plain expectation functionals."""
-    if model.kind != "terminal":
-        raise InvalidParams(f"expected a terminal model, got {model.kind!r}")
-    AWParams(p)  # validates p > 1
-    grads = model.grad_x_fn(tree.paths.values)
-    return _condition_leaf_gradients(tree, grads, p, "terminal")
+    _expect_kind(model, "terminal")
+    return first_order(tree, model, p)[0]
 
 
 def sensitivity_control(
@@ -101,31 +151,17 @@ def sensitivity_control(
     tol: float = 1e-9,
 ) -> tuple[SensitivityReport, ControlPolicy]:
     """First-order term for the controlled problem, at the unique optimizer."""
-    if model.kind != "controlled":
-        raise InvalidParams(f"expected a controlled model, got {model.kind!r}")
-    AWParams(p)
-    rep = solve_value(tree, model, bounds, tol=tol)
-    actions = rep.policy.path_matrix(tree)
-    grads = model.grad_x_fn(tree.paths.values, actions)
-    return _condition_leaf_gradients(tree, grads, p, "controlled"), rep.policy
+    _expect_kind(model, "controlled")
+    report, _, policy = first_order(tree, model, p, bounds, tol)
+    return report, policy
 
 
 def sensitivity_stopping(
     tree: ScenarioTree, model: CostModel, p: float, tol: float = 1e-9
 ) -> tuple[SensitivityReport, dict[int, int]]:
     """First-order term for optimal stopping, at the unique stopping time."""
-    if model.kind != "stopping":
-        raise InvalidParams(f"expected a stopping model, got {model.kind!r}")
-    AWParams(p)
-    _, policy, _ = solve_stopping(tree, model, tol=tol)
-    xs = tree.paths.values
-    grads = np.zeros_like(xs)
-    taus = np.array([policy.tau[leaf] for leaf in tree.leaves])
-    for t in range(1, tree.horizon + 1):
-        mask = taus == t
-        if np.any(mask):
-            grads[mask] = model.grad_x_fn(xs[mask], t)
-    report = _condition_leaf_gradients(tree, grads, p, "stopping")
+    _expect_kind(model, "stopping")
+    report, _, policy = first_order(tree, model, p, tol=tol)
     return report, policy.tau
 
 
@@ -140,9 +176,11 @@ def utility_first_order(
 
     Per stage, the conditional-gradient process is
 
-        (a*_{t+1} - a*_t) E[l'(W) | F_t] - E[l'(W) d/dx_t g(X) | F_t]
+        E[l'(W) d/dx_t g(X) | F_t] + (a*_t - a*_{t+1}) E[l'(W) | F_t]
 
-    with a*_{T+1} = 0 and W the hedged terminal position at the optimizer.
+    with a*_{T+1} = 0 and W the hedged terminal position at the optimizer:
+    the conditioned x-gradient of the utility cost, so the report equals
+    :func:`sensitivity_control`'s and its direction raises the value.
     The tree must have no flat steps (no atom with x_t = x_{t-1}).
     """
     AWParams(p)
@@ -169,7 +207,7 @@ def utility_first_order(
         for nid in tree.levels[t]:
             a_next = rep.policy.values[nid] if t < tree.horizon else 0.0
             a_cur = rep.policy.values[tree.nodes[nid].parent]
-            vals[nid] = (a_next - a_cur) * ce_lp[nid] - ce_lpg[nid]
+            vals[nid] = ce_lpg[nid] + (a_cur - a_next) * ce_lp[nid]
         node_vals[t] = vals
     return _report_from_node_values(tree, node_vals, p, "utility"), rep.policy
 
@@ -207,6 +245,31 @@ def worst_case_direction(tree: ScenarioTree, report: SensitivityReport) -> Worst
             pairing += tree.node_prob[nid] * g * z
         values[t] = vals
     return WorstCaseDirection(p, q, values, tuple(weights), norm_check, pairing, False)
+
+
+def displace(tree: ScenarioTree, values: dict[int, float], delta: float):
+    """Move every value-carrying node to ``values[node id]``.
+
+    Returns ``(tree, None)`` when shifted siblings stay distinct, and
+    otherwise ``(tree, coupling)`` of the bicausal repair with resolution
+    ``delta``.
+    """
+    if all(len({values[c] for c in kids}) == len(kids) for kids in tree.children):
+        nodes = [
+            Node(nd.id, nd.time, values.get(nd.id), nd.cond_prob, nd.parent)
+            for nd in tree.nodes
+        ]
+        return ScenarioTree(tree.horizon, nodes), None
+    if delta <= 0.0:
+        raise DeltaTooSmall(
+            "shifted sibling values collide and delta = 0 leaves nothing to separate them"
+        )
+    coupling, out = _bicausalize_pairs(
+        tree, [nd.parent for nd in tree.nodes], [nd.time for nd in tree.nodes],
+        list(range(len(tree.nodes))), [values.get(nd.id) for nd in tree.nodes],
+        list(tree.node_prob), delta,
+    )
+    return out, coupling
 
 
 def perturbed_model(
@@ -251,38 +314,15 @@ def perturbed_model_with_coupling(
         zs = direction.values.get(t, {})
         for nid in tree.levels[t]:
             shifted[nid] = tree.nodes[nid].value + r * zs.get(nid, 0.0)
-
-    collision = any(
-        len({shifted[c] for c in tree.children[nid]}) != len(tree.children[nid])
-        for t in range(T)
-        for nid in tree.levels[t]
-    )
-    delta_used = 0.0
-    if not collision:
-        nodes = [
-            Node(nd.id, nd.time, shifted[nd.id] if nd.parent is not None else None,
-                 nd.cond_prob, nd.parent)
-            for nd in tree.nodes
-        ]
-        out = ScenarioTree(T, nodes)
+    out, coupling = displace(tree, shifted, delta)
+    delta_used = delta
+    if coupling is None:  # the identity coupling is bicausal
+        delta_used = 0.0
         pairs = [
             PairNode(nd.id, nd.time, nd.id, nd.id, nd.cond_prob, nd.parent)
             for nd in tree.nodes
         ]
         coupling = CouplingTree(tree, out, pairs)
-    else:
-        if delta <= 0.0:
-            raise DeltaTooSmall(
-                "shifted sibling values collide and delta = 0 leaves nothing to separate them"
-            )
-        parent = [nd.parent for nd in tree.nodes]
-        times = [nd.time for nd in tree.nodes]
-        x_node = list(range(len(tree.nodes)))
-        y_value = [shifted.get(nd.id) for nd in tree.nodes]
-        coupling, out = _bicausalize_pairs(
-            tree, parent, times, x_node, y_value, list(tree.node_prob), delta
-        )
-        delta_used = delta
 
     if verify:
         norm = direction.norm_check ** (1.0 / direction.p) if direction.norm_check > 0 else 1.0

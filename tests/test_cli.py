@@ -1,20 +1,24 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awsens import (
     AmbiguousStopping,
+    AwsensError,
     InvalidParams,
     InvalidTree,
     NotConvex,
     TooLarge,
     gen_binomial,
 )
-from awsens.cli import main, parse_tree, serialize_tree
+from awsens.cli import RunConfig, main, parse_tree, serialize_tree
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -210,21 +214,6 @@ def test_repeat_runs_are_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_thread_cap_does_not_change_numbers(tmp_path, capsys):
-    rows = []
-    for threads in ("1", "4"):
-        csv = tmp_path / f"t{threads}.csv"
-        code, _, _ = run_cli(
-            capsys, "--threads", threads, "curve", FIXTURES / "iid_signs.json",
-            "--config", FIXTURES / "config_sens_linear.json", "--out-csv", csv,
-        )
-        assert code == 0
-        body = csv.read_text().strip().split("\n")[1:]
-        rows.append([[float(v) for v in line.split(",")] for line in body])
-    for ra, rb in zip(*rows):
-        assert ra == pytest.approx(rb, abs=1e-12)
-
-
 def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"schema_version": "aw-tree/1", "horizon": 1, "nodes": []}')
@@ -283,6 +272,121 @@ def test_malformed_config_is_invalid_params(tmp_path, capsys, field, needle):
     }))
     code, _, err = run_cli(capsys, "value", FIXTURES / "drifted_binomial.json", "--config", cfg)
     assert code == InvalidParams.exit_code and "InvalidParams" in err and needle in err
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads=2", "aw", str(FIXTURES / "split_dirac_p.json"),
+              str(FIXTURES / "split_dirac_q.json")])
+    assert exc.value.code == 2 and "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["stop", "sens", "curve"])
+def test_stopping_commands_use_stopping_tol(tmp_path, capsys, cmd):
+    doc = json.loads((FIXTURES / "config_stop_identity.json").read_text())
+    doc["tolerances"] = {"stopping_tol": 10.0}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    extra = ["--out-csv", tmp_path / "c.csv"] if cmd == "curve" else []
+    code, _, err = run_cli(capsys, cmd, FIXTURES / "drifted_binomial.json", "--config", cfg,
+                           *extra)
+    assert code == AmbiguousStopping.exit_code and "AmbiguousStopping" in err
+
+
+@pytest.mark.parametrize("problem_class, model, needle", [
+    ("robust", "linear", "problem_class"),
+    (["terminal"], "linear", "problem_class"),
+    (None, "linear", "problem_class"),
+    ("stopping", "linear", "stopping model"),
+    ("terminal", "utility", "terminal model"),
+])
+def test_config_class_and_model_must_match(tmp_path, capsys, problem_class, model, needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem_class": problem_class, "model": {"name": model},
+                               "p": 2.0}))
+    code, _, err = run_cli(capsys, "sens", FIXTURES / "iid_signs.json", "--config", cfg)
+    assert code == InvalidParams.exit_code and "InvalidParams" in err and needle in err
+
+
+@pytest.mark.parametrize("change, needle", [
+    ({"horizon": True}, "horizon"),
+    ({"id": [0]}, "id must be"),
+    ({"parent": [0]}, "unknown parent"),
+    ({"time": True}, "time must be"),
+    ({"value": True}, "value must be"),
+    ({"value": 10 ** 400}, "out of range"),
+])
+def test_malformed_tree_fields_are_invalid_tree(tmp_path, capsys, change, needle):
+    # one period, so that a horizon of true would pass as 1
+    doc = {"schema_version": "aw-tree/1", "horizon": 1, "nodes": [
+        {"id": 0, "parent": None, "time": 0, "value": None},
+        {"id": 1, "parent": 0, "time": 1, "value": 1.0, "cond_prob": 0.5},
+        {"id": 2, "parent": 0, "time": 1, "value": -1.0, "cond_prob": 0.5},
+    ]}
+    if "horizon" in change:
+        doc.update(change)
+    else:
+        doc["nodes"][1].update(change)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "aw", bad, bad)
+    assert code == InvalidTree.exit_code and "InvalidTree" in err and needle in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+SMALL = st.integers(-1, 3) | JSON_VALUES
+
+
+def _fields(**fields):
+    return st.fixed_dictionaries({}, optional={k: v | JSON_VALUES for k, v in fields.items()})
+
+
+TREE_DOCS = st.fixed_dictionaries({
+    "schema_version": st.just("aw-tree/1"),
+    "horizon": st.integers(1, 2) | JSON_VALUES,
+    "nodes": st.lists(st.fixed_dictionaries(
+        {"id": SMALL, "parent": st.none() | SMALL, "time": SMALL},
+        optional={"value": st.floats(-2, 2) | JSON_VALUES,
+                  "cond_prob": st.sampled_from([0.5, 1.0]) | JSON_VALUES},
+    ), min_size=1, max_size=5),
+})
+# infinities and 10**400 overflow int() and float(), so draw them often
+NUMBERS = (st.sampled_from([math.inf, -math.inf, math.nan, 10 ** 400, True])
+           | st.integers() | st.floats())
+CONFIG_DOCS = st.fixed_dictionaries(
+    {"problem_class": st.sampled_from(["terminal", "controlled", "stopping"]) | JSON_VALUES,
+     "model": st.fixed_dictionaries({"name": st.sampled_from(["linear", "utility"])},
+                                    optional={"params": st.dictionaries(st.text(max_size=4),
+                                                                        JSON_VALUES)}),
+     "p": st.just(2.0) | NUMBERS | JSON_VALUES},
+    optional={"radii": st.lists(NUMBERS, max_size=3) | JSON_VALUES, "seed": NUMBERS,
+              "bounds": _fields(L=NUMBERS), "tolerances": _fields(value_tol=NUMBERS),
+              "ascent": _fields(restarts=NUMBERS, max_iters=NUMBERS)},
+)
+
+
+@given(doc=TREE_DOCS)
+@settings(max_examples=300, deadline=None)
+def test_parse_tree_fuzz_raises_only_typed_errors(doc):
+    try:
+        parse_tree(json.dumps(doc))
+    except AwsensError:
+        pass
+
+
+@given(doc=CONFIG_DOCS)
+@settings(max_examples=300, deadline=None)
+def test_run_config_fuzz_raises_only_typed_errors(doc):
+    try:
+        RunConfig.from_dict(doc)
+    except AwsensError:
+        pass
+
 
 def test_console_entry_point(tmp_path):
     # one subprocess run to prove the installed script wires up

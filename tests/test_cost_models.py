@@ -210,13 +210,6 @@ def test_register_controlled_uses_fd_hessian_fallback():
     assert np.allclose(h, 2.0 * np.eye(T), atol=1e-6)
 
 
-def test_growth_flags_are_metadata_only():
-    m = make_cost_model("linear", {"coeffs": [1.0] * T}, T)
-    assert m.growth_order == 1.0
-    e = make_cost_model("exp_sum", {"beta": 2.0}, T)
-    assert e.growth_order is None
-
-
 LOSSES = [("quadratic", {}), ("exponential", {"rate": 0.7}), ("smoothed_power", {"exponent": 3.0})]
 PAYOFFS = [
     ("zero", {}),

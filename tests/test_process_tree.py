@@ -12,7 +12,6 @@ from awsens import (
     ScenarioTree,
     conditional_expectation,
     drop_last_stage,
-    enumerate_paths,
     gen_binomial,
     gen_lattice,
     gen_random,
@@ -24,7 +23,7 @@ from awsens import (
 
 def test_single_path_tree():
     tree = tree_from_nested(2, [(1.0, 1.0, [(2.0, 1.0)])])
-    table = enumerate_paths(tree)
+    table = tree.paths
     assert len(table) == 1
     leaf, values, prob = next(iter(table))
     assert prob == 1.0
@@ -33,7 +32,7 @@ def test_single_path_tree():
 
 def test_symmetric_binomial_paths():
     tree = gen_binomial(T=2, start=0.0, up=1.0, down=-1.0, p_up=0.5)
-    table = enumerate_paths(tree)
+    table = tree.paths
     assert len(table) == 4
     assert all(prob == 0.25 for _, _, prob in table)
     got = sorted(tuple(v) for _, v, _ in table)
@@ -50,7 +49,7 @@ def test_drifted_binomial_paths():
             x2 = x1 + drift + s2
             expected[(x1, x2)] = p * p
     tree = gen_binomial(T=2, start=start, up=up, down=down, p_up=p, drift=drift)
-    got = {tuple(v): prob for _, v, prob in enumerate_paths(tree)}
+    got = {tuple(v): prob for _, v, prob in tree.paths}
     assert got == expected
     assert {v[0] for v in got} == {1.0, -1.0}
 
@@ -68,7 +67,7 @@ def test_cond_exp_constant(iid_signs):
 
 def test_cond_exp_martingale_binomial():
     tree = gen_binomial(T=2, start=0.0, up=1.0, down=-1.0, p_up=0.5)
-    table = enumerate_paths(tree)
+    table = tree.paths
     leaf_values = {leaf: float(v[-1]) for leaf, v, _ in table}
     out = conditional_expectation(tree, leaf_values, 1)
     for nid in tree.levels[1]:
@@ -134,7 +133,7 @@ def test_pth_moment_consistency(seed):
 
 def test_gen_binomial_one_period():
     tree = gen_binomial(T=1, start=0.0, up=1.0, down=-1.0, p_up=0.5)
-    got = sorted((v[0], prob) for _, v, prob in enumerate_paths(tree))
+    got = sorted((v[0], prob) for _, v, prob in tree.paths)
     assert got == [(-1.0, 0.5), (1.0, 0.5)]
 
 
@@ -183,6 +182,17 @@ def test_gen_lattice_invalid_params():
         gen_lattice(T=1, start=0.0, steps=[1.0, -1.0], probs=[0.6, 0.6])
     with pytest.raises(InvalidParams):
         gen_random(T=1, branching=1, seed=0)
+
+
+@pytest.mark.parametrize("steps, probs", [
+    (3.0, [0.5, 0.5]),
+    ([1.0, -1.0], 0.5),
+    (["up", "down"], [0.5, 0.5]),
+    ([1.0, [2.0]], [0.5, 0.5]),
+])
+def test_gen_lattice_scalar_or_non_numeric_steps(steps, probs):
+    with pytest.raises(InvalidParams, match="sequences of numbers"):
+        gen_lattice(2, 0.0, steps, probs)
 
 
 def test_invalid_trees_rejected():

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from awsens import (
@@ -16,10 +17,14 @@ from awsens import (
     make_cost_model,
     make_utility_model,
     perturbed_model,
+    perturbed_model_with_coupling,
     robust_curve,
     sensitivity_terminal,
+    tree_from_nested,
     worst_case_direction,
 )
+from awsens.robust_oracle import _Ascent
+from awsens.sensitivity import WorstCaseDirection
 
 RADII = (1e-4, 1e-3, 1e-2, 1e-1)
 
@@ -165,16 +170,16 @@ def test_distance_audit_matches_direct_computation(split_dirac_pair):
 
 
 def test_controlled_curve_solves_each_candidate_once(monkeypatch):
-    from awsens import robust_oracle
+    from awsens import sensitivity
 
     solved = []
-    real = robust_oracle.solve_value
+    real = sensitivity.solve_value
 
     def counting(tree, *args, **kwargs):
         solved.append(tree.paths.values.tobytes())
         return real(tree, *args, **kwargs)
 
-    monkeypatch.setattr(robust_oracle, "solve_value", counting)
+    monkeypatch.setattr(sensitivity, "solve_value", counting)
     tree = gen_random(3, 3, 0)
     spec = {"loss": {"name": "exponential", "params": {"rate": 1.0}}, "payoff": {"name": "zero"}}
     radii = (1e-2, 1e-1)
@@ -185,9 +190,32 @@ def test_controlled_curve_solves_each_candidate_once(monkeypatch):
     # reusing solves must not move a bit
     assert [row.lower_bound for row in curve.rows] == [0.04690025804843467, 0.37984158582318794]
     counts = Counter(solved)
-    assert counts[tree.paths.values.tobytes()] == 1  # the base
+    assert counts[tree.paths.values.tobytes()] == 1  # the base, for value and sensitivity
     # no candidate is solved twice in a row (value, then gradient, then a
     # rejected trial); the one repeat a later radius may make is the previous
     # radius's maximizer, which seeds it
     assert all(a != b for a, b in zip(solved, solved[1:]))
     assert len(solved) <= len(counts) + len(radii) - 1
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_ascent_and_perturbed_model_build_the_same_tree(collide):
+    if collide:  # siblings 0.2 apart, pushed together by opposite unit shifts
+        tree = tree_from_nested(1, [(0.1, 0.5), (-0.1, 0.5)])
+        ids = tree.levels[1]
+        direction = WorstCaseDirection(2.0, 2.0, {1: {ids[0]: -1.0, ids[1]: 1.0}},
+                                       (1.0,), 1.0, 0.0, False)
+        model, r = make_cost_model("linear", {"coeffs": [1.0]}, 1), 0.1
+    else:
+        tree = gen_random(3, 3, 5)
+        model, r = make_cost_model("quadratic_tracking", None, 3), 0.05
+        direction = worst_case_direction(tree, sensitivity_terminal(tree, model, 2.0))
+    engine = _Ascent(RobustQuery("terminal", tree, model, 2.0, (r,)))
+    shifts = r * engine.seed_direction(direction)
+    got, same = engine.displace(shifts)
+    # the ascent's repair resolution, handed to the library entry
+    delta = max(float(np.max(np.abs(shifts))), 1e-12) * 1e-6
+    want, _, delta_used = perturbed_model_with_coupling(tree, direction, r, delta=delta,
+                                                        verify=False)
+    assert same is not collide and (delta_used > 0.0) is collide
+    assert got.horizon == want.horizon and got.nodes == want.nodes

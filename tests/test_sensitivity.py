@@ -127,6 +127,33 @@ def test_random_utility_cross_formula_agreement(loss):
         assert a.first_order == pytest.approx(b.first_order, rel=1e-8, abs=1e-10)
 
 
+def test_utility_formula_matches_controlled_gradients_and_raises_value():
+    # the acceptance-5 instances: not only the norms agree but every
+    # conditional gradient, so the direction raises the hedging value
+    losses = [("quadratic", {}), ("exponential", {"rate": 0.5}),
+              ("smoothed_power", {"exponent": 3.0})]
+    payoffs = [("zero", {}), ("linear", {"coeffs": [0.3, -0.2]}), ("mean", {}),
+               ("softplus_call", {"strike": 0.1, "sharpness": 1.0}),
+               ("final_value", {"scale": 0.8})]
+    bounds, r = ControlBounds(5.0), 1e-4
+    for k in range(50):
+        tree = gen_random(2, 2, 800_000 + k)
+        (lname, lparams), (pname, pparams) = losses[k % 3], payoffs[k % 5]
+        u = make_utility_model({"loss": {"name": lname, "params": lparams},
+                                "payoff": {"name": pname, "params": pparams}, "x0": 5.0}, 2)
+        cm = build_utility_cost(u, 2)
+        want, _ = sensitivity_control(tree, cm, bounds, 2.0)
+        got, _ = utility_first_order(tree, u, bounds, 2.0)
+        for t, vals in want.cond_grads.items():
+            for nid, g in vals.items():
+                assert got.cond_grads[t][nid] == pytest.approx(g, rel=0.0, abs=1e-8)
+        direction = worst_case_direction(tree, got)
+        if direction.degenerate:
+            continue
+        moved = perturbed_model(tree, direction, r)
+        assert solve_value(moved, cm, bounds).value > solve_value(tree, cm, bounds).value
+
+
 def test_flat_step_rejected():
     flat = tree_from_nested(2, [(0.5, 1.0, [(0.5, 0.5), (1.5, 0.5)])])
     u = make_utility_model({"loss": {"name": "quadratic"}, "payoff": {"name": "zero"}, "x0": 0.0}, 2)
