@@ -10,7 +10,9 @@ bicausal by construction.
 At the last stage the cost is |x - y|^p alone, so every pair of child
 families is a sorted 1-d problem; all of them are solved at once per pair
 of family sizes by the lockstep north-west-corner kernel.  Interior stages
-run the transportation simplex per node pair.  One recursion serves two
+run the transportation simplex per node pair, on costs gathered from one
+block per x node and with the transport checks run once per family and
+block rather than per pair.  One recursion serves two
 entries: :func:`aw_distance` (distance, per-stage costs, coupling) and the
 distance-only :func:`aw_pth_power`, which keeps no plans.  Batching never
 changes a summation order: each objective is summed over the row-major
@@ -32,7 +34,14 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .discrete_ot import TransportProblem, solve_exact, solve_sorted_1d_batch
+from .discrete_ot import (
+    TransportProblem,
+    check_cost,
+    check_weights,
+    solve_exact,
+    solve_sorted_1d_batch,
+    transport_simplex,
+)
 from .errors import (
     DeltaTooSmall,
     HorizonMismatch,
@@ -317,13 +326,16 @@ def _last_stage(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None,
 
 
 def _families(tree: ScenarioTree, t: int, arrays):
-    """Per time-t node: its id, the children's level positions, values and
-    conditional probabilities, in the tree's child order."""
+    """Per time-t node: its id, the children's level positions and values,
+    their conditional probabilities as floats and the sum of those, in the
+    tree's child order.  Each family passes the weight checks of
+    :class:`TransportProblem` here, once."""
     pos, values, weights = arrays
     out = []
     for nid in tree.levels[t]:
         kids = list(tree.children[nid])
-        out.append((nid, pos[kids], values[kids], weights[kids]))
+        w = weights[kids]
+        out.append((nid, pos[kids], values[kids], w.tolist(), float(check_weights(w))))
     return out
 
 
@@ -333,6 +345,10 @@ def _recursion(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -
     ``value`` holds one level's pair values as a matrix indexed by the two
     nodes' level positions.  Interior stages add the children's values to
     the stage cost, which breaks submodularity, so they run the simplex.
+    Per x node, one block holds the costs against every child of the y
+    level, so each node pair's cost matrix is a column gather of it; each
+    block passes the finiteness check of :class:`TransportProblem`, and
+    the second marginal is rescaled as :func:`solve_exact` rescales it.
     """
     if P.horizon != Q.horizon:
         raise HorizonMismatch(f"horizons differ: {P.horizon} vs {Q.horizon}")
@@ -340,14 +356,17 @@ def _recursion(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -
     value = _last_stage(P, Q, p, plans, ax, ay)
     for t in range(P.horizon - 2, -1, -1):
         yfam = _families(Q, t, ay)
+        yvals = ay[1][list(Q.levels[t + 1])]
         level = np.empty((len(P.levels[t]), len(yfam)))
-        for a, (xn, xpos, xv, xw) in enumerate(_families(P, t, ax)):
-            for b, (yn, ypos, yv, yw) in enumerate(yfam):
-                cost = np.abs(xv[:, None] - yv[None, :]) ** p + value[np.ix_(xpos, ypos)]
-                sub = solve_exact(TransportProblem(xw, yw, cost))
-                level[a, b] = sub.objective
+        for a, (xn, xpos, xv, xw, xsum) in enumerate(_families(P, t, ax)):
+            block = np.abs(xv[:, None] - yvals[None, :]) ** p + value[xpos]
+            check_cost(block)
+            for b, (yn, ypos, _, yw, ysum) in enumerate(yfam):
+                ratio = xsum / ysum
+                plan, obj, _, _ = transport_simplex(xw, [w * ratio for w in yw], block[:, ypos])
+                level[a, b] = obj
                 if plans is not None:
-                    plans[(xn, yn)] = (sub.plan, P.children[xn], Q.children[yn])
+                    plans[(xn, yn)] = (plan, P.children[xn], Q.children[yn])
         value = level
     return float(value[0, 0])
 

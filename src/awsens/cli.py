@@ -149,6 +149,20 @@ def serialize_coupling(coupling: CouplingTree) -> dict:
 DEFAULT_RADII = (1e-4, 1e-3, 1e-2, 1e-1)  # ascending, as RobustQuery requires
 
 
+def _number(v, name: str) -> float:
+    """A numeric config field: a JSON number, never a boolean or a string."""
+    if not _is_number(v):
+        raise InvalidParams(f"config {name!r} must be a number, got {v!r}")
+    return float(v)
+
+
+def _count(v, name: str) -> int:
+    """A count or seed config field: a nonnegative integral JSON number."""
+    if not (_is_number(v) and float(v).is_integer() and v >= 0):
+        raise InvalidParams(f"config {name!r} must be a nonnegative integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     problem_class: str
@@ -190,21 +204,24 @@ class RunConfig:
         tolerances = doc.get("tolerances", {})
         ascent = doc.get("ascent", {})
         try:
-            p = float(doc["p"])
+            p = _number(doc["p"], "p")
             if not p > 1.0:
                 raise InvalidParams(f"p must exceed 1, got {p}")
+            radii = doc.get("radii", DEFAULT_RADII)
+            if not isinstance(radii, (list, tuple)):
+                raise InvalidParams(f"config 'radii' must be a list of numbers, got {radii!r}")
             return cls(
                 problem_class=problem_class,
                 model_name=model["name"],
                 model_params=dict(model.get("params", {})),
                 p=p,
-                L=float(bounds.get("L", 10.0)),
-                radii=tuple(float(r) for r in doc.get("radii", DEFAULT_RADII)),
-                seed=int(doc.get("seed", 0)),
-                value_tol=float(tolerances.get("value_tol", 1e-9)),
-                stopping_tol=float(tolerances.get("stopping_tol", 1e-9)),
-                restarts=int(ascent.get("restarts", 2)),
-                max_iters=int(ascent.get("max_iters", 25)),
+                L=_number(bounds.get("L", 10.0), "L"),
+                radii=tuple(_number(r, "radii") for r in radii),
+                seed=_count(doc.get("seed", 0), "seed"),
+                value_tol=_number(tolerances.get("value_tol", 1e-9), "value_tol"),
+                stopping_tol=_number(tolerances.get("stopping_tol", 1e-9), "stopping_tol"),
+                restarts=_count(ascent.get("restarts", 2), "restarts"),
+                max_iters=_count(ascent.get("max_iters", 25), "max_iters"),
             )
         except (TypeError, ValueError, OverflowError) as e:  # a field of the wrong JSON type
             raise InvalidParams(f"config: {e}") from None

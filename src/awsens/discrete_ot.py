@@ -6,10 +6,23 @@ transportation simplex with northwest-corner start, most-negative-entry
 pricing and lexicographic leaving-cell tie-breaking (with a Bland fallback
 after long degenerate runs).  Dual potentials come out of the spanning-tree
 basis for free, which gives the complementary-slackness certificate.
+
+The basis tree and its potentials are kept across pivots: the entering
+cell's cycle is read off the parent links, and a pivot recomputes the
+potentials and reduced costs of the subtree that the leaving cell cuts off
+and nothing else.  Every other value is exactly what a rebuild would give,
+so plans, objectives, potentials and bases equal those of the simplex that
+rebuilds its tree at every pivot, bit for bit.
+
+:func:`solve_exact` checks a :class:`TransportProblem` and runs the core,
+:func:`transport_simplex`.  The adapted-distance recursion calls the core
+directly, after running the same checks (:func:`check_weights`,
+:func:`check_cost`) once per child family and once per cost block.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,16 +53,27 @@ class TransportProblem:
             raise InvalidParams(
                 f"cost must be |mu| x |nu|; got {cost.shape} for {mu.size} x {nu.size}"
             )
-        if np.any(mu < 0.0) or np.any(nu < 0.0):
-            raise Infeasible("weights must be nonnegative")
-        if not np.all(np.isfinite(cost)):
-            raise InvalidParams("cost entries must be finite")
-        # written as the good case: a NaN weight fails every comparison
-        if not (abs(mu.sum() - 1.0) <= WEIGHT_TOL and abs(nu.sum() - 1.0) <= WEIGHT_TOL):
-            raise Infeasible(
-                f"weights must be finite and sum to 1 within {WEIGHT_TOL}; "
-                f"got {mu.sum()!r}, {nu.sum()!r}"
-            )
+        check_weights(mu)
+        check_weights(nu)
+        check_cost(cost)
+
+
+def check_weights(w: np.ndarray) -> np.ndarray:
+    """Check that weights are nonnegative, finite and sum to 1 along the
+    last axis (``Infeasible`` otherwise); returns those sums."""
+    if (w < 0.0).any():
+        raise Infeasible("weights must be nonnegative")
+    s = w.sum(axis=-1)
+    # written as the good case: a NaN weight fails every comparison
+    if not (np.abs(s - 1.0) <= WEIGHT_TOL).all():
+        raise Infeasible(f"weights must be finite and sum to 1 within {WEIGHT_TOL}; got {s!r}")
+    return s
+
+
+def check_cost(cost: np.ndarray) -> None:
+    """Check that every cost entry is finite (``InvalidParams`` otherwise)."""
+    if not np.isfinite(cost).all():
+        raise InvalidParams("cost entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -67,18 +91,34 @@ class TransportPlan:
     basis: tuple[tuple[int, int], ...]
 
 
-def _northwest_corner(mu: np.ndarray, nu: np.ndarray):
-    """Initial basic feasible solution with exactly m+n-1 cells."""
-    m, n = mu.size, nu.size
-    plan = np.zeros((m, n))
-    basis: list[tuple[int, int]] = []
-    a = mu.copy()
-    b = nu.copy()
+# The simplex basis is a spanning tree on m + n nodes: node i < m is row i
+# and node m + j is column j.  It hangs from row 0 (u_0 = 0), and each node
+# takes its potential from its tree parent: v_j = c_ij - u_i below row i,
+# u_i = c_ij - v_j below column j.  A potential thus depends only on the
+# node's path to the root.
+
+
+def _northwest_corner(mu: Sequence[float], nu: Sequence[float], C: list[list[float]]):
+    """Initial basic feasible solution and its basis tree.
+
+    Returns the m+n-1 cells, their masses, and per node its parent, depth
+    and potential.  Each cell joins one new row or column to the staircase,
+    hung from the node it meets.
+    """
+    m, n = len(mu), len(nu)
+    cells: list[tuple[int, int]] = []
+    masses: list[float] = []
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    pot = [0.0] * (m + n)
+    parent[m], depth[m], pot[m] = 0, 1, C[0][0] - pot[0]
+    a = list(mu)
+    b = list(nu)
     i = j = 0
     while True:
         w = min(a[i], b[j])
-        plan[i, j] = w
-        basis.append((i, j))
+        cells.append((i, j))
+        masses.append(w)
         a[i] -= w
         b[j] -= w
         if i == m - 1 and j == n - 1:
@@ -86,122 +126,143 @@ def _northwest_corner(mu: np.ndarray, nu: np.ndarray):
         # advance exactly one pointer per step so the basis stays a tree
         if (a[i] <= b[j] and i < m - 1) or j == n - 1:
             i += 1
+            parent[i], depth[i], pot[i] = m + j, depth[m + j] + 1, C[i][j] - pot[m + j]
         else:
             j += 1
-    return plan, basis
+            parent[m + j], depth[m + j], pot[m + j] = i, depth[i] + 1, C[i][j] - pot[i]
+    return cells, masses, parent, depth, pot
 
 
-def _potentials_from_basis(cost: np.ndarray, basis: Sequence[tuple[int, int]]):
-    """Solve u_i + v_j = c_ij on the spanning tree, rooted at row 0."""
-    m, n = cost.shape
-    u = np.zeros(m)
-    v = np.zeros(n)
-    row_adj: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    col_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, j in basis:
-        row_adj[i].append((j, i))
-        col_adj[j].append((i, j))
-    seen_rows = [False] * m
-    seen_cols = [False] * n
-    stack = [("r", 0)]
-    seen_rows[0] = True
-    while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j, i in row_adj[k]:
-                if not seen_cols[j]:
-                    seen_cols[j] = True
-                    v[j] = cost[i, j] - u[i]
-                    stack.append(("c", j))
-        else:
-            for i, j in col_adj[k]:
-                if not seen_rows[i]:
-                    seen_rows[i] = True
-                    u[i] = cost[i, j] - v[j]
-                    stack.append(("r", i))
-    return u, v
+def _dense(cells: Sequence[tuple[int, int]], masses: Sequence[float], m: int, n: int):
+    """The m x n plan holding ``masses`` at ``cells`` and zero elsewhere."""
+    plan = np.zeros((m, n))
+    for c, w in zip(cells, masses):
+        plan[c] = w
+    return plan
 
 
-def _find_cycle(basis: set[tuple[int, int]], enter: tuple[int, int], m: int, n: int):
-    """Unique alternating cycle created by adding ``enter`` to the basis tree.
+def _hang(C, adj, parent, depth, pot, m: int, s: int) -> list[int]:
+    """Parent links, depths and potentials of the tree nodes below ``s``.
 
-    Returns the cycle as a list of cells starting with ``enter``; odd
-    positions lose mass when the entering cell gains.
+    ``adj`` lists each node's basis neighbours; ``s`` must already carry
+    its parent, depth and potential.  Returns the nodes visited, ``s`` first.
     """
-    i0, j0 = enter
-    row_adj: list[list[int]] = [[] for _ in range(m)]
-    col_adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in basis:
-        row_adj[i].append(j)
-        col_adj[j].append(i)
-    # path from row i0 to col j0 through the tree
-    parent: dict[tuple[str, int], tuple[str, int]] = {}
-    start = ("r", i0)
-    goal = ("c", j0)
-    stack = [start]
-    parent[start] = start
+    seen = [s]
+    stack = [s]
     while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        kind, k = node
-        nbrs = (("c", j) for j in row_adj[k]) if kind == "r" else (("r", i) for i in col_adj[k])
-        for nxt in nbrs:
-            if nxt not in parent:
-                parent[nxt] = node
-                stack.append(nxt)
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()  # r i0, c j1, r i1, ..., c j0
-    cells = [enter]
-    for a, b in zip(path, path[1:]):
-        (ka, xa), (kb, xb) = a, b
-        cells.append((xa, xb) if ka == "r" else (xb, xa))
-    return cells
+        k = stack.pop()
+        pk = parent[k]
+        dk = depth[k] + 1
+        for l in adj[k]:
+            if l != pk:
+                parent[l] = k
+                depth[l] = dk
+                pot[l] = C[k][l - m] - pot[k] if k < m else C[l][k - m] - pot[k]
+                stack.append(l)
+                seen.append(l)
+    return seen
 
 
-def solve_exact(prob: TransportProblem) -> TransportPlan:
-    """Optimal vertex of the transportation polytope for an arbitrary cost."""
-    mu = prob.mu
-    # rescale the second marginal so both sides carry identical total mass
-    nu = prob.nu * (prob.mu.sum() / prob.nu.sum())
-    cost = prob.cost
+def transport_simplex(mu: list[float], nu: list[float], cost: np.ndarray):
+    """Transportation simplex from the north-west corner.
+
+    ``mu`` and ``nu`` are lists of floats with equal total mass and
+    ``cost`` is a float64 matrix; none of them is checked here.  Returns the
+    clipped plan, its objective, the potentials ``[u_0..u_{m-1},
+    v_0..v_{n-1}]`` and the basis cells.
+
+    The basis tree is kept across pivots.  The entering cell's cycle is read
+    off the parent links, and a pivot re-hangs only the subtree that the
+    leaving cell cuts off: every other node keeps its root path, so its
+    potential, and every reduced cost outside the subtree's rows and
+    columns, is the value a rebuild from scratch would give.
+    """
     m, n = cost.shape
-    plan, basis_list = _northwest_corner(mu, nu)
-    basis = set(basis_list)
-    scale = 1.0 + float(np.max(np.abs(cost)))
+    C = cost.tolist()
+    cells, masses, parent, depth, pot = _northwest_corner(mu, nu, C)
+    flow = dict(zip(cells, masses))
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    for i, j in cells:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    U = np.array(pot[:m])
+    V = np.array(pot[m:])
+    red = cost - U[:, None] - V[None, :]
+    for c in cells:
+        red[c] = 0.0
+    scale = 1.0 + max(map(abs, itertools.chain.from_iterable(C)))
     tol = 1e-11 * scale
     degenerate_run = 0
     bland = False
     max_iter = 2000 + 40 * m * n
     for _ in range(max_iter):
-        u, v = _potentials_from_basis(cost, basis)
-        red = cost - u[:, None] - v[None, :]
-        for i, j in basis:
-            red[i, j] = 0.0
         if bland:
-            cand = np.argwhere(red < -tol)
+            cand = np.flatnonzero(red < -tol)
             if cand.size == 0:
                 break
-            enter = (int(cand[0, 0]), int(cand[0, 1]))
+            i0, j0 = divmod(int(cand[0]), n)
         else:
-            flat = int(np.argmin(red))
-            enter = (flat // n, flat % n)
-            if red[enter] >= -tol:
+            flat = int(red.argmin())
+            if red.item(flat) >= -tol:
                 break
-        cycle = _find_cycle(basis, enter, m, n)
-        minus = cycle[1::2]
-        theta = min(plan[c] for c in minus)
-        leave = min(c for c in minus if plan[c] == theta)
-        for k, c in enumerate(cycle):
-            if k % 2 == 0:
-                plan[c] += theta
-            else:
-                plan[c] -= theta
-        plan[leave] = 0.0
-        basis.remove(leave)
-        basis.add(enter)
+            i0, j0 = divmod(flat, n)
+        # the cycle is the tree path row i0 -> column j0, closed by the entering cell
+        a, b = i0, m + j0
+        up_a, up_b = [a], [b]
+        while depth[a] > depth[b]:
+            a = parent[a]
+            up_a.append(a)
+        while depth[b] > depth[a]:
+            b = parent[b]
+            up_b.append(b)
+        while a != b:
+            a = parent[a]
+            up_a.append(a)
+            b = parent[b]
+            up_b.append(b)
+        path = up_a + up_b[-2::-1]
+        steps = [(x, y - m) if x < m else (y, x - m) for x, y in zip(path, path[1:])]
+        minus = steps[0::2]  # these lose mass when the entering cell gains
+        theta = min(flow[c] for c in minus)
+        leave = min(c for c in minus if flow[c] == theta)
+        flow[(i0, j0)] = theta
+        for c in steps[1::2]:
+            flow[c] += theta
+        for c in minus:
+            flow[c] -= theta
+        del flow[leave]
+        li, lj = leave
+        adj[li].remove(m + lj)
+        adj[m + lj].remove(li)
+        adj[i0].append(m + j0)
+        adj[m + j0].append(i0)
+        # the leaving cell cuts off the side of the path that holds it
+        if 2 * minus.index(leave) < len(up_a) - 1:
+            s, o = i0, m + j0
+        else:
+            s, o = m + j0, i0
+        parent[s] = o
+        depth[s] = depth[o] + 1
+        pot[s] = C[i0][j0] - pot[o]
+        moved = _hang(C, adj, parent, depth, pot, m, s)
+        rows = [k for k in moved if k < m]
+        cols = [k - m for k in moved if k >= m]
+        for i in rows:
+            U[i] = pot[i]
+        for j in cols:
+            V[j] = pot[m + j]
+        # one row or column by a view, several by one gather
+        if len(rows) == 1:
+            red[rows[0]] = cost[rows[0]] - U[rows[0]] - V
+        elif rows:
+            red[rows] = cost[rows] - U[rows][:, None] - V[None, :]
+        if len(cols) == 1:
+            red[:, cols[0]] = cost[:, cols[0]] - U - V[cols[0]]
+        elif cols:
+            red[:, cols] = cost[:, cols] - U[:, None] - V[cols][None, :]
+        for k in moved:
+            for l in adj[k]:
+                red[(k, l - m) if k < m else (l, k - m)] = 0.0
         if theta == 0.0:
             degenerate_run += 1
             if degenerate_run >= _BLAND_TRIGGER:
@@ -211,13 +272,24 @@ def solve_exact(prob: TransportProblem) -> TransportPlan:
             bland = False
     else:
         raise InvalidParams("transportation simplex failed to terminate")
-    np.clip(plan, 0.0, None, out=plan)
-    u, v = _potentials_from_basis(cost, basis)
+    keys = list(flow)
+    plan = _dense(keys, [flow[c] for c in keys], m, n)
+    np.maximum(plan, 0.0, out=plan)  # np.clip(plan, 0.0, None), without its wrapper
+    return plan, float(np.vdot(plan, cost)), pot, keys
+
+
+def solve_exact(prob: TransportProblem) -> TransportPlan:
+    """Optimal vertex of the transportation polytope for an arbitrary cost."""
+    mu = prob.mu
+    # rescale the second marginal so both sides carry identical total mass
+    nu = prob.nu * (prob.mu.sum() / prob.nu.sum())
+    plan, objective, pot, basis = transport_simplex(mu.tolist(), nu.tolist(), prob.cost)
+    m = mu.size
     return TransportPlan(
         plan=plan,
-        objective=float(np.vdot(plan, cost)),
-        row_potentials=u,
-        col_potentials=v,
+        objective=objective,
+        row_potentials=np.array(pot[:m]),
+        col_potentials=np.array(pot[m:]),
         basis=tuple(sorted(basis)),
     )
 
@@ -243,13 +315,14 @@ def solve_sorted_1d(
     cost = np.abs(x[:, None] - y[None, :]) ** p
     prob = TransportProblem(np.asarray(mu_weights, float), np.asarray(nu_weights, float), cost)
     nu = prob.nu * (prob.mu.sum() / prob.nu.sum())
-    plan, basis = _northwest_corner(prob.mu, nu)
-    u, v = _potentials_from_basis(cost, basis)
+    m, n = cost.shape
+    basis, masses, _, _, pot = _northwest_corner(prob.mu.tolist(), nu.tolist(), cost.tolist())
+    plan = _dense(basis, masses, m, n)
     return TransportPlan(
         plan=plan,
         objective=float(np.vdot(plan, cost)),
-        row_potentials=u,
-        col_potentials=v,
+        row_potentials=np.array(pot[:m]),
+        col_potentials=np.array(pot[m:]),
         basis=tuple(sorted(basis)),
     )
 
@@ -271,14 +344,9 @@ def solve_sorted_1d_batch(
     F, m = mu.shape
     n = nu.shape[1]
     cost = np.abs(x[:, :, None] - y[:, None, :]) ** p
-    if np.any(mu < 0.0) or np.any(nu < 0.0):
-        raise Infeasible("weights must be nonnegative")
-    if not np.all(np.isfinite(cost)):
-        raise InvalidParams("cost entries must be finite")
-    mu_sum, nu_sum = mu.sum(axis=1), nu.sum(axis=1)
-    if not (np.all(np.abs(mu_sum - 1.0) <= WEIGHT_TOL)
-            and np.all(np.abs(nu_sum - 1.0) <= WEIGHT_TOL)):
-        raise Infeasible(f"weights must be finite and sum to 1 within {WEIGHT_TOL}")
+    mu_sum = check_weights(mu)
+    nu_sum = check_weights(nu)
+    check_cost(cost)
     a = mu.copy()
     b = nu * (mu_sum / nu_sum)[:, None]
     plan = np.zeros((F, m, n))

@@ -143,6 +143,7 @@ class _Ascent:
         self.vpos = {nid: k for k, nid in enumerate(self.vnodes)}
         self.vprob = np.array([self.tree.node_prob[nid] for nid in self.vnodes])
         self.last = None  # (shifts bytes, try_solve result) of the last solve
+        self.carried = None  # the same for the maximizer seeding this radius
         anc = self.tree.ancestor_matrix
         self.vidx = np.empty((anc.shape[0], self.tree.horizon), dtype=np.int64)
         for t in range(1, self.tree.horizon + 1):
@@ -196,11 +197,13 @@ class _Ascent:
 
     def try_solve(self, shifts: np.ndarray, tree: ScenarioTree):
         """``class_solve`` of the candidate ``displace(shifts)``, or None when
-        its inner problem fails.  The last solve is carried: refitting the
-        seeded shifts as the first start rebuilds the same tree."""
+        its inner problem fails.  The last solve is kept, since refitting the
+        seeded shifts as the first start rebuilds the same tree, and so is
+        the solve of the previous radius's maximizer, which seeds this one."""
         key = shifts.tobytes()
-        if self.last is not None and self.last[0] == key:
-            return self.last[1]
+        for known in (self.last, self.carried):
+            if known is not None and known[0] == key:
+                return known[1]
         q = self.query
         try:
             sol = class_solve(tree, q.model, q.bounds, q.solver_tol, check_convexity=False)
@@ -221,7 +224,7 @@ class _Ascent:
     def run_radius(self, r: float, zvec: np.ndarray, extra_seeds: list[np.ndarray], rng):
         q = self.query
         best_val = -math.inf
-        best = None  # shifts of the best candidate
+        best = best_sol = None  # shifts and solve of the best candidate
         seeded_value = None
 
         ladder = [1.0, 1.0 - 1e-3, 1.0 - 1e-2, 1.0 - 1e-1]
@@ -233,7 +236,7 @@ class _Ascent:
             sol = self.try_solve(shifts, tree)
             if sol is not None:
                 seeded_value = sol[0]
-                best_val, best = sol[0], shifts
+                best_val, best, best_sol = sol[0], shifts, sol
                 break
 
         starts: list[np.ndarray] = []
@@ -253,7 +256,7 @@ class _Ascent:
             if sol is None:
                 continue
             if sol[0] > best_val:
-                best_val, best = sol[0], shifts
+                best_val, best, best_sol = sol[0], shifts, sol
             eta = 0.5
             cur_shifts, cur_tree, cur_same, (cur_val, cur_policy) = shifts, tree, same, sol
             grad = None  # of the current candidate, kept until it changes
@@ -279,13 +282,13 @@ class _Ascent:
                         t_shifts, t_tree, t_same, t_sol)
                     grad = None
                     if cur_val > best_val:
-                        best_val, best = cur_val, cur_shifts
+                        best_val, best, best_sol = cur_val, cur_shifts, t_sol
                     eta = min(eta * 1.5, 1.0)
                 else:
                     eta *= 0.5
                     if eta < 1e-3:
                         break
-        return best_val, best, seeded_value
+        return best_val, best, best_sol, seeded_value
 
 
 def robust_curve(query: RobustQuery) -> RobustCurve:
@@ -303,16 +306,16 @@ def robust_curve(query: RobustQuery) -> RobustCurve:
     rows: list[CurveRow] = []
     carry: list[np.ndarray] = []
     prev_lb = -math.inf
-    prev_best = None
+    prev_best = prev_sol = None
     for k, r in enumerate(query.radii):
         rng = np.random.default_rng(query.seed + 7919 * k)
-        best_val, best, seeded = engine.run_radius(r, zvec, carry, rng)
+        best_val, best, best_sol, seeded = engine.run_radius(r, zvec, carry, rng)
         converged = best is not None
         lb = best_val - base if converged else -math.inf
         seeded_lb = (seeded - base) if seeded is not None else math.nan
         if lb < prev_lb and prev_best is not None:
             lb = prev_lb
-            best = prev_best
+            best, best_sol = prev_best, prev_sol
         if best is None:
             rows.append(CurveRow(r, math.nan, seeded_lb, r * report.first_order,
                                  math.nan, {}, False))
@@ -329,8 +332,9 @@ def robust_curve(query: RobustQuery) -> RobustCurve:
                 converged=converged,
             )
         )
-        prev_lb, prev_best = lb, best
+        prev_lb, prev_best, prev_sol = lb, best, best_sol
         carry = [shifts.copy()]
+        engine.carried = (shifts.tobytes(), best_sol)
     slope, stderr = _extrapolate_slope(rows)
     return RobustCurve(
         problem_class=query.problem_class,

@@ -17,6 +17,8 @@ from awsens import (
     NotConvex,
     TooLarge,
     gen_binomial,
+    gen_lattice,
+    gen_random,
 )
 from awsens.cli import RunConfig, main, parse_tree, serialize_tree
 
@@ -38,6 +40,42 @@ def test_serialize_parse_round_trip():
         assert (a.id, a.time, a.value, a.cond_prob, a.parent) == (
             b.id, b.time, b.value, b.cond_prob, b.parent,
         )
+    assert serialize_tree(back) == text
+
+
+def _node_bits(tree):
+    return [(nd.id, nd.time, None if nd.value is None else nd.value.hex(),
+             nd.cond_prob.hex(), nd.parent) for nd in tree.nodes]
+
+
+SCALES = st.floats(1e-3, 10.0)
+
+
+@st.composite
+def lattice_trees(draw):
+    ks = draw(st.lists(st.integers(-50, 50), min_size=2, max_size=4, unique=True))
+    scale = draw(SCALES)
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(ks), max_size=len(ks)))
+    return gen_lattice(draw(st.integers(1, 3)), draw(st.floats(-100.0, 100.0)),
+                       [k * scale for k in ks], [w / sum(raw) for w in raw],
+                       draw(st.floats(-1.0, 1.0)))
+
+
+GENERATED_TREES = st.one_of(
+    st.builds(gen_random, st.integers(1, 4), st.integers(2, 4), st.integers(0, 2**32 - 1)),
+    st.builds(gen_binomial, st.integers(1, 5), st.floats(-100.0, 100.0), SCALES,
+              SCALES.map(lambda d: -d), st.floats(0.01, 0.99), st.floats(-1.0, 1.0)),
+    lattice_trees(),
+)
+
+
+@given(tree=GENERATED_TREES)
+@settings(max_examples=150, deadline=None)
+def test_serialize_parse_round_trip_is_bit_exact(tree):
+    text = serialize_tree(tree)
+    back = parse_tree(text)
+    assert back.horizon == tree.horizon
+    assert _node_bits(back) == _node_bits(tree)
     assert serialize_tree(back) == text
 
 
@@ -261,6 +299,19 @@ def test_malformed_gen_params_are_invalid_params(tmp_path, capsys, kind, params,
     ({"p": "two"}, "two"),
     ({"radii": 3}, "config"),
     ({"seed": [1]}, "config"),
+    # JSON booleans are not numbers
+    ({"seed": True}, "'seed'"),
+    ({"bounds": {"L": True}}, "'L'"),
+    ({"ascent": {"restarts": False}}, "'restarts'"),
+    ({"radii": [0.01, True]}, "'radii'"),
+    ({"tolerances": {"value_tol": True}}, "'value_tol'"),
+    # counts and the seed are not truncated, nor negative
+    ({"seed": 2.7}, "'seed'"),
+    ({"ascent": {"restarts": 2.7}}, "'restarts'"),
+    ({"ascent": {"max_iters": 2.7}}, "'max_iters'"),
+    ({"ascent": {"restarts": -1}}, "'restarts'"),
+    ({"ascent": {"max_iters": -1}}, "'max_iters'"),
+    ({"seed": -1}, "'seed'"),
 ])
 def test_malformed_config_is_invalid_params(tmp_path, capsys, field, needle):
     cfg = tmp_path / "cfg.json"
@@ -272,6 +323,15 @@ def test_malformed_config_is_invalid_params(tmp_path, capsys, field, needle):
     }))
     code, _, err = run_cli(capsys, "value", FIXTURES / "drifted_binomial.json", "--config", cfg)
     assert code == InvalidParams.exit_code and "InvalidParams" in err and needle in err
+
+
+def test_config_counts_accept_integral_numbers():
+    doc = {"problem_class": "controlled", "model": {"name": "quadratic_control"}, "p": 2,
+           "seed": 3.0, "bounds": {"L": 4}, "ascent": {"restarts": 0, "max_iters": 7.0}}
+    cfg = RunConfig.from_dict(doc)
+    assert (cfg.seed, cfg.restarts, cfg.max_iters) == (3, 0, 7)
+    assert type(cfg.seed) is int and type(cfg.max_iters) is int
+    assert (cfg.p, cfg.L) == (2.0, 4.0) and type(cfg.L) is float
 
 
 def test_threads_flag_is_gone(capsys):

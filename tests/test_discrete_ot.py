@@ -11,6 +11,7 @@ from awsens import (
     solve_exact,
     solve_sorted_1d,
 )
+from awsens import discrete_ot
 from awsens.discrete_ot import solve_sorted_1d_batch
 
 
@@ -164,3 +165,207 @@ def test_degenerate_weights_terminate():
     cost = np.arange(16.0).reshape(4, 4)
     plan = solve_exact(TransportProblem(mu, nu, cost))
     assert plan.objective == pytest.approx(0.25 * (0 + 1 + 2 + 3), abs=1e-12)
+
+
+# -- reference: the simplex that rebuilds its basis tree at every pivot --------
+
+
+def _ref_northwest_corner(mu, nu):
+    m, n = mu.size, nu.size
+    plan = np.zeros((m, n))
+    basis = []
+    a = mu.copy()
+    b = nu.copy()
+    i = j = 0
+    while True:
+        w = min(a[i], b[j])
+        plan[i, j] = w
+        basis.append((i, j))
+        a[i] -= w
+        b[j] -= w
+        if i == m - 1 and j == n - 1:
+            break
+        if (a[i] <= b[j] and i < m - 1) or j == n - 1:
+            i += 1
+        else:
+            j += 1
+    return plan, basis
+
+
+def _ref_potentials(cost, basis):
+    m, n = cost.shape
+    u = np.zeros(m)
+    v = np.zeros(n)
+    row_adj = [[] for _ in range(m)]
+    col_adj = [[] for _ in range(n)]
+    for i, j in basis:
+        row_adj[i].append(j)
+        col_adj[j].append(i)
+    seen_rows, seen_cols = [False] * m, [False] * n
+    seen_rows[0] = True
+    stack = [("r", 0)]
+    while stack:
+        kind, k = stack.pop()
+        if kind == "r":
+            for j in row_adj[k]:
+                if not seen_cols[j]:
+                    seen_cols[j] = True
+                    v[j] = cost[k, j] - u[k]
+                    stack.append(("c", j))
+        else:
+            for i in col_adj[k]:
+                if not seen_rows[i]:
+                    seen_rows[i] = True
+                    u[i] = cost[i, k] - v[k]
+                    stack.append(("r", i))
+    return u, v
+
+
+def _ref_cycle(basis, enter, m, n):
+    """Cells of the cycle that ``enter`` closes, from row i0 to column j0."""
+    i0, j0 = enter
+    row_adj = [[] for _ in range(m)]
+    col_adj = [[] for _ in range(n)]
+    for i, j in basis:
+        row_adj[i].append(j)
+        col_adj[j].append(i)
+    start, goal = ("r", i0), ("c", j0)
+    parent = {start: start}
+    stack = [start]
+    while stack:
+        node = stack.pop()
+        if node == goal:
+            break
+        kind, k = node
+        nbrs = [("c", j) for j in row_adj[k]] if kind == "r" else [("r", i) for i in col_adj[k]]
+        for nxt in nbrs:
+            if nxt not in parent:
+                parent[nxt] = node
+                stack.append(nxt)
+    path = [goal]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    path.reverse()
+    cells = [enter]
+    for (ka, xa), (_, xb) in zip(path, path[1:]):
+        cells.append((xa, xb) if ka == "r" else (xb, xa))
+    return cells
+
+
+def reference_solve_exact(prob, stats=None):
+    """The simplex with potentials and cycle rebuilt from scratch per pivot:
+    the same start, pricing, leaving rule and Bland switch as ``solve_exact``
+    (reading ``discrete_ot._BLAND_TRIGGER`` at call time).  ``stats`` counts
+    the pivots taken under Bland's rule."""
+    mu = prob.mu
+    nu = prob.nu * (prob.mu.sum() / prob.nu.sum())
+    cost = prob.cost
+    m, n = cost.shape
+    plan, basis_list = _ref_northwest_corner(mu, nu)
+    basis = set(basis_list)
+    tol = 1e-11 * (1.0 + float(np.max(np.abs(cost))))
+    degenerate_run = 0
+    bland = False
+    for _ in range(2000 + 40 * m * n):
+        u, v = _ref_potentials(cost, basis)
+        red = cost - u[:, None] - v[None, :]
+        for i, j in basis:
+            red[i, j] = 0.0
+        if bland:
+            cand = np.argwhere(red < -tol)
+            if cand.size == 0:
+                break
+            enter = (int(cand[0, 0]), int(cand[0, 1]))
+            if stats is not None:
+                stats["bland"] = stats.get("bland", 0) + 1
+        else:
+            flat = int(np.argmin(red))
+            enter = (flat // n, flat % n)
+            if red[enter] >= -tol:
+                break
+        cycle = _ref_cycle(basis, enter, m, n)
+        minus = cycle[1::2]
+        theta = min(plan[c] for c in minus)
+        leave = min(c for c in minus if plan[c] == theta)
+        for k, c in enumerate(cycle):
+            if k % 2 == 0:
+                plan[c] += theta
+            else:
+                plan[c] -= theta
+        plan[leave] = 0.0
+        basis.remove(leave)
+        basis.add(enter)
+        if theta == 0.0:
+            degenerate_run += 1
+            if degenerate_run >= discrete_ot._BLAND_TRIGGER:
+                bland = True
+        else:
+            degenerate_run = 0
+            bland = False
+    else:
+        raise AssertionError("reference simplex did not terminate")
+    np.clip(plan, 0.0, None, out=plan)
+    u, v = _ref_potentials(cost, basis)
+    return plan, float(np.vdot(plan, cost)), u, v, tuple(sorted(basis))
+
+
+def assert_same_as_reference(prob, stats=None):
+    got = solve_exact(prob)
+    plan, objective, u, v, basis = reference_solve_exact(prob, stats)
+    assert got.plan.tobytes() == plan.tobytes()
+    assert got.objective.hex() == objective.hex()
+    assert got.row_potentials.tobytes() == u.tobytes()
+    assert got.col_potentials.tobytes() == v.tobytes()
+    assert got.basis == basis
+    return got
+
+
+def structured_problem(rng, m, n, tied, masses):
+    """Random or small-integer (tied) costs; Dirichlet weights, Dirichlet
+    weights with zero-mass rows and columns, or small-integer weights, whose
+    equal partial sums make degenerate pivots."""
+    if tied:
+        cost = rng.integers(0, 3, size=(m, n)).astype(float)
+    else:
+        cost = rng.normal(size=(m, n)) ** 2
+
+    def weights(k):
+        if masses == "integer":
+            w = rng.integers(0, 3, size=k).astype(float)
+        else:
+            w = rng.dirichlet(np.ones(k))
+            if masses == "zero":  # of either sign: -0.0 passes the checks too
+                w[rng.random(k) < 0.4] = rng.choice([0.0, -0.0])
+        w[rng.integers(k)] += 1.0
+        return w / w.sum()
+
+    return TransportProblem(weights(m), weights(n), cost)
+
+
+@given(m=st.integers(1, 12), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       tied=st.booleans(), masses=st.sampled_from(["dirichlet", "zero", "integer"]))
+@settings(max_examples=200, deadline=None)
+def test_simplex_equals_rebuilding_reference(m, n, seed, tied, masses):
+    assert_same_as_reference(structured_problem(np.random.default_rng(seed), m, n, tied, masses))
+
+
+def test_simplex_equals_rebuilding_reference_40x40():
+    rng = np.random.default_rng(40)
+    for tied, masses in ((False, "dirichlet"), (True, "integer")):
+        assert_same_as_reference(structured_problem(rng, 40, 40, tied, masses))
+
+
+def test_bland_fallback_equals_reference_and_linprog(monkeypatch):
+    # one degenerate pivot switches rules, so tied costs run Bland's branch
+    monkeypatch.setattr(discrete_ot, "_BLAND_TRIGGER", 1)
+    rng = np.random.default_rng(64)
+    stats = {}
+    for _ in range(30):
+        m, n = int(rng.integers(3, 9)), int(rng.integers(3, 9))
+        prob = structured_problem(rng, m, n, True, "integer")
+        got = assert_same_as_reference(prob, stats)
+        assert got.objective == pytest.approx(lp_reference(prob), abs=1e-9)
+    prob = TransportProblem([1.0, 0.0, 0.0, 0.0], [0.25] * 4, np.arange(16.0).reshape(4, 4))
+    got = assert_same_as_reference(prob, stats)
+    assert got.objective == pytest.approx(lp_reference(prob), abs=1e-12)
+    assert stats["bland"] > 0

@@ -191,11 +191,35 @@ def test_controlled_curve_solves_each_candidate_once(monkeypatch):
     assert [row.lower_bound for row in curve.rows] == [0.04690025804843467, 0.37984158582318794]
     counts = Counter(solved)
     assert counts[tree.paths.values.tobytes()] == 1  # the base, for value and sensitivity
-    # no candidate is solved twice in a row (value, then gradient, then a
-    # rejected trial); the one repeat a later radius may make is the previous
-    # radius's maximizer, which seeds it
+    # no candidate is solved twice, not even the previous radius's maximizer
+    # that seeds the next radius
     assert all(a != b for a, b in zip(solved, solved[1:]))
-    assert len(solved) <= len(counts) + len(radii) - 1
+    assert len(solved) == len(counts)
+
+
+def test_carried_solve_is_the_maximizers(monkeypatch):
+    # the solve that travels with a radius's maximizer into the next radius
+    # must be that maximizer's, wherever the ascent found it
+    from awsens.sensitivity import class_solve
+
+    checked = []
+    real = _Ascent.run_radius
+
+    def checking(self, r, zvec, extra_seeds, rng):
+        best_val, best, best_sol, seeded = real(self, r, zvec, extra_seeds, rng)
+        q = self.query
+        fresh = class_solve(self.displace(best)[0], q.model, q.bounds, q.solver_tol,
+                            check_convexity=False)
+        checked.append((best_sol[0], best_val, fresh[0]))
+        return best_val, best, best_sol, seeded
+
+    monkeypatch.setattr(_Ascent, "run_radius", checking)
+    spec = {"loss": {"name": "exponential", "params": {"rate": 1.0}}, "payoff": {"name": "zero"}}
+    robust_curve(RobustQuery("controlled", gen_random(3, 3, 0),
+                             make_cost_model("utility", spec, 3), 2.0, (1e-2, 1e-1),
+                             bounds=ControlBounds(10.0)))
+    assert len(checked) == 2
+    assert all(a == b == c for a, b, c in checked)
 
 
 @pytest.mark.parametrize("collide", [False, True])
