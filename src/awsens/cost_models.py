@@ -118,15 +118,16 @@ class CostModel:
         return out[0] if single else out
 
     def bind(self, x: Array):
-        """Fix a path batch of a controlled model: returns ``(value(a),
-        value_and_grad_a(a))`` over control batches shaped like ``x``, equal
-        bit for bit to ``value_fn(x, a)`` and ``grad_a_fn(x, a)``."""
+        """Fix a path batch of a controlled model: returns ``evaluate(a) ->
+        (values, grad)`` over control batches shaped like ``x``, where
+        ``values`` and ``grad()`` equal ``value_fn(x, a)`` and
+        ``grad_a_fn(x, a)`` bit for bit; ``grad`` reuses what ``values``
+        computed."""
         if self.kind != "controlled" or self.grad_a_fn is None:
             raise InvalidParams(f"model {self.name!r} has no control gradient")
         if self.bind_fn is not None:
             return self.bind_fn(x)
-        return ((lambda a: self.value_fn(x, a)),
-                (lambda a: (self.value_fn(x, a), self.grad_a_fn(x, a))))
+        return lambda a: (self.value_fn(x, a), lambda: self.grad_a_fn(x, a))
 
     def hess_a(self, x, a):
         if self.kind != "controlled":
@@ -317,7 +318,7 @@ def build_utility_cost(u: UtilityModel, T: int) -> CostModel:
     with Z = g(x) + sum_t a_t (x_t - x_{t-1}).
 
     ``bind(x)`` computes g(x) and the increments dx once for the batch and
-    then only Z, shared by l(Z) and l'(Z) dx, per control batch.
+    then only Z per control batch, shared by l(Z) and l'(Z) dx.
     """
     zgrid = np.linspace(-3.0, 3.0, 13)
     if np.any(u.loss.second(zgrid) <= 0.0):
@@ -326,14 +327,12 @@ def build_utility_cost(u: UtilityModel, T: int) -> CostModel:
     def bind(x):
         gx, dx = u.payoff.value(x), _increments(x, u.x0)
 
-        def zval(a):
-            return gx + np.sum(a * dx, axis=1)
+        def evaluate(a):
+            # np.add.reduce is np.sum without its Python wrapper
+            z = gx + np.add.reduce(a * dx, axis=1)
+            return u.loss.value(z), lambda: u.loss.deriv(z)[:, None] * dx
 
-        def value_and_grad_a(a):
-            z = zval(a)
-            return u.loss.value(z), u.loss.deriv(z)[:, None] * dx
-
-        return (lambda a: u.loss.value(zval(a))), value_and_grad_a
+        return evaluate
 
     def zval_and_dx(x, a):
         dx = _increments(x, u.x0)

@@ -11,6 +11,7 @@ arc.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +45,11 @@ class ControlPolicy:
 
     def path_matrix(self, tree: ScenarioTree) -> np.ndarray:
         """(n_paths, T) matrix: entry (k, t-1) is the control applied over (t-1, t]."""
-        anc = tree.ancestor_matrix
-        out = np.empty((anc.shape[0], tree.horizon))
-        for t in range(tree.horizon):
-            out[:, t] = [self.values[int(n)] for n in anc[:, t]]
-        return out
+        return self.vector(tree)[_variable_layout(tree)[1]]
+
+    def vector(self, tree: ScenarioTree) -> np.ndarray:
+        """The controls in ``solve_value``'s variable order, as its ``z0``."""
+        return np.array([self.values[nid] for nid in _variable_layout(tree)[0]])
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,9 @@ class ValueReport:
 def _variable_layout(tree: ScenarioTree):
     """Non-leaf nodes in level order and the per-path variable index matrix."""
     ids = [nid for t in range(tree.horizon) for nid in tree.levels[t]]
-    pos = {nid: k for k, nid in enumerate(ids)}
-    anc = tree.ancestor_matrix[:, : tree.horizon]
-    aidx = np.vectorize(pos.__getitem__, otypes=[np.int64])(anc)
-    return ids, aidx
+    pos = np.empty(len(tree.nodes), dtype=np.int64)
+    pos[ids] = np.arange(len(ids))
+    return ids, pos[tree.ancestor_matrix[:, : tree.horizon]]
 
 
 def scatter_sum(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:
@@ -94,33 +94,36 @@ def solve_value(
 ) -> ValueReport:
     """Minimize the expected cost over box-bounded node controls.
 
+    ``z0`` is a start in ``_variable_layout`` order (default: zero).
     Terminates when the projected-gradient sup-norm falls below ``tol``;
     raises MaxIterations otherwise.
     """
     if model.kind != "controlled":
         raise InvalidParams(f"solve_value needs a controlled model, got {model.kind!r}")
+    if not tol >= 0.0:
+        raise InvalidParams(f"tol must be nonnegative, got {tol}")
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise InvalidParams(f"max_iter must be a nonnegative integer, got {max_iter!r}")
+    ids, aidx = _variable_layout(tree)
+    nvar = len(ids)
+    z0 = np.zeros(nvar) if z0 is None else np.asarray(z0, dtype=np.float64)
+    if z0.shape != (nvar,) or not np.all(np.isfinite(z0)):
+        raise InvalidParams(f"z0 must be a finite vector of length {nvar}")
     if check_convexity:
         _check_convex(tree, model, bounds)
-    ids, aidx = _variable_layout(tree)
     xs = tree.paths.values
     w = tree.paths.probs
+    wcol = w[:, None]
     L = bounds.L
-    nvar = len(ids)
-    value, value_and_grad_a = model.bind(xs)
-
-    def phi_and_grad(z: np.ndarray):
-        vals, grads = value_and_grad_a(z[aidx])
-        return float(w @ vals), scatter_sum(aidx, w[:, None] * grads, nvar)
-
-    def phi_only(z: np.ndarray) -> float:
-        return float(w @ value(z[aidx]))
-
-    z = np.clip(np.zeros(nvar) if z0 is None else np.asarray(z0, float).copy(), -L, L)
-    phi, g = phi_and_grad(z)
-    step = 1.0 / max(1.0, float(np.max(np.abs(g))))
+    evaluate = model.bind(xs)
+    # the ufuncs below are np.clip and np.max without their Python wrappers
+    z = np.minimum(np.maximum(z0, -L), L)
+    vals, grad_a = evaluate(z[aidx])
+    phi, g = float(w @ vals), scatter_sum(aidx, wcol * grad_a(), nvar)
+    step = 1.0 / max(1.0, float(np.maximum.reduce(np.abs(g))))
     z_prev = g_prev = None
     for it in range(1, max_iter + 1):
-        residual = float(np.max(np.abs(z - np.clip(z - g, -L, L))))
+        residual = float(np.maximum.reduce(np.abs(z - np.minimum(np.maximum(z - g, -L), L))))
         if residual <= tol:
             return ValueReport(
                 value=phi,
@@ -133,20 +136,20 @@ def solve_value(
             dg = g - g_prev
             curv = float(dz @ dg)
             step = float(dz @ dz) / curv if curv > 1e-18 else min(step * 2.0, 1e8)
-            step = float(np.clip(step, 1e-12, 1e8))
+            step = min(max(step, 1e-12), 1e8)
         # Armijo along the projected arc; the noise-floor term keeps the test
         # meaningful once objective differences shrink below float resolution
         noise = 1e-15 * (1.0 + abs(phi))
         s = step
         for _ in range(60):
-            z_new = np.clip(z - s * g, -L, L)
-            phi_new = phi_only(z_new)
+            z_new = np.minimum(np.maximum(z - s * g, -L), L)
+            vals, grad_a = evaluate(z_new[aidx])
+            phi_new = float(w @ vals)
             if phi_new <= phi + ARMIJO_C * float(g @ (z_new - z)) + noise:
                 break
             s *= BACKTRACK
         z_prev, g_prev = z, g
-        z = z_new
-        phi, g = phi_and_grad(z)
+        z, phi, g = z_new, phi_new, scatter_sum(aidx, wcol * grad_a(), nvar)
     raise MaxIterations(f"projected gradient did not reach tolerance {tol} in {max_iter} iterations")
 
 
@@ -179,16 +182,12 @@ def brute_force_value(
 def objective_hessian(tree: ScenarioTree, model: CostModel, policy_vec: np.ndarray) -> np.ndarray:
     """Hessian of the expected cost in node-control space at the given point."""
     ids, aidx = _variable_layout(tree)
-    xs = tree.paths.values
     w = tree.paths.probs
-    hess = model.hess_a(xs, policy_vec[aidx])
-    H = np.zeros((len(ids), len(ids)))
-    for k in range(xs.shape[0]):
-        rows = aidx[k]
-        for ti, vi in enumerate(rows):
-            for tj, vj in enumerate(rows):
-                H[vi, vj] += w[k] * hess[k, ti, tj]
-    return H
+    hess = model.hess_a(tree.paths.values, policy_vec[aidx])
+    n = len(ids)
+    # flat (vi, vj) cells in (k, ti, tj) C order: each cell sums its terms in k order
+    cells = aidx[:, :, None] * n + aidx[:, None, :]
+    return scatter_sum(cells, w[:, None, None] * hess, n * n).reshape(n, n)
 
 
 def strong_convexity_probe(
@@ -219,7 +218,7 @@ def uniqueness_spread(
     for _ in range(restarts):
         z0 = rng.uniform(-bounds.L, bounds.L, size=len(ids))
         rep = solve_value(tree, model, bounds, tol=tol, z0=z0, check_convexity=False)
-        sols.append(np.array([rep.policy.values[nid] for nid in ids]))
+        sols.append(rep.policy.vector(tree))
     stack = np.stack(sols)
     return float(np.max(stack.max(axis=0) - stack.min(axis=0)))
 

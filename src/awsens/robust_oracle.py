@@ -144,6 +144,7 @@ class _Ascent:
         self.vprob = np.array([self.tree.node_prob[nid] for nid in self.vnodes])
         self.last = None  # (shifts bytes, try_solve result) of the last solve
         self.carried = None  # the same for the maximizer seeding this radius
+        self.warm = None  # control vector of the last solve, if it kept the structure
         anc = self.tree.ancestor_matrix
         self.vidx = np.empty((anc.shape[0], self.tree.horizon), dtype=np.int64)
         for t in range(1, self.tree.horizon + 1):
@@ -195,20 +196,29 @@ class _Ascent:
         leaf_grads = leaf_gradients(tree, self.query.model, optimizer)
         return scatter_sum(self.vidx, tree.paths.probs[:, None] * leaf_grads, len(self.vnodes))
 
-    def try_solve(self, shifts: np.ndarray, tree: ScenarioTree):
-        """``class_solve`` of the candidate ``displace(shifts)``, or None when
-        its inner problem fails.  The last solve is kept, since refitting the
-        seeded shifts as the first start rebuilds the same tree, and so is
-        the solve of the previous radius's maximizer, which seeds this one."""
+    def try_solve(self, shifts: np.ndarray, tree: ScenarioTree, same: bool):
+        """``class_solve`` of the candidate ``(tree, same) = displace(shifts)``,
+        or None when its inner problem fails.  The last solve is kept, since
+        refitting the seeded shifts as the first start rebuilds the same
+        tree, and so is the solve of the previous radius's maximizer, which
+        seeds this one.
+
+        A control solve starts from the policy of the last successful solve
+        when both trees keep the base structure, so its node ids and
+        variable order are the base tree's; it ends at the same KKT test as
+        a cold start."""
         key = shifts.tobytes()
         for known in (self.last, self.carried):
             if known is not None and known[0] == key:
                 return known[1]
         q = self.query
         try:
-            sol = class_solve(tree, q.model, q.bounds, q.solver_tol, check_convexity=False)
+            sol = class_solve(tree, q.model, q.bounds, q.solver_tol, check_convexity=False,
+                              z0=self.warm if same else None)
         except (AmbiguousStopping, NotConvex, MaxIterations):
             sol = None
+        if sol is not None and q.problem_class == "controlled":
+            self.warm = sol[1].vector(tree) if same else None
         self.last = (key, sol)
         return sol
 
@@ -232,8 +242,8 @@ class _Ascent:
             fit = self.shrink_to_ball(fac * r * zvec, r)
             if fit is None:
                 continue
-            shifts, tree, _ = fit
-            sol = self.try_solve(shifts, tree)
+            shifts, tree, same = fit
+            sol = self.try_solve(shifts, tree, same)
             if sol is not None:
                 seeded_value = sol[0]
                 best_val, best, best_sol = sol[0], shifts, sol
@@ -252,7 +262,7 @@ class _Ascent:
             if fit is None:
                 continue
             shifts, tree, same = fit
-            sol = self.try_solve(shifts, tree)
+            sol = self.try_solve(shifts, tree, same)
             if sol is None:
                 continue
             if sol[0] > best_val:
@@ -276,7 +286,7 @@ class _Ascent:
                         break
                     continue
                 t_shifts, t_tree, t_same = fit
-                t_sol = self.try_solve(t_shifts, t_tree)
+                t_sol = self.try_solve(t_shifts, t_tree, t_same)
                 if t_sol is not None and t_sol[0] > cur_val + 1e-15:
                     cur_shifts, cur_tree, cur_same, (cur_val, cur_policy) = (
                         t_shifts, t_tree, t_same, t_sol)

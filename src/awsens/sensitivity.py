@@ -90,13 +90,15 @@ def class_solve(
     bounds: ControlBounds | None,
     tol: float,
     check_convexity: bool = True,
+    z0: np.ndarray | None = None,
 ):
     """Class value plus the optimizer its gradient holds fixed: the control
-    policy, the stopping policy, or None for terminal costs."""
+    policy, the stopping policy, or None for terminal costs.  ``z0`` starts
+    the control solve (see ``solve_value``); the other classes have none."""
     if model.kind == "terminal":
         return float(tree.paths.probs @ model.value_fn(tree.paths.values)), None
     if model.kind == "controlled":
-        rep = solve_value(tree, model, bounds, tol=tol, check_convexity=check_convexity)
+        rep = solve_value(tree, model, bounds, tol=tol, z0=z0, check_convexity=check_convexity)
         return rep.value, rep.policy
     return solve_stopping(tree, model, tol=tol)[:2]
 

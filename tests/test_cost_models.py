@@ -227,13 +227,17 @@ def _same_bits(got, want):
 
 def _check_binding(m, rng, n=64):
     x = rng.uniform(-2.0, 2.0, size=(n, T))
-    value, value_and_grad_a = m.bind(x)
+    evaluate = m.bind(x)
     for _ in range(3):
         a = rng.uniform(-1.5, 1.5, size=(n, T))
-        v, g = value_and_grad_a(a)
-        assert _same_bits(value(a), m.value_fn(x, a))
+        v, grad = evaluate(a)
         assert _same_bits(v, m.value_fn(x, a))
-        assert _same_bits(g, m.grad_a_fn(x, a))
+        assert _same_bits(grad(), m.grad_a_fn(x, a))
+        # a gradient taken after a later evaluation still belongs to its own a
+        v2, grad2 = evaluate(-a)
+        assert _same_bits(grad(), m.grad_a_fn(x, a))
+        assert _same_bits(v2, m.value_fn(x, -a))
+        assert _same_bits(grad2(), m.grad_a_fn(x, -a))
 
 
 @pytest.mark.parametrize("loss", LOSSES, ids=[name for name, _ in LOSSES])

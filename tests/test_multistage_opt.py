@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awsens import (
     AWParams,
@@ -19,7 +21,16 @@ from awsens import (
     tree_from_nested,
     uniqueness_spread,
 )
-from awsens.multistage_opt import _variable_layout, scatter_sum, strong_convexity_probe
+from awsens.multistage_opt import (
+    ARMIJO_C,
+    BACKTRACK,
+    MAX_ITER_DEFAULT,
+    ControlPolicy,
+    _variable_layout,
+    objective_hessian,
+    scatter_sum,
+    strong_convexity_probe,
+)
 from awsens.process_tree import Node, ScenarioTree
 
 L10 = ControlBounds(10.0)
@@ -251,3 +262,143 @@ def test_scatter_sum_matches_add_at_bit_for_bit(T, b, seed):
     idx = rng.integers(0, 7, size=(40, 3))
     vals = rng.normal(size=idx.shape)
     assert scatter_sum(idx, vals, 9).tobytes() == _add_at_reference(idx, vals, 9).tobytes()
+
+
+def reference_solve_value(tree, model, bounds, tol=1e-9, max_iter=MAX_ITER_DEFAULT, z0=None):
+    """``solve_value``'s loop before its ufunc and single-evaluation rewrite,
+    on the model's callbacks: np.clip, np.max and a value-only evaluation
+    per Armijo trial, then a fresh value and gradient at the accepted point.
+    Kept as the reference the solver must equal bit for bit."""
+    ids, aidx = _variable_layout(tree)
+    xs = tree.paths.values
+    w = tree.paths.probs
+    L = bounds.L
+    nvar = len(ids)
+
+    def phi_and_grad(z):
+        a = z[aidx]
+        return (float(w @ model.value_fn(xs, a)),
+                _add_at_reference(aidx, w[:, None] * model.grad_a_fn(xs, a), nvar))
+
+    def phi_only(z):
+        return float(w @ model.value_fn(xs, z[aidx]))
+
+    z = np.clip(np.zeros(nvar) if z0 is None else np.asarray(z0, float).copy(), -L, L)
+    phi, g = phi_and_grad(z)
+    step = 1.0 / max(1.0, float(np.max(np.abs(g))))
+    z_prev = g_prev = None
+    for it in range(1, max_iter + 1):
+        residual = float(np.max(np.abs(z - np.clip(z - g, -L, L))))
+        if residual <= tol:
+            policy = ControlPolicy({nid: float(z[k]) for k, nid in enumerate(ids)})
+            return phi, policy, residual, it - 1
+        if z_prev is not None:
+            dz = z - z_prev
+            dg = g - g_prev
+            curv = float(dz @ dg)
+            step = float(dz @ dz) / curv if curv > 1e-18 else min(step * 2.0, 1e8)
+            step = float(np.clip(step, 1e-12, 1e8))
+        noise = 1e-15 * (1.0 + abs(phi))
+        s = step
+        for _ in range(60):
+            z_new = np.clip(z - s * g, -L, L)
+            phi_new = phi_only(z_new)
+            if phi_new <= phi + ARMIJO_C * float(g @ (z_new - z)) + noise:
+                break
+            s *= BACKTRACK
+        z_prev, g_prev = z, g
+        z = z_new
+        phi, g = phi_and_grad(z)
+    raise MaxIterations(f"no convergence in {max_iter} iterations")
+
+
+_LOSSES = [("quadratic", {}), ("exponential", {"rate": 0.7}),
+           ("smoothed_power", {"exponent": 3.0})]
+_PAYOFFS = [("zero", {}), ("linear", {"coeffs": [0.5, -1.0, 2.0]}), ("final_value", {"scale": 1.5}),
+            ("mean", {}), ("softplus_call", {"strike": 0.2, "sharpness": 2.0})]
+CONTROL_MODELS = [
+    ("utility", {"loss": {"name": loss, "params": lp}, "payoff": {"name": pay, "params": pp},
+                 "x0": 0.3})
+    for loss, lp in _LOSSES for pay, pp in _PAYOFFS
+] + [
+    ("quadratic_control", {"targets": [0.5, -0.25, 1.0], "coeffs": [1.0, 0.0, -2.0]}),
+    ("tracking_control", {"weight": 0.8, "x0": 0.1}),
+]
+
+
+@pytest.mark.parametrize("name, params", CONTROL_MODELS,
+                         ids=[f"{n}-{i}" for i, (n, _) in enumerate(CONTROL_MODELS)])
+@settings(max_examples=10, deadline=None)
+@given(b=st.integers(2, 3), seed=st.integers(0, 2**16), start=st.sampled_from(["cold", "box"]))
+def test_solver_matches_reference_bit_for_bit(name, params, b, seed, start):
+    tree = gen_random(3, b, seed)
+    model = make_cost_model(name, params, 3)
+    bounds = ControlBounds(2.0)
+    z0 = None
+    if start == "box":
+        z0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=len(_variable_layout(tree)[0]))
+    rep = solve_value(tree, model, bounds, z0=z0, check_convexity=False)
+    want = reference_solve_value(tree, model, bounds, z0=z0)
+    got = (rep.value, rep.policy, rep.kkt_residual, rep.iterations)
+    assert repr(got) == repr(want)
+    assert got == want
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"z0": np.zeros(2)},
+    {"z0": np.zeros(4)},
+    {"z0": np.zeros((3, 1))},
+    {"z0": np.array([0.0, np.nan, 0.0])},
+    {"z0": np.array([np.inf, 0.0, 0.0])},
+    {"tol": -1e-9},
+    {"tol": float("nan")},
+    {"max_iter": -1},
+    {"max_iter": 2.5},
+], ids=["z0-short", "z0-long", "z0-2d", "z0-nan", "z0-inf", "tol-negative", "tol-nan",
+        "max-iter-negative", "max-iter-fractional"])
+def test_malformed_solver_arguments_are_invalid_params(kwargs):
+    tree = gen_random(2, 2, 0)  # three control variables
+    m = make_cost_model("quadratic_control", {}, 2)
+    with pytest.raises(InvalidParams):
+        solve_value(tree, m, L10, **kwargs)
+
+
+def _hessian_reference(tree, model, policy_vec):
+    """The per-path triple loop ``objective_hessian`` replaced."""
+    ids, aidx = _variable_layout(tree)
+    w = tree.paths.probs
+    hess = model.hess_a(tree.paths.values, policy_vec[aidx])
+    H = np.zeros((len(ids), len(ids)))
+    for k in range(aidx.shape[0]):
+        for ti, vi in enumerate(aidx[k]):
+            for tj, vj in enumerate(aidx[k]):
+                H[vi, vj] += w[k] * hess[k, ti, tj]
+    return H
+
+
+@pytest.mark.parametrize("name, params", [CONTROL_MODELS[i] for i in (2, 6, 14, 15, 16)])
+@pytest.mark.parametrize("T, b, seed", [(1, 3, 0), (3, 3, 1), (3, 2, 2)])
+def test_objective_hessian_matches_loop_bit_for_bit(name, params, T, b, seed):
+    if name == "utility" and params["payoff"]["name"] == "linear":
+        params = {**params, "payoff": {"name": "linear", "params": {"coeffs": [0.5, -1.0, 2.0][:T]}}}
+    if name == "quadratic_control":
+        params = {k: v[:T] for k, v in params.items()}
+    tree = gen_random(T, b, seed)
+    model = make_cost_model(name, params, T)
+    z = np.random.default_rng(seed).uniform(-2.0, 2.0, size=len(_variable_layout(tree)[0]))
+    got = objective_hessian(tree, model, z)
+    assert got.tobytes() == _hessian_reference(tree, model, z).tobytes()
+
+
+@pytest.mark.parametrize("T, b, seed", [(1, 2, 0), (2, 3, 1), (4, 2, 2)])
+def test_path_matrix_matches_per_stage_lookup(T, b, seed):
+    tree = gen_random(T, b, seed)
+    ids, _ = _variable_layout(tree)
+    rng = np.random.default_rng(seed)
+    policy = ControlPolicy({nid: float(v) for nid, v in zip(ids, rng.normal(size=len(ids)))})
+    anc = tree.ancestor_matrix
+    want = np.empty((anc.shape[0], T))
+    for t in range(T):
+        want[:, t] = [policy.values[int(n)] for n in anc[:, t]]
+    assert policy.path_matrix(tree).tobytes() == want.tobytes()
+    assert policy.vector(tree).tolist() == [policy.values[nid] for nid in ids]

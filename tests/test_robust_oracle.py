@@ -186,9 +186,9 @@ def test_controlled_curve_solves_each_candidate_once(monkeypatch):
     curve = robust_curve(RobustQuery("controlled", tree, make_cost_model("utility", spec, 3),
                                      2.0, radii, bounds=ControlBounds(10.0)))
     assert all(row.converged for row in curve.rows)
-    # pinned to the ascent that re-solves every candidate for its gradient:
-    # reusing solves must not move a bit
-    assert [row.lower_bound for row in curve.rows] == [0.04690025804843467, 0.37984158582318794]
+    # pinned to the ascent whose candidate solves start from the last
+    # solve's policy: reusing solves must not move a bit
+    assert [row.lower_bound for row in curve.rows] == [0.04690025804843523, 0.3798416191324121]
     counts = Counter(solved)
     assert counts[tree.paths.values.tobytes()] == 1  # the base, for value and sensitivity
     # no candidate is solved twice, not even the previous radius's maximizer
@@ -199,8 +199,16 @@ def test_controlled_curve_solves_each_candidate_once(monkeypatch):
 
 def test_carried_solve_is_the_maximizers(monkeypatch):
     # the solve that travels with a radius's maximizer into the next radius
-    # must be that maximizer's, wherever the ascent found it
-    from awsens.sensitivity import class_solve
+    # must be that maximizer's, wherever the ascent found it: a fresh solve
+    # of the maximizer from the start its own solve had gives the same bits
+    from awsens import robust_oracle
+
+    real_solve = robust_oracle.class_solve
+    starts = {}
+
+    def recording(tree, *args, z0=None, **kwargs):
+        starts[tree.paths.values.tobytes()] = z0
+        return real_solve(tree, *args, z0=z0, **kwargs)
 
     checked = []
     real = _Ascent.run_radius
@@ -208,18 +216,22 @@ def test_carried_solve_is_the_maximizers(monkeypatch):
     def checking(self, r, zvec, extra_seeds, rng):
         best_val, best, best_sol, seeded = real(self, r, zvec, extra_seeds, rng)
         q = self.query
-        fresh = class_solve(self.displace(best)[0], q.model, q.bounds, q.solver_tol,
-                            check_convexity=False)
-        checked.append((best_sol[0], best_val, fresh[0]))
+        tree = self.displace(best)[0]
+        fresh = real_solve(tree, q.model, q.bounds, q.solver_tol, check_convexity=False,
+                           z0=starts[tree.paths.values.tobytes()])
+        checked.append((best_sol, best_val, fresh))
         return best_val, best, best_sol, seeded
 
+    monkeypatch.setattr(robust_oracle, "class_solve", recording)
     monkeypatch.setattr(_Ascent, "run_radius", checking)
     spec = {"loss": {"name": "exponential", "params": {"rate": 1.0}}, "payoff": {"name": "zero"}}
     robust_curve(RobustQuery("controlled", gen_random(3, 3, 0),
                              make_cost_model("utility", spec, 3), 2.0, (1e-2, 1e-1),
                              bounds=ControlBounds(10.0)))
     assert len(checked) == 2
-    assert all(a == b == c for a, b, c in checked)
+    assert all(sol[0] == val == fresh[0] and sol[1] == fresh[1] for sol, val, fresh in checked)
+    # the second radius's maximizer was found by warm-started solves
+    assert any(z0 is not None for z0 in starts.values())
 
 
 @pytest.mark.parametrize("collide", [False, True])
