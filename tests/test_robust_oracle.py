@@ -255,3 +255,32 @@ def test_ascent_and_perturbed_model_build_the_same_tree(collide):
                                                         verify=False)
     assert same is not collide and (delta_used > 0.0) is collide
     assert got.horizon == want.horizon and got.nodes == want.nodes
+
+
+def test_only_structure_keeping_candidates_start_warm(monkeypatch):
+    # a repaired candidate's nodes are not the base tree's: its control solve
+    # starts cold, and so does the next one, whose predecessor was repaired
+    from awsens import robust_oracle
+
+    starts = []
+    real = robust_oracle.class_solve
+
+    def recording(tree, *args, z0=None, **kwargs):
+        starts.append(z0)
+        return real(tree, *args, z0=z0, **kwargs)
+
+    monkeypatch.setattr(robust_oracle, "class_solve", recording)
+    tree = tree_from_nested(1, [(0.1, 0.5), (-0.1, 0.5)])
+    model = make_cost_model("quadratic_control", {"targets": [0.5], "coeffs": [1.0]}, 1)
+    engine = _Ascent(RobustQuery("controlled", tree, model, 2.0, (0.1,),
+                                 bounds=ControlBounds(1.0)))
+    sames, solved = [], []
+    for shifts in ([0.01, 0.02], [0.02, 0.01], [-0.1, 0.1], [0.03, 0.0]):
+        shifts = np.array(shifts)
+        cand, same = engine.displace(shifts)
+        sames.append(same)
+        solved.append((cand, engine.try_solve(shifts, cand, same)))
+    assert sames == [True, True, False, True]
+    assert starts[0] is None and starts[2] is None and starts[3] is None
+    cand, sol = solved[0]
+    assert starts[1].tobytes() == sol[1].vector(cand).tobytes()
