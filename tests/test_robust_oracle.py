@@ -217,9 +217,9 @@ def test_carried_solve_is_the_maximizers(monkeypatch):
         best_val, best, best_sol, seeded = real(self, r, zvec, extra_seeds, rng)
         q = self.query
         tree = self.displace(best)[0]
-        fresh = real_solve(tree, q.model, q.bounds, q.solver_tol, check_convexity=False,
-                           z0=starts[tree.paths.values.tobytes()])
-        checked.append((best_sol, best_val, fresh))
+        z0 = starts[tree.paths.values.tobytes()]
+        fresh = real_solve(tree, q.model, q.bounds, q.solver_tol, check_convexity=False, z0=z0)
+        checked.append((best_sol, best_val, fresh, z0))
         return best_val, best, best_sol, seeded
 
     monkeypatch.setattr(robust_oracle, "class_solve", recording)
@@ -229,9 +229,9 @@ def test_carried_solve_is_the_maximizers(monkeypatch):
                              make_cost_model("utility", spec, 3), 2.0, (1e-2, 1e-1),
                              bounds=ControlBounds(10.0)))
     assert len(checked) == 2
-    assert all(sol[0] == val == fresh[0] and sol[1] == fresh[1] for sol, val, fresh in checked)
-    # the second radius's maximizer was found by warm-started solves
-    assert any(z0 is not None for z0 in starts.values())
+    assert all(sol[0] == val == fresh[0] and sol[1] == fresh[1] for sol, val, fresh, _ in checked)
+    # both maximizers were solved from a warm start
+    assert all(z0 is not None for *_, z0 in checked)
 
 
 @pytest.mark.parametrize("collide", [False, True])
