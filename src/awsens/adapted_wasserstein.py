@@ -51,7 +51,7 @@ from .errors import (
     NotCausal,
     TooLarge,
 )
-from .process_tree import Node, ScenarioTree
+from .process_tree import Node, ScenarioTree, _frozen, _memo
 
 Direction = Literal["x_to_y", "y_to_x"]
 
@@ -154,8 +154,8 @@ class CouplingTree:
         if len(order) != n:
             raise InvalidCoupling("coupling contains pair nodes unreachable from the root")
 
-        marg_x = [0.0] * len(first.nodes)
-        marg_y = [0.0] * len(second.nodes)
+        marg_x = [0.0] * len(first.node_prob)
+        marg_y = [0.0] * len(second.node_prob)
         for pn in pair_nodes:
             marg_x[pn.x_node] += prob[pn.id]
             marg_y[pn.y_node] += prob[pn.id]
@@ -258,38 +258,39 @@ def product_coupling(P: ScenarioTree, Q: ScenarioTree) -> CouplingTree:
 # -- exact distance via backward recursion ------------------------------------
 
 
-def _node_arrays(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per node: its index within its time level, its value (0 at the root)
-    and its conditional probability."""
-    pos = np.empty(len(tree.nodes), dtype=np.intp)
-    for level in tree.levels:
-        pos[list(level)] = np.arange(len(level))
-    values = np.array([0.0 if nd.value is None else nd.value for nd in tree.nodes])
-    weights = np.array([nd.cond_prob for nd in tree.nodes])
-    return pos, values, weights
+def _node_arrays(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
+    """Per node: its index within its time level and its conditional
+    probability; cached per structure."""
+
+    def build():
+        pos = np.empty(len(tree.node_prob), dtype=np.intp)
+        for level in tree.levels:
+            pos[list(level)] = np.arange(len(level))
+        return _frozen(pos), _frozen(np.array([nd.cond_prob for nd in tree._template]))
+    return _memo(tree._shared, "arrays", build)
 
 
-def _sorted_families(tree: ScenarioTree, t: int, arrays):
-    """Child families of the time-t nodes, grouped by size.
+def _sorted_families(tree: ScenarioTree, t: int):
+    """Child families of the time-t nodes, grouped by size; cached per tree.
 
-    Yields ``(rows, values, weights, order, parents)`` per family size: the
+    Lists ``(rows, values, weights, order, parents)`` per family size: the
     parents' positions in level t, the children's values and conditional
     probabilities sorted by value (stable), the sorting permutation, and the
     parent ids.
     """
-    pos, values, weights = arrays
-    by_size: dict[int, list[int]] = {}
-    for nid in tree.levels[t]:
-        by_size.setdefault(len(tree.children[nid]), []).append(nid)
-    for parents in by_size.values():
-        kids = np.array([tree.children[nid] for nid in parents])
-        order = np.argsort(values[kids], axis=1, kind="stable")
-        kids = np.take_along_axis(kids, order, axis=1)
-        yield pos[parents], values[kids], weights[kids], order, parents
+    def build():
+        pos, weights = _node_arrays(tree)
+        out = []
+        for parents, kids in tree._sibling_groups(t):
+            order = _frozen(np.argsort(tree.values[kids], axis=1, kind="stable"))
+            kids = np.take_along_axis(kids, order, axis=1)
+            out.append((_frozen(pos[list(parents)]), _frozen(tree.values[kids]),
+                        _frozen(weights[kids]), order, parents))
+        return tuple(out)
+    return _memo(tree._cache, ("sorted", t), build)
 
 
-def _last_stage(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None,
-                ax, ay) -> np.ndarray:
+def _last_stage(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -> np.ndarray:
     """Values of all time-(T-1) node pairs, batched 1-d solves per size class.
 
     There the cost is the stage cost alone, submodular on sorted atoms, so
@@ -298,8 +299,8 @@ def _last_stage(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None,
     """
     t = P.horizon - 1
     value = np.empty((len(P.levels[t]), len(Q.levels[t])))
-    yfam = list(_sorted_families(Q, t, ay))
-    for xrows, xv, xw, ox, xpar in _sorted_families(P, t, ax):
+    yfam = _sorted_families(Q, t)
+    for xrows, xv, xw, ox, xpar in _sorted_families(P, t):
         m = xv.shape[1]
         for yrows, yv, yw, oy, ypar in yfam:
             cy, n = yv.shape
@@ -325,18 +326,21 @@ def _last_stage(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None,
     return value
 
 
-def _families(tree: ScenarioTree, t: int, arrays):
-    """Per time-t node: its id, the children's level positions and values,
+def _families(tree: ScenarioTree, t: int):
+    """Per time-t node: its id, its children's ids and level positions,
     their conditional probabilities as floats and the sum of those, in the
-    tree's child order.  Each family passes the weight checks of
-    :class:`TransportProblem` here, once."""
-    pos, values, weights = arrays
-    out = []
-    for nid in tree.levels[t]:
-        kids = list(tree.children[nid])
-        w = weights[kids]
-        out.append((nid, pos[kids], values[kids], w.tolist(), float(check_weights(w))))
-    return out
+    tree's child order; cached per structure.  Each family passes the
+    weight checks of :class:`TransportProblem` here, once."""
+    def build():
+        pos, weights = _node_arrays(tree)
+        out = []
+        for nid in tree.levels[t]:
+            kids = _frozen(np.array(tree.children[nid], dtype=np.intp))
+            w = weights[kids]
+            out.append((nid, kids, _frozen(pos[kids]), tuple(w.tolist()),
+                        float(check_weights(w))))
+        return tuple(out)
+    return _memo(tree._shared, ("families", t), build)
 
 
 def _recursion(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -> float:
@@ -352,16 +356,15 @@ def _recursion(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -
     """
     if P.horizon != Q.horizon:
         raise HorizonMismatch(f"horizons differ: {P.horizon} vs {Q.horizon}")
-    ax, ay = _node_arrays(P), _node_arrays(Q)
-    value = _last_stage(P, Q, p, plans, ax, ay)
+    value = _last_stage(P, Q, p, plans)
     for t in range(P.horizon - 2, -1, -1):
-        yfam = _families(Q, t, ay)
-        yvals = ay[1][list(Q.levels[t + 1])]
+        yfam = _families(Q, t)
+        yvals = Q.values[list(Q.levels[t + 1])]
         level = np.empty((len(P.levels[t]), len(yfam)))
-        for a, (xn, xpos, xv, xw, xsum) in enumerate(_families(P, t, ax)):
-            block = np.abs(xv[:, None] - yvals[None, :]) ** p + value[xpos]
+        for a, (xn, xkids, xpos, xw, xsum) in enumerate(_families(P, t)):
+            block = np.abs(P.values[xkids][:, None] - yvals[None, :]) ** p + value[xpos]
             check_cost(block)
-            for b, (yn, ypos, _, yw, ysum) in enumerate(yfam):
+            for b, (yn, _, ypos, yw, ysum) in enumerate(yfam):
                 ratio = xsum / ysum
                 plan, obj, _, _ = transport_simplex(xw, [w * ratio for w in yw], block[:, ypos])
                 level[a, b] = obj
@@ -589,10 +592,8 @@ def bicausalize(coupling: CouplingTree, delta: float) -> tuple[CouplingTree, Sce
     parent = [pn.parent for pn in coupling.pair_nodes]
     time = [pn.time for pn in coupling.pair_nodes]
     x_node = [pn.x_node for pn in coupling.pair_nodes]
-    y_value = [
-        Q.nodes[pn.y_node].value if pn.parent is not None else None
-        for pn in coupling.pair_nodes
-    ]
+    yv = Q.values.tolist()
+    y_value = [yv[pn.y_node] for pn in coupling.pair_nodes]  # the root's is never read
     prob = list(coupling.prob)
     return _bicausalize_pairs(P, parent, time, x_node, y_value, prob, delta)
 

@@ -50,11 +50,9 @@ def _stop_values(tree: ScenarioTree, model: CostModel) -> np.ndarray:
 def _representative_path(tree: ScenarioTree) -> dict[int, int]:
     """Map node -> index of one path passing through it."""
     rep: dict[int, int] = {}
-    for k, leaf in enumerate(tree.leaves):
-        nid: int | None = leaf
-        while nid is not None and nid not in rep:
-            rep[nid] = k
-            nid = tree.nodes[nid].parent
+    for k, path in enumerate(tree.ancestor_matrix.tolist()):
+        for nid in path:
+            rep.setdefault(nid, k)
     return rep
 
 

@@ -53,25 +53,33 @@ class PathTable:
             yield leaf, self.values[k], float(self.probs[k])
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _memo(cache: dict, key, build):
+    """``cache[key]``, computed by ``build()`` on first use."""
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
 class ScenarioTree:
     """Immutable rooted tree with one value per non-root node.
 
-    Node ids are their indices in ``nodes``.  All derived structure
-    (children, levels, unconditional node probabilities, path table) is
-    computed once at construction; instances are safe to share between
-    workers.
+    Node ids are their indices in ``nodes``; ``values`` holds the values by
+    id (0.0 at the root).  The structure (children, levels, leaves, node
+    probabilities, ancestor matrix, path probabilities) is computed once at
+    construction and shared, with one structure cache, by every tree
+    :meth:`with_values` derives from it.  What algorithms derive from a tree
+    is cached on it on first use as read-only arrays, so instances are safe
+    to share between workers.
     """
 
     __slots__ = (
-        "horizon",
-        "nodes",
-        "root",
-        "children",
-        "levels",
-        "leaves",
-        "node_prob",
-        "_paths",
-        "_ancestors",
+        "horizon", "root", "children", "levels", "leaves", "node_prob", "_ancestors",
+        "_template", "_shared", "values", "_paths", "_nodes", "_cache",
     )
 
     def __init__(self, horizon: int, nodes: Sequence[Node]):
@@ -117,9 +125,6 @@ class ScenarioTree:
             s = sum(nodes[c].cond_prob for c in kids)
             if abs(s - 1.0) > PROB_TOL:
                 raise InvalidTree(f"children of node {nd.id} have probabilities summing to {s!r}")
-            vals = [nodes[c].value for c in kids]
-            if len(set(vals)) != len(vals):
-                raise InvalidTree(f"children of node {nd.id} carry duplicate values")
 
         levels: list[list[int]] = [[] for _ in range(horizon + 1)]
         order: list[int] = [root]
@@ -141,30 +146,87 @@ class ScenarioTree:
             raise InvalidTree(f"leaf path probabilities sum to {total!r}")
 
         self.horizon = horizon
-        self.nodes = tuple(nodes)
         self.root = root
         self.children = tuple(tuple(c) for c in children)
         self.levels = tuple(tuple(lv) for lv in levels)
         self.leaves = tuple(leaves)
         self.node_prob = tuple(node_prob)
-
+        parent = np.array([root if nd.parent is None else nd.parent for nd in nodes])
         anc = np.empty((len(leaves), horizon + 1), dtype=np.int64)
-        vals = np.empty((len(leaves), horizon), dtype=np.float64)
-        for k, leaf in enumerate(leaves):
-            nid = leaf
-            for t in range(horizon, 0, -1):
-                anc[k, t] = nid
-                vals[k, t - 1] = self.nodes[nid].value
-                nid = self.nodes[nid].parent
-            anc[k, 0] = nid
-        vals.setflags(write=False)
-        anc.setflags(write=False)
-        probs = np.array([node_prob[leaf] for leaf in leaves])
-        probs.setflags(write=False)
-        self._paths = PathTable(tuple(leaves), vals, probs)
-        self._ancestors = anc
+        anc[:, horizon] = leaves
+        for t in range(horizon, 0, -1):
+            anc[:, t - 1] = parent[anc[:, t]]
+        self._ancestors = _frozen(anc)
+        self._template = self._nodes = tuple(nodes)
+        self._shared: dict = {}
+        probs = _frozen(np.array([node_prob[leaf] for leaf in leaves]))
+        self._set_values(np.array([0.0 if nd.value is None else nd.value for nd in nodes]), probs)
+
+    def _set_values(self, values: np.ndarray, probs: np.ndarray) -> None:
+        """Check finiteness and sibling distinctness; gather the path values."""
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise InvalidTree(f"node {bad[0]} must carry a finite value")
+        clash = self._collision(values)
+        if clash is not None:
+            raise InvalidTree(f"children of node {clash} carry duplicate values")
+        self.values = _frozen(values)
+        self._paths = PathTable(self.leaves, _frozen(values[self._ancestors[:, 1:]]), probs)
+        self._cache: dict = {}
+
+    def with_values(self, values: Sequence[float | None]) -> ScenarioTree:
+        """This tree with ``values[k]`` at each non-root node ``k`` (the
+        root's entry is ignored), sharing its structure and structure cache.
+        Raises :class:`InvalidTree` exactly where the constructor would."""
+        v = np.array(values, dtype=np.float64)
+        if v.shape != (len(self.node_prob),):
+            raise InvalidTree(f"expected {len(self.node_prob)} node values, got shape {v.shape}")
+        v[self.root] = 0.0
+        out = object.__new__(type(self))
+        for name in ("horizon", "root", "children", "levels", "leaves", "node_prob",
+                     "_ancestors", "_template", "_shared"):
+            setattr(out, name, getattr(self, name))
+        out._nodes = None
+        out._set_values(v, self._paths.probs)
+        return out
+
+    def _collision(self, values: np.ndarray) -> int | None:
+        """Smallest id of a node whose children carry equal values, or None."""
+        clash = []
+        for t in range(self.horizon):
+            for parents, kids in self._sibling_groups(t):
+                s = values[kids]  # sorted as the recursion sorts: np.sort costs memory
+                s = np.take_along_axis(s, np.argsort(s, axis=1, kind="stable"), axis=1)
+                hit = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
+                if hit.size:
+                    clash.append(parents[hit[0]])
+        return min(clash, default=None)
+
+    def _sibling_groups(self, t: int) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        """Families of the time-t nodes grouped by size, in level order:
+        ``(parents, kids)`` with one row of child ids per parent; cached
+        per structure."""
+        def build():
+            by_size: dict[int, list[int]] = {}
+            for nid in self.levels[t]:
+                by_size.setdefault(len(self.children[nid]), []).append(nid)
+            return tuple((tuple(ps), _frozen(np.array([self.children[c] for c in ps])))
+                         for ps in by_size.values())
+        return _memo(self._shared, ("groups", t), build)
 
     # -- structural views ---------------------------------------------------
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        """The node records; a tree made by :meth:`with_values` builds them
+        on first access."""
+        if self._nodes is None:
+            vals = self.values.tolist()
+            self._nodes = tuple(
+                nd if nd.parent is None else Node(nd.id, nd.time, v, nd.cond_prob, nd.parent)
+                for nd, v in zip(self._template, vals)
+            )
+        return self._nodes
 
     @property
     def paths(self) -> PathTable:
@@ -179,12 +241,6 @@ class ScenarioTree:
     def ancestor_matrix(self) -> np.ndarray:
         """(n_paths, horizon + 1) matrix: column t holds the time-t node of each path."""
         return self._ancestors
-
-    def value(self, node_id: int) -> float:
-        v = self.nodes[node_id].value
-        if v is None:
-            raise InvalidParams("the root carries no value")
-        return v
 
 
 def conditional_expectation(

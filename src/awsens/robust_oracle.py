@@ -140,30 +140,34 @@ class _Ascent:
         self.vnodes = [
             nid for t in range(1, self.tree.horizon + 1) for nid in self.tree.levels[t]
         ]
-        self.vpos = {nid: k for k, nid in enumerate(self.vnodes)}
+        self.vpos = np.zeros(len(self.tree.values), dtype=np.int64)  # node id -> index in vnodes
+        self.vpos[self.vnodes] = np.arange(len(self.vnodes))
+        self.vidx = self.vpos[self.tree.ancestor_matrix[:, 1:]]
         self.vprob = np.array([self.tree.node_prob[nid] for nid in self.vnodes])
         self.last = None  # (shifts bytes, try_solve result) of the last solve
         self.carried = None  # the same for the maximizer seeding this radius
         self.warm = None  # control vector of the last solve, if it kept the structure
-        anc = self.tree.ancestor_matrix
-        self.vidx = np.empty((anc.shape[0], self.tree.horizon), dtype=np.int64)
-        for t in range(1, self.tree.horizon + 1):
-            self.vidx[:, t - 1] = [self.vpos[int(n)] for n in anc[:, t]]
+        self.distances: dict[bytes, float] = {}  # every exact ball check, by shifts bytes
 
     # -- candidate trees --------------------------------------------------
 
     def displace(self, shifts: np.ndarray) -> tuple[ScenarioTree, bool]:
         """Tree with node values moved by ``shifts``; False when collisions
         forced a bicausal repair (structure then differs from the base)."""
-        nodes = self.tree.nodes
-        shifted = {nid: nodes[nid].value + float(shifts[k]) for k, nid in enumerate(self.vnodes)}
+        shifted = self.tree.values.copy()
+        shifted[self.vnodes] += shifts
         delta = max(float(np.max(np.abs(shifts))), 1e-12) * 1e-6
         out, coupling = displace(self.tree, shifted, delta)
         return out, coupling is None
 
-    def distance(self, tree: ScenarioTree) -> float:
-        """Exact adapted distance from the base tree."""
-        return aw_pth_power(self.tree, tree, self.params) ** (1.0 / self.params.p)
+    def distance(self, shifts: np.ndarray, tree: ScenarioTree | None = None) -> float:
+        """Exact adapted distance from the base tree of ``displace(shifts)``
+        (``tree``, when known); kept, as rows and re-fitted seeds repeat checks."""
+        key = shifts.tobytes()
+        if key not in self.distances:
+            pth = aw_pth_power(self.tree, tree or self.displace(shifts)[0], self.params)
+            self.distances[key] = pth ** (1.0 / self.params.p)
+        return self.distances[key]
 
     def shrink_to_ball(self, shifts: np.ndarray, r: float):
         """Scale the displacement until the exact distance fits the radius.
@@ -182,7 +186,7 @@ class _Ascent:
                 continue
             if same and float(self.vprob @ np.abs(shifts) ** p) ** (1.0 / p) <= r:
                 return shifts, tree, same
-            dist = self.distance(tree)
+            dist = self.distance(shifts, tree)
             if dist <= r * (1.0 + 1e-12):
                 return shifts, tree, same
             shifts = shifts * min(0.999, r / dist)
@@ -337,7 +341,7 @@ def robust_curve(query: RobustQuery) -> RobustCurve:
                 lower_bound=lb,
                 seeded_value=seeded_lb,
                 first_order_value=r * report.first_order,
-                distance=engine.distance(engine.displace(shifts)[0]),
+                distance=engine.distance(shifts),
                 displacement={nid: float(shifts[kk]) for kk, nid in enumerate(engine.vnodes)},
                 converged=converged,
             )

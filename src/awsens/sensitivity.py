@@ -28,10 +28,10 @@ from .adapted_wasserstein import (
     aw_pth_power,
 )
 from .cost_models import CostModel, UtilityModel, build_utility_cost
-from .errors import AwsensError, DeltaTooSmall, FlatStep, InvalidParams
+from .errors import AwsensError, DeltaTooSmall, FlatStep, InvalidParams, InvalidTree
 from .multistage_opt import ControlBounds, ControlPolicy, solve_value
 from .optimal_stopping import solve_stopping
-from .process_tree import Node, ScenarioTree, conditional_expectation
+from .process_tree import ScenarioTree, conditional_expectation
 
 
 @dataclass(frozen=True)
@@ -249,27 +249,27 @@ def worst_case_direction(tree: ScenarioTree, report: SensitivityReport) -> Worst
     return WorstCaseDirection(p, q, values, tuple(weights), norm_check, pairing, False)
 
 
-def displace(tree: ScenarioTree, values: dict[int, float], delta: float):
-    """Move every value-carrying node to ``values[node id]``.
+def displace(tree: ScenarioTree, values, delta: float):
+    """Move every value-carrying node to ``values[node id]`` (indexed by node
+    id; the root's entry is ignored).
 
-    Returns ``(tree, None)`` when shifted siblings stay distinct, and
-    otherwise ``(tree, coupling)`` of the bicausal repair with resolution
-    ``delta``.
+    Returns ``(tree.with_values(values), None)`` when shifted siblings stay
+    distinct, and otherwise ``(tree, coupling)`` of the bicausal repair with
+    resolution ``delta``.
     """
-    if all(len({values[c] for c in kids}) == len(kids) for kids in tree.children):
-        nodes = [
-            Node(nd.id, nd.time, values.get(nd.id), nd.cond_prob, nd.parent)
-            for nd in tree.nodes
-        ]
-        return ScenarioTree(tree.horizon, nodes), None
+    values = np.asarray(values, dtype=np.float64)
+    try:
+        return tree.with_values(values), None
+    except InvalidTree:
+        if tree._collision(values) is None:
+            raise
     if delta <= 0.0:
         raise DeltaTooSmall(
             "shifted sibling values collide and delta = 0 leaves nothing to separate them"
         )
     coupling, out = _bicausalize_pairs(
         tree, [nd.parent for nd in tree.nodes], [nd.time for nd in tree.nodes],
-        list(range(len(tree.nodes))), [values.get(nd.id) for nd in tree.nodes],
-        list(tree.node_prob), delta,
+        list(range(len(tree.nodes))), values.tolist(), list(tree.node_prob), delta,
     )
     return out, coupling
 
@@ -311,11 +311,11 @@ def perturbed_model_with_coupling(
     if delta is None:
         delta = r / 100.0
     T = tree.horizon
-    shifted: dict[int, float] = {}
+    shifted = tree.values.copy()
     for t in range(1, T + 1):
         zs = direction.values.get(t, {})
         for nid in tree.levels[t]:
-            shifted[nid] = tree.nodes[nid].value + r * zs.get(nid, 0.0)
+            shifted[nid] += r * zs.get(nid, 0.0)
     out, coupling = displace(tree, shifted, delta)
     delta_used = delta
     if coupling is None:  # the identity coupling is bicausal

@@ -514,3 +514,84 @@ def test_bicausalize_delta_collision_detected():
     ])
     with pytest.raises(DeltaTooSmall):
         bicausalize(moved, 1e-2)
+
+
+# -- caches on trees that share a structure -----------------------------------
+
+
+def _result_bits(res) -> tuple:
+    return (res.distance.hex(), res.pth_power.hex(), [c.hex() for c in res.per_stage_costs],
+            [(pn.id, pn.time, pn.x_node, pn.y_node, pn.cond_prob.hex(), pn.parent)
+             for pn in res.coupling.pair_nodes])
+
+
+def _constructed(tree: ScenarioTree, values: np.ndarray) -> ScenarioTree:
+    """A new tree with these node values, through the validating constructor."""
+    return ScenarioTree(tree.horizon, [
+        Node(nd.id, nd.time, None if nd.parent is None else float(values[nd.id]),
+             nd.cond_prob, nd.parent)
+        for nd in tree.nodes
+    ])
+
+
+@given(seed=st.integers(0, 20_000), order=st.permutations(range(7)))
+@settings(max_examples=15, deadline=None)
+def test_recursion_caches_do_not_leak_between_trees(seed, order):
+    # aw_pth_power and aw_distance give the same bits on fresh trees, on
+    # with_values children of one base and on their parse/serialize round
+    # trips, whatever the call order; the reference builds every tree anew
+    from awsens.cli import parse_tree, serialize_tree
+
+    params = AWParams(2.0)
+    rng = np.random.default_rng(seed)
+    base = gen_random(3, 3, seed)
+    values = [base.values] + [base.values + rng.normal(scale=0.05, size=len(base.values))
+                              for _ in range(2)]
+    kids = [base.with_values(v) for v in values[1:]]
+    trips = [parse_tree(serialize_tree(k)) for k in kids]
+    trees = [base, *kids, *trips]  # value sets 0, 1, 2, 1, 2
+    which = [0, 1, 2, 1, 2]
+    ops = [(aw_pth_power, 0, 1), (aw_distance, 0, 2), (aw_distance, 1, 2),
+           (aw_pth_power, 2, 1), (aw_distance, 3, 2), (aw_pth_power, 0, 4), (aw_distance, 2, 1)]
+
+    def bits(fn, x):
+        return x.hex() if fn is aw_pth_power else _result_bits(x)
+
+    for k in order:
+        fn, a, b = ops[k]
+        want = fn(_constructed(base, values[which[a]]), _constructed(base, values[which[b]]),
+                  params)
+        assert bits(fn, fn(trees[a], trees[b], params)) == bits(fn, want)
+    # children share the structure cache and keep their own per-tree cache
+    assert kids[0]._shared is kids[1]._shared is base._shared
+    assert kids[0]._cache is not kids[1]._cache
+    for kid in kids:
+        for entries in kid._cache.values():
+            for _, vals, *_ in entries:
+                assert set(vals.ravel()) <= set(kid.values)
+
+
+def test_cached_arrays_are_read_only():
+    base = gen_random(3, 3, 4)
+    child = base.with_values(base.values + 0.01)
+    aw_distance(base, child, AWParams(2.0))
+    aw_distance(child, base, AWParams(2.0))
+    arrays = [child.values, child.paths.values, child.paths.probs, child.ancestor_matrix]
+
+    def collect(obj):
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        else:
+            assert isinstance(obj, (tuple, int, float))  # no mutable container
+            if isinstance(obj, tuple):
+                for item in obj:
+                    collect(item)
+
+    for cache in (base._shared, base._cache, child._cache):
+        assert cache
+        collect(tuple(cache.values()))
+    assert len(arrays) > 20
+    for a in arrays:
+        assert a.size
+        with pytest.raises(ValueError):
+            a.flat[0] = 7.0

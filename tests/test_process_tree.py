@@ -247,3 +247,109 @@ def test_is_isomorphic_ignores_node_order(iid_signs):
         ],
     )
     assert not is_isomorphic(iid_signs, other)
+
+
+# -- trees that share a structure ---------------------------------------------
+
+_SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, math.nan, math.inf, -math.inf, None]
+
+
+@st.composite
+def _shaped_trees(draw):
+    """A tree of horizon <= 4 and branching <= 4 (family sizes may differ)
+    with dyadic probabilities; ids follow tree_from_nested's depth-first
+    order, so they are not in level order."""
+    horizon = draw(st.integers(1, 4))
+
+    def family(depth):
+        size = draw(st.integers(1, 4 if depth < 3 else 2))
+        counts = [1 + draw(st.integers(0, 7)) for _ in range(size)]
+        entries = []
+        for k, c in enumerate(counts):
+            prob = c / sum(counts)
+            kids = family(depth + 1) if depth < horizon else []
+            entries.append((float(k), prob, kids))
+        # make the probabilities sum to 1 exactly
+        last = entries[-1]
+        entries[-1] = (last[0], 1.0 - math.fsum(e[1] for e in entries[:-1]), last[2])
+        return entries
+
+    return tree_from_nested(horizon, family(1))
+
+
+def _public_views(tree):
+    return (
+        tree.horizon, tree.root, tree.children, tree.levels, tree.leaves, tree.node_prob,
+        [(n.id, n.time, None if n.value is None else n.value.hex(), n.cond_prob.hex(), n.parent)
+         for n in tree.nodes],
+        tree.paths.leaf_ids, tree.paths.values.tobytes(), tree.paths.values.shape,
+        tree.paths.probs.tobytes(), tree.ancestor_matrix.tobytes(), tree.values.tobytes(),
+    )
+
+
+@given(tree=_shaped_trees(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_with_values_matches_the_validating_constructor(tree, data):
+    n = len(tree.nodes)
+    # finite values only, or with NaN, infinities and missing values mixed in
+    special = _SPECIAL_VALUES if data.draw(st.booleans()) else _SPECIAL_VALUES[:5]
+    pool = st.one_of(st.sampled_from(special), st.floats(-4.0, 4.0, width=16))
+    values = data.draw(st.lists(pool, min_size=n, max_size=n))
+    nodes = [Node(nd.id, nd.time, None if nd.parent is None else values[nd.id], nd.cond_prob,
+                  nd.parent) for nd in tree.nodes]
+    try:
+        want = ScenarioTree(tree.horizon, nodes)
+    except InvalidTree as e:
+        want = e
+    try:
+        got = tree.with_values(values)
+    except InvalidTree as e:
+        got = e
+    # the reference rule, independent of both: values finite, siblings
+    # distinct under Python's float equality (0.0 == -0.0)
+    finite = all(v is not None and math.isfinite(v) for k, v in enumerate(values) if k != tree.root)
+    distinct = finite and all(len({values[c] for c in kids}) == len(kids) for kids in tree.children)
+    assert isinstance(got, InvalidTree) is isinstance(want, InvalidTree) is (not distinct)
+    if not distinct:
+        assert str(got) == str(want)
+        return
+    assert got._nodes is None  # Node records wait for the first access
+    assert _public_views(got) == _public_views(want)
+    # the structure is shared, not copied
+    for name in ("children", "levels", "leaves", "node_prob", "ancestor_matrix"):
+        assert getattr(got, name) is getattr(tree, name)
+    assert got.paths.probs is tree.paths.probs
+
+
+def test_with_values_reports_the_smallest_offending_id():
+    # ids are depth first: node 5's family (level 1) is scanned before node
+    # 2's (level 2), yet node 2 is reported, as the constructor's id order has it
+    tree = tree_from_nested(3, [
+        (0.0, 0.5, [(0.0, 1.0, [(1.0, 0.5), (2.0, 0.5)])]),
+        (1.0, 0.5, [(0.0, 0.5, [(1.0, 1.0)]), (1.0, 0.5, [(1.0, 1.0)])]),
+    ])
+    assert tree.children[2] == (3, 4) and tree.children[5] == (6, 8)
+    values = tree.values.copy()
+    values[4], values[8] = values[3], values[6]
+    with pytest.raises(InvalidTree, match="children of node 2 carry"):
+        tree.with_values(values)
+    nodes = [Node(nd.id, nd.time, nd.value if nd.parent is None else float(values[nd.id]),
+                  nd.cond_prob, nd.parent) for nd in tree.nodes]
+    with pytest.raises(InvalidTree, match="children of node 2 carry"):
+        ScenarioTree(3, nodes)
+    values[3] = math.nan
+    with pytest.raises(InvalidTree, match="node 3 must carry a finite value"):
+        tree.with_values(values)
+
+
+def test_with_values_refuses_a_wrong_length(iid_signs):
+    with pytest.raises(InvalidTree):
+        iid_signs.with_values([1.0, 2.0])
+
+
+def test_with_values_copies_its_input(iid_signs):
+    values = np.array([0.0, 3.0, -3.0, 1.0, -1.0, 2.0, -2.0])
+    moved = iid_signs.with_values(values)
+    values[1] = 99.0
+    assert moved.values[1] == 3.0 and moved.paths.values.max() == 3.0
+    assert iid_signs.values[1] == 1.0

@@ -197,6 +197,49 @@ def test_controlled_curve_solves_each_candidate_once(monkeypatch):
     assert len(solved) == len(counts)
 
 
+def test_candidates_share_the_base_structure(monkeypatch):
+    # on a curve without bicausal repairs, no candidate goes through the
+    # validating constructor, the interior families' weight checks run once
+    # per curve for the base and every candidate together, and no ball
+    # check is solved twice
+    from awsens import ScenarioTree, adapted_wasserstein, robust_oracle, sensitivity
+
+    counts = Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ScenarioTree, "__init__", counting("constructed", ScenarioTree.__init__))
+    monkeypatch.setattr(ScenarioTree, "with_values",
+                        counting("with_values", ScenarioTree.with_values))
+    monkeypatch.setattr(adapted_wasserstein, "check_weights",
+                        counting("family checks", adapted_wasserstein.check_weights))
+    monkeypatch.setattr(sensitivity, "_bicausalize_pairs",
+                        counting("repairs", sensitivity._bicausalize_pairs))
+    checked = []
+    real_pth = robust_oracle.aw_pth_power
+
+    def recording(P, Q, params):
+        checked.append(Q.paths.values.tobytes())
+        return real_pth(P, Q, params)
+
+    monkeypatch.setattr(robust_oracle, "aw_pth_power", recording)
+    for kind, name, spec in (("terminal", "linear", None),
+                             ("stopping", "markov_payoff", {"g": {"name": "identity"}})):
+        fresh = gen_random(3, 3, 0)  # so no cache is left from a previous curve
+        counts.clear()
+        checked.clear()
+        robust_curve(RobustQuery(kind, fresh, make_cost_model(name, spec, 3), 2.0,
+                                 (1e-3, 1e-2, 1e-1)))
+        assert counts["repairs"] == 0 and counts["constructed"] == 0
+        assert counts["with_values"] > 100
+        assert counts["family checks"] == sum(len(fresh.levels[t]) for t in range(2))
+        assert len(checked) == len(set(checked)) > 100
+
+
 def test_carried_solve_is_the_maximizers(monkeypatch):
     # the solve that travels with a radius's maximizer into the next radius
     # must be that maximizer's, wherever the ascent found it: a fresh solve
