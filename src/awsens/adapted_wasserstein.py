@@ -26,9 +26,7 @@ same quantity at small scale.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -39,7 +37,7 @@ from .discrete_ot import (
     check_cost,
     check_weights,
     solve_exact,
-    solve_sorted_1d_batch,
+    sorted_1d_batch_core,
     transport_simplex,
 )
 from .errors import (
@@ -90,13 +88,26 @@ class PairNode:
 class CouplingTree:
     """A coupling between two scenario trees as a synchronized product tree.
 
-    Construction validates that projecting the joint path probabilities onto
-    either coordinate reproduces the corresponding tree's node probabilities.
-    Causality is a property of the transition kernels and is *not* enforced
-    here; use :func:`check_causal`.
+    Pair node ``k`` couples node ``x_node[k]`` of the first tree with node
+    ``y_node[k]`` of the second at ``time[k]``; ``parent[k]`` is its parent
+    pair (-1 at the root pair ``root``), ``cond_prob[k]`` the joint
+    transition probability given that parent and ``prob[k]`` the joint
+    probability.  These read-only arrays are the coupling; the
+    :class:`PairNode` records ``pair_nodes`` and the child id tuples
+    ``children`` are built from them on first read.
+
+    Every construction validates, from records or arrays alike: one root
+    pair covers both roots, each edge steps one time level along both
+    trees' edges, conditional probabilities lie in (0, 1], each joint
+    kernel sums to 1 without repeating a child pair, pairs end only at the
+    horizon, and projecting the joint node probabilities onto either
+    coordinate reproduces that tree's node probabilities within
+    ``marginal_tol``.  Causality is a property of the transition kernels
+    and is *not* enforced here; use :func:`check_causal`.
     """
 
-    __slots__ = ("first", "second", "pair_nodes", "children", "prob", "root")
+    __slots__ = ("first", "second", "parent", "time", "x_node", "y_node", "cond_prob", "prob",
+                 "root", "_pair_nodes", "_children")
 
     def __init__(
         self,
@@ -105,88 +116,179 @@ class CouplingTree:
         pair_nodes: Sequence[PairNode],
         marginal_tol: float = 1e-10,
     ):
-        if first.horizon != second.horizon:
-            raise HorizonMismatch("coupled trees must share one horizon")
-        pair_nodes = list(pair_nodes)
-        n = len(pair_nodes)
+        pair_nodes = tuple(pair_nodes)
         for k, pn in enumerate(pair_nodes):
             if pn.id != k:
                 raise InvalidCoupling(f"pair node ids must equal list positions; got {pn.id} at {k}")
-        roots = [pn for pn in pair_nodes if pn.parent is None]
-        if len(roots) != 1 or roots[0].x_node != first.root or roots[0].y_node != second.root:
+
+        def ints(name, values):
+            a = np.array(values)
+            if a.size and a.dtype.kind not in "iu":
+                raise InvalidCoupling(f"pair node field {name!r} must hold integers")
+            return a.astype(np.intp)
+
+        self._check(
+            first, second,
+            ints("parent", [-1 if pn.parent is None else pn.parent for pn in pair_nodes]),
+            ints("time", [pn.time for pn in pair_nodes]),
+            ints("x_node", [pn.x_node for pn in pair_nodes]),
+            ints("y_node", [pn.y_node for pn in pair_nodes]),
+            np.array([pn.cond_prob for pn in pair_nodes], dtype=np.float64),
+            marginal_tol,
+        )
+        self._pair_nodes = pair_nodes
+
+    @classmethod
+    def _from_arrays(cls, first, second, parent, time, x_node, y_node, cond_prob,
+                     marginal_tol: float = 1e-10) -> CouplingTree:
+        """The coupling held by these pair arrays, validated as the records are."""
+        out = object.__new__(cls)
+        out._check(first, second, parent, time, x_node, y_node, cond_prob, marginal_tol)
+        out._pair_nodes = None
+        return out
+
+    def _check(self, first, second, parent, time, x_node, y_node, cond_prob, marginal_tol):
+        """Validate the pair arrays and keep them with the joint probabilities.
+
+        A failure names the pair node the per-record checks met first: the
+        edge checks run in id order, the family checks in breadth-first
+        order.  Every pair is reachable once the edge checks pass, because
+        each parent chain then steps down one time level per edge until it
+        ends at the only root.
+        """
+        if first.horizon != second.horizon:
+            raise HorizonMismatch("coupled trees must share one horizon")
+        n = len(parent)
+        roots = np.flatnonzero(parent == -1)
+        if len(roots) != 1 or x_node[roots[0]] != first.root or y_node[roots[0]] != second.root:
             raise InvalidCoupling("expected exactly one root pair covering both tree roots")
-        root = roots[0].id
+        root = int(roots[0])
 
-        children: list[list[int]] = [[] for _ in range(n)]
-        for pn in pair_nodes:
-            if pn.parent is None:
-                continue
-            par = pair_nodes[pn.parent]
-            if pn.time != par.time + 1:
-                raise InvalidCoupling(f"pair node {pn.id} skips time levels")
-            if pn.x_node not in first.children[par.x_node]:
-                raise InvalidCoupling(f"pair node {pn.id} breaks the first tree's edges")
-            if pn.y_node not in second.children[par.y_node]:
-                raise InvalidCoupling(f"pair node {pn.id} breaks the second tree's edges")
-            if not (0.0 < pn.cond_prob <= 1.0):
-                raise InvalidCoupling(f"pair node {pn.id} has cond_prob outside (0, 1]")
-            children[pn.parent].append(pn.id)
+        stray = (parent < -1) | (parent >= n)
+        par = np.where(stray, root, parent)
+        par[root] = root
+        faults = (
+            (stray, "references unknown parent {}"),
+            (time != time[par] + 1, "skips time levels"),
+            (~_on_edges(first, x_node, par), "breaks the first tree's edges"),
+            (~_on_edges(second, y_node, par), "breaks the second tree's edges"),
+            (~((cond_prob > 0.0) & (cond_prob <= 1.0)), "has cond_prob outside (0, 1]"),
+        )
+        bad = np.logical_or.reduce([f for f, _ in faults])
+        bad[root] = False
+        if bad.any():
+            k = int(np.argmax(bad))
+            msg = next(m for f, m in faults if f[k])
+            raise InvalidCoupling(f"pair node {k} " + msg.format(parent[k]))
 
-        prob = [0.0] * n
+        kids = np.flatnonzero(parent >= 0)
+        nkids = np.bincount(parent[kids], minlength=n)
+        ksum = np.bincount(parent[kids], weights=cond_prob[kids], minlength=n)
+        kernel_off = (nkids > 0) & (np.abs(ksum - 1.0) > 1e-9)
+        early = (nkids == 0) & (time != first.horizon)
+        # the edge checks make a child pair's key fix its parent's, so a key
+        # repeats anywhere only if it repeats under one parent
+        key = x_node * len(second.node_prob) + y_node
+        skey = np.sort(key)
+        if kernel_off.any() or early.any() or (skey[1:] == skey[:-1]).any():
+            children = _child_lists(parent)
+            order = [root]
+            for v in order:
+                order.extend(children[v])
+            for v in order:
+                if early[v]:
+                    raise InvalidCoupling(f"pair node {v} ends before the horizon")
+                if kernel_off[v]:
+                    raise InvalidCoupling(f"joint kernel at pair node {v} sums to {float(ksum[v])!r}")
+                seen = set()
+                for c in children[v]:
+                    xy = (int(x_node[c]), int(y_node[c]))
+                    if xy in seen:
+                        raise InvalidCoupling(f"duplicate child pair {xy} under pair node {v}")
+                    seen.add(xy)
+
+        # joint probabilities one time level at a time, parents first
+        by_time = np.argsort(time, kind="stable")
+        prob = np.empty(n)
         prob[root] = 1.0
-        order = [root]
-        for nid in order:
-            kids = children[nid]
-            if kids:
-                s = sum(pair_nodes[c].cond_prob for c in kids)
-                if abs(s - 1.0) > 1e-9:
-                    raise InvalidCoupling(f"joint kernel at pair node {nid} sums to {s!r}")
-                seenxy = set()
-                for c in kids:
-                    key = (pair_nodes[c].x_node, pair_nodes[c].y_node)
-                    if key in seenxy:
-                        raise InvalidCoupling(f"duplicate child pair {key} under pair node {nid}")
-                    seenxy.add(key)
-                    prob[c] = prob[nid] * pair_nodes[c].cond_prob
-                    order.append(c)
-            elif pair_nodes[nid].time != first.horizon:
-                raise InvalidCoupling(f"pair node {nid} ends before the horizon")
-        if len(order) != n:
-            raise InvalidCoupling("coupling contains pair nodes unreachable from the root")
+        for idx in np.split(by_time, np.flatnonzero(np.diff(time[by_time])) + 1)[1:]:
+            prob[idx] = prob[parent[idx]] * cond_prob[idx]
 
-        marg_x = [0.0] * len(first.node_prob)
-        marg_y = [0.0] * len(second.node_prob)
-        for pn in pair_nodes:
-            marg_x[pn.x_node] += prob[pn.id]
-            marg_y[pn.y_node] += prob[pn.id]
-        for nid, target in enumerate(first.node_prob):
-            if abs(marg_x[nid] - target) > marginal_tol:
+        for tree, nodes, which in ((first, x_node, "first"), (second, y_node, "second")):
+            off = np.bincount(nodes, weights=prob, minlength=len(tree.node_prob))
+            off -= tree.node_prob
+            miss = np.flatnonzero(np.abs(off) > marginal_tol)
+            if miss.size:
                 raise InvalidCoupling(
-                    f"first marginal off by {marg_x[nid] - target!r} at node {nid}"
-                )
-        for nid, target in enumerate(second.node_prob):
-            if abs(marg_y[nid] - target) > marginal_tol:
-                raise InvalidCoupling(
-                    f"second marginal off by {marg_y[nid] - target!r} at node {nid}"
+                    f"{which} marginal off by {float(off[miss[0]])!r} at node {miss[0]}"
                 )
 
         self.first = first
         self.second = second
-        self.pair_nodes = tuple(pair_nodes)
-        self.children = tuple(tuple(c) for c in children)
-        self.prob = tuple(prob)
+        self.parent, self.time, self.x_node, self.y_node, self.cond_prob, self.prob = (
+            _frozen(a) for a in (parent, time, x_node, y_node, cond_prob, prob)
+        )
         self.root = root
+        self._children = None
+
+    @property
+    def pair_nodes(self) -> tuple[PairNode, ...]:
+        """The pair records, in id order; built on first read."""
+        if self._pair_nodes is None:
+            cols = (a.tolist() for a in (self.time, self.x_node, self.y_node, self.cond_prob,
+                                         self.parent))
+            self._pair_nodes = tuple(
+                PairNode(k, t, x, y, c, None if par < 0 else par)
+                for k, (t, x, y, c, par) in enumerate(zip(*cols))
+            )
+        return self._pair_nodes
+
+    @property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Child pair ids per pair, in id order; built on first read."""
+        if self._children is None:
+            self._children = tuple(tuple(c) for c in _child_lists(self.parent))
+        return self._children
 
     def stage_costs(self, p: float) -> tuple[float, ...]:
-        """E[|X_t - Y_t|^p] per stage under the coupling."""
-        T = self.first.horizon
-        out = [0.0] * T
-        for pn in self.pair_nodes:
-            if pn.time == 0:
-                continue
-            dx = self.first.nodes[pn.x_node].value - self.second.nodes[pn.y_node].value
-            out[pn.time - 1] += self.prob[pn.id] * abs(dx) ** p
-        return tuple(out)
+        """E[|X_t - Y_t|^p] per stage under the coupling, summed in pair-id order."""
+        k = np.flatnonzero(self.time > 0)
+        dx = np.abs(self.first.values[self.x_node[k]] - self.second.values[self.y_node[k]])
+        # Python's float power: numpy's may differ from it in the last bit
+        cost = self.prob[k] * np.array([d ** p for d in dx.tolist()])
+        return tuple(np.bincount(self.time[k] - 1, weights=cost,
+                                 minlength=self.first.horizon).tolist())
+
+
+def _on_edges(tree: ScenarioTree, nodes: np.ndarray, par: np.ndarray) -> np.ndarray:
+    """Per pair: whether its node is a child of its parent pair's node."""
+    up = tree._fields()[0]
+    known = (nodes >= 0) & (nodes < len(up))
+    up = np.where(known, up[np.where(known, nodes, 0)], -1)
+    return (up >= 0) & (up == nodes[par])
+
+
+def _child_lists(parent: np.ndarray) -> list[list[int]]:
+    """Child ids per id, in id order, of a parent array with -1 at roots."""
+    kids = np.flatnonzero(parent >= 0)
+    order = kids[np.argsort(parent[kids], kind="stable")]
+    counts = np.bincount(parent[kids], minlength=len(parent))
+    return [c.tolist() for c in np.split(order, np.cumsum(counts)[:-1])]
+
+
+def _child_index(tree: ScenarioTree):
+    """``(size, start, flat, rank)``: per node its family size, the start of
+    its children in ``flat`` (all children, grouped by parent id, in tree
+    order) and its own rank among its siblings; cached per structure."""
+    def build():
+        parent = tree._fields()[0]
+        size = np.bincount(parent[parent >= 0], minlength=len(parent))
+        flat = np.argsort(parent, kind="stable")[1:]  # the root's -1 sorts first
+        start = np.cumsum(size) - size
+        rank = np.zeros(len(parent), dtype=np.intp)
+        rank[flat] = np.arange(len(flat)) - start[parent[flat]]
+        return tuple(_frozen(a) for a in (size, start, flat, rank))
+    return _memo(tree._shared, "child index", build)
 
 
 @dataclass(frozen=True)
@@ -202,36 +304,33 @@ class AWResult:
 def check_causal(coupling: CouplingTree, direction: Direction, tol: float = 1e-10) -> bool:
     """Kernel-factorization causality check.
 
-    ``x_to_y`` verifies that, at every reachable pair node, projecting the
-    joint transition kernel onto the first coordinate reproduces the first
-    tree's kernel: given the joint past, the next step of X carries no
-    information about Y's past.  This one-step factorization at every node is
-    equivalent to the conditional-independence form of causality, and it
-    needs no division by small path probabilities.
+    ``x_to_y`` verifies that, at every pair node with children, projecting
+    the joint transition kernel onto the first coordinate reproduces the
+    first tree's kernel: given the joint past, the next step of X carries
+    no information about Y's past.  This one-step factorization at every
+    node is equivalent to the conditional-independence form of causality,
+    and it needs no division by small path probabilities.  All projections
+    are one ``np.bincount`` over (parent pair, marginal child) slots, each
+    summed in pair-id order.
     """
     if direction == "x_to_y":
-        tree = coupling.first
-        pick = operator.attrgetter("x_node")
+        tree, nodes = coupling.first, coupling.x_node
     elif direction == "y_to_x":
-        tree = coupling.second
-        pick = operator.attrgetter("y_node")
+        tree, nodes = coupling.second, coupling.y_node
     else:
         raise InvalidParams(f"unknown direction {direction!r}")
-    for pn in coupling.pair_nodes:
-        kids = coupling.children[pn.id]
-        if not kids:
-            continue
-        proj: dict[int, float] = {}
-        for c in kids:
-            child = coupling.pair_nodes[c]
-            proj[pick(child)] = proj.get(pick(child), 0.0) + child.cond_prob
-        for marg_child in tree.children[pick(pn)]:
-            expected = tree.nodes[marg_child].cond_prob
-            if abs(proj.pop(marg_child, 0.0) - expected) > tol:
-                return False
-        if proj:
-            return False
-    return True
+    size, start, flat, rank = _child_index(tree)
+    kids = np.flatnonzero(coupling.parent >= 0)
+    par = coupling.parent[kids]
+    # one slot per child of each parent pair's node; validation put every
+    # child pair's node among them
+    width = np.where(np.bincount(par, minlength=len(nodes)) > 0, size[nodes], 0)
+    off = np.cumsum(width) - width
+    total = int(width.sum())
+    proj = np.bincount(off[par] + rank[nodes[kids]], weights=coupling.cond_prob[kids],
+                       minlength=total)
+    want = tree._fields()[2][flat[np.repeat(start[nodes] - off, width) + np.arange(total)]]
+    return not (np.abs(proj - want) > tol).any()
 
 
 def is_bicausal(coupling: CouplingTree, tol: float = 1e-10) -> bool:
@@ -242,50 +341,138 @@ def product_coupling(P: ScenarioTree, Q: ScenarioTree) -> CouplingTree:
     """Independent coupling: the joint kernel is the product of the marginals."""
     if P.horizon != Q.horizon:
         raise HorizonMismatch("product coupling needs equal horizons")
-    pairs = [PairNode(0, 0, P.root, Q.root, 1.0, None)]
-    queue = [(0, P.root, Q.root)]
-    while queue:
-        pid, xn, yn = queue.pop()
-        for xc in P.children[xn]:
-            for yc in Q.children[yn]:
-                w = P.nodes[xc].cond_prob * Q.nodes[yc].cond_prob
-                nid = len(pairs)
-                pairs.append(PairNode(nid, P.nodes[xc].time, xc, yc, w, pid))
-                queue.append((nid, xc, yc))
-    return CouplingTree(P, Q, pairs)
+
+    def kernels(t, a, b, xp, yp):
+        (_, xrow, xw), (_, yrow, yw) = _size_classes(P, t), _size_classes(Q, t)
+        return xw[a][xrow[xp]][:, :, None] * yw[b][yrow[yp]][:, None, :]
+
+    return CouplingTree._from_arrays(P, Q, *_assemble(P, Q, kernels, -np.inf))
+
+
+def _assemble(P: ScenarioTree, Q: ScenarioTree, kernels, cutoff: float):
+    """Pair arrays ``(parent, time, x_node, y_node, cond_prob)`` of the
+    synchronized tree in which each node pair moves to the cells of its
+    joint kernel that carry more than ``cutoff``.
+
+    ``kernels(t, a, b, xp, yp)`` returns the (k, m, n) kernels of the
+    time-t node pairs at level positions ``(xp[k], yp[k])`` whose families
+    lie in size class ``a`` of ``P._sibling_groups(t)`` and ``b`` of
+    ``Q._sibling_groups(t)``, with rows and columns in the children's tree
+    order.  The tree is grown one level at a time, and the ids are those of
+    a last-in-first-out expansion from the root pair: the popped pair gives
+    its cells the next ids in row-major order and pushes those before the
+    horizon, so its last child is expanded next.
+    """
+    T = P.horizon
+    xpos, ypos = _level_pos(P), _level_pos(Q)
+    # per level: parent (position in the level above), x node, y node, cond_prob
+    levels = [(np.array([-1]), np.array([P.root]), np.array([Q.root]), np.array([1.0]))]
+    for t in range(T):
+        _, xs, ys, _ = levels[-1]
+        (xcls, xrow, _), (ycls, yrow, _) = _size_classes(P, t), _size_classes(Q, t)
+        xkids, ykids = P._sibling_groups(t), Q._sibling_groups(t)
+        xp, yp = xpos[xs], ypos[ys]
+        group = xcls[xp] * len(ykids) + ycls[yp]
+        parts = []
+        for g in np.unique(group).tolist():
+            sel = np.flatnonzero(group == g)
+            a, b = divmod(g, len(ykids))
+            plan = kernels(t, a, b, xp[sel], yp[sel])
+            f, i, j = np.nonzero(plan > cutoff)
+            parts.append((sel[f], xkids[a][1][xrow[xp[sel]][f], i],
+                          ykids[b][1][yrow[yp[sel]][f], j], plan[f, i, j]))
+        level = [np.concatenate(col) for col in zip(*parts)]
+        if len(parts) > 1:  # back to parent order; each parent's cells stay row-major
+            o = np.argsort(level[0], kind="stable")
+            level = [col[o] for col in level]
+        levels.append(tuple(level))
+
+    sizes = [len(lv[0]) for lv in levels]
+    nkids = [np.bincount(levels[t + 1][0], minlength=sizes[t]) for t in range(T)]
+    # pairs each pushed pair's subtree pops, itself included (the horizon is never pushed)
+    pops = [np.ones(sizes[T - 1], dtype=np.intp)]
+    for t in range(T - 2, -1, -1):
+        below = np.bincount(levels[t + 1][0], weights=pops[0], minlength=sizes[t])
+        pops.insert(0, 1 + below.astype(np.intp))
+    # pop position: after the parent and after the subtrees of later siblings
+    popped = [np.zeros(1, dtype=np.intp)]
+    for t in range(1, T):
+        par = levels[t][0]
+        popped.append(popped[-1][par] + 1 + np.cumsum(pops[t - 1] - 1)[par] - np.cumsum(pops[t]))
+    at = np.concatenate(popped)
+    given = np.empty(len(at), dtype=np.intp)
+    given[at] = np.concatenate(nkids)
+    first_id = (np.cumsum(given) - given + 1)[at]  # per pushed pair, in level order
+
+    n = sum(sizes)
+    parent, time, x_node, y_node = (np.empty(n, dtype=np.intp) for _ in range(4))
+    cond = np.empty(n)
+    ids = np.zeros(1, dtype=np.intp)
+    parent[0], time[0], x_node[0], y_node[0], cond[0] = -1, 0, P.root, Q.root, 1.0
+    done = 0
+    for t in range(1, T + 1):
+        par, xs, ys, w = levels[t]
+        lead = first_id[done:done + sizes[t - 1]] - (np.cumsum(nkids[t - 1]) - nkids[t - 1])
+        done += sizes[t - 1]
+        kid_ids = lead[par] + np.arange(sizes[t])
+        parent[kid_ids], time[kid_ids], x_node[kid_ids], y_node[kid_ids] = ids[par], t, xs, ys
+        cond[kid_ids] = w
+        ids = kid_ids
+    return parent, time, x_node, y_node, cond
 
 
 # -- exact distance via backward recursion ------------------------------------
 
 
-def _node_arrays(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
-    """Per node: its index within its time level and its conditional
-    probability; cached per structure."""
-
+def _level_pos(tree: ScenarioTree) -> np.ndarray:
+    """Per node: its index within its time level; cached per structure."""
     def build():
         pos = np.empty(len(tree.node_prob), dtype=np.intp)
         for level in tree.levels:
             pos[list(level)] = np.arange(len(level))
-        return _frozen(pos), _frozen(np.array([nd.cond_prob for nd in tree._template]))
-    return _memo(tree._shared, "arrays", build)
+        return _frozen(pos)
+    return _memo(tree._shared, "pos", build)
+
+
+def _size_classes(tree: ScenarioTree, t: int):
+    """The time-t families grouped by size as ``tree._sibling_groups(t)``
+    groups them: per node, by level position, its class and its row there,
+    and per class the children's conditional probabilities, one row per
+    family, which pass the weight checks of :class:`TransportProblem`
+    here, once; cached per structure."""
+    def build():
+        pos, cond = _level_pos(tree), tree._fields()[2]
+        cls = np.empty(len(tree.levels[t]), dtype=np.intp)
+        row = np.empty_like(cls)
+        weights = []
+        for c, (parents, kids) in enumerate(tree._sibling_groups(t)):
+            at = pos[list(parents)]
+            cls[at] = c
+            row[at] = np.arange(len(parents))
+            check_weights(cond[kids])
+            weights.append(_frozen(cond[kids]))
+        return _frozen(cls), _frozen(row), tuple(weights)
+    return _memo(tree._shared, ("classes", t), build)
 
 
 def _sorted_families(tree: ScenarioTree, t: int):
-    """Child families of the time-t nodes, grouped by size; cached per tree.
+    """Child families of the time-t nodes, per size class of
+    :func:`_size_classes`; cached per tree.
 
-    Lists ``(rows, values, weights, order, parents)`` per family size: the
-    parents' positions in level t, the children's values and conditional
-    probabilities sorted by value (stable), the sorting permutation, and the
-    parent ids.
+    Lists ``(rows, values, weights, sums, order)`` per class: the parents'
+    positions in level t, the children's values and conditional
+    probabilities sorted by value (stable), the row sums of those sorted
+    weights, and the sorting permutation.
     """
     def build():
-        pos, weights = _node_arrays(tree)
+        pos = _level_pos(tree)
         out = []
-        for parents, kids in tree._sibling_groups(t):
+        for (parents, kids), w in zip(tree._sibling_groups(t), _size_classes(tree, t)[2]):
             order = _frozen(np.argsort(tree.values[kids], axis=1, kind="stable"))
-            kids = np.take_along_axis(kids, order, axis=1)
-            out.append((_frozen(pos[list(parents)]), _frozen(tree.values[kids]),
-                        _frozen(weights[kids]), order, parents))
+            w = _frozen(np.take_along_axis(w, order, axis=1))
+            out.append((_frozen(pos[list(parents)]),
+                        _frozen(np.take_along_axis(tree.values[kids], order, axis=1)),
+                        w, _frozen(w.sum(axis=-1)), order))
         return tuple(out)
     return _memo(tree._cache, ("sorted", t), build)
 
@@ -294,51 +481,52 @@ def _last_stage(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) 
     """Values of all time-(T-1) node pairs, batched 1-d solves per size class.
 
     There the cost is the stage cost alone, submodular on sorted atoms, so
-    the north-west-corner plan is optimal.  With ``plans`` given, each pair's
-    plan is stored in the children's original order.
+    the north-west-corner plan is optimal.  With ``plans`` given, the plans
+    of the pairs of families in classes ``a`` and ``b`` of
+    :func:`_size_classes` are kept, with the children in tree order, as one
+    array ``plans[a, b]`` of shape (F, m, n): the pair of rows ``i`` and
+    ``j`` is plan ``i * len(class b) + j``.
     """
     t = P.horizon - 1
     value = np.empty((len(P.levels[t]), len(Q.levels[t])))
     yfam = _sorted_families(Q, t)
-    for xrows, xv, xw, ox, xpar in _sorted_families(P, t):
+    for a, (xrows, xv, xw, xsum, ox) in enumerate(_sorted_families(P, t)):
         m = xv.shape[1]
-        for yrows, yv, yw, oy, ypar in yfam:
+        for b, (yrows, yv, yw, ysum, oy) in enumerate(yfam):
             cy, n = yv.shape
+            if plans is not None:
+                plans[a, b] = kept = np.empty((len(xrows) * cy, m, n))
             step = max(1, _BATCH_CELLS // (cy * m * n))
-            for lo in range(0, len(xpar), step):
+            for lo in range(0, len(xrows), step):
                 bx = slice(lo, lo + step)
-                cx = len(xpar[bx])
-                plan, obj = solve_sorted_1d_batch(
+                cx = len(xrows[bx])
+                plan, obj = sorted_1d_batch_core(
                     np.repeat(xv[bx], cy, axis=0), np.repeat(xw[bx], cy, axis=0),
-                    np.tile(yv, (cx, 1)), np.tile(yw, (cx, 1)), p,
+                    np.repeat(xsum[bx], cy), np.tile(yv, (cx, 1)), np.tile(yw, (cx, 1)),
+                    np.tile(ysum, cx), p,
                 )
                 value[np.ix_(xrows[bx], yrows)] = obj.reshape(cx, cy)
-                if plans is None:
-                    continue
-                unsorted = np.empty_like(plan)
-                unsorted[
-                    np.arange(cx * cy)[:, None, None],
-                    np.repeat(ox[bx], cy, axis=0)[:, :, None],
-                    np.tile(oy, (cx, 1))[:, None, :],
-                ] = plan
-                for f, (xn, yn) in enumerate(itertools.product(xpar[bx], ypar)):
-                    plans[(xn, yn)] = (unsorted[f], P.children[xn], Q.children[yn])
+                if plans is not None:
+                    kept[lo * cy:(lo + cx) * cy][
+                        np.arange(cx * cy)[:, None, None],
+                        np.repeat(ox[bx], cy, axis=0)[:, :, None],
+                        np.tile(oy, (cx, 1))[:, None, :],
+                    ] = plan
     return value
 
 
 def _families(tree: ScenarioTree, t: int):
-    """Per time-t node: its id, its children's ids and level positions,
-    their conditional probabilities as floats and the sum of those, in the
+    """Per time-t node: its children's ids and level positions, their
+    conditional probabilities as floats and the sum of those, in the
     tree's child order; cached per structure.  Each family passes the
     weight checks of :class:`TransportProblem` here, once."""
     def build():
-        pos, weights = _node_arrays(tree)
+        pos, cond = _level_pos(tree), tree._fields()[2]
         out = []
         for nid in tree.levels[t]:
             kids = _frozen(np.array(tree.children[nid], dtype=np.intp))
-            w = weights[kids]
-            out.append((nid, kids, _frozen(pos[kids]), tuple(w.tolist()),
-                        float(check_weights(w))))
+            w = cond[kids]
+            out.append((kids, _frozen(pos[kids]), tuple(w.tolist()), float(check_weights(w))))
         return tuple(out)
     return _memo(tree._shared, ("families", t), build)
 
@@ -353,23 +541,30 @@ def _recursion(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -
     level, so each node pair's cost matrix is a column gather of it; each
     block passes the finiteness check of :class:`TransportProblem`, and
     the second marginal is rescaled as :func:`solve_exact` rescales it.
+
+    With ``plans`` given, ``plans[t]`` keeps the optimal plans of the
+    time-t node pairs: the last stage's as :func:`_last_stage` keeps them,
+    an interior stage's as a list with the pair of level positions
+    ``(a, b)`` at ``a * len(Q.levels[t]) + b``.
     """
     if P.horizon != Q.horizon:
         raise HorizonMismatch(f"horizons differ: {P.horizon} vs {Q.horizon}")
-    value = _last_stage(P, Q, p, plans)
+    last = None if plans is None else plans.setdefault(P.horizon - 1, {})
+    value = _last_stage(P, Q, p, last)
     for t in range(P.horizon - 2, -1, -1):
         yfam = _families(Q, t)
         yvals = Q.values[list(Q.levels[t + 1])]
         level = np.empty((len(P.levels[t]), len(yfam)))
-        for a, (xn, xkids, xpos, xw, xsum) in enumerate(_families(P, t)):
+        kept = None if plans is None else plans.setdefault(t, [])
+        for a, (xkids, xpos, xw, xsum) in enumerate(_families(P, t)):
             block = np.abs(P.values[xkids][:, None] - yvals[None, :]) ** p + value[xpos]
             check_cost(block)
-            for b, (yn, _, ypos, yw, ysum) in enumerate(yfam):
+            for b, (_, ypos, yw, ysum) in enumerate(yfam):
                 ratio = xsum / ysum
                 plan, obj, _, _ = transport_simplex(xw, [w * ratio for w in yw], block[:, ypos])
                 level[a, b] = obj
-                if plans is not None:
-                    plans[(xn, yn)] = (plan, P.children[xn], Q.children[yn])
+                if kept is not None:
+                    kept.append(plan)
         value = level
     return float(value[0, 0])
 
@@ -392,25 +587,24 @@ def aw_distance(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> AWResult:
     interior stages solve the full transport problem per node pair.  Every
     sum runs in the order of the per-pair solvers (``np.vdot`` over the
     row-major plan), so the distance, plans and coupling do not depend on
-    the batching.  The optimal plans then assemble into the coupling.
+    the batching.  The plan cells above 1e-15 of the pairs reached from
+    the root then become the coupling's pair arrays, level by level.
     """
     p = params.p
-    plans: dict[tuple[int, int], tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]] = {}
-    pth_power = _recursion(P, Q, p, plans)
     T = P.horizon
-    pairs = [PairNode(0, 0, P.root, Q.root, 1.0, None)]
-    queue = [(0, P.root, Q.root)]
-    while queue:
-        pid, xn, yn = queue.pop()
-        plan, xc, yc = plans[(xn, yn)]
-        for i, j in zip(*np.nonzero(plan > 1e-15)):
-            nid = len(pairs)
-            pairs.append(
-                PairNode(nid, P.nodes[xc[i]].time, xc[i], yc[j], float(plan[i, j]), pid)
-            )
-            if P.nodes[xc[i]].time < T:
-                queue.append((nid, xc[i], yc[j]))
-    coupling = CouplingTree(P, Q, pairs)
+    plans: dict = {}
+    pth_power = _recursion(P, Q, p, plans)
+
+    def kernels(t, a, b, xp, yp):
+        if t == T - 1:
+            rows = len(Q._sibling_groups(t)[b][0])
+            return plans[t][a, b][_size_classes(P, t)[1][xp] * rows + _size_classes(Q, t)[1][yp]]
+        kept, ny = plans[t], len(Q.levels[t])
+        return np.stack([kept[k] for k in (xp * ny + yp).tolist()])
+
+    arrays = _assemble(P, Q, kernels, 1e-15)
+    plans.clear()
+    coupling = CouplingTree._from_arrays(P, Q, *arrays)
     return AWResult(
         distance=pth_power ** (1.0 / p),
         pth_power=pth_power,
@@ -588,19 +782,17 @@ def bicausalize(coupling: CouplingTree, delta: float) -> tuple[CouplingTree, Sce
         raise InvalidParams(f"delta must be positive, got {delta}")
     if not check_causal(coupling, "x_to_y"):
         raise NotCausal("bicausalize requires a coupling causal from x to y")
-    P, Q = coupling.first, coupling.second
-    parent = [pn.parent for pn in coupling.pair_nodes]
-    time = [pn.time for pn in coupling.pair_nodes]
-    x_node = [pn.x_node for pn in coupling.pair_nodes]
-    yv = Q.values.tolist()
-    y_value = [yv[pn.y_node] for pn in coupling.pair_nodes]  # the root's is never read
-    prob = list(coupling.prob)
-    return _bicausalize_pairs(P, parent, time, x_node, y_value, prob, delta)
+    return _bicausalize_pairs(
+        coupling.first, coupling.parent.tolist(), coupling.time.tolist(),
+        coupling.x_node.tolist(),
+        coupling.second.values[coupling.y_node].tolist(),  # the root's is never read
+        coupling.prob.tolist(), delta,
+    )
 
 
 def _bicausalize_pairs(
     P: ScenarioTree,
-    parent: list[int | None],
+    parent: list[int],
     time: list[int],
     x_node: list[int],
     y_value: list[float | None],
@@ -609,8 +801,8 @@ def _bicausalize_pairs(
 ) -> tuple[CouplingTree, ScenarioTree]:
     """Shared quotient construction behind :func:`bicausalize`.
 
-    The pair tree is given explicitly (parents, x nodes, raw y values, joint
-    node probabilities); the output merges pair nodes with equal perturbed
+    The pair tree is given explicitly (parents, -1 at the root, x nodes,
+    raw y values, joint node probabilities); the output merges pair nodes with equal perturbed
     y histories into canonical nodes of the new second-marginal tree.
     """
     T = P.horizon
@@ -626,7 +818,7 @@ def _bicausalize_pairs(
     children: list[list[int]] = [[] for _ in range(n)]
     root = None
     for pid in range(n):
-        if parent[pid] is None:
+        if parent[pid] < 0:
             root = pid
             continue
         children[parent[pid]].append(pid)

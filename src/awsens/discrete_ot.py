@@ -15,8 +15,9 @@ so plans, objectives, potentials and bases equal those of the simplex that
 rebuilds its tree at every pivot, bit for bit.
 
 :func:`solve_exact` checks a :class:`TransportProblem` and runs the core,
-:func:`transport_simplex`.  The adapted-distance recursion calls the core
-directly, after running the same checks (:func:`check_weights`,
+:func:`transport_simplex`; :func:`solve_sorted_1d_batch` checks its weights
+and runs :func:`sorted_1d_batch_core`.  The adapted-distance recursion calls
+the cores directly, after running the same checks (:func:`check_weights`,
 :func:`check_cost`) once per child family and once per cost block.
 """
 
@@ -341,11 +342,19 @@ def solve_sorted_1d_batch(
     plan and objective equals it bit for bit.  The checks of
     :class:`TransportProblem` apply row by row.
     """
+    return sorted_1d_batch_core(x, mu, check_weights(mu), y, nu, check_weights(nu), p)
+
+
+def sorted_1d_batch_core(
+    x: np.ndarray, mu: np.ndarray, mu_sum: np.ndarray,
+    y: np.ndarray, nu: np.ndarray, nu_sum: np.ndarray, p: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`solve_sorted_1d_batch` for weights already checked, given
+    with their row sums ``mu_sum`` and ``nu_sum`` as :func:`check_weights`
+    returns them; only the cost is checked here."""
     F, m = mu.shape
     n = nu.shape[1]
     cost = np.abs(x[:, :, None] - y[:, None, :]) ** p
-    mu_sum = check_weights(mu)
-    nu_sum = check_weights(nu)
     check_cost(cost)
     a = mu.copy()
     b = nu * (mu_sum / nu_sum)[:, None]

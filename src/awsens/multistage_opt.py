@@ -63,7 +63,7 @@ class ValueReport:
 def _variable_layout(tree: ScenarioTree):
     """Non-leaf nodes in level order and the per-path variable index matrix."""
     ids = [nid for t in range(tree.horizon) for nid in tree.levels[t]]
-    pos = np.empty(len(tree.nodes), dtype=np.int64)
+    pos = np.empty(len(tree.node_prob), dtype=np.int64)
     pos[ids] = np.arange(len(ids))
     return ids, pos[tree.ancestor_matrix[:, : tree.horizon]]
 

@@ -65,6 +65,8 @@ def solve_stopping(
     T = tree.horizon
     stop_vals = _stop_values(tree, model)
     rep = _representative_path(tree)
+    _, time, cond = tree._fields()
+    time, cond = time.tolist(), cond.tolist()
 
     envelope: dict[int, float] = {}
     continuation: dict[int, float] = {}
@@ -73,16 +75,12 @@ def solve_stopping(
     margin = math.inf
     for t in range(T - 1, 0, -1):
         for nid in tree.levels[t]:
-            cont = sum(
-                tree.nodes[c].cond_prob * envelope[c] for c in tree.children[nid]
-            )
+            cont = sum(cond[c] * envelope[c] for c in tree.children[nid])
             sv = float(stop_vals[rep[nid], t - 1])
             continuation[nid] = cont
             envelope[nid] = min(sv, cont)
             margin = min(margin, abs(sv - cont))
-    root_cont = sum(
-        tree.nodes[c].cond_prob * envelope[c] for c in tree.children[tree.root]
-    )
+    root_cont = sum(cond[c] * envelope[c] for c in tree.children[tree.root])
     continuation[tree.root] = root_cont
     envelope[tree.root] = root_cont
 
@@ -95,10 +93,10 @@ def solve_stopping(
     stop_set: set[int] = set()
 
     def descend(nid: int) -> None:
-        if tree.nodes[nid].time == T:
+        if time[nid] == T:
             stop_set.add(nid)
             return
-        if tree.nodes[nid].time >= 1 and stop_vals[rep[nid], tree.nodes[nid].time - 1] < continuation[nid]:
+        if time[nid] >= 1 and stop_vals[rep[nid], time[nid] - 1] < continuation[nid]:
             stop_set.add(nid)
             return
         for c in tree.children[nid]:

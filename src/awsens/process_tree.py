@@ -214,6 +214,17 @@ class ScenarioTree:
                          for ps in by_size.values())
         return _memo(self._shared, ("groups", t), build)
 
+    def _fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per node id: parent id (-1 at the root), time and conditional
+        probability; cached per structure."""
+        def build():
+            nodes = self._template
+            return (_frozen(np.array([-1 if nd.parent is None else nd.parent for nd in nodes],
+                                     dtype=np.intp)),
+                    _frozen(np.array([nd.time for nd in nodes], dtype=np.intp)),
+                    _frozen(np.array([nd.cond_prob for nd in nodes])))
+        return _memo(self._shared, "fields", build)
+
     # -- structural views ---------------------------------------------------
 
     @property

@@ -23,7 +23,6 @@ import numpy as np
 from .adapted_wasserstein import (
     AWParams,
     CouplingTree,
-    PairNode,
     _bicausalize_pairs,
     aw_pth_power,
 )
@@ -267,9 +266,10 @@ def displace(tree: ScenarioTree, values, delta: float):
         raise DeltaTooSmall(
             "shifted sibling values collide and delta = 0 leaves nothing to separate them"
         )
+    parent, time, _ = tree._fields()
     coupling, out = _bicausalize_pairs(
-        tree, [nd.parent for nd in tree.nodes], [nd.time for nd in tree.nodes],
-        list(range(len(tree.nodes))), values.tolist(), list(tree.node_prob), delta,
+        tree, parent.tolist(), time.tolist(), list(range(len(parent))), values.tolist(),
+        list(tree.node_prob), delta,
     )
     return out, coupling
 
@@ -320,11 +320,9 @@ def perturbed_model_with_coupling(
     delta_used = delta
     if coupling is None:  # the identity coupling is bicausal
         delta_used = 0.0
-        pairs = [
-            PairNode(nd.id, nd.time, nd.id, nd.id, nd.cond_prob, nd.parent)
-            for nd in tree.nodes
-        ]
-        coupling = CouplingTree(tree, out, pairs)
+        parent, time, cond = tree._fields()
+        ids = np.arange(len(parent))
+        coupling = CouplingTree._from_arrays(tree, out, parent, time, ids, ids, cond)
 
     if verify:
         norm = direction.norm_check ** (1.0 / direction.p) if direction.norm_check > 0 else 1.0

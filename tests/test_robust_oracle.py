@@ -199,10 +199,13 @@ def test_controlled_curve_solves_each_candidate_once(monkeypatch):
 
 def test_candidates_share_the_base_structure(monkeypatch):
     # on a curve without bicausal repairs, no candidate goes through the
-    # validating constructor, the interior families' weight checks run once
-    # per curve for the base and every candidate together, and no ball
+    # validating constructor or builds Node records, the families' weight
+    # checks run once per curve for the base and every candidate together
+    # (interior families one by one, last-stage families once per size
+    # class), the batched last stage checks no weights again, and no ball
     # check is solved twice
-    from awsens import ScenarioTree, adapted_wasserstein, robust_oracle, sensitivity
+    from awsens import (ScenarioTree, adapted_wasserstein, discrete_ot, process_tree,
+                        robust_oracle, sensitivity)
 
     counts = Counter()
 
@@ -219,6 +222,9 @@ def test_candidates_share_the_base_structure(monkeypatch):
                         counting("family checks", adapted_wasserstein.check_weights))
     monkeypatch.setattr(sensitivity, "_bicausalize_pairs",
                         counting("repairs", sensitivity._bicausalize_pairs))
+    monkeypatch.setattr(discrete_ot, "check_weights",
+                        counting("batch checks", discrete_ot.check_weights))
+    monkeypatch.setattr(process_tree, "Node", counting("Node records", process_tree.Node))
     checked = []
     real_pth = robust_oracle.aw_pth_power
 
@@ -236,7 +242,9 @@ def test_candidates_share_the_base_structure(monkeypatch):
                                  (1e-3, 1e-2, 1e-1)))
         assert counts["repairs"] == 0 and counts["constructed"] == 0
         assert counts["with_values"] > 100
-        assert counts["family checks"] == sum(len(fresh.levels[t]) for t in range(2))
+        assert counts["family checks"] == (sum(len(fresh.levels[t]) for t in range(2))
+                                           + len(fresh._sibling_groups(2)))
+        assert counts["batch checks"] == 0 and counts["Node records"] == 0
         assert len(checked) == len(set(checked)) > 100
 
 
