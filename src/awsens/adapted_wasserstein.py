@@ -374,7 +374,7 @@ def _assemble(P: ScenarioTree, Q: ScenarioTree, kernels, cutoff: float):
         xp, yp = xpos[xs], ypos[ys]
         group = xcls[xp] * len(ykids) + ycls[yp]
         parts = []
-        for g in np.unique(group).tolist():
+        for g in np.flatnonzero(np.bincount(group)).tolist():
             sel = np.flatnonzero(group == g)
             a, b = divmod(g, len(ykids))
             plan = kernels(t, a, b, xp[sel], yp[sel])
@@ -494,8 +494,6 @@ def _last_stage(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) 
         m = xv.shape[1]
         for b, (yrows, yv, yw, ysum, oy) in enumerate(yfam):
             cy, n = yv.shape
-            if plans is not None:
-                plans[a, b] = kept = np.empty((len(xrows) * cy, m, n))
             step = max(1, _BATCH_CELLS // (cy * m * n))
             for lo in range(0, len(xrows), step):
                 bx = slice(lo, lo + step)
@@ -507,6 +505,8 @@ def _last_stage(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) 
                 )
                 value[np.ix_(xrows[bx], yrows)] = obj.reshape(cx, cy)
                 if plans is not None:
+                    if lo == 0:  # after the first solve, so its temporaries are gone
+                        plans[a, b] = kept = np.empty((len(xrows) * cy, m, n))
                     kept[lo * cy:(lo + cx) * cy][
                         np.arange(cx * cy)[:, None, None],
                         np.repeat(ox[bx], cy, axis=0)[:, :, None],
