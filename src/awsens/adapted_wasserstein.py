@@ -199,7 +199,9 @@ class CouplingTree:
                 if early[v]:
                     raise InvalidCoupling(f"pair node {v} ends before the horizon")
                 if kernel_off[v]:
-                    raise InvalidCoupling(f"joint kernel at pair node {v} sums to {float(ksum[v])!r}")
+                    raise InvalidCoupling(
+                        f"joint kernel at pair node {v} sums to {float(ksum[v])!r}"
+                    )
                 seen = set()
                 for c in children[v]:
                     xy = (int(x_node[c]), int(y_node[c]))
@@ -449,8 +451,9 @@ def _size_classes(tree: ScenarioTree, t: int):
             at = pos[list(parents)]
             cls[at] = c
             row[at] = np.arange(len(parents))
-            check_weights(cond[kids])
-            weights.append(_frozen(cond[kids]))
+            w = _frozen(cond[kids])
+            check_weights(w)
+            weights.append(w)
         return _frozen(cls), _frozen(row), tuple(weights)
     return _memo(tree._shared, ("classes", t), build)
 
@@ -802,8 +805,9 @@ def _bicausalize_pairs(
     """Shared quotient construction behind :func:`bicausalize`.
 
     The pair tree is given explicitly (parents, -1 at the root, x nodes,
-    raw y values, joint node probabilities); the output merges pair nodes with equal perturbed
-    y histories into canonical nodes of the new second-marginal tree.
+    raw y values, joint node probabilities); the output merges pair nodes
+    with equal perturbed y histories into canonical nodes of the new
+    second-marginal tree.
     """
     T = P.horizon
     n = len(parent)

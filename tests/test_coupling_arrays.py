@@ -387,7 +387,7 @@ def test_parent_outside_the_pair_list_is_invalid():
             PairNode(2, 1, 2, 2, 0.5, 0)]
     CouplingTree(P, P, good)
     for parent in (7, 3, -3, -2):
-        with pytest.raises(InvalidCoupling, match=f"pair node 2 references unknown parent {parent}"):
+        with pytest.raises(InvalidCoupling, match=f"node 2 references unknown parent {parent}"):
             CouplingTree(P, P, good[:2] + [PairNode(2, 1, 2, 2, 0.5, parent)])
     with pytest.raises(InvalidCoupling, match="must hold integers"):
         CouplingTree(P, P, good[:2] + [PairNode(2, 1.5, 2, 2, 0.5, 0)])
