@@ -195,7 +195,7 @@ def _reference_stage_costs(first, second, pair_nodes, prob, p):
 # -- trees --------------------------------------------------------------------
 
 
-def _mixed_tree(seed: int, horizon: int) -> object:
+def _mixed_tree(seed: int, horizon: int):
     """Random tree whose families have 1 to 4 children, with dyadic
     probabilities and values, so every family sums to exactly 1."""
     rng = np.random.default_rng(seed)
@@ -213,9 +213,8 @@ def _mixed_tree(seed: int, horizon: int) -> object:
 def _pair(kind: str, seed: int):
     if kind == "random":
         rng = np.random.default_rng(seed)
-        T = int(rng.integers(1, 4))
-        return gen_random(T, int(rng.integers(2, 5)), seed), gen_random(T, int(rng.integers(2, 5)),
-                                                                        seed + 1)
+        T, a, b = int(rng.integers(1, 4)), int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        return gen_random(T, a, seed), gen_random(T, b, seed + 1)
     if kind == "binomial":
         rng = np.random.default_rng(seed)
         T = int(rng.integers(1, 5))
@@ -226,9 +225,9 @@ def _pair(kind: str, seed: int):
     return _mixed_tree(seed, T), _mixed_tree(seed + 7, T)
 
 
-def _records(coupling):
+def _records(pairs):
     return [(pn.id, pn.time, pn.x_node, pn.y_node, pn.cond_prob.hex(), pn.parent)
-            for pn in coupling.pair_nodes]
+            for pn in pairs]
 
 
 def _hexes(values):
@@ -251,8 +250,7 @@ def test_aw_coupling_matches_per_record_assembly(kind, seed, p, cells):
     children, prob = _reference_validate(A, B, pairs)
     c = res.coupling
     assert res.pth_power == pth
-    assert _records(c) == [(pn.id, pn.time, pn.x_node, pn.y_node, pn.cond_prob.hex(), pn.parent)
-                           for pn in pairs]
+    assert _records(c.pair_nodes) == _records(pairs)
     assert c.children == children
     assert _hexes(c.prob) == _hexes(prob)
     assert _hexes(res.per_stage_costs) == _hexes(_reference_stage_costs(A, B, pairs, prob, p))
@@ -267,8 +265,7 @@ def test_product_coupling_matches_per_record_assembly(kind, seed):
     c = product_coupling(A, B)
     pairs = _reference_product(A, B)
     children, prob = _reference_validate(A, B, pairs)
-    assert _records(c) == [(pn.id, pn.time, pn.x_node, pn.y_node, pn.cond_prob.hex(), pn.parent)
-                           for pn in pairs]
+    assert _records(c.pair_nodes) == _records(pairs)
     assert c.children == children
     assert _hexes(c.prob) == _hexes(prob)
     assert _hexes(c.stage_costs(2.0)) == _hexes(_reference_stage_costs(A, B, pairs, prob, 2.0))
