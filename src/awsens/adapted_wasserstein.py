@@ -7,13 +7,17 @@ to the stage cost |x - y|^p plus the already-computed value of the child
 pair.  The recursion's optimal plans assemble into a coupling tree that is
 bicausal by construction.
 
-At the last stage the cost is |x - y|^p alone, so every pair of child
-families is a sorted 1-d problem; all of them are solved at once per pair
-of family sizes by the lockstep north-west-corner kernel.  Interior stages
-run the transportation simplex per node pair, on costs gathered from one
-block per x node and with the transport checks run once per family and
-block rather than per pair.  One recursion serves two
-entries: :func:`aw_distance` (distance, per-stage costs, coupling) and the
+Node pairs are solved per pair of family sizes, in chunks.  At the last
+stage the cost is |x - y|^p alone, so every pair of child families is a
+sorted 1-d problem, solved by the lockstep north-west-corner kernel.
+Interior stages add the children's values, which breaks submodularity:
+pairs of 2-child families take the closed-form 2 x 2 transportation
+simplex, one batch per level, and every other shape runs the simplex per
+node pair.  The closed form repeats the simplex's arithmetic and never
+needs a second pivot, so it equals the simplex bit for bit.  Each chunk's
+costs are one gather, and the transport checks run once per size class
+and chunk rather than per pair.  One recursion serves two entries:
+:func:`aw_distance` (distance, per-stage costs, coupling) and the
 distance-only :func:`aw_pth_power`, which keeps no plans.  Batching never
 changes a summation order: each objective is summed over the row-major
 plan as ``np.vdot`` sums it, so results are bit-identical to solving one
@@ -38,6 +42,7 @@ from .discrete_ot import (
     check_weights,
     solve_exact,
     sorted_1d_batch_core,
+    transport_2x2_batch,
     transport_simplex,
 )
 from .errors import (
@@ -345,8 +350,8 @@ def product_coupling(P: ScenarioTree, Q: ScenarioTree) -> CouplingTree:
         raise HorizonMismatch("product coupling needs equal horizons")
 
     def kernels(t, a, b, xp, yp):
-        (_, xrow, xw), (_, yrow, yw) = _size_classes(P, t), _size_classes(Q, t)
-        return xw[a][xrow[xp]][:, :, None] * yw[b][yrow[yp]][:, None, :]
+        (_, xrow, xf), (_, yrow, yf) = _size_classes(P, t), _size_classes(Q, t)
+        return xf[a][3][xrow[xp]][:, :, None] * yf[b][3][yrow[yp]][:, None, :]
 
     return CouplingTree._from_arrays(P, Q, *_assemble(P, Q, kernels, -np.inf))
 
@@ -358,8 +363,8 @@ def _assemble(P: ScenarioTree, Q: ScenarioTree, kernels, cutoff: float):
 
     ``kernels(t, a, b, xp, yp)`` returns the (k, m, n) kernels of the
     time-t node pairs at level positions ``(xp[k], yp[k])`` whose families
-    lie in size class ``a`` of ``P._sibling_groups(t)`` and ``b`` of
-    ``Q._sibling_groups(t)``, with rows and columns in the children's tree
+    lie in size class ``a`` of ``_size_classes(P, t)`` and ``b`` of
+    ``_size_classes(Q, t)``, with rows and columns in the children's tree
     order.  The tree is grown one level at a time, and the ids are those of
     a last-in-first-out expansion from the root pair: the popped pair gives
     its cells the next ids in row-major order and pushes those before the
@@ -371,18 +376,17 @@ def _assemble(P: ScenarioTree, Q: ScenarioTree, kernels, cutoff: float):
     levels = [(np.array([-1]), np.array([P.root]), np.array([Q.root]), np.array([1.0]))]
     for t in range(T):
         _, xs, ys, _ = levels[-1]
-        (xcls, xrow, _), (ycls, yrow, _) = _size_classes(P, t), _size_classes(Q, t)
-        xkids, ykids = P._sibling_groups(t), Q._sibling_groups(t)
+        (xcls, xrow, xfam), (ycls, yrow, yfam) = _size_classes(P, t), _size_classes(Q, t)
         xp, yp = xpos[xs], ypos[ys]
-        group = xcls[xp] * len(ykids) + ycls[yp]
+        group = xcls[xp] * len(yfam) + ycls[yp]
         parts = []
         for g in np.flatnonzero(np.bincount(group)).tolist():
             sel = np.flatnonzero(group == g)
-            a, b = divmod(g, len(ykids))
+            a, b = divmod(g, len(yfam))
             plan = kernels(t, a, b, xp[sel], yp[sel])
             f, i, j = np.nonzero(plan > cutoff)
-            parts.append((sel[f], xkids[a][1][xrow[xp[sel]][f], i],
-                          ykids[b][1][yrow[yp[sel]][f], j], plan[f, i, j]))
+            parts.append((sel[f], xfam[a][1][xrow[xp[sel]][f], i],
+                          yfam[b][1][yrow[yp[sel]][f], j], plan[f, i, j]))
         level = [np.concatenate(col) for col in zip(*parts)]
         if len(parts) > 1:  # back to parent order; each parent's cells stay row-major
             o = np.argsort(level[0], kind="stable")
@@ -438,23 +442,27 @@ def _level_pos(tree: ScenarioTree) -> np.ndarray:
 
 def _size_classes(tree: ScenarioTree, t: int):
     """The time-t families grouped by size as ``tree._sibling_groups(t)``
-    groups them: per node, by level position, its class and its row there,
-    and per class the children's conditional probabilities, one row per
-    family, which pass the weight checks of :class:`TransportProblem`
-    here, once; cached per structure."""
+    groups them; cached per structure.
+
+    Returns ``(cls, row, families)``: per node, by level position, its
+    class and its row there, and per class ``(at, kids, below, weights,
+    sums)`` with one row per family: the parents' level positions, the
+    children's ids and level positions in tree order, their conditional
+    probabilities, which pass the weight checks of
+    :class:`TransportProblem` here, once, and those rows' sums.
+    """
     def build():
         pos, cond = _level_pos(tree), tree._fields()[2]
         cls = np.empty(len(tree.levels[t]), dtype=np.intp)
         row = np.empty_like(cls)
-        weights = []
+        families = []
         for c, (parents, kids) in enumerate(tree._sibling_groups(t)):
-            at = pos[list(parents)]
+            at = _frozen(pos[list(parents)])
             cls[at] = c
             row[at] = np.arange(len(parents))
             w = _frozen(cond[kids])
-            check_weights(w)
-            weights.append(w)
-        return _frozen(cls), _frozen(row), tuple(weights)
+            families.append((at, kids, _frozen(pos[kids]), w, _frozen(check_weights(w))))
+        return _frozen(cls), _frozen(row), tuple(families)
     return _memo(tree._shared, ("classes", t), build)
 
 
@@ -462,113 +470,117 @@ def _sorted_families(tree: ScenarioTree, t: int):
     """Child families of the time-t nodes, per size class of
     :func:`_size_classes`; cached per tree.
 
-    Lists ``(rows, values, weights, sums, order)`` per class: the parents'
-    positions in level t, the children's values and conditional
-    probabilities sorted by value (stable), the row sums of those sorted
-    weights, and the sorting permutation.
+    Lists ``(values, weights, sums, order)`` per class: the children's
+    values and conditional probabilities sorted by value (stable), the row
+    sums of those sorted weights, and the sorting permutation.
     """
     def build():
-        pos = _level_pos(tree)
         out = []
-        for (parents, kids), w in zip(tree._sibling_groups(t), _size_classes(tree, t)[2]):
+        for _, kids, _, w, _ in _size_classes(tree, t)[2]:
             order = _frozen(np.argsort(tree.values[kids], axis=1, kind="stable"))
             w = _frozen(np.take_along_axis(w, order, axis=1))
-            out.append((_frozen(pos[list(parents)]),
-                        _frozen(np.take_along_axis(tree.values[kids], order, axis=1)),
+            out.append((_frozen(np.take_along_axis(tree.values[kids], order, axis=1)),
                         w, _frozen(w.sum(axis=-1)), order))
         return tuple(out)
     return _memo(tree._cache, ("sorted", t), build)
 
 
-def _last_stage(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -> np.ndarray:
-    """Values of all time-(T-1) node pairs, batched 1-d solves per size class.
+def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray | None,
+           kept: dict | None) -> np.ndarray:
+    """Values of all time-t node pairs, given ``value``, those of the
+    time-(t+1) pairs (None at the last stage), by level positions.
 
-    There the cost is the stage cost alone, submodular on sorted atoms, so
-    the north-west-corner plan is optimal.  With ``plans`` given, the plans
-    of the pairs of families in classes ``a`` and ``b`` of
-    :func:`_size_classes` are kept, with the children in tree order, as one
-    array ``plans[a, b]`` of shape (F, m, n): the pair of rows ``i`` and
-    ``j`` is plan ``i * len(class b) + j``.
+    The pairs are solved per pair of size classes of :func:`_size_classes`
+    and in chunks of about ``_BATCH_CELLS`` plan cells.  At the last stage
+    the cost is the stage cost alone, submodular on sorted atoms, so one
+    lockstep north-west-corner solve serves a chunk.  Interior stages add
+    the children's values to the stage cost, which breaks submodularity:
+    a chunk's costs are one gather, checked for finiteness once, and the
+    second marginal is rescaled as :func:`solve_exact` rescales it.  Pairs
+    of 2-child families take the closed-form 2 x 2 simplex of
+    :func:`transport_2x2_batch`, every other shape the transportation
+    simplex per pair.  With ``kept`` given, the plans of the pairs of
+    families in classes ``a`` and ``b`` are kept, with the children in tree
+    order, as one array ``kept[a, b]`` of shape (F, m, n): the pair of rows
+    ``i`` and ``j`` is plan ``i * len(class b) + j``.
     """
-    t = P.horizon - 1
-    value = np.empty((len(P.levels[t]), len(Q.levels[t])))
-    yfam = _sorted_families(Q, t)
-    for a, (xrows, xv, xw, xsum, ox) in enumerate(_sorted_families(P, t)):
-        m = xv.shape[1]
-        for b, (yrows, yv, yw, ysum, oy) in enumerate(yfam):
-            cy, n = yv.shape
+    level = np.empty((len(P.levels[t]), len(Q.levels[t])))
+    yfam = _size_classes(Q, t)[2]
+    if value is None:
+        xsorted, ysorted = _sorted_families(P, t), _sorted_families(Q, t)
+    for a, (xat, xkids, xbelow, xw, xsum) in enumerate(_size_classes(P, t)[2]):
+        m = xw.shape[1]
+        for b, (yat, ykids, ybelow, yw, ysum) in enumerate(yfam):
+            cy, n = yw.shape
             step = max(1, _BATCH_CELLS // (cy * m * n))
-            for lo in range(0, len(xrows), step):
+            for lo in range(0, len(xat), step):
                 bx = slice(lo, lo + step)
-                cx = len(xrows[bx])
-                plan, obj = sorted_1d_batch_core(
-                    np.repeat(xv[bx], cy, axis=0), np.repeat(xw[bx], cy, axis=0),
-                    np.repeat(xsum[bx], cy), np.tile(yv, (cx, 1)), np.tile(yw, (cx, 1)),
-                    np.tile(ysum, cx), p,
-                )
-                value[np.ix_(xrows[bx], yrows)] = obj.reshape(cx, cy)
-                if plans is not None:
+                cx = len(xat[bx])
+                if value is None:
+                    (xv, xws, xs, ox), (yv, yws, ys, oy) = xsorted[a], ysorted[b]
+                    plan, obj = sorted_1d_batch_core(
+                        np.repeat(xv[bx], cy, axis=0), np.repeat(xws[bx], cy, axis=0),
+                        np.repeat(xs[bx], cy), np.tile(yv, (cx, 1)), np.tile(yws, (cx, 1)),
+                        np.tile(ys, cx), p,
+                    )
+                else:
+                    xv, yv = P.values[xkids[bx]], Q.values[ykids]
+                    cost = (np.abs(xv[:, None, :, None] - yv[None, :, None, :]) ** p
+                            + value[xbelow[bx][:, None, :, None], ybelow[None, :, None, :]])
+                    cost = cost.reshape(cx * cy, m, n)
+                    check_cost(cost)
+                    if m == n == 2:
+                        ratio = (xsum[bx][:, None] / ysum[None, :]).reshape(-1)
+                        plan, obj, _ = transport_2x2_batch(
+                            np.repeat(xw[bx], cy, axis=0), np.tile(yw, (cx, 1)) * ratio[:, None],
+                            cost)
+                    else:
+                        plan, obj = _per_pair(xw[bx], xsum[bx], yw, ysum, cost, kept is not None)
+                level[np.ix_(xat[bx], yat)] = obj.reshape(cx, cy)
+                if kept is not None:
                     if lo == 0:  # after the first solve, so its temporaries are gone
-                        plans[a, b] = kept = np.empty((len(xrows) * cy, m, n))
-                    kept[lo * cy:(lo + cx) * cy][
-                        np.arange(cx * cy)[:, None, None],
-                        np.repeat(ox[bx], cy, axis=0)[:, :, None],
-                        np.tile(oy, (cx, 1))[:, None, :],
-                    ] = plan
-    return value
+                        kept[a, b] = whole = np.empty((len(xat) * cy, m, n))
+                    rows = slice(lo * cy, (lo + cx) * cy)
+                    if value is None:
+                        whole[rows][np.arange(cx * cy)[:, None, None],
+                                    np.repeat(ox[bx], cy, axis=0)[:, :, None],
+                                    np.tile(oy, (cx, 1))[:, None, :]] = plan
+                    else:
+                        whole[rows] = plan
+    return level
 
 
-def _families(tree: ScenarioTree, t: int):
-    """Per time-t node: its children's ids and level positions, their
-    conditional probabilities as floats and the sum of those, in the
-    tree's child order; cached per structure.  Each family passes the
-    weight checks of :class:`TransportProblem` here, once."""
-    def build():
-        pos, cond = _level_pos(tree), tree._fields()[2]
-        out = []
-        for nid in tree.levels[t]:
-            kids = _frozen(np.array(tree.children[nid], dtype=np.intp))
-            w = cond[kids]
-            out.append((kids, _frozen(pos[kids]), tuple(w.tolist()), float(check_weights(w))))
-        return tuple(out)
-    return _memo(tree._shared, ("families", t), build)
+def _per_pair(xw, xsum, yw, ysum, cost, keep: bool):
+    """The transportation simplex on each pair of an x family (rows of
+    ``xw``) and a y family (rows of ``yw``), x-major, on the (F, m, n)
+    ``cost``; returns the plans (None unless ``keep``) and objectives."""
+    plans = np.empty(cost.shape) if keep else None
+    obj = np.empty(len(cost))
+    ys, yl = ysum.tolist(), yw.tolist()
+    k = 0
+    for mu, s in zip(xw.tolist(), xsum.tolist()):
+        for nu, u in zip(yl, ys):
+            ratio = s / u
+            plan, obj[k], _, _ = transport_simplex(mu, [w * ratio for w in nu], cost[k])
+            if keep:
+                plans[k] = plan
+            k += 1
+    return plans, obj
 
 
 def _recursion(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -> float:
     """p-th power of the adapted distance by backward recursion.
 
     ``value`` holds one level's pair values as a matrix indexed by the two
-    nodes' level positions.  Interior stages add the children's values to
-    the stage cost, which breaks submodularity, so they run the simplex.
-    Per x node, one block holds the costs against every child of the y
-    level, so each node pair's cost matrix is a column gather of it; each
-    block passes the finiteness check of :class:`TransportProblem`, and
-    the second marginal is rescaled as :func:`solve_exact` rescales it.
-
-    With ``plans`` given, ``plans[t]`` keeps the optimal plans of the
-    time-t node pairs: the last stage's as :func:`_last_stage` keeps them,
-    an interior stage's as a list with the pair of level positions
-    ``(a, b)`` at ``a * len(Q.levels[t]) + b``.
+    nodes' level positions; :func:`_stage` computes each level from the one
+    below.  With ``plans`` given, ``plans[t]`` keeps the optimal plans of
+    the time-t node pairs as :func:`_stage` keeps them.
     """
     if P.horizon != Q.horizon:
         raise HorizonMismatch(f"horizons differ: {P.horizon} vs {Q.horizon}")
-    last = None if plans is None else plans.setdefault(P.horizon - 1, {})
-    value = _last_stage(P, Q, p, last)
-    for t in range(P.horizon - 2, -1, -1):
-        yfam = _families(Q, t)
-        yvals = Q.values[list(Q.levels[t + 1])]
-        level = np.empty((len(P.levels[t]), len(yfam)))
-        kept = None if plans is None else plans.setdefault(t, [])
-        for a, (xkids, xpos, xw, xsum) in enumerate(_families(P, t)):
-            block = np.abs(P.values[xkids][:, None] - yvals[None, :]) ** p + value[xpos]
-            check_cost(block)
-            for b, (_, ypos, yw, ysum) in enumerate(yfam):
-                ratio = xsum / ysum
-                plan, obj, _, _ = transport_simplex(xw, [w * ratio for w in yw], block[:, ypos])
-                level[a, b] = obj
-                if kept is not None:
-                    kept.append(plan)
-        value = level
+    value = None
+    for t in range(P.horizon - 1, -1, -1):
+        value = _stage(P, Q, t, p, value, None if plans is None else plans.setdefault(t, {}))
     return float(value[0, 0])
 
 
@@ -587,23 +599,21 @@ def aw_distance(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> AWResult:
 
     The last stage has no value-function addend, so all its family pairs
     are solved at once by the monotone 1-d kernel, grouped by family size;
-    interior stages solve the full transport problem per node pair.  Every
-    sum runs in the order of the per-pair solvers (``np.vdot`` over the
-    row-major plan), so the distance, plans and coupling do not depend on
-    the batching.  The plan cells above 1e-15 of the pairs reached from
-    the root then become the coupling's pair arrays, level by level.
+    interior stages solve the full transport problem, in one closed-form
+    batch per level for pairs of 2-child families and per node pair for
+    every other shape (see :func:`_stage`).  Every sum runs in the order of
+    the per-pair solvers (``np.vdot`` over the row-major plan), so the
+    distance, plans and coupling do not depend on the batching.  The plan
+    cells above 1e-15 of the pairs reached from the root then become the
+    coupling's pair arrays, level by level.
     """
     p = params.p
-    T = P.horizon
     plans: dict = {}
     pth_power = _recursion(P, Q, p, plans)
 
     def kernels(t, a, b, xp, yp):
-        if t == T - 1:
-            rows = len(Q._sibling_groups(t)[b][0])
-            return plans[t][a, b][_size_classes(P, t)[1][xp] * rows + _size_classes(Q, t)[1][yp]]
-        kept, ny = plans[t], len(Q.levels[t])
-        return np.stack([kept[k] for k in (xp * ny + yp).tolist()])
+        (_, xrow, _), (_, yrow, yfam) = _size_classes(P, t), _size_classes(Q, t)
+        return plans[t][a, b][xrow[xp] * len(yfam[b][0]) + yrow[yp]]
 
     arrays = _assemble(P, Q, kernels, 1e-15)
     plans.clear()

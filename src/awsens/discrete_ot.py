@@ -14,11 +14,19 @@ and nothing else.  Every other value is exactly what a rebuild would give,
 so plans, objectives, potentials and bases equal those of the simplex that
 rebuilds its tree at every pivot, bit for bit.
 
+A 2 x 2 problem needs at most one pivot, so :func:`transport_2x2_batch`
+runs the simplex on many of them at once in closed form: the same
+north-west start, pricing, pivot and clip, vectorised, with plans,
+objectives and pivot decisions equal to :func:`transport_simplex` bit for
+bit (its docstring has the proof).
+
 :func:`solve_exact` checks a :class:`TransportProblem` and runs the core,
 :func:`transport_simplex`; :func:`solve_sorted_1d_batch` checks its weights
 and runs :func:`sorted_1d_batch_core`.  The adapted-distance recursion calls
 the cores directly, after running the same checks (:func:`check_weights`,
-:func:`check_cost`) once per child family and once per cost block.
+:func:`check_cost`) once per size class of child families and once per
+batch of costs.  A simplex that exceeds its pivot budget raises
+``MaxIterations``.
 """
 
 from __future__ import annotations
@@ -29,10 +37,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Infeasible, InvalidParams
+from .errors import Infeasible, InvalidParams, MaxIterations
 
 WEIGHT_TOL = 1e-10
 _BLAND_TRIGGER = 64  # consecutive degenerate pivots before switching rules
+_PIVOT_BUDGET = (2000, 40)  # pivots allowed per problem: a base plus so many per cell
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,8 @@ def transport_simplex(mu: list[float], nu: list[float], cost: np.ndarray):
     tol = 1e-11 * scale
     degenerate_run = 0
     bland = False
-    max_iter = 2000 + 40 * m * n
+    base, per_cell = _PIVOT_BUDGET
+    max_iter = base + per_cell * m * n
     for _ in range(max_iter):
         if bland:
             cand = np.flatnonzero(red < -tol)
@@ -272,7 +282,7 @@ def transport_simplex(mu: list[float], nu: list[float], cost: np.ndarray):
             degenerate_run = 0
             bland = False
     else:
-        raise InvalidParams("transportation simplex failed to terminate")
+        raise MaxIterations(f"transportation simplex did not terminate within {max_iter} pivots")
     keys = list(flow)
     plan = _dense(keys, [flow[c] for c in keys], m, n)
     np.maximum(plan, 0.0, out=plan)  # np.clip(plan, 0.0, None), without its wrapper
@@ -377,3 +387,79 @@ def sorted_1d_batch_core(
             j += ~down
     objective = np.matmul(plan.reshape(F, 1, m * n), cost.reshape(F, m * n, 1))
     return plan, objective.reshape(F)
+
+
+def _first_min(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Python's ``min(x, y)`` elementwise: ``y`` only where ``y < x``, so
+    ties, signed zeros included, keep ``x``."""
+    return np.where(y < x, y, x)
+
+
+def transport_2x2_batch(
+    mu: np.ndarray, nu: np.ndarray, cost: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`transport_simplex` on F independent 2 x 2 problems at once.
+
+    ``mu`` and ``nu`` have shape (F, 2), with equal totals per row, and
+    ``cost`` shape (F, 2, 2); none of them is checked here.  Returns the
+    (F, 2, 2) plans, the (F,) objectives and the (F,) mask of the problems
+    that pivoted.  Every step is the simplex's own arithmetic, vectorised:
+
+    * the north-west start takes the same ``min`` (the first argument on
+      ties) and the same subtractions, and goes down where ``a[0] <= b[0]``
+      after the first cell, leaving (0, 1) non-basic, and right otherwise,
+      leaving (1, 0) non-basic;
+    * the potentials hang from row 0 as the basis tree gives them
+      (``u_0 = 0``, ``v_0 = c_00 - 0.0``, ...), and the non-basic cell's
+      reduced cost is ``(c - u) - v``, as the simplex's matrix computes it;
+    * the problem pivots where that cost is below ``-1e-11 * (1 + max|c|)``;
+      the cycle runs through all four cells, θ is the ``min`` of the two
+      diagonal cells in the simplex's cycle order, the cell (0, 0) leaves
+      when it holds θ and (1, 1) otherwise, and the off-diagonal cells gain
+      θ while the diagonal ones lose it;
+    * the plan is clipped at zero by the same ``np.maximum`` and each
+      objective is summed over the row-major plan by one batched ``matmul``
+      row, in the order ``np.vdot`` sums it.
+
+    No problem pivots twice.  With either start, the reduced cost is
+    ``r = (c_01 + c_10) - (c_00 + c_11)`` up to rounding, and after the
+    pivot the only non-basic cell is the leaving diagonal one, whose reduced
+    cost is ``-r`` up to rounding.  Each potential and reduced cost takes at
+    most three roundings of values below ``4 max|c|``, so the two computed
+    costs sum to within a few ulps of ``4 max|c|``, about ``1e-15 max|c|``,
+    far less than the tolerance ``1e-11 (1 + max|c|)``.  A pivot needs
+    ``r < -tol``, so the cost after it exceeds ``tol`` minus that error,
+    which is above ``-tol``: the simplex stops after its first pivot, and
+    Bland's rule, which picks among the same negative costs, has none to
+    pick.  Plans, objectives and pivot decisions therefore equal
+    :func:`transport_simplex` bit for bit.
+    """
+    a0, a1, b0, b1 = mu[:, 0], mu[:, 1], nu[:, 0], nu[:, 1]
+    c00, c01, c10, c11 = (cost[:, i, j] for i in (0, 1) for j in (0, 1))
+    # north-west corner: (0, 0), then (1, 0) going down or (0, 1) going
+    # right, then (1, 1)
+    f00 = _first_min(a0, b0)
+    rest_a, rest_b = a0 - f00, b0 - f00
+    down = rest_a <= rest_b
+    mid = np.where(down, _first_min(a1, rest_b), _first_min(rest_a, b1))
+    f11 = np.where(down, _first_min(a1 - mid, b1), _first_min(a1, b1 - mid))
+    # potentials from row 0 along the staircase, then the non-basic cell's cost
+    v0 = c00 - 0.0
+    u1 = np.where(down, c10 - v0, c11 - (c01 - 0.0))
+    v1 = np.where(down, c11 - u1, c01 - 0.0)
+    red = np.where(down, (c01 - 0.0) - v1, (c10 - u1) - v0)
+    tol = 1e-11 * (1.0 + np.abs(cost).reshape(-1, 4).max(axis=1))
+    pivot = red < -tol
+    # the cycle lists (0, 0) first going down and (1, 1) first going right
+    theta = np.where(down, _first_min(f00, f11), _first_min(f11, f00))
+    theta = np.where(pivot, theta, 0.0)
+    leave00 = f00 == theta
+    plan = np.empty_like(cost)
+    plan[:, 0, 0] = np.where(pivot & leave00, 0.0, np.where(pivot, f00 - theta, f00))
+    plan[:, 1, 1] = np.where(pivot & ~leave00, 0.0, np.where(pivot, f11 - theta, f11))
+    gained = np.where(pivot, mid + theta, mid)
+    plan[:, 0, 1] = np.where(down, theta, gained)
+    plan[:, 1, 0] = np.where(down, gained, theta)
+    np.maximum(plan, 0.0, out=plan)
+    objective = np.matmul(plan.reshape(-1, 1, 4), cost.reshape(-1, 4, 1))
+    return plan, objective.reshape(-1), pivot

@@ -567,7 +567,7 @@ def test_recursion_caches_do_not_leak_between_trees(seed, order):
     assert kids[0]._cache is not kids[1]._cache
     for kid in kids:
         for entries in kid._cache.values():
-            for _, vals, *_ in entries:
+            for vals, *_ in entries:
                 assert set(vals.ravel()) <= set(kid.values)
 
 

@@ -21,12 +21,15 @@ from awsens import (
     HorizonMismatch,
     InvalidCoupling,
     PairNode,
+    RobustQuery,
     TransportProblem,
     aw_distance,
     check_causal,
     gen_binomial,
     gen_random,
+    make_cost_model,
     product_coupling,
+    robust_curve,
     solve_exact,
     solve_sorted_1d,
     tree_from_nested,
@@ -210,6 +213,24 @@ def _mixed_tree(seed: int, horizon: int):
     return tree_from_nested(horizon, family(1))
 
 
+def _cycled_tree(seed: int, horizon: int, phase: int):
+    """Random tree with dyadic probabilities and values whose root has 3
+    children and whose other families have 1, 2 and 3 children in turn
+    along each level, starting at ``phase``."""
+    rng = np.random.default_rng(seed)
+    seen = [0] * (horizon + 1)
+
+    def family(t):
+        b = 3 if t == 1 else (1, 2, 3)[(seen[t] + phase) % 3]
+        seen[t] += 1
+        counts = rng.multinomial(64 - b, [1.0 / b] * b) + 1
+        values = rng.choice(64, size=b, replace=False) / 16.0 - 2.0
+        return [(float(v), c / 64.0, family(t + 1) if t < horizon else [])
+                for v, c in zip(values, counts)]
+
+    return tree_from_nested(horizon, family(1))
+
+
 def _pair(kind: str, seed: int):
     if kind == "random":
         rng = np.random.default_rng(seed)
@@ -237,11 +258,7 @@ def _hexes(values):
 # -- the array path against the references ------------------------------------
 
 
-@given(kind=st.sampled_from(["random", "binomial", "mixed"]), seed=st.integers(0, 10_000),
-       p=st.sampled_from([1.5, 2.0, 3.0]), cells=st.sampled_from([None, 1, 40]))
-@settings(max_examples=40, deadline=None)
-def test_aw_coupling_matches_per_record_assembly(kind, seed, p, cells):
-    A, B = _pair(kind, seed)
+def _check_against_references(A, B, p, cells):
     with mock.patch.object(adapted_wasserstein, "_BATCH_CELLS",
                            cells or adapted_wasserstein._BATCH_CELLS):
         res = aw_distance(A, B, AWParams(p))
@@ -256,6 +273,48 @@ def test_aw_coupling_matches_per_record_assembly(kind, seed, p, cells):
     assert _hexes(res.per_stage_costs) == _hexes(_reference_stage_costs(A, B, pairs, prob, p))
     for direction in ("x_to_y", "y_to_x"):
         assert check_causal(c, direction) is _reference_check_causal(c, direction) is True
+
+
+@given(kind=st.sampled_from(["random", "binomial", "mixed"]), seed=st.integers(0, 10_000),
+       p=st.sampled_from([1.5, 2.0, 3.0]), cells=st.sampled_from([None, 1, 40]))
+@settings(max_examples=40, deadline=None)
+def test_aw_coupling_matches_per_record_assembly(kind, seed, p, cells):
+    _check_against_references(*_pair(kind, seed), p, cells)
+
+
+@pytest.mark.parametrize("cells", [1, None])
+@given(seed=st.integers(0, 10_000), p=st.sampled_from([1.5, 2.0, 3.0]))
+@settings(max_examples=15, deadline=None)
+def test_mixed_family_sizes_share_a_level(cells, seed, p):
+    # 2 x 2 pairs take the closed form, 2 x 3 and 1 x 2 pairs the simplex,
+    # side by side at every interior level but the root's
+    T = 3 + seed % 2
+    A, B = _cycled_tree(seed, T, 0), _cycled_tree(seed + 7, T, 1)
+    for t in range(1, T - 1):
+        shapes = {(len(A.children[x]), len(B.children[y]))
+                  for x in A.levels[t] for y in B.levels[t]}
+        assert {(2, 2), (2, 3), (1, 2), (3, 1)} <= shapes
+    _check_against_references(A, B, p, cells)
+
+
+def test_simplex_calls_by_family_shape():
+    # every interior family of a binomial tree has two children, so no pair
+    # takes the simplex; the curve's trees branch by 3, so each of their 10
+    # interior pairs does, in each of the curve's 117 ball checks
+    def spy(name):
+        return mock.patch.object(adapted_wasserstein, name,
+                                 wraps=getattr(adapted_wasserstein, name))
+
+    A = gen_binomial(6, 0.0, 1.0, -1.0, 0.5)
+    B = gen_binomial(6, 0.0, 1.1, -0.9, 0.45, 0.02)
+    with spy("transport_simplex") as simplex:
+        aw_distance(A, B, AWParams(2.0))
+    assert simplex.call_count == 0
+    query = RobustQuery("terminal", gen_random(3, 3, 0), make_cost_model("linear", None, 3), 2.0,
+                        (1e-3, 1e-2, 1e-1))
+    with spy("transport_simplex") as simplex, spy("_recursion") as recursion:
+        robust_curve(query)
+    assert (simplex.call_count, recursion.call_count) == (1170, 117)
 
 
 @given(kind=st.sampled_from(["random", "binomial", "mixed"]), seed=st.integers(0, 10_000))

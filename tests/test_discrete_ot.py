@@ -7,12 +7,13 @@ from scipy.optimize import linprog
 from awsens import (
     Infeasible,
     InvalidParams,
+    MaxIterations,
     TransportProblem,
     solve_exact,
     solve_sorted_1d,
 )
 from awsens import discrete_ot
-from awsens.discrete_ot import solve_sorted_1d_batch
+from awsens.discrete_ot import solve_sorted_1d_batch, transport_2x2_batch, transport_simplex
 
 
 def random_problem(rng, m, n):
@@ -369,3 +370,91 @@ def test_bland_fallback_equals_reference_and_linprog(monkeypatch):
     got = assert_same_as_reference(prob, stats)
     assert got.objective == pytest.approx(lp_reference(prob), abs=1e-12)
     assert stats["bland"] > 0
+
+
+def test_pivot_budget_exhausted_raises_max_iterations(monkeypatch):
+    # uniform marginals on an anti-diagonal cost: the north-west start is
+    # the diagonal, one pivot away from optimal
+    prob = TransportProblem([0.5, 0.5], [0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+    assert solve_exact(prob).objective == 0.0
+    monkeypatch.setattr(discrete_ot, "_PIVOT_BUDGET", (1, 0))
+    with pytest.raises(MaxIterations, match="within 1 pivots"):
+        solve_exact(prob)
+    # a start that is already optimal needs no pivot and fits the budget
+    optimal = TransportProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+    assert solve_exact(optimal).objective == 0.0
+
+
+# -- the closed-form 2 x 2 kernel against the simplex --------------------------
+
+
+def _at_tolerance(ulps):
+    """The cost c with c == 1e-11 * (1 + c), moved by ``ulps`` ulps: as the
+    only nonzero entry, its reduced cost sits at, below or above -tol."""
+    c = 1e-11
+    for _ in range(8):
+        c = 1e-11 * (1.0 + c)
+    assert c == 1e-11 * (1.0 + c)
+    for _ in range(abs(ulps)):
+        c = np.nextafter(c, np.inf if ulps > 0 else 0.0)
+    return c
+
+
+_MASSES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 0.1, 0.3, 1.0 / 3.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def two_by_two(draw):
+    """One 2 x 2 problem as the recursion poses it: family weights summing
+    to 1 up to rounding, the second rescaled by the ratio of the sums."""
+    x0 = draw(_MASSES)
+    y0 = x0 if draw(st.booleans()) else draw(_MASSES)
+    xw = np.array([x0, 1.0 - x0 + draw(st.sampled_from([0.0, 1e-12, -1e-12]))])
+    yw = np.array([y0, 1.0 - y0 + draw(st.sampled_from([0.0, 1e-12, -1e-12]))])
+    kind = draw(st.sampled_from(["scaled", "near tolerance", "integer", "tolerance"]))
+    if kind in ("scaled", "near tolerance"):
+        cost = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
+        cost *= 10.0 ** draw(st.integers(-3, 3))
+        if kind == "near tolerance":
+            # c01 + c10 - c00 - c11 within a few ulps of -tol, so the two
+            # start directions' rounding decides the pivot
+            tol = 1e-11 * (1.0 + cost.max())
+            cost[1] = cost[0] + cost[3] - cost[2] - tol
+            for _ in range(draw(st.integers(0, 4))):
+                cost[1] = np.nextafter(cost[1], draw(st.sampled_from([-np.inf, np.inf])))
+    elif kind == "integer":  # ties in the costs and in theta
+        cost = np.array(draw(st.lists(st.integers(0, 3), min_size=4, max_size=4)), dtype=float)
+    else:  # the reduced cost at -tol and one ulp on either side
+        cost = np.zeros(4)
+        cost[draw(st.sampled_from([1, 2]))] = -_at_tolerance(draw(st.sampled_from([-1, 0, 1])))
+    return xw, yw * (xw.sum() / yw.sum()), cost.reshape(2, 2)
+
+
+@given(probs=st.lists(two_by_two(), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_2x2_kernel_equals_simplex(probs):
+    mu, nu, cost = (np.array(col) for col in zip(*probs))
+    plan, obj, pivot = transport_2x2_batch(mu, nu, cost)
+    for k, (xw, yw, c) in enumerate(probs):
+        want, want_obj, _, basis = transport_simplex(xw.tolist(), yw.tolist(), c)
+        assert plan[k].tobytes() == want.tobytes()
+        assert obj[k].hex() == want_obj.hex()
+        # the start's basis holds one off-diagonal cell; a pivot adds the other
+        assert bool(pivot[k]) is ((0, 1) in basis and (1, 0) in basis)
+
+
+def test_2x2_kernel_tolerance_boundary():
+    # the same cases as above, checked by hand: only the cost one ulp
+    # beyond -tol pivots, in either start direction
+    for cell, mu in (((0, 1), [0.5, 0.5]), ((1, 0), [0.75, 0.25])):
+        for ulps, pivots in ((-1, False), (0, False), (1, True)):
+            cost = np.zeros((2, 2))
+            cost[cell] = -_at_tolerance(ulps)
+            nu = [0.25, 0.75] if cell == (1, 0) else [0.5, 0.5]
+            plan, obj, pivot = transport_2x2_batch(np.array([mu]), np.array([nu]), cost[None])
+            assert bool(pivot[0]) is pivots
+            want, want_obj, _, _ = transport_simplex(mu, nu, cost)
+            assert plan[0].tobytes() == want.tobytes() and obj[0] == want_obj

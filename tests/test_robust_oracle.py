@@ -201,9 +201,8 @@ def test_candidates_share_the_base_structure(monkeypatch):
     # on a curve without bicausal repairs, no candidate goes through the
     # validating constructor or builds Node records, the families' weight
     # checks run once per curve for the base and every candidate together
-    # (interior families one by one, last-stage families once per size
-    # class), the batched last stage checks no weights again, and no ball
-    # check is solved twice
+    # (once per size class at every level), the batched last stage checks
+    # no weights again, and no ball check is solved twice
     from awsens import (ScenarioTree, adapted_wasserstein, discrete_ot, process_tree,
                         robust_oracle, sensitivity)
 
@@ -242,8 +241,7 @@ def test_candidates_share_the_base_structure(monkeypatch):
                                  (1e-3, 1e-2, 1e-1)))
         assert counts["repairs"] == 0 and counts["constructed"] == 0
         assert counts["with_values"] > 100
-        assert counts["family checks"] == (sum(len(fresh.levels[t]) for t in range(2))
-                                           + len(fresh._sibling_groups(2)))
+        assert counts["family checks"] == sum(len(fresh._sibling_groups(t)) for t in range(3))
         assert counts["batch checks"] == 0 and counts["Node records"] == 0
         assert len(checked) == len(set(checked)) > 100
 

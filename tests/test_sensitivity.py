@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from awsens import (
     ControlBounds,
@@ -25,6 +27,8 @@ from awsens import (
     worst_case_direction,
 )
 from awsens.adapted_wasserstein import CouplingTree, PairNode, check_causal
+from awsens.cost_models import CATALOG
+from awsens.sensitivity import first_order, leaf_gradients
 
 L = ControlBounds(10.0)
 
@@ -53,6 +57,43 @@ def test_product_cost_on_independent_signs(iid_signs):
     assert rep.stage_qnorms[0] == pytest.approx(0.0, abs=1e-15)
     assert rep.stage_qnorms[1] == pytest.approx(1.0, abs=1e-15)
     assert rep.first_order == pytest.approx(1.0, abs=1e-15)
+
+
+def _terminal_params(name, T, draw):
+    unit = st.floats(-1.0, 1.0)
+    if name == "linear":
+        return {"coeffs": [2.0 * draw(unit) for _ in range(T)]}
+    if name == "quadratic_tracking":
+        return {"weights": [1.0 + draw(unit) for _ in range(T)],
+                "targets": [draw(unit) for _ in range(T)]}
+    if name == "softplus_call":
+        return {"strike": draw(unit), "sharpness": draw(st.floats(0.1, 5.0))}
+    if name == "exp_sum":
+        return {"beta": draw(unit), "scale": draw(st.floats(0.1, 2.0))}
+    return {}
+
+
+@given(tree=st.sampled_from(["random", "binomial"]), T=st.integers(1, 4), b=st.integers(2, 4),
+       seed=st.integers(0, 10_000), name=st.sampled_from(CATALOG["terminal"]),
+       p=st.sampled_from([1.5, 2.0, 3.0]), data=st.data())
+@example(tree="random", T=4, b=4, seed=0, name="coordinate_product", p=2.0, data=None)
+@settings(max_examples=60, deadline=None)
+def test_adapted_first_order_at_most_flat(tree, T, b, seed, name, p, data):
+    # conditional Jensen: (sum_t E|E[d_t f | F_t]|^q)^(1/q) <= (sum_t E|d_t f|^q)^(1/q),
+    # the right side being the first-order term of the flat Wasserstein ball
+    if tree == "random":
+        P = gen_random(T, b, seed)
+    else:
+        rng = np.random.default_rng(seed)
+        P = gen_binomial(T + 2, 0.0, rng.uniform(0.5, 1.5), rng.uniform(-1.5, -0.5),
+                         rng.uniform(0.2, 0.8), rng.uniform(-0.1, 0.1))
+    params = {} if data is None else _terminal_params(name, P.horizon, data.draw)
+    model = make_cost_model(name, params, P.horizon)
+    rep, _, optimizer = first_order(P, model, p)
+    q = p / (p - 1.0)
+    grads = leaf_gradients(P, model, optimizer)
+    flat = float(P.paths.probs @ (np.abs(grads) ** q).sum(axis=1)) ** (1.0 / q)
+    assert rep.first_order <= flat * (1.0 + 1e-12)
 
 
 # -- controlled -----------------------------------------------------------------
