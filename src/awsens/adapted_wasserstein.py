@@ -269,7 +269,7 @@ class CouplingTree:
 
 def _on_edges(tree: ScenarioTree, nodes: np.ndarray, par: np.ndarray) -> np.ndarray:
     """Per pair: whether its node is a child of its parent pair's node."""
-    up = tree._fields()[0]
+    up = tree.parent
     known = (nodes >= 0) & (nodes < len(up))
     up = np.where(known, up[np.where(known, nodes, 0)], -1)
     return (up >= 0) & (up == nodes[par])
@@ -288,7 +288,7 @@ def _child_index(tree: ScenarioTree):
     its children in ``flat`` (all children, grouped by parent id, in tree
     order) and its own rank among its siblings; cached per structure."""
     def build():
-        parent = tree._fields()[0]
+        parent = tree.parent
         size = np.bincount(parent[parent >= 0], minlength=len(parent))
         flat = np.argsort(parent, kind="stable")[1:]  # the root's -1 sorts first
         start = np.cumsum(size) - size
@@ -336,7 +336,7 @@ def check_causal(coupling: CouplingTree, direction: Direction, tol: float = 1e-1
     total = int(width.sum())
     proj = np.bincount(off[par] + rank[nodes[kids]], weights=coupling.cond_prob[kids],
                        minlength=total)
-    want = tree._fields()[2][flat[np.repeat(start[nodes] - off, width) + np.arange(total)]]
+    want = tree.cond_prob[flat[np.repeat(start[nodes] - off, width) + np.arange(total)]]
     return not (np.abs(proj - want) > tol).any()
 
 
@@ -371,7 +371,7 @@ def _assemble(P: ScenarioTree, Q: ScenarioTree, kernels, cutoff: float):
     horizon, so its last child is expanded next.
     """
     T = P.horizon
-    xpos, ypos = _level_pos(P), _level_pos(Q)
+    xpos, ypos = P.level_pos, Q.level_pos
     # per level: parent (position in the level above), x node, y node, cond_prob
     levels = [(np.array([-1]), np.array([P.root]), np.array([Q.root]), np.array([1.0]))]
     for t in range(T):
@@ -430,16 +430,6 @@ def _assemble(P: ScenarioTree, Q: ScenarioTree, kernels, cutoff: float):
 # -- exact distance via backward recursion ------------------------------------
 
 
-def _level_pos(tree: ScenarioTree) -> np.ndarray:
-    """Per node: its index within its time level; cached per structure."""
-    def build():
-        pos = np.empty(len(tree.node_prob), dtype=np.intp)
-        for level in tree.levels:
-            pos[list(level)] = np.arange(len(level))
-        return _frozen(pos)
-    return _memo(tree._shared, "pos", build)
-
-
 def _size_classes(tree: ScenarioTree, t: int):
     """The time-t families grouped by size as ``tree._sibling_groups(t)``
     groups them; cached per structure.
@@ -452,7 +442,7 @@ def _size_classes(tree: ScenarioTree, t: int):
     :class:`TransportProblem` here, once, and those rows' sums.
     """
     def build():
-        pos, cond = _level_pos(tree), tree._fields()[2]
+        pos, cond = tree.level_pos, tree.cond_prob
         cls = np.empty(len(tree.levels[t]), dtype=np.intp)
         row = np.empty_like(cls)
         families = []
@@ -821,9 +811,10 @@ def _bicausalize_pairs(
     """
     T = P.horizon
     n = len(parent)
+    pv = P.values.tolist()
     offsets: list[dict[float, float]] = [{} for _ in range(T + 1)]
     for t in range(1, T + 1):
-        vals = sorted({P.nodes[nid].value for nid in P.levels[t]})
+        vals = sorted({pv[nid] for nid in P.levels[t]})
         for k, v in enumerate(vals):
             offsets[t][v] = (k + 1) * delta / (2.0 * (len(vals) + 1))
 
@@ -837,7 +828,7 @@ def _bicausalize_pairs(
             continue
         children[parent[pid]].append(pid)
         t = time[pid]
-        xval = P.nodes[x_node[pid]].value
+        xval = pv[x_node[pid]]
         cell[pid] = math.floor(y_value[pid] / delta)
         ynew[pid] = cell[pid] * delta + offsets[t][xval]
 
@@ -854,7 +845,7 @@ def _bicausalize_pairs(
         for c in sorted(kids, key=lambda c: (ynew[c], x_node[c])):
             groups.setdefault(ynew[c], []).append(c)
         for yv, grp in groups.items():
-            keys = {(cell[c], P.nodes[x_node[c]].value) for c in grp}
+            keys = {(cell[c], pv[x_node[c]]) for c in grp}
             if len(keys) > 1:
                 raise DeltaTooSmall(
                     f"encoded values collide at {yv!r}; decrease the atom count or increase delta"

@@ -149,17 +149,17 @@ def serialize_coupling(coupling: CouplingTree) -> dict:
 DEFAULT_RADII = (1e-4, 1e-3, 1e-2, 1e-1)  # ascending, as RobustQuery requires
 
 
-def _number(v, name: str) -> float:
-    """A numeric config field: a JSON number, never a boolean or a string."""
+def _number(v, name: str, where: str = "config") -> float:
+    """A numeric config or params field: a JSON number, never a boolean or a string."""
     if not _is_number(v):
-        raise InvalidParams(f"config {name!r} must be a number, got {v!r}")
+        raise InvalidParams(f"{where} {name!r} must be a number, got {v!r}")
     return float(v)
 
 
-def _count(v, name: str) -> int:
-    """A count or seed config field: a nonnegative integral JSON number."""
+def _count(v, name: str, where: str = "config") -> int:
+    """A count or seed field: a nonnegative integral JSON number."""
     if not (_is_number(v) and float(v).is_integer() and v >= 0):
-        raise InvalidParams(f"config {name!r} must be a nonnegative integer, got {v!r}")
+        raise InvalidParams(f"{where} {name!r} must be a nonnegative integer, got {v!r}")
     return int(v)
 
 
@@ -264,36 +264,38 @@ def cmd_gen(args) -> int:
         raise InvalidParams(f"--params is not valid JSON: {e}") from None
     if not isinstance(params, dict):
         raise InvalidParams("--params must be a JSON object")
+    where = f"--params for {args.kind}:"
+
+    def number(name, default):
+        return _number(params.get(name, default), name, where)
+
     try:
+        T = _count(params["T"], "T", where)
         if args.kind == "binomial":
             gen, kwargs = gen_binomial, dict(
-                T=int(params["T"]),
-                start=float(params.get("start", 0.0)),
-                up=float(params.get("up", 1.0)),
-                down=float(params.get("down", -1.0)),
-                p_up=float(params.get("p_up", 0.5)),
-                drift=float(params.get("drift", 0.0)),
+                T=T, start=number("start", 0.0), up=number("up", 1.0), down=number("down", -1.0),
+                p_up=number("p_up", 0.5), drift=number("drift", 0.0),
             )
         elif args.kind == "lattice":
             gen, kwargs = gen_lattice, dict(
-                T=int(params["T"]),
-                start=float(params.get("start", 0.0)),
-                steps=[float(v) for v in params["steps"]],
-                probs=[float(v) for v in params["probs"]],
-                drift=float(params.get("drift", 0.0)),
+                T=T,
+                start=number("start", 0.0),
+                steps=[_number(v, "steps", where) for v in params["steps"]],
+                probs=[_number(v, "probs", where) for v in params["probs"]],
+                drift=number("drift", 0.0),
             )
         elif args.kind == "random":
             gen, kwargs = gen_random, dict(
-                T=int(params["T"]),
-                branching=int(params.get("branching", 2)),
-                seed=int(params.get("seed", 0)),
+                T=T,
+                branching=_count(params.get("branching", 2), "branching", where),
+                seed=_count(params.get("seed", 0), "seed", where),
             )
         else:
             raise InvalidParams(f"unknown generator kind {args.kind!r}")
     except KeyError as e:
         raise InvalidParams(f"--params for {args.kind} needs {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
-        raise InvalidParams(f"--params for {args.kind}: {e}") from None
+    except (TypeError, OverflowError) as e:  # steps or probs not a list, or a huge integer
+        raise InvalidParams(f"{where} {e}") from None
     tree = gen(**kwargs)
     save_tree(tree, args.out)
     return 0

@@ -217,7 +217,7 @@ def make_payoff(name: str, params: dict | None, T: int) -> PayoffFunction:
     if name == "linear":
         c = np.asarray(params.get("coeffs", [1.0] * T), dtype=np.float64)
         if c.shape != (T,):
-            raise InvalidParams(f"linear payoff needs {T} coefficients")
+            raise InvalidParams(f"{name!r} needs {T} coefficients")
         return PayoffFunction(
             name, {"coeffs": list(map(float, c))},
             lambda x: x @ c,
@@ -394,15 +394,9 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
     if T < 1:
         raise InvalidParams(f"horizon must be >= 1, got {T}")
 
-    if name == "linear":
-        c = np.asarray(params.get("coeffs", [1.0] * T), dtype=np.float64)
-        if c.shape != (T,):
-            raise InvalidParams(f"linear model needs {T} coefficients")
-        return CostModel(
-            "terminal", name, T, {"coeffs": list(map(float, c))},
-            value_fn=lambda x: x @ c,
-            grad_x_fn=lambda x: np.broadcast_to(c, x.shape).copy(),
-        )
+    if name in ("linear", "softplus_call"):  # the payoffs of the same name
+        g = make_payoff(name, params, T)
+        return CostModel("terminal", name, T, g.params, value_fn=g.value, grad_x_fn=g.grad)
 
     if name == "quadratic_tracking":
         w = np.asarray(params.get("weights", [1.0] * T), dtype=np.float64)
@@ -414,25 +408,6 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
             {"weights": list(map(float, w)), "targets": list(map(float, m))},
             value_fn=lambda x: np.sum(w * (x - m) ** 2, axis=1),
             grad_x_fn=lambda x: 2.0 * w * (x - m),
-        )
-
-    if name == "softplus_call":
-        K = float(params.get("strike", 0.0))
-        beta = float(params.get("sharpness", 1.0))
-        if beta <= 0:
-            raise InvalidParams("softplus sharpness must be positive")
-
-        def sc_value(x):
-            return np.logaddexp(0.0, beta * (x[:, -1] - K)) / beta
-
-        def sc_grad(x):
-            out = np.zeros_like(x)
-            out[:, -1] = _expit(beta * (x[:, -1] - K))
-            return out
-
-        return CostModel(
-            "terminal", name, T, {"strike": K, "sharpness": beta},
-            value_fn=sc_value, grad_x_fn=sc_grad,
         )
 
     if name == "exp_sum":
@@ -579,10 +554,9 @@ def register_cost_model(
         value_fn=value_fn, grad_x_fn=grad_x_fn,
         grad_a_fn=grad_a_fn, hess_a_fn=hess_a_fn,
     )
-    err = audit_derivatives(model, n_draws=200, seed=seed)
+    audit_derivatives(model, n_draws=200, seed=seed)
     if kind == "stopping":
         probe_stopping_measurability(model, n_draws=100, seed=seed)
-    del err
     return model
 
 

@@ -62,10 +62,9 @@ class ValueReport:
 
 def _variable_layout(tree: ScenarioTree):
     """Non-leaf nodes in level order and the per-path variable index matrix."""
-    ids = [nid for t in range(tree.horizon) for nid in tree.levels[t]]
-    pos = np.empty(len(tree.node_prob), dtype=np.int64)
-    pos[ids] = np.arange(len(ids))
-    return ids, pos[tree.ancestor_matrix[:, : tree.horizon]]
+    T = tree.horizon
+    ids = tree.level_order[:tree.level_start[T]].tolist()
+    return ids, tree.level_start[:T] + tree.level_pos[tree.ancestor_matrix[:, :T]]
 
 
 def scatter_sum(idx: np.ndarray, vals: np.ndarray, n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cost_models import CostModel
 from .errors import AmbiguousStopping, InvalidParams, TooLarge
-from .process_tree import ScenarioTree
+from .process_tree import ScenarioTree, _frozen, _memo
 
 ENUM_MAX_POLICIES = 1_000_000
 
@@ -47,40 +47,46 @@ def _stop_values(tree: ScenarioTree, model: CostModel) -> np.ndarray:
     return out
 
 
-def _representative_path(tree: ScenarioTree) -> dict[int, int]:
-    """Map node -> index of one path passing through it."""
-    rep: dict[int, int] = {}
-    for k, path in enumerate(tree.ancestor_matrix.tolist()):
-        for nid in path:
-            rep.setdefault(nid, k)
-    return rep
+def _first_paths(tree: ScenarioTree) -> np.ndarray:
+    """Per node id: the index of the first path through it."""
+    anc = tree.ancestor_matrix
+    first = np.full(len(tree.node_prob), len(anc))
+    np.minimum.at(first, anc.ravel(), np.repeat(np.arange(len(anc)), anc.shape[1]))
+    return _frozen(first)
 
 
 def solve_stopping(
     tree: ScenarioTree, model: CostModel, tol: float = 1e-9
 ) -> tuple[float, StoppingPolicy, SnellTable]:
-    """Backward induction; raises AmbiguousStopping when the margin is <= tol."""
+    """Backward induction; raises AmbiguousStopping when the margin is <= tol.
+
+    Continuation values come one level at a time from
+    :meth:`ScenarioTree.average_children`.  A node's stopping value is read
+    off the first path through it.
+    """
     if model.kind != "stopping":
         raise InvalidParams(f"solve_stopping needs a stopping model, got {model.kind!r}")
     T = tree.horizon
     stop_vals = _stop_values(tree, model)
-    rep = _representative_path(tree)
-    _, time, cond = tree._fields()
-    time, cond = time.tolist(), cond.tolist()
+    anc = tree.ancestor_matrix
+    first = _memo(tree._shared, "first path", lambda: _first_paths(tree))
+    # per node: whether stopping there beats continuing (always, at the horizon)
+    better = np.ones(len(tree.node_prob), dtype=bool)
 
-    envelope: dict[int, float] = {}
+    env = stop_vals[:, T - 1]
+    envelope = dict(zip(tree.leaves, env.tolist()))
     continuation: dict[int, float] = {}
-    for leaf in tree.leaves:
-        envelope[leaf] = float(stop_vals[rep[leaf], T - 1])
     margin = math.inf
     for t in range(T - 1, 0, -1):
-        for nid in tree.levels[t]:
-            cont = sum(cond[c] * envelope[c] for c in tree.children[nid])
-            sv = float(stop_vals[rep[nid], t - 1])
-            continuation[nid] = cont
-            envelope[nid] = min(sv, cont)
-            margin = min(margin, abs(sv - cont))
-    root_cont = sum(cond[c] * envelope[c] for c in tree.children[tree.root])
+        cont = tree.average_children(t, env)
+        ids = tree.level_order[tree.level_start[t]:tree.level_start[t + 1]]
+        sv = stop_vals[first[ids], t - 1]
+        env = np.where(cont < sv, cont, sv)  # min(sv, cont), sv on ties
+        margin = min(margin, float(np.min(np.abs(sv - cont))))
+        better[ids] = sv < cont
+        continuation.update(zip(tree.levels[t], cont.tolist()))
+        envelope.update(zip(tree.levels[t], env.tolist()))
+    root_cont = float(tree.average_children(0, env)[0])
     continuation[tree.root] = root_cont
     envelope[tree.root] = root_cont
 
@@ -90,43 +96,25 @@ def solve_stopping(
             "the optimal stopping time is not unique"
         )
 
-    stop_set: set[int] = set()
-
-    def descend(nid: int) -> None:
-        if time[nid] == T:
-            stop_set.add(nid)
-            return
-        if time[nid] >= 1 and stop_vals[rep[nid], time[nid] - 1] < continuation[nid]:
-            stop_set.add(nid)
-            return
-        for c in tree.children[nid]:
-            descend(c)
-
-    for c in tree.children[tree.root]:
-        descend(c)
-
-    tau: dict[int, int] = {}
-    anc = tree.ancestor_matrix
-    for k, leaf in enumerate(tree.leaves):
-        for t in range(1, T + 1):
-            if int(anc[k, t]) in stop_set:
-                tau[leaf] = t
-                break
-    policy = StoppingPolicy(frozenset(stop_set), tau)
+    # each path stops at its first node where stopping beats continuing
+    taus = np.argmax(better[anc[:, 1:]], axis=1) + 1
+    stop_set = frozenset(anc[np.arange(len(taus)), taus].tolist())
+    policy = StoppingPolicy(stop_set, dict(zip(tree.leaves, taus.tolist())))
     return envelope[tree.root], policy, SnellTable(envelope, continuation, margin)
 
 
 def count_stopping_policies(tree: ScenarioTree) -> int:
     """Number of stopping antichains, capped to avoid overflow."""
     cap = 10 * ENUM_MAX_POLICIES
+    time = tree.time.tolist()
 
     def rec(nid: int) -> int:
-        if tree.nodes[nid].time == tree.horizon:
+        if time[nid] == tree.horizon:
             return 1
         prod = 1
         for c in tree.children[nid]:
             prod = min(cap, prod * rec(c))
-        return prod if tree.nodes[nid].time == 0 else min(cap, prod + 1)
+        return prod if time[nid] == 0 else min(cap, prod + 1)
 
     return rec(tree.root)
 
@@ -146,28 +134,28 @@ def brute_force_stopping(
     T = tree.horizon
     stop_vals = _stop_values(tree, model)
     leaf_pos = {leaf: k for k, leaf in enumerate(tree.leaves)}
+    time = tree.time.tolist()
 
     # contribution of stopping at nid: probability-weighted stage value below it
     contrib: dict[int, float] = {}
 
     def leaves_below(nid: int) -> list[int]:
-        if tree.nodes[nid].time == T:
+        if time[nid] == T:
             return [nid]
         out: list[int] = []
         for c in tree.children[nid]:
             out.extend(leaves_below(c))
         return out
 
-    for nid, nd in enumerate(tree.nodes):
-        if nd.time >= 1:
+    for nid, t in enumerate(time):
+        if t >= 1:
             contrib[nid] = sum(
-                tree.node_prob[leaf] * stop_vals[leaf_pos[leaf], nd.time - 1]
+                tree.node_prob[leaf] * stop_vals[leaf_pos[leaf], t - 1]
                 for leaf in leaves_below(nid)
             )
 
     def enum(nid: int) -> list[tuple[float, frozenset[int]]]:
-        nd = tree.nodes[nid]
-        if nd.time == T:
+        if time[nid] == T:
             return [(contrib[nid], frozenset((nid,)))]
         combos: list[tuple[float, frozenset[int]]] = [(0.0, frozenset())]
         for c in tree.children[nid]:
@@ -175,7 +163,7 @@ def brute_force_stopping(
             combos = [
                 (v0 + v1, s0 | s1) for v0, s0 in combos for v1, s1 in child_opts
             ]
-        if nd.time >= 1:
+        if time[nid] >= 1:
             combos.append((contrib[nid], frozenset((nid,))))
         return combos
 

@@ -11,6 +11,7 @@ process itself.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -68,8 +69,14 @@ def _memo(cache: dict, key, build):
 class ScenarioTree:
     """Immutable rooted tree with one value per non-root node.
 
-    Node ids are their indices in ``nodes``; ``values`` holds the values by
-    id (0.0 at the root).  The structure (children, levels, leaves, node
+    Node ids are their indices in ``nodes``.  The tree holds its nodes as
+    read-only arrays by id: ``parent`` (-1 at the root), ``time``,
+    ``cond_prob`` and ``values`` (0.0 at the root).  Its level layout lists
+    the nodes breadth first: ``level_order`` holds the ids level by level,
+    level t at ``level_order[level_start[t]:level_start[t + 1]]``, and
+    ``level_pos`` gives each node's position in its level; the children of
+    one parent are contiguous there, in ``children`` order.  The structure
+    (these arrays but ``values``, children, levels, leaves, node
     probabilities, ancestor matrix, path probabilities) is computed once at
     construction and shared, with one structure cache, by every tree
     :meth:`with_values` derives from it.  What algorithms derive from a tree
@@ -77,10 +84,11 @@ class ScenarioTree:
     to share between workers.
     """
 
-    __slots__ = (
-        "horizon", "root", "children", "levels", "leaves", "node_prob", "_ancestors",
-        "_template", "_shared", "values", "_paths", "_nodes", "_cache",
+    _STRUCTURE = (
+        "horizon", "root", "children", "levels", "leaves", "node_prob", "parent", "time",
+        "cond_prob", "level_order", "level_pos", "level_start", "_ancestors", "_shared",
     )
+    __slots__ = _STRUCTURE + ("values", "_paths", "_nodes", "_cache")
 
     def __init__(self, horizon: int, nodes: Sequence[Node]):
         if horizon < 1:
@@ -130,14 +138,12 @@ class ScenarioTree:
         order: list[int] = [root]
         node_prob = [0.0] * n
         node_prob[root] = 1.0
-        seen = 1
         for nid in order:
             levels[nodes[nid].time].append(nid)
             for c in children[nid]:
                 node_prob[c] = node_prob[nid] * nodes[c].cond_prob
                 order.append(c)
-                seen += 1
-        if seen != n:
+        if len(order) != n:
             raise InvalidTree("tree contains nodes unreachable from the root")
 
         leaves = levels[horizon]
@@ -151,14 +157,23 @@ class ScenarioTree:
         self.levels = tuple(tuple(lv) for lv in levels)
         self.leaves = tuple(leaves)
         self.node_prob = tuple(node_prob)
-        parent = np.array([root if nd.parent is None else nd.parent for nd in nodes])
+        self.parent = _frozen(np.array([-1 if nd.parent is None else nd.parent for nd in nodes],
+                                       dtype=np.intp))
+        self.cond_prob = _frozen(np.array([nd.cond_prob for nd in nodes], dtype=np.float64))
+        sizes = [len(lv) for lv in levels]
+        self.level_order = _frozen(np.fromiter(order, np.intp, n))
+        self.level_start = _frozen(np.cumsum([0] + sizes))
+        pos, time = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+        pos[self.level_order] = np.arange(n) - np.repeat(self.level_start[:-1], sizes)
+        time[self.level_order] = np.repeat(np.arange(horizon + 1), sizes)
+        self.level_pos, self.time = _frozen(pos), _frozen(time)
         anc = np.empty((len(leaves), horizon + 1), dtype=np.int64)
         anc[:, horizon] = leaves
         for t in range(horizon, 0, -1):
-            anc[:, t - 1] = parent[anc[:, t]]
+            anc[:, t - 1] = self.parent[anc[:, t]]
         self._ancestors = _frozen(anc)
-        self._template = self._nodes = tuple(nodes)
         self._shared: dict = {}
+        self._nodes = None
         probs = _frozen(np.array([node_prob[leaf] for leaf in leaves]))
         self._set_values(np.array([0.0 if nd.value is None else nd.value for nd in nodes]), probs)
 
@@ -183,8 +198,7 @@ class ScenarioTree:
             raise InvalidTree(f"expected {len(self.node_prob)} node values, got shape {v.shape}")
         v[self.root] = 0.0
         out = object.__new__(type(self))
-        for name in ("horizon", "root", "children", "levels", "leaves", "node_prob",
-                     "_ancestors", "_template", "_shared"):
+        for name in self._STRUCTURE:
             setattr(out, name, getattr(self, name))
         out._nodes = None
         out._set_values(v, self._paths.probs)
@@ -214,29 +228,35 @@ class ScenarioTree:
                          for ps in by_size.values())
         return _memo(self._shared, ("groups", t), build)
 
-    def _fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per node id: parent id (-1 at the root), time and conditional
-        probability; cached per structure."""
+    def average_children(self, t: int, v: np.ndarray) -> np.ndarray:
+        """Conditional expectation one level up: ``v`` holds one value or
+        one row per time-(t+1) node, in level order, and the result one per
+        time-t node.
+
+        Each is ``sum(cond_prob[c] * v[c] for c in children)``, added in
+        children order from 0.0: one ``np.bincount`` over the children's
+        parent positions, which adds in index order, since each family is
+        contiguous in its level.
+        """
         def build():
-            nodes = self._template
-            return (_frozen(np.array([-1 if nd.parent is None else nd.parent for nd in nodes],
-                                     dtype=np.intp)),
-                    _frozen(np.array([nd.time for nd in nodes], dtype=np.intp)),
-                    _frozen(np.array([nd.cond_prob for nd in nodes])))
-        return _memo(self._shared, "fields", build)
+            kids = self.level_order[self.level_start[t + 1]:self.level_start[t + 2]]
+            size = int(self.level_start[t + 1] - self.level_start[t])
+            return _frozen(self.level_pos[self.parent[kids]]), _frozen(self.cond_prob[kids]), size
+        at, w, size = _memo(self._shared, ("up", t), build)
+        if v.ndim == 1:
+            return np.bincount(at, weights=w * v, minlength=size)
+        k = v.shape[1]
+        cells = (at[:, None] * k + np.arange(k)).ravel()
+        out = np.bincount(cells, weights=(w[:, None] * v).ravel(), minlength=size * k)
+        return out.reshape(size, k)
 
     # -- structural views ---------------------------------------------------
 
     @property
     def nodes(self) -> tuple[Node, ...]:
-        """The node records; a tree made by :meth:`with_values` builds them
-        on first access."""
+        """The node records, built from the arrays on first access."""
         if self._nodes is None:
-            vals = self.values.tolist()
-            self._nodes = tuple(
-                nd if nd.parent is None else Node(nd.id, nd.time, v, nd.cond_prob, nd.parent)
-                for nd, v in zip(self._template, vals)
-            )
+            self._nodes = _records(self.time, self.values, self.cond_prob, self.parent)
         return self._nodes
 
     @property
@@ -254,36 +274,50 @@ class ScenarioTree:
         return self._ancestors
 
 
+def _records(time, values, cond_prob, parent) -> tuple[Node, ...]:
+    """Node records of per-node arrays, with ids by position."""
+    cols = zip(time.tolist(), values.tolist(), cond_prob.tolist(), parent.tolist())
+    return tuple(Node(k, t, None if par < 0 else v, c, None if par < 0 else par)
+                 for k, (t, v, c, par) in enumerate(cols))
+
+
+def backward_sweep(tree: ScenarioTree, leaf_values: np.ndarray) -> list[np.ndarray]:
+    """E[V | F_t] for t = 0..T of leaf values V, one row per leaf in leaf
+    order (any trailing shape): entry t holds one row per time-t node, in
+    level order, averaged level by level by
+    :meth:`ScenarioTree.average_children`."""
+    out = [np.asarray(leaf_values, dtype=np.float64)]
+    for t in range(tree.horizon - 1, -1, -1):
+        out.append(tree.average_children(t, out[-1]))
+    return out[::-1]
+
+
 def conditional_expectation(
     tree: ScenarioTree, leaf_values: Mapping[int, float], t: int
 ) -> dict[int, float]:
     """Conditional expectation of a leaf function given the time-t filtration.
 
-    Computed by one backward averaging sweep per time step, so applying it at
-    time t and then coarsening to s <= t runs through the same arithmetic as
-    conditioning at s directly.
+    Computed by one backward averaging sweep (:func:`backward_sweep`), so
+    applying it at time t and then coarsening to s <= t runs through the
+    same arithmetic as conditioning at s directly.
     """
+    if isinstance(t, bool) or not isinstance(t, numbers.Integral):
+        raise InvalidParams(f"time must be an integer, got {t!r}")
     if not (0 <= t <= tree.horizon):
         raise InvalidParams(f"time {t} outside 0..{tree.horizon}")
     try:
-        vals = {leaf: float(leaf_values[leaf]) for leaf in tree.leaves}
+        vals = [float(leaf_values[leaf]) for leaf in tree.leaves]
     except KeyError as e:
         raise InvalidParams(f"leaf_values is missing leaf {e.args[0]}") from None
-    for u in range(tree.horizon - 1, t - 1, -1):
-        vals = {
-            nid: sum(tree.nodes[c].cond_prob * vals[c] for c in tree.children[nid])
-            for nid in tree.levels[u]
-        }
-    return {nid: vals[nid] for nid in tree.levels[t]}
+    return dict(zip(tree.levels[t], backward_sweep(tree, vals)[t].tolist()))
 
 
 def pth_moment(tree: ScenarioTree, p: float) -> float:
     """Sum over stages of E|X_t|^p, computed from node probabilities."""
+    vals = tree.values.tolist()
     total = 0.0
     for t in range(1, tree.horizon + 1):
-        total += sum(
-            tree.node_prob[nid] * abs(tree.nodes[nid].value) ** p for nid in tree.levels[t]
-        )
+        total += sum(tree.node_prob[nid] * abs(vals[nid]) ** p for nid in tree.levels[t])
     return total
 
 
@@ -294,15 +328,15 @@ class _Builder:
     """Accumulates nodes in BFS order."""
 
     def __init__(self) -> None:
-        self.nodes: list[Node] = [Node(0, 0, None, 1.0, None)]
+        self.records: list[Node] = [Node(0, 0, None, 1.0, None)]
 
     def add(self, parent: int, time: int, value: float, cond_prob: float) -> int:
-        nid = len(self.nodes)
-        self.nodes.append(Node(nid, time, float(value), float(cond_prob), parent))
+        nid = len(self.records)
+        self.records.append(Node(nid, time, float(value), float(cond_prob), parent))
         return nid
 
     def build(self, horizon: int) -> ScenarioTree:
-        return ScenarioTree(horizon, self.nodes)
+        return ScenarioTree(horizon, self.records)
 
 
 def tree_from_nested(horizon: int, spec: Sequence) -> ScenarioTree:
@@ -339,17 +373,7 @@ def gen_binomial(
         raise InvalidParams(f"p_up must lie in (0, 1), got {p_up}")
     if up == down:
         raise InvalidParams("up and down steps must differ")
-    b = _Builder()
-    frontier = [(0, float(start))]
-    for t in range(1, T + 1):
-        nxt = []
-        for parent, x in frontier:
-            for step, prob in ((up, p_up), (down, 1.0 - p_up)):
-                v = x + drift + step
-                nid = b.add(parent, t, v, prob)
-                nxt.append((nid, v))
-        frontier = nxt
-    return b.build(T)
+    return gen_lattice(T, start, (up, down), (p_up, 1.0 - p_up), drift)
 
 
 def gen_lattice(
@@ -391,14 +415,16 @@ def gen_lattice(
 def gen_random(T: int, branching: int, seed: int) -> ScenarioTree:
     """Deterministic random tree with dyadic transition probabilities.
 
-    Probabilities are multiples of 2^-10 and values are multiples of 2^-20,
-    so families sum to exactly 1.0 in binary64 and repeated calls with one
-    seed reproduce the tree bit for bit.
+    Probabilities are multiples of 2^-10, at least one each, and values are
+    multiples of 2^-20, so families sum to exactly 1.0 in binary64 and
+    repeated calls with one seed reproduce the tree bit for bit.
     """
     if T < 1:
         raise InvalidParams(f"T must be >= 1, got {T}")
-    if branching < 2:
-        raise InvalidParams(f"branching must be >= 2, got {branching}")
+    if not 2 <= branching <= 1024:
+        raise InvalidParams(f"branching must lie in 2..1024, got {branching}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     b = _Builder()
     frontier = [(0, 0.0)]
@@ -423,14 +449,10 @@ def drop_last_stage(tree: ScenarioTree) -> ScenarioTree:
     """Forget the time-T coordinate: old time-(T-1) nodes become leaves."""
     if tree.horizon < 2:
         raise InvalidParams("cannot drop the last stage of a one-period tree")
-    keep = [nd for nd in tree.nodes if nd.time < tree.horizon]
-    remap = {nd.id: k for k, nd in enumerate(keep)}
-    nodes = [
-        Node(remap[nd.id], nd.time, nd.value, nd.cond_prob,
-             None if nd.parent is None else remap[nd.parent])
-        for nd in keep
-    ]
-    return ScenarioTree(tree.horizon - 1, nodes)
+    keep = tree.time < tree.horizon
+    parent = np.where(tree.parent < 0, -1, (np.cumsum(keep) - 1)[tree.parent])
+    cols = (tree.time, tree.values, tree.cond_prob, parent)
+    return ScenarioTree(tree.horizon - 1, _records(*(a[keep] for a in cols)))
 
 
 def is_isomorphic(a: ScenarioTree, b: ScenarioTree) -> bool:
@@ -441,17 +463,19 @@ def is_isomorphic(a: ScenarioTree, b: ScenarioTree) -> bool:
     """
     if a.horizon != b.horizon:
         return False
+    av, bv = a.values.tolist(), b.values.tolist()
+    ac, bc = a.cond_prob.tolist(), b.cond_prob.tolist()
 
     def rec(na: int, nb: int) -> bool:
         ka, kb = a.children[na], b.children[nb]
         if len(ka) != len(kb):
             return False
-        sa = sorted(ka, key=lambda i: a.nodes[i].value)
-        sb = sorted(kb, key=lambda i: b.nodes[i].value)
+        sa = sorted(ka, key=av.__getitem__)
+        sb = sorted(kb, key=bv.__getitem__)
         for ca, cb in zip(sa, sb):
-            if a.nodes[ca].value != b.nodes[cb].value:
+            if av[ca] != bv[cb]:
                 return False
-            if a.nodes[ca].cond_prob != b.nodes[cb].cond_prob:
+            if ac[ca] != bc[cb]:
                 return False
             if not rec(ca, cb):
                 return False

@@ -137,13 +137,11 @@ class _Ascent:
         self.query = query
         self.tree = query.tree
         self.params = AWParams(query.p)
-        self.vnodes = [
-            nid for t in range(1, self.tree.horizon + 1) for nid in self.tree.levels[t]
-        ]
-        self.vpos = np.zeros(len(self.tree.values), dtype=np.int64)  # node id -> index in vnodes
-        self.vpos[self.vnodes] = np.arange(len(self.vnodes))
-        self.vidx = self.vpos[self.tree.ancestor_matrix[:, 1:]]
-        self.vprob = np.array([self.tree.node_prob[nid] for nid in self.vnodes])
+        tree = self.tree
+        # the displaced nodes, in level order, and per path their indices there
+        self.vnodes = tree.level_order[1:]
+        self.vidx = tree.level_start[1:-1] - 1 + tree.level_pos[tree.ancestor_matrix[:, 1:]]
+        self.vprob = np.array(tree.node_prob)[self.vnodes]
         self.last = None  # (shifts bytes, try_solve result) of the last solve
         self.carried = None  # the same for the maximizer seeding this radius
         self.warm = None  # control vector of the last solve, if it kept the structure
@@ -231,8 +229,7 @@ class _Ascent:
     def seed_direction(self, direction: WorstCaseDirection) -> np.ndarray:
         z = np.zeros(len(self.vnodes))
         for t, vals in direction.values.items():
-            for nid, v in vals.items():
-                z[self.vpos[nid]] = v
+            z[self.tree.level_start[t] - 1 + self.tree.level_pos[list(vals)]] = list(vals.values())
         return z
 
     def run_radius(self, r: float, zvec: np.ndarray, extra_seeds: list[np.ndarray], rng):
@@ -342,7 +339,7 @@ def robust_curve(query: RobustQuery) -> RobustCurve:
                 seeded_value=seeded_lb,
                 first_order_value=r * report.first_order,
                 distance=engine.distance(shifts),
-                displacement={nid: float(shifts[kk]) for kk, nid in enumerate(engine.vnodes)},
+                displacement=dict(zip(engine.vnodes.tolist(), shifts.tolist())),
                 converged=converged,
             )
         )

@@ -30,7 +30,7 @@ from .cost_models import CostModel, UtilityModel, build_utility_cost
 from .errors import AwsensError, DeltaTooSmall, FlatStep, InvalidParams, InvalidTree
 from .multistage_opt import ControlBounds, ControlPolicy, solve_value
 from .optimal_stopping import solve_stopping
-from .process_tree import ScenarioTree, conditional_expectation
+from .process_tree import ScenarioTree, backward_sweep
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,9 @@ def _report_from_node_values(
 def _condition_leaf_gradients(
     tree: ScenarioTree, leaf_grads: np.ndarray, p: float, problem_class: str
 ) -> SensitivityReport:
-    node_vals: dict[int, dict[int, float]] = {}
-    for t in range(1, tree.horizon + 1):
-        leaf_map = {leaf: float(leaf_grads[k, t - 1]) for k, leaf in enumerate(tree.leaves)}
-        node_vals[t] = conditional_expectation(tree, leaf_map, t)
+    sweep = backward_sweep(tree, leaf_grads)
+    node_vals = {t: dict(zip(tree.levels[t], sweep[t][:, t - 1].tolist()))
+                 for t in range(1, tree.horizon + 1)}
     return _report_from_node_values(tree, node_vals, p, problem_class)
 
 
@@ -197,19 +196,16 @@ def utility_first_order(
     lp = u.loss.deriv(w_leaf)
     gpath = u.payoff.grad(xs)
 
+    # column 0 conditions l'(W), column t the stage-t term l'(W) d/dx_t g(X)
+    sweep = backward_sweep(tree, np.column_stack([lp, lp[:, None] * gpath]))
+    action = np.zeros(len(tree.node_prob))  # 0.0 at the leaves: a*_{T+1} = 0
+    action[list(rep.policy.values)] = list(rep.policy.values.values())
     node_vals: dict[int, dict[int, float]] = {}
-    leaves = tree.leaves
     for t in range(1, tree.horizon + 1):
-        ce_lp = conditional_expectation(tree, {lf: float(lp[k]) for k, lf in enumerate(leaves)}, t)
-        ce_lpg = conditional_expectation(
-            tree, {lf: float(lp[k] * gpath[k, t - 1]) for k, lf in enumerate(leaves)}, t
-        )
-        vals: dict[int, float] = {}
-        for nid in tree.levels[t]:
-            a_next = rep.policy.values[nid] if t < tree.horizon else 0.0
-            a_cur = rep.policy.values[tree.nodes[nid].parent]
-            vals[nid] = ce_lpg[nid] + (a_cur - a_next) * ce_lp[nid]
-        node_vals[t] = vals
+        ids = tree.level_order[tree.level_start[t]:tree.level_start[t + 1]]
+        step = action[tree.parent[ids]] - action[ids]
+        vals = sweep[t][:, t] + step * sweep[t][:, 0]
+        node_vals[t] = dict(zip(tree.levels[t], vals.tolist()))
     return _report_from_node_values(tree, node_vals, p, "utility"), rep.policy
 
 
@@ -266,10 +262,9 @@ def displace(tree: ScenarioTree, values, delta: float):
         raise DeltaTooSmall(
             "shifted sibling values collide and delta = 0 leaves nothing to separate them"
         )
-    parent, time, _ = tree._fields()
     coupling, out = _bicausalize_pairs(
-        tree, parent.tolist(), time.tolist(), list(range(len(parent))), values.tolist(),
-        list(tree.node_prob), delta,
+        tree, tree.parent.tolist(), tree.time.tolist(), list(range(len(values))),
+        values.tolist(), list(tree.node_prob), delta,
     )
     return out, coupling
 
@@ -320,9 +315,9 @@ def perturbed_model_with_coupling(
     delta_used = delta
     if coupling is None:  # the identity coupling is bicausal
         delta_used = 0.0
-        parent, time, cond = tree._fields()
-        ids = np.arange(len(parent))
-        coupling = CouplingTree._from_arrays(tree, out, parent, time, ids, ids, cond)
+        ids = np.arange(len(tree.parent))
+        coupling = CouplingTree._from_arrays(tree, out, tree.parent, tree.time, ids, ids,
+                                             tree.cond_prob)
 
     if verify:
         norm = direction.norm_check ** (1.0 / direction.p) if direction.norm_check > 0 else 1.0

@@ -286,6 +286,17 @@ def test_exit_codes(tmp_path, capsys):
     ("binomial", "{not json", "not valid JSON"),
     ("binomial", json.dumps({"start": 0.0}), "'T'"),
     ("lattice", json.dumps({"T": 1, "steps": 1.0, "probs": [0.5, 0.5]}), "lattice"),
+    # counts are neither negative, fractional nor boolean; numbers are not strings
+    ("random", json.dumps({"T": 2, "seed": -1}), "'seed'"),
+    ("random", json.dumps({"T": 1, "branching": 2000}), "branching"),
+    ("random", json.dumps({"T": 1, "branching": 1e30}), "branching"),
+    ("random", json.dumps({"T": 1, "branching": 2.5}), "'branching'"),
+    ("binomial", json.dumps({"T": 2.7}), "'T'"),
+    ("binomial", json.dumps({"T": True}), "'T'"),
+    ("binomial", json.dumps({"T": 2, "up": "1e3"}), "'up'"),
+    ("binomial", '{"T": 2, "up": 1' + "0" * 400 + "}", "binomial"),
+    ("lattice", json.dumps({"T": 1, "steps": [1, True], "probs": [0.5, 0.5]}), "'steps'"),
+    ("lattice", json.dumps({"T": 1, "steps": [1, -1], "probs": [0.5, "0.5"]}), "'probs'"),
 ])
 def test_malformed_gen_params_are_invalid_params(tmp_path, capsys, kind, params, needle):
     code, _, err = run_cli(capsys, "gen", "--kind", kind, "--params", params,

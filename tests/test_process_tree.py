@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awsens import (
+    AmbiguousStopping,
+    ControlBounds,
+    FlatStep,
     InvalidParams,
     InvalidTree,
     Node,
@@ -16,9 +19,17 @@ from awsens import (
     gen_lattice,
     gen_random,
     is_isomorphic,
+    make_cost_model,
+    make_utility_model,
     pth_moment,
+    sensitivity_control,
+    sensitivity_stopping,
+    sensitivity_terminal,
+    solve_stopping,
     tree_from_nested,
+    utility_first_order,
 )
+from awsens.sensitivity import leaf_gradients
 
 
 def test_single_path_tree():
@@ -77,6 +88,14 @@ def test_cond_exp_martingale_binomial():
 def test_cond_exp_missing_leaf_raises(iid_signs):
     with pytest.raises(InvalidParams):
         conditional_expectation(iid_signs, {iid_signs.leaves[0]: 1.0}, 1)
+
+
+@pytest.mark.parametrize("t", [1.5, 1.0, True, False, "1", None, -1, 3])
+def test_cond_exp_time_must_be_an_integer_in_range(iid_signs, t):
+    leaf_values = {lf: 1.0 for lf in iid_signs.leaves}
+    with pytest.raises(InvalidParams):
+        conditional_expectation(iid_signs, leaf_values, t)
+    assert conditional_expectation(iid_signs, leaf_values, np.int64(1)) == {1: 1.0, 4: 1.0}
 
 
 @given(seed=st.integers(0, 10_000))
@@ -182,6 +201,12 @@ def test_gen_lattice_invalid_params():
         gen_lattice(T=1, start=0.0, steps=[1.0, -1.0], probs=[0.6, 0.6])
     with pytest.raises(InvalidParams):
         gen_random(T=1, branching=1, seed=0)
+    # probabilities are multiples of 2^-10, at least one each
+    with pytest.raises(InvalidParams, match="branching"):
+        gen_random(T=1, branching=1025, seed=0)
+    with pytest.raises(InvalidParams, match="seed"):
+        gen_random(T=1, branching=2, seed=-1)
+    assert gen_random(T=1, branching=1024, seed=0).paths.probs.tolist() == [2.0**-10] * 1024
 
 
 @pytest.mark.parametrize("steps, probs", [
@@ -277,6 +302,9 @@ def _shaped_trees(draw):
     return tree_from_nested(horizon, family(1))
 
 
+_NODE_ARRAYS = ("parent", "time", "cond_prob", "level_order", "level_pos", "level_start")
+
+
 def _public_views(tree):
     return (
         tree.horizon, tree.root, tree.children, tree.levels, tree.leaves, tree.node_prob,
@@ -315,9 +343,14 @@ def test_with_values_matches_the_validating_constructor(tree, data):
         return
     assert got._nodes is None  # Node records wait for the first access
     assert _public_views(got) == _public_views(want)
-    # the structure is shared, not copied
-    for name in ("children", "levels", "leaves", "node_prob", "ancestor_matrix"):
+    for name in _NODE_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    # the structure is shared, not copied, and its arrays are read-only
+    for name in ("children", "levels", "leaves", "node_prob", "ancestor_matrix") + _NODE_ARRAYS:
         assert getattr(got, name) is getattr(tree, name)
+    for name in _NODE_ARRAYS + ("values",):
+        with pytest.raises(ValueError):
+            getattr(got, name)[0] = 0
     assert got.paths.probs is tree.paths.probs
 
 
@@ -353,3 +386,181 @@ def test_with_values_copies_its_input(iid_signs):
     values[1] = 99.0
     assert moved.values[1] == 3.0 and moved.paths.values.max() == 3.0
     assert iid_signs.values[1] == 1.0
+
+
+# -- the array sweep against the dict references ------------------------------
+
+
+def _reference_conditional_expectation(tree, leaf_values, t):
+    """The dict sweep the array sweep replaced.  Each family sum is a left
+    fold from 0.0, which is what ``sum`` computed on floats before Python
+    3.12 made it compensated."""
+    vals = {leaf: float(leaf_values[leaf]) for leaf in tree.leaves}
+    for u in range(tree.horizon - 1, t - 1, -1):
+        nxt = {}
+        for nid in tree.levels[u]:
+            acc = 0.0
+            for c in tree.children[nid]:
+                acc += tree.nodes[c].cond_prob * vals[c]
+            nxt[nid] = acc
+        vals = nxt
+    return {nid: vals[nid] for nid in tree.levels[t]}
+
+
+def _reference_snell(tree, model):
+    """The node-by-node Snell recursion and stopping rule the array sweep
+    replaced: ``(value, stop_set, tau, envelope, continuation, margin)``."""
+    T = tree.horizon
+    xs = tree.paths.values
+    stop_vals = np.empty((xs.shape[0], T))
+    for t in range(1, T + 1):
+        stop_vals[:, t - 1] = model.value_fn(xs, t)
+    rep = {}
+    for k, path in enumerate(tree.ancestor_matrix.tolist()):
+        for nid in path:
+            rep.setdefault(nid, k)
+    cond = [nd.cond_prob for nd in tree.nodes]
+    envelope, continuation = {}, {}
+    for leaf in tree.leaves:
+        envelope[leaf] = float(stop_vals[rep[leaf], T - 1])
+    margin = math.inf
+    for t in range(T - 1, -1, -1):
+        for nid in tree.levels[t]:
+            cont = 0.0
+            for c in tree.children[nid]:
+                cont += cond[c] * envelope[c]
+            continuation[nid] = cont
+            if t == 0:
+                envelope[nid] = cont
+                continue
+            sv = float(stop_vals[rep[nid], t - 1])
+            envelope[nid] = min(sv, cont)
+            margin = min(margin, abs(sv - cont))
+    stop_set = set()
+
+    def descend(nid):
+        t = tree.nodes[nid].time
+        if t == T or stop_vals[rep[nid], t - 1] < continuation[nid]:
+            stop_set.add(nid)
+            return
+        for c in tree.children[nid]:
+            descend(c)
+
+    for c in tree.children[tree.root]:
+        descend(c)
+    tau = {}
+    for k, leaf in enumerate(tree.leaves):
+        tau[leaf] = next(t for t in range(1, T + 1)
+                         if int(tree.ancestor_matrix[k, t]) in stop_set)
+    return envelope[tree.root], stop_set, tau, envelope, continuation, margin
+
+
+def _bits(d):
+    """A float dict as (key, hex) pairs in its order: tells -0.0 from 0.0."""
+    return [(k, v.hex()) for k, v in d.items()]
+
+
+def _reference_cond_grads(tree, grads):
+    return {t: _reference_conditional_expectation(
+        tree, {lf: float(grads[k, t - 1]) for k, lf in enumerate(tree.leaves)}, t)
+        for t in range(1, tree.horizon + 1)}
+
+
+def _assert_cond_grads(report, want):
+    assert list(report.cond_grads) == list(want)
+    for t in want:
+        assert _bits(report.cond_grads[t]) == _bits(want[t])
+
+
+@st.composite
+def _sweep_trees(draw):
+    """``gen_random``, ``gen_lattice`` or mixed-family-size trees, with
+    signed zeros moved into some families' values."""
+    kind = draw(st.sampled_from(["random", "lattice", "shaped"]))
+    if kind == "random":
+        tree = gen_random(draw(st.integers(1, 3)), draw(st.integers(2, 4)),
+                          draw(st.integers(0, 10_000)))
+    elif kind == "lattice":
+        steps = draw(st.lists(st.sampled_from([-1.5, -1.0, -0.5, 0.5, 1.0, 2.0]),
+                              min_size=2, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(1, 7), min_size=len(steps), max_size=len(steps)))
+        probs = [w / sum(weights) for w in weights]
+        probs[-1] = 1.0 - math.fsum(probs[:-1])
+        tree = gen_lattice(draw(st.integers(1, 3)), draw(st.sampled_from([0.0, 0.5])),
+                           steps, probs)
+    else:
+        tree = draw(_shaped_trees())
+    values = tree.values.copy()
+    for kids in tree.children:
+        k = draw(st.integers(-1, len(kids) - 1))
+        if k >= 0:
+            others = [c for c in kids if c != kids[k]]
+            # a sibling already at zero moves above the family, away from zero
+            values[[c for c in others if values[c] == 0.0]] = abs(max(values[others], default=0.0)) + 1.0
+            values[kids[k]] = draw(st.sampled_from([0.0, -0.0]))
+    return tree.with_values(values)
+
+
+@given(tree=_sweep_trees(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_array_sweep_matches_the_dict_references_bit_for_bit(tree, data):
+    T = tree.horizon
+    pool = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-8.0, 8.0, width=32))
+    leaf_vals = data.draw(st.lists(pool, min_size=len(tree.leaves), max_size=len(tree.leaves)))
+    leaf_map = dict(zip(tree.leaves, leaf_vals))
+    for t in range(T + 1):
+        got = conditional_expectation(tree, leaf_map, t)
+        assert _bits(got) == _bits(_reference_conditional_expectation(tree, leaf_map, t))
+
+    # terminal: signed-zero coefficients put signed zeros among the leaf gradients
+    coeffs = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.75, -1.25]), min_size=T, max_size=T))
+    for model in (make_cost_model("linear", {"coeffs": coeffs}, T),
+                  make_cost_model("quadratic_tracking", None, T)):
+        report = sensitivity_terminal(tree, model, 2.0)
+        _assert_cond_grads(report, _reference_cond_grads(tree, leaf_gradients(tree, model, None)))
+
+    # stopping: the whole Snell table, ties included (tol = -1 never refuses)
+    stop = make_cost_model("markov_payoff", {"g": {"name": "identity"}}, T)
+    value, policy, table = solve_stopping(tree, stop, tol=-1.0)
+    ref_value, ref_set, ref_tau, ref_env, ref_cont, ref_margin = _reference_snell(tree, stop)
+    assert value.hex() == ref_value.hex()
+    assert _bits(table.envelope) == _bits(ref_env)
+    assert _bits(table.continuation) == _bits(ref_cont)
+    assert table.uniqueness_margin == ref_margin
+    assert policy.stop_set == ref_set and list(policy.tau.items()) == list(ref_tau.items())
+    try:
+        report, tau = sensitivity_stopping(tree, stop, 2.0)
+    except AmbiguousStopping:
+        assert ref_margin <= 1e-9
+    else:
+        _assert_cond_grads(report, _reference_cond_grads(
+            tree, leaf_gradients(tree, stop, policy)))
+
+    # controlled: the control route and the hedging formula's two sweeps
+    bounds = ControlBounds(5.0)
+    report, control = sensitivity_control(
+        tree, make_cost_model("quadratic_control", None, T), bounds, 2.0)
+    _assert_cond_grads(report, _reference_cond_grads(
+        tree, leaf_gradients(tree, make_cost_model("quadratic_control", None, T), control)))
+    u = make_utility_model({"loss": {"name": "quadratic"}, "payoff": {"name": "mean"},
+                            "x0": 0.125}, T)
+    try:
+        report, control = utility_first_order(tree, u, bounds, 2.0)
+    except FlatStep:
+        return
+    xs = tree.paths.values
+    lagged = np.concatenate([np.full((xs.shape[0], 1), u.x0), xs[:, :-1]], axis=1)
+    lp = u.loss.deriv(u.payoff.value(xs)
+                      + np.sum(control.path_matrix(tree) * (xs - lagged), axis=1))
+    gpath = u.payoff.grad(xs)
+    want = {}
+    for t in range(1, T + 1):
+        ce_lp = _reference_conditional_expectation(tree, dict(zip(tree.leaves, lp.tolist())), t)
+        ce_lpg = _reference_conditional_expectation(
+            tree, {lf: float(lp[k] * gpath[k, t - 1]) for k, lf in enumerate(tree.leaves)}, t)
+        want[t] = {}
+        for nid in tree.levels[t]:
+            a_next = control.values[nid] if t < T else 0.0
+            a_cur = control.values[tree.nodes[nid].parent]
+            want[t][nid] = ce_lpg[nid] + (a_cur - a_next) * ce_lp[nid]
+    _assert_cond_grads(report, want)
