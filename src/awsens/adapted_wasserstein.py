@@ -10,13 +10,12 @@ bicausal by construction.
 Node pairs are solved per pair of family sizes, in chunks.  At the last
 stage the cost is |x - y|^p alone, so every pair of child families is a
 sorted 1-d problem, solved by the lockstep north-west-corner kernel.
-Interior stages add the children's values, which breaks submodularity:
-pairs of 2-child families take the closed-form 2 x 2 transportation
-simplex, one batch per level, and every other shape runs the simplex per
-node pair.  The closed form repeats the simplex's arithmetic and never
-needs a second pivot, so it equals the simplex bit for bit.  Each chunk's
-costs are one gather, and the transport checks run once per size class
-and chunk rather than per pair.  One recursion serves two entries:
+Interior stages add the children's values, which breaks submodularity: a
+chunk of at least ``_SIMPLEX_BATCH_MIN`` pairs runs the transportation
+simplex in lockstep, a smaller one per node pair, and both give the same
+bits.  Each chunk's costs are one gather, and the transport checks run
+once per size class and chunk rather than per pair.  One recursion
+serves two entries:
 :func:`aw_distance` (distance, per-stage costs, coupling) and the
 distance-only :func:`aw_pth_power`, which keeps no plans.  Batching never
 changes a summation order: each objective is summed over the row-major
@@ -42,8 +41,8 @@ from .discrete_ot import (
     check_weights,
     solve_exact,
     sorted_1d_batch_core,
-    transport_2x2_batch,
     transport_simplex,
+    transport_simplex_batch,
 )
 from .errors import (
     DeltaTooSmall,
@@ -60,8 +59,11 @@ Direction = Literal["x_to_y", "y_to_x"]
 
 ORACLE_MAX_PAIRS = 10_000
 ORACLE_MAX_HORIZON = 3
-# plan cells per batched last-stage solve; bounds the kernel's temporaries
+# plan cells per batched solve, or tree-mask cells, (m + n)^2 per problem, for
+# the simplex; bounds the kernels' temporaries
 _BATCH_CELLS = 1 << 18
+# interior pairs per chunk from which the lockstep simplex beats per-pair solves
+_SIMPLEX_BATCH_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -481,15 +483,16 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
     time-(t+1) pairs (None at the last stage), by level positions.
 
     The pairs are solved per pair of size classes of :func:`_size_classes`
-    and in chunks of about ``_BATCH_CELLS`` plan cells.  At the last stage
+    and in chunks of about ``_BATCH_CELLS`` cells.  At the last stage
     the cost is the stage cost alone, submodular on sorted atoms, so one
     lockstep north-west-corner solve serves a chunk.  Interior stages add
     the children's values to the stage cost, which breaks submodularity:
     a chunk's costs are one gather, checked for finiteness once, and the
-    second marginal is rescaled as :func:`solve_exact` rescales it.  Pairs
-    of 2-child families take the closed-form 2 x 2 simplex of
-    :func:`transport_2x2_batch`, every other shape the transportation
-    simplex per pair.  With ``kept`` given, the plans of the pairs of
+    second marginal is rescaled as :func:`solve_exact` rescales it.  A
+    chunk of at least ``_SIMPLEX_BATCH_MIN`` pairs runs the lockstep
+    simplex of :func:`transport_simplex_batch`, which equals the
+    per-pair :func:`transport_simplex` bit for bit and below that size
+    is slower than it.  With ``kept`` given, the plans of the pairs of
     families in classes ``a`` and ``b`` are kept, with the children in tree
     order, as one array ``kept[a, b]`` of shape (F, m, n): the pair of rows
     ``i`` and ``j`` is plan ``i * len(class b) + j``.
@@ -502,7 +505,7 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
         m = xw.shape[1]
         for b, (yat, ykids, ybelow, yw, ysum) in enumerate(yfam):
             cy, n = yw.shape
-            step = max(1, _BATCH_CELLS // (cy * m * n))
+            step = max(1, _BATCH_CELLS // (cy * (m * n if value is None else (m + n) ** 2)))
             for lo in range(0, len(xat), step):
                 bx = slice(lo, lo + step)
                 cx = len(xat[bx])
@@ -519,11 +522,10 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
                             + value[xbelow[bx][:, None, :, None], ybelow[None, :, None, :]])
                     cost = cost.reshape(cx * cy, m, n)
                     check_cost(cost)
-                    if m == n == 2:
-                        ratio = (xsum[bx][:, None] / ysum[None, :]).reshape(-1)
-                        plan, obj, _ = transport_2x2_batch(
-                            np.repeat(xw[bx], cy, axis=0), np.tile(yw, (cx, 1)) * ratio[:, None],
-                            cost)
+                    if len(cost) >= _SIMPLEX_BATCH_MIN:
+                        ratio = (xsum[bx][:, None] / ysum[None, :]).reshape(-1, 1)
+                        plan, obj, _, _ = transport_simplex_batch(
+                            np.repeat(xw[bx], cy, axis=0), np.tile(yw, (cx, 1)) * ratio, cost)
                     else:
                         plan, obj = _per_pair(xw[bx], xsum[bx], yw, ysum, cost, kept is not None)
                 level[np.ix_(xat[bx], yat)] = obj.reshape(cx, cy)
@@ -551,7 +553,7 @@ def _per_pair(xw, xsum, yw, ysum, cost, keep: bool):
     for mu, s in zip(xw.tolist(), xsum.tolist()):
         for nu, u in zip(yl, ys):
             ratio = s / u
-            plan, obj[k], _, _ = transport_simplex(mu, [w * ratio for w in nu], cost[k])
+            plan, obj[k], *_ = transport_simplex(mu, [w * ratio for w in nu], cost[k])
             if keep:
                 plans[k] = plan
             k += 1
@@ -589,13 +591,12 @@ def aw_distance(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> AWResult:
 
     The last stage has no value-function addend, so all its family pairs
     are solved at once by the monotone 1-d kernel, grouped by family size;
-    interior stages solve the full transport problem, in one closed-form
-    batch per level for pairs of 2-child families and per node pair for
-    every other shape (see :func:`_stage`).  Every sum runs in the order of
-    the per-pair solvers (``np.vdot`` over the row-major plan), so the
-    distance, plans and coupling do not depend on the batching.  The plan
-    cells above 1e-15 of the pairs reached from the root then become the
-    coupling's pair arrays, level by level.
+    interior stages solve the full transport problem by the simplex, in
+    lockstep batches or per node pair (see :func:`_stage`).  Every sum runs
+    in the order of the per-pair solvers (``np.vdot`` over the row-major
+    plan), so the distance, plans and coupling do not depend on the
+    batching.  The plan cells above 1e-15 of the pairs reached from the
+    root then become the coupling's pair arrays, level by level.
     """
     p = params.p
     plans: dict = {}

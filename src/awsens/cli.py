@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -150,9 +151,10 @@ DEFAULT_RADII = (1e-4, 1e-3, 1e-2, 1e-1)  # ascending, as RobustQuery requires
 
 
 def _number(v, name: str, where: str = "config") -> float:
-    """A numeric config or params field: a JSON number, never a boolean or a string."""
-    if not _is_number(v):
-        raise InvalidParams(f"{where} {name!r} must be a number, got {v!r}")
+    """A numeric config or params field: a finite JSON number, never a
+    boolean, a string, NaN or an infinity (which Python's ``json`` reads)."""
+    if not (_is_number(v) and math.isfinite(v)):
+        raise InvalidParams(f"{where} {name!r} must be a finite number, got {v!r}")
     return float(v)
 
 

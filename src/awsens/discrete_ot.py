@@ -7,26 +7,17 @@ pricing and lexicographic leaving-cell tie-breaking (with a Bland fallback
 after long degenerate runs).  Dual potentials come out of the spanning-tree
 basis for free, which gives the complementary-slackness certificate.
 
-The basis tree and its potentials are kept across pivots: the entering
-cell's cycle is read off the parent links, and a pivot recomputes the
-potentials and reduced costs of the subtree that the leaving cell cuts off
-and nothing else.  Every other value is exactly what a rebuild would give,
-so plans, objectives, potentials and bases equal those of the simplex that
-rebuilds its tree at every pivot, bit for bit.
-
-A 2 x 2 problem needs at most one pivot, so :func:`transport_2x2_batch`
-runs the simplex on many of them at once in closed form: the same
-north-west start, pricing, pivot and clip, vectorised, with plans,
-objectives and pivot decisions equal to :func:`transport_simplex` bit for
-bit (its docstring has the proof).
-
-:func:`solve_exact` checks a :class:`TransportProblem` and runs the core,
-:func:`transport_simplex`; :func:`solve_sorted_1d_batch` checks its weights
-and runs :func:`sorted_1d_batch_core`.  The adapted-distance recursion calls
-the cores directly, after running the same checks (:func:`check_weights`,
-:func:`check_cost`) once per size class of child families and once per
-batch of costs.  A simplex that exceeds its pivot budget raises
-``MaxIterations``.
+:func:`transport_simplex` solves one problem;
+:func:`transport_simplex_batch` runs the same simplex on many problems of
+one shape in lockstep, one vectorised pivot round for all of them, and
+equals it bit for bit (its docstring has the argument).
+:func:`solve_exact` checks a :class:`TransportProblem` and runs the
+former; :func:`solve_sorted_1d_batch` checks its weights and runs
+:func:`sorted_1d_batch_core`, whose north-west walk the batched simplex
+shares.  The adapted-distance recursion calls the cores directly, after
+running the same checks (:func:`check_weights`, :func:`check_cost`) once
+per size class of child families and once per batch of costs.  A simplex
+that exceeds its pivot budget raises ``MaxIterations``.
 """
 
 from __future__ import annotations
@@ -108,20 +99,12 @@ class TransportPlan:
 # node's path to the root.
 
 
-def _northwest_corner(mu: Sequence[float], nu: Sequence[float], C: list[list[float]]):
-    """Initial basic feasible solution and its basis tree.
-
-    Returns the m+n-1 cells, their masses, and per node its parent, depth
-    and potential.  Each cell joins one new row or column to the staircase,
-    hung from the node it meets.
-    """
+def _northwest_corner(mu: Sequence[float], nu: Sequence[float]):
+    """The initial basic feasible solution: its m + n - 1 cells, each
+    joining one new row or column to the staircase, and their masses."""
     m, n = len(mu), len(nu)
     cells: list[tuple[int, int]] = []
     masses: list[float] = []
-    parent = [-1] * (m + n)
-    depth = [0] * (m + n)
-    pot = [0.0] * (m + n)
-    parent[m], depth[m], pot[m] = 0, 1, C[0][0] - pot[0]
     a = list(mu)
     b = list(nu)
     i = j = 0
@@ -132,15 +115,31 @@ def _northwest_corner(mu: Sequence[float], nu: Sequence[float], C: list[list[flo
         a[i] -= w
         b[j] -= w
         if i == m - 1 and j == n - 1:
-            break
+            return cells, masses
         # advance exactly one pointer per step so the basis stays a tree
         if (a[i] <= b[j] and i < m - 1) or j == n - 1:
             i += 1
-            parent[i], depth[i], pot[i] = m + j, depth[m + j] + 1, C[i][j] - pot[m + j]
         else:
             j += 1
-            parent[m + j], depth[m + j], pot[m + j] = i, depth[i] + 1, C[i][j] - pot[i]
-    return cells, masses, parent, depth, pot
+
+
+def _tree(C: list[list[float]], cells, m: int, n: int):
+    """Per node of the basis tree on ``cells``, hung from row 0: its parent
+    (-1 at the root), depth and potential."""
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    for i, j in cells:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        for l in adj[k]:
+            if l != parent[k]:
+                parent[l], depth[l] = k, depth[k] + 1
+                pot[l] = C[k][l - m] - pot[k] if k < m else C[l][k - m] - pot[k]
+                stack.append(l)
+    return parent, depth, pot
 
 
 def _dense(cells: Sequence[tuple[int, int]], masses: Sequence[float], m: int, n: int):
@@ -151,62 +150,30 @@ def _dense(cells: Sequence[tuple[int, int]], masses: Sequence[float], m: int, n:
     return plan
 
 
-def _hang(C, adj, parent, depth, pot, m: int, s: int) -> list[int]:
-    """Parent links, depths and potentials of the tree nodes below ``s``.
-
-    ``adj`` lists each node's basis neighbours; ``s`` must already carry
-    its parent, depth and potential.  Returns the nodes visited, ``s`` first.
-    """
-    seen = [s]
-    stack = [s]
-    while stack:
-        k = stack.pop()
-        pk = parent[k]
-        dk = depth[k] + 1
-        for l in adj[k]:
-            if l != pk:
-                parent[l] = k
-                depth[l] = dk
-                pot[l] = C[k][l - m] - pot[k] if k < m else C[l][k - m] - pot[k]
-                stack.append(l)
-                seen.append(l)
-    return seen
-
-
 def transport_simplex(mu: list[float], nu: list[float], cost: np.ndarray):
     """Transportation simplex from the north-west corner.
 
     ``mu`` and ``nu`` are lists of floats with equal total mass and
     ``cost`` is a float64 matrix; none of them is checked here.  Returns the
     clipped plan, its objective, the potentials ``[u_0..u_{m-1},
-    v_0..v_{n-1}]`` and the basis cells.
-
-    The basis tree is kept across pivots.  The entering cell's cycle is read
-    off the parent links, and a pivot re-hangs only the subtree that the
-    leaving cell cuts off: every other node keeps its root path, so its
-    potential, and every reduced cost outside the subtree's rows and
-    columns, is the value a rebuild from scratch would give.
+    v_0..v_{n-1}]``, the basis cells, the pivots taken and the switches to
+    Bland's rule.  Each pivot hangs the basis tree from row 0 afresh and
+    reads the entering cell's cycle off its parent links.
     """
     m, n = cost.shape
     C = cost.tolist()
-    cells, masses, parent, depth, pot = _northwest_corner(mu, nu, C)
+    cells, masses = _northwest_corner(mu, nu)
     flow = dict(zip(cells, masses))
-    adj: list[list[int]] = [[] for _ in range(m + n)]
-    for i, j in cells:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    U = np.array(pot[:m])
-    V = np.array(pot[m:])
-    red = cost - U[:, None] - V[None, :]
-    for c in cells:
-        red[c] = 0.0
-    scale = 1.0 + max(map(abs, itertools.chain.from_iterable(C)))
-    tol = 1e-11 * scale
-    degenerate_run = 0
+    tol = 1e-11 * (1.0 + max(map(abs, itertools.chain.from_iterable(C))))
+    degenerate_run = pivots = switches = 0
     bland = False
     base, per_cell = _PIVOT_BUDGET
     max_iter = base + per_cell * m * n
-    for _ in range(max_iter):
+    for pivots in range(max_iter):
+        parent, depth, pot = _tree(C, flow, m, n)
+        u_v = np.array(pot)
+        red = cost - u_v[:m, None] - u_v[m:]
+        red[tuple(zip(*flow))] = 0.0
         if bland:
             cand = np.flatnonzero(red < -tol)
             if cand.size == 0:
@@ -220,17 +187,13 @@ def transport_simplex(mu: list[float], nu: list[float], cost: np.ndarray):
         # the cycle is the tree path row i0 -> column j0, closed by the entering cell
         a, b = i0, m + j0
         up_a, up_b = [a], [b]
-        while depth[a] > depth[b]:
-            a = parent[a]
-            up_a.append(a)
-        while depth[b] > depth[a]:
-            b = parent[b]
-            up_b.append(b)
-        while a != b:
-            a = parent[a]
-            up_a.append(a)
-            b = parent[b]
-            up_b.append(b)
+        while a != b:  # climb the deeper end, until both meet
+            if depth[a] >= depth[b]:
+                a = parent[a]
+                up_a.append(a)
+            else:
+                b = parent[b]
+                up_b.append(b)
         path = up_a + up_b[-2::-1]
         steps = [(x, y - m) if x < m else (y, x - m) for x, y in zip(path, path[1:])]
         minus = steps[0::2]  # these lose mass when the entering cell gains
@@ -242,42 +205,11 @@ def transport_simplex(mu: list[float], nu: list[float], cost: np.ndarray):
         for c in minus:
             flow[c] -= theta
         del flow[leave]
-        li, lj = leave
-        adj[li].remove(m + lj)
-        adj[m + lj].remove(li)
-        adj[i0].append(m + j0)
-        adj[m + j0].append(i0)
-        # the leaving cell cuts off the side of the path that holds it
-        if 2 * minus.index(leave) < len(up_a) - 1:
-            s, o = i0, m + j0
-        else:
-            s, o = m + j0, i0
-        parent[s] = o
-        depth[s] = depth[o] + 1
-        pot[s] = C[i0][j0] - pot[o]
-        moved = _hang(C, adj, parent, depth, pot, m, s)
-        rows = [k for k in moved if k < m]
-        cols = [k - m for k in moved if k >= m]
-        for i in rows:
-            U[i] = pot[i]
-        for j in cols:
-            V[j] = pot[m + j]
-        # one row or column by a view, several by one gather
-        if len(rows) == 1:
-            red[rows[0]] = cost[rows[0]] - U[rows[0]] - V
-        elif rows:
-            red[rows] = cost[rows] - U[rows][:, None] - V[None, :]
-        if len(cols) == 1:
-            red[:, cols[0]] = cost[:, cols[0]] - U - V[cols[0]]
-        elif cols:
-            red[:, cols] = cost[:, cols] - U[:, None] - V[cols][None, :]
-        for k in moved:
-            for l in adj[k]:
-                red[(k, l - m) if k < m else (l, k - m)] = 0.0
         if theta == 0.0:
             degenerate_run += 1
-            if degenerate_run >= _BLAND_TRIGGER:
+            if degenerate_run >= _BLAND_TRIGGER and not bland:
                 bland = True
+                switches += 1
         else:
             degenerate_run = 0
             bland = False
@@ -286,23 +218,16 @@ def transport_simplex(mu: list[float], nu: list[float], cost: np.ndarray):
     keys = list(flow)
     plan = _dense(keys, [flow[c] for c in keys], m, n)
     np.maximum(plan, 0.0, out=plan)  # np.clip(plan, 0.0, None), without its wrapper
-    return plan, float(np.vdot(plan, cost)), pot, keys
+    return plan, float(np.vdot(plan, cost)), pot, keys, pivots, switches
 
 
 def solve_exact(prob: TransportProblem) -> TransportPlan:
     """Optimal vertex of the transportation polytope for an arbitrary cost."""
-    mu = prob.mu
+    m = prob.mu.size
     # rescale the second marginal so both sides carry identical total mass
     nu = prob.nu * (prob.mu.sum() / prob.nu.sum())
-    plan, objective, pot, basis = transport_simplex(mu.tolist(), nu.tolist(), prob.cost)
-    m = mu.size
-    return TransportPlan(
-        plan=plan,
-        objective=objective,
-        row_potentials=np.array(pot[:m]),
-        col_potentials=np.array(pot[m:]),
-        basis=tuple(sorted(basis)),
-    )
+    plan, objective, pot, basis, *_ = transport_simplex(prob.mu.tolist(), nu.tolist(), prob.cost)
+    return TransportPlan(plan, objective, np.array(pot[:m]), np.array(pot[m:]), tuple(sorted(basis)))
 
 
 def solve_sorted_1d(
@@ -327,15 +252,11 @@ def solve_sorted_1d(
     prob = TransportProblem(np.asarray(mu_weights, float), np.asarray(nu_weights, float), cost)
     nu = prob.nu * (prob.mu.sum() / prob.nu.sum())
     m, n = cost.shape
-    basis, masses, _, _, pot = _northwest_corner(prob.mu.tolist(), nu.tolist(), cost.tolist())
+    basis, masses = _northwest_corner(prob.mu.tolist(), nu.tolist())
+    pot = _tree(cost.tolist(), basis, m, n)[2]
     plan = _dense(basis, masses, m, n)
-    return TransportPlan(
-        plan=plan,
-        objective=float(np.vdot(plan, cost)),
-        row_potentials=np.array(pot[:m]),
-        col_potentials=np.array(pot[m:]),
-        basis=tuple(sorted(basis)),
-    )
+    return TransportPlan(plan, float(np.vdot(plan, cost)), np.array(pot[:m]), np.array(pot[m:]),
+                         tuple(sorted(basis)))
 
 
 def solve_sorted_1d_batch(
@@ -345,12 +266,9 @@ def solve_sorted_1d_batch(
 
     ``x``, ``mu`` have shape (F, m) and ``y``, ``nu`` shape (F, n); each row
     holds one problem's atoms, sorted ascending.  Returns the (F, m, n) plans
-    and the (F,) objectives.  The north-west-corner walk runs in lockstep,
-    m + n - 1 vectorised steps with the arithmetic of
-    :func:`solve_sorted_1d`, and each objective is one batched ``matmul``
-    row, which sums in the same order as that function's ``np.vdot``: every
-    plan and objective equals it bit for bit.  The checks of
-    :class:`TransportProblem` apply row by row.
+    and the (F,) objectives, equal to :func:`solve_sorted_1d`'s bit for
+    bit (see :func:`_northwest_batch` and :func:`_objectives`).  The checks
+    of :class:`TransportProblem` apply row by row.
     """
     return sorted_1d_batch_core(x, mu, check_weights(mu), y, nu, check_weights(nu), p)
 
@@ -362,20 +280,28 @@ def sorted_1d_batch_core(
     """:func:`solve_sorted_1d_batch` for weights already checked, given
     with their row sums ``mu_sum`` and ``nu_sum`` as :func:`check_weights`
     returns them; only the cost is checked here."""
-    F, m = mu.shape
-    n = nu.shape[1]
     cost = np.abs(x[:, :, None] - y[:, None, :]) ** p
     check_cost(cost)
-    a = mu.copy()
-    b = nu * (mu_sum / nu_sum)[:, None]
+    plan, _ = _northwest_batch(mu.copy(), nu * (mu_sum / nu_sum)[:, None])
+    return plan, _objectives(plan, cost)
+
+
+def _northwest_batch(a: np.ndarray, b: np.ndarray):
+    """The walk of :func:`_northwest_corner` on the rows of ``a`` (F, m)
+    and ``b`` (F, n) in lockstep, m + n - 1 vectorised steps that consume
+    ``a`` and ``b``.  Returns the (F, m, n) plans and the basis cells in
+    walk order, as pairs of (F,) row and column arrays."""
+    F, m = a.shape
+    n = b.shape[1]
     plan = np.zeros((F, m, n))
     rows = np.arange(F)
-    i = np.zeros(F, dtype=np.intp)
-    j = np.zeros(F, dtype=np.intp)
+    i = j = np.zeros(F, dtype=np.intp)
+    cells = []
     for step in range(m + n - 1):
         ai, bj = a[rows, i], b[rows, j]
-        w = np.minimum(ai, bj)
+        w = np.where(bj < ai, bj, ai)  # Python's min: ties, signed zeros too, keep ai
         plan[rows, i, j] = w
+        cells.append((i, j))
         ai -= w
         bj -= w
         a[rows, i] = ai
@@ -383,83 +309,153 @@ def sorted_1d_batch_core(
         if step < m + n - 2:
             # the same one-pointer advance as _northwest_corner
             down = ((ai <= bj) & (i < m - 1)) | (j == n - 1)
-            i += down
-            j += ~down
-    objective = np.matmul(plan.reshape(F, 1, m * n), cost.reshape(F, m * n, 1))
-    return plan, objective.reshape(F)
+            i, j = i + down, j + ~down
+    return plan, cells
 
 
-def _first_min(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Python's ``min(x, y)`` elementwise: ``y`` only where ``y < x``, so
-    ties, signed zeros included, keep ``x``."""
-    return np.where(y < x, y, x)
+def _objectives(plan: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Each plan's cost as one batched ``matmul`` row, which sums the
+    row-major plan in the order ``np.vdot`` sums it."""
+    F = len(cost)
+    return np.matmul(plan.reshape(F, 1, -1), cost.reshape(F, -1, 1)).reshape(F)
 
 
-def transport_2x2_batch(
-    mu: np.ndarray, nu: np.ndarray, cost: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`transport_simplex` on F independent 2 x 2 problems at once.
+def transport_simplex_batch(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray):
+    """:func:`transport_simplex` on F independent problems of one shape.
 
-    ``mu`` and ``nu`` have shape (F, 2), with equal totals per row, and
-    ``cost`` shape (F, 2, 2); none of them is checked here.  Returns the
-    (F, 2, 2) plans, the (F,) objectives and the (F,) mask of the problems
-    that pivoted.  Every step is the simplex's own arithmetic, vectorised:
+    ``mu`` (F, m) and ``nu`` (F, n) have equal totals per row and ``cost``
+    is (F, m, n); none of them is checked here.  Returns the (F, m, n)
+    plans, the (F,) objectives, and per problem its pivots and its switches
+    to Bland's rule.  One round pivots every problem not yet optimal, with
+    the simplex's own arithmetic and tie rules: the north-west start of
+    :func:`_northwest_batch`, pricing on ``(c - u) - v`` with basis cells
+    at 0.0, θ as the first of the least losing flows in cycle order (zeros
+    of either sign are legal masses), the leaving cell as the smallest flat
+    index among losing cells holding θ, the degenerate run, Bland switch
+    and pivot budget per problem, the clip and :func:`_objectives`.
 
-    * the north-west start takes the same ``min`` (the first argument on
-      ties) and the same subtractions, and goes down where ``a[0] <= b[0]``
-      after the first cell, leaving (0, 1) non-basic, and right otherwise,
-      leaving (1, 0) non-basic;
-    * the potentials hang from row 0 as the basis tree gives them
-      (``u_0 = 0``, ``v_0 = c_00 - 0.0``, ...), and the non-basic cell's
-      reduced cost is ``(c - u) - v``, as the simplex's matrix computes it;
-    * the problem pivots where that cost is below ``-1e-11 * (1 + max|c|)``;
-      the cycle runs through all four cells, θ is the ``min`` of the two
-      diagonal cells in the simplex's cycle order, the cell (0, 0) leaves
-      when it holds θ and (1, 1) otherwise, and the off-diagonal cells gain
-      θ while the diagonal ones lose it;
-    * the plan is clipped at zero by the same ``np.maximum`` and each
-      objective is summed over the row-major plan by one batched ``matmul``
-      row, in the order ``np.vdot`` sums it.
-
-    No problem pivots twice.  With either start, the reduced cost is
-    ``r = (c_01 + c_10) - (c_00 + c_11)`` up to rounding, and after the
-    pivot the only non-basic cell is the leaving diagonal one, whose reduced
-    cost is ``-r`` up to rounding.  Each potential and reduced cost takes at
-    most three roundings of values below ``4 max|c|``, so the two computed
-    costs sum to within a few ulps of ``4 max|c|``, about ``1e-15 max|c|``,
-    far less than the tolerance ``1e-11 (1 + max|c|)``.  A pivot needs
-    ``r < -tol``, so the cost after it exceeds ``tol`` minus that error,
-    which is above ``-tol``: the simplex stops after its first pivot, and
-    Bland's rule, which picks among the same negative costs, has none to
-    pick.  Plans, objectives and pivot decisions therefore equal
-    :func:`transport_simplex` bit for bit.
+    The basis tree hangs from row 0 as an ancestor mask (node y is on node
+    x's root path).  Row i0's and column j0's masks differ exactly on the
+    cycle's tree edges, named by their lower ends; the losing ones end in
+    a row on row i0's side or a column on column j0's side.  A pivot
+    re-hangs the subtree below the leaving edge from the entering cell: a
+    node there takes its path to the entering end (the symmetric difference
+    of the two paths plus their common ancestor) under the other end's
+    path, and its potential ``c - (parent's)`` level by level from the
+    entering cell.  A rooted tree has unique parents and a potential
+    depends only on its root path, so every potential and reduced cost,
+    and with them the plans, objectives, pivots and switches, equal
+    :func:`transport_simplex`'s bit for bit.
     """
-    a0, a1, b0, b1 = mu[:, 0], mu[:, 1], nu[:, 0], nu[:, 1]
-    c00, c01, c10, c11 = (cost[:, i, j] for i in (0, 1) for j in (0, 1))
-    # north-west corner: (0, 0), then (1, 0) going down or (0, 1) going
-    # right, then (1, 1)
-    f00 = _first_min(a0, b0)
-    rest_a, rest_b = a0 - f00, b0 - f00
-    down = rest_a <= rest_b
-    mid = np.where(down, _first_min(a1, rest_b), _first_min(rest_a, b1))
-    f11 = np.where(down, _first_min(a1 - mid, b1), _first_min(a1, b1 - mid))
-    # potentials from row 0 along the staircase, then the non-basic cell's cost
-    v0 = c00 - 0.0
-    u1 = np.where(down, c10 - v0, c11 - (c01 - 0.0))
-    v1 = np.where(down, c11 - u1, c01 - 0.0)
-    red = np.where(down, (c01 - 0.0) - v1, (c10 - u1) - v0)
-    tol = 1e-11 * (1.0 + np.abs(cost).reshape(-1, 4).max(axis=1))
-    pivot = red < -tol
-    # the cycle lists (0, 0) first going down and (1, 1) first going right
-    theta = np.where(down, _first_min(f00, f11), _first_min(f11, f00))
-    theta = np.where(pivot, theta, 0.0)
-    leave00 = f00 == theta
-    plan = np.empty_like(cost)
-    plan[:, 0, 0] = np.where(pivot & leave00, 0.0, np.where(pivot, f00 - theta, f00))
-    plan[:, 1, 1] = np.where(pivot & ~leave00, 0.0, np.where(pivot, f11 - theta, f11))
-    gained = np.where(pivot, mid + theta, mid)
-    plan[:, 0, 1] = np.where(down, theta, gained)
-    plan[:, 1, 0] = np.where(down, gained, theta)
-    np.maximum(plan, 0.0, out=plan)
-    objective = np.matmul(plan.reshape(-1, 1, 4), cost.reshape(-1, 4, 1))
-    return plan, objective.reshape(-1), pivot
+    F, m, n = cost.shape
+    N, K, L = m + n, m * n, (m + 1) * n
+    rows = np.arange(F)
+    node = np.arange(N)
+    is_row = node < m
+    at_n, at_l = rows * N, rows * L
+    # Arrays are used flat, problem after problem: node x of problem f is
+    # f * N + x.  The cells are padded by one row, whose first cell, K,
+    # stands for the root's missing edge.
+    flow, padded, red = np.zeros((3, F, m + 1, n))
+    flow[:, :m], cells = _northwest_batch(mu.copy(), nu.copy())
+    padded[:, :m] = cost
+    flow, padded = flow.reshape(-1), padded.reshape(-1)
+    red_v, red2 = red.reshape(-1), red.reshape(F, L)
+    anc = np.zeros((F * N, N), dtype=bool)
+    anc[at_n, 0] = True
+    parent, depth = np.zeros((2, F * N), dtype=np.intp)  # parents within the problem
+    pot = np.zeros(F * N)
+    depth2, pot2 = depth.reshape(F, N), pot.reshape(F, N)
+    # each cell of the walk hangs a new row (going down) or column from the node it meets
+    last_i = cells[0][0]
+    for i, j in cells:
+        down = i != last_i
+        new, old = at_n + np.where(down, i, m + j), at_n + np.where(down, m + j, i)
+        pot[new] = cost[rows, i, j] - pot[old]
+        anc[new] = anc[old]
+        anc[new, new - at_n] = True
+        parent[new] = old - at_n
+        depth[new] = depth[old] + 1
+        last_i = i
+    # the cell of a node's edge to its parent is lead + stride * parent
+    lead = np.where(is_row, node * n - m, node - m)
+    stride = np.where(is_row, 1, n)
+    lead[0], stride[0] = K, 0
+    lead, stride = (lead + at_l[:, None]).reshape(-1), np.tile(stride, F)
+
+    def basis_costs():
+        edge = lead + stride * parent
+        np.subtract(cost - pot2[:, :m, None], pot2[:, None, m:], out=red[:, :m])
+        red_v[edge] = 0.0
+        return edge
+
+    edge = basis_costs()
+    tol = 1e-11 * (1.0 + np.abs(cost).reshape(F, -1).max(axis=1))
+    run, pivots, switches = np.zeros((3, F), dtype=np.intp)
+    bland = np.zeros(F, dtype=bool)
+    base, per_cell = _PIVOT_BUDGET
+    max_iter = base + per_cell * K
+    for _ in range(max_iter):
+        enter = red2.argmin(axis=1)
+        active = red_v[at_l + enter] < -tol
+        if not active.any():
+            break
+        if bland.any():
+            enter = np.where(bland, (red2 < -tol[:, None]).argmax(axis=1), enter)
+        i0, j0 = at_n + enter // n, at_n + m + enter % n
+        # the cycle's tree edges, by lower end, and the losing ones among them
+        on = active[:, None]
+        up_i, up_j = anc[i0], anc[j0]
+        side_i, side_j = (up_i > up_j) & on, (up_j > up_i) & on
+        lose = np.where(is_row, side_i, side_j)
+        cell = edge.reshape(F, N)
+        held = flow[cell]
+        least = np.where(lose, held, np.inf).min(axis=1)
+        tied = lose & (held == least[:, None])
+        # cycle order: up from row i0 to the common ancestor, then down to column j0
+        first = np.where(tied, np.where(side_i, -depth2, depth2 + N), 2 * N).argmin(axis=1)
+        theta = held.reshape(-1)[at_n + first]
+        q = at_n + np.where(tied, cell, F * L).argmin(axis=1)
+        th = theta[:, None]
+        flow[cell] = np.where(lose, held - th, np.where(side_i | side_j, held + th, held))
+        act = rows[active]
+        flow[at_l[act] + enter[act]] = theta[act]
+        flow[edge[q[act]]] = 0.0
+        # re-hang the subtree below the leaving edge from the entering cell:
+        # the links from there up to the leaving edge turn over
+        from_i = side_i.reshape(-1)[q]
+        s, o = np.where(from_i, i0, j0), np.where(from_i, j0, i0)
+        cut = anc.reshape(-1)[(q + at_n * (N - 1))[:, None] + node * N] & on
+        turn = anc[s] & cut
+        turn.reshape(-1)[q] = False
+        turned = np.flatnonzero(turn)
+        moved = np.flatnonzero(cut)
+        sm, om = s[moved // N], o[moved // N]
+        ax, us = anc[moved], anc[sm]
+        common = ax & us
+        meet = common.sum(axis=1) - 1
+        at = depth[moved] + (depth[sm] + depth[om] + 1) - 2 * meet
+        anc[moved] = (ax ^ us) | (common & (depth2[moved // N] == meet[:, None])) | anc[om]
+        depth[moved] = at
+        parent[turned - turned % N + parent[turned]] = turned % N
+        parent[s[act]] = o[act] - at_n[act]
+        # their potentials, level by level down from the entering cell
+        order = np.argsort(at, kind="stable")
+        moved, at = moved[order], at[order]
+        up = moved - moved % N + parent[moved]
+        below = padded[lead[moved] + stride[moved] * parent[moved]]
+        bounds = [0, *(np.flatnonzero(np.diff(at)) + 1).tolist(), len(at)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            pot[moved[lo:hi]] = below[lo:hi] - pot[up[lo:hi]]
+        edge = basis_costs()
+        # the degenerate run and the switch to Bland's rule, per problem
+        degenerate = active & (theta == 0.0)
+        run = np.where(active, (run + 1) * degenerate, run)
+        now = np.where(active, degenerate & (bland | (run >= _BLAND_TRIGGER)), bland)
+        switches += now > bland
+        bland = now
+        pivots += active
+    else:
+        raise MaxIterations(f"transportation simplex did not terminate within {max_iter} pivots")
+    plan = np.maximum(flow.reshape(F, m + 1, n)[:, :m], 0.0)
+    return plan, _objectives(plan, cost), pivots, switches

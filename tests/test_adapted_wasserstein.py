@@ -151,6 +151,22 @@ def test_metric_axioms_random_triples(seed):
 
 @given(seed=st.integers(0, 20_000))
 @settings(max_examples=25, deadline=None)
+def test_metric_axioms_at_lockstep_scale(seed):
+    # T=3, b=4 is beyond the bicausal LP; the 16 pairs of 4-child families
+    # at time 1 are solved by the lockstep simplex
+    A, B, C = (gen_random(3, 4, seed + k) for k in (0, 30_000, 60_000))
+    assert len(A.levels[1]) * len(B.levels[1]) >= adapted_wasserstein._SIMPLEX_BATCH_MIN
+
+    def d(X, Y):
+        return aw_pth_power(X, Y, P2) ** 0.5
+
+    ab = d(A, B)
+    assert abs(ab - d(B, A)) <= 1e-12 * ab
+    assert ab <= (d(A, C) + d(C, B)) * (1.0 + 1e-12)
+
+
+@given(seed=st.integers(0, 20_000))
+@settings(max_examples=25, deadline=None)
 def test_dominates_flat_distance(seed):
     A = gen_random(2, 3, seed)
     B = gen_random(2, 3, seed + 40_000)

@@ -297,6 +297,9 @@ def test_exit_codes(tmp_path, capsys):
     ("binomial", '{"T": 2, "up": 1' + "0" * 400 + "}", "binomial"),
     ("lattice", json.dumps({"T": 1, "steps": [1, True], "probs": [0.5, 0.5]}), "'steps'"),
     ("lattice", json.dumps({"T": 1, "steps": [1, -1], "probs": [0.5, "0.5"]}), "'probs'"),
+    # Python's json reads NaN and Infinity, which are no JSON numbers
+    ("binomial", '{"T": 2, "up": NaN}', "'up'"),
+    ("lattice", '{"T": 2, "steps": [1, Infinity], "probs": [0.5, 0.5]}', "'steps'"),
 ])
 def test_malformed_gen_params_are_invalid_params(tmp_path, capsys, kind, params, needle):
     code, _, err = run_cli(capsys, "gen", "--kind", kind, "--params", params,
@@ -323,6 +326,7 @@ def test_malformed_gen_params_are_invalid_params(tmp_path, capsys, kind, params,
     ({"ascent": {"restarts": -1}}, "'restarts'"),
     ({"ascent": {"max_iters": -1}}, "'max_iters'"),
     ({"seed": -1}, "'seed'"),
+    ({"radii": [0.01, float("nan")]}, "'radii'"),
 ])
 def test_malformed_config_is_invalid_params(tmp_path, capsys, field, needle):
     cfg = tmp_path / "cfg.json"

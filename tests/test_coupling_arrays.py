@@ -8,6 +8,7 @@ and bits, and fail with the same error on the same pair node.
 """
 
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -286,8 +287,8 @@ def test_aw_coupling_matches_per_record_assembly(kind, seed, p, cells):
 @given(seed=st.integers(0, 10_000), p=st.sampled_from([1.5, 2.0, 3.0]))
 @settings(max_examples=15, deadline=None)
 def test_mixed_family_sizes_share_a_level(cells, seed, p):
-    # 2 x 2 pairs take the closed form, 2 x 3 and 1 x 2 pairs the simplex,
-    # side by side at every interior level but the root's
+    # 2 x 2, 2 x 3, 1 x 2 and 3 x 1 pairs side by side at every interior
+    # level but the root's, each size class in lockstep or per pair
     T = 3 + seed % 2
     A, B = _cycled_tree(seed, T, 0), _cycled_tree(seed + 7, T, 1)
     for t in range(1, T - 1):
@@ -297,24 +298,51 @@ def test_mixed_family_sizes_share_a_level(cells, seed, p):
     _check_against_references(A, B, p, cells)
 
 
-def test_simplex_calls_by_family_shape():
-    # every interior family of a binomial tree has two children, so no pair
-    # takes the simplex; the curve's trees branch by 3, so each of their 10
-    # interior pairs does, in each of the curve's 117 ball checks
-    def spy(name):
-        return mock.patch.object(adapted_wasserstein, name,
-                                 wraps=getattr(adapted_wasserstein, name))
+def _solves_by_shape(run):
+    """Interior transport problems that ``run`` solves, as counts keyed by
+    ``("batch", F, m, n)`` per lockstep batch of F problems and by
+    ``("pair", m, n)`` per per-pair solve, with the recursions it ran."""
+    counts = Counter()
 
+    def counting(name, key):
+        solve = getattr(adapted_wasserstein, name)
+
+        def wrapper(mu, nu, cost):
+            counts[key(cost)] += 1
+            return solve(mu, nu, cost)
+        return mock.patch.object(adapted_wasserstein, name, wrapper)
+
+    with counting("transport_simplex_batch", lambda c: ("batch", *c.shape)), \
+            counting("transport_simplex", lambda c: ("pair", *c.shape)), \
+            mock.patch.object(adapted_wasserstein, "_recursion",
+                              wraps=adapted_wasserstein._recursion) as recursion:
+        run()
+    return counts, recursion.call_count
+
+
+def test_simplex_calls_by_family_shape():
+    # a binomial tree's time-t level has 4^t pairs of 2-child families: the
+    # levels of 16 pairs and more run in lockstep, the two above per pair
     A = gen_binomial(6, 0.0, 1.0, -1.0, 0.5)
     B = gen_binomial(6, 0.0, 1.1, -0.9, 0.45, 0.02)
-    with spy("transport_simplex") as simplex:
-        aw_distance(A, B, AWParams(2.0))
-    assert simplex.call_count == 0
+    counts, _ = _solves_by_shape(lambda: aw_distance(A, B, AWParams(2.0)))
+    assert adapted_wasserstein._SIMPLEX_BATCH_MIN == 16
+    assert counts == {("batch", 16, 2, 2): 1, ("batch", 64, 2, 2): 1, ("batch", 256, 2, 2): 1,
+                      ("pair", 2, 2): 5}
+    # the curve's trees branch by 3: its 9-pair level stays below the batch
+    # size, so each of its 10 interior pairs is solved alone, in each of
+    # the curve's 117 ball checks
     query = RobustQuery("terminal", gen_random(3, 3, 0), make_cost_model("linear", None, 3), 2.0,
                         (1e-3, 1e-2, 1e-1))
-    with spy("transport_simplex") as simplex, spy("_recursion") as recursion:
-        robust_curve(query)
-    assert (simplex.call_count, recursion.call_count) == (1170, 117)
+    counts, recursions = _solves_by_shape(lambda: robust_curve(query))
+    assert (counts, recursions) == ({("pair", 3, 3): 1170}, 117)
+    # the aw benchmark's random pairs: 8 x 8 and 4 x 4 levels in lockstep
+    counts, _ = _solves_by_shape(lambda: aw_distance(gen_random(3, 8, 1), gen_random(3, 8, 2),
+                                                     AWParams(2.0)))
+    assert counts == {("batch", 64, 8, 8): 1, ("pair", 8, 8): 1}
+    counts, _ = _solves_by_shape(lambda: aw_distance(gen_random(4, 4, 3), gen_random(4, 4, 4),
+                                                     AWParams(2.0)))
+    assert counts == {("batch", 256, 4, 4): 1, ("batch", 16, 4, 4): 1, ("pair", 4, 4): 1}
 
 
 @given(kind=st.sampled_from(["random", "binomial", "mixed"]), seed=st.integers(0, 10_000))

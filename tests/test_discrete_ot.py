@@ -13,7 +13,7 @@ from awsens import (
     solve_sorted_1d,
 )
 from awsens import discrete_ot
-from awsens.discrete_ot import solve_sorted_1d_batch, transport_2x2_batch, transport_simplex
+from awsens.discrete_ot import solve_sorted_1d_batch, transport_simplex, transport_simplex_batch
 
 
 def random_problem(rng, m, n):
@@ -385,7 +385,7 @@ def test_pivot_budget_exhausted_raises_max_iterations(monkeypatch):
     assert solve_exact(optimal).objective == 0.0
 
 
-# -- the closed-form 2 x 2 kernel against the simplex --------------------------
+# -- the lockstep simplex against the per-problem simplex ------------------------
 
 
 def _at_tolerance(ulps):
@@ -433,28 +433,87 @@ def two_by_two(draw):
     return xw, yw * (xw.sum() / yw.sum()), cost.reshape(2, 2)
 
 
-@given(probs=st.lists(two_by_two(), min_size=1, max_size=6))
-@settings(max_examples=300, deadline=None)
-def test_2x2_kernel_equals_simplex(probs):
-    mu, nu, cost = (np.array(col) for col in zip(*probs))
-    plan, obj, pivot = transport_2x2_batch(mu, nu, cost)
-    for k, (xw, yw, c) in enumerate(probs):
-        want, want_obj, _, basis = transport_simplex(xw.tolist(), yw.tolist(), c)
+def assert_batch_equals_simplex(mu, nu, cost):
+    """``transport_simplex_batch`` against ``transport_simplex`` problem by
+    problem: plan bytes, objective bits, pivots and Bland switches.
+    Returns the batch's pivots and switches."""
+    plan, obj, pivots, switches = transport_simplex_batch(mu, nu, cost)
+    for k in range(len(cost)):
+        want, want_obj, _, _, want_pivots, want_switches = transport_simplex(
+            mu[k].tolist(), nu[k].tolist(), cost[k])
         assert plan[k].tobytes() == want.tobytes()
         assert obj[k].hex() == want_obj.hex()
-        # the start's basis holds one off-diagonal cell; a pivot adds the other
-        assert bool(pivot[k]) is ((0, 1) in basis and (1, 0) in basis)
+        assert (pivots[k], switches[k]) == (want_pivots, want_switches)
+    return pivots, switches
 
 
-def test_2x2_kernel_tolerance_boundary():
+def structured_batch(rng, size, m, n, tied, masses):
+    """``size`` problems of :func:`structured_problem`, the second marginal
+    rescaled as ``solve_exact`` rescales it."""
+    probs = [structured_problem(rng, m, n, tied, masses) for _ in range(size)]
+    return (np.array([p.mu for p in probs]),
+            np.array([p.nu * (p.mu.sum() / p.nu.sum()) for p in probs]),
+            np.array([p.cost for p in probs]))
+
+
+@given(m=st.integers(1, 8), n=st.integers(1, 8), size=st.integers(1, 10),
+       seed=st.integers(0, 2**32 - 1), tied=st.booleans(),
+       masses=st.sampled_from(["dirichlet", "zero", "integer"]))
+@settings(max_examples=200, deadline=None)
+def test_batch_simplex_equals_simplex(m, n, size, seed, tied, masses):
+    assert_batch_equals_simplex(*structured_batch(np.random.default_rng(seed), size, m, n, tied,
+                                                  masses))
+
+
+def test_batch_simplex_switches_to_bland_per_problem(monkeypatch):
+    # one degenerate pivot switches rules: integer masses on tied costs
+    # switch, Dirichlet masses on continuous costs do not, in one batch
+    monkeypatch.setattr(discrete_ot, "_BLAND_TRIGGER", 1)
+    rng = np.random.default_rng(64)
+    parts = zip(structured_batch(rng, 6, 6, 6, True, "integer"),
+                structured_batch(rng, 6, 6, 6, False, "dirichlet"))
+    order = rng.permutation(12)
+    mu, nu, cost = (np.concatenate(part)[order] for part in parts)
+    _, switches = assert_batch_equals_simplex(mu, nu, cost)
+    assert (switches > 0).any() and (switches == 0).any()
+
+
+def test_batch_simplex_pivot_budget_is_per_problem(monkeypatch):
+    mu, nu, cost = structured_batch(np.random.default_rng(13), 6, 5, 5, False, "dirichlet")
+    pivots, _ = assert_batch_equals_simplex(mu, nu, cost)
+    worst = int(pivots.argmax())
+    others = np.arange(6) != worst
+    budget = int(pivots[others].max()) + 1
+    assert budget <= pivots[worst]  # only the slowest problem runs out
+    monkeypatch.setattr(discrete_ot, "_PIVOT_BUDGET", (budget, 0))
+    with pytest.raises(MaxIterations) as scalar:
+        transport_simplex(mu[worst].tolist(), nu[worst].tolist(), cost[worst])
+    with pytest.raises(MaxIterations) as batch:
+        transport_simplex_batch(mu, nu, cost)
+    assert str(batch.value) == str(scalar.value) == (
+        f"transportation simplex did not terminate within {budget} pivots")
+    assert_batch_equals_simplex(mu[others], nu[others], cost[others])
+
+
+@given(probs=st.lists(two_by_two(), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_batch_simplex_2x2_equals_simplex(probs):
+    mu, nu, cost = (np.array(col) for col in zip(*probs))
+    pivots, _ = assert_batch_equals_simplex(mu, nu, cost)
+    for k, (xw, yw, c) in enumerate(probs):
+        basis = transport_simplex(xw.tolist(), yw.tolist(), c)[3]
+        # the start's basis holds one off-diagonal cell; a pivot adds the
+        # other, and no problem pivots twice
+        assert pivots[k] == ((0, 1) in basis and (1, 0) in basis)
+
+
+def test_batch_simplex_2x2_tolerance_boundary():
     # the same cases as above, checked by hand: only the cost one ulp
     # beyond -tol pivots, in either start direction
     for cell, mu in (((0, 1), [0.5, 0.5]), ((1, 0), [0.75, 0.25])):
-        for ulps, pivots in ((-1, False), (0, False), (1, True)):
+        for ulps, pivots in ((-1, 0), (0, 0), (1, 1)):
             cost = np.zeros((2, 2))
             cost[cell] = -_at_tolerance(ulps)
             nu = [0.25, 0.75] if cell == (1, 0) else [0.5, 0.5]
-            plan, obj, pivot = transport_2x2_batch(np.array([mu]), np.array([nu]), cost[None])
-            assert bool(pivot[0]) is pivots
-            want, want_obj, _, _ = transport_simplex(mu, nu, cost)
-            assert plan[0].tobytes() == want.tobytes() and obj[0] == want_obj
+            got, _ = assert_batch_equals_simplex(np.array([mu]), np.array([nu]), cost[None])
+            assert got[0] == pivots
