@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
 from .adapted_wasserstein import AWParams, CouplingTree, aw_distance
 from .cost_models import CATALOG, CostModel, make_cost_model
-from .errors import AwsensError, InvalidParams, InvalidTree
+from .errors import AwsensError, InvalidParams, InvalidTree, finite_number, is_number
 from .multistage_opt import ControlBounds, solve_value
 from .optimal_stopping import solve_stopping
 from .process_tree import Node, ScenarioTree, gen_binomial, gen_lattice, gen_random
@@ -50,11 +49,6 @@ def serialize_tree(tree: ScenarioTree) -> str:
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _is_number(v) -> bool:
-    """JSON numbers only: Python's bool is an int, so true/false are excluded."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def parse_tree(text: str) -> ScenarioTree:
@@ -98,10 +92,10 @@ def parse_tree(text: str) -> ScenarioTree:
         if isinstance(time, bool) or not isinstance(time, int):
             raise InvalidTree(f"{where}: time must be an integer")
         value = row.get("value")
-        if value is not None and not _is_number(value):
+        if value is not None and not is_number(value):
             raise InvalidTree(f"{where}: value must be a number or null")
         cond_prob = row.get("cond_prob", 1.0)
-        if not _is_number(cond_prob):
+        if not is_number(cond_prob):
             raise InvalidTree(f"{where}: cond_prob must be a number")
         try:
             nodes.append(Node(i, time, None if value is None else float(value),
@@ -150,17 +144,9 @@ def serialize_coupling(coupling: CouplingTree) -> dict:
 DEFAULT_RADII = (1e-4, 1e-3, 1e-2, 1e-1)  # ascending, as RobustQuery requires
 
 
-def _number(v, name: str, where: str = "config") -> float:
-    """A numeric config or params field: a finite JSON number, never a
-    boolean, a string, NaN or an infinity (which Python's ``json`` reads)."""
-    if not (_is_number(v) and math.isfinite(v)):
-        raise InvalidParams(f"{where} {name!r} must be a finite number, got {v!r}")
-    return float(v)
-
-
 def _count(v, name: str, where: str = "config") -> int:
     """A count or seed field: a nonnegative integral JSON number."""
-    if not (_is_number(v) and float(v).is_integer() and v >= 0):
+    if not (is_number(v) and float(v).is_integer() and v >= 0):
         raise InvalidParams(f"{where} {name!r} must be a nonnegative integer, got {v!r}")
     return int(v)
 
@@ -206,7 +192,7 @@ class RunConfig:
         tolerances = doc.get("tolerances", {})
         ascent = doc.get("ascent", {})
         try:
-            p = _number(doc["p"], "p")
+            p = finite_number(doc["p"], "p")
             if not p > 1.0:
                 raise InvalidParams(f"p must exceed 1, got {p}")
             radii = doc.get("radii", DEFAULT_RADII)
@@ -217,11 +203,11 @@ class RunConfig:
                 model_name=model["name"],
                 model_params=dict(model.get("params", {})),
                 p=p,
-                L=_number(bounds.get("L", 10.0), "L"),
-                radii=tuple(_number(r, "radii") for r in radii),
+                L=finite_number(bounds.get("L", 10.0), "L"),
+                radii=tuple(finite_number(r, "radii") for r in radii),
                 seed=_count(doc.get("seed", 0), "seed"),
-                value_tol=_number(tolerances.get("value_tol", 1e-9), "value_tol"),
-                stopping_tol=_number(tolerances.get("stopping_tol", 1e-9), "stopping_tol"),
+                value_tol=finite_number(tolerances.get("value_tol", 1e-9), "value_tol"),
+                stopping_tol=finite_number(tolerances.get("stopping_tol", 1e-9), "stopping_tol"),
                 restarts=_count(ascent.get("restarts", 2), "restarts"),
                 max_iters=_count(ascent.get("max_iters", 25), "max_iters"),
             )
@@ -269,7 +255,7 @@ def cmd_gen(args) -> int:
     where = f"--params for {args.kind}:"
 
     def number(name, default):
-        return _number(params.get(name, default), name, where)
+        return finite_number(params.get(name, default), name, where)
 
     try:
         T = _count(params["T"], "T", where)
@@ -282,8 +268,8 @@ def cmd_gen(args) -> int:
             gen, kwargs = gen_lattice, dict(
                 T=T,
                 start=number("start", 0.0),
-                steps=[_number(v, "steps", where) for v in params["steps"]],
-                probs=[_number(v, "probs", where) for v in params["probs"]],
+                steps=[finite_number(v, "steps", where) for v in params["steps"]],
+                probs=[finite_number(v, "probs", where) for v in params["probs"]],
                 drift=number("drift", 0.0),
             )
         elif args.kind == "random":

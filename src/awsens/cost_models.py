@@ -20,9 +20,24 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams
+from .errors import DimensionMismatch, InvalidParams, finite_number
 
 Array = np.ndarray
+
+
+def _number(params: dict, key: str, default: float, model: str) -> float:
+    """Param ``key`` of ``model``, a finite number (``InvalidParams`` otherwise)."""
+    return finite_number(params.get(key, default), key, f"{model!r} param")
+
+
+def _vector(params: dict, key: str, default: float, T: int, model: str) -> Array:
+    """Param ``key`` of ``model``, T finite numbers (``InvalidParams`` otherwise)."""
+    v = params.get(key, [default] * T)
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if not isinstance(v, (list, tuple)) or len(v) != T:
+        raise InvalidParams(f"{model!r} param {key!r} must be {T} numbers, got {v!r}")
+    return np.array([finite_number(x, key, f"{model!r} param") for x in v])
 
 
 def _expit(x: Array) -> Array:
@@ -184,7 +199,7 @@ def make_loss(name: str, params: dict | None = None) -> LossFunction:
         return LossFunction(name, params, lambda z: z * z, lambda z: 2.0 * z,
                             lambda z: np.full_like(z, 2.0))
     if name == "exponential":
-        rate = float(params.get("rate", 1.0))
+        rate = _number(params, "rate", 1.0, name)
         if rate == 0.0:
             raise InvalidParams("exponential loss needs a nonzero rate")
         return LossFunction(
@@ -194,7 +209,7 @@ def make_loss(name: str, params: dict | None = None) -> LossFunction:
             lambda z: rate * rate * np.exp(rate * z),
         )
     if name == "smoothed_power":
-        alpha = float(params.get("exponent", 3.0))
+        alpha = _number(params, "exponent", 3.0, name)
         if alpha < 1.0:
             raise InvalidParams("smoothed_power needs exponent >= 1")
         return LossFunction(
@@ -215,16 +230,14 @@ def make_payoff(name: str, params: dict | None, T: int) -> PayoffFunction:
             lambda x: np.zeros_like(x),
         )
     if name == "linear":
-        c = np.asarray(params.get("coeffs", [1.0] * T), dtype=np.float64)
-        if c.shape != (T,):
-            raise InvalidParams(f"{name!r} needs {T} coefficients")
+        c = _vector(params, "coeffs", 1.0, T, name)
         return PayoffFunction(
             name, {"coeffs": list(map(float, c))},
             lambda x: x @ c,
             lambda x: np.broadcast_to(c, x.shape).copy(),
         )
     if name == "final_value":
-        scale = float(params.get("scale", 1.0))
+        scale = _number(params, "scale", 1.0, name)
 
         def g(x):
             return scale * x[:, -1]
@@ -242,8 +255,8 @@ def make_payoff(name: str, params: dict | None, T: int) -> PayoffFunction:
             lambda x: np.full_like(x, 1.0 / x.shape[1]),
         )
     if name == "softplus_call":
-        K = float(params.get("strike", 0.0))
-        beta = float(params.get("sharpness", 1.0))
+        K = _number(params, "strike", 0.0, name)
+        beta = _number(params, "sharpness", 1.0, name)
         if beta <= 0:
             raise InvalidParams("softplus sharpness must be positive")
 
@@ -265,20 +278,20 @@ def make_scalar_payoff(name: str, params: dict | None = None):
     if name == "identity":
         return (lambda v: v), (lambda v: np.ones_like(v)), params
     if name == "linear":
-        s = float(params.get("slope", 1.0))
-        b = float(params.get("intercept", 0.0))
+        s = _number(params, "slope", 1.0, name)
+        b = _number(params, "intercept", 0.0, name)
         return (lambda v: s * v + b), (lambda v: np.full_like(v, s)), {"slope": s, "intercept": b}
     if name == "quadratic":
-        c = float(params.get("center", 0.0))
-        w = float(params.get("weight", 1.0))
+        c = _number(params, "center", 0.0, name)
+        w = _number(params, "weight", 1.0, name)
         return (
             (lambda v: w * (v - c) ** 2),
             (lambda v: 2.0 * w * (v - c)),
             {"center": c, "weight": w},
         )
     if name == "softplus_put":
-        K = float(params.get("strike", 0.0))
-        beta = float(params.get("sharpness", 1.0))
+        K = _number(params, "strike", 0.0, name)
+        beta = _number(params, "sharpness", 1.0, name)
         if beta <= 0:
             raise InvalidParams("softplus sharpness must be positive")
         return (
@@ -287,8 +300,8 @@ def make_scalar_payoff(name: str, params: dict | None = None):
             {"strike": K, "sharpness": beta},
         )
     if name == "sin":
-        amp = float(params.get("amplitude", 1.0))
-        freq = float(params.get("frequency", 1.0))
+        amp = _number(params, "amplitude", 1.0, name)
+        freq = _number(params, "frequency", 1.0, name)
         return (
             (lambda v: amp * np.sin(freq * v)),
             (lambda v: amp * freq * np.cos(freq * v)),
@@ -381,7 +394,7 @@ def make_utility_model(params: dict, T: int) -> UtilityModel:
     return UtilityModel(
         loss=make_loss(loss_spec["name"], loss_spec.get("params")),
         payoff=make_payoff(payoff_spec["name"], payoff_spec.get("params"), T),
-        x0=float(params.get("x0", 0.0)),
+        x0=_number(params, "x0", 0.0, "utility"),
     )
 
 
@@ -399,10 +412,8 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
         return CostModel("terminal", name, T, g.params, value_fn=g.value, grad_x_fn=g.grad)
 
     if name == "quadratic_tracking":
-        w = np.asarray(params.get("weights", [1.0] * T), dtype=np.float64)
-        m = np.asarray(params.get("targets", [0.0] * T), dtype=np.float64)
-        if w.shape != (T,) or m.shape != (T,):
-            raise InvalidParams(f"quadratic_tracking needs {T} weights and targets")
+        w = _vector(params, "weights", 1.0, T, name)
+        m = _vector(params, "targets", 0.0, T, name)
         return CostModel(
             "terminal", name, T,
             {"weights": list(map(float, w)), "targets": list(map(float, m))},
@@ -411,8 +422,8 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
         )
 
     if name == "exp_sum":
-        beta = float(params.get("beta", 1.0))
-        scale = float(params.get("scale", 1.0))
+        beta = _number(params, "beta", 1.0, name)
+        scale = _number(params, "scale", 1.0, name)
 
         def es_value(x):
             return scale * np.exp(beta * x.sum(axis=1))
@@ -439,10 +450,8 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
         return CostModel("terminal", name, T, {}, value_fn=cp_value, grad_x_fn=cp_grad)
 
     if name == "quadratic_control":
-        theta = np.asarray(params.get("targets", [0.0] * T), dtype=np.float64)
-        c = np.asarray(params.get("coeffs", [0.0] * T), dtype=np.float64)
-        if theta.shape != (T,) or c.shape != (T,):
-            raise InvalidParams(f"quadratic_control needs {T} targets and coefficients")
+        theta = _vector(params, "targets", 0.0, T, name)
+        c = _vector(params, "coeffs", 0.0, T, name)
         eye = np.eye(T)
         return CostModel(
             "controlled", name, T,
@@ -454,8 +463,8 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
         )
 
     if name == "tracking_control":
-        lam = float(params.get("weight", 1.0))
-        x0 = float(params.get("x0", 0.0))
+        lam = _number(params, "weight", 1.0, name)
+        x0 = _number(params, "x0", 0.0, name)
         if lam <= 0:
             raise InvalidParams("tracking_control weight must be positive")
         eye = np.eye(T)
@@ -500,7 +509,7 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
         )
 
     if name == "running_sum":
-        c = float(params.get("coeff", 1.0))
+        c = _number(params, "coeff", 1.0, name)
 
         def rs_value(x, t):
             return c * x[:, :t].sum(axis=1)

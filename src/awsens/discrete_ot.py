@@ -6,6 +6,10 @@ transportation simplex with northwest-corner start, most-negative-entry
 pricing and lexicographic leaving-cell tie-breaking (with a Bland fallback
 after long degenerate runs).  Dual potentials come out of the spanning-tree
 basis for free, which gives the complementary-slackness certificate.
+Problems of at most ``_PRICE_SCALAR_MAX`` cells are priced in Python
+floats, where numpy's per-call cost would dominate; larger ones, such as
+whole path sets in :func:`solve_exact`, on a numpy matrix, which is faster
+there.  Both branches pick the same entering cells bit for bit.
 
 :func:`transport_simplex` solves one problem;
 :func:`transport_simplex_batch` runs the same simplex on many problems of
@@ -33,6 +37,7 @@ from .errors import Infeasible, InvalidParams, MaxIterations
 WEIGHT_TOL = 1e-10
 _BLAND_TRIGGER = 64  # consecutive degenerate pivots before switching rules
 _PIVOT_BUDGET = (2000, 40)  # pivots allowed per problem: a base plus so many per cell
+_PRICE_SCALAR_MAX = 256  # most cells transport_simplex prices in Python floats (break-even)
 
 
 @dataclass(frozen=True)
@@ -150,6 +155,25 @@ def _dense(cells: Sequence[tuple[int, int]], masses: Sequence[float], m: int, n:
     return plan
 
 
+def _price(C: list[list[float]], pot: list[float], flow, m: int, tol: float, bland: bool):
+    """The entering cell, priced in Python floats: the first cell in
+    row-major order of least reduced cost ``(c - u) - v`` below ``-tol``
+    (under Bland's rule the first below ``-tol``), or None at optimality.
+    Basis cells, priced 0.0 by the numpy branch, never enter."""
+    best, enter = -tol, None
+    v = pot[m:]
+    cols = range(len(v))
+    for i in range(m):
+        u, row = pot[i], C[i]
+        for j in cols:  # indexing beats zip and enumerate here
+            r = row[j] - u - v[j]
+            if r < best and (i, j) not in flow:
+                if bland:
+                    return i, j
+                best, enter = r, (i, j)
+    return enter
+
+
 def transport_simplex(mu: list[float], nu: list[float], cost: np.ndarray):
     """Transportation simplex from the north-west corner.
 
@@ -159,6 +183,14 @@ def transport_simplex(mu: list[float], nu: list[float], cost: np.ndarray):
     v_0..v_{n-1}]``, the basis cells, the pivots taken and the switches to
     Bland's rule.  Each pivot hangs the basis tree from row 0 afresh and
     reads the entering cell's cycle off its parent links.
+
+    Up to ``_PRICE_SCALAR_MAX`` cells the entering cell is priced in Python
+    floats over ``C`` (:func:`_price`), above it on a numpy matrix.  Both
+    compute ``(c - u) - v`` in binary64, and the first least entry in
+    row-major order (``argmin``), the first entry below ``-tol``
+    (``flatnonzero``) and a basis cell's forced 0.0 mean the same in
+    both, so either branch takes the same pivots bit for bit while the
+    potentials are finite.
     """
     m, n = cost.shape
     C = cost.tolist()
@@ -169,21 +201,30 @@ def transport_simplex(mu: list[float], nu: list[float], cost: np.ndarray):
     bland = False
     base, per_cell = _PIVOT_BUDGET
     max_iter = base + per_cell * m * n
+    # a small matrix is mostly numpy call overhead per pivot, a large one
+    # is mostly the per-cell work that numpy does faster than Python
+    scalar = m * n <= _PRICE_SCALAR_MAX
     for pivots in range(max_iter):
         parent, depth, pot = _tree(C, flow, m, n)
-        u_v = np.array(pot)
-        red = cost - u_v[:m, None] - u_v[m:]
-        red[tuple(zip(*flow))] = 0.0
-        if bland:
-            cand = np.flatnonzero(red < -tol)
-            if cand.size == 0:
+        if scalar:
+            enter = _price(C, pot, flow, m, tol, bland)
+            if enter is None:
                 break
-            i0, j0 = divmod(int(cand[0]), n)
+            i0, j0 = enter
         else:
-            flat = int(red.argmin())
-            if red.item(flat) >= -tol:
-                break
-            i0, j0 = divmod(flat, n)
+            u_v = np.array(pot)
+            red = cost - u_v[:m, None] - u_v[m:]
+            red[tuple(zip(*flow))] = 0.0
+            if bland:
+                cand = np.flatnonzero(red < -tol)
+                if cand.size == 0:
+                    break
+                i0, j0 = divmod(int(cand[0]), n)
+            else:
+                flat = int(red.argmin())
+                if red.item(flat) >= -tol:
+                    break
+                i0, j0 = divmod(flat, n)
         # the cycle is the tree path row i0 -> column j0, closed by the entering cell
         a, b = i0, m + j0
         up_a, up_b = [a], [b]

@@ -1,8 +1,12 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the number rule.
 
 Each error carries the process exit code the CLI maps it to; anything not
-listed here exits with code 1.
+listed here exits with code 1.  :func:`finite_number` is the one rule for
+numeric config fields, generator params and catalog model params.
 """
+
+import numbers
+import sys
 
 
 class AwsensError(Exception):
@@ -19,6 +23,22 @@ class InvalidTree(AwsensError):
 
 class InvalidParams(AwsensError):
     """Generator or model parameters outside their admissible range."""
+
+
+def is_number(v) -> bool:
+    """A real number that is not a boolean: Python's bool is an int, so
+    JSON's true/false would otherwise pass."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def finite_number(v, name: str, where: str = "config") -> float:
+    """``v`` as a float, or ``InvalidParams`` when it is not a finite
+    number: a boolean, a string, NaN or an infinity (which Python's
+    ``json`` reads), or an integer beyond the float range."""
+    # NaN and the infinities fail the comparison
+    if not (is_number(v) and abs(v) <= sys.float_info.max):
+        raise InvalidParams(f"{where} {name!r} must be a finite number, got {v!r}")
+    return float(v)
 
 
 class InvalidCoupling(AwsensError):

@@ -327,6 +327,30 @@ def test_malformed_gen_params_are_invalid_params(tmp_path, capsys, kind, params,
     ({"ascent": {"max_iters": -1}}, "'max_iters'"),
     ({"seed": -1}, "'seed'"),
     ({"radii": [0.01, float("nan")]}, "'radii'"),
+    # catalog model params follow the same number rule
+    ({"problem_class": "terminal",
+      "model": {"name": "quadratic_tracking", "params": {"weights": "ab"}}}, "'weights'"),
+    ({"problem_class": "terminal",
+      "model": {"name": "quadratic_tracking", "params": {"targets": [0.0, None]}}}, "'targets'"),
+    ({"problem_class": "terminal",
+      "model": {"name": "exp_sum", "params": {"beta": float("nan")}}}, "'beta'"),
+    ({"problem_class": "terminal",
+      "model": {"name": "exp_sum", "params": {"scale": True}}}, "'scale'"),
+    ({"problem_class": "terminal",
+      "model": {"name": "linear", "params": {"coeffs": [1.0, float("inf")]}}}, "'coeffs'"),
+    ({"problem_class": "terminal",
+      "model": {"name": "softplus_call", "params": {"strike": "0.2"}}}, "'strike'"),
+    ({"model": {"name": "quadratic_control", "params": {"coeffs": 1.0}}}, "'coeffs'"),
+    ({"model": {"name": "tracking_control", "params": {"x0": float("-inf")}}}, "'x0'"),
+    ({"model": {"name": "utility", "params": {"x0": float("nan")}}}, "'x0'"),
+    ({"model": {"name": "utility",
+                "params": {"loss": {"name": "exponential", "params": {"rate": "x"}}}}}, "'rate'"),
+    ({"problem_class": "stopping",
+      "model": {"name": "markov_payoff",
+                "params": {"g": {"name": "sin", "params": {"frequency": float("nan")}}}}},
+     "'frequency'"),
+    ({"problem_class": "stopping", "model": {"name": "running_sum", "params": {"coeff": [1]}}},
+     "'coeff'"),
 ])
 def test_malformed_config_is_invalid_params(tmp_path, capsys, field, needle):
     cfg = tmp_path / "cfg.json"

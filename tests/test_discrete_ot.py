@@ -372,6 +372,17 @@ def test_bland_fallback_equals_reference_and_linprog(monkeypatch):
     assert stats["bland"] > 0
 
 
+def test_bland_fallback_above_the_pricing_threshold(monkeypatch):
+    # the test above prices in Python floats; 20 x 20 cells are priced by numpy
+    monkeypatch.setattr(discrete_ot, "_BLAND_TRIGGER", 1)
+    prob = structured_problem(np.random.default_rng(65), 20, 20, True, "integer")
+    assert prob.cost.size > discrete_ot._PRICE_SCALAR_MAX
+    stats = {}
+    got = assert_same_as_reference(prob, stats)
+    assert got.objective == pytest.approx(lp_reference(prob), abs=1e-9)
+    assert stats["bland"] > 0
+
+
 def test_pivot_budget_exhausted_raises_max_iterations(monkeypatch):
     # uniform marginals on an anti-diagonal cost: the north-west start is
     # the diagonal, one pivot away from optimal

@@ -23,6 +23,7 @@ from awsens import (
     tree_from_nested,
     worst_case_direction,
 )
+from awsens import adapted_wasserstein
 from awsens.robust_oracle import _Ascent
 from awsens.sensitivity import WorstCaseDirection
 
@@ -333,3 +334,37 @@ def test_only_structure_keeping_candidates_start_warm(monkeypatch):
     assert starts[0] is None and starts[2] is None and starts[3] is None
     cand, sol = solved[0]
     assert starts[1].tobytes() == sol[1].vector(cand).tobytes()
+
+
+# lower_bound and distance per radius of robust_curve on gen_random(3, 3, 0),
+# whose ball checks solve 3x3 interior transport problems one pair at a time
+_PINNED_3X3 = {
+    "terminal": (
+        ("0x1.c60bf64b488a4p-10", "0x1.0624dd2f1aa02p-10"),
+        ("0x1.1bc779ef0d4e2p-6", "0x1.47ae147ae1480p-7"),
+        ("0x1.62b9586ad0a23p-3", "0x1.999999999999ap-4"),
+    ),
+    "stopping": (
+        ("0x1.0624dd2f1a980p-10", "0x1.0624dd2f1a989p-10"),
+        ("0x1.47ae147ae1480p-7", "0x1.47ae147ae1480p-7"),
+        ("0x1.850219a1835a9p-4", "0x1.9999999999999p-4"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_3X3))
+def test_curve_bits_with_per_pair_3x3_solves(kind, monkeypatch):
+    shapes = Counter()
+    solve = adapted_wasserstein.transport_simplex
+
+    def counted(mu, nu, cost):
+        shapes[cost.shape] += 1
+        return solve(mu, nu, cost)
+
+    monkeypatch.setattr(adapted_wasserstein, "transport_simplex", counted)
+    model = (make_cost_model("linear", None, 3) if kind == "terminal" else
+             make_cost_model("markov_payoff", {"g": {"name": "identity"}}, 3))
+    curve = robust_curve(RobustQuery(kind, gen_random(3, 3, 0), model, 2.0, (1e-3, 1e-2, 1e-1)))
+    got = tuple((row.lower_bound.hex(), row.distance.hex()) for row in curve.rows)
+    assert got == _PINNED_3X3[kind]
+    assert shapes[(3, 3)] > 0 and set(shapes) == {(3, 3)}
