@@ -41,6 +41,7 @@ from .errors import (
     InvalidParams,
     InvalidTree,
     MaxIterations,
+    NonFinite,
     NotCausal,
     NotConvex,
     TooLarge,

@@ -14,8 +14,12 @@ Interior stages add the children's values, which breaks submodularity: a
 chunk of at least ``_SIMPLEX_BATCH_MIN`` pairs runs the transportation
 simplex in lockstep, a smaller one per node pair, and both give the same
 bits.  Each chunk's costs are one gather, and the transport checks run
-once per size class and chunk rather than per pair.  One recursion
-serves two entries:
+once per size class and chunk rather than per pair.  What the families'
+weights alone decide (the last stage's plans, given the sibling orders,
+and the per-pair interior starts) is kept in the structure cache for trees
+of one structure, on levels of at most ``_BATCH_CELLS`` cells, so the ball
+checks of a robust curve, which measure many ``with_values`` candidates
+against one base tree, build it once.  One recursion serves two entries:
 :func:`aw_distance` (distance, per-stage costs, coupling) and the
 distance-only :func:`aw_pth_power`, which keeps no plans.  Batching never
 changes a summation order: each objective is summed over the row-major
@@ -37,10 +41,12 @@ import numpy as np
 
 from .discrete_ot import (
     TransportProblem,
+    _northwest_batch,
+    _northwest_corner,
+    _objectives,
     check_cost,
     check_weights,
     solve_exact,
-    sorted_1d_batch_core,
     transport_simplex,
     transport_simplex_batch,
 )
@@ -458,64 +464,70 @@ def _size_classes(tree: ScenarioTree, t: int):
     return _memo(tree._shared, ("classes", t), build)
 
 
-def _sorted_families(tree: ScenarioTree, t: int):
-    """Child families of the time-t nodes, per size class of
-    :func:`_size_classes`; cached per tree.
-
-    Lists ``(values, weights, sums, order)`` per class: the children's
-    values and conditional probabilities sorted by value (stable), the row
-    sums of those sorted weights, and the sorting permutation.
-    """
-    def build():
-        out = []
-        for _, kids, _, w, _ in _size_classes(tree, t)[2]:
-            order = _frozen(np.argsort(tree.values[kids], axis=1, kind="stable"))
-            w = _frozen(np.take_along_axis(w, order, axis=1))
-            out.append((_frozen(np.take_along_axis(tree.values[kids], order, axis=1)),
-                        w, _frozen(w.sum(axis=-1)), order))
-        return tuple(out)
-    return _memo(tree._cache, ("sorted", t), build)
-
-
 def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray | None,
            kept: dict | None) -> np.ndarray:
     """Values of all time-t node pairs, given ``value``, those of the
     time-(t+1) pairs (None at the last stage), by level positions.
 
     The pairs are solved per pair of size classes of :func:`_size_classes`
-    and in chunks of about ``_BATCH_CELLS`` cells.  At the last stage
-    the cost is the stage cost alone, submodular on sorted atoms, so one
-    lockstep north-west-corner solve serves a chunk.  Interior stages add
-    the children's values to the stage cost, which breaks submodularity:
-    a chunk's costs are one gather, checked for finiteness once, and the
-    second marginal is rescaled as :func:`solve_exact` rescales it.  A
-    chunk of at least ``_SIMPLEX_BATCH_MIN`` pairs runs the lockstep
-    simplex of :func:`transport_simplex_batch`, which equals the
-    per-pair :func:`transport_simplex` bit for bit and below that size
-    is slower than it.  With ``kept`` given, the plans of the pairs of
-    families in classes ``a`` and ``b`` are kept, with the children in tree
-    order, as one array ``kept[a, b]`` of shape (F, m, n): the pair of rows
-    ``i`` and ``j`` is plan ``i * len(class b) + j``.
+    and in chunks of about ``_BATCH_CELLS`` cells; a chunk's costs are one
+    broadcast, checked for finiteness once.  At the last stage the cost is
+    the stage cost alone, submodular on atoms sorted as the trees' sibling
+    sorts sort them, so the chunk's lockstep north-west plans are optimal.
+    Interior stages add the children's values to the stage cost, which
+    breaks submodularity: a chunk of at least ``_SIMPLEX_BATCH_MIN`` pairs
+    runs the lockstep simplex of :func:`transport_simplex_batch`, which
+    equals the per-pair :func:`transport_simplex` bit for bit and below
+    that size is slower than it, and a smaller one runs :func:`_per_pair`.
+    Either way the second marginal is rescaled as :func:`solve_exact`
+    rescales it.
+
+    The families' weights alone decide the last stage's plans, given both
+    sibling orders, and the per-pair north-west starts.  Two trees of one
+    structure (``with_values`` candidates and their base) share the
+    weights, so for them, on a level of at most ``_BATCH_CELLS`` cells
+    (one chunk per pair of classes), these live in the structure cache,
+    read-only: the last stage's plans as one entry per pair of classes
+    with the orders they were built for, replaced when a pair's orders
+    differ, which is rare since a small shift keeps the order of siblings.
+    Larger levels, and pairs of different structures, build them afresh,
+    so the cache holds at most ``_BATCH_CELLS`` cells per level.
+
+    With ``kept`` given, the plans of the pairs of families in classes
+    ``a`` and ``b`` are kept, with the children in tree order, as one
+    array ``kept[a, b]`` of shape (F, m, n): the pair of rows ``i`` and
+    ``j`` is plan ``i * len(class b) + j``.
     """
     level = np.empty((len(P.levels[t]), len(Q.levels[t])))
-    yfam = _size_classes(Q, t)[2]
+    xfam, yfam = _size_classes(P, t)[2], _size_classes(Q, t)[2]
+
+    def cells(m, n):  # per pair: plan cells, or tree-mask cells for the simplex
+        return m * n if value is None else (m + n) ** 2
+
+    # a pair of one structure keeps the weight-only starts of a level of at
+    # most _BATCH_CELLS cells, which is one chunk per pair of classes
+    shared = None
+    if P._shared is Q._shared and sum(len(xw) * len(yw) * cells(xw.shape[1], yw.shape[1])
+                                      for *_, xw, _ in xfam for *_, yw, _ in yfam) <= _BATCH_CELLS:
+        shared = P._shared
     if value is None:
-        xsorted, ysorted = _sorted_families(P, t), _sorted_families(Q, t)
-    for a, (xat, xkids, xbelow, xw, xsum) in enumerate(_size_classes(P, t)[2]):
+        xsorted, ysorted = P._cache[("sorted", t)], Q._cache[("sorted", t)]
+    for a, (xat, xkids, xbelow, xw, xsum) in enumerate(xfam):
         m = xw.shape[1]
         for b, (yat, ykids, ybelow, yw, ysum) in enumerate(yfam):
             cy, n = yw.shape
-            step = max(1, _BATCH_CELLS // (cy * (m * n if value is None else (m + n) ** 2)))
+            step = max(1, _BATCH_CELLS // (cy * cells(m, n)))
             for lo in range(0, len(xat), step):
                 bx = slice(lo, lo + step)
                 cx = len(xat[bx])
                 if value is None:
-                    (xv, xws, xs, ox), (yv, yws, ys, oy) = xsorted[a], ysorted[b]
-                    plan, obj = sorted_1d_batch_core(
-                        np.repeat(xv[bx], cy, axis=0), np.repeat(xws[bx], cy, axis=0),
-                        np.repeat(xs[bx], cy), np.tile(yv, (cx, 1)), np.tile(yws, (cx, 1)),
-                        np.tile(ys, cx), p,
-                    )
+                    (xv, ox), (yv, oy) = xsorted[a], ysorted[b]
+                    ox = ox[bx]
+                    cost = np.abs(xv[bx][:, None, :, None] - yv[None, :, None, :]) ** p
+                    cost = cost.reshape(cx * cy, m, n)
+                    check_cost(cost)
+                    plan = _monotone_plans(shared, ("plans", t, a, b), xw[bx], ox, yw, oy)
+                    obj = _objectives(plan, cost)
                 else:
                     xv, yv = P.values[xkids[bx]], Q.values[ykids]
                     cost = (np.abs(xv[:, None, :, None] - yv[None, :, None, :]) ** p
@@ -523,11 +535,13 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
                     cost = cost.reshape(cx * cy, m, n)
                     check_cost(cost)
                     if len(cost) >= _SIMPLEX_BATCH_MIN:
-                        ratio = (xsum[bx][:, None] / ysum[None, :]).reshape(-1, 1)
                         plan, obj, _, _ = transport_simplex_batch(
-                            np.repeat(xw[bx], cy, axis=0), np.tile(yw, (cx, 1)) * ratio, cost)
+                            *_marginals(xw[bx], xsum[bx], yw, ysum), cost)
                     else:
-                        plan, obj = _per_pair(xw[bx], xsum[bx], yw, ysum, cost, kept is not None)
+                        starts = _memo(shared, ("starts", t, a, b),
+                                       lambda: _starts(xw[bx], xsum[bx], yw, ysum))
+                        plan, obj = _per_pair(starts, cost)
+                del cost  # before the kept plans are allocated
                 level[np.ix_(xat[bx], yat)] = obj.reshape(cx, cy)
                 if kept is not None:
                     if lo == 0:  # after the first solve, so its temporaries are gone
@@ -535,29 +549,62 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
                     rows = slice(lo * cy, (lo + cx) * cy)
                     if value is None:
                         whole[rows][np.arange(cx * cy)[:, None, None],
-                                    np.repeat(ox[bx], cy, axis=0)[:, :, None],
+                                    np.repeat(ox, cy, axis=0)[:, :, None],
                                     np.tile(oy, (cx, 1))[:, None, :]] = plan
                     else:
                         whole[rows] = plan
     return level
 
 
-def _per_pair(xw, xsum, yw, ysum, cost, keep: bool):
-    """The transportation simplex on each pair of an x family (rows of
-    ``xw``) and a y family (rows of ``yw``), x-major, on the (F, m, n)
-    ``cost``; returns the plans (None unless ``keep``) and objectives."""
-    plans = np.empty(cost.shape) if keep else None
-    obj = np.empty(len(cost))
-    ys, yl = ysum.tolist(), yw.tolist()
-    k = 0
-    for mu, s in zip(xw.tolist(), xsum.tolist()):
-        for nu, u in zip(yl, ys):
-            ratio = s / u
-            plan, obj[k], *_ = transport_simplex(mu, [w * ratio for w in nu], cost[k])
-            if keep:
-                plans[k] = plan
-            k += 1
-    return plans, obj
+def _marginals(xw, xsum, yw, ysum):
+    """Both marginals of each pair of an x family (rows of ``xw``, which
+    sum to ``xsum``) and a y family (rows of ``yw``), x-major, the second
+    rescaled as :func:`solve_exact` rescales it."""
+    ratio = (xsum[:, None] / ysum[None, :]).reshape(-1, 1)
+    return np.repeat(xw, len(yw), axis=0), np.tile(yw, (len(xw), 1)) * ratio
+
+
+def _starts(xw, xsum, yw, ysum) -> tuple:
+    """The north-west start of each pair of :func:`_marginals`, as
+    :func:`transport_simplex` takes it."""
+    mu, nu = _marginals(xw, xsum, yw, ysum)
+    return tuple(map(_northwest_corner, mu.tolist(), nu.tolist()))
+
+
+def _monotone_plans(shared: dict | None, key, xw, ox, yw, oy) -> np.ndarray:
+    """The last stage's plans of each pair of an x family (rows of ``xw``)
+    and a y family (rows of ``yw``), x-major, with the children sorted by
+    ``ox`` and ``oy``: the north-west plans of the sorted weights.  With
+    ``shared`` given, the plans kept there under ``key`` for the same
+    orders, or new plans kept in their place."""
+    if shared is not None:
+        hit = shared.get(key)
+        if hit and hit[0].tobytes() == ox.tobytes() and hit[1].tobytes() == oy.tobytes():
+            return hit[2]
+    xw, yw = np.take_along_axis(xw, ox, axis=1), np.take_along_axis(yw, oy, axis=1)
+    plan = _frozen(_northwest_batch(*_marginals(xw, xw.sum(axis=-1), yw, yw.sum(axis=-1)))[0])
+    if shared is not None:
+        shared[key] = (ox, oy, plan)
+    return plan
+
+
+def _per_pair(starts, cost: np.ndarray):
+    """The transportation simplex on each problem of the (F, m, n)
+    ``cost`` from its start in ``starts``, one at a time; returns the plans
+    and objectives, built from all the optimal flows at once as
+    :func:`transport_simplex_batch` builds them: one scatter, one clip and
+    :func:`_objectives`."""
+    _, m, n = cost.shape
+    at: list[int] = []
+    mass: list[float] = []
+    for k, (cells, masses) in enumerate(starts):
+        flow = transport_simplex(cells, masses, cost[k])[0]
+        at += [(k * m + i) * n + j for i, j in flow]
+        mass += flow.values()
+    plans = np.zeros(cost.shape)
+    plans.reshape(-1)[at] = mass
+    np.maximum(plans, 0.0, out=plans)  # np.clip(plans, 0.0, None), without its wrapper
+    return plans, _objectives(plans, cost)
 
 
 def _recursion(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -> float:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
 from .adapted_wasserstein import AWParams, CouplingTree, aw_distance
 from .cost_models import CATALOG, CostModel, make_cost_model
-from .errors import AwsensError, InvalidParams, InvalidTree, finite_number, is_number
+from .errors import AwsensError, InvalidParams, InvalidTree, NonFinite, finite_number, is_number
 from .multistage_opt import ControlBounds, solve_value
 from .optimal_stopping import solve_stopping
 from .process_tree import Node, ScenarioTree, gen_binomial, gen_lattice, gen_random
@@ -234,6 +235,25 @@ class RunConfig:
         return make_cost_model(self.model_name, self.model_params, T)
 
 
+def _finite(payload, command: str, skip: str | None = None):
+    """``payload``, or ``NonFinite`` for its first number that is not finite
+    (Python's ``json`` would write it as ``NaN`` or ``Infinity``, which are
+    not JSON); the top-level field ``skip`` is not checked."""
+    def walk(v, path):
+        if isinstance(v, dict):
+            for k, x in v.items():
+                if not (path == "" and k == skip):
+                    walk(x, f"{path}.{k}" if path else k)
+        elif isinstance(v, (list, tuple)):
+            for i, x in enumerate(v):
+                walk(x, f"{path}[{i}]")
+        elif isinstance(v, float) and not math.isfinite(v):
+            raise NonFinite(f"{command}: {path} is {v!r}; the model overflows on this tree")
+
+    walk(payload, "")
+    return payload
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     sys.stdout.write(text)
@@ -311,15 +331,12 @@ def cmd_value(args) -> int:
     cfg = RunConfig.from_file(args.config)
     model = cfg.build_model(tree.horizon)
     report = solve_value(tree, model, ControlBounds(cfg.L), tol=cfg.value_tol)
-    _emit(
-        {
-            "value": report.value,
-            "kkt_residual": report.kkt_residual,
-            "iterations": report.iterations,
-            "policy": {str(k): v for k, v in sorted(report.policy.values.items())},
-        },
-        args.out,
-    )
+    _emit(_finite({
+        "value": report.value,
+        "kkt_residual": report.kkt_residual,
+        "iterations": report.iterations,
+        "policy": {str(k): v for k, v in sorted(report.policy.values.items())},
+    }, "value"), args.out)
     return 0
 
 
@@ -328,15 +345,13 @@ def cmd_stop(args) -> int:
     cfg = RunConfig.from_file(args.config)
     model = cfg.build_model(tree.horizon)
     value, policy, table = solve_stopping(tree, model, tol=cfg.stopping_tol)
-    _emit(
-        {
-            "value": value,
-            "stop_nodes": sorted(policy.stop_set),
-            "tau": {str(k): v for k, v in sorted(policy.tau.items())},
-            "uniqueness_margin": table.uniqueness_margin,
-        },
-        args.out,
-    )
+    # with no node before the horizon the margin is an empty minimum, +inf
+    _emit(_finite({
+        "value": value,
+        "stop_nodes": sorted(policy.stop_set),
+        "tau": {str(k): v for k, v in sorted(policy.tau.items())},
+        "uniqueness_margin": table.uniqueness_margin,
+    }, "stop", skip="uniqueness_margin" if tree.horizon == 1 else None), args.out)
     return 0
 
 
@@ -351,7 +366,7 @@ def cmd_sens(args) -> int:
     else:
         report = first_order(tree, model, cfg.p, ControlBounds(cfg.L), cfg.solver_tol)[0]
     direction = worst_case_direction(tree, report)
-    _emit(
+    _emit(_finite(
         {
             "problem_class": report.problem_class,
             "p": report.p,
@@ -373,8 +388,8 @@ def cmd_sens(args) -> int:
                 },
             },
         },
-        args.out,
-    )
+        "sens",
+    ), args.out)
     return 0
 
 

@@ -40,6 +40,17 @@ def _vector(params: dict, key: str, default: float, T: int, model: str) -> Array
     return np.array([finite_number(x, key, f"{model!r} param") for x in v])
 
 
+def _spec(params: dict, key: str, default: str, model: str) -> tuple[str, dict | None]:
+    """Param ``key`` of ``model``, a nested ``{"name": ..., "params": {...}}``
+    spec, as its name and params (``InvalidParams`` otherwise)."""
+    spec = params.get(key, {"name": default})
+    if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
+            and isinstance(spec.get("params") or {}, dict)):
+        raise InvalidParams(f"{model!r} param {key!r} must be an object with a name string "
+                            f"and optional params object, got {spec!r}")
+    return spec["name"], spec.get("params")
+
+
 def _expit(x: Array) -> Array:
     """Logistic sigmoid; exp(-x) overflows to inf far in the left tail,
     where the result is the exact limit 0."""
@@ -389,11 +400,9 @@ def build_utility_cost(u: UtilityModel, T: int) -> CostModel:
 
 
 def make_utility_model(params: dict, T: int) -> UtilityModel:
-    loss_spec = params.get("loss", {"name": "quadratic"})
-    payoff_spec = params.get("payoff", {"name": "zero"})
     return UtilityModel(
-        loss=make_loss(loss_spec["name"], loss_spec.get("params")),
-        payoff=make_payoff(payoff_spec["name"], payoff_spec.get("params"), T),
+        loss=make_loss(*_spec(params, "loss", "quadratic", "utility")),
+        payoff=make_payoff(*_spec(params, "payoff", "zero", "utility"), T),
         x0=_number(params, "x0", 0.0, "utility"),
     )
 
@@ -492,8 +501,8 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
         return build_utility_cost(make_utility_model(params, T), T)
 
     if name == "markov_payoff":
-        gspec = params.get("g", {"name": "identity"})
-        g, dg, gparams = make_scalar_payoff(gspec["name"], gspec.get("params"))
+        gname, gparams = _spec(params, "g", "identity", name)
+        g, dg, gparams = make_scalar_payoff(gname, gparams)
 
         def mp_value(x, t):
             return g(x[:, t - 1])
@@ -504,7 +513,7 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
             return out
 
         return CostModel(
-            "stopping", name, T, {"g": {"name": gspec["name"], "params": gparams}},
+            "stopping", name, T, {"g": {"name": gname, "params": gparams}},
             value_fn=mp_value, grad_x_fn=mp_grad,
         )
 

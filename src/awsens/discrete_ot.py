@@ -11,17 +11,19 @@ floats, where numpy's per-call cost would dominate; larger ones, such as
 whole path sets in :func:`solve_exact`, on a numpy matrix, which is faster
 there.  Both branches pick the same entering cells bit for bit.
 
-:func:`transport_simplex` solves one problem;
-:func:`transport_simplex_batch` runs the same simplex on many problems of
-one shape in lockstep, one vectorised pivot round for all of them, and
-equals it bit for bit (its docstring has the argument).
-:func:`solve_exact` checks a :class:`TransportProblem` and runs the
-former; :func:`solve_sorted_1d_batch` checks its weights and runs
-:func:`sorted_1d_batch_core`, whose north-west walk the batched simplex
-shares.  The adapted-distance recursion calls the cores directly, after
-running the same checks (:func:`check_weights`, :func:`check_cost`) once
-per size class of child families and once per batch of costs.  A simplex
-that exceeds its pivot budget raises ``MaxIterations``.
+:func:`transport_simplex` pivots one problem from a given start to its
+optimal flow; :func:`transport_simplex_batch` runs the same simplex on
+many problems of one shape in lockstep, one vectorised pivot round for
+all of them, and equals it bit for bit (its docstring has the argument).
+:func:`solve_exact` checks a :class:`TransportProblem`, starts the former
+from the north-west corner and makes the clipped plan and its objective
+of the flow; :func:`solve_sorted_1d_batch` checks its weights and runs
+the north-west walk that the batched simplex starts from
+(:func:`_northwest_batch`).  The adapted-distance recursion calls these
+cores directly, after running the same checks (:func:`check_weights`,
+:func:`check_cost`) once per size class of child families and once per
+batch of costs, and keeps the starts of trees of one structure.  A
+simplex that exceeds its pivot budget raises ``MaxIterations``.
 """
 
 from __future__ import annotations
@@ -105,8 +107,9 @@ class TransportPlan:
 
 
 def _northwest_corner(mu: Sequence[float], nu: Sequence[float]):
-    """The initial basic feasible solution: its m + n - 1 cells, each
-    joining one new row or column to the staircase, and their masses."""
+    """The initial basic feasible solution: a tuple of its m + n - 1 cells,
+    each joining one new row or column to the staircase, and one of their
+    masses."""
     m, n = len(mu), len(nu)
     cells: list[tuple[int, int]] = []
     masses: list[float] = []
@@ -120,7 +123,7 @@ def _northwest_corner(mu: Sequence[float], nu: Sequence[float]):
         a[i] -= w
         b[j] -= w
         if i == m - 1 and j == n - 1:
-            return cells, masses
+            return tuple(cells), tuple(masses)
         # advance exactly one pointer per step so the basis stays a tree
         if (a[i] <= b[j] and i < m - 1) or j == n - 1:
             i += 1
@@ -174,15 +177,19 @@ def _price(C: list[list[float]], pot: list[float], flow, m: int, tol: float, bla
     return enter
 
 
-def transport_simplex(mu: list[float], nu: list[float], cost: np.ndarray):
-    """Transportation simplex from the north-west corner.
+def transport_simplex(cells: Sequence[tuple[int, int]], masses: Sequence[float],
+                      cost: np.ndarray):
+    """Transportation simplex from the basic feasible solution ``masses``
+    on the spanning-tree ``cells``, such as :func:`_northwest_corner`
+    returns; none of them is checked here, nor the float64 ``cost``.
 
-    ``mu`` and ``nu`` are lists of floats with equal total mass and
-    ``cost`` is a float64 matrix; none of them is checked here.  Returns the
-    clipped plan, its objective, the potentials ``[u_0..u_{m-1},
-    v_0..v_{n-1}]``, the basis cells, the pivots taken and the switches to
-    Bland's rule.  Each pivot hangs the basis tree from row 0 afresh and
-    reads the entering cell's cycle off its parent links.
+    Returns the optimal flow, unclipped, as a dict from basis cell to mass
+    (so ``list(flow)`` is the basis), the potentials ``[u_0..u_{m-1},
+    v_0..v_{n-1}]``, the pivots taken and the switches to Bland's rule.
+    The callers build the plan and objective: :func:`solve_exact` one at a
+    time, the adapted-distance recursion a batch of flows at once.  Each
+    pivot hangs the basis tree from row 0 afresh and reads the entering
+    cell's cycle off its parent links.
 
     Up to ``_PRICE_SCALAR_MAX`` cells the entering cell is priced in Python
     floats over ``C`` (:func:`_price`), above it on a numpy matrix.  Both
@@ -194,7 +201,6 @@ def transport_simplex(mu: list[float], nu: list[float], cost: np.ndarray):
     """
     m, n = cost.shape
     C = cost.tolist()
-    cells, masses = _northwest_corner(mu, nu)
     flow = dict(zip(cells, masses))
     tol = 1e-11 * (1.0 + max(map(abs, itertools.chain.from_iterable(C))))
     degenerate_run = pivots = switches = 0
@@ -256,19 +262,19 @@ def transport_simplex(mu: list[float], nu: list[float], cost: np.ndarray):
             bland = False
     else:
         raise MaxIterations(f"transportation simplex did not terminate within {max_iter} pivots")
-    keys = list(flow)
-    plan = _dense(keys, [flow[c] for c in keys], m, n)
-    np.maximum(plan, 0.0, out=plan)  # np.clip(plan, 0.0, None), without its wrapper
-    return plan, float(np.vdot(plan, cost)), pot, keys, pivots, switches
+    return flow, pot, pivots, switches
 
 
 def solve_exact(prob: TransportProblem) -> TransportPlan:
     """Optimal vertex of the transportation polytope for an arbitrary cost."""
-    m = prob.mu.size
+    m, n = prob.cost.shape
     # rescale the second marginal so both sides carry identical total mass
     nu = prob.nu * (prob.mu.sum() / prob.nu.sum())
-    plan, objective, pot, basis, *_ = transport_simplex(prob.mu.tolist(), nu.tolist(), prob.cost)
-    return TransportPlan(plan, objective, np.array(pot[:m]), np.array(pot[m:]), tuple(sorted(basis)))
+    flow, pot, *_ = transport_simplex(*_northwest_corner(prob.mu.tolist(), nu.tolist()), prob.cost)
+    plan = _dense(flow, flow.values(), m, n)
+    np.maximum(plan, 0.0, out=plan)  # np.clip(plan, 0.0, None), without its wrapper
+    return TransportPlan(plan, float(np.vdot(plan, prob.cost)), np.array(pot[:m]),
+                         np.array(pot[m:]), tuple(sorted(flow)))
 
 
 def solve_sorted_1d(
@@ -311,19 +317,10 @@ def solve_sorted_1d_batch(
     bit (see :func:`_northwest_batch` and :func:`_objectives`).  The checks
     of :class:`TransportProblem` apply row by row.
     """
-    return sorted_1d_batch_core(x, mu, check_weights(mu), y, nu, check_weights(nu), p)
-
-
-def sorted_1d_batch_core(
-    x: np.ndarray, mu: np.ndarray, mu_sum: np.ndarray,
-    y: np.ndarray, nu: np.ndarray, nu_sum: np.ndarray, p: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`solve_sorted_1d_batch` for weights already checked, given
-    with their row sums ``mu_sum`` and ``nu_sum`` as :func:`check_weights`
-    returns them; only the cost is checked here."""
+    ratio = check_weights(mu) / check_weights(nu)
     cost = np.abs(x[:, :, None] - y[:, None, :]) ** p
     check_cost(cost)
-    plan, _ = _northwest_batch(mu.copy(), nu * (mu_sum / nu_sum)[:, None])
+    plan, _ = _northwest_batch(mu.copy(), nu * ratio[:, None])
     return plan, _objectives(plan, cost)
 
 

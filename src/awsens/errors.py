@@ -80,6 +80,13 @@ class NotConvex(AwsensError):
     exit_code = 4
 
 
+class NonFinite(AwsensError):
+    """A value, gradient or first-order term computed from valid inputs
+    overflowed: it is not a finite number."""
+
+    exit_code = 6
+
+
 class MaxIterations(AwsensError):
     """An iterative solver hit its iteration cap before reaching tolerance."""
 

@@ -59,8 +59,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _memo(cache: dict, key, build):
-    """``cache[key]``, computed by ``build()`` on first use."""
+def _memo(cache: dict | None, key, build):
+    """``cache[key]``, computed by ``build()`` on first use; ``build()``
+    itself when there is no cache."""
+    if cache is None:
+        return build()
     if key not in cache:
         cache[key] = build()
     return cache[key]
@@ -81,7 +84,8 @@ class ScenarioTree:
     construction and shared, with one structure cache, by every tree
     :meth:`with_values` derives from it.  What algorithms derive from a tree
     is cached on it on first use as read-only arrays, so instances are safe
-    to share between workers.
+    to share between workers; its families' sorted values, which the
+    sibling-distinctness check computes, are cached from the start.
     """
 
     _STRUCTURE = (
@@ -178,16 +182,21 @@ class ScenarioTree:
         self._set_values(np.array([0.0 if nd.value is None else nd.value for nd in nodes]), probs)
 
     def _set_values(self, values: np.ndarray, probs: np.ndarray) -> None:
-        """Check finiteness and sibling distinctness; gather the path values."""
+        """Check finiteness and sibling distinctness; gather the path values.
+
+        The sibling sorts of the distinctness check start the per-tree
+        cache as its ``("sorted", t)`` entries.
+        """
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise InvalidTree(f"node {bad[0]} must carry a finite value")
-        clash = self._collision(values)
+        sorts = self._sibling_sorts(values)
+        clash = self._collision(values, sorts)
         if clash is not None:
             raise InvalidTree(f"children of node {clash} carry duplicate values")
         self.values = _frozen(values)
         self._paths = PathTable(self.leaves, _frozen(values[self._ancestors[:, 1:]]), probs)
-        self._cache: dict = {}
+        self._cache: dict = {("sorted", t): level for t, level in enumerate(sorts)}
 
     def with_values(self, values: Sequence[float | None]) -> ScenarioTree:
         """This tree with ``values[k]`` at each non-root node ``k`` (the
@@ -204,13 +213,27 @@ class ScenarioTree:
         out._set_values(v, self._paths.probs)
         return out
 
-    def _collision(self, values: np.ndarray) -> int | None:
-        """Smallest id of a node whose children carry equal values, or None."""
-        clash = []
+    def _sibling_sorts(self, values: np.ndarray) -> list[tuple]:
+        """Per level t < horizon and per size class of :meth:`_sibling_groups`:
+        the families' ``values`` sorted along each row (stable, as the
+        adapted-distance recursion sorts them) and the sorting permutation,
+        both read-only."""
+        out = []
         for t in range(self.horizon):
-            for parents, kids in self._sibling_groups(t):
-                s = values[kids]  # sorted as the recursion sorts: np.sort costs memory
-                s = np.take_along_axis(s, np.argsort(s, axis=1, kind="stable"), axis=1)
+            level = []
+            for _, kids in self._sibling_groups(t):
+                s = values[kids]
+                order = np.argsort(s, axis=1, kind="stable")
+                level.append((_frozen(np.take_along_axis(s, order, axis=1)), _frozen(order)))
+            out.append(tuple(level))
+        return out
+
+    def _collision(self, values: np.ndarray, sorts=None) -> int | None:
+        """Smallest id of a node whose children carry equal values, or None;
+        ``sorts``, when given, is ``self._sibling_sorts(values)``."""
+        clash = []
+        for t, level in enumerate(sorts or self._sibling_sorts(values)):
+            for (parents, _), (s, _) in zip(self._sibling_groups(t), level):
                 hit = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
                 if hit.size:
                     clash.append(parents[hit[0]])

@@ -54,22 +54,49 @@ class WorstCaseDirection:
     degenerate: bool
 
 
+def _scaled(x: float, e: float) -> float:
+    """``x * 2**e``, rounded once; inf where it overflows."""
+    whole = math.floor(e)
+    try:
+        return math.ldexp(x * 2.0 ** (e - whole), whole)
+    except OverflowError:
+        return math.inf
+
+
 def _report_from_node_values(
     tree: ScenarioTree, node_vals: dict[int, dict[int, float]], p: float, problem_class: str
 ) -> SensitivityReport:
+    """The report of these conditional gradients: per stage E|G_t|^q and
+    the first-order term (sum_t E|G_t|^q)^(1/q).
+
+    Where the largest |G_t|^q lies outside [2^-970, 2^970], the powers
+    would lose bits to underflow or overflow, so the gradients are scaled
+    by 2^-k, k the binary exponent of the largest, before the powers are
+    summed, and the sums scaled back: the first-order term by 2^k, exactly,
+    and each stage's sum by 2^(kq).  Inside that range the sums run
+    unscaled.
+    """
     q = p / (p - 1.0)
+    big = max((abs(v) for vals in node_vals.values() for v in vals.values()), default=0.0)
+    k = 0
+    if big > 0.0 and not -970.0 <= q * math.log2(big) <= 970.0:
+        k = math.frexp(big)[1]
     qnorms = []
     for t in range(1, tree.horizon + 1):
         qnorms.append(
-            sum(tree.node_prob[nid] * abs(v) ** q for nid, v in node_vals[t].items())
+            sum(tree.node_prob[nid] * abs(math.ldexp(v, -k)) ** q
+                for nid, v in node_vals[t].items())
         )
+    first = _scaled(sum(qnorms) ** (1.0 / q), k)
+    if k:
+        qnorms = [_scaled(x, k * q) for x in qnorms]
     return SensitivityReport(
         problem_class=problem_class,
         p=p,
         q=q,
         cond_grads=node_vals,
         stage_qnorms=tuple(qnorms),
-        first_order=sum(qnorms) ** (1.0 / q),
+        first_order=first,
     )
 
 

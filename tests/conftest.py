@@ -7,8 +7,15 @@ whose optimal stopping rule is to wait.
 """
 
 import pytest
+from hypothesis import settings
 
 from awsens import ScenarioTree, gen_binomial, tree_from_nested
+
+# The default profile's draws, with a reproduction blob printed for every
+# falsifying example, so that a failure seen on CI (whose example database
+# is thrown away) can be replayed with @reproduce_failure:
+#   python -m pytest --hypothesis-profile=ci
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture

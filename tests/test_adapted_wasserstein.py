@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -585,6 +586,69 @@ def test_recursion_caches_do_not_leak_between_trees(seed, order):
         for entries in kid._cache.values():
             for vals, *_ in entries:
                 assert set(vals.ravel()) <= set(kid.values)
+
+
+def _plan_bits(P: ScenarioTree, Q: ScenarioTree, p: float) -> dict:
+    """The recursion's kept plans, as bytes by stage and pair of classes."""
+    plans: dict = {}
+    adapted_wasserstein._recursion(P, Q, p, plans)
+    return {(t, ab): a.tobytes() for t, kept in plans.items() for ab, a in kept.items()}
+
+
+@given(shape=st.sampled_from([(2, 3), (3, 3), (3, 4), (4, 2)]), seed=st.integers(0, 20_000),
+       scales=st.lists(st.sampled_from([1e-6, 0.05, 1.0]), min_size=2, max_size=4),
+       p=st.sampled_from([1.5, 2.0, 3.0]), cells=st.sampled_from([1, 40, None]))
+@settings(max_examples=25, deadline=None)
+def test_same_structure_pairs_match_the_uncached_recursion(shape, seed, scales, p, cells):
+    # trees of one structure read the last stage's plans (per pair of
+    # sibling orders) and the interior starts from the structure cache;
+    # trees built anew share nothing, so their recursion builds every start
+    # afresh and is the reference.  Candidates of large shifts reorder
+    # siblings, and the first comes back after the others, so kept plans
+    # are both replaced and reused; (3, 4) runs its 16-pair interior level
+    # in lockstep unless chunks are cut smaller, and chunked levels build
+    # their starts afresh
+    T, b = shape
+    params = AWParams(p)
+    rng = np.random.default_rng(seed)
+    base = gen_random(T, b, seed)
+    fresh_base = _constructed(base, base.values)
+    values = [base.values + rng.normal(scale=s, size=len(base.values)) for s in scales]
+    with mock.patch.object(adapted_wasserstein, "_BATCH_CELLS",
+                           cells or adapted_wasserstein._BATCH_CELLS):
+        for v in values + values[:1]:
+            cand, fresh = base.with_values(v), _constructed(base, v)
+            for (P, Q), (A, B) in (((base, cand), (fresh_base, fresh)),
+                                   ((cand, base), (fresh, fresh_base))):
+                assert aw_pth_power(P, Q, params).hex() == aw_pth_power(A, B, params).hex()
+                got, want = aw_distance(P, Q, params), aw_distance(A, B, params)
+                assert _result_bits(got) == _result_bits(want)
+                assert got.coupling.prob.tobytes() == want.coupling.prob.tobytes()
+                assert _plan_bits(P, Q, p) == _plan_bits(A, B, p)
+    # chunked last stages exceed _BATCH_CELLS and keep no plans
+    assert any(key[:2] == ("plans", T - 1) for key in base._shared) == (cells is None)
+    assert not any(key[0] == "plans" for key in fresh_base._shared)
+
+
+def test_structure_cache_keeps_only_levels_within_batch_cells(monkeypatch):
+    # a same-structure pair on a deep tree keeps weight-only entries only
+    # for levels of at most _BATCH_CELLS cells: on binomial T=7 with 256,
+    # the last stage (64^2 pairs of 2x2 plans) keeps no plans and only
+    # levels 0 and 1 (1 and 4 pairs of 16 tree-mask cells) keep starts;
+    # level 2's 16 pairs run in lockstep, which keeps nothing
+    monkeypatch.setattr(adapted_wasserstein, "_BATCH_CELLS", 256)
+    base = gen_binomial(7, 0.0, 1.0, -1.0, 0.5)
+    cand = base.with_values(base.values + 0.01)
+    fresh = _constructed(base, cand.values)
+    params = AWParams(2.0)
+    assert _result_bits(aw_distance(base, cand, params)) == _result_bits(
+        aw_distance(_constructed(base, base.values), fresh, params))
+    assert aw_pth_power(cand, base, params).hex() == aw_pth_power(
+        fresh, _constructed(base, base.values), params).hex()
+    kept = [key for key in base._shared if key[0] in ("plans", "starts", "marginals")]
+    assert sorted(kept) == [("starts", 0, 0, 0), ("starts", 1, 0, 0)]
+    for _, t, *_ in kept:
+        assert len(base.levels[t]) ** 2 * (2 + 2) ** 2 <= 256
 
 
 def test_cached_arrays_are_read_only():

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from awsens import (
     AwsensError,
     InvalidParams,
     InvalidTree,
+    NonFinite,
     NotConvex,
     TooLarge,
     gen_binomial,
@@ -277,6 +279,7 @@ def test_exit_codes(tmp_path, capsys):
 
     assert NotConvex.exit_code == 4
     assert TooLarge.exit_code == 5
+    assert NonFinite.exit_code == 6
     assert AmbiguousStopping.exit_code == 3
     assert InvalidTree.exit_code == 2
 
@@ -362,6 +365,51 @@ def test_malformed_config_is_invalid_params(tmp_path, capsys, field, needle):
     }))
     code, _, err = run_cli(capsys, "value", FIXTURES / "drifted_binomial.json", "--config", cfg)
     assert code == InvalidParams.exit_code and "InvalidParams" in err and needle in err
+
+
+@pytest.mark.parametrize("cmd, problem_class, model, needle", [
+    ("stop", "stopping", {"name": "markov_payoff", "params": {"g": 3}}, "'g'"),
+    ("value", "controlled", {"name": "utility", "params": {"loss": "x"}}, "'loss'"),
+    ("value", "controlled", {"name": "utility", "params": {"payoff": 3}}, "'payoff'"),
+    ("value", "controlled",
+     {"name": "utility", "params": {"payoff": {"name": "zero", "params": 3}}}, "'payoff'"),
+])
+def test_non_object_model_specs_are_invalid_params(tmp_path, capsys, cmd, problem_class, model,
+                                                   needle):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem_class": problem_class, "model": model, "p": 2.0}))
+    code, _, err = run_cli(capsys, cmd, FIXTURES / "drifted_binomial.json", "--config", cfg)
+    assert code == InvalidParams.exit_code and "InvalidParams" in err and needle in err
+
+
+@pytest.mark.parametrize("cmd, tree, problem_class, model, needle", [
+    ("sens", "iid_signs", "terminal", {"name": "exp_sum", "params": {"beta": 800.0}},
+     "first_order is inf"),
+    ("value", "drifted_binomial", "controlled",
+     {"name": "quadratic_control", "params": {"coeffs": [1e308, 1e308]}}, "value is nan"),
+    ("stop", "drifted_binomial", "stopping",
+     {"name": "markov_payoff", "params": {"g": {"name": "quadratic", "params": {"weight": 1e308}}}},
+     "uniqueness_margin is inf"),
+])
+def test_non_finite_results_are_typed_errors(tmp_path, capsys, cmd, tree, problem_class, model,
+                                             needle):
+    # valid params whose values overflow on the tree: no NaN or Infinity
+    # (not JSON) reaches stdout
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem_class": problem_class, "model": model, "p": 2.0}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, cmd, FIXTURES / f"{tree}.json", "--config", cfg)
+    assert (code, out) == (NonFinite.exit_code, "") and "NonFinite" in err and needle in err
+
+
+def test_stop_on_one_period_tree_keeps_the_empty_margin(tmp_path, capsys):
+    # no node before the horizon: the margin is an empty minimum, printed
+    # as Infinity, and the command succeeds
+    tree = tmp_path / "one.json"
+    tree.write_text(serialize_tree(gen_binomial(1, 0.0, 1.0, -1.0, 0.5)))
+    code, out, _ = run_cli(capsys, "stop", tree, "--config",
+                           FIXTURES / "config_stop_identity.json")
+    assert code == 0 and json.loads(out)["uniqueness_margin"] == math.inf
 
 
 def test_config_counts_accept_integral_numbers():

@@ -444,13 +444,26 @@ def two_by_two(draw):
     return xw, yw * (xw.sum() / yw.sum()), cost.reshape(2, 2)
 
 
+def simplex(mu, nu, cost):
+    """``transport_simplex`` from the north-west corner of the lists ``mu``
+    and ``nu``, its flow made the clipped plan with the ``np.vdot``
+    objective, as ``solve_exact`` makes it: ``(plan, objective, basis,
+    pivots, switches)``."""
+    flow, _, pivots, switches = transport_simplex(*discrete_ot._northwest_corner(mu, nu), cost)
+    plan = np.zeros(cost.shape)
+    for c, w in flow.items():
+        plan[c] = w
+    np.maximum(plan, 0.0, out=plan)
+    return plan, float(np.vdot(plan, cost)), list(flow), pivots, switches
+
+
 def assert_batch_equals_simplex(mu, nu, cost):
     """``transport_simplex_batch`` against ``transport_simplex`` problem by
     problem: plan bytes, objective bits, pivots and Bland switches.
     Returns the batch's pivots and switches."""
     plan, obj, pivots, switches = transport_simplex_batch(mu, nu, cost)
     for k in range(len(cost)):
-        want, want_obj, _, _, want_pivots, want_switches = transport_simplex(
+        want, want_obj, _, want_pivots, want_switches = simplex(
             mu[k].tolist(), nu[k].tolist(), cost[k])
         assert plan[k].tobytes() == want.tobytes()
         assert obj[k].hex() == want_obj.hex()
@@ -498,7 +511,7 @@ def test_batch_simplex_pivot_budget_is_per_problem(monkeypatch):
     assert budget <= pivots[worst]  # only the slowest problem runs out
     monkeypatch.setattr(discrete_ot, "_PIVOT_BUDGET", (budget, 0))
     with pytest.raises(MaxIterations) as scalar:
-        transport_simplex(mu[worst].tolist(), nu[worst].tolist(), cost[worst])
+        simplex(mu[worst].tolist(), nu[worst].tolist(), cost[worst])
     with pytest.raises(MaxIterations) as batch:
         transport_simplex_batch(mu, nu, cost)
     assert str(batch.value) == str(scalar.value) == (
@@ -512,7 +525,7 @@ def test_batch_simplex_2x2_equals_simplex(probs):
     mu, nu, cost = (np.array(col) for col in zip(*probs))
     pivots, _ = assert_batch_equals_simplex(mu, nu, cost)
     for k, (xw, yw, c) in enumerate(probs):
-        basis = transport_simplex(xw.tolist(), yw.tolist(), c)[3]
+        basis = simplex(xw.tolist(), yw.tolist(), c)[2]
         # the start's basis holds one off-diagonal cell; a pivot adds the
         # other, and no problem pivots twice
         assert pivots[k] == ((0, 1) in basis and (1, 0) in basis)

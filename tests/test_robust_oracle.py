@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from awsens import (
     InvalidParams,
     RobustQuery,
     aw_distance,
+    aw_pth_power,
     ball_membership,
     build_utility_cost,
     gen_binomial,
@@ -196,6 +198,39 @@ def test_controlled_curve_solves_each_candidate_once(monkeypatch):
     # that seeds the next radius
     assert all(a != b for a, b in zip(solved, solved[1:]))
     assert len(solved) == len(counts)
+
+
+def test_last_stage_plans_are_built_once_per_sibling_order(monkeypatch):
+    # every ball check of a curve pass measures a candidate of the base
+    # structure whose siblings keep the base's order, so one north-west
+    # walk per last-stage chunk serves all of them; another order replaces
+    # the kept plans, and trees of different structures keep none
+    tree = gen_random(3, 3, 0)
+    models = {"terminal": make_cost_model("linear", None, 3),
+              "stopping": make_cost_model("markov_payoff", {"g": {"name": "identity"}}, 3)}
+    with mock.patch.object(adapted_wasserstein, "_northwest_batch",
+                           wraps=adapted_wasserstein._northwest_batch) as walks, \
+            mock.patch.object(adapted_wasserstein, "_recursion",
+                              wraps=adapted_wasserstein._recursion) as recursions:
+        for kind, model in models.items():
+            robust_curve(RobustQuery(kind, tree, model, 2.0, (1e-3, 1e-2, 1e-1)))
+        assert (walks.call_count, recursions.call_count) == (1, 253)
+        swapped = tree.values.copy()
+        leaves = list(tree.children[tree.levels[2][0]])
+        swapped[leaves] = swapped[leaves[::-1]]
+        params = AWParams(2.0)
+        for Q, calls in ((tree.with_values(swapped), 2), (tree, 3),
+                         (tree.with_values(tree.values + 2.0**-20), 3),
+                         (gen_random(3, 3, 0), 4), (gen_random(3, 3, 0), 5)):
+            aw_pth_power(tree, Q, params)
+            assert walks.call_count == calls
+        # a last stage of more than _BATCH_CELLS cells (729 here) keeps no
+        # plans: every recursion walks once per chunk of one x family
+        monkeypatch.setattr(adapted_wasserstein, "_BATCH_CELLS", 81)
+        small, walked, recursed = gen_random(3, 3, 0), walks.call_count, recursions.call_count
+        robust_curve(RobustQuery("terminal", small, models["terminal"], 2.0, (1e-3, 1e-2, 1e-1)))
+        assert walks.call_count - walked == (recursions.call_count - recursed) * len(small.levels[2])
+        assert not any(key[0] == "plans" for key in small._shared)
 
 
 def test_candidates_share_the_base_structure(monkeypatch):
