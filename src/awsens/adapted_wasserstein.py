@@ -505,10 +505,12 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
         return m * n if value is None else (m + n) ** 2
 
     # a pair of one structure keeps the weight-only starts of a level of at
-    # most _BATCH_CELLS cells, which is one chunk per pair of classes
+    # most _BATCH_CELLS cells, which is one chunk per pair of classes; the
+    # level's cell count is itself kept per structure
     shared = None
-    if P._shared is Q._shared and sum(len(xw) * len(yw) * cells(xw.shape[1], yw.shape[1])
-                                      for *_, xw, _ in xfam for *_, yw, _ in yfam) <= _BATCH_CELLS:
+    if P._shared is Q._shared and _memo(P._shared, ("cells", t, value is None), lambda: sum(
+            len(xw) * len(yw) * cells(xw.shape[1], yw.shape[1])
+            for *_, xw, _ in xfam for *_, yw, _ in yfam)) <= _BATCH_CELLS:
         shared = P._shared
     if value is None:
         xsorted, ysorted = P._cache[("sorted", t)], Q._cache[("sorted", t)]
@@ -542,7 +544,7 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
                                        lambda: _starts(xw[bx], xsum[bx], yw, ysum))
                         plan, obj = _per_pair(starts, cost)
                 del cost  # before the kept plans are allocated
-                level[np.ix_(xat[bx], yat)] = obj.reshape(cx, cy)
+                level[xat[bx, None], yat] = obj.reshape(cx, cy)
                 if kept is not None:
                     if lo == 0:  # after the first solve, so its temporaries are gone
                         kept[a, b] = whole = np.empty((len(xat) * cy, m, n))
@@ -566,7 +568,8 @@ def _marginals(xw, xsum, yw, ysum):
 
 def _starts(xw, xsum, yw, ysum) -> tuple:
     """The north-west start of each pair of :func:`_marginals`, as
-    :func:`transport_simplex` takes it."""
+    :func:`transport_simplex` takes it: its cells in walk order, which is
+    the order the simplex hangs its first basis tree in."""
     mu, nu = _marginals(xw, xsum, yw, ysum)
     return tuple(map(_northwest_corner, mu.tolist(), nu.tolist()))
 

@@ -131,14 +131,27 @@ def _northwest_corner(mu: Sequence[float], nu: Sequence[float]):
             j += 1
 
 
-def _tree(C: list[list[float]], cells, m: int, n: int):
+def _hang(C: list[list[float]], cells, m: int, n: int):
     """Per node of the basis tree on ``cells``, hung from row 0: its parent
-    (-1 at the root), depth and potential."""
-    adj: list[list[int]] = [[] for _ in range(m + n)]
-    for i, j in cells:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
+    (-1 at the root), depth and potential.  ``cells`` must come in hanging
+    order, as :func:`_northwest_corner` walks them: the first holds row 0
+    and each later one joins one new row or column to those before it, so
+    one pass over them hangs every node below its parent."""
     parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+    for i, j in cells:
+        c = m + j
+        if depth[c]:  # the column hangs already (columns never sit at the root)
+            parent[i], depth[i], pot[i] = c, depth[c] + 1, C[i][j] - pot[c]
+        else:
+            parent[c], depth[c], pot[c] = i, depth[i] + 1, C[i][j] - pot[i]
+    return parent, depth, pot
+
+
+def _tree(C: list[list[float]], adj: list[list[int]], m: int):
+    """:func:`_hang` of the basis tree given by its adjacency lists ``adj``
+    (node i < m is row i, node m + j column j), in any order: one
+    depth-first search from row 0."""
+    parent, depth, pot = [-1] * len(adj), [0] * len(adj), [0.0] * len(adj)
     stack = [0]
     while stack:
         k = stack.pop()
@@ -180,16 +193,21 @@ def _price(C: list[list[float]], pot: list[float], flow, m: int, tol: float, bla
 def transport_simplex(cells: Sequence[tuple[int, int]], masses: Sequence[float],
                       cost: np.ndarray):
     """Transportation simplex from the basic feasible solution ``masses``
-    on the spanning-tree ``cells``, such as :func:`_northwest_corner`
-    returns; none of them is checked here, nor the float64 ``cost``.
+    on the spanning-tree ``cells``, listed in the hanging order of
+    :func:`_hang`, such as :func:`_northwest_corner` returns; none of them
+    is checked here, nor the float64 ``cost``.
 
     Returns the optimal flow, unclipped, as a dict from basis cell to mass
     (so ``list(flow)`` is the basis), the potentials ``[u_0..u_{m-1},
     v_0..v_{n-1}]``, the pivots taken and the switches to Bland's rule.
     The callers build the plan and objective: :func:`solve_exact` one at a
-    time, the adapted-distance recursion a batch of flows at once.  Each
-    pivot hangs the basis tree from row 0 afresh and reads the entering
-    cell's cycle off its parent links.
+    time, the adapted-distance recursion a batch of flows at once.  The
+    start hangs from row 0 in the order of its cells; each pivot then adds
+    the entering edge to the basis adjacency, drops the leaving one and
+    hangs the whole tree from row 0 afresh (:func:`_tree`), and reads the
+    next entering cell's cycle off its parent links.  A potential depends
+    only on its node's path to row 0, so it has the same bits however the
+    tree is walked.
 
     Up to ``_PRICE_SCALAR_MAX`` cells the entering cell is priced in Python
     floats over ``C`` (:func:`_price`), above it on a numpy matrix.  Both
@@ -210,8 +228,9 @@ def transport_simplex(cells: Sequence[tuple[int, int]], masses: Sequence[float],
     # a small matrix is mostly numpy call overhead per pivot, a large one
     # is mostly the per-cell work that numpy does faster than Python
     scalar = m * n <= _PRICE_SCALAR_MAX
+    parent, depth, pot = _hang(C, cells, m, n)
+    adj = None  # the basis adjacency, from the first pivot on
     for pivots in range(max_iter):
-        parent, depth, pot = _tree(C, flow, m, n)
         if scalar:
             enter = _price(C, pot, flow, m, tol, bland)
             if enter is None:
@@ -252,6 +271,17 @@ def transport_simplex(cells: Sequence[tuple[int, int]], masses: Sequence[float],
         for c in minus:
             flow[c] -= theta
         del flow[leave]
+        if adj is None:
+            adj = [[] for _ in range(m + n)]
+            for i, j in cells:
+                adj[i].append(m + j)
+                adj[m + j].append(i)
+        adj[i0].append(m + j0)
+        adj[m + j0].append(i0)
+        i, j = leave
+        adj[i].remove(m + j)
+        adj[m + j].remove(i)
+        parent, depth, pot = _tree(C, adj, m)
         if theta == 0.0:
             degenerate_run += 1
             if degenerate_run >= _BLAND_TRIGGER and not bland:
@@ -300,7 +330,7 @@ def solve_sorted_1d(
     nu = prob.nu * (prob.mu.sum() / prob.nu.sum())
     m, n = cost.shape
     basis, masses = _northwest_corner(prob.mu.tolist(), nu.tolist())
-    pot = _tree(cost.tolist(), basis, m, n)[2]
+    pot = _hang(cost.tolist(), basis, m, n)[2]
     plan = _dense(basis, masses, m, n)
     return TransportPlan(plan, float(np.vdot(plan, cost)), np.array(pot[:m]), np.array(pot[m:]),
                          tuple(sorted(basis)))

@@ -224,7 +224,7 @@ class ScenarioTree:
             for _, kids in self._sibling_groups(t):
                 s = values[kids]
                 order = np.argsort(s, axis=1, kind="stable")
-                level.append((_frozen(np.take_along_axis(s, order, axis=1)), _frozen(order)))
+                level.append((_frozen(s[np.arange(len(s))[:, None], order]), _frozen(order)))
             out.append(tuple(level))
         return out
 

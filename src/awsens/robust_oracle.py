@@ -170,22 +170,31 @@ class _Ascent:
     def shrink_to_ball(self, shifts: np.ndarray, r: float):
         """Scale the displacement until the exact distance fits the radius.
 
-        When the base structure survives, the identity coupling is bicausal
-        and its cost bounds the distance from above; a bound within r
-        accepts the shift without a solve, exactly where the solved distance
-        would have passed the test below.
+        Two tests accept a shift, both at ``r * (1 + 1e-12)``.  When the
+        base structure survives, the identity coupling is bicausal and its
+        cost bounds the distance from above, so a bound within the slack
+        accepts the shift without a solve; otherwise the exact distance is
+        solved and tested.  In exact arithmetic the bound accepts only
+        shifts the solved distance would pass.  In floating point the two
+        differ by rounding: the recursion takes |x - y| of absolute values,
+        so cancellation can lift the computed distance above the bound.
+        Over 300 normal shifts of scale 1e-4 on ``gen_random(3, 3, 0)`` it
+        did so by up to 2.6e-13 relative, 1.6e-12 with the tree translated
+        by 4, 2.0e-10 by 1e3 and 2.1e-7 by 1e6.  Near the boundary the
+        slack then decides on rounding either way.
         """
         p = self.params.p
+        slack = r * (1.0 + 1e-12)
         for _ in range(40):
             try:
                 tree, same = self.displace(shifts)
             except (InvalidTree, DeltaTooSmall):
                 shifts = 0.5 * shifts
                 continue
-            if same and float(self.vprob @ np.abs(shifts) ** p) ** (1.0 / p) <= r:
+            if same and float(self.vprob @ np.abs(shifts) ** p) ** (1.0 / p) <= slack:
                 return shifts, tree, same
             dist = self.distance(shifts, tree)
-            if dist <= r * (1.0 + 1e-12):
+            if dist <= slack:
                 return shifts, tree, same
             shifts = shifts * min(0.999, r / dist)
         return None

@@ -63,30 +63,39 @@ def _scaled(x: float, e: float) -> float:
         return math.inf
 
 
+def _scale_exponent(node_vals: dict[int, dict[int, float]], q: float) -> int:
+    """0 where the largest |G_t|^q lies inside [2^-970, 2^970]; outside,
+    where the powers would lose bits to underflow or overflow, the binary
+    exponent k of the largest |G_t|, by which the gradients are scaled down
+    before any power is taken."""
+    big = max((abs(v) for vals in node_vals.values() for v in vals.values()), default=0.0)
+    if big > 0.0 and not -970.0 <= q * math.log2(big) <= 970.0:
+        return math.frexp(big)[1]
+    return 0
+
+
+def _stage_sums(tree: ScenarioTree, node_vals: dict[int, dict[int, float]], q: float,
+                k: int) -> list[float]:
+    """Per stage E|G_t 2^-k|^q."""
+    return [sum(tree.node_prob[nid] * abs(math.ldexp(v, -k)) ** q
+                for nid, v in node_vals[t].items())
+            for t in range(1, tree.horizon + 1)]
+
+
 def _report_from_node_values(
     tree: ScenarioTree, node_vals: dict[int, dict[int, float]], p: float, problem_class: str
 ) -> SensitivityReport:
     """The report of these conditional gradients: per stage E|G_t|^q and
     the first-order term (sum_t E|G_t|^q)^(1/q).
 
-    Where the largest |G_t|^q lies outside [2^-970, 2^970], the powers
-    would lose bits to underflow or overflow, so the gradients are scaled
-    by 2^-k, k the binary exponent of the largest, before the powers are
-    summed, and the sums scaled back: the first-order term by 2^k, exactly,
-    and each stage's sum by 2^(kq).  Inside that range the sums run
-    unscaled.
+    Outside the range of :func:`_scale_exponent` the gradients are scaled
+    by 2^-k before the powers are summed, and the sums scaled back: the
+    first-order term by 2^k, exactly, and each stage's sum by 2^(kq).
+    Inside it the sums run unscaled.
     """
     q = p / (p - 1.0)
-    big = max((abs(v) for vals in node_vals.values() for v in vals.values()), default=0.0)
-    k = 0
-    if big > 0.0 and not -970.0 <= q * math.log2(big) <= 970.0:
-        k = math.frexp(big)[1]
-    qnorms = []
-    for t in range(1, tree.horizon + 1):
-        qnorms.append(
-            sum(tree.node_prob[nid] * abs(math.ldexp(v, -k)) ** q
-                for nid, v in node_vals[t].items())
-        )
+    k = _scale_exponent(node_vals, q)
+    qnorms = _stage_sums(tree, node_vals, q, k)
     first = _scaled(sum(qnorms) ** (1.0 / q), k)
     if k:
         qnorms = [_scaled(x, k * q) for x in qnorms]
@@ -243,15 +252,22 @@ def worst_case_direction(tree: ScenarioTree, report: SensitivityReport) -> Worst
     L^q norm of the conditional gradients, and per node
     Z_t = a_t sign(G_t) |G_t|^(q-1) / u_t^(q-1) (zero on stages with u_t = 0).
     Then sum_t E|Z_t|^p = 1 and sum_t E[G_t Z_t] equals the first-order term.
+
+    Z_t does not change when every G_t is scaled by one factor, so outside
+    the range of :func:`_scale_exponent` it is computed from the gradients
+    scaled by 2^-k, whose powers neither overflow nor underflow; inside it
+    from the report's stage sums and the gradients as they are.
     """
     p, q = report.p, report.q
-    S = sum(report.stage_qnorms)
+    k = _scale_exponent(report.cond_grads, q)
+    qnorms = _stage_sums(tree, report.cond_grads, q, k) if k else report.stage_qnorms
+    S = sum(qnorms)
     if S <= 0.0:
         zeros = {t: {nid: 0.0 for nid in report.cond_grads[t]} for t in report.cond_grads}
         return WorstCaseDirection(
             p, q, zeros, tuple(0.0 for _ in report.stage_qnorms), 0.0, 0.0, True
         )
-    u_stage = [qn ** (1.0 / q) for qn in report.stage_qnorms]
+    u_stage = [qn ** (1.0 / q) for qn in qnorms]
     weights = [ut ** (q / p) / S ** (1.0 / p) for ut in u_stage]
     values: dict[int, dict[int, float]] = {}
     norm_check = 0.0
@@ -261,7 +277,8 @@ def worst_case_direction(tree: ScenarioTree, report: SensitivityReport) -> Worst
         ut = u_stage[t - 1]
         for nid, g in report.cond_grads[t].items():
             if ut > 0.0 and g != 0.0:
-                z = weights[t - 1] * math.copysign(abs(g) ** (q - 1.0), g) / ut ** (q - 1.0)
+                z = (weights[t - 1] * math.copysign(abs(math.ldexp(g, -k)) ** (q - 1.0), g)
+                     / ut ** (q - 1.0))
             else:
                 z = 0.0
             vals[nid] = z

@@ -382,21 +382,27 @@ def test_non_object_model_specs_are_invalid_params(tmp_path, capsys, cmd, proble
     assert code == InvalidParams.exit_code and "InvalidParams" in err and needle in err
 
 
-@pytest.mark.parametrize("cmd, tree, problem_class, model, needle", [
-    ("sens", "iid_signs", "terminal", {"name": "exp_sum", "params": {"beta": 800.0}},
+@pytest.mark.parametrize("cmd, tree, problem_class, model, p, needle", [
+    ("sens", "iid_signs", "terminal", {"name": "exp_sum", "params": {"beta": 800.0}}, 2.0,
      "first_order is inf"),
     ("value", "drifted_binomial", "controlled",
-     {"name": "quadratic_control", "params": {"coeffs": [1e308, 1e308]}}, "value is nan"),
+     {"name": "quadratic_control", "params": {"coeffs": [1e308, 1e308]}}, 2.0, "value is nan"),
     ("stop", "drifted_binomial", "stopping",
      {"name": "markov_payoff", "params": {"g": {"name": "quadratic", "params": {"weight": 1e308}}}},
-     "uniqueness_margin is inf"),
-])
+     2.0, "uniqueness_margin is inf"),
+    # the worst-case direction's powers of the gradients would overflow
+    ("sens", "iid_signs", "terminal", {"name": "linear", "params": {"coeffs": [1e200, 1e200]}},
+     1.5, "stage_qnorms[0] is inf"),
+], ids=["sens-iid_signs-terminal-model0-first_order is inf",
+        "value-drifted_binomial-controlled-model1-value is nan",
+        "stop-drifted_binomial-stopping-model2-uniqueness_margin is inf",
+        "sens-iid_signs-terminal-model3-stage_qnorms[0] is inf"])
 def test_non_finite_results_are_typed_errors(tmp_path, capsys, cmd, tree, problem_class, model,
-                                             needle):
+                                             p, needle):
     # valid params whose values overflow on the tree: no NaN or Infinity
     # (not JSON) reaches stdout
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"problem_class": problem_class, "model": model, "p": 2.0}))
+    cfg.write_text(json.dumps({"problem_class": problem_class, "model": model, "p": p}))
     with np.errstate(over="ignore", invalid="ignore"):
         code, out, err = run_cli(capsys, cmd, FIXTURES / f"{tree}.json", "--config", cfg)
     assert (code, out) == (NonFinite.exit_code, "") and "NonFinite" in err and needle in err

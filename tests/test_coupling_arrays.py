@@ -331,11 +331,11 @@ def test_simplex_calls_by_family_shape():
                       ("pair", 2, 2): 5}
     # the curve's trees branch by 3: its 9-pair level stays below the batch
     # size, so each of its 10 interior pairs is solved alone, in each of
-    # the curve's 117 ball checks
+    # the curve's 76 exact ball checks
     query = RobustQuery("terminal", gen_random(3, 3, 0), make_cost_model("linear", None, 3), 2.0,
                         (1e-3, 1e-2, 1e-1))
     counts, recursions = _solves_by_shape(lambda: robust_curve(query))
-    assert (counts, recursions) == ({("pair", 3, 3): 1170}, 117)
+    assert (counts, recursions) == ({("pair", 3, 3): 760}, 76)
     # the aw benchmark's random pairs: 8 x 8 and 4 x 4 levels in lockstep
     counts, _ = _solves_by_shape(lambda: aw_distance(gen_random(3, 8, 1), gen_random(3, 8, 2),
                                                      AWParams(2.0)))

@@ -13,6 +13,7 @@ from awsens import (
     solve_sorted_1d,
 )
 from awsens import discrete_ot
+from awsens.adapted_wasserstein import _per_pair, _starts
 from awsens.discrete_ot import solve_sorted_1d_batch, transport_simplex, transport_simplex_batch
 
 
@@ -541,3 +542,46 @@ def test_batch_simplex_2x2_tolerance_boundary():
             nu = [0.25, 0.75] if cell == (1, 0) else [0.5, 0.5]
             got, _ = assert_batch_equals_simplex(np.array([mu]), np.array([nu]), cost[None])
             assert got[0] == pivots
+
+
+# -- the adapted-distance recursion's per-pair kernel against solve_exact -------
+
+
+def assert_per_pair_equals_solve_exact(rng, m, n, cx, cy, tied, masses):
+    """Every pair of ``cx`` x families and ``cy`` y families, solved by
+    ``adapted_wasserstein._per_pair`` from the north-west starts of
+    ``_starts``, against one ``solve_exact`` per problem: plan bytes and
+    objective bits.  Returns the switches to Bland's rule taken."""
+    xw = np.array([structured_problem(rng, m, 1, tied, masses).mu for _ in range(cx)])
+    yw = np.array([structured_problem(rng, 1, n, tied, masses).nu for _ in range(cy)])
+    cost = np.array([structured_problem(rng, m, n, tied, masses).cost for _ in range(cx * cy)])
+    starts = _starts(xw, xw.sum(axis=-1), yw, yw.sum(axis=-1))
+    plans, obj = _per_pair(starts, cost)
+    for k in range(cx * cy):
+        want = solve_exact(TransportProblem(xw[k // cy], yw[k % cy], cost[k]))
+        assert plans[k].tobytes() == want.plan.tobytes()
+        assert obj[k].hex() == want.objective.hex()
+    return sum(transport_simplex(*start, c)[3] for start, c in zip(starts, cost))
+
+
+@given(m=st.integers(1, 5), n=st.integers(1, 5), cx=st.integers(1, 3), cy=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), tied=st.booleans(),
+       masses=st.sampled_from(["dirichlet", "zero", "integer"]), bland=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_per_pair_equals_solve_exact(m, n, cx, cy, seed, tied, masses, bland):
+    # zero masses make degenerate starts and pivots, tied costs make ties
+    # in pricing and in the leaving cell, and with _BLAND_TRIGGER 1 one
+    # degenerate pivot switches to Bland's rule
+    trigger = 1 if bland else discrete_ot._BLAND_TRIGGER
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discrete_ot, "_BLAND_TRIGGER", trigger)
+        assert_per_pair_equals_solve_exact(np.random.default_rng(seed), m, n, cx, cy, tied,
+                                           masses)
+
+
+def test_per_pair_equals_solve_exact_under_blands_rule(monkeypatch):
+    monkeypatch.setattr(discrete_ot, "_BLAND_TRIGGER", 1)
+    rng = np.random.default_rng(17)
+    switches = sum(assert_per_pair_equals_solve_exact(rng, 4, 4, 2, 3, True, "integer")
+                   for _ in range(10))
+    assert switches > 0

@@ -214,7 +214,7 @@ def test_last_stage_plans_are_built_once_per_sibling_order(monkeypatch):
                               wraps=adapted_wasserstein._recursion) as recursions:
         for kind, model in models.items():
             robust_curve(RobustQuery(kind, tree, model, 2.0, (1e-3, 1e-2, 1e-1)))
-        assert (walks.call_count, recursions.call_count) == (1, 253)
+        assert (walks.call_count, recursions.call_count) == (1, 175)
         swapped = tree.values.copy()
         leaves = list(tree.children[tree.levels[2][0]])
         swapped[leaves] = swapped[leaves[::-1]]
@@ -268,8 +268,8 @@ def test_candidates_share_the_base_structure(monkeypatch):
         return real_pth(P, Q, params)
 
     monkeypatch.setattr(robust_oracle, "aw_pth_power", recording)
-    for kind, name, spec in (("terminal", "linear", None),
-                             ("stopping", "markov_payoff", {"g": {"name": "identity"}})):
+    for kind, name, spec, checks in (("terminal", "linear", None, 76),
+                                     ("stopping", "markov_payoff", {"g": {"name": "identity"}}, 99)):
         fresh = gen_random(3, 3, 0)  # so no cache is left from a previous curve
         counts.clear()
         checked.clear()
@@ -279,7 +279,42 @@ def test_candidates_share_the_base_structure(monkeypatch):
         assert counts["with_values"] > 100
         assert counts["family checks"] == sum(len(fresh._sibling_groups(t)) for t in range(3))
         assert counts["batch checks"] == 0 and counts["Node records"] == 0
-        assert len(checked) == len(set(checked)) > 100
+        assert len(checked) == len(set(checked)) == checks
+
+
+@pytest.mark.parametrize("offset", [0.0, -4.0, -2.5, 1.25, 3.875])
+def test_identity_bound_accepts_every_structure_keeping_fit(offset, monkeypatch):
+    # the identity bound accepts at the exact test's slack, so on these
+    # curves a structure-keeping candidate is solved exactly only to be
+    # shrunk again; the dyadic offsets translate the tree exactly, and the
+    # maximizers the bound accepted still lie in the ball up to that slack
+    solved, exact, bound = set(), [], []
+    real_distance, real_shrink = _Ascent.distance, _Ascent.shrink_to_ball
+
+    def distance(self, shifts, tree=None):
+        solved.add(shifts.tobytes())
+        return real_distance(self, shifts, tree)
+
+    def shrink(self, shifts, r):
+        solved.clear()
+        fit = real_shrink(self, shifts, r)
+        if fit is not None and fit[2]:
+            (exact if fit[0].tobytes() in solved else bound).append(r)
+        return fit
+
+    monkeypatch.setattr(_Ascent, "distance", distance)
+    monkeypatch.setattr(_Ascent, "shrink_to_ball", shrink)
+    base = gen_random(3, 3, 0)
+    tree = base.with_values(base.values + offset)
+    for kind, model in (("terminal", make_cost_model("linear", None, 3)),
+                        ("stopping", make_cost_model("markov_payoff",
+                                                     {"g": {"name": "identity"}}, 3))):
+        exact.clear()
+        bound.clear()
+        curve = robust_curve(RobustQuery(kind, tree, model, 2.0, (1e-3, 1e-2, 1e-1)))
+        assert exact == [] and len(bound) > 50
+        assert all(row.converged and row.distance <= row.radius * (1.0 + 1e-12)
+                   for row in curve.rows)
 
 
 def test_carried_solve_is_the_maximizers(monkeypatch):

@@ -295,6 +295,25 @@ def test_direction_equalities_random_reports(p):
         assert sum(w**p for w in wcd.stage_weights) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("scale", [2.0**-700, 2.0**700])
+def test_direction_of_extreme_gradients_is_scale_free(iid_signs, scale, p):
+    # |G|^(q-1) of these gradients overflows or underflows for some p; the
+    # direction of the gradients scaled by a power of two is the same
+    coeffs = [0.75, -1.25]
+    unit = worst_case_direction(
+        iid_signs, sensitivity_terminal(iid_signs, make_cost_model("linear", {"coeffs": coeffs}, 2),
+                                        p))
+    model = make_cost_model("linear", {"coeffs": [scale * c for c in coeffs]}, 2)
+    rep = sensitivity_terminal(iid_signs, model, p)
+    wcd = worst_case_direction(iid_signs, rep)
+    for t, vals in unit.values.items():
+        for nid, z in vals.items():
+            assert wcd.values[t][nid] == pytest.approx(z, rel=1e-12)
+    assert wcd.norm_check == pytest.approx(1.0, abs=1e-12)
+    assert wcd.pairing == pytest.approx(rep.first_order, rel=1e-12)
+
+
 def test_degenerate_direction_flag(iid_signs):
     m = make_cost_model("quadratic_tracking", {"weights": [0.0, 0.0], "targets": [0.0, 0.0]}, 2)
     wcd = worst_case_direction(iid_signs, sensitivity_terminal(iid_signs, m, 2.0))
