@@ -16,8 +16,8 @@ import sys
 from dataclasses import dataclass
 
 from .adapted_wasserstein import AWParams, CouplingTree, aw_distance
-from .cost_models import CATALOG, CostModel, make_cost_model
-from .errors import AwsensError, InvalidParams, InvalidTree, NonFinite, finite_number, is_number
+from .cost_models import CATALOG, CostModel, make_cost_model, read_params
+from .errors import AwsensError, InvalidParams, InvalidTree, NonFinite, is_number
 from .multistage_opt import ControlBounds, solve_value
 from .optimal_stopping import solve_stopping
 from .process_tree import Node, ScenarioTree, gen_binomial, gen_lattice, gen_random
@@ -142,78 +142,33 @@ def serialize_coupling(coupling: CouplingTree) -> dict:
 # -- run configuration ---------------------------------------------------------
 
 
-DEFAULT_RADII = (1e-4, 1e-3, 1e-2, 1e-1)  # ascending, as RobustQuery requires
-
-
-def _count(v, name: str, where: str = "config") -> int:
-    """A count or seed field: a nonnegative integral JSON number."""
-    if not (is_number(v) and float(v).is_integer() and v >= 0):
-        raise InvalidParams(f"{where} {name!r} must be a nonnegative integer, got {v!r}")
-    return int(v)
-
-
 @dataclass(frozen=True)
 class RunConfig:
+    """A run config, with the fields and defaults of ``PARAMS["config"]``."""
+
     problem_class: str
     model_name: str
     model_params: dict
     p: float
-    L: float = 10.0
-    radii: tuple[float, ...] = DEFAULT_RADII
-    seed: int = 0
-    value_tol: float = 1e-9
-    stopping_tol: float = 1e-9
-    restarts: int = 2
-    max_iters: int = 25
+    L: float
+    radii: tuple[float, ...]
+    seed: int
+    value_tol: float
+    stopping_tol: float
+    restarts: int
+    max_iters: int
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise InvalidParams("config must be a JSON object")
-        for key in ("problem_class", "model", "p"):
-            if key not in doc:
-                raise InvalidParams(f"config is missing {key!r}")
-        problem_class = doc["problem_class"]
-        if not isinstance(problem_class, str) or problem_class not in CATALOG:
-            raise InvalidParams(
-                f"unknown problem_class {problem_class!r}; one of: {', '.join(CATALOG)}"
-            )
-        model = doc["model"]
-        if not isinstance(model, dict) or "name" not in model:
-            raise InvalidParams("config model must be an object with a name")
+        v = read_params("config", "run", doc, where="config")
+        problem_class, model = v["problem_class"], v["model"]
         if model["name"] not in CATALOG[problem_class]:
             raise InvalidParams(
                 f"unknown {problem_class} model {model['name']!r}; "
                 f"catalog: {', '.join(CATALOG[problem_class])}"
             )
-        for key in ("bounds", "tolerances", "ascent"):
-            if not isinstance(doc.get(key, {}), dict):
-                raise InvalidParams(f"config {key!r} must be an object")
-        bounds = doc.get("bounds", {})
-        tolerances = doc.get("tolerances", {})
-        ascent = doc.get("ascent", {})
-        try:
-            p = finite_number(doc["p"], "p")
-            if not p > 1.0:
-                raise InvalidParams(f"p must exceed 1, got {p}")
-            radii = doc.get("radii", DEFAULT_RADII)
-            if not isinstance(radii, (list, tuple)):
-                raise InvalidParams(f"config 'radii' must be a list of numbers, got {radii!r}")
-            return cls(
-                problem_class=problem_class,
-                model_name=model["name"],
-                model_params=dict(model.get("params", {})),
-                p=p,
-                L=finite_number(bounds.get("L", 10.0), "L"),
-                radii=tuple(finite_number(r, "radii") for r in radii),
-                seed=_count(doc.get("seed", 0), "seed"),
-                value_tol=finite_number(tolerances.get("value_tol", 1e-9), "value_tol"),
-                stopping_tol=finite_number(tolerances.get("stopping_tol", 1e-9), "stopping_tol"),
-                restarts=_count(ascent.get("restarts", 2), "restarts"),
-                max_iters=_count(ascent.get("max_iters", 25), "max_iters"),
-            )
-        except (TypeError, ValueError, OverflowError) as e:  # a field of the wrong JSON type
-            raise InvalidParams(f"config: {e}") from None
+        return cls(problem_class, model["name"], model["params"], v["p"], radii=v["radii"],
+                   seed=v["seed"], **v["bounds"], **v["tolerances"], **v["ascent"])
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -265,46 +220,19 @@ def _emit(payload: dict, out_path: str | None) -> None:
 # -- commands -------------------------------------------------------------------
 
 
+GENERATORS = {"binomial": gen_binomial, "lattice": gen_lattice, "random": gen_random}
+
+
 def cmd_gen(args) -> int:
     try:
         params = json.loads(args.params)
     except json.JSONDecodeError as e:
         raise InvalidParams(f"--params is not valid JSON: {e}") from None
-    if not isinstance(params, dict):
-        raise InvalidParams("--params must be a JSON object")
-    where = f"--params for {args.kind}:"
-
-    def number(name, default):
-        return finite_number(params.get(name, default), name, where)
-
+    where = f"--params for {args.kind}"
     try:
-        T = _count(params["T"], "T", where)
-        if args.kind == "binomial":
-            gen, kwargs = gen_binomial, dict(
-                T=T, start=number("start", 0.0), up=number("up", 1.0), down=number("down", -1.0),
-                p_up=number("p_up", 0.5), drift=number("drift", 0.0),
-            )
-        elif args.kind == "lattice":
-            gen, kwargs = gen_lattice, dict(
-                T=T,
-                start=number("start", 0.0),
-                steps=[finite_number(v, "steps", where) for v in params["steps"]],
-                probs=[finite_number(v, "probs", where) for v in params["probs"]],
-                drift=number("drift", 0.0),
-            )
-        elif args.kind == "random":
-            gen, kwargs = gen_random, dict(
-                T=T,
-                branching=_count(params.get("branching", 2), "branching", where),
-                seed=_count(params.get("seed", 0), "seed", where),
-            )
-        else:
-            raise InvalidParams(f"unknown generator kind {args.kind!r}")
-    except KeyError as e:
-        raise InvalidParams(f"--params for {args.kind} needs {e.args[0]!r}") from None
-    except (TypeError, OverflowError) as e:  # steps or probs not a list, or a huge integer
-        raise InvalidParams(f"{where} {e}") from None
-    tree = gen(**kwargs)
+        tree = GENERATORS[args.kind](**read_params("generator", args.kind, params, where=where))
+    except InvalidTree as e:  # finite params whose tree rounds to repeated or infinite values
+        raise InvalidParams(f"{where}: {e}") from None
     save_tree(tree, args.out)
     return 0
 
@@ -326,10 +254,14 @@ def cmd_aw(args) -> int:
     return 0
 
 
+def _load(args):
+    """The tree file, the config file and the model built for the tree."""
+    tree, cfg = load_tree(args.tree), RunConfig.from_file(args.config)
+    return tree, cfg, cfg.build_model(tree.horizon)
+
+
 def cmd_value(args) -> int:
-    tree = load_tree(args.tree)
-    cfg = RunConfig.from_file(args.config)
-    model = cfg.build_model(tree.horizon)
+    tree, cfg, model = _load(args)
     report = solve_value(tree, model, ControlBounds(cfg.L), tol=cfg.value_tol)
     _emit(_finite({
         "value": report.value,
@@ -341,9 +273,7 @@ def cmd_value(args) -> int:
 
 
 def cmd_stop(args) -> int:
-    tree = load_tree(args.tree)
-    cfg = RunConfig.from_file(args.config)
-    model = cfg.build_model(tree.horizon)
+    tree, cfg, model = _load(args)
     value, policy, table = solve_stopping(tree, model, tol=cfg.stopping_tol)
     # with no node before the horizon the margin is an empty minimum, +inf
     _emit(_finite({
@@ -356,9 +286,7 @@ def cmd_stop(args) -> int:
 
 
 def cmd_sens(args) -> int:
-    tree = load_tree(args.tree)
-    cfg = RunConfig.from_file(args.config)
-    model = cfg.build_model(tree.horizon)
+    tree, cfg, model = _load(args)
     if model.utility is not None:
         report, _ = utility_first_order(
             tree, model.utility, ControlBounds(cfg.L), cfg.p, tol=cfg.solver_tol
@@ -394,9 +322,7 @@ def cmd_sens(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    tree = load_tree(args.tree)
-    cfg = RunConfig.from_file(args.config)
-    model = cfg.build_model(tree.horizon)
+    tree, cfg, model = _load(args)
     query = RobustQuery(
         problem_class=cfg.problem_class,
         tree=tree,
@@ -410,6 +336,8 @@ def cmd_curve(args) -> int:
         solver_tol=cfg.solver_tol,
     )
     curve: RobustCurve = robust_curve(query)
+    # the slope and the rows keep their documented NaNs
+    _finite({"base_value": curve.base_value, "first_order": curve.first_order}, "curve")
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         fh.write(curve.to_csv())
     if args.out_json:
@@ -435,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="emit a generator tree as JSON")
-    g.add_argument("--kind", required=True, choices=("binomial", "lattice", "random"))
+    g.add_argument("--kind", required=True, choices=tuple(GENERATORS))
     g.add_argument("--params", required=True, help="generator parameters as JSON")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
@@ -448,23 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--coupling-out", dest="coupling_out")
     a.set_defaults(func=cmd_aw)
 
-    v = sub.add_parser("value", help="multistage control value and optimal policy")
-    v.add_argument("tree")
-    v.add_argument("--config", required=True)
-    v.add_argument("--out")
-    v.set_defaults(func=cmd_value)
-
-    s = sub.add_parser("stop", help="optimal stopping value and policy")
-    s.add_argument("tree")
-    s.add_argument("--config", required=True)
-    s.add_argument("--out")
-    s.set_defaults(func=cmd_stop)
-
-    se = sub.add_parser("sens", help="first-order sensitivity and worst-case direction")
-    se.add_argument("tree")
-    se.add_argument("--config", required=True)
-    se.add_argument("--out")
-    se.set_defaults(func=cmd_sens)
+    for name, func, text in (
+        ("value", cmd_value, "multistage control value and optimal policy"),
+        ("stop", cmd_stop, "optimal stopping value and policy"),
+        ("sens", cmd_sens, "first-order sensitivity and worst-case direction"),
+    ):
+        c = sub.add_parser(name, help=text)
+        c.add_argument("tree")
+        c.add_argument("--config", required=True)
+        c.add_argument("--out")
+        c.set_defaults(func=func)
 
     c = sub.add_parser("curve", help="robust lower-bound curve over a radius grid")
     c.add_argument("tree")

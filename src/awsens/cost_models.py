@@ -16,39 +16,161 @@ measurability before use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, finite_number
+from .errors import DimensionMismatch, InvalidParams, finite_count, finite_number
 
 Array = np.ndarray
 
 
-def _number(params: dict, key: str, default: float, model: str) -> float:
-    """Param ``key`` of ``model``, a finite number (``InvalidParams`` otherwise)."""
-    return finite_number(params.get(key, default), key, f"{model!r} param")
+# -- the parameter table ---------------------------------------------------------
 
 
-def _vector(params: dict, key: str, default: float, T: int, model: str) -> Array:
-    """Param ``key`` of ``model``, T finite numbers (``InvalidParams`` otherwise)."""
-    v = params.get(key, [default] * T)
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
-    if not isinstance(v, (list, tuple)) or len(v) != T:
-        raise InvalidParams(f"{model!r} param {key!r} must be {T} numbers, got {v!r}")
-    return np.array([finite_number(x, key, f"{model!r} param") for x in v])
+class Param(NamedTuple):
+    """One param of :data:`PARAMS`: its key, its default (None: required),
+    its shape and its rule."""
+
+    key: str
+    default: object
+    shape: str = "scalar"
+    rule: object = "finite"
 
 
-def _spec(params: dict, key: str, default: str, model: str) -> tuple[str, dict | None]:
-    """Param ``key`` of ``model``, a nested ``{"name": ..., "params": {...}}``
-    spec, as its name and params (``InvalidParams`` otherwise)."""
-    spec = params.get(key, {"name": default})
-    if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)
-            and isinstance(spec.get("params") or {}, dict)):
-        raise InvalidParams(f"{model!r} param {key!r} must be an object with a name string "
-                            f"and optional params object, got {spec!r}")
-    return spec["name"], spec.get("params")
+_RULES = {"finite": lambda v: True, "positive": lambda v: v > 0, "nonzero": lambda v: v != 0,
+          ">= 1": lambda v: v >= 1, "> 1": lambda v: v > 1}
+_CLASSES = ("terminal", "controlled", "stopping")
+_SOFTPLUS = (Param("strike", 0.0), Param("sharpness", 1.0, rule="positive"))
+_T = Param("T", None, "count")
+
+# Every named parameter set: group -> name -> its params, in declaration
+# order.  The groups "terminal", "controlled" and "stopping" are the catalog
+# models of each class.  Shapes: "scalar" (a finite number), "count" (a
+# nonnegative integral number), "T-vector" (T finite numbers; a default
+# fills all T), "list" (finite numbers), "spec" (an object with a "name" of
+# group ``rule`` and its optional "params"; a rule of None reads no
+# further), "block" (an object read as entry ``key`` of group ``rule``) and
+# "name" (one of the strings in ``rule``).  A scalar's or count's rule is
+# one of :data:`_RULES`.
+PARAMS = {
+    "terminal": {
+        "linear": (Param("coeffs", 1.0, "T-vector"),),
+        "quadratic_tracking": (Param("weights", 1.0, "T-vector"),
+                               Param("targets", 0.0, "T-vector")),
+        "softplus_call": _SOFTPLUS,
+        "exp_sum": (Param("beta", 1.0), Param("scale", 1.0)),
+        "coordinate_product": (),
+    },
+    "controlled": {
+        "quadratic_control": (Param("targets", 0.0, "T-vector"),
+                              Param("coeffs", 0.0, "T-vector")),
+        "tracking_control": (Param("weight", 1.0, rule="positive"), Param("x0", 0.0)),
+        "utility": (Param("loss", {"name": "quadratic"}, "spec", "loss"),
+                    Param("payoff", {"name": "zero"}, "spec", "payoff"), Param("x0", 0.0)),
+    },
+    "stopping": {
+        "markov_payoff": (Param("g", {"name": "identity"}, "spec", "scalar payoff"),),
+        "running_sum": (Param("coeff", 1.0),),
+    },
+    "loss": {
+        "quadratic": (),
+        "exponential": (Param("rate", 1.0, rule="nonzero"),),
+        "smoothed_power": (Param("exponent", 3.0, rule=">= 1"),),
+    },
+    "payoff": {
+        "zero": (),
+        "linear": (Param("coeffs", 1.0, "T-vector"),),
+        "final_value": (Param("scale", 1.0),),
+        "mean": (),
+        "softplus_call": _SOFTPLUS,
+    },
+    "scalar payoff": {
+        "identity": (),
+        "linear": (Param("slope", 1.0), Param("intercept", 0.0)),
+        "quadratic": (Param("center", 0.0), Param("weight", 1.0)),
+        "softplus_put": _SOFTPLUS,
+        "sin": (Param("amplitude", 1.0), Param("frequency", 1.0)),
+    },
+    "generator": {
+        "binomial": (_T, Param("start", 0.0), Param("up", 1.0), Param("down", -1.0),
+                     Param("p_up", 0.5), Param("drift", 0.0)),
+        "lattice": (_T, Param("start", 0.0), Param("steps", None, "list"),
+                    Param("probs", None, "list"), Param("drift", 0.0)),
+        "random": (_T, Param("branching", 2, "count"), Param("seed", 0, "count")),
+    },
+    "config": {
+        "run": (Param("problem_class", None, "name", _CLASSES),
+                Param("model", None, "spec", None), Param("p", None, rule="> 1"),
+                Param("radii", (1e-4, 1e-3, 1e-2, 1e-1), "list"),  # ascending, as RobustQuery needs
+                Param("seed", 0, "count"),
+                *(Param(k, {}, "block", "config") for k in ("bounds", "tolerances", "ascent"))),
+        "bounds": (Param("L", 10.0),),
+        "tolerances": (Param("value_tol", 1e-9), Param("stopping_tol", 1e-9)),
+        "ascent": (Param("restarts", 2, "count"), Param("max_iters", 25, "count")),
+    },
+}
+CATALOG = {kind: tuple(PARAMS[kind]) for kind in _CLASSES}
+
+
+def _object(v, where: str) -> dict:
+    if not isinstance(v, dict):
+        raise InvalidParams(f"{where} must be an object, got {v!r}")
+    return v
+
+
+def read_params(group: str, name: str, params: dict | None = None, T: int | None = None,
+                where: str | None = None) -> dict:
+    """The params of entry ``name`` of ``group`` in :data:`PARAMS`, read
+    from the object ``params`` (None: no params) for horizon ``T``: every
+    declared key in declaration order, defaults filled in, each value
+    checked against its shape and rule and normalised (a float, an int, an
+    array for a T-vector, a tuple for a list, ``{"name", "params"}`` for a
+    spec).  ``InvalidParams``, prefixed by ``where``, for an unknown name,
+    params that are not an object, an unknown or missing key, or a value
+    outside its shape or rule."""
+    if not isinstance(name, str) or name not in PARAMS[group]:
+        raise InvalidParams(f"unknown {group} {name!r}; one of: {', '.join(PARAMS[group])}")
+    where = where or f"{name!r} params"
+    params = _object({} if params is None else params, where)
+    keys = [e.key for e in PARAMS[group][name]]
+    for k in params:
+        if k not in keys:
+            raise InvalidParams(f"{where}: unknown key {k!r}; "
+                                f"accepted: {', '.join(keys) or 'none'}")
+    out, at = {}, f"{where}:"
+    for key, default, shape, rule in PARAMS[group][name]:
+        if key not in params and default is None:
+            raise InvalidParams(f"{at} missing {key!r}")
+        v = params.get(key, [default] * T if shape == "T-vector" else default)
+        if shape in ("scalar", "count"):
+            v = (finite_number if shape == "scalar" else finite_count)(v, key, at)
+            if not _RULES[rule](v):
+                raise InvalidParams(f"{at} {key!r} must be {rule}, got {v!r}")
+        elif shape in ("T-vector", "list"):
+            v = v.tolist() if isinstance(v, np.ndarray) else v
+            if not isinstance(v, (list, tuple)) or shape == "T-vector" and len(v) != T:
+                size = f"{T} " if shape == "T-vector" else ""
+                raise InvalidParams(f"{at} {key!r} must be a list of {size}finite numbers, "
+                                    f"got {v!r}")
+            v = [finite_number(x, key, at) for x in v]
+            v = np.array(v) if shape == "T-vector" else tuple(v)
+        elif shape == "spec":
+            if not (isinstance(v, dict) and isinstance(v.get("name"), str)
+                    and set(v) <= {"name", "params"}):
+                raise InvalidParams(f"{at} {key!r} must be an object with a name string and "
+                                    f"an optional params object, got {v!r}")
+            sub = f"{at} {key!r} params"
+            p = _object(v.get("params", {}), sub)
+            if rule:
+                p = read_params(rule, v["name"], p, T, sub)
+            v = {"name": v["name"], "params": p}
+        elif shape == "block":
+            v = read_params(rule, key, _object(v, f"{where} {key!r}"), T, f"{where} {key!r}")
+        elif not (isinstance(v, str) and v in rule):  # a name
+            raise InvalidParams(f"{at} unknown {key} {v!r}; one of: {', '.join(rule)}")
+        out[key] = v
+    return out
 
 
 def _expit(x: Array) -> Array:
@@ -205,35 +327,29 @@ class UtilityModel:
 
 
 def make_loss(name: str, params: dict | None = None) -> LossFunction:
-    params = dict(params or {})
+    params = read_params("loss", name, params)
     if name == "quadratic":
         return LossFunction(name, params, lambda z: z * z, lambda z: 2.0 * z,
                             lambda z: np.full_like(z, 2.0))
     if name == "exponential":
-        rate = _number(params, "rate", 1.0, name)
-        if rate == 0.0:
-            raise InvalidParams("exponential loss needs a nonzero rate")
+        rate = params["rate"]
         return LossFunction(
-            name, {"rate": rate},
+            name, params,
             lambda z: np.exp(rate * z),
             lambda z: rate * np.exp(rate * z),
             lambda z: rate * rate * np.exp(rate * z),
         )
-    if name == "smoothed_power":
-        alpha = _number(params, "exponent", 3.0, name)
-        if alpha < 1.0:
-            raise InvalidParams("smoothed_power needs exponent >= 1")
-        return LossFunction(
-            name, {"exponent": alpha},
-            lambda z: (1.0 + z * z) ** (alpha / 2.0) / alpha,
-            lambda z: z * (1.0 + z * z) ** (alpha / 2.0 - 1.0),
-            lambda z: (1.0 + z * z) ** (alpha / 2.0 - 2.0) * (1.0 + (alpha - 1.0) * z * z),
-        )
-    raise InvalidParams(f"unknown loss {name!r}")
+    alpha = params["exponent"]  # smoothed_power
+    return LossFunction(
+        name, params,
+        lambda z: (1.0 + z * z) ** (alpha / 2.0) / alpha,
+        lambda z: z * (1.0 + z * z) ** (alpha / 2.0 - 1.0),
+        lambda z: (1.0 + z * z) ** (alpha / 2.0 - 2.0) * (1.0 + (alpha - 1.0) * z * z),
+    )
 
 
 def make_payoff(name: str, params: dict | None, T: int) -> PayoffFunction:
-    params = dict(params or {})
+    params = read_params("payoff", name, params, T)
     if name == "zero":
         return PayoffFunction(
             name, params,
@@ -241,14 +357,14 @@ def make_payoff(name: str, params: dict | None, T: int) -> PayoffFunction:
             lambda x: np.zeros_like(x),
         )
     if name == "linear":
-        c = _vector(params, "coeffs", 1.0, T, name)
+        c = params["coeffs"]
         return PayoffFunction(
-            name, {"coeffs": list(map(float, c))},
+            name, params,
             lambda x: x @ c,
             lambda x: np.broadcast_to(c, x.shape).copy(),
         )
     if name == "final_value":
-        scale = _number(params, "scale", 1.0, name)
+        scale = params["scale"]
 
         def g(x):
             return scale * x[:, -1]
@@ -258,67 +374,47 @@ def make_payoff(name: str, params: dict | None, T: int) -> PayoffFunction:
             out[:, -1] = scale
             return out
 
-        return PayoffFunction(name, {"scale": scale}, g, dg)
+        return PayoffFunction(name, params, g, dg)
     if name == "mean":
         return PayoffFunction(
             name, params,
             lambda x: x.mean(axis=1),
             lambda x: np.full_like(x, 1.0 / x.shape[1]),
         )
-    if name == "softplus_call":
-        K = _number(params, "strike", 0.0, name)
-        beta = _number(params, "sharpness", 1.0, name)
-        if beta <= 0:
-            raise InvalidParams("softplus sharpness must be positive")
+    K, beta = params.values()  # softplus_call
 
-        def g(x):
-            return np.logaddexp(0.0, beta * (x[:, -1] - K)) / beta
+    def g(x):
+        return np.logaddexp(0.0, beta * (x[:, -1] - K)) / beta
 
-        def dg(x):
-            out = np.zeros_like(x)
-            out[:, -1] = _expit(beta * (x[:, -1] - K))
-            return out
+    def dg(x):
+        out = np.zeros_like(x)
+        out[:, -1] = _expit(beta * (x[:, -1] - K))
+        return out
 
-        return PayoffFunction(name, {"strike": K, "sharpness": beta}, g, dg)
-    raise InvalidParams(f"unknown payoff {name!r}")
+    return PayoffFunction(name, params, g, dg)
 
 
 def make_scalar_payoff(name: str, params: dict | None = None):
-    """Pointwise payoff g(v) with derivative, for Markovian stopping costs."""
-    params = dict(params or {})
+    """Pointwise payoff g(v) with derivative, for Markovian stopping costs,
+    and its params as :func:`read_params` reads them."""
+    params = read_params("scalar payoff", name, params)
     if name == "identity":
         return (lambda v: v), (lambda v: np.ones_like(v)), params
     if name == "linear":
-        s = _number(params, "slope", 1.0, name)
-        b = _number(params, "intercept", 0.0, name)
-        return (lambda v: s * v + b), (lambda v: np.full_like(v, s)), {"slope": s, "intercept": b}
+        s, b = params.values()
+        return (lambda v: s * v + b), (lambda v: np.full_like(v, s)), params
     if name == "quadratic":
-        c = _number(params, "center", 0.0, name)
-        w = _number(params, "weight", 1.0, name)
-        return (
-            (lambda v: w * (v - c) ** 2),
-            (lambda v: 2.0 * w * (v - c)),
-            {"center": c, "weight": w},
-        )
+        c, w = params.values()
+        return (lambda v: w * (v - c) ** 2), (lambda v: 2.0 * w * (v - c)), params
     if name == "softplus_put":
-        K = _number(params, "strike", 0.0, name)
-        beta = _number(params, "sharpness", 1.0, name)
-        if beta <= 0:
-            raise InvalidParams("softplus sharpness must be positive")
+        K, beta = params.values()
         return (
             (lambda v: np.logaddexp(0.0, beta * (K - v)) / beta),
             (lambda v: -_expit(beta * (K - v))),
-            {"strike": K, "sharpness": beta},
+            params,
         )
-    if name == "sin":
-        amp = _number(params, "amplitude", 1.0, name)
-        freq = _number(params, "frequency", 1.0, name)
-        return (
-            (lambda v: amp * np.sin(freq * v)),
-            (lambda v: amp * freq * np.cos(freq * v)),
-            {"amplitude": amp, "frequency": freq},
-        )
-    raise InvalidParams(f"unknown scalar payoff {name!r}")
+    amp, freq = params.values()  # sin
+    return (lambda v: amp * np.sin(freq * v)), (lambda v: amp * freq * np.cos(freq * v)), params
 
 
 # -- controlled model induced by a utility model -------------------------------
@@ -400,11 +496,8 @@ def build_utility_cost(u: UtilityModel, T: int) -> CostModel:
 
 
 def make_utility_model(params: dict, T: int) -> UtilityModel:
-    return UtilityModel(
-        loss=make_loss(*_spec(params, "loss", "quadratic", "utility")),
-        payoff=make_payoff(*_spec(params, "payoff", "zero", "utility"), T),
-        x0=_number(params, "x0", 0.0, "utility"),
-    )
+    loss, payoff, x0 = read_params("controlled", "utility", params, T).values()
+    return UtilityModel(make_loss(**loss), make_payoff(**payoff, T=T), x0)
 
 
 # -- catalog -------------------------------------------------------------------
@@ -412,27 +505,27 @@ def make_utility_model(params: dict, T: int) -> UtilityModel:
 
 def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
     """Instantiate a catalog model for horizon ``T``."""
-    params = dict(params or {})
     if T < 1:
         raise InvalidParams(f"horizon must be >= 1, got {T}")
+    kind = next((k for k, names in CATALOG.items() if name in names), None)
+    if kind is None:
+        raise InvalidParams(f"unknown cost model {name!r}")
+    params = read_params(kind, name, params, T)
 
     if name in ("linear", "softplus_call"):  # the payoffs of the same name
         g = make_payoff(name, params, T)
-        return CostModel("terminal", name, T, g.params, value_fn=g.value, grad_x_fn=g.grad)
+        return CostModel(kind, name, T, params, value_fn=g.value, grad_x_fn=g.grad)
 
     if name == "quadratic_tracking":
-        w = _vector(params, "weights", 1.0, T, name)
-        m = _vector(params, "targets", 0.0, T, name)
+        w, m = params.values()
         return CostModel(
-            "terminal", name, T,
-            {"weights": list(map(float, w)), "targets": list(map(float, m))},
+            kind, name, T, params,
             value_fn=lambda x: np.sum(w * (x - m) ** 2, axis=1),
             grad_x_fn=lambda x: 2.0 * w * (x - m),
         )
 
     if name == "exp_sum":
-        beta = _number(params, "beta", 1.0, name)
-        scale = _number(params, "scale", 1.0, name)
+        beta, scale = params.values()
 
         def es_value(x):
             return scale * np.exp(beta * x.sum(axis=1))
@@ -440,10 +533,7 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
         def es_grad(x):
             return (scale * beta * np.exp(beta * x.sum(axis=1)))[:, None] * np.ones_like(x)
 
-        return CostModel(
-            "terminal", name, T, {"beta": beta, "scale": scale},
-            value_fn=es_value, grad_x_fn=es_grad,
-        )
+        return CostModel(kind, name, T, params, value_fn=es_value, grad_x_fn=es_grad)
 
     if name == "coordinate_product":
         def cp_value(x):
@@ -456,15 +546,13 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
                 out[:, t] = np.prod(x[:, idx], axis=1) if idx else 1.0
             return out
 
-        return CostModel("terminal", name, T, {}, value_fn=cp_value, grad_x_fn=cp_grad)
+        return CostModel(kind, name, T, params, value_fn=cp_value, grad_x_fn=cp_grad)
 
     if name == "quadratic_control":
-        theta = _vector(params, "targets", 0.0, T, name)
-        c = _vector(params, "coeffs", 0.0, T, name)
+        theta, c = params.values()
         eye = np.eye(T)
         return CostModel(
-            "controlled", name, T,
-            {"targets": list(map(float, theta)), "coeffs": list(map(float, c))},
+            kind, name, T, params,
             value_fn=lambda x, a: np.sum((a - theta) ** 2, axis=1) + x @ c,
             grad_x_fn=lambda x, a: np.broadcast_to(c, x.shape).copy(),
             grad_a_fn=lambda x, a: 2.0 * (a - theta),
@@ -472,10 +560,7 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
         )
 
     if name == "tracking_control":
-        lam = _number(params, "weight", 1.0, name)
-        x0 = _number(params, "x0", 0.0, name)
-        if lam <= 0:
-            raise InvalidParams("tracking_control weight must be positive")
+        lam, x0 = params.values()
         eye = np.eye(T)
 
         def lagged(x):
@@ -490,7 +575,7 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
             return out
 
         return CostModel(
-            "controlled", name, T, {"weight": lam, "x0": x0},
+            kind, name, T, params,
             value_fn=lambda x, a: lam * np.sum((a - lagged(x)) ** 2, axis=1),
             grad_x_fn=tc_grad_x,
             grad_a_fn=lambda x, a: 2.0 * lam * (a - lagged(x)),
@@ -501,8 +586,7 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
         return build_utility_cost(make_utility_model(params, T), T)
 
     if name == "markov_payoff":
-        gname, gparams = _spec(params, "g", "identity", name)
-        g, dg, gparams = make_scalar_payoff(gname, gparams)
+        g, dg, _ = make_scalar_payoff(**params["g"])
 
         def mp_value(x, t):
             return g(x[:, t - 1])
@@ -512,32 +596,19 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
             out[:, t - 1] = dg(x[:, t - 1])
             return out
 
-        return CostModel(
-            "stopping", name, T, {"g": {"name": gname, "params": gparams}},
-            value_fn=mp_value, grad_x_fn=mp_grad,
-        )
+        return CostModel(kind, name, T, params, value_fn=mp_value, grad_x_fn=mp_grad)
 
-    if name == "running_sum":
-        c = _number(params, "coeff", 1.0, name)
+    c = params["coeff"]  # running_sum
 
-        def rs_value(x, t):
-            return c * x[:, :t].sum(axis=1)
+    def rs_value(x, t):
+        return c * x[:, :t].sum(axis=1)
 
-        def rs_grad(x, t):
-            out = np.zeros_like(x)
-            out[:, :t] = c
-            return out
+    def rs_grad(x, t):
+        out = np.zeros_like(x)
+        out[:, :t] = c
+        return out
 
-        return CostModel("stopping", name, T, {"coeff": c}, value_fn=rs_value, grad_x_fn=rs_grad)
-
-    raise InvalidParams(f"unknown cost model {name!r}")
-
-
-CATALOG = {
-    "terminal": ("linear", "quadratic_tracking", "softplus_call", "exp_sum", "coordinate_product"),
-    "controlled": ("quadratic_control", "tracking_control", "utility"),
-    "stopping": ("markov_payoff", "running_sum"),
-}
+    return CostModel(kind, name, T, params, value_fn=rs_value, grad_x_fn=rs_grad)
 
 
 def catalog_names() -> tuple[str, ...]:

@@ -17,13 +17,14 @@ many problems of one shape in lockstep, one vectorised pivot round for
 all of them, and equals it bit for bit (its docstring has the argument).
 :func:`solve_exact` checks a :class:`TransportProblem`, starts the former
 from the north-west corner and makes the clipped plan and its objective
-of the flow; :func:`solve_sorted_1d_batch` checks its weights and runs
-the north-west walk that the batched simplex starts from
-(:func:`_northwest_batch`).  The adapted-distance recursion calls these
-cores directly, after running the same checks (:func:`check_weights`,
-:func:`check_cost`) once per size class of child families and once per
-batch of costs, and keeps the starts of trees of one structure.  A
-simplex that exceeds its pivot budget raises ``MaxIterations``.
+of the flow.  The adapted-distance recursion calls these cores directly,
+after running the same checks (:func:`check_weights`, :func:`check_cost`)
+once per size class of child families and once per batch of costs; its
+last stage takes the north-west plans of the sorted weights
+(:func:`_northwest_batch`, the walk the batched simplex starts from),
+which are optimal there, and it keeps the starts of trees of one
+structure.  A simplex that exceeds its pivot budget raises
+``MaxIterations``.
 """
 
 from __future__ import annotations
@@ -334,24 +335,6 @@ def solve_sorted_1d(
     plan = _dense(basis, masses, m, n)
     return TransportPlan(plan, float(np.vdot(plan, cost)), np.array(pot[:m]), np.array(pot[m:]),
                          tuple(sorted(basis)))
-
-
-def solve_sorted_1d_batch(
-    x: np.ndarray, mu: np.ndarray, y: np.ndarray, nu: np.ndarray, p: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone plans of F independent 1-d problems of one shape at once.
-
-    ``x``, ``mu`` have shape (F, m) and ``y``, ``nu`` shape (F, n); each row
-    holds one problem's atoms, sorted ascending.  Returns the (F, m, n) plans
-    and the (F,) objectives, equal to :func:`solve_sorted_1d`'s bit for
-    bit (see :func:`_northwest_batch` and :func:`_objectives`).  The checks
-    of :class:`TransportProblem` apply row by row.
-    """
-    ratio = check_weights(mu) / check_weights(nu)
-    cost = np.abs(x[:, :, None] - y[:, None, :]) ** p
-    check_cost(cost)
-    plan, _ = _northwest_batch(mu.copy(), nu * ratio[:, None])
-    return plan, _objectives(plan, cost)
 
 
 def _northwest_batch(a: np.ndarray, b: np.ndarray):

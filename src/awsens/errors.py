@@ -1,8 +1,9 @@
-"""Exception types shared across the library, and the number rule.
+"""Exception types shared across the library, and the number rules.
 
 Each error carries the process exit code the CLI maps it to; anything not
-listed here exits with code 1.  :func:`finite_number` is the one rule for
-numeric config fields, generator params and catalog model params.
+listed here exits with code 1.  :func:`finite_number` and
+:func:`finite_count` are the number rules of every param, config field and
+generator param (see ``cost_models.PARAMS``).
 """
 
 import numbers
@@ -39,6 +40,15 @@ def finite_number(v, name: str, where: str = "config") -> float:
     if not (is_number(v) and abs(v) <= sys.float_info.max):
         raise InvalidParams(f"{where} {name!r} must be a finite number, got {v!r}")
     return float(v)
+
+
+def finite_count(v, name: str, where: str = "config") -> int:
+    """``v`` as an int, or ``InvalidParams`` unless it is a nonnegative
+    integral finite number (``3.0`` reads as 3; ``2.7`` is refused, not
+    truncated)."""
+    if not (is_number(v) and abs(v) <= sys.float_info.max and float(v).is_integer() and v >= 0):
+        raise InvalidParams(f"{where} {name!r} must be a nonnegative integer, got {v!r}")
+    return int(v)
 
 
 class InvalidCoupling(AwsensError):

@@ -37,7 +37,7 @@ from awsens import (
     tree_from_nested,
 )
 from awsens import adapted_wasserstein
-from awsens.discrete_ot import solve_sorted_1d_batch
+from awsens.discrete_ot import _objectives
 
 P2 = AWParams(2.0)
 
@@ -209,17 +209,22 @@ def test_distance_zero_iff_isomorphic():
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_batched_last_stage_matches_per_pair_fast_path(p):
+    # the last stage's plans of every pair of an x and a y family, with the
+    # children unsorted, as the recursion builds them and costs them
     rng = np.random.default_rng(int(10 * p))
     for m in range(1, 9):
         for n in range(1, 9):
-            F = 4
-            x = np.sort(rng.normal(size=(F, m)), axis=1)
-            y = np.sort(rng.normal(size=(F, n)), axis=1)
-            mu = rng.dirichlet(np.ones(m), size=F)
-            nu = rng.dirichlet(np.ones(n), size=F)
-            plans, objectives = solve_sorted_1d_batch(x, mu, y, nu, p)
-            for f in range(F):
-                ref = solve_sorted_1d(x[f], mu[f], y[f], nu[f], p)
+            Fx, Fy = 3, 4
+            x, y = rng.normal(size=(Fx, m)), rng.normal(size=(Fy, n))
+            mu = rng.dirichlet(np.ones(m), size=Fx)
+            nu = rng.dirichlet(np.ones(n), size=Fy)
+            ox, oy = np.argsort(x, axis=1), np.argsort(y, axis=1)
+            xs, ys = np.take_along_axis(x, ox, axis=1), np.take_along_axis(y, oy, axis=1)
+            plans = adapted_wasserstein._monotone_plans(None, None, mu, ox, nu, oy)
+            cost = (np.abs(xs[:, None, :, None] - ys[None, :, None, :]) ** p).reshape(-1, m, n)
+            objectives = _objectives(plans, cost)
+            for f, (i, j) in enumerate(np.ndindex(Fx, Fy)):
+                ref = solve_sorted_1d(xs[i], mu[i][ox[i]], ys[j], nu[j][oy[j]], p)
                 assert np.array_equal(plans[f], ref.plan)
                 assert objectives[f] == ref.objective
 

@@ -18,11 +18,14 @@ from awsens import (
     NonFinite,
     NotConvex,
     TooLarge,
+    catalog_names,
     gen_binomial,
     gen_lattice,
     gen_random,
+    make_cost_model,
 )
-from awsens.cli import RunConfig, main, parse_tree, serialize_tree
+from awsens.cli import GENERATORS, RunConfig, main, parse_tree, serialize_tree
+from awsens.cost_models import CATALOG, PARAMS
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -408,6 +411,69 @@ def test_non_finite_results_are_typed_errors(tmp_path, capsys, cmd, tree, proble
     assert (code, out) == (NonFinite.exit_code, "") and "NonFinite" in err and needle in err
 
 
+def test_curve_refuses_a_non_finite_base_value(tmp_path, capsys):
+    # the rows' and the slope's NaNs are documented; an overflowing base
+    # value or first-order term is not, and nothing is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem_class": "terminal", "p": 2.0,
+                               "model": {"name": "exp_sum", "params": {"beta": 800.0}}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "curve", FIXTURES / "iid_signs.json", "--config", cfg,
+                                 "--out-csv", tmp_path / "c.csv", "--out-json", tmp_path / "c.json")
+    assert (code, out) == (NonFinite.exit_code, "") and "NonFinite" in err
+    assert "base_value is inf" in err
+    assert not (tmp_path / "c.csv").exists() and not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("field, needle", [
+    ({"model": {"name": "exp_sum", "params": {"betta": 800.0}}},
+     "'exp_sum' params: unknown key 'betta'; accepted: beta, scale"),
+    ({"model": {"name": "utility", "params": {
+        "loss": {"name": "exponential", "params": {"rte": 1.0}}}}},
+     "'loss' params: unknown key 'rte'; accepted: rate"),
+    ({"model": {"name": "utility", "params": {"loss": {"name": "quadratic", "parms": {}}}}},
+     "'loss' must be an object with a name string"),
+    ({"bounds": {"l": 3.0}}, "config 'bounds': unknown key 'l'; accepted: L"),
+    ({"radius": [0.1]}, "config: unknown key 'radius'; accepted: problem_class, model, p, radii"),
+    # params must be an object, not pairs to be read through dict(...)
+    ({"model": {"name": "exp_sum", "params": [["beta", 2.0]]}},
+     "config: 'model' params must be an object, got [['beta', 2.0]]"),
+    ({"model": {"name": "exp_sum", "params": None}},
+     "config: 'model' params must be an object, got None"),
+    ({"model": {"name": "utility", "params": {"payoff": {"name": "zero", "params": None}}}},
+     "'payoff' params must be an object, got None"),
+])
+def test_unknown_keys_and_non_object_params_are_invalid_params(tmp_path, capsys, field, needle):
+    cfg = tmp_path / "cfg.json"
+    doc = {"problem_class": "terminal", "model": {"name": "linear"}, "p": 2.0, **field}
+    if field.get("model", {}).get("name") == "utility":
+        doc["problem_class"] = "controlled"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "sens", FIXTURES / "iid_signs.json", "--config", cfg)
+    assert (code, out) == (InvalidParams.exit_code, "") and "InvalidParams" in err
+    assert needle in err
+
+
+def test_unknown_gen_param_is_invalid_params(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "gen", "--kind", "binomial", "--params",
+                           json.dumps({"T": 2, "p_upp": 0.3}), "--out", tmp_path / "t.json")
+    assert code == InvalidParams.exit_code
+    assert ("--params for binomial: unknown key 'p_upp'; "
+            "accepted: T, start, up, down, p_up, drift") in err
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("params", [
+    {"T": 1, "start": 1.0, "up": 1e-17, "down": 0.0},  # siblings round to one value
+    {"T": 1, "start": 1e308, "up": 1e308, "down": 0.0},  # a value overflows
+])
+def test_gen_params_whose_tree_is_invalid_are_invalid_params(tmp_path, capsys, params):
+    code, _, err = run_cli(capsys, "gen", "--kind", "binomial", "--params", json.dumps(params),
+                           "--out", tmp_path / "t.json")
+    assert code == InvalidParams.exit_code and "--params for binomial:" in err
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_stop_on_one_period_tree_keeps_the_empty_margin(tmp_path, capsys):
     # no node before the horizon: the margin is an empty minimum, printed
     # as Infinity, and the command succeeds
@@ -539,6 +605,92 @@ def test_run_config_fuzz_raises_only_typed_errors(doc):
         RunConfig.from_dict(doc)
     except AwsensError:
         pass
+
+
+NON_NUMBERS = (st.none() | st.booleans() | st.text(max_size=4)
+               | st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400])
+               | st.lists(JSON_VALUES, max_size=3)
+               | st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=2))
+# finite numbers, half of them ones that overflow or round away when added up
+EXTREMES = st.sampled_from([1e308, -1e308, 1e-17, 5e-324, 0.0, 1.0])
+FINITE = st.booleans().flatmap(lambda extreme: EXTREMES if extreme else (
+    st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2 ** 70, 2 ** 70)))
+# any JSON value: T-vectors of every length, nested lists and objects
+ANY = FINITE | NON_NUMBERS | st.lists(FINITE, max_size=4)
+
+
+@st.composite
+def params_for(draw, group, name, T):
+    """Mostly valid params of entry ``name`` of ``group`` for horizon ``T``:
+    each declared key drawn by its shape, or left out when optional; then
+    one key given any JSON value, or an unknown key added, or neither; or,
+    one time in ten, no object at all.  Counts stay at most 3, so that a
+    valid generator draw is a small tree."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(NON_NUMBERS)
+    entries = PARAMS[group].get(name, ()) if isinstance(name, str) else ()
+    shapes = {
+        "scalar": lambda e: FINITE,
+        "count": lambda e: st.integers(0, 3) | st.just(2.0),
+        "T-vector": lambda e: st.lists(FINITE, min_size=T, max_size=T),
+        "list": lambda e: st.lists(FINITE | st.floats(0.0, 1.0), min_size=2, max_size=3),
+        "spec": lambda e: specs(e.rule, T),
+    }
+    out = {e.key: draw(shapes[e.shape](e)) for e in entries
+           if e.default is None or draw(st.booleans())}
+    how = draw(st.sampled_from(["valid", "valid", "any value", "unknown key"]))
+    if how == "any value" and entries:
+        out[draw(st.sampled_from(entries)).key] = draw(ANY)
+    elif how == "unknown key":
+        out["nope"] = draw(JSON_VALUES)
+    return out
+
+
+@st.composite
+def specs(draw, group, T):
+    """A spec of ``group``, mostly well formed."""
+    spec = {"name": draw(st.sampled_from(sorted(PARAMS[group]) + ["nope", 3, None]))}
+    how = draw(st.sampled_from(["", "params", "params", "params", "any params", "parms"]))
+    if how == "params":
+        spec["params"] = draw(params_for(group, spec["name"], T))
+    elif how:
+        spec[how.replace("any ", "")] = draw(ANY)
+    return spec
+
+
+@st.composite
+def models(draw):
+    name, T = draw(st.sampled_from(catalog_names())), draw(st.integers(1, 3))
+    kind = next(k for k, names in CATALOG.items() if name in names)
+    return kind, name, draw(params_for(kind, name, T)), T
+
+
+@given(model=models())
+@settings(max_examples=400, deadline=None)
+def test_model_params_fuzz_raises_only_typed_errors(model):
+    # None, booleans, strings, NaN, infinities, integers beyond the float
+    # range, T-vectors of any length, nested lists, objects and specs, and
+    # unknown keys: a model is built or an AwsensError raised, nothing else
+    kind, name, params, T = model
+    doc = {"problem_class": kind, "model": {"name": name, "params": params}, "p": 2.0}
+    with np.errstate(all="ignore"):
+        for build in (lambda: make_cost_model(name, params, T),
+                      lambda: RunConfig.from_dict(doc).build_model(T)):
+            try:
+                build()
+            except AwsensError:
+                pass
+
+
+@given(kind=st.sampled_from(sorted(GENERATORS)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_gen_params_fuzz_exits_0_or_1(tmp_path_factory, kind, data):
+    params = data.draw(params_for("generator", kind, None))
+    out = tmp_path_factory.getbasetemp() / "fuzz_gen.json"
+    with np.errstate(all="ignore"):
+        # one argument, so that a document such as -Infinity is not read as an option
+        code = main(["gen", "--kind", kind, f"--params={json.dumps(params)}", "--out", str(out)])
+    assert code in (0, InvalidParams.exit_code)
 
 
 def test_console_entry_point(tmp_path):

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,12 @@ from awsens import (
     make_utility_model,
     register_cost_model,
 )
-from awsens.cost_models import probe_stopping_measurability, sampled_hessian_min_eig
+from awsens.cost_models import (
+    CATALOG,
+    PARAMS,
+    probe_stopping_measurability,
+    sampled_hessian_min_eig,
+)
 
 T = 3
 
@@ -257,3 +265,56 @@ def test_utility_binding_matches_callbacks_bit_for_bit(loss, payoff):
 ])
 def test_default_binding_matches_callbacks_bit_for_bit(name, params):
     _check_binding(make_cost_model(name, params, T), np.random.default_rng(3))
+
+
+def test_readme_parameter_table_lists_the_library_table():
+    # the README's table names every entry, param, shape, default and rule
+    # of PARAMS and nothing else, so the docs cannot drift from the reader
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = readme.split("### Parameters", 1)[1].split("| group | name |", 1)[1].splitlines()
+    rows = []
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(cell.strip().strip("`") for cell in line.strip("|").split("|")))
+    want = []
+    for group, entries in PARAMS.items():
+        for name, params in entries.items():
+            if not params:
+                want.append((group, name, "—", "", "", ""))
+            for key, default, shape, rule in params:
+                want.append((group, name, key, shape,
+                             "required" if default is None else json.dumps(default),
+                             rule if isinstance(rule, str) else ", ".join(rule or ["—"])))
+    assert rows == want
+
+
+def test_catalog_derives_from_the_table():
+    assert CATALOG == {kind: tuple(PARAMS[kind]) for kind in ("terminal", "controlled", "stopping")}
+    assert catalog_names() == tuple(n for kind in CATALOG for n in PARAMS[kind])
+
+
+@pytest.mark.parametrize("name, params, T", [
+    ("linear", None, 3),
+    ("quadratic_tracking", {"targets": np.array([0.5, -1.0])}, 2),
+    ("utility", {"loss": {"name": "exponential"}, "x0": 1}, 2),
+    ("markov_payoff", {"g": {"name": "softplus_put", "params": {"strike": 1}}}, 2),
+])
+def test_params_hold_the_readers_values(name, params, T):
+    # defaults filled in, numbers as floats, T-vectors as arrays, nested
+    # specs read as well, all in declaration order
+    got = make_cost_model(name, params, T).params
+    want = {
+        "linear": {"coeffs": [1.0, 1.0, 1.0]},
+        "quadratic_tracking": {"weights": [1.0, 1.0], "targets": [0.5, -1.0]},
+        "utility": {"loss": {"name": "exponential", "params": {"rate": 1.0}},
+                    "payoff": {"name": "zero", "params": {}}, "x0": 1.0},
+        "markov_payoff": {"g": {"name": "softplus_put",
+                                "params": {"strike": 1.0, "sharpness": 1.0}}},
+    }[name]
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if isinstance(value, list):
+            assert isinstance(got[key], np.ndarray) and got[key].tolist() == value
+        else:
+            assert got[key] == value and type(got[key]) is type(value)

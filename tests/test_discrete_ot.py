@@ -14,7 +14,7 @@ from awsens import (
 )
 from awsens import discrete_ot
 from awsens.adapted_wasserstein import _per_pair, _starts
-from awsens.discrete_ot import solve_sorted_1d_batch, transport_simplex, transport_simplex_batch
+from awsens.discrete_ot import check_weights, transport_simplex, transport_simplex_batch
 
 
 def random_problem(rng, m, n):
@@ -82,13 +82,12 @@ def test_non_finite_weights_rejected(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_batch_non_finite_weights_rejected(bad):
-    x = np.array([[0.0, 1.0], [0.0, 1.0]])
-    mu = np.array([[0.5, 0.5], [bad, 0.5]])
+    # the recursion checks each size class of families as (F, m) rows
     good = np.array([[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(Infeasible):
-        solve_sorted_1d_batch(x, mu, x, good, 2.0)
-    with pytest.raises(Infeasible):
-        solve_sorted_1d_batch(x, good, x, mu, 2.0)
+    assert check_weights(good).tolist() == [1.0, 1.0]
+    for mu in ([[0.5, 0.5], [bad, 0.5]], [[0.5, 0.5], [0.5, bad]], [[bad, 0.5], [0.5, 0.5]]):
+        with pytest.raises(Infeasible):
+            check_weights(np.array(mu))
 
 
 def test_sorted_1d_identity():
@@ -585,3 +584,40 @@ def test_per_pair_equals_solve_exact_under_blands_rule(monkeypatch):
     switches = sum(assert_per_pair_equals_solve_exact(rng, 4, 4, 2, 3, True, "integer")
                    for _ in range(10))
     assert switches > 0
+
+
+def assert_hanging_order(cells):
+    """``_hang``'s order: the first cell lies in row 0 and each later one
+    joins exactly one new row or column to those before it."""
+    assert cells[0][0] == 0
+    rows, cols = {0}, {cells[0][1]}
+    for i, j in cells[1:]:
+        assert (i in rows) != (j in cols)
+        rows.add(i)
+        cols.add(j)
+
+
+def test_per_pair_starts_hang_from_row_0_and_potentials_match_that_hang():
+    # the potentials are compared with _ref_potentials, a hang from row 0
+    # written here; monotone costs leave many starts optimal, so the start's
+    # own hang is what is returned
+    rng = np.random.default_rng(19)
+    for draw in range(300):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        cx, cy = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        masses = ("dirichlet", "zero", "integer")[draw % 3]
+        xw = np.array([structured_problem(rng, m, 1, False, masses).mu for _ in range(cx)])
+        yw = np.array([structured_problem(rng, 1, n, False, masses).nu for _ in range(cy)])
+        assert_hanging_order(discrete_ot._northwest_corner(xw[0].tolist(), yw[0].tolist())[0])
+        starts = _starts(xw, xw.sum(axis=-1), yw, yw.sum(axis=-1))
+        for start in starts:
+            assert_hanging_order(start[0])
+            if draw % 2:
+                cost = rng.normal(size=(m, n)) ** 2
+            else:
+                x, y = np.sort(rng.normal(size=m)), np.sort(rng.normal(size=n))
+                cost = np.abs(x[:, None] - y[None, :]) ** 2.0
+            flow, pot, _, _ = transport_simplex(*start, cost)
+            u, v = _ref_potentials(cost, list(flow))
+            assert np.array(pot[:m]).tobytes() == u.tobytes()
+            assert np.array(pot[m:]).tobytes() == v.tobytes()

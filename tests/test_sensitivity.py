@@ -159,7 +159,7 @@ def test_one_period_utility_formula_structure():
 
 @pytest.mark.parametrize("loss", ["quadratic", "exponential", "smoothed_power"])
 def test_random_utility_cross_formula_agreement(loss):
-    lparams = {"rate": 0.5} if loss == "exponential" else {"exponent": 3.0}
+    lparams = {"exponential": {"rate": 0.5}, "smoothed_power": {"exponent": 3.0}}.get(loss, {})
     for k in range(12):
         tree = gen_random(2, 2, 3000 + k)
         u = make_utility_model(
