@@ -42,6 +42,7 @@ _RULES = {"finite": lambda v: True, "positive": lambda v: v > 0, "nonzero": lamb
           ">= 1": lambda v: v >= 1, "> 1": lambda v: v > 1}
 _CLASSES = ("terminal", "controlled", "stopping")
 _SOFTPLUS = (Param("strike", 0.0), Param("sharpness", 1.0, rule="positive"))
+_LINEAR = (Param("coeffs", 1.0, "T-vector"),)
 _T = Param("T", None, "count")
 
 # Every named parameter set: group -> name -> its params, in declaration
@@ -55,7 +56,7 @@ _T = Param("T", None, "count")
 # one of :data:`_RULES`.
 PARAMS = {
     "terminal": {
-        "linear": (Param("coeffs", 1.0, "T-vector"),),
+        "linear": _LINEAR,  # terminal linear and softplus_call are the payoffs
         "quadratic_tracking": (Param("weights", 1.0, "T-vector"),
                                Param("targets", 0.0, "T-vector")),
         "softplus_call": _SOFTPLUS,
@@ -80,7 +81,7 @@ PARAMS = {
     },
     "payoff": {
         "zero": (),
-        "linear": (Param("coeffs", 1.0, "T-vector"),),
+        "linear": _LINEAR,
         "final_value": (Param("scale", 1.0),),
         "mean": (),
         "softplus_call": _SOFTPLUS,
@@ -510,11 +511,12 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
     kind = next((k for k, names in CATALOG.items() if name in names), None)
     if kind is None:
         raise InvalidParams(f"unknown cost model {name!r}")
-    params = read_params(kind, name, params, T)
-
     if name in ("linear", "softplus_call"):  # the payoffs of the same name
         g = make_payoff(name, params, T)
-        return CostModel(kind, name, T, params, value_fn=g.value, grad_x_fn=g.grad)
+        return CostModel(kind, name, T, g.params, value_fn=g.value, grad_x_fn=g.grad)
+    if name == "utility":
+        return build_utility_cost(make_utility_model(params, T), T)
+    params = read_params(kind, name, params, T)
 
     if name == "quadratic_tracking":
         w, m = params.values()
@@ -581,9 +583,6 @@ def make_cost_model(name: str, params: dict | None, T: int) -> CostModel:
             grad_a_fn=lambda x, a: 2.0 * lam * (a - lagged(x)),
             hess_a_fn=lambda x, a: np.broadcast_to(2.0 * lam * eye, (x.shape[0], T, T)).copy(),
         )
-
-    if name == "utility":
-        return build_utility_cost(make_utility_model(params, T), T)
 
     if name == "markov_payoff":
         g, dg, _ = make_scalar_payoff(**params["g"])

@@ -6,9 +6,7 @@ and applies to the step leaving it, so the control acting over (t-1, t]
 depends only on the history up to t-1 (the root's control is deterministic).
 The resulting finite convex program is solved by projected gradient with a
 Barzilai-Borwein initial step and Armijo backtracking along the projected
-arc. After ``NEWTON_AFTER`` iterations, where projected gradient crawls along
-directions of tiny curvature, it takes projected Newton steps (Bertsekas,
-SIAM J. Control Optim. 20, 1982) wherever they descend.
+arc.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from .process_tree import ScenarioTree
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
 MAX_ITER_DEFAULT = 100_000
-NEWTON_AFTER = 1_000
 BRUTE_FORCE_MAX_POINTS = 1_000_000
 
 
@@ -133,27 +130,18 @@ def solve_value(
                 kkt_residual=residual,
                 iterations=it - 1,
             )
-        v = None
-        if it > NEWTON_AFTER:  # the gradient on controls held at a bound, Newton on the rest
-            free = ~(((z <= -L + residual) & (g > 0)) | ((z >= L - residual) & (g < 0)))
-            v = g.copy()
-            v[free] = np.linalg.lstsq(objective_hessian(tree, model, z)[np.ix_(free, free)],
-                                      g[free], rcond=None)[0]
-        if v is not None and float(g @ v) > 0.0:
-            s = 1.0
-        else:
-            if z_prev is not None:
-                dz = z - z_prev
-                dg = g - g_prev
-                curv = float(dz @ dg)
-                step = float(dz @ dz) / curv if curv > 1e-18 else min(step * 2.0, 1e8)
-                step = min(max(step, 1e-12), 1e8)
-            v, s = g, step
+        if z_prev is not None:
+            dz = z - z_prev
+            dg = g - g_prev
+            curv = float(dz @ dg)
+            step = float(dz @ dz) / curv if curv > 1e-18 else min(step * 2.0, 1e8)
+            step = min(max(step, 1e-12), 1e8)
         # Armijo along the projected arc; the noise-floor term keeps the test
         # meaningful once objective differences shrink below float resolution
         noise = 1e-15 * (1.0 + abs(phi))
+        s = step
         for _ in range(60):
-            z_new = np.minimum(np.maximum(z - s * v, -L), L)
+            z_new = np.minimum(np.maximum(z - s * g, -L), L)
             vals, grad_a = evaluate(z_new[aidx])
             phi_new = float(w @ vals)
             if phi_new <= phi + ARMIJO_C * float(g @ (z_new - z)) + noise:

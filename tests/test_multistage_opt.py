@@ -25,7 +25,6 @@ from awsens.multistage_opt import (
     ARMIJO_C,
     BACKTRACK,
     MAX_ITER_DEFAULT,
-    NEWTON_AFTER,
     ControlPolicy,
     _variable_layout,
     objective_hessian,
@@ -268,10 +267,8 @@ def test_scatter_sum_matches_add_at_bit_for_bit(T, b, seed):
 def reference_solve_value(tree, model, bounds, tol=1e-9, max_iter=MAX_ITER_DEFAULT, z0=None):
     """``solve_value``'s loop before its ufunc and single-evaluation rewrite,
     on the model's callbacks: np.clip, np.max and a value-only evaluation
-    per Armijo trial, then a fresh value and gradient at the accepted point;
-    past ``NEWTON_AFTER`` iterations, projected Newton steps on
-    ``_hessian_reference``. Kept as the reference the solver must equal bit
-    for bit."""
+    per Armijo trial, then a fresh value and gradient at the accepted point.
+    Kept as the reference the solver must equal bit for bit."""
     ids, aidx = _variable_layout(tree)
     xs = tree.paths.values
     w = tree.paths.probs
@@ -295,31 +292,16 @@ def reference_solve_value(tree, model, bounds, tol=1e-9, max_iter=MAX_ITER_DEFAU
         if residual <= tol:
             policy = ControlPolicy({nid: float(z[k]) for k, nid in enumerate(ids)})
             return phi, policy, residual, it - 1
-        # past NEWTON_AFTER: Bertsekas's projected Newton step, on the
-        # triple-loop Hessian, wherever it is a descent direction
-        newton = None
-        if it > NEWTON_AFTER:
-            held = [(z[i] <= -L + residual and g[i] > 0) or (z[i] >= L - residual and g[i] < 0)
-                    for i in range(nvar)]
-            free = [i for i in range(nvar) if not held[i]]
-            newton = g.copy()
-            H = _hessian_reference(tree, model, z)
-            newton[free] = np.linalg.lstsq(H[np.ix_(free, free)], g[free], rcond=None)[0]
-            if not float(g @ newton) > 0.0:
-                newton = None
-        if newton is not None:
-            v, s = newton, 1.0
-        else:
-            if z_prev is not None:
-                dz = z - z_prev
-                dg = g - g_prev
-                curv = float(dz @ dg)
-                step = float(dz @ dz) / curv if curv > 1e-18 else min(step * 2.0, 1e8)
-                step = float(np.clip(step, 1e-12, 1e8))
-            v, s = g, step
+        if z_prev is not None:
+            dz = z - z_prev
+            dg = g - g_prev
+            curv = float(dz @ dg)
+            step = float(dz @ dz) / curv if curv > 1e-18 else min(step * 2.0, 1e8)
+            step = float(np.clip(step, 1e-12, 1e8))
         noise = 1e-15 * (1.0 + abs(phi))
+        s = step
         for _ in range(60):
-            z_new = np.clip(z - s * v, -L, L)
+            z_new = np.clip(z - s * g, -L, L)
             phi_new = phi_only(z_new)
             if phi_new <= phi + ARMIJO_C * float(g @ (z_new - z)) + noise:
                 break
@@ -360,31 +342,6 @@ def test_solver_matches_reference_bit_for_bit(name, params, b, seed, start):
     got = (rep.value, rep.policy, rep.kkt_residual, rep.iterations)
     assert repr(got) == repr(want)
     assert got == want
-
-
-_Q = {"name": "quadratic", "params": {}}
-_P3 = {"name": "smoothed_power", "params": {"exponent": 3.0}}
-
-
-@pytest.mark.parametrize("loss, payoff, seed, start", [
-    (_Q, {"name": "zero"}, 21917, "box"),
-    (_Q, {"name": "linear", "params": {"coeffs": [0.5, -1.0, 2.0]}}, 3021, "cold"),
-    (_P3, {"name": "zero"}, 1028, "box"),
-    (_P3, {"name": "softplus_call", "params": {"strike": 0.2, "sharpness": 2.0}}, 16, "cold"),
-], ids=["quadratic-zero", "quadratic-linear", "power-zero", "power-softplus"])
-def test_newton_steps_finish_solves_projected_gradient_stalls_on(loss, payoff, seed, start):
-    # projected gradient alone stops short of the 1e-9 KKT test in 100,000
-    # iterations on each of these; the quadratic-zero Hessian's smallest
-    # eigenvalue is 7.9e-9 against a largest of 1.3
-    tree = gen_random(3, 2, seed)
-    model = make_cost_model("utility", {"loss": loss, "payoff": payoff, "x0": 0.3}, 3)
-    nvar = len(_variable_layout(tree)[0])
-    z0 = np.random.default_rng(seed).uniform(-2.0, 2.0, size=nvar) if start == "box" else None
-    rep = solve_value(tree, model, ControlBounds(2.0), z0=z0, check_convexity=False)
-    assert NEWTON_AFTER < rep.iterations < NEWTON_AFTER + 50
-    assert rep.kkt_residual <= 1e-9
-    want = reference_solve_value(tree, model, ControlBounds(2.0), z0=z0)
-    assert repr((rep.value, rep.policy, rep.kkt_residual, rep.iterations)) == repr(want)
 
 
 @pytest.mark.parametrize("kwargs", [
