@@ -24,7 +24,10 @@ against one base tree, build it once.  One recursion serves two entries:
 distance-only :func:`aw_pth_power`, which keeps no plans.  Batching never
 changes a summation order: each objective is summed over the row-major
 plan as ``np.vdot`` sums it, so results are bit-identical to solving one
-node pair at a time.
+node pair at a time.  For two trees of one structure, :func:`aw_pth_power`
+first tries :func:`_certified_pth_power`, which solves only the diagonal
+node pairs above the last stage once a negative-cycle certificate shows
+the identity plan optimal at each of them, with the same bits.
 
 A brute-force LP over joint path probabilities with explicit (cross-
 multiplied) causality constraints serves as an independent oracle for the
@@ -70,6 +73,12 @@ ORACLE_MAX_HORIZON = 3
 _BATCH_CELLS = 1 << 18
 # interior pairs per chunk from which the lockstep simplex beats per-pair solves
 _SIMPLEX_BATCH_MIN = 16
+# the identity certificate's margin, in m^2 * eps * (1 + max cost) for families
+# of m children (see _identity_certified)
+_CERTIFY_MARGIN = 8.0
+_EPS = float(np.finfo(np.float64).eps)
+# trees of one structure whose costs could reach this take the full recursion
+_COST_CEILING = 1e300
 
 
 @dataclass(frozen=True)
@@ -626,13 +635,119 @@ def _recursion(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -
     return float(value[0, 0])
 
 
+def _identity_certified(cost: np.ndarray) -> np.ndarray:
+    """Per problem of the (F, m, m) ``cost``: whether the identity plan,
+    which sends each row k to column k, is certified optimal.
+
+    Moving mass around the cycle k1 -> k2 -> ... -> k1 (row k_i to column
+    k_{i+1} instead of k_i) changes the cost by the sum of ``d_kl = c_kl -
+    c_kk`` along it, so the identity is optimal exactly when no cycle of
+    ``d`` weighs less than 0 (Ahuja, Magnanti & Orlin, *Network Flows*,
+    1993, ch. 9).  The lightest cycle through each k is the diagonal of the
+    min-plus closure of ``d`` with +inf on its diagonal, m vectorised
+    Floyd-Warshall steps.  Each ``d`` entry is off by at most eps/2 * max
+    c, and each of a cycle's at most m - 1 additions by eps/2 * m * max c,
+    so a computed weight is within m^2 eps/2 * max c of the exact weight
+    of the float costs.  A problem is certified when every lightest cycle
+    computes above ``_CERTIFY_MARGIN * m^2 * eps * (1 + max c)``: then every
+    cycle exactly weighs more than 7.5 m^2 eps * (1 + max c), a tie or near
+    tie is refused, and :func:`_certified_pth_power` has the headroom its
+    argument needs.  A family of one child has no cycle and is certified.
+    """
+    F, m, _ = cost.shape
+    eye = np.arange(m)
+    d = cost - cost[:, eye, eye][:, :, None]
+    d[:, eye, eye] = np.inf
+    for j in range(m):
+        np.minimum(d, d[:, :, j, None] + d[:, None, j, :], out=d)
+    margin = _CERTIFY_MARGIN * m * m * _EPS * (1.0 + cost.reshape(F, -1).max(axis=1))
+    return (d[:, eye, eye] > margin[:, None]).all(axis=1)
+
+
+def _certified_pth_power(P: ScenarioTree, Q: ScenarioTree, p: float) -> float | None:
+    """The recursion's p-th power for two trees of one structure, solving
+    only the diagonal node pairs above the last stage; None when some
+    family's identity plan is not certified, and :func:`_recursion` must
+    decide.
+
+    Both trees have the same families with the same weights, so node i of
+    P and node i of Q have equal marginals.  The last stage runs
+    :func:`_stage` over all pairs, as the recursion does.  Each interior
+    level solves only its diagonal pairs, one (F, m, m) cost block per size
+    class: |x - y|^p plus the level below's values.  Those are all known at
+    the next-to-last level; further up only the diagonal ones are, so the
+    other cells take 0 in their place, a lower bound of their cost, since
+    values are nonnegative and fl(a + b) >= a for b >= 0.  The recursion's
+    costs equal the block on the diagonal and are at least as large off it,
+    so if :func:`_identity_certified` accepts every block, the identity is
+    optimal for the recursion's costs too, and the pair's value is the
+    identity plan's, summed by the same :func:`_objectives`.  This is the
+    recursion's value bit for bit:
+
+    - With equal marginals the rescale ratio is exactly 1, and the
+      north-west start is the identity plan with the families' exact
+      masses, plus zero-mass cells next to the diagonal.
+    - Only a cycle whose losing cells all hold mass, all diagonal, can move
+      mass (θ > 0), and its reduced cost is that cycle's weight, computed
+      from potentials along a basis path of under 2m cells.  Their rounding
+      stays within about 4 m^2 eps * max c of the exact weight, which the
+      certificate puts above 7.5 m^2 eps * (1 + max c), so the reduced cost
+      is positive and that cell never enters, in either simplex kernel.
+    - Degenerate pivots move no mass, so the optimal plan is the identity
+      plan; the clip turns its zeros into +0.0, and a +0.0 cell adds +0.0
+      to the objective whatever finite cost it holds.
+
+    By induction over the levels each diagonal value, and with it each
+    diagonal cost, equals the recursion's.
+
+    Every cost of the full recursion, and every value it sums, stays within
+    rounding of T * (2 r)^p, r the largest |value| in either tree; the path
+    refuses trees whose bound reaches ``_COST_CEILING``, so no pair it skips
+    could have had an infinite cost.  Refused pairs go to
+    :func:`_recursion`, which raises the same errors as ever.
+    """
+    T = P.horizon
+    reach = 2.0 * max(float(np.abs(P.values).max()), float(np.abs(Q.values).max()))
+    if not reach < (_COST_CEILING / T) ** (1.0 / p):
+        return None
+    value = _stage(P, Q, T - 1, p, None, None)
+    if T == 1:
+        return float(value[0, 0])
+    diag = None
+    for t in range(T - 2, -1, -1):
+        level = np.empty(len(P.levels[t]))
+        for at, kids, below, w, _ in _size_classes(P, t)[2]:
+            F, m = w.shape
+            cost = np.abs(P.values[kids][:, :, None] - Q.values[kids][:, None, :]) ** p
+            if diag is None:  # the level below is the last stage, known in full
+                cost += value[below[:, :, None], below[:, None, :]]
+            else:
+                cost.reshape(F, m * m)[:, ::m + 1] += diag[below]
+            if not _identity_certified(cost).all():
+                return None
+            level[at] = _objectives(w[:, :, None] * np.eye(m), cost)  # +0.0 off the diagonal
+        diag = level
+    return float(diag[0])
+
+
 def aw_pth_power(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> float:
     """p-th power of the adapted distance, without coupling or stage costs.
 
-    Runs the recursion of :func:`aw_distance` and keeps no plans, so it
-    returns ``aw_distance(P, Q, params).pth_power`` bit for bit; the
-    distance is ``aw_pth_power(P, Q, params) ** (1.0 / params.p)``.
+    Returns ``aw_distance(P, Q, params).pth_power`` bit for bit; the
+    distance is ``aw_pth_power(P, Q, params) ** (1.0 / params.p)``.  Two
+    trees of one structure, such as a base tree and its ``with_values``
+    candidates, take :func:`_certified_pth_power`, which solves the
+    diagonal node pairs only.  Its certificate, no cycle of ``c_kl - c_kk``
+    at or below a margin of a few eps * (1 + max c) in any family's cost
+    block, shows that the simplex would end at the identity plan there, so
+    the value has the recursion's bits (the argument is in its docstring);
+    when the certificate refuses, the pair falls back to the recursion.
+    Other pairs run the recursion of :func:`aw_distance` and keep no plans.
     """
+    if P._shared is Q._shared:
+        pth_power = _certified_pth_power(P, Q, params.p)
+        if pth_power is not None:
+            return pth_power
     return _recursion(P, Q, params.p, None)
 
 

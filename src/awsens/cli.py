@@ -335,9 +335,9 @@ def cmd_curve(args) -> int:
         seed=cfg.seed,
         solver_tol=cfg.solver_tol,
     )
+    # robust_curve refuses a non-finite base value or first-order term; the
+    # slope and the rows keep their documented NaNs
     curve: RobustCurve = robust_curve(query)
-    # the slope and the rows keep their documented NaNs
-    _finite({"base_value": curve.base_value, "first_order": curve.first_order}, "curve")
     with open(args.out_csv, "w", encoding="utf-8") as fh:
         fh.write(curve.to_csv())
     if args.out_json:
@@ -355,8 +355,18 @@ def cmd_curve(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits 1, the code of anything
+    not listed in the README, rather than 2, an invalid tree file's;
+    subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="awsens",
         description="Adapted-Wasserstein distances and model-risk sensitivities on scenario trees",
     )

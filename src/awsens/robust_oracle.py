@@ -27,6 +27,7 @@ from .errors import (
     InvalidParams,
     InvalidTree,
     MaxIterations,
+    NonFinite,
     NotConvex,
 )
 from .multistage_opt import ControlBounds, scatter_sum
@@ -316,10 +317,15 @@ def robust_curve(query: RobustQuery) -> RobustCurve:
 
     Radii are processed in ascending order and each maximizer is carried to
     the next radius, so the reported lower bounds are nondecreasing in r.
+    A model that overflows on the tree, so that the base value or the
+    first-order term is not finite, raises ``NonFinite`` before the ascent.
     """
     engine = _Ascent(query)
     report, base, _ = first_order(query.tree, query.model, query.p, query.bounds,
                                   query.solver_tol)
+    for name, v in (("base_value", base), ("first_order", report.first_order)):
+        if not math.isfinite(v):
+            raise NonFinite(f"robust_curve: {name} is {v!r}; the model overflows on this tree")
     direction = worst_case_direction(query.tree, report)
     zvec = engine.seed_direction(direction)
 

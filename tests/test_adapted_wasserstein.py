@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -680,3 +681,160 @@ def test_cached_arrays_are_read_only():
         assert a.size
         with pytest.raises(ValueError):
             a.flat[0] = 7.0
+
+
+# -- the certified path for trees of one structure -----------------------------
+
+
+def _base_tree(kind: str, seed: int) -> ScenarioTree:
+    """A ``gen_random`` or ``gen_binomial`` tree, or one whose families have
+    1 to 4 children, with dyadic probabilities and values."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        T, b = [(1, 3), (2, 4), (3, 3), (4, 2), (3, 4)][seed % 5]
+        return gen_random(T, b, seed)
+    if kind == "binomial":
+        return gen_binomial(1 + seed % 5, 0.0, 1.0 + rng.uniform(-0.3, 0.3), -1.0,
+                            0.5 + rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1))
+    horizon = 1 + seed % 4
+
+    def family(t):
+        b = int(rng.integers(1, 5))
+        counts = rng.multinomial(64 - b, [1.0 / b] * b) + 1
+        values = rng.choice(64, size=b, replace=False) / 16.0 - 2.0
+        return [(float(v), c / 64.0, family(t + 1) if t < horizon else [])
+                for v, c in zip(values, counts)]
+
+    return tree_from_nested(horizon, family(1))
+
+
+def _shifted(base: ScenarioTree, shift: str, scale: float, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    n = len(base.values)
+    if shift == "normal":
+        return base.values + rng.normal(scale=scale, size=n)
+    if shift == "integer":  # ties between the two trees' values
+        return base.values + rng.integers(-2, 3, size=n).astype(float)
+    return base.values + 1e3 + rng.normal(scale=scale, size=n)  # translated
+
+
+@given(kind=st.sampled_from(["random", "binomial", "mixed"]), seed=st.integers(0, 20_000),
+       shift=st.sampled_from(["normal", "integer", "translated"]),
+       scale=st.sampled_from([1e-8, 1e-4, 0.05, 1.0, 3.0]), p=st.sampled_from([1.5, 2.0, 3.0]))
+@settings(max_examples=200, deadline=None)
+def test_certified_path_matches_the_recursion_bit_for_bit(kind, seed, shift, scale, p):
+    # whenever the identity certificate accepts, the diagonal pairs alone
+    # give the recursion's bits; either way aw_pth_power does, in both orders
+    base = _base_tree(kind, seed)
+    try:
+        cand = base.with_values(_shifted(base, shift, scale, seed))
+    except InvalidTree:  # shifted siblings collided
+        assume(False)
+    for A, B in ((base, cand), (cand, base)):
+        want = adapted_wasserstein._recursion(A, B, p, None)
+        got = adapted_wasserstein._certified_pth_power(A, B, p)
+        assert got is None or got.hex() == want.hex()
+        assert aw_pth_power(A, B, AWParams(p)).hex() == want.hex()
+
+
+@pytest.mark.parametrize("kind", ["random", "binomial", "mixed"])
+def test_certified_path_takes_every_small_shift(kind):
+    # a small shift keeps every family's identity strictly optimal, so the
+    # certificate accepts it at every size class of every level
+    for seed in range(10):
+        base = _base_tree(kind, seed)
+        cand = base.with_values(_shifted(base, "normal", 1e-4, seed))
+        for A, B in ((base, cand), (cand, base)):
+            got = adapted_wasserstein._certified_pth_power(A, B, 2.0)
+            assert got is not None
+            assert got.hex() == adapted_wasserstein._recursion(A, B, 2.0, None).hex()
+
+
+def _swap(tree: ScenarioTree, where: str) -> np.ndarray:
+    """gen_random(3, 3, 0)'s values with two sibling subtrees exchanged:
+    two children of the root, or of the first or last time-1 node."""
+    v = tree.values.copy()
+    parent = {"root": tree.root, "first": tree.levels[1][0], "last": tree.levels[1][-1]}[where]
+    pairs = [(tree.children[parent][0], tree.children[parent][-1])]
+    for a, b in pairs:  # the subtrees have one shape
+        v[[a, b]] = v[[b, a]]
+        pairs.extend(zip(tree.children[a], tree.children[b]))
+    return v
+
+
+@pytest.mark.parametrize("where", ["root", "first", "last"])
+def test_certified_path_refuses_an_interior_swap(where):
+    # a swap makes the crossed plan cheaper than the identity at one family
+    # of an interior level: the certificate refuses, whichever family it
+    # is, and the recursion decides
+    base = gen_random(3, 3, 0)
+    cand = base.with_values(_swap(base, where))
+    for A, B in ((base, cand), (cand, base)):
+        assert adapted_wasserstein._certified_pth_power(A, B, 2.0) is None
+        want = adapted_wasserstein._recursion(A, B, 2.0, None).hex()
+        assert aw_pth_power(A, B, P2).hex() == want == aw_distance(A, B, P2).pth_power.hex()
+
+
+def test_certified_path_refuses_crossed_subtrees_above_the_last_two_levels():
+    # the two halves' subtrees are translates, exchanged between the trees:
+    # each time-1 family's identity is optimal, as for a translation, but
+    # the root's crossed plan costs |0 - 0.25|^2 against 2 * 2^2 for the
+    # identity.  Only the cross values' bound, 0, shows it at the root
+    def half(s):
+        return [(1.0 + s, 0.25, [(1.5 + s, 0.5), (0.5 + s, 0.5)]),
+                (-1.0 + s, 0.75, [(-0.5 + s, 0.25), (-2.0 + s, 0.75)])]
+
+    P = tree_from_nested(3, [(0.0, 0.5, half(0.0)), (0.25, 0.5, half(2.0))])
+    Q = P.with_values(tree_from_nested(3, [(0.0, 0.5, half(2.0)), (0.25, 0.5, half(0.0))]).values)
+    for A, B in ((P, Q), (Q, P)):
+        assert adapted_wasserstein._certified_pth_power(A, B, 2.0) is None
+        assert aw_pth_power(A, B, P2) == adapted_wasserstein._recursion(A, B, 2.0, None) == 0.0625
+
+
+def test_certified_path_refuses_trees_whose_costs_could_overflow():
+    # the diagonal pairs' costs are finite here, but the recursion's cost of
+    # the time-1 pair of the two halves is |1e154|^2 plus a last-stage value
+    # of 1.3e308, infinite: the path refuses by the size of the values, and
+    # the recursion raises as before
+    big = 1e154
+    P = tree_from_nested(3, [
+        (0.0, 0.5, [(big, 0.5, [(big, 0.5), (1.2 * big, 0.5)]),
+                    (1.1 * big, 0.5, [(1.05 * big, 0.25), (1.15 * big, 0.75)])]),
+        (1.0, 0.5, [(0.0, 0.5, [(0.0, 0.5), (1.0, 0.5)]),
+                    (1.0, 0.5, [(-1.0, 0.5), (2.0, 0.5)])]),
+    ])
+    with np.errstate(over="ignore"):
+        for Q in (P, P.with_values(P.values * 0.75), P.with_values(P.values * 2.0)):
+            assert adapted_wasserstein._certified_pth_power(P, Q, 2.0) is None
+            with pytest.raises(InvalidParams, match="cost entries must be finite"):
+                adapted_wasserstein._recursion(P, Q, 2.0, None)
+            with pytest.raises(InvalidParams, match="cost entries must be finite"):
+                aw_pth_power(P, Q, P2)
+    # well inside the ceiling the same shape is certified
+    small = P.with_values(np.where(P.values > 1e100, P.values / big, P.values))
+    assert adapted_wasserstein._certified_pth_power(
+        small, small.with_values(small.values + 2.0**-10), 2.0) is not None
+
+
+def test_identity_certificate_against_every_permutation():
+    # integer costs sum exactly: the identity is certified exactly when
+    # every other assignment costs more, as a cycle decomposition says
+    rng = np.random.default_rng(5)
+    for m in range(1, 5):
+        cost = rng.integers(0, 6, size=(300, m, m)).astype(float)
+        eye = list(range(m))
+        want = [all(c[eye, list(s)].sum() > c[eye, eye].sum()
+                    for s in itertools.permutations(eye) if list(s) != eye) for c in cost]
+        assert adapted_wasserstein._identity_certified(cost).tolist() == want
+        assert m == 1 or 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0**20, 2.0**-20])
+def test_identity_certificate_refuses_ties_and_near_ties(s):
+    # one 2-cycle of weight w in a 2x2 block of scale s: refused at or below
+    # 8 * m^2 * eps * (1 + max c), accepted above it
+    margin = 32 * np.finfo(float).eps * (1.0 + s)
+    for w, ok in ((-margin, False), (0.0, False), (margin / 2, False), (2 * margin, True),
+                  (s, True)):
+        cost = np.array([[[s, s + w], [s, s]], [[s, s], [s + w, s]]])
+        assert adapted_wasserstein._identity_certified(cost).tolist() == [ok, ok]

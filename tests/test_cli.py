@@ -497,7 +497,35 @@ def test_threads_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--threads=2", "aw", str(FIXTURES / "split_dirac_p.json"),
               str(FIXTURES / "split_dirac_q.json")])
-    assert exc.value.code == 2 and "--threads" in capsys.readouterr().err
+    assert exc.value.code == 1 and "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    # a value starting with "-" reads as an option, so --params has none
+    (["gen", "--kind", "binomial", "--params", "-Infinity", "--out", "t.json"],
+     "expected one argument"),
+    (["stop", "fixtures/iid_signs.json"], "the following arguments are required: --config"),
+    (["curve", "fixtures/iid_signs.json", "--config", "c.json"], "--out-csv"),
+    (["gen", "--kind", "trinomial", "--params", "{}", "--out", "t.json"], "invalid choice"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_exit_1_not_the_tree_file_code(tmp_path, capsys, argv, needle):
+    # argparse's own usage exit, 2, is InvalidTree's; the README gives
+    # usage errors 1, with anything else not listed
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path / a) if a.endswith(".json") else a for a in argv])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (1, "") and err.startswith("usage: awsens")
+    assert needle in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"], ["curve", "-h"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and out.startswith("usage: awsens") and err == ""
 
 
 @pytest.mark.parametrize("cmd", ["stop", "sens", "curve"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -9,6 +10,7 @@ from awsens import (
     AWParams,
     ControlBounds,
     InvalidParams,
+    NonFinite,
     RobustQuery,
     aw_distance,
     aw_pth_power,
@@ -204,7 +206,10 @@ def test_last_stage_plans_are_built_once_per_sibling_order(monkeypatch):
     # every ball check of a curve pass measures a candidate of the base
     # structure whose siblings keep the base's order, so one north-west
     # walk per last-stage chunk serves all of them; another order replaces
-    # the kept plans, and trees of different structures keep none
+    # the kept plans, and trees of different structures keep none.  The
+    # checks run the full recursion here: the certified path, which runs
+    # the same last stage, is switched off
+    monkeypatch.setattr(adapted_wasserstein, "_certified_pth_power", lambda P, Q, p: None)
     tree = gen_random(3, 3, 0)
     models = {"terminal": make_cost_model("linear", None, 3),
               "stopping": make_cost_model("markov_payoff", {"g": {"name": "identity"}}, 3)}
@@ -424,8 +429,11 @@ _PINNED_3X3 = {
 
 @pytest.mark.parametrize("kind", sorted(_PINNED_3X3))
 def test_curve_bits_with_per_pair_3x3_solves(kind, monkeypatch):
+    # the same bits whether the ball checks take the certified path, with
+    # no simplex solve, or the recursion, with per-pair 3x3 solves
     shapes = Counter()
     solve = adapted_wasserstein.transport_simplex
+    certified = adapted_wasserstein._certified_pth_power
 
     def counted(mu, nu, cost):
         shapes[cost.shape] += 1
@@ -434,7 +442,53 @@ def test_curve_bits_with_per_pair_3x3_solves(kind, monkeypatch):
     monkeypatch.setattr(adapted_wasserstein, "transport_simplex", counted)
     model = (make_cost_model("linear", None, 3) if kind == "terminal" else
              make_cost_model("markov_payoff", {"g": {"name": "identity"}}, 3))
-    curve = robust_curve(RobustQuery(kind, gen_random(3, 3, 0), model, 2.0, (1e-3, 1e-2, 1e-1)))
-    got = tuple((row.lower_bound.hex(), row.distance.hex()) for row in curve.rows)
-    assert got == _PINNED_3X3[kind]
-    assert shapes[(3, 3)] > 0 and set(shapes) == {(3, 3)}
+    for route in (certified, lambda P, Q, p: None):
+        shapes.clear()
+        monkeypatch.setattr(adapted_wasserstein, "_certified_pth_power", route)
+        curve = robust_curve(RobustQuery(kind, gen_random(3, 3, 0), model, 2.0,
+                                         (1e-3, 1e-2, 1e-1)))
+        got = tuple((row.lower_bound.hex(), row.distance.hex()) for row in curve.rows)
+        assert got == _PINNED_3X3[kind]
+        if route is certified:
+            assert not shapes
+        else:
+            assert shapes[(3, 3)] > 0 and set(shapes) == {(3, 3)}
+
+
+def test_every_curve_ball_check_is_certified(monkeypatch):
+    # the curve's candidates keep the base structure and move it by small
+    # shifts: every exact ball check of the terminal and stopping curves
+    # takes the certified path, and none runs the recursion
+    results = []
+    certified = adapted_wasserstein._certified_pth_power
+
+    def recording(P, Q, p):
+        results.append(certified(P, Q, p))
+        return results[-1]
+
+    monkeypatch.setattr(adapted_wasserstein, "_certified_pth_power", recording)
+    tree = gen_random(3, 3, 0)
+    models = {"terminal": make_cost_model("linear", None, 3),
+              "stopping": make_cost_model("markov_payoff", {"g": {"name": "identity"}}, 3)}
+    with mock.patch.object(adapted_wasserstein, "_recursion",
+                           wraps=adapted_wasserstein._recursion) as recursions:
+        for kind, model in models.items():
+            robust_curve(RobustQuery(kind, tree, model, 2.0, (1e-3, 1e-2, 1e-1)))
+    assert len(results) == 175 and None not in results
+    assert recursions.call_count == 0
+
+
+def test_overflowing_model_stops_before_the_ascent(iid_signs):
+    # exp(800 x) overflows on the tree: the curve raises NonFinite once the
+    # base value is infinite, with no ball check and none of the ascent's
+    # warnings (its step divides by the gradient's largest entry)
+    from awsens import robust_oracle
+
+    model = make_cost_model("exp_sum", {"beta": 800.0}, 2)
+    with mock.patch.object(robust_oracle, "aw_pth_power") as checks, \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFinite, match="base_value is inf"):
+            robust_curve(RobustQuery("terminal", iid_signs, model, 2.0, (1e-3, 1e-2)))
+    assert checks.call_count == 0
+    assert caught and all("overflow encountered in exp" in str(w.message) for w in caught)
