@@ -14,20 +14,20 @@ Interior stages add the children's values, which breaks submodularity: a
 chunk of at least ``_SIMPLEX_BATCH_MIN`` pairs runs the transportation
 simplex in lockstep, a smaller one per node pair, and both give the same
 bits.  Each chunk's costs are one gather, and the transport checks run
-once per size class and chunk rather than per pair.  What the families'
-weights alone decide (the last stage's plans, given the sibling orders,
-and the per-pair interior starts) is kept in the structure cache for trees
-of one structure, on levels of at most ``_BATCH_CELLS`` cells, so the ball
-checks of a robust curve, which measure many ``with_values`` candidates
-against one base tree, build it once.  One recursion serves two entries:
-:func:`aw_distance` (distance, per-stage costs, coupling) and the
-distance-only :func:`aw_pth_power`, which keeps no plans.  Batching never
-changes a summation order: each objective is summed over the row-major
-plan as ``np.vdot`` sums it, so results are bit-identical to solving one
-node pair at a time.  For two trees of one structure, :func:`aw_pth_power`
-first tries :func:`_certified_pth_power`, which solves only the diagonal
-node pairs above the last stage once a negative-cycle certificate shows
-the identity plan optimal at each of them, with the same bits.
+once per size class and chunk rather than per pair.  The last stage's
+plans, which the families' weights alone decide given the sibling orders,
+are kept in the structure cache for trees of one structure when they fit
+``_BATCH_CELLS`` cells, so the ball checks of a robust curve, which
+measure many ``with_values`` candidates against one base tree, build them
+once.  One recursion serves two entries: :func:`aw_distance` (distance,
+per-stage costs, coupling) and the distance-only :func:`aw_pth_power`,
+which keeps no plans.  Batching never changes a summation order: each
+objective is summed over the row-major plan as ``np.vdot`` sums it, so
+results are bit-identical to solving one node pair at a time.  For two
+trees of one structure, :func:`aw_pth_power` first tries
+:func:`_certified_pth_power`, which solves only the diagonal node pairs
+above the last stage once a negative-cycle certificate shows the identity
+plan optimal at each of them, with the same bits.
 
 A brute-force LP over joint path probabilities with explicit (cross-
 multiplied) causality constraints serves as an independent oracle for the
@@ -492,15 +492,14 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
     rescales it.
 
     The families' weights alone decide the last stage's plans, given both
-    sibling orders, and the per-pair north-west starts.  Two trees of one
-    structure (``with_values`` candidates and their base) share the
-    weights, so for them, on a level of at most ``_BATCH_CELLS`` cells
-    (one chunk per pair of classes), these live in the structure cache,
-    read-only: the last stage's plans as one entry per pair of classes
-    with the orders they were built for, replaced when a pair's orders
-    differ, which is rare since a small shift keeps the order of siblings.
-    Larger levels, and pairs of different structures, build them afresh,
-    so the cache holds at most ``_BATCH_CELLS`` cells per level.
+    sibling orders.  Two trees of one structure (``with_values`` candidates
+    and their base) share the weights, so for them, when the last stage
+    has at most ``_BATCH_CELLS`` plan cells (one chunk per pair of
+    classes), its plans live in the structure cache, read-only, as one
+    entry per pair of classes with the orders they were built for,
+    replaced when a pair's orders differ, which is rare since a small
+    shift keeps the order of siblings.  A larger last stage, interior
+    stages and pairs of different structures build everything afresh.
 
     With ``kept`` given, the plans of the pairs of families in classes
     ``a`` and ``b`` are kept, with the children in tree order, as one
@@ -513,16 +512,14 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
     def cells(m, n):  # per pair: plan cells, or tree-mask cells for the simplex
         return m * n if value is None else (m + n) ** 2
 
-    # a pair of one structure keeps the weight-only starts of a level of at
-    # most _BATCH_CELLS cells, which is one chunk per pair of classes; the
-    # level's cell count is itself kept per structure
+    # a pair of one structure keeps the last stage's plans when they fit
+    # _BATCH_CELLS cells, which is one chunk per pair of classes
     shared = None
-    if P._shared is Q._shared and _memo(P._shared, ("cells", t, value is None), lambda: sum(
-            len(xw) * len(yw) * cells(xw.shape[1], yw.shape[1])
-            for *_, xw, _ in xfam for *_, yw, _ in yfam)) <= _BATCH_CELLS:
-        shared = P._shared
     if value is None:
         xsorted, ysorted = P._cache[("sorted", t)], Q._cache[("sorted", t)]
+        if P._shared is Q._shared and sum(
+                xw.size * yw.size for *_, xw, _ in xfam for *_, yw, _ in yfam) <= _BATCH_CELLS:
+            shared = P._shared
     for a, (xat, xkids, xbelow, xw, xsum) in enumerate(xfam):
         m = xw.shape[1]
         for b, (yat, ykids, ybelow, yw, ysum) in enumerate(yfam):
@@ -549,9 +546,7 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
                         plan, obj, _, _ = transport_simplex_batch(
                             *_marginals(xw[bx], xsum[bx], yw, ysum), cost)
                     else:
-                        starts = _memo(shared, ("starts", t, a, b),
-                                       lambda: _starts(xw[bx], xsum[bx], yw, ysum))
-                        plan, obj = _per_pair(starts, cost)
+                        plan, obj = _per_pair(_starts(xw[bx], xsum[bx], yw, ysum), cost)
                 del cost  # before the kept plans are allocated
                 level[xat[bx, None], yat] = obj.reshape(cx, cy)
                 if kept is not None:
@@ -577,8 +572,7 @@ def _marginals(xw, xsum, yw, ysum):
 
 def _starts(xw, xsum, yw, ysum) -> tuple:
     """The north-west start of each pair of :func:`_marginals`, as
-    :func:`transport_simplex` takes it: its cells in walk order, which is
-    the order the simplex hangs its first basis tree in."""
+    :func:`transport_simplex` takes it: its cells and their masses."""
     mu, nu = _marginals(xw, xsum, yw, ysum)
     return tuple(map(_northwest_corner, mu.tolist(), nu.tolist()))
 

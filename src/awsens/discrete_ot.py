@@ -6,10 +6,7 @@ transportation simplex with northwest-corner start, most-negative-entry
 pricing and lexicographic leaving-cell tie-breaking (with a Bland fallback
 after long degenerate runs).  Dual potentials come out of the spanning-tree
 basis for free, which gives the complementary-slackness certificate.
-Problems of at most ``_PRICE_SCALAR_MAX`` cells are priced in Python
-floats, where numpy's per-call cost would dominate; larger ones, such as
-whole path sets in :func:`solve_exact`, on a numpy matrix, which is faster
-there.  Both branches pick the same entering cells bit for bit.
+Entering cells are priced on a numpy matrix.
 
 :func:`transport_simplex` pivots one problem from a given start to its
 optimal flow; :func:`transport_simplex_batch` runs the same simplex on
@@ -22,14 +19,12 @@ after running the same checks (:func:`check_weights`, :func:`check_cost`)
 once per size class of child families and once per batch of costs; its
 last stage takes the north-west plans of the sorted weights
 (:func:`_northwest_batch`, the walk the batched simplex starts from),
-which are optimal there, and it keeps the starts of trees of one
-structure.  A simplex that exceeds its pivot budget raises
+which are optimal there.  A simplex that exceeds its pivot budget raises
 ``MaxIterations``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,7 +35,6 @@ from .errors import Infeasible, InvalidParams, MaxIterations
 WEIGHT_TOL = 1e-10
 _BLAND_TRIGGER = 64  # consecutive degenerate pivots before switching rules
 _PIVOT_BUDGET = (2000, 40)  # pivots allowed per problem: a base plus so many per cell
-_PRICE_SCALAR_MAX = 256  # most cells transport_simplex prices in Python floats (break-even)
 
 
 @dataclass(frozen=True)
@@ -132,27 +126,15 @@ def _northwest_corner(mu: Sequence[float], nu: Sequence[float]):
             j += 1
 
 
-def _hang(C: list[list[float]], cells, m: int, n: int):
-    """Per node of the basis tree on ``cells``, hung from row 0: its parent
-    (-1 at the root), depth and potential.  ``cells`` must come in hanging
-    order, as :func:`_northwest_corner` walks them: the first holds row 0
-    and each later one joins one new row or column to those before it, so
-    one pass over them hangs every node below its parent."""
-    parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+def _tree(C: list[list[float]], cells, m: int, n: int):
+    """Per node of the basis tree on ``cells``, in any order, hung from row
+    0 by one depth-first search: its parent (-1 at the root), depth and
+    potential."""
+    adj: list[list[int]] = [[] for _ in range(m + n)]
     for i, j in cells:
-        c = m + j
-        if depth[c]:  # the column hangs already (columns never sit at the root)
-            parent[i], depth[i], pot[i] = c, depth[c] + 1, C[i][j] - pot[c]
-        else:
-            parent[c], depth[c], pot[c] = i, depth[i] + 1, C[i][j] - pot[i]
-    return parent, depth, pot
-
-
-def _tree(C: list[list[float]], adj: list[list[int]], m: int):
-    """:func:`_hang` of the basis tree given by its adjacency lists ``adj``
-    (node i < m is row i, node m + j column j), in any order: one
-    depth-first search from row 0."""
-    parent, depth, pot = [-1] * len(adj), [0] * len(adj), [0.0] * len(adj)
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
     stack = [0]
     while stack:
         k = stack.pop()
@@ -172,85 +154,48 @@ def _dense(cells: Sequence[tuple[int, int]], masses: Sequence[float], m: int, n:
     return plan
 
 
-def _price(C: list[list[float]], pot: list[float], flow, m: int, tol: float, bland: bool):
-    """The entering cell, priced in Python floats: the first cell in
-    row-major order of least reduced cost ``(c - u) - v`` below ``-tol``
-    (under Bland's rule the first below ``-tol``), or None at optimality.
-    Basis cells, priced 0.0 by the numpy branch, never enter."""
-    best, enter = -tol, None
-    v = pot[m:]
-    cols = range(len(v))
-    for i in range(m):
-        u, row = pot[i], C[i]
-        for j in cols:  # indexing beats zip and enumerate here
-            r = row[j] - u - v[j]
-            if r < best and (i, j) not in flow:
-                if bland:
-                    return i, j
-                best, enter = r, (i, j)
-    return enter
-
-
 def transport_simplex(cells: Sequence[tuple[int, int]], masses: Sequence[float],
                       cost: np.ndarray):
     """Transportation simplex from the basic feasible solution ``masses``
-    on the spanning-tree ``cells``, listed in the hanging order of
-    :func:`_hang`, such as :func:`_northwest_corner` returns; none of them
-    is checked here, nor the float64 ``cost``.
+    on the spanning-tree ``cells``, in any order, such as
+    :func:`_northwest_corner` returns; none of them is checked here, nor
+    the float64 ``cost``.
 
     Returns the optimal flow, unclipped, as a dict from basis cell to mass
     (so ``list(flow)`` is the basis), the potentials ``[u_0..u_{m-1},
     v_0..v_{n-1}]``, the pivots taken and the switches to Bland's rule.
     The callers build the plan and objective: :func:`solve_exact` one at a
     time, the adapted-distance recursion a batch of flows at once.  The
-    start hangs from row 0 in the order of its cells; each pivot then adds
-    the entering edge to the basis adjacency, drops the leaving one and
-    hangs the whole tree from row 0 afresh (:func:`_tree`), and reads the
-    next entering cell's cycle off its parent links.  A potential depends
-    only on its node's path to row 0, so it has the same bits however the
-    tree is walked.
-
-    Up to ``_PRICE_SCALAR_MAX`` cells the entering cell is priced in Python
-    floats over ``C`` (:func:`_price`), above it on a numpy matrix.  Both
-    compute ``(c - u) - v`` in binary64, and the first least entry in
-    row-major order (``argmin``), the first entry below ``-tol``
-    (``flatnonzero``) and a basis cell's forced 0.0 mean the same in
-    both, so either branch takes the same pivots bit for bit while the
-    potentials are finite.
+    entering cell is the first least reduced cost ``(c - u) - v`` in
+    row-major order on a numpy matrix, basis cells at 0.0 (under Bland's
+    rule the first below ``-tol``).  Before each pricing the basis tree
+    hangs from row 0 afresh (:func:`_tree`), and the entering cell's cycle
+    is read off its parent links.  A potential depends only on its node's
+    path to row 0, so it has the same bits however the cells are ordered.
     """
     m, n = cost.shape
     C = cost.tolist()
     flow = dict(zip(cells, masses))
-    tol = 1e-11 * (1.0 + max(map(abs, itertools.chain.from_iterable(C))))
+    tol = 1e-11 * (1.0 + float(np.abs(cost).max()))
     degenerate_run = pivots = switches = 0
     bland = False
     base, per_cell = _PIVOT_BUDGET
     max_iter = base + per_cell * m * n
-    # a small matrix is mostly numpy call overhead per pivot, a large one
-    # is mostly the per-cell work that numpy does faster than Python
-    scalar = m * n <= _PRICE_SCALAR_MAX
-    parent, depth, pot = _hang(C, cells, m, n)
-    adj = None  # the basis adjacency, from the first pivot on
     for pivots in range(max_iter):
-        if scalar:
-            enter = _price(C, pot, flow, m, tol, bland)
-            if enter is None:
+        parent, depth, pot = _tree(C, flow, m, n)
+        u_v = np.array(pot)
+        red = cost - u_v[:m, None] - u_v[m:]
+        red[tuple(zip(*flow))] = 0.0
+        if bland:
+            cand = np.flatnonzero(red < -tol)
+            if cand.size == 0:
                 break
-            i0, j0 = enter
+            i0, j0 = divmod(int(cand[0]), n)
         else:
-            u_v = np.array(pot)
-            red = cost - u_v[:m, None] - u_v[m:]
-            red[tuple(zip(*flow))] = 0.0
-            if bland:
-                cand = np.flatnonzero(red < -tol)
-                if cand.size == 0:
-                    break
-                i0, j0 = divmod(int(cand[0]), n)
-            else:
-                flat = int(red.argmin())
-                if red.item(flat) >= -tol:
-                    break
-                i0, j0 = divmod(flat, n)
+            flat = int(red.argmin())
+            if red.item(flat) >= -tol:
+                break
+            i0, j0 = divmod(flat, n)
         # the cycle is the tree path row i0 -> column j0, closed by the entering cell
         a, b = i0, m + j0
         up_a, up_b = [a], [b]
@@ -272,17 +217,6 @@ def transport_simplex(cells: Sequence[tuple[int, int]], masses: Sequence[float],
         for c in minus:
             flow[c] -= theta
         del flow[leave]
-        if adj is None:
-            adj = [[] for _ in range(m + n)]
-            for i, j in cells:
-                adj[i].append(m + j)
-                adj[m + j].append(i)
-        adj[i0].append(m + j0)
-        adj[m + j0].append(i0)
-        i, j = leave
-        adj[i].remove(m + j)
-        adj[m + j].remove(i)
-        parent, depth, pot = _tree(C, adj, m)
         if theta == 0.0:
             degenerate_run += 1
             if degenerate_run >= _BLAND_TRIGGER and not bland:
@@ -331,7 +265,7 @@ def solve_sorted_1d(
     nu = prob.nu * (prob.mu.sum() / prob.nu.sum())
     m, n = cost.shape
     basis, masses = _northwest_corner(prob.mu.tolist(), nu.tolist())
-    pot = _hang(cost.tolist(), basis, m, n)[2]
+    pot = _tree(cost.tolist(), basis, m, n)[2]
     plan = _dense(basis, masses, m, n)
     return TransportPlan(plan, float(np.vdot(plan, cost)), np.array(pot[:m]), np.array(pot[m:]),
                          tuple(sorted(basis)))

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InvalidParams, InvalidTree
 
 PROB_TOL = 1e-12
+GEN_MAX_NODES = 1 << 20  # most nodes a generator builds
 
 
 @dataclass(frozen=True)
@@ -288,7 +289,11 @@ class ScenarioTree:
 
     def ancestor(self, leaf: int, t: int) -> int:
         """Node id of the time-t ancestor of ``leaf`` (t = horizon gives the leaf)."""
-        k = self.leaves.index(leaf)
+        _check_time(t, self.horizon)
+        try:
+            k = self.leaves.index(leaf)
+        except ValueError:
+            raise InvalidParams(f"node {leaf!r} is not a leaf") from None
         return int(self._ancestors[k, t])
 
     @property
@@ -315,6 +320,14 @@ def backward_sweep(tree: ScenarioTree, leaf_values: np.ndarray) -> list[np.ndarr
     return out[::-1]
 
 
+def _check_time(t, horizon: int) -> None:
+    """``InvalidParams`` unless ``t`` is an integer in 0..``horizon``."""
+    if isinstance(t, bool) or not isinstance(t, numbers.Integral):
+        raise InvalidParams(f"time must be an integer, got {t!r}")
+    if not (0 <= t <= horizon):
+        raise InvalidParams(f"time {t} outside 0..{horizon}")
+
+
 def conditional_expectation(
     tree: ScenarioTree, leaf_values: Mapping[int, float], t: int
 ) -> dict[int, float]:
@@ -324,10 +337,7 @@ def conditional_expectation(
     applying it at time t and then coarsening to s <= t runs through the
     same arithmetic as conditioning at s directly.
     """
-    if isinstance(t, bool) or not isinstance(t, numbers.Integral):
-        raise InvalidParams(f"time must be an integer, got {t!r}")
-    if not (0 <= t <= tree.horizon):
-        raise InvalidParams(f"time {t} outside 0..{tree.horizon}")
+    _check_time(t, tree.horizon)
     try:
         vals = [float(leaf_values[leaf]) for leaf in tree.leaves]
     except KeyError as e:
@@ -383,6 +393,18 @@ def tree_from_nested(horizon: int, spec: Sequence) -> ScenarioTree:
     return b.build(horizon)
 
 
+def _check_node_budget(T: int, branching: int) -> None:
+    """``InvalidParams`` when the full tree of horizon ``T`` and ``branching``
+    has over ``GEN_MAX_NODES`` nodes, counted only that far."""
+    nodes = width = 1
+    for _ in range(T):
+        width *= branching
+        nodes += width
+        if nodes > GEN_MAX_NODES:
+            raise InvalidParams(f"a tree of horizon {T} with {branching} children per node has "
+                                f"over {GEN_MAX_NODES} nodes")
+
+
 def gen_binomial(
     T: int, start: float, up: float, down: float, p_up: float, drift: float = 0.0
 ) -> ScenarioTree:
@@ -422,6 +444,7 @@ def gen_lattice(
         raise InvalidParams("step probabilities must be strictly positive")
     if abs(sum(probs) - 1.0) > PROB_TOL:
         raise InvalidParams(f"step probabilities sum to {sum(probs)!r}")
+    _check_node_budget(T, len(steps))
     b = _Builder()
     frontier = [(0, float(start))]
     for t in range(1, T + 1):
@@ -448,6 +471,7 @@ def gen_random(T: int, branching: int, seed: int) -> ScenarioTree:
         raise InvalidParams(f"branching must lie in 2..1024, got {branching}")
     if seed < 0:
         raise InvalidParams(f"seed must be nonnegative, got {seed}")
+    _check_node_budget(T, branching)
     rng = np.random.default_rng(seed)
     b = _Builder()
     frontier = [(0, 0.0)]

@@ -146,7 +146,6 @@ class _Ascent:
         self.last = None  # (shifts bytes, try_solve result) of the last solve
         self.carried = None  # the same for the maximizer seeding this radius
         self.warm = None  # control vector of the last solve, if it kept the structure
-        self.distances: dict[bytes, float] = {}  # every exact ball check, by shifts bytes
 
     # -- candidate trees --------------------------------------------------
 
@@ -161,12 +160,9 @@ class _Ascent:
 
     def distance(self, shifts: np.ndarray, tree: ScenarioTree | None = None) -> float:
         """Exact adapted distance from the base tree of ``displace(shifts)``
-        (``tree``, when known); kept, as rows and re-fitted seeds repeat checks."""
-        key = shifts.tobytes()
-        if key not in self.distances:
-            pth = aw_pth_power(self.tree, tree or self.displace(shifts)[0], self.params)
-            self.distances[key] = pth ** (1.0 / self.params.p)
-        return self.distances[key]
+        (``tree``, when known)."""
+        pth = aw_pth_power(self.tree, tree or self.displace(shifts)[0], self.params)
+        return pth ** (1.0 / self.params.p)
 
     def shrink_to_ball(self, shifts: np.ndarray, r: float):
         """Scale the displacement until the exact distance fits the radius.

@@ -607,13 +607,12 @@ def _plan_bits(P: ScenarioTree, Q: ScenarioTree, p: float) -> dict:
 @settings(max_examples=25, deadline=None)
 def test_same_structure_pairs_match_the_uncached_recursion(shape, seed, scales, p, cells):
     # trees of one structure read the last stage's plans (per pair of
-    # sibling orders) and the interior starts from the structure cache;
-    # trees built anew share nothing, so their recursion builds every start
-    # afresh and is the reference.  Candidates of large shifts reorder
-    # siblings, and the first comes back after the others, so kept plans
-    # are both replaced and reused; (3, 4) runs its 16-pair interior level
-    # in lockstep unless chunks are cut smaller, and chunked levels build
-    # their starts afresh
+    # sibling orders) from the structure cache; trees built anew share
+    # nothing, so their recursion builds every plan afresh and is the
+    # reference.  Candidates of large shifts reorder siblings, and the
+    # first comes back after the others, so kept plans are both replaced
+    # and reused; (3, 4) runs its 16-pair interior level in lockstep unless
+    # chunks are cut smaller
     T, b = shape
     params = AWParams(p)
     rng = np.random.default_rng(seed)
@@ -637,24 +636,25 @@ def test_same_structure_pairs_match_the_uncached_recursion(shape, seed, scales, 
 
 
 def test_structure_cache_keeps_only_levels_within_batch_cells(monkeypatch):
-    # a same-structure pair on a deep tree keeps weight-only entries only
-    # for levels of at most _BATCH_CELLS cells: on binomial T=7 with 256,
-    # the last stage (64^2 pairs of 2x2 plans) keeps no plans and only
-    # levels 0 and 1 (1 and 4 pairs of 16 tree-mask cells) keep starts;
-    # level 2's 16 pairs run in lockstep, which keeps nothing
-    monkeypatch.setattr(adapted_wasserstein, "_BATCH_CELLS", 256)
-    base = gen_binomial(7, 0.0, 1.0, -1.0, 0.5)
-    cand = base.with_values(base.values + 0.01)
-    fresh = _constructed(base, cand.values)
-    params = AWParams(2.0)
-    assert _result_bits(aw_distance(base, cand, params)) == _result_bits(
-        aw_distance(_constructed(base, base.values), fresh, params))
-    assert aw_pth_power(cand, base, params).hex() == aw_pth_power(
-        fresh, _constructed(base, base.values), params).hex()
-    kept = [key for key in base._shared if key[0] in ("plans", "starts", "marginals")]
-    assert sorted(kept) == [("starts", 0, 0, 0), ("starts", 1, 0, 0)]
-    for _, t, *_ in kept:
-        assert len(base.levels[t]) ** 2 * (2 + 2) ** 2 <= 256
+    # a same-structure pair keeps weight-only entries only for the last
+    # stage, and only when it fits _BATCH_CELLS: on binomial T=7 the last
+    # stage has 64^2 pairs of 2x2 plans, which the default fits and 256
+    # does not; interior stages keep nothing
+    T = 7
+    for cells in (None, 256):
+        if cells is not None:
+            monkeypatch.setattr(adapted_wasserstein, "_BATCH_CELLS", cells)
+        base = gen_binomial(T, 0.0, 1.0, -1.0, 0.5)
+        cand = base.with_values(base.values + 0.01)
+        fresh = _constructed(base, cand.values)
+        params = AWParams(2.0)
+        assert _result_bits(aw_distance(base, cand, params)) == _result_bits(
+            aw_distance(_constructed(base, base.values), fresh, params))
+        assert aw_pth_power(cand, base, params).hex() == aw_pth_power(
+            fresh, _constructed(base, base.values), params).hex()
+        kept = [key for key in base._shared if key[0] in ("plans", "starts", "marginals")]
+        assert sorted(kept) == ([("plans", T - 1, 0, 0)] if cells is None else [])
+        assert len(base.levels[T - 1]) ** 2 * 2 * 2 > 256
 
 
 def test_cached_arrays_are_read_only():

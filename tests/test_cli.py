@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -311,6 +312,21 @@ def test_malformed_gen_params_are_invalid_params(tmp_path, capsys, kind, params,
     code, _, err = run_cli(capsys, "gen", "--kind", kind, "--params", params,
                            "--out", tmp_path / "tree.json")
     assert code == InvalidParams.exit_code and "InvalidParams" in err and needle in err
+    assert not (tmp_path / "tree.json").exists()
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("binomial", {"T": 40}),
+    ("random", {"T": 1e308, "branching": 2}),
+    ("lattice", {"T": 2**70, "steps": [1, -1], "probs": [0.5, 0.5]}),
+])
+def test_gen_over_the_node_budget_exits_1_at_once(tmp_path, capsys, kind, params):
+    # the node count is checked before anything is built
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "gen", "--kind", kind, "--params", json.dumps(params),
+                           "--out", tmp_path / "tree.json")
+    assert time.perf_counter() - start < 1.0
+    assert code == InvalidParams.exit_code and "InvalidParams" in err and "nodes" in err
     assert not (tmp_path / "tree.json").exists()
 
 

@@ -369,15 +369,7 @@ def test_bland_fallback_equals_reference_and_linprog(monkeypatch):
     prob = TransportProblem([1.0, 0.0, 0.0, 0.0], [0.25] * 4, np.arange(16.0).reshape(4, 4))
     got = assert_same_as_reference(prob, stats)
     assert got.objective == pytest.approx(lp_reference(prob), abs=1e-12)
-    assert stats["bland"] > 0
-
-
-def test_bland_fallback_above_the_pricing_threshold(monkeypatch):
-    # the test above prices in Python floats; 20 x 20 cells are priced by numpy
-    monkeypatch.setattr(discrete_ot, "_BLAND_TRIGGER", 1)
     prob = structured_problem(np.random.default_rng(65), 20, 20, True, "integer")
-    assert prob.cost.size > discrete_ot._PRICE_SCALAR_MAX
-    stats = {}
     got = assert_same_as_reference(prob, stats)
     assert got.objective == pytest.approx(lp_reference(prob), abs=1e-9)
     assert stats["bland"] > 0
@@ -586,21 +578,11 @@ def test_per_pair_equals_solve_exact_under_blands_rule(monkeypatch):
     assert switches > 0
 
 
-def assert_hanging_order(cells):
-    """``_hang``'s order: the first cell lies in row 0 and each later one
-    joins exactly one new row or column to those before it."""
-    assert cells[0][0] == 0
-    rows, cols = {0}, {cells[0][1]}
-    for i, j in cells[1:]:
-        assert (i in rows) != (j in cols)
-        rows.add(i)
-        cols.add(j)
-
-
 def test_per_pair_starts_hang_from_row_0_and_potentials_match_that_hang():
     # the potentials are compared with _ref_potentials, a hang from row 0
     # written here; monotone costs leave many starts optimal, so the start's
-    # own hang is what is returned
+    # own hang is what is returned.  The start's cells, shuffled, give the
+    # same flow, potentials and pivots as in walk order.
     rng = np.random.default_rng(19)
     for draw in range(300):
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
@@ -608,16 +590,20 @@ def test_per_pair_starts_hang_from_row_0_and_potentials_match_that_hang():
         masses = ("dirichlet", "zero", "integer")[draw % 3]
         xw = np.array([structured_problem(rng, m, 1, False, masses).mu for _ in range(cx)])
         yw = np.array([structured_problem(rng, 1, n, False, masses).nu for _ in range(cy)])
-        assert_hanging_order(discrete_ot._northwest_corner(xw[0].tolist(), yw[0].tolist())[0])
         starts = _starts(xw, xw.sum(axis=-1), yw, yw.sum(axis=-1))
-        for start in starts:
-            assert_hanging_order(start[0])
+        for cells, start_masses in starts:
             if draw % 2:
                 cost = rng.normal(size=(m, n)) ** 2
             else:
                 x, y = np.sort(rng.normal(size=m)), np.sort(rng.normal(size=n))
                 cost = np.abs(x[:, None] - y[None, :]) ** 2.0
-            flow, pot, _, _ = transport_simplex(*start, cost)
+            flow, pot, pivots, _ = transport_simplex(cells, start_masses, cost)
             u, v = _ref_potentials(cost, list(flow))
             assert np.array(pot[:m]).tobytes() == u.tobytes()
             assert np.array(pot[m:]).tobytes() == v.tobytes()
+            order = rng.permutation(len(cells))
+            shuffled = transport_simplex([cells[k] for k in order],
+                                         [start_masses[k] for k in order], cost)
+            assert sorted(shuffled[0].items()) == sorted(flow.items())
+            assert np.array(shuffled[1]).tobytes() == np.array(pot).tobytes()
+            assert shuffled[2] == pivots

@@ -29,6 +29,7 @@ from awsens import (
     tree_from_nested,
     utility_first_order,
 )
+from awsens import process_tree
 from awsens.sensitivity import leaf_gradients
 
 
@@ -207,6 +208,32 @@ def test_gen_lattice_invalid_params():
     with pytest.raises(InvalidParams, match="seed"):
         gen_random(T=1, branching=2, seed=-1)
     assert gen_random(T=1, branching=1024, seed=0).paths.probs.tolist() == [2.0**-10] * 1024
+
+
+def test_generators_refuse_trees_over_the_node_budget(monkeypatch):
+    # counted before anything is built, so a huge horizon costs nothing
+    for build in (lambda T: gen_random(T, 2, 0), lambda T: gen_binomial(T, 0.0, 1.0, -1.0, 0.5),
+                  lambda T: gen_lattice(T, 0.0, [1.0, 0.0, -1.0], [0.25, 0.5, 0.25])):
+        for T in (40, 2**70):
+            with pytest.raises(InvalidParams, match="nodes"):
+                build(T)
+    # the budget is inclusive: 7 nodes admit binomial T=2 and refuse T=3
+    monkeypatch.setattr(process_tree, "GEN_MAX_NODES", 7)
+    assert len(gen_binomial(2, 0.0, 1.0, -1.0, 0.5).values) == 7
+    with pytest.raises(InvalidParams, match="over 7 nodes"):
+        gen_binomial(3, 0.0, 1.0, -1.0, 0.5)
+
+
+def test_ancestor_refuses_bad_times_and_non_leaves():
+    tree = gen_binomial(2, 0.0, 1.0, -1.0, 0.5)
+    leaf = tree.leaves[0]
+    assert [tree.ancestor(leaf, t) for t in range(3)] == tree.ancestor_matrix[0].tolist()
+    with pytest.raises(InvalidParams, match="outside"):
+        tree.ancestor(leaf, -1)  # numpy would index from the end
+    with pytest.raises(InvalidParams, match="outside"):
+        tree.ancestor(leaf, 5)
+    with pytest.raises(InvalidParams, match="not a leaf"):
+        tree.ancestor(tree.root, 1)
 
 
 @pytest.mark.parametrize("steps, probs", [
