@@ -369,7 +369,15 @@ def test_bland_fallback_equals_reference_and_linprog(monkeypatch):
     prob = TransportProblem([1.0, 0.0, 0.0, 0.0], [0.25] * 4, np.arange(16.0).reshape(4, 4))
     got = assert_same_as_reference(prob, stats)
     assert got.objective == pytest.approx(lp_reference(prob), abs=1e-12)
+    assert stats["bland"] > 0
+
+
+def test_bland_fallback_above_the_pricing_threshold(monkeypatch):
+    # a larger tied problem: 20 x 20 cells, many degenerate pivots under Bland
+    monkeypatch.setattr(discrete_ot, "_BLAND_TRIGGER", 1)
     prob = structured_problem(np.random.default_rng(65), 20, 20, True, "integer")
+    assert prob.cost.size == 400
+    stats = {}
     got = assert_same_as_reference(prob, stats)
     assert got.objective == pytest.approx(lp_reference(prob), abs=1e-9)
     assert stats["bland"] > 0
