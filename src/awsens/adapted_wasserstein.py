@@ -9,25 +9,26 @@ bicausal by construction.
 
 Node pairs are solved per pair of family sizes, in chunks.  At the last
 stage the cost is |x - y|^p alone, so every pair of child families is a
-sorted 1-d problem, solved by the lockstep north-west-corner kernel.
-Interior stages add the children's values, which breaks submodularity: a
-chunk of at least ``_SIMPLEX_BATCH_MIN`` pairs runs the transportation
-simplex in lockstep, a smaller one per node pair, and both give the same
-bits.  Each chunk's costs are one gather, and the transport checks run
-once per size class and chunk rather than per pair.  The last stage's
-plans, which the families' weights alone decide given the sibling orders,
-are kept in the structure cache for trees of one structure when they fit
-``_BATCH_CELLS`` cells, so the ball checks of a robust curve, which
-measure many ``with_values`` candidates against one base tree, build them
-once.  One recursion serves two entries: :func:`aw_distance` (distance,
-per-stage costs, coupling) and the distance-only :func:`aw_pth_power`,
-which keeps no plans.  Batching never changes a summation order: each
-objective is summed over the row-major plan as ``np.vdot`` sums it, so
-results are bit-identical to solving one node pair at a time.  For two
-trees of one structure, :func:`aw_pth_power` first tries
+sorted 1-d problem, solved by the lockstep north-west-corner
+kernel.  Interior stages add the children's values, which breaks
+submodularity: each chunk is one :func:`~awsens.discrete_ot.solve_batch`
+call, and that module alone chooses between its lockstep and per-problem
+simplex kernels, which give the same bits.  Each chunk's costs are one
+gather, and the transport checks run once per size class and chunk
+rather than per pair.  The last stage's plans, which the families'
+weights alone decide given the sibling orders, are kept in the structure
+cache for trees of one structure when they fit ``_BATCH_CELLS`` cells,
+so the ball checks of a robust curve, which measure many ``with_values``
+candidates against one base tree, build them once.  One recursion serves
+two entries: :func:`aw_distance` (distance, per-stage costs, coupling)
+and the distance-only :func:`aw_pth_power`, which keeps no
+plans.  Batching never changes a summation order: each objective is
+summed over the row-major plan as ``np.vdot`` sums it, so results are
+bit-identical to solving one node pair at a time.  For two trees of one
+structure, :func:`aw_pth_power` first tries
 :func:`_certified_pth_power`, which solves only the diagonal node pairs
-above the last stage once a negative-cycle certificate shows the identity
-plan optimal at each of them, with the same bits.
+above the last stage once a negative-cycle certificate shows the
+identity plan optimal at each of them, with the same bits.
 
 A brute-force LP over joint path probabilities with explicit (cross-
 multiplied) causality constraints serves as an independent oracle for the
@@ -45,13 +46,11 @@ import numpy as np
 from .discrete_ot import (
     TransportProblem,
     _northwest_batch,
-    _northwest_corner,
     _objectives,
     check_cost,
     check_weights,
+    solve_batch,
     solve_exact,
-    transport_simplex,
-    transport_simplex_batch,
 )
 from .errors import (
     DeltaTooSmall,
@@ -68,11 +67,13 @@ Direction = Literal["x_to_y", "y_to_x"]
 
 ORACLE_MAX_PAIRS = 10_000
 ORACLE_MAX_HORIZON = 3
+# the oracle's path-pair masses below this are solver dust; its coupling's
+# marginals are checked to the LP's accuracy
+_ORACLE_MASS_TOL = 1e-12
+_ORACLE_MARGINAL_TOL = 1e-7
 # plan cells per batched solve, or tree-mask cells, (m + n)^2 per problem, for
 # the simplex; bounds the kernels' temporaries
 _BATCH_CELLS = 1 << 18
-# interior pairs per chunk from which the lockstep simplex beats per-pair solves
-_SIMPLEX_BATCH_MIN = 16
 # the identity certificate's margin, in m^2 * eps * (1 + max cost) for families
 # of m children (see _identity_certified)
 _CERTIFY_MARGIN = 8.0
@@ -484,12 +485,9 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
     the stage cost alone, submodular on atoms sorted as the trees' sibling
     sorts sort them, so the chunk's lockstep north-west plans are optimal.
     Interior stages add the children's values to the stage cost, which
-    breaks submodularity: a chunk of at least ``_SIMPLEX_BATCH_MIN`` pairs
-    runs the lockstep simplex of :func:`transport_simplex_batch`, which
-    equals the per-pair :func:`transport_simplex` bit for bit and below
-    that size is slower than it, and a smaller one runs :func:`_per_pair`.
-    Either way the second marginal is rescaled as :func:`solve_exact`
-    rescales it.
+    breaks submodularity, so each chunk is one :func:`solve_batch` call,
+    which chooses the simplex kernel by the chunk's size, with the second
+    marginal rescaled as :func:`solve_exact` rescales it.
 
     The families' weights alone decide the last stage's plans, given both
     sibling orders.  Two trees of one structure (``with_values`` candidates
@@ -542,11 +540,7 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
                             + value[xbelow[bx][:, None, :, None], ybelow[None, :, None, :]])
                     cost = cost.reshape(cx * cy, m, n)
                     check_cost(cost)
-                    if len(cost) >= _SIMPLEX_BATCH_MIN:
-                        plan, obj, _, _ = transport_simplex_batch(
-                            *_marginals(xw[bx], xsum[bx], yw, ysum), cost)
-                    else:
-                        plan, obj = _per_pair(_starts(xw[bx], xsum[bx], yw, ysum), cost)
+                    plan, obj = solve_batch(*_marginals(xw[bx], xsum[bx], yw, ysum), cost)
                 del cost  # before the kept plans are allocated
                 level[xat[bx, None], yat] = obj.reshape(cx, cy)
                 if kept is not None:
@@ -570,13 +564,6 @@ def _marginals(xw, xsum, yw, ysum):
     return np.repeat(xw, len(yw), axis=0), np.tile(yw, (len(xw), 1)) * ratio
 
 
-def _starts(xw, xsum, yw, ysum) -> tuple:
-    """The north-west start of each pair of :func:`_marginals`, as
-    :func:`transport_simplex` takes it: its cells and their masses."""
-    mu, nu = _marginals(xw, xsum, yw, ysum)
-    return tuple(map(_northwest_corner, mu.tolist(), nu.tolist()))
-
-
 def _monotone_plans(shared: dict | None, key, xw, ox, yw, oy) -> np.ndarray:
     """The last stage's plans of each pair of an x family (rows of ``xw``)
     and a y family (rows of ``yw``), x-major, with the children sorted by
@@ -592,25 +579,6 @@ def _monotone_plans(shared: dict | None, key, xw, ox, yw, oy) -> np.ndarray:
     if shared is not None:
         shared[key] = (ox, oy, plan)
     return plan
-
-
-def _per_pair(starts, cost: np.ndarray):
-    """The transportation simplex on each problem of the (F, m, n)
-    ``cost`` from its start in ``starts``, one at a time; returns the plans
-    and objectives, built from all the optimal flows at once as
-    :func:`transport_simplex_batch` builds them: one scatter, one clip and
-    :func:`_objectives`."""
-    _, m, n = cost.shape
-    at: list[int] = []
-    mass: list[float] = []
-    for k, (cells, masses) in enumerate(starts):
-        flow = transport_simplex(cells, masses, cost[k])[0]
-        at += [(k * m + i) * n + j for i, j in flow]
-        mass += flow.values()
-    plans = np.zeros(cost.shape)
-    plans.reshape(-1)[at] = mass
-    np.maximum(plans, 0.0, out=plans)  # np.clip(plans, 0.0, None), without its wrapper
-    return plans, _objectives(plans, cost)
 
 
 def _recursion(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -> float:
@@ -885,7 +853,7 @@ def brute_force_bicausal(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> 
         float(np.sum(pi * np.abs(xp.values[:, None, t] - yq.values[None, :, t]) ** params.p))
         for t in range(T)
     )
-    coupling = coupling_from_path_matrix(P, Q, pi, marginal_tol=1e-7)
+    coupling = coupling_from_path_matrix(P, Q, pi)
     return AWResult(
         distance=pth_power ** (1.0 / params.p),
         pth_power=pth_power,
@@ -894,24 +862,19 @@ def brute_force_bicausal(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> 
     )
 
 
-def coupling_from_path_matrix(
-    P: ScenarioTree,
-    Q: ScenarioTree,
-    pi: np.ndarray,
-    mass_tol: float = 1e-12,
-    marginal_tol: float = 1e-8,
-) -> CouplingTree:
+def coupling_from_path_matrix(P: ScenarioTree, Q: ScenarioTree, pi: np.ndarray) -> CouplingTree:
     """Fold a joint law over path pairs into a synchronized product tree.
 
-    Entries below ``mass_tol`` are dropped and each transition family is
-    renormalized, so solver dust does not produce spurious pair nodes.
+    Entries below ``_ORACLE_MASS_TOL`` are dropped and each transition
+    family is renormalized, so solver dust does not produce spurious pair
+    nodes; the marginals are checked to ``_ORACLE_MARGINAL_TOL``.
     """
     T = P.horizon
     ancP, ancQ = P.ancestor_matrix, Q.ancestor_matrix
     pairs = [PairNode(0, 0, P.root, Q.root, 1.0, None)]
-    live = [(i, j) for i, j in zip(*np.nonzero(pi > mass_tol))]
+    live = [(i, j) for i, j in zip(*np.nonzero(pi > _ORACLE_MASS_TOL))]
 
-    def rec(pid: int, members: list[tuple[int, int]], mass: float, t: int) -> None:
+    def rec(pid: int, members: list[tuple[int, int]], t: int) -> None:
         if t > T:
             return
         groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -923,10 +886,10 @@ def coupling_from_path_matrix(
             grp = groups[key]
             nid = len(pairs)
             pairs.append(PairNode(nid, t, key[0], key[1], masses[key] / total, pid))
-            rec(nid, grp, masses[key], t + 1)
+            rec(nid, grp, t + 1)
 
-    rec(0, live, 1.0, 1)
-    return CouplingTree(P, Q, pairs, marginal_tol=marginal_tol)
+    rec(0, live, 1)
+    return CouplingTree(P, Q, pairs, marginal_tol=_ORACLE_MARGINAL_TOL)
 
 
 # -- bicausalization (discrete second-marginal perturbation) -------------------
@@ -941,8 +904,8 @@ def bicausalize(coupling: CouplingTree, delta: float) -> tuple[CouplingTree, Sce
     paired x value, so the x coordinate becomes readable from the perturbed y
     coordinate.  The input must already be causal in the x-to-y direction.
     """
-    if delta <= 0.0:
-        raise InvalidParams(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:  # NaN fails too
+        raise InvalidParams(f"delta must be positive and finite, got {delta}")
     if not check_causal(coupling, "x_to_y"):
         raise NotCausal("bicausalize requires a coupling causal from x to y")
     return _bicausalize_pairs(

@@ -52,12 +52,31 @@ def serialize_tree(tree: ScenarioTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_json(error: type[AwsensError], where: str, text: str | None = None):
+    """The JSON document in ``text`` or, without it, in the UTF-8 file at
+    the path ``where``.  Anything else raises ``error``, prefixed by
+    ``where``: a file that cannot be read or is not UTF-8, and text that is
+    not JSON, nests too deep for the parser or holds an integer literal too
+    long to convert."""
+    at = f"{where}: " if where else ""
+    try:
+        if text is None:
+            with open(where, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except OSError as e:
+        raise error(f"{at}{e}") from None
+    except (ValueError, RecursionError) as e:  # ValueError covers the decode errors
+        raise error(f"{at}not valid JSON: {e}") from None
+
+
 def parse_tree(text: str) -> ScenarioTree:
     """Parse and validate a tree file, anchoring errors to node entries."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InvalidTree(f"not valid JSON: {e}") from None
+    return _tree_from_doc(_read_json(InvalidTree, "", text))
+
+
+def _tree_from_doc(doc) -> ScenarioTree:
+    """Validate a parsed tree file, anchoring errors to node entries."""
     if not isinstance(doc, dict):
         raise InvalidTree("top level must be an object")
     if doc.get("schema_version") != TREE_SCHEMA:
@@ -107,13 +126,9 @@ def parse_tree(text: str) -> ScenarioTree:
 
 
 def load_tree(path: str) -> ScenarioTree:
+    doc = _read_json(InvalidTree, path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise InvalidTree(f"{path}: {e}") from None
-    try:
-        return parse_tree(text)
+        return _tree_from_doc(doc)
     except InvalidTree as e:
         raise InvalidTree(f"{path}: {e}") from None
 
@@ -172,14 +187,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as e:
-            raise InvalidParams(f"{path}: {e}") from None
-        except json.JSONDecodeError as e:
-            raise InvalidParams(f"{path}: not valid JSON: {e}") from None
-        return cls.from_dict(doc)
+        return cls.from_dict(_read_json(InvalidParams, path))
 
     @property
     def solver_tol(self) -> float:
@@ -224,10 +232,7 @@ GENERATORS = {"binomial": gen_binomial, "lattice": gen_lattice, "random": gen_ra
 
 
 def cmd_gen(args) -> int:
-    try:
-        params = json.loads(args.params)
-    except json.JSONDecodeError as e:
-        raise InvalidParams(f"--params is not valid JSON: {e}") from None
+    params = _read_json(InvalidParams, "--params", args.params)
     where = f"--params for {args.kind}"
     try:
         tree = GENERATORS[args.kind](**read_params("generator", args.kind, params, where=where))

@@ -181,15 +181,22 @@ def _expit(x: Array) -> Array:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _fd_hessian(model: "CostModel", x: Array, a: Array, step: float = 1e-5) -> Array:
-    """Central differences of the control gradient; fallback when no
-    analytic Hessian is supplied."""
-    T = x.shape[1]
-    out = np.empty((x.shape[0], T, T))
+def _central_differences(f, z: Array, step: float = 1e-5) -> Array:
+    """Central differences of ``f`` in each column of the batch ``z``
+    (n, T), stacked along a new last axis."""
+    T = z.shape[1]
+    cols = []
     for t in range(T):
         e = np.zeros(T)
         e[t] = step
-        out[:, :, t] = (model.grad_a_fn(x, a + e) - model.grad_a_fn(x, a - e)) / (2.0 * step)
+        cols.append((f(z + e) - f(z - e)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
+def _fd_hessian(model: "CostModel", x: Array, a: Array) -> Array:
+    """Central differences of the control gradient; fallback when no
+    analytic Hessian is supplied."""
+    out = _central_differences(lambda aa: model.grad_a_fn(x, aa), a)
     return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
@@ -675,7 +682,6 @@ def audit_derivatives(
     rng = np.random.default_rng(seed)
     T = model.horizon
     x, a, tvals = _random_inputs(model, n_draws, rng)
-    worst = 0.0
 
     def fval(xx):
         if model.kind == "terminal":
@@ -696,28 +702,12 @@ def audit_derivatives(
         analytic = model.grad_x_fn(x)
     else:
         analytic = model.grad_x_fn(x, a)
-    fd = np.empty_like(x)
-    for t in range(T):
-        e = np.zeros(T)
-        e[t] = step
-        fd[:, t] = (fval(x + e) - fval(x - e)) / (2.0 * step)
-    worst = max(worst, _rel_err(analytic, fd))
+    worst = _rel_err(analytic, _central_differences(fval, x, step))
 
     if model.kind == "controlled":
-        ga = model.grad_a_fn(x, a)
-        fda = np.empty_like(a)
-        for t in range(T):
-            e = np.zeros(T)
-            e[t] = step
-            fda[:, t] = (model.value_fn(x, a + e) - model.value_fn(x, a - e)) / (2.0 * step)
-        worst = max(worst, _rel_err(ga, fda))
-        hess = model.hess_a(x, a)
-        fdh = np.empty((n_draws, T, T))
-        for t in range(T):
-            e = np.zeros(T)
-            e[t] = step
-            fdh[:, :, t] = (model.grad_a_fn(x, a + e) - model.grad_a_fn(x, a - e)) / (2.0 * step)
-        worst = max(worst, _rel_err(hess, fdh))
+        for exact, f in ((model.grad_a_fn(x, a), lambda aa: model.value_fn(x, aa)),
+                         (model.hess_a(x, a), lambda aa: model.grad_a_fn(x, aa))):
+            worst = max(worst, _rel_err(exact, _central_differences(f, a, step)))
 
     if worst > rel_tol:
         raise InvalidParams(

@@ -12,15 +12,15 @@ Entering cells are priced on a numpy matrix.
 optimal flow; :func:`transport_simplex_batch` runs the same simplex on
 many problems of one shape in lockstep, one vectorised pivot round for
 all of them, and equals it bit for bit (its docstring has the argument).
-:func:`solve_exact` checks a :class:`TransportProblem`, starts the former
-from the north-west corner and makes the clipped plan and its objective
-of the flow.  The adapted-distance recursion calls these cores directly,
-after running the same checks (:func:`check_weights`, :func:`check_cost`)
-once per size class of child families and once per batch of costs; its
-last stage takes the north-west plans of the sorted weights
-(:func:`_northwest_batch`, the walk the batched simplex starts from),
-which are optimal there.  A simplex that exceeds its pivot budget raises
-``MaxIterations``.
+Both start from the one north-west walk, :func:`_northwest_batch`
+(:func:`_starts` reads it out per problem).  :func:`solve_batch` solves
+a batch of unchecked problems and alone chooses the kernel, by the
+batch's size; :func:`solve_exact` checks one :class:`TransportProblem`.
+The adapted-distance recursion calls :func:`solve_batch` after running
+the checks (:func:`check_weights`, :func:`check_cost`) once per size
+class of child families and once per batch of costs; its last stage
+takes the north-west plans of the sorted weights, which are optimal
+there.  A simplex that exceeds its pivot budget raises ``MaxIterations``.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from .errors import Infeasible, InvalidParams, MaxIterations
 WEIGHT_TOL = 1e-10
 _BLAND_TRIGGER = 64  # consecutive degenerate pivots before switching rules
 _PIVOT_BUDGET = (2000, 40)  # pivots allowed per problem: a base plus so many per cell
+# problems per batch from which the lockstep simplex beats one solve at a time
+_SIMPLEX_BATCH_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -101,31 +103,6 @@ class TransportPlan:
 # node's path to the root.
 
 
-def _northwest_corner(mu: Sequence[float], nu: Sequence[float]):
-    """The initial basic feasible solution: a tuple of its m + n - 1 cells,
-    each joining one new row or column to the staircase, and one of their
-    masses."""
-    m, n = len(mu), len(nu)
-    cells: list[tuple[int, int]] = []
-    masses: list[float] = []
-    a = list(mu)
-    b = list(nu)
-    i = j = 0
-    while True:
-        w = min(a[i], b[j])
-        cells.append((i, j))
-        masses.append(w)
-        a[i] -= w
-        b[j] -= w
-        if i == m - 1 and j == n - 1:
-            return tuple(cells), tuple(masses)
-        # advance exactly one pointer per step so the basis stays a tree
-        if (a[i] <= b[j] and i < m - 1) or j == n - 1:
-            i += 1
-        else:
-            j += 1
-
-
 def _tree(C: list[list[float]], cells, m: int, n: int):
     """Per node of the basis tree on ``cells``, in any order, hung from row
     0 by one depth-first search: its parent (-1 at the root), depth and
@@ -146,26 +123,17 @@ def _tree(C: list[list[float]], cells, m: int, n: int):
     return parent, depth, pot
 
 
-def _dense(cells: Sequence[tuple[int, int]], masses: Sequence[float], m: int, n: int):
-    """The m x n plan holding ``masses`` at ``cells`` and zero elsewhere."""
-    plan = np.zeros((m, n))
-    for c, w in zip(cells, masses):
-        plan[c] = w
-    return plan
-
-
 def transport_simplex(cells: Sequence[tuple[int, int]], masses: Sequence[float],
                       cost: np.ndarray):
     """Transportation simplex from the basic feasible solution ``masses``
-    on the spanning-tree ``cells``, in any order, such as
-    :func:`_northwest_corner` returns; none of them is checked here, nor
-    the float64 ``cost``.
+    on the spanning-tree ``cells``, in any order, such as :func:`_starts`
+    gives; none of them is checked here, nor the float64 ``cost``.
 
     Returns the optimal flow, unclipped, as a dict from basis cell to mass
     (so ``list(flow)`` is the basis), the potentials ``[u_0..u_{m-1},
     v_0..v_{n-1}]``, the pivots taken and the switches to Bland's rule.
-    The callers build the plan and objective: :func:`solve_exact` one at a
-    time, the adapted-distance recursion a batch of flows at once.  The
+    :func:`_per_problem` builds the plans and objectives of a batch of
+    flows at once, for :func:`solve_exact` and :func:`solve_batch`.  The
     entering cell is the first least reduced cost ``(c - u) - v`` in
     row-major order on a numpy matrix, basis cells at 0.0 (under Bland's
     rule the first below ``-tol``).  Before each pricing the basis tree
@@ -232,14 +200,12 @@ def transport_simplex(cells: Sequence[tuple[int, int]], masses: Sequence[float],
 
 def solve_exact(prob: TransportProblem) -> TransportPlan:
     """Optimal vertex of the transportation polytope for an arbitrary cost."""
-    m, n = prob.cost.shape
+    m = prob.mu.size
     # rescale the second marginal so both sides carry identical total mass
     nu = prob.nu * (prob.mu.sum() / prob.nu.sum())
-    flow, pot, *_ = transport_simplex(*_northwest_corner(prob.mu.tolist(), nu.tolist()), prob.cost)
-    plan = _dense(flow, flow.values(), m, n)
-    np.maximum(plan, 0.0, out=plan)  # np.clip(plan, 0.0, None), without its wrapper
-    return TransportPlan(plan, float(np.vdot(plan, prob.cost)), np.array(pot[:m]),
-                         np.array(pot[m:]), tuple(sorted(flow)))
+    (plan,), (obj,), ((flow, pot),) = _per_problem(prob.mu[None], nu[None], prob.cost[None])
+    return TransportPlan(plan, float(obj), np.array(pot[:m]), np.array(pot[m:]),
+                         tuple(sorted(flow)))
 
 
 def solve_sorted_1d(
@@ -264,18 +230,19 @@ def solve_sorted_1d(
     prob = TransportProblem(np.asarray(mu_weights, float), np.asarray(nu_weights, float), cost)
     nu = prob.nu * (prob.mu.sum() / prob.nu.sum())
     m, n = cost.shape
-    basis, masses = _northwest_corner(prob.mu.tolist(), nu.tolist())
+    (plan,), cells = _northwest_batch(prob.mu[None].copy(), nu[None])
+    basis = [(int(i[0]), int(j[0])) for i, j in cells]
     pot = _tree(cost.tolist(), basis, m, n)[2]
-    plan = _dense(basis, masses, m, n)
     return TransportPlan(plan, float(np.vdot(plan, cost)), np.array(pot[:m]), np.array(pot[m:]),
                          tuple(sorted(basis)))
 
 
 def _northwest_batch(a: np.ndarray, b: np.ndarray):
-    """The walk of :func:`_northwest_corner` on the rows of ``a`` (F, m)
-    and ``b`` (F, n) in lockstep, m + n - 1 vectorised steps that consume
-    ``a`` and ``b``.  Returns the (F, m, n) plans and the basis cells in
-    walk order, as pairs of (F,) row and column arrays."""
+    """The north-west corner walk on the rows of ``a`` (F, m) and ``b``
+    (F, n) in lockstep: m + n - 1 vectorised steps that consume ``a`` and
+    ``b``, each advancing one pointer, so the cells span a tree.  Returns
+    the (F, m, n) plans and the cells in walk order, as pairs of (F,) row
+    and column arrays."""
     F, m = a.shape
     n = b.shape[1]
     plan = np.zeros((F, m, n))
@@ -292,10 +259,19 @@ def _northwest_batch(a: np.ndarray, b: np.ndarray):
         a[rows, i] = ai
         b[rows, j] = bj
         if step < m + n - 2:
-            # the same one-pointer advance as _northwest_corner
             down = ((ai <= bj) & (i < m - 1)) | (j == n - 1)
             i, j = i + down, j + ~down
     return plan, cells
+
+
+def _starts(mu: np.ndarray, nu: np.ndarray) -> list:
+    """Each problem's north-west start, as :func:`transport_simplex` takes
+    it: its cells in walk order and their masses, as Python lists read off
+    :func:`_northwest_batch` on copies of ``mu`` (F, m) and ``nu`` (F, n)."""
+    plan, cells = _northwest_batch(mu.copy(), nu.copy())
+    i, j = np.array(cells).transpose(1, 2, 0)  # each (F, m + n - 1)
+    mass = plan[np.arange(len(plan))[:, None], i, j]
+    return [(list(zip(r, c)), w) for r, c, w in zip(i.tolist(), j.tolist(), mass.tolist())]
 
 
 def _objectives(plan: np.ndarray, cost: np.ndarray) -> np.ndarray:
@@ -444,3 +420,29 @@ def transport_simplex_batch(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray):
         raise MaxIterations(f"transportation simplex did not terminate within {max_iter} pivots")
     plan = np.maximum(flow.reshape(F, m + 1, n)[:, :m], 0.0)
     return plan, _objectives(plan, cost), pivots, switches
+
+
+def _per_problem(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray):
+    """:func:`transport_simplex` on each problem of :func:`solve_batch`'s
+    arguments from its start in :func:`_starts`, one at a time.  Returns
+    the plans and objectives, built from all the optimal flows at once as
+    :func:`transport_simplex_batch` builds them (one scatter, one clip and
+    :func:`_objectives`), and each problem's flow and potentials."""
+    _, m, n = cost.shape
+    solved = [transport_simplex(cells, masses, c)[:2]
+              for (cells, masses), c in zip(_starts(mu, nu), cost)]
+    plans = np.zeros(cost.shape)
+    plans.reshape(-1)[[(k * m + i) * n + j for k, (flow, _) in enumerate(solved)
+                       for i, j in flow]] = [w for flow, _ in solved for w in flow.values()]
+    np.maximum(plans, 0.0, out=plans)  # np.clip(plans, 0.0, None), without its wrapper
+    return plans, _objectives(plans, cost), solved
+
+
+def solve_batch(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray):
+    """The optimal plans (F, m, n) and objectives (F,) of the problems that
+    :func:`transport_simplex_batch` takes, unchecked: in lockstep from
+    ``_SIMPLEX_BATCH_MIN`` problems up, else one at a time
+    (:func:`_per_problem`), which is faster there, with the same bits."""
+    if len(cost) >= _SIMPLEX_BATCH_MIN:
+        return transport_simplex_batch(mu, nu, cost)[:2]
+    return _per_problem(mu, nu, cost)[:2]

@@ -60,8 +60,8 @@ class RobustQuery:
             raise InvalidParams(f"unknown problem class {self.problem_class!r}")
         radii = tuple(float(r) for r in self.radii)
         object.__setattr__(self, "radii", radii)
-        if not radii or any(r <= 0 for r in radii):
-            raise InvalidParams("radii must be positive")
+        if not radii or not all(0.0 < r < math.inf for r in radii):  # NaN fails too
+            raise InvalidParams(f"radii must be positive and finite, got {radii!r}")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise InvalidParams("radii must be strictly ascending")
         if self.problem_class == "controlled" and self.bounds is None:

@@ -343,8 +343,10 @@ def perturbed_model_with_coupling(
 ):
     """Like :func:`perturbed_model` but also returns the displacement
     coupling (bicausal by construction) and the repair resolution used."""
-    if r < 0.0:
-        raise InvalidParams(f"radius must be nonnegative, got {r}")
+    if not 0.0 <= r < math.inf:  # NaN fails too
+        raise InvalidParams(f"radius must be nonnegative and finite, got {r}")
+    if delta is not None and not math.isfinite(delta):
+        raise InvalidParams(f"delta must be finite, got {delta}")
     if r == 0.0:
         return tree, None, 0.0
     if delta is None:

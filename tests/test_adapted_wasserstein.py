@@ -37,7 +37,7 @@ from awsens import (
     solve_sorted_1d,
     tree_from_nested,
 )
-from awsens import adapted_wasserstein
+from awsens import adapted_wasserstein, discrete_ot
 from awsens.discrete_ot import _objectives
 
 P2 = AWParams(2.0)
@@ -157,7 +157,7 @@ def test_metric_axioms_at_lockstep_scale(seed):
     # T=3, b=4 is beyond the bicausal LP; the 16 pairs of 4-child families
     # at time 1 are solved by the lockstep simplex
     A, B, C = (gen_random(3, 4, seed + k) for k in (0, 30_000, 60_000))
-    assert len(A.levels[1]) * len(B.levels[1]) >= adapted_wasserstein._SIMPLEX_BATCH_MIN
+    assert len(A.levels[1]) * len(B.levels[1]) >= discrete_ot._SIMPLEX_BATCH_MIN
 
     def d(X, Y):
         return aw_pth_power(X, Y, P2) ** 0.5
@@ -497,8 +497,9 @@ def test_bicausalize_requires_causal_input(split_dirac_pair):
     anticipating = CouplingTree(P, Q, pairs)
     with pytest.raises(NotCausal):
         bicausalize(anticipating, 0.1)
-    with pytest.raises(InvalidParams):
-        bicausalize(product_coupling(P, Q), 0.0)
+    for delta in (0.0, math.nan, math.inf):
+        with pytest.raises(InvalidParams):
+            bicausalize(product_coupling(P, Q), delta)
 
 
 def test_bicausalize_delta_sequence_bounds():

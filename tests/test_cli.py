@@ -330,6 +330,26 @@ def test_gen_over_the_node_budget_exits_1_at_once(tmp_path, capsys, kind, params
     assert not (tmp_path / "tree.json").exists()
 
 
+@pytest.mark.parametrize("fault", ["not utf-8", "deep", "long integer"])
+@pytest.mark.parametrize("source, error", [
+    ("tree", InvalidTree), ("config", InvalidParams), ("params", InvalidParams)])
+def test_unreadable_json_ends_in_the_inputs_typed_error(tmp_path, capsys, source, error, fault):
+    # Python's json raises UnicodeDecodeError, RecursionError and ValueError
+    # on these, none of them a JSONDecodeError
+    data = {"not utf-8": b'{"a": "\xff"}', "deep": b"[" * 100_000 + b"]" * 100_000,
+            "long integer": b'{"T": 1' + b"0" * 5000 + b"}"}[fault]
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    tree, config = FIXTURES / "drifted_binomial.json", FIXTURES / "config_value_hedge.json"
+    argv = {"tree": ("aw", tree, bad), "config": ("value", tree, "--config", bad),
+            # a non-UTF-8 argument reaches the program with surrogate escapes
+            "params": ("gen", "--kind", "binomial", "--out", tmp_path / "out.json", "--params",
+                       data.decode("utf-8", "surrogateescape"))}[source]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == error.exit_code and f"error: {error.__name__}:" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field, needle", [
     ({"bounds": 3}, "'bounds'"),
     ({"p": "two"}, "two"),

@@ -35,7 +35,7 @@ from awsens import (
     solve_sorted_1d,
     tree_from_nested,
 )
-from awsens import adapted_wasserstein
+from awsens import adapted_wasserstein, discrete_ot
 
 # -- references: the per-record construction ----------------------------------
 
@@ -305,12 +305,12 @@ def _solves_by_shape(run):
     counts = Counter()
 
     def counting(name, key):
-        solve = getattr(adapted_wasserstein, name)
+        solve = getattr(discrete_ot, name)
 
         def wrapper(mu, nu, cost):
             counts[key(cost)] += 1
             return solve(mu, nu, cost)
-        return mock.patch.object(adapted_wasserstein, name, wrapper)
+        return mock.patch.object(discrete_ot, name, wrapper)
 
     with counting("transport_simplex_batch", lambda c: ("batch", *c.shape)), \
             counting("transport_simplex", lambda c: ("pair", *c.shape)), \
@@ -326,7 +326,7 @@ def test_simplex_calls_by_family_shape():
     A = gen_binomial(6, 0.0, 1.0, -1.0, 0.5)
     B = gen_binomial(6, 0.0, 1.1, -0.9, 0.45, 0.02)
     counts, _ = _solves_by_shape(lambda: aw_distance(A, B, AWParams(2.0)))
-    assert adapted_wasserstein._SIMPLEX_BATCH_MIN == 16
+    assert discrete_ot._SIMPLEX_BATCH_MIN == 16
     assert counts == {("batch", 16, 2, 2): 1, ("batch", 64, 2, 2): 1, ("batch", 256, 2, 2): 1,
                       ("pair", 2, 2): 5}
     # the curve's trees branch by 3: its 9-pair level stays below the batch

@@ -13,7 +13,7 @@ from awsens import (
     solve_sorted_1d,
 )
 from awsens import discrete_ot
-from awsens.adapted_wasserstein import _per_pair, _starts
+from awsens.adapted_wasserstein import _marginals
 from awsens.discrete_ot import check_weights, transport_simplex, transport_simplex_batch
 
 
@@ -449,7 +449,8 @@ def simplex(mu, nu, cost):
     and ``nu``, its flow made the clipped plan with the ``np.vdot``
     objective, as ``solve_exact`` makes it: ``(plan, objective, basis,
     pivots, switches)``."""
-    flow, _, pivots, switches = transport_simplex(*discrete_ot._northwest_corner(mu, nu), cost)
+    (start,) = discrete_ot._starts(np.array([mu]), np.array([nu]))
+    flow, _, pivots, switches = transport_simplex(*start, cost)
     plan = np.zeros(cost.shape)
     for c, w in flow.items():
         plan[c] = w
@@ -478,6 +479,21 @@ def structured_batch(rng, size, m, n, tied, masses):
     return (np.array([p.mu for p in probs]),
             np.array([p.nu * (p.mu.sum() / p.nu.sum()) for p in probs]),
             np.array([p.cost for p in probs]))
+
+
+@given(m=st.integers(1, 8), n=st.integers(1, 8), size=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), masses=st.sampled_from(["dirichlet", "zero", "integer"]))
+@settings(max_examples=200, deadline=None)
+def test_starts_follow_the_reference_walk(m, n, size, seed, masses):
+    # each start lists the walk's cells in walk order with their mass
+    # bytes, signed zeros too; the per-problem hang relies on that order
+    mu, nu, _ = structured_batch(np.random.default_rng(seed), size, m, n, False, masses)
+    starts = discrete_ot._starts(mu, nu)
+    assert len(starts) == size
+    for k, (cells, start_masses) in enumerate(starts):
+        plan, basis = _ref_northwest_corner(mu[k], nu[k])
+        assert cells == basis
+        assert np.array(start_masses).tobytes() == np.array([plan[c] for c in basis]).tobytes()
 
 
 @given(m=st.integers(1, 8), n=st.integers(1, 8), size=st.integers(1, 10),
@@ -548,14 +564,15 @@ def test_batch_simplex_2x2_tolerance_boundary():
 
 def assert_per_pair_equals_solve_exact(rng, m, n, cx, cy, tied, masses):
     """Every pair of ``cx`` x families and ``cy`` y families, solved by
-    ``adapted_wasserstein._per_pair`` from the north-west starts of
+    ``discrete_ot._per_problem`` from the north-west starts of
     ``_starts``, against one ``solve_exact`` per problem: plan bytes and
     objective bits.  Returns the switches to Bland's rule taken."""
     xw = np.array([structured_problem(rng, m, 1, tied, masses).mu for _ in range(cx)])
     yw = np.array([structured_problem(rng, 1, n, tied, masses).nu for _ in range(cy)])
     cost = np.array([structured_problem(rng, m, n, tied, masses).cost for _ in range(cx * cy)])
-    starts = _starts(xw, xw.sum(axis=-1), yw, yw.sum(axis=-1))
-    plans, obj = _per_pair(starts, cost)
+    mu, nu = _marginals(xw, xw.sum(axis=-1), yw, yw.sum(axis=-1))
+    starts = discrete_ot._starts(mu, nu)
+    plans, obj, _ = discrete_ot._per_problem(mu, nu, cost)
     for k in range(cx * cy):
         want = solve_exact(TransportProblem(xw[k // cy], yw[k % cy], cost[k]))
         assert plans[k].tobytes() == want.plan.tobytes()
@@ -598,7 +615,7 @@ def test_per_pair_starts_hang_from_row_0_and_potentials_match_that_hang():
         masses = ("dirichlet", "zero", "integer")[draw % 3]
         xw = np.array([structured_problem(rng, m, 1, False, masses).mu for _ in range(cx)])
         yw = np.array([structured_problem(rng, 1, n, False, masses).nu for _ in range(cy)])
-        starts = _starts(xw, xw.sum(axis=-1), yw, yw.sum(axis=-1))
+        starts = discrete_ot._starts(*_marginals(xw, xw.sum(axis=-1), yw, yw.sum(axis=-1)))
         for cells, start_masses in starts:
             if draw % 2:
                 cost = rng.normal(size=(m, n)) ** 2

@@ -27,7 +27,7 @@ from awsens import (
     tree_from_nested,
     worst_case_direction,
 )
-from awsens import adapted_wasserstein
+from awsens import adapted_wasserstein, discrete_ot
 from awsens.robust_oracle import _Ascent
 from awsens.sensitivity import WorstCaseDirection
 
@@ -47,6 +47,15 @@ def test_query_validation(iid_signs):
     cm = make_cost_model("quadratic_control", {}, 2)
     with pytest.raises(InvalidParams):
         RobustQuery("controlled", iid_signs, cm, 2.0, RADII)  # missing bounds
+
+
+@pytest.mark.parametrize("radii", [(math.nan,), (1e-3, math.inf), (-math.inf, 1e-3),
+                                   (1e-3, math.nan)])
+def test_query_refuses_non_finite_radii(iid_signs, radii):
+    # a NaN radius would give a NaN row, an infinite one a bare ValueError
+    m = make_cost_model("linear", {"coeffs": [0.0, 1.0]}, 2)
+    with pytest.raises(InvalidParams, match="finite"):
+        RobustQuery("terminal", iid_signs, m, 2.0, radii)
 
 
 def test_linear_instance_exact_at_every_radius(iid_signs):
@@ -432,14 +441,14 @@ def test_curve_bits_with_per_pair_3x3_solves(kind, monkeypatch):
     # the same bits whether the ball checks take the certified path, with
     # no simplex solve, or the recursion, with per-pair 3x3 solves
     shapes = Counter()
-    solve = adapted_wasserstein.transport_simplex
+    solve = discrete_ot.transport_simplex
     certified = adapted_wasserstein._certified_pth_power
 
     def counted(mu, nu, cost):
         shapes[cost.shape] += 1
         return solve(mu, nu, cost)
 
-    monkeypatch.setattr(adapted_wasserstein, "transport_simplex", counted)
+    monkeypatch.setattr(discrete_ot, "transport_simplex", counted)
     model = (make_cost_model("linear", None, 3) if kind == "terminal" else
              make_cost_model("markov_payoff", {"g": {"name": "identity"}}, 3))
     for route in (certified, lambda P, Q, p: None):

@@ -332,6 +332,16 @@ def test_zero_radius_returns_same_tree(iid_signs):
         perturbed_model(iid_signs, wcd, -0.1)
 
 
+@pytest.mark.parametrize("r, delta", [(math.inf, None), (math.nan, None), (-math.inf, None),
+                                      (0.1, math.inf), (0.1, math.nan), (0.0, math.nan)])
+def test_perturbed_model_refuses_non_finite_radius_and_delta(iid_signs, r, delta):
+    # an infinite radius would raise a bare ValueError, a NaN one InvalidTree
+    m = make_cost_model("linear", {"coeffs": [0.0, 1.0]}, 2)
+    wcd = worst_case_direction(iid_signs, sensitivity_terminal(iid_signs, m, 2.0))
+    with pytest.raises(InvalidParams, match="finite"):
+        perturbed_model(iid_signs, wcd, r, delta=delta)
+
+
 def test_linear_shift_exact_gain(iid_signs):
     m = make_cost_model("linear", {"coeffs": [0.0, 1.0]}, 2)
     rep = sensitivity_terminal(iid_signs, m, 2.0)
