@@ -638,7 +638,8 @@ def register_cost_model(
 
     Raises InvalidParams when a derivative disagrees with central finite
     differences or when a stopping cost reacts to coordinates after its
-    stopping stage.
+    stopping stage.  ``hess_a_fn`` returns a new (n, T, T) array per call:
+    the control solver weights a writeable one in place.
     """
     if kind not in CATALOG:
         raise InvalidParams(f"unknown model kind {kind!r}")

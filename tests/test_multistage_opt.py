@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from awsens import (
@@ -13,6 +13,7 @@ from awsens import (
     aw_distance,
     brute_force_value,
     build_utility_cost,
+    gen_binomial,
     gen_random,
     make_cost_model,
     make_utility_model,
@@ -25,7 +26,11 @@ from awsens.multistage_opt import (
     ARMIJO_C,
     BACKTRACK,
     MAX_ITER_DEFAULT,
+    NEWTON_AFTER,
+    NEWTON_TRIALS,
     ControlPolicy,
+    _hessian_product,
+    _path_hessians,
     _variable_layout,
     objective_hessian,
     scatter_sum,
@@ -264,10 +269,50 @@ def test_scatter_sum_matches_add_at_bit_for_bit(T, b, seed):
     assert scatter_sum(idx, vals, 9).tobytes() == _add_at_reference(idx, vals, 9).tobytes()
 
 
+def _newton_direction_reference(model, xs, w, aidx, z, g, L, residual):
+    """The projected Newton direction by truncated CG on the free controls,
+    or None on non-positive curvature at the first step."""
+    nvar = z.shape[0]
+    hw = w[:, None, None] * model.hess_a(xs, z[aidx])
+    eps = min(1e-3 * L, residual)
+    held = np.logical_or(np.logical_and(z <= -L + eps, g > 0.0),
+                         np.logical_and(z >= L - eps, g < 0.0))
+
+    def product(v):
+        v = np.where(held, 0.0, v)
+        out = _add_at_reference(aidx, np.matmul(hw, v[aidx][:, :, None])[:, :, 0], nvar)
+        out[held] = 0.0
+        return out
+
+    r = np.where(held, 0.0, -g)
+    rr = float(np.dot(r, r))
+    stop = min(0.5, np.sqrt(np.sqrt(rr))) * np.sqrt(rr)
+    x = np.zeros(nvar)
+    p = r.copy()
+    for k in range(nvar):
+        if np.sqrt(rr) <= stop:
+            break
+        hp = product(p)
+        curv = float(np.dot(p, hp))
+        if curv <= 0.0:
+            if k == 0:
+                return None
+            break
+        alpha = rr / curv
+        x = x + alpha * p
+        r = r - alpha * hp
+        rr_new = float(np.dot(r, r))
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return np.where(held, -g, x)
+
+
 def reference_solve_value(tree, model, bounds, tol=1e-9, max_iter=MAX_ITER_DEFAULT, z0=None):
     """``solve_value``'s loop before its ufunc and single-evaluation rewrite,
     on the model's callbacks: np.clip, np.max and a value-only evaluation
     per Armijo trial, then a fresh value and gradient at the accepted point.
+    After ``NEWTON_AFTER`` iterations it tries the projected Newton step
+    first, with up to ``NEWTON_TRIALS`` Armijo trials from the full step.
     Kept as the reference the solver must equal bit for bit."""
     ids, aidx = _variable_layout(tree)
     xs = tree.paths.values
@@ -292,20 +337,32 @@ def reference_solve_value(tree, model, bounds, tol=1e-9, max_iter=MAX_ITER_DEFAU
         if residual <= tol:
             policy = ControlPolicy({nid: float(z[k]) for k, nid in enumerate(ids)})
             return phi, policy, residual, it - 1
-        if z_prev is not None:
-            dz = z - z_prev
-            dg = g - g_prev
-            curv = float(dz @ dg)
-            step = float(dz @ dz) / curv if curv > 1e-18 else min(step * 2.0, 1e8)
-            step = float(np.clip(step, 1e-12, 1e8))
         noise = 1e-15 * (1.0 + abs(phi))
-        s = step
-        for _ in range(60):
-            z_new = np.clip(z - s * g, -L, L)
-            phi_new = phi_only(z_new)
-            if phi_new <= phi + ARMIJO_C * float(g @ (z_new - z)) + noise:
-                break
-            s *= BACKTRACK
+        z_new = None
+        if it > NEWTON_AFTER:
+            d = _newton_direction_reference(model, xs, w, aidx, z, g, L, residual)
+            if d is not None:
+                s = 1.0
+                for _ in range(NEWTON_TRIALS):
+                    trial = np.clip(z + s * d, -L, L)
+                    if phi_only(trial) <= phi + ARMIJO_C * float(g @ (trial - z)) + noise:
+                        z_new = trial
+                        break
+                    s *= BACKTRACK
+        if z_new is None:
+            if z_prev is not None:
+                dz = z - z_prev
+                dg = g - g_prev
+                curv = float(dz @ dg)
+                step = float(dz @ dz) / curv if curv > 1e-18 else min(step * 2.0, 1e8)
+                step = float(np.clip(step, 1e-12, 1e8))
+            s = step
+            for _ in range(60):
+                z_new = np.clip(z - s * g, -L, L)
+                phi_new = phi_only(z_new)
+                if phi_new <= phi + ARMIJO_C * float(g @ (z_new - z)) + noise:
+                    break
+                s *= BACKTRACK
         z_prev, g_prev = z, g
         z = z_new
         phi, g = phi_and_grad(z)
@@ -330,6 +387,14 @@ CONTROL_MODELS = [
                          ids=[f"{n}-{i}" for i, (n, _) in enumerate(CONTROL_MODELS)])
 @settings(max_examples=10, deadline=None)
 @given(b=st.integers(2, 3), seed=st.integers(0, 2**16), start=st.sampled_from(["cold", "box"]))
+# nearly flat draws on which projected gradient alone raised MaxIterations,
+# recorded under [utility-0], [utility-1], [utility-10], [utility-14] and
+# [utility-2]; every model runs each of them
+@example(b=2, seed=21917, start="box")
+@example(b=2, seed=3021, start="cold")
+@example(b=2, seed=1028, start="box")
+@example(b=2, seed=16, start="cold")
+@example(b=2, seed=7868, start="cold")
 def test_solver_matches_reference_bit_for_bit(name, params, b, seed, start):
     tree = gen_random(3, b, seed)
     model = make_cost_model(name, params, 3)
@@ -342,6 +407,60 @@ def test_solver_matches_reference_bit_for_bit(name, params, b, seed, start):
     got = (rep.value, rep.policy, rep.kkt_residual, rep.iterations)
     assert repr(got) == repr(want)
     assert got == want
+
+
+def _no_hessian_model():
+    """A registered convex model with coupled controls and no ``hess_a_fn``,
+    so its Hessian comes from ``_fd_hessian``."""
+    def value(x, a):
+        s = np.sum(a, axis=1)
+        return (np.sum(a**4, axis=1) / 12.0 + 0.5 * s**2 * (1.0 + x[:, -1] ** 2)
+                + np.sum(a * x, axis=1))
+
+    def grad_a(x, a):
+        s = np.sum(a, axis=1)
+        return a**3 / 3.0 + (s * (1.0 + x[:, -1] ** 2))[:, None] + x
+
+    def grad_x(x, a):
+        out = a.copy()
+        out[:, -1] += np.sum(a, axis=1) ** 2 * x[:, -1]
+        return out
+
+    return register_cost_model("controlled", "no_hessian", 3, value, grad_x, grad_a_fn=grad_a)
+
+
+@pytest.mark.parametrize("name, params", CONTROL_MODELS + [("no_hessian", None)],
+                         ids=[f"{n}-{i}" for i, (n, _) in enumerate(CONTROL_MODELS)]
+                         + ["no_hessian"])
+@settings(max_examples=10, deadline=None)
+@given(b=st.integers(2, 3), seed=st.integers(0, 2**16))
+def test_hessian_product_matches_objective_hessian(name, params, b, seed):
+    tree = gen_random(3, b, seed)
+    model = _no_hessian_model() if params is None else make_cost_model(name, params, 3)
+    ids, aidx = _variable_layout(tree)
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-2.0, 2.0, size=len(ids))
+    v = rng.normal(size=len(ids))
+    held = rng.random(len(ids)) < 0.3
+    hw = _path_hessians(model, tree.paths.values, tree.paths.probs, z[aidx])
+    got = _hessian_product(hw, aidx, held, v)
+    H = objective_hessian(tree, model, z)
+    vf = np.where(held, 0.0, v)
+    want = np.where(held, 0.0, H @ vf)
+    assert np.all(got[held] == 0.0)
+    assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(H) @ np.abs(vf)) + 1e-300)
+
+
+def test_large_tree_solve_takes_newton_steps():
+    # binomial T=10, 1,023 controls: projected gradient alone took 401
+    # iterations to the value below
+    tree = gen_binomial(10, 0.0, 1.0, -1.0, 0.5, 0.0625)
+    u = make_utility_model({"loss": {"name": "exponential", "params": {"rate": 1.0}},
+                            "payoff": {"name": "zero"}, "x0": 0.0}, 10)
+    rep = solve_value(tree, build_utility_cost(u, 10), L10)
+    assert rep.iterations <= 30
+    assert rep.kkt_residual <= 1e-9
+    assert rep.value == pytest.approx(0.9806457599797944, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("kwargs", [
