@@ -14,7 +14,7 @@ import pathlib
 import sys
 
 from awsens import gen_binomial, tree_from_nested
-from awsens.cli import main, save_tree
+from awsens.cli import main, serialize_tree
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -34,10 +34,9 @@ def build_trees() -> None:
         ],
     )
     drifted = gen_binomial(T=2, start=0.1, up=1.0, down=-1.0, p_up=0.5, drift=-0.1)
-    save_tree(split_p, str(HERE / "split_dirac_p.json"))
-    save_tree(split_q, str(HERE / "split_dirac_q.json"))
-    save_tree(iid_signs, str(HERE / "iid_signs.json"))
-    save_tree(drifted, str(HERE / "drifted_binomial.json"))
+    for name, tree in (("split_dirac_p", split_p), ("split_dirac_q", split_q),
+                       ("iid_signs", iid_signs), ("drifted_binomial", drifted)):
+        (HERE / f"{name}.json").write_text(serialize_tree(tree), encoding="utf-8")
 
 
 def build_configs() -> None:

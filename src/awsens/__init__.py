@@ -1,98 +1,29 @@
-"""Adapted-Wasserstein model-risk toolkit on finite scenario trees."""
+"""Adapted-Wasserstein model-risk toolkit on finite scenario trees.
 
-from .adapted_wasserstein import (
-    AWParams,
-    AWResult,
-    CouplingTree,
-    PairNode,
-    aw_distance,
-    aw_pth_power,
-    bicausalize,
-    brute_force_bicausal,
-    check_causal,
-    flat_wasserstein,
-    is_bicausal,
-    product_coupling,
-)
-from .cost_models import (
-    CostModel,
-    LossFunction,
-    PayoffFunction,
-    UtilityModel,
-    audit_derivatives,
-    build_utility_cost,
-    catalog_names,
-    make_cost_model,
-    make_loss,
-    make_payoff,
-    make_scalar_payoff,
-    make_utility_model,
-    register_cost_model,
-)
-from .errors import (
-    AmbiguousStopping,
-    AwsensError,
-    DeltaTooSmall,
-    DimensionMismatch,
-    FlatStep,
-    HorizonMismatch,
-    Infeasible,
-    InvalidCoupling,
-    InvalidParams,
-    InvalidTree,
-    MaxIterations,
-    NonFinite,
-    NotCausal,
-    NotConvex,
-    TooLarge,
-)
-from .discrete_ot import TransportPlan, TransportProblem, solve_exact, solve_sorted_1d
-from .multistage_opt import (
-    ControlBounds,
-    ControlPolicy,
-    ValueReport,
-    brute_force_value,
-    solve_value,
-    strong_convexity_probe,
-    uniqueness_spread,
-)
-from .optimal_stopping import (
-    SnellTable,
-    StoppingPolicy,
-    brute_force_stopping,
-    count_stopping_policies,
-    solve_stopping,
-)
-from .process_tree import (
-    Node,
-    PathTable,
-    ScenarioTree,
-    conditional_expectation,
-    drop_last_stage,
-    gen_binomial,
-    gen_lattice,
-    gen_random,
-    is_isomorphic,
-    pth_moment,
-    tree_from_nested,
-)
-from .robust_oracle import (
-    CurveRow,
-    RobustCurve,
-    RobustQuery,
-    ball_membership,
-    robust_curve,
-)
-from .sensitivity import (
-    SensitivityReport,
-    WorstCaseDirection,
-    perturbed_model,
-    perturbed_model_with_coupling,
-    sensitivity_control,
-    sensitivity_stopping,
-    sensitivity_terminal,
-    utility_first_order,
-    worst_case_direction,
-)
+``import awsens`` loads no submodule, so that ``python -m awsens.cli``
+starts by loading only what its command runs.  The first public name read
+from the package loads the whole library at once (PEP 562), in the order
+of the imports in ``_api``, and copies its public names here.
+"""
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # private names, ``_api`` included, never load the library; ``__all__``
+    # is how ``from awsens import *`` asks for the public names
+    if name.startswith("_") and name != "__all__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import _api
+
+    public = {k: v for k, v in vars(_api).items() if not k.startswith("_")}
+    globals().update(public, __all__=list(public))
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__():
+    __getattr__("__all__")
+    return sorted(globals())

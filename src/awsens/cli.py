@@ -5,6 +5,10 @@ fixtures matters more than speed.  Floats are written with 17 significant
 digits so parse(serialize(tree)) reproduces every node bit for bit.  All
 commands are deterministic given the config seed; outputs are byte-stable
 across runs.
+
+At module level this file imports only ``errors`` and the standard library,
+so that the parser is built and the arguments are checked before numpy
+loads; each command imports the modules it runs, before it reads a file.
 """
 
 from __future__ import annotations
@@ -14,15 +18,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .adapted_wasserstein import AWParams, CouplingTree, aw_distance
-from .cost_models import CATALOG, CostModel, make_cost_model, read_params
 from .errors import AwsensError, InvalidParams, InvalidTree, NonFinite, is_number
-from .multistage_opt import ControlBounds, solve_value
-from .optimal_stopping import solve_stopping
-from .process_tree import Node, ScenarioTree, gen_binomial, gen_lattice, gen_random
-from .robust_oracle import RobustCurve, RobustQuery, robust_curve
-from .sensitivity import first_order, utility_first_order, worst_case_direction
+
+if TYPE_CHECKING:
+    from .adapted_wasserstein import CouplingTree
+    from .cost_models import CostModel
+    from .process_tree import ScenarioTree
 
 TREE_SCHEMA = "aw-tree/1"
 
@@ -77,6 +80,8 @@ def parse_tree(text: str) -> ScenarioTree:
 
 def _tree_from_doc(doc) -> ScenarioTree:
     """Validate a parsed tree file, anchoring errors to node entries."""
+    from .process_tree import Node, ScenarioTree
+
     if not isinstance(doc, dict):
         raise InvalidTree("top level must be an object")
     if doc.get("schema_version") != TREE_SCHEMA:
@@ -133,9 +138,19 @@ def load_tree(path: str) -> ScenarioTree:
         raise InvalidTree(f"{path}: {e}") from None
 
 
-def save_tree(tree: ScenarioTree, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_tree(tree))
+def _write(flag: str, path: str, text: str) -> None:
+    """Write ``text`` to the file ``path`` given by the option ``flag``: the
+    one route of every output file.  A file that cannot be written ends in
+    ``AwsensError`` (exit 1) naming both."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise AwsensError(f"{flag} {path}: {e.strerror or e}") from None
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def serialize_coupling(coupling: CouplingTree) -> dict:
@@ -175,6 +190,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        from .cost_models import CATALOG, read_params
+
         v = read_params("config", "run", doc, where="config")
         problem_class, model = v["problem_class"], v["model"]
         if model["name"] not in CATALOG[problem_class]:
@@ -195,6 +212,8 @@ class RunConfig:
         return self.stopping_tol if self.problem_class == "stopping" else self.value_tol
 
     def build_model(self, T: int) -> CostModel:
+        from .cost_models import make_cost_model
+
         return make_cost_model(self.model_name, self.model_params, T)
 
 
@@ -218,31 +237,37 @@ def _finite(payload, command: str, skip: str | None = None):
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
+    """Print ``payload`` as JSON, after writing it to ``--out`` if given."""
+    text = _dumps(payload)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write("--out", out_path, text)
+    sys.stdout.write(text)
 
 
 # -- commands -------------------------------------------------------------------
 
 
-GENERATORS = {"binomial": gen_binomial, "lattice": gen_lattice, "random": gen_random}
+GENERATORS = ("binomial", "lattice", "random")
 
 
 def cmd_gen(args) -> int:
+    from .cost_models import read_params
+    from .process_tree import gen_binomial, gen_lattice, gen_random
+
     params = _read_json(InvalidParams, "--params", args.params)
     where = f"--params for {args.kind}"
+    generate = {"binomial": gen_binomial, "lattice": gen_lattice, "random": gen_random}[args.kind]
     try:
-        tree = GENERATORS[args.kind](**read_params("generator", args.kind, params, where=where))
+        tree = generate(**read_params("generator", args.kind, params, where=where))
     except InvalidTree as e:  # finite params whose tree rounds to repeated or infinite values
         raise InvalidParams(f"{where}: {e}") from None
-    save_tree(tree, args.out)
+    _write("--out", args.out, serialize_tree(tree))
     return 0
 
 
 def cmd_aw(args) -> int:
+    from .adapted_wasserstein import AWParams, aw_distance
+
     first = load_tree(args.tree_a)
     second = load_tree(args.tree_b)
     result = aw_distance(first, second, AWParams(args.p))
@@ -253,8 +278,7 @@ def cmd_aw(args) -> int:
         "p": args.p,
     }
     if args.coupling_out:
-        with open(args.coupling_out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(serialize_coupling(result.coupling), sort_keys=True, indent=2) + "\n")
+        _write("--coupling-out", args.coupling_out, _dumps(serialize_coupling(result.coupling)))
     _emit(payload, args.out)
     return 0
 
@@ -266,6 +290,8 @@ def _load(args):
 
 
 def cmd_value(args) -> int:
+    from .multistage_opt import ControlBounds, solve_value
+
     tree, cfg, model = _load(args)
     report = solve_value(tree, model, ControlBounds(cfg.L), tol=cfg.value_tol)
     _emit(_finite({
@@ -278,6 +304,8 @@ def cmd_value(args) -> int:
 
 
 def cmd_stop(args) -> int:
+    from .optimal_stopping import solve_stopping
+
     tree, cfg, model = _load(args)
     value, policy, table = solve_stopping(tree, model, tol=cfg.stopping_tol)
     # with no node before the horizon the margin is an empty minimum, +inf
@@ -291,6 +319,13 @@ def cmd_stop(args) -> int:
 
 
 def cmd_sens(args) -> int:
+    # sens and curve run most of the library, so they load it whole through
+    # ``_api``, in the package's order: with no bytecode cache the peak memory
+    # of curve's child depends on the order its modules compile in, and this
+    # order measured about 0.4 MB lower than importing module by module
+    from ._api import ControlBounds, utility_first_order, worst_case_direction
+    from .sensitivity import first_order
+
     tree, cfg, model = _load(args)
     if model.utility is not None:
         report, _ = utility_first_order(
@@ -327,6 +362,8 @@ def cmd_sens(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from ._api import ControlBounds, RobustQuery, robust_curve
+
     tree, cfg, model = _load(args)
     query = RobustQuery(
         problem_class=cfg.problem_class,
@@ -342,12 +379,10 @@ def cmd_curve(args) -> int:
     )
     # robust_curve refuses a non-finite base value or first-order term; the
     # slope and the rows keep their documented NaNs
-    curve: RobustCurve = robust_curve(query)
-    with open(args.out_csv, "w", encoding="utf-8") as fh:
-        fh.write(curve.to_csv())
+    curve = robust_curve(query)
+    _write("--out-csv", args.out_csv, curve.to_csv())
     if args.out_json:
-        with open(args.out_json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(curve.to_json_dict(), sort_keys=True, indent=2) + "\n")
+        _write("--out-json", args.out_json, _dumps(curve.to_json_dict()))
     _emit(
         {
             "slope_estimate": curve.slope_estimate,
@@ -378,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="emit a generator tree as JSON")
-    g.add_argument("--kind", required=True, choices=tuple(GENERATORS))
+    g.add_argument("--kind", required=True, choices=GENERATORS)
     g.add_argument("--params", required=True, help="generator parameters as JSON")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)

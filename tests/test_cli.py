@@ -236,13 +236,95 @@ def test_curve_without_radii_uses_ascending_defaults(tmp_path, capsys):
     assert csv.read_bytes() == (FIXTURES / "expected" / "curve_linear.csv").read_bytes()
 
 
+def _child_env() -> dict:
+    src = str(FIXTURES.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_import_leaves_scipy_unloaded():
     code = "import sys, awsens.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    src = str(FIXTURES.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
+                         check=True, env=_child_env())
     assert out.stdout.strip() == "False"
+
+
+AWSENS_MODULES = {"adapted_wasserstein", "cost_models", "discrete_ot", "errors", "multistage_opt",
+                  "optimal_stopping", "process_tree", "robust_oracle", "sensitivity"}
+
+
+def _loaded_modules(*args: str) -> set[str]:
+    """Every module a ``python -X importtime`` child with ``args`` imports by
+    its exit; the child must exit 0."""
+    res = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                         text=True, env=_child_env(), cwd=FIXTURES.parent, timeout=120)
+    assert res.returncode == 0, res.stderr[-500:]
+    return {line.split("|")[2].strip() for line in res.stderr.splitlines()
+            if line.startswith("import time:") and line.count("|") == 2}
+
+
+# what every command that reads a config loads
+_CONFIGURED = {"errors", "cost_models", "process_tree"}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    pytest.param(["aw", "fixtures/split_dirac_p.json", "fixtures/split_dirac_q.json",
+                  "--out", "{out}"],
+                 {"errors", "discrete_ot", "process_tree", "adapted_wasserstein"}, id="aw"),
+    pytest.param(["stop", "fixtures/drifted_binomial.json",
+                  "--config", "fixtures/config_stop_identity.json", "--out", "{out}"],
+                 _CONFIGURED | {"optimal_stopping"}, id="stop"),
+    pytest.param(["value", "fixtures/drifted_binomial.json",
+                  "--config", "fixtures/config_value_hedge.json", "--out", "{out}"],
+                 _CONFIGURED | {"multistage_opt"}, id="value"),
+    pytest.param(["sens", "fixtures/iid_signs.json",
+                  "--config", "fixtures/config_sens_linear.json", "--out", "{out}"],
+                 AWSENS_MODULES | {"_api"}, id="sens"),
+    pytest.param(["curve", "fixtures/iid_signs.json",
+                  "--config", "fixtures/config_sens_linear.json",
+                  "--out-csv", "{out}", "--out-json", "{out}"], AWSENS_MODULES | {"_api"},
+                 id="curve"),
+])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, loads):
+    loaded = _loaded_modules("-m", "awsens.cli", *[a.format(out=tmp_path / "out") for a in argv])
+    assert {m.removeprefix("awsens.") for m in loaded if m.startswith("awsens.")} == loads
+    # not even the commands that load the whole library import the oracles' scipy
+    assert "scipy" not in loaded
+
+
+def test_help_and_the_bare_package_load_no_library():
+    loaded = _loaded_modules("-m", "awsens.cli", "--help")
+    # ``-m`` runs the cli module as __main__, so only the package and errors show
+    assert "numpy" not in loaded
+    assert {m for m in loaded if m.startswith("awsens")} == {"awsens", "awsens.errors"}
+    assert {m for m in _loaded_modules("-c", "import awsens") if m.startswith("awsens")} == {"awsens"}
+
+
+def test_the_first_public_name_loads_the_whole_library():
+    loaded = _loaded_modules("-c", "import awsens; awsens.__version__; awsens.ScenarioTree")
+    assert {m.removeprefix("awsens.") for m in loaded if m.startswith("awsens.")} == (
+        AWSENS_MODULES | {"_api"})
+
+
+_CURVE = ["curve", "iid_signs.json", "--config", "config_sens_linear.json"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["aw", "split_dirac_p.json", "split_dirac_q.json"], "--out"),
+    (["aw", "split_dirac_p.json", "split_dirac_q.json"], "--coupling-out"),
+    (["sens", "iid_signs.json", "--config", "config_sens_linear.json"], "--out"),
+    (["stop", "drifted_binomial.json", "--config", "config_stop_identity.json"], "--out"),
+    (["value", "drifted_binomial.json", "--config", "config_value_hedge.json"], "--out"),
+    (_CURVE + ["--out-json", "{ok}"], "--out-csv"),
+    (_CURVE + ["--out-csv", "{ok}"], "--out-json"),
+    (["gen", "--kind", "binomial", "--params", '{"T": 1, "start": 0, "up": 1, "down": -1, '
+      '"p_up": 0.5}'], "--out"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_an_unwritable_output_is_a_typed_error_and_prints_nothing(tmp_path, capsys, argv, flag):
+    bad = tmp_path / "no_such_dir" / "out"
+    argv = [FIXTURES / a if a.endswith(".json") else a.replace("{ok}", str(tmp_path / "ok")) for a in argv]
+    code, out, err = run_cli(capsys, *argv, flag, bad)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: AwsensError: {flag} {bad}: ") and err.count("\n") == 1
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, capsys):
