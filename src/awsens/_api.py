@@ -47,14 +47,13 @@ from .errors import (
     NotConvex,
     TooLarge,
 )
-from .discrete_ot import TransportPlan, TransportProblem, solve_exact, solve_sorted_1d
+from .discrete_ot import TransportPlan, TransportProblem, solve_exact
 from .multistage_opt import (
     ControlBounds,
     ControlPolicy,
     ValueReport,
     brute_force_value,
     solve_value,
-    strong_convexity_probe,
     uniqueness_spread,
 )
 from .optimal_stopping import (
@@ -69,12 +68,10 @@ from .process_tree import (
     PathTable,
     ScenarioTree,
     conditional_expectation,
-    drop_last_stage,
     gen_binomial,
     gen_lattice,
     gen_random,
     is_isomorphic,
-    pth_moment,
     tree_from_nested,
 )
 from .robust_oracle import (

@@ -7,10 +7,11 @@ to the stage cost |x - y|^p plus the already-computed value of the child
 pair.  The recursion's optimal plans assemble into a coupling tree that is
 bicausal by construction.
 
-Node pairs are solved per pair of family sizes, in chunks.  At the last
-stage the cost is |x - y|^p alone, so every pair of child families is a
-sorted 1-d problem, solved by the lockstep north-west-corner
-kernel.  Interior stages add the children's values, which breaks
+Node pairs are solved per pair of family sizes, in chunks of at most
+``_BATCH_CELLS`` cells.  At the last stage the cost is |x - y|^p alone,
+so every pair of child families is a sorted 1-d problem, solved by the
+lockstep north-west-corner kernel on the families as the trees sort them
+on first read.  Interior stages add the children's values, which breaks
 submodularity: each chunk is one :func:`~awsens.discrete_ot.solve_batch`
 call, and that module alone chooses between its lockstep and per-problem
 simplex kernels, which give the same bits.  Each chunk's costs are one
@@ -26,9 +27,10 @@ plans.  Batching never changes a summation order: each objective is
 summed over the row-major plan as ``np.vdot`` sums it, so results are
 bit-identical to solving one node pair at a time.  For two trees of one
 structure, :func:`aw_pth_power` first tries
-:func:`_certified_pth_power`, which solves only the diagonal node pairs
-above the last stage once a negative-cycle certificate shows the
-identity plan optimal at each of them, with the same bits.
+:func:`_certified_pth_power`, which solves only what the identity plans
+read: the diagonal node pairs above the last stage, once a negative-cycle
+certificate shows the identity plan optimal at each of them, and the
+last stage's pairs of siblings below them, with the same bits.
 
 A brute-force LP over joint path probabilities with explicit (cross-
 multiplied) causality constraints serves as an independent oracle for the
@@ -37,6 +39,7 @@ same quantity at small scale.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
@@ -480,13 +483,16 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
     time-(t+1) pairs (None at the last stage), by level positions.
 
     The pairs are solved per pair of size classes of :func:`_size_classes`
-    and in chunks of about ``_BATCH_CELLS`` cells; a chunk's costs are one
-    broadcast, checked for finiteness once.  At the last stage the cost is
-    the stage cost alone, submodular on atoms sorted as the trees' sibling
-    sorts sort them, so the chunk's lockstep north-west plans are optimal.
-    Interior stages add the children's values to the stage cost, which
-    breaks submodularity, so each chunk is one :func:`solve_batch` call,
-    which chooses the simplex kernel by the chunk's size, with the second
+    and in chunks of at most ``_BATCH_CELLS`` cells (or of one pair, when
+    that alone is larger): a chunk takes as many y families as fit, and as
+    many x families as fit with them.  A chunk's costs are one broadcast,
+    checked for finiteness once.  At the last stage the cost is the stage
+    cost alone, submodular on atoms sorted as the trees'
+    :meth:`~awsens.process_tree.ScenarioTree._sorted_families` sort them,
+    so the chunk's lockstep north-west plans are optimal.  Interior stages
+    add the children's values to the stage cost, which breaks
+    submodularity, so each chunk is one :func:`solve_batch` call, which
+    chooses the simplex kernel by the chunk's size, with the second
     marginal rescaled as :func:`solve_exact` rescales it.
 
     The families' weights alone decide the last stage's plans, given both
@@ -514,43 +520,43 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
     # _BATCH_CELLS cells, which is one chunk per pair of classes
     shared = None
     if value is None:
-        xsorted, ysorted = P._cache[("sorted", t)], Q._cache[("sorted", t)]
+        xsorted, ysorted = P._sorted_families(t), Q._sorted_families(t)
         if P._shared is Q._shared and sum(
                 xw.size * yw.size for *_, xw, _ in xfam for *_, yw, _ in yfam) <= _BATCH_CELLS:
             shared = P._shared
     for a, (xat, xkids, xbelow, xw, xsum) in enumerate(xfam):
         m = xw.shape[1]
         for b, (yat, ykids, ybelow, yw, ysum) in enumerate(yfam):
-            cy, n = yw.shape
-            step = max(1, _BATCH_CELLS // (cy * cells(m, n)))
-            for lo in range(0, len(xat), step):
-                bx = slice(lo, lo + step)
-                cx = len(xat[bx])
+            fy, n = yw.shape
+            ystep = min(fy, max(1, _BATCH_CELLS // cells(m, n)))
+            xstep = max(1, _BATCH_CELLS // (ystep * cells(m, n)))
+            for lo, ylo in itertools.product(range(0, len(xat), xstep), range(0, fy, ystep)):
+                bx, by = slice(lo, lo + xstep), slice(ylo, ylo + ystep)
+                cx, cy = len(xat[bx]), len(yat[by])
                 if value is None:
                     (xv, ox), (yv, oy) = xsorted[a], ysorted[b]
-                    ox = ox[bx]
-                    cost = np.abs(xv[bx][:, None, :, None] - yv[None, :, None, :]) ** p
+                    ox, oy = ox[bx], oy[by]
+                    cost = np.abs(xv[bx][:, None, :, None] - yv[by][None, :, None, :]) ** p
                     cost = cost.reshape(cx * cy, m, n)
                     check_cost(cost)
-                    plan = _monotone_plans(shared, ("plans", t, a, b), xw[bx], ox, yw, oy)
+                    plan = _monotone_plans(shared, ("plans", t, a, b), xw[bx], ox, yw[by], oy)
                     obj = _objectives(plan, cost)
                 else:
-                    xv, yv = P.values[xkids[bx]], Q.values[ykids]
+                    xv, yv = P.values[xkids[bx]], Q.values[ykids[by]]
                     cost = (np.abs(xv[:, None, :, None] - yv[None, :, None, :]) ** p
-                            + value[xbelow[bx][:, None, :, None], ybelow[None, :, None, :]])
+                            + value[xbelow[bx][:, None, :, None], ybelow[by][None, :, None, :]])
                     cost = cost.reshape(cx * cy, m, n)
                     check_cost(cost)
-                    plan, obj = solve_batch(*_marginals(xw[bx], xsum[bx], yw, ysum), cost)
+                    plan, obj = solve_batch(*_marginals(xw[bx], xsum[bx], yw[by], ysum[by]), cost)
                 del cost  # before the kept plans are allocated
-                level[xat[bx, None], yat] = obj.reshape(cx, cy)
+                level[xat[bx, None], yat[by]] = obj.reshape(cx, cy)
                 if kept is not None:
-                    if lo == 0:  # after the first solve, so its temporaries are gone
-                        kept[a, b] = whole = np.empty((len(xat) * cy, m, n))
-                    rows = slice(lo * cy, (lo + cx) * cy)
+                    if lo == ylo == 0:  # after the first solve, so its temporaries are gone
+                        kept[a, b] = whole = np.empty((len(xat) * fy, m, n))
+                    rows = ((lo + np.arange(cx))[:, None] * fy + ylo + np.arange(cy)).reshape(-1)
                     if value is None:
-                        whole[rows][np.arange(cx * cy)[:, None, None],
-                                    np.repeat(ox, cy, axis=0)[:, :, None],
-                                    np.tile(oy, (cx, 1))[:, None, :]] = plan
+                        whole[rows[:, None, None], np.repeat(ox, cy, axis=0)[:, :, None],
+                              np.tile(oy, (cx, 1))[:, None, :]] = plan
                     else:
                         whole[rows] = plan
     return level
@@ -564,20 +570,24 @@ def _marginals(xw, xsum, yw, ysum):
     return np.repeat(xw, len(yw), axis=0), np.tile(yw, (len(xw), 1)) * ratio
 
 
-def _monotone_plans(shared: dict | None, key, xw, ox, yw, oy) -> np.ndarray:
+def _monotone_plans(shared: dict | None, key, xw, ox, yw, oy, paired: bool = False) -> np.ndarray:
     """The last stage's plans of each pair of an x family (rows of ``xw``)
-    and a y family (rows of ``yw``), x-major, with the children sorted by
-    ``ox`` and ``oy``: the north-west plans of the sorted weights.  With
-    ``shared`` given, the plans kept there under ``key`` for the same
-    orders, or new plans kept in their place."""
+    and a y family (rows of ``yw``), x-major, or, ``paired``, of row k of
+    ``xw`` and row k of ``yw``, with the children sorted by ``ox`` and
+    ``oy``: the north-west plans of the sorted weights, with the ratio of
+    :func:`_marginals` either way.  With ``shared`` given, the plans kept
+    there under ``key`` for the same orders, or new plans kept in their
+    place."""
     if shared is not None:
         hit = shared.get(key)
         if hit and hit[0].tobytes() == ox.tobytes() and hit[1].tobytes() == oy.tobytes():
             return hit[2]
     xw, yw = np.take_along_axis(xw, ox, axis=1), np.take_along_axis(yw, oy, axis=1)
-    plan = _frozen(_northwest_batch(*_marginals(xw, xw.sum(axis=-1), yw, yw.sum(axis=-1)))[0])
+    xsum, ysum = xw.sum(axis=-1), yw.sum(axis=-1)
+    mu, nu = (xw, yw * (xsum / ysum)[:, None]) if paired else _marginals(xw, xsum, yw, ysum)
+    plan = _frozen(_northwest_batch(mu, nu)[0])
     if shared is not None:
-        shared[key] = (ox, oy, plan)
+        shared[key] = (_frozen(ox), _frozen(oy), plan)
     return plan
 
 
@@ -626,22 +636,59 @@ def _identity_certified(cost: np.ndarray) -> np.ndarray:
     return (d[:, eye, eye] > margin[:, None]).all(axis=1)
 
 
+def _sibling_pairs(tree: ScenarioTree):
+    """The last-stage node pairs that the diagonal pairs of the
+    next-to-last level read: the pairs of children of one time-(T-2) node;
+    cached per structure.
+
+    Returns ``(groups, pairs)``.  The ``pairs`` pairs are numbered as the
+    (F, m, m) cost blocks of :func:`_size_classes` at T - 2 list them:
+    class after class, family after family, the pair of children ``i`` and
+    ``j`` at ``i * m + j``.  ``groups`` holds one ``(a, b, at, xrow, yrow)``
+    per pair of last-stage classes: the numbers of its pairs and the rows
+    of their two families in classes ``a`` and ``b`` of
+    ``_size_classes(tree, T - 1)``.
+    """
+    def build():
+        cls, row, fam = _size_classes(tree, tree.horizon - 1)
+        # per family of the level above, its children's level positions as (m, m) pairs
+        blocks = [np.broadcast_arrays(below[:, :, None], below[:, None, :])
+                  for *_, below, _, _ in _size_classes(tree, tree.horizon - 2)[2]]
+        kx, ky = (np.concatenate([k.reshape(-1) for k in ks]) for ks in zip(*blocks))
+        group = cls[kx] * len(fam) + cls[ky]
+        groups = []
+        for g in np.flatnonzero(np.bincount(group)).tolist():
+            at = np.flatnonzero(group == g)
+            groups.append((*divmod(g, len(fam)), _frozen(at), _frozen(row[kx[at]]),
+                           _frozen(row[ky[at]])))
+        return tuple(groups), len(kx)
+    return _memo(tree._shared, "sibling pairs", build)
+
+
 def _certified_pth_power(P: ScenarioTree, Q: ScenarioTree, p: float) -> float | None:
     """The recursion's p-th power for two trees of one structure, solving
-    only the diagonal node pairs above the last stage; None when some
-    family's identity plan is not certified, and :func:`_recursion` must
-    decide.
+    only the sibling pairs of the last stage and the diagonal node pairs
+    above it; None when some family's identity plan is not certified, and
+    :func:`_recursion` must decide.
 
     Both trees have the same families with the same weights, so node i of
-    P and node i of Q have equal marginals.  The last stage runs
-    :func:`_stage` over all pairs, as the recursion does.  Each interior
-    level solves only its diagonal pairs, one (F, m, m) cost block per size
-    class: |x - y|^p plus the level below's values.  Those are all known at
-    the next-to-last level; further up only the diagonal ones are, so the
-    other cells take 0 in their place, a lower bound of their cost, since
-    values are nonnegative and fl(a + b) >= a for b >= 0.  The recursion's
-    costs equal the block on the diagonal and are at least as large off it,
-    so if :func:`_identity_certified` accepts every block, the identity is
+    P and node i of Q have equal marginals.  Each level above the last
+    solves only its diagonal pairs, one (F, m, m) cost block per size
+    class: |x - y|^p plus the level below's values.  A diagonal pair (u, u)
+    couples the children of u with each other, so the next-to-last level
+    reads the last stage's values only at the pairs of siblings, children
+    of one time-(T-2) node (:func:`_sibling_pairs`), F_{T-2} m^2 pairs of
+    the F_{T-1}^2 the recursion solves.  Those are solved as :func:`_stage`
+    solves the last stage: the same sorted costs, the north-west plans of
+    :func:`_monotone_plans` on the same weights and ratio, kept in the
+    structure cache under their own key per pair of classes that fits
+    ``_BATCH_CELLS`` cells, and the same :func:`_objectives`, each pair
+    alone, so each value has the recursion's bits.  Further up only the
+    diagonal values are known, so the other cells take 0 in their place, a
+    lower bound of their cost, since values are nonnegative and fl(a + b)
+    >= a for b >= 0.  The recursion's costs equal the block on the
+    diagonal and are at least as large off it, so if
+    :func:`_identity_certified` accepts every block, the identity is
     optimal for the recursion's costs too, and the pair's value is the
     identity plan's, summed by the same :func:`_objectives`.  This is the
     recursion's value bit for bit:
@@ -665,24 +712,39 @@ def _certified_pth_power(P: ScenarioTree, Q: ScenarioTree, p: float) -> float | 
     Every cost of the full recursion, and every value it sums, stays within
     rounding of T * (2 r)^p, r the largest |value| in either tree; the path
     refuses trees whose bound reaches ``_COST_CEILING``, so no pair it skips
-    could have had an infinite cost.  Refused pairs go to
-    :func:`_recursion`, which raises the same errors as ever.
+    could have had an infinite cost, and the costs it computes are finite.
+    Refused pairs go to :func:`_recursion`, which raises the same errors as
+    ever.
     """
     T = P.horizon
     reach = 2.0 * max(float(np.abs(P.values).max()), float(np.abs(Q.values).max()))
     if not reach < (_COST_CEILING / T) ** (1.0 / p):
         return None
-    value = _stage(P, Q, T - 1, p, None, None)
     if T == 1:
-        return float(value[0, 0])
-    diag = None
+        return float(_stage(P, Q, 0, p, None, None)[0, 0])
+    groups, pairs = _sibling_pairs(P)
+    fam = _size_classes(P, T - 1)[2]
+    xsorted, ysorted = P._sorted_families(T - 1), Q._sorted_families(T - 1)
+    sibling = np.empty(pairs)
+    for a, b, at, xrow, yrow in groups:
+        (xv, ox), (yv, oy), xw, yw = xsorted[a], ysorted[b], fam[a][3], fam[b][3]
+        step = max(1, _BATCH_CELLS // (xw.shape[1] * yw.shape[1]))
+        shared = P._shared if len(at) <= step else None  # a group of one chunk keeps its plans
+        for lo in range(0, len(at), step):
+            i, j = xrow[lo:lo + step], yrow[lo:lo + step]
+            cost = np.abs(xv[i][:, :, None] - yv[j][:, None, :]) ** p
+            plan = _monotone_plans(shared, ("siblings", a, b), xw[i], ox[i], yw[j], oy[j],
+                                   paired=True)
+            sibling[at[lo:lo + step]] = _objectives(plan, cost)
+    diag, done = None, 0
     for t in range(T - 2, -1, -1):
         level = np.empty(len(P.levels[t]))
         for at, kids, below, w, _ in _size_classes(P, t)[2]:
             F, m = w.shape
             cost = np.abs(P.values[kids][:, :, None] - Q.values[kids][:, None, :]) ** p
-            if diag is None:  # the level below is the last stage, known in full
-                cost += value[below[:, :, None], below[:, None, :]]
+            if diag is None:  # the level below is the last stage: its sibling pairs
+                cost += sibling[done:done + F * m * m].reshape(F, m, m)
+                done += F * m * m
             else:
                 cost.reshape(F, m * m)[:, ::m + 1] += diag[below]
             if not _identity_certified(cost).all():
@@ -699,11 +761,12 @@ def aw_pth_power(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> float:
     distance is ``aw_pth_power(P, Q, params) ** (1.0 / params.p)``.  Two
     trees of one structure, such as a base tree and its ``with_values``
     candidates, take :func:`_certified_pth_power`, which solves the
-    diagonal node pairs only.  Its certificate, no cycle of ``c_kl - c_kk``
-    at or below a margin of a few eps * (1 + max c) in any family's cost
-    block, shows that the simplex would end at the identity plan there, so
-    the value has the recursion's bits (the argument is in its docstring);
-    when the certificate refuses, the pair falls back to the recursion.
+    diagonal node pairs above the last stage and the sibling pairs at it
+    only.  Its certificate, no cycle of ``c_kl - c_kk`` at or below a
+    margin of a few eps * (1 + max c) in any family's cost block, shows
+    that the simplex would end at the identity plan there, so the value
+    has the recursion's bits (the argument is in its docstring); when the
+    certificate refuses, the pair falls back to the recursion.
     Other pairs run the recursion of :func:`aw_distance` and keep no plans.
     """
     if P._shared is Q._shared:

@@ -208,35 +208,6 @@ def solve_exact(prob: TransportProblem) -> TransportPlan:
                          tuple(sorted(flow)))
 
 
-def solve_sorted_1d(
-    mu_points: Sequence[float],
-    mu_weights: Sequence[float],
-    nu_points: Sequence[float],
-    nu_weights: Sequence[float],
-    p: float,
-) -> TransportPlan:
-    """Monotone (quantile) plan for real marginals and cost |x - y|^p, p > 1.
-
-    For sorted atoms this cost is submodular, so the northwest-corner plan is
-    already optimal; no pivoting is needed.
-    """
-    if p <= 1.0:
-        raise InvalidParams(f"the monotone fast path needs p > 1, got {p}")
-    x = np.asarray(mu_points, dtype=np.float64)
-    y = np.asarray(nu_points, dtype=np.float64)
-    if np.any(np.diff(x) < 0.0) or np.any(np.diff(y) < 0.0):
-        raise InvalidParams("points must be sorted ascending")
-    cost = np.abs(x[:, None] - y[None, :]) ** p
-    prob = TransportProblem(np.asarray(mu_weights, float), np.asarray(nu_weights, float), cost)
-    nu = prob.nu * (prob.mu.sum() / prob.nu.sum())
-    m, n = cost.shape
-    (plan,), cells = _northwest_batch(prob.mu[None].copy(), nu[None])
-    basis = [(int(i[0]), int(j[0])) for i, j in cells]
-    pot = _tree(cost.tolist(), basis, m, n)[2]
-    return TransportPlan(plan, float(np.vdot(plan, cost)), np.array(pot[:m]), np.array(pot[m:]),
-                         tuple(sorted(basis)))
-
-
 def _northwest_batch(a: np.ndarray, b: np.ndarray):
     """The north-west corner walk on the rows of ``a`` (F, m) and ``b``
     (F, n) in lockstep: m + n - 1 vectorised steps that consume ``a`` and

@@ -284,19 +284,6 @@ def objective_hessian(tree: ScenarioTree, model: CostModel, policy_vec: np.ndarr
     return scatter_sum(cells, hw, n * n).reshape(n, n)
 
 
-def strong_convexity_probe(
-    tree: ScenarioTree, model: CostModel, bounds: ControlBounds, samples: int = 8, seed: int = 0
-) -> float:
-    """Smallest objective-Hessian eigenvalue over random feasible controls."""
-    ids, _ = _variable_layout(tree)
-    rng = np.random.default_rng(seed)
-    worst = np.inf
-    for _ in range(samples):
-        z = rng.uniform(-bounds.L, bounds.L, size=len(ids))
-        worst = min(worst, float(np.linalg.eigvalsh(objective_hessian(tree, model, z)).min()))
-    return worst
-
-
 def uniqueness_spread(
     tree: ScenarioTree,
     model: CostModel,

@@ -85,8 +85,9 @@ class ScenarioTree:
     construction and shared, with one structure cache, by every tree
     :meth:`with_values` derives from it.  What algorithms derive from a tree
     is cached on it on first use as read-only arrays, so instances are safe
-    to share between workers; its families' sorted values, which the
-    sibling-distinctness check computes, are cached from the start.
+    to share between workers: so are a level's families sorted by value,
+    which the adapted distance reads at the last stage only, built on the
+    first read of :meth:`_sorted_families`.
     """
 
     _STRUCTURE = (
@@ -183,21 +184,22 @@ class ScenarioTree:
         self._set_values(np.array([0.0 if nd.value is None else nd.value for nd in nodes]), probs)
 
     def _set_values(self, values: np.ndarray, probs: np.ndarray) -> None:
-        """Check finiteness and sibling distinctness; gather the path values.
+        """Check finiteness and sibling distinctness; gather the path values
+        and start an empty per-tree cache.
 
-        The sibling sorts of the distinctness check start the per-tree
-        cache as its ``("sorted", t)`` entries.
+        The check sorts each family size once over all levels; nothing of
+        it is kept, since the adapted distance reads one level's sorts, and
+        only for some trees (see :meth:`_sorted_families`).
         """
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise InvalidTree(f"node {bad[0]} must carry a finite value")
-        sorts = self._sibling_sorts(values)
-        clash = self._collision(values, sorts)
+        clash = self._collision(values)
         if clash is not None:
             raise InvalidTree(f"children of node {clash} carry duplicate values")
         self.values = _frozen(values)
         self._paths = PathTable(self.leaves, _frozen(values[self._ancestors[:, 1:]]), probs)
-        self._cache: dict = {("sorted", t): level for t, level in enumerate(sorts)}
+        self._cache: dict = {}
 
     def with_values(self, values: Sequence[float | None]) -> ScenarioTree:
         """This tree with ``values[k]`` at each non-root node ``k`` (the
@@ -214,31 +216,44 @@ class ScenarioTree:
         out._set_values(v, self._paths.probs)
         return out
 
-    def _sibling_sorts(self, values: np.ndarray) -> list[tuple]:
-        """Per level t < horizon and per size class of :meth:`_sibling_groups`:
+    def _sorted_families(self, t: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per size class of :meth:`_sibling_groups` at level t < horizon:
         the families' ``values`` sorted along each row (stable, as the
         adapted-distance recursion sorts them) and the sorting permutation,
-        both read-only."""
-        out = []
-        for t in range(self.horizon):
+        both read-only; built on first read and kept in the per-tree cache
+        as its ``("sorted", t)`` entry."""
+        def build():
             level = []
             for _, kids in self._sibling_groups(t):
-                s = values[kids]
+                s = self.values[kids]
                 order = np.argsort(s, axis=1, kind="stable")
                 level.append((_frozen(s[np.arange(len(s))[:, None], order]), _frozen(order)))
-            out.append(tuple(level))
-        return out
+            return tuple(level)
+        return _memo(self._cache, ("sorted", t), build)
 
-    def _collision(self, values: np.ndarray, sorts=None) -> int | None:
-        """Smallest id of a node whose children carry equal values, or None;
-        ``sorts``, when given, is ``self._sibling_sorts(values)``."""
+    def _collision(self, values: np.ndarray) -> int | None:
+        """Smallest id of a node whose children carry equal values, or None:
+        one sort per family size of :meth:`_families`, over all levels."""
         clash = []
-        for t, level in enumerate(sorts or self._sibling_sorts(values)):
-            for (parents, _), (s, _) in zip(self._sibling_groups(t), level):
-                hit = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
-                if hit.size:
-                    clash.append(parents[hit[0]])
+        for parents, kids in self._families():
+            s = np.sort(values[kids], axis=1)
+            hit = (s[:, 1:] == s[:, :-1]).any(axis=1)
+            if hit.any():
+                clash.append(int(parents[hit].min()))
         return min(clash, default=None)
+
+    def _families(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Families of two or more children, grouped by size over all
+        levels: ``(parents, kids)`` with one row of child ids per parent id,
+        read-only; cached per structure."""
+        def build():
+            by_size: dict[int, list[int]] = {}
+            for nid, kids in enumerate(self.children):
+                if len(kids) > 1:
+                    by_size.setdefault(len(kids), []).append(nid)
+            return tuple((_frozen(np.array(ps)), _frozen(np.array([self.children[p] for p in ps])))
+                         for ps in by_size.values())
+        return _memo(self._shared, "families", build)
 
     def _sibling_groups(self, t: int) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
         """Families of the time-t nodes grouped by size, in level order:
@@ -343,15 +358,6 @@ def conditional_expectation(
     except KeyError as e:
         raise InvalidParams(f"leaf_values is missing leaf {e.args[0]}") from None
     return dict(zip(tree.levels[t], backward_sweep(tree, vals)[t].tolist()))
-
-
-def pth_moment(tree: ScenarioTree, p: float) -> float:
-    """Sum over stages of E|X_t|^p, computed from node probabilities."""
-    vals = tree.values.tolist()
-    total = 0.0
-    for t in range(1, tree.horizon + 1):
-        total += sum(tree.node_prob[nid] * abs(vals[nid]) ** p for nid in tree.levels[t])
-    return total
 
 
 # -- generators --------------------------------------------------------------
@@ -490,16 +496,6 @@ def gen_random(T: int, branching: int, seed: int) -> ScenarioTree:
 
 
 # -- structural utilities ----------------------------------------------------
-
-
-def drop_last_stage(tree: ScenarioTree) -> ScenarioTree:
-    """Forget the time-T coordinate: old time-(T-1) nodes become leaves."""
-    if tree.horizon < 2:
-        raise InvalidParams("cannot drop the last stage of a one-period tree")
-    keep = tree.time < tree.horizon
-    parent = np.where(tree.parent < 0, -1, (np.cumsum(keep) - 1)[tree.parent])
-    cols = (tree.time, tree.values, tree.cond_prob, parent)
-    return ScenarioTree(tree.horizon - 1, _records(*(a[keep] for a in cols)))
 
 
 def is_isomorphic(a: ScenarioTree, b: ScenarioTree) -> bool:

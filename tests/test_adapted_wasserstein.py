@@ -26,21 +26,31 @@ from awsens import (
     bicausalize,
     brute_force_bicausal,
     check_causal,
-    drop_last_stage,
     flat_wasserstein,
     gen_binomial,
+    gen_lattice,
     gen_random,
     is_bicausal,
     is_isomorphic,
     product_coupling,
     solve_exact,
-    solve_sorted_1d,
     tree_from_nested,
 )
 from awsens import adapted_wasserstein, discrete_ot
 from awsens.discrete_ot import _objectives
 
 P2 = AWParams(2.0)
+
+
+def _sorted_1d(x, mu, y, nu, p):
+    """One last-stage pair as the recursion solves it, alone: the north-west
+    plan of points already sorted (:func:`_monotone_plans` on one pair) and
+    its cost summed by ``np.vdot``; returns ``(plan, objective)``."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    orders = np.arange(len(x))[None], np.arange(len(y))[None]
+    plan = adapted_wasserstein._monotone_plans(None, None, np.asarray(mu)[None], orders[0],
+                                               np.asarray(nu)[None], orders[1])[0]
+    return plan, float(np.vdot(plan, np.abs(x[:, None] - y[None, :]) ** p))
 
 
 def make_causal_only_coupling():
@@ -183,7 +193,9 @@ def test_dropping_last_stage_never_increases(seed):
     A = gen_random(2, 2, seed)
     B = gen_random(2, 2, seed + 70_000)
     full = aw_distance(A, B, P2).pth_power
-    short = aw_distance(drop_last_stage(A), drop_last_stage(B), P2).pth_power
+    # ids are breadth first, so the nodes before time 2 are a prefix
+    short = aw_distance(*(ScenarioTree(1, [n for n in X.nodes if n.time < 2]) for X in (A, B)),
+                        P2).pth_power
     assert short <= full + 1e-12
 
 
@@ -225,9 +237,9 @@ def test_batched_last_stage_matches_per_pair_fast_path(p):
             cost = (np.abs(xs[:, None, :, None] - ys[None, :, None, :]) ** p).reshape(-1, m, n)
             objectives = _objectives(plans, cost)
             for f, (i, j) in enumerate(np.ndindex(Fx, Fy)):
-                ref = solve_sorted_1d(xs[i], mu[i][ox[i]], ys[j], nu[j][oy[j]], p)
-                assert np.array_equal(plans[f], ref.plan)
-                assert objectives[f] == ref.objective
+                plan, objective = _sorted_1d(xs[i], mu[i][ox[i]], ys[j], nu[j][oy[j]], p)
+                assert np.array_equal(plans[f], plan)
+                assert objectives[f] == objective
 
 
 def _per_pair_pth_power(P, Q, p):
@@ -245,7 +257,7 @@ def _per_pair_pth_power(P, Q, p):
                 yw = np.array([Q.nodes[c].cond_prob for c in yc])
                 if t == P.horizon - 1:
                     ox, oy = np.argsort(xv, kind="stable"), np.argsort(yv, kind="stable")
-                    level[(xn, yn)] = solve_sorted_1d(xv[ox], xw[ox], yv[oy], yw[oy], p).objective
+                    level[(xn, yn)] = _sorted_1d(xv[ox], xw[ox], yv[oy], yw[oy], p)[1]
                     continue
                 cost = np.abs(xv[:, None] - yv[None, :]) ** p
                 for i, cx in enumerate(xc):
@@ -281,10 +293,9 @@ def test_recursion_matches_per_pair_reference_with_mixed_family_sizes(p):
             xv = np.array([A.nodes[k].value for k in xc])
             yv = np.array([B.nodes[k].value for k in yc])
             ox, oy = np.argsort(xv, kind="stable"), np.argsort(yv, kind="stable")
-            ref = solve_sorted_1d(xv[ox], np.array([A.nodes[k].cond_prob for k in xc])[ox],
-                                  yv[oy], np.array([B.nodes[k].cond_prob for k in yc])[oy], p)
-            want = {(xc[ox[i]], yc[oy[j]]): ref.plan[i, j]
-                    for i, j in zip(*np.nonzero(ref.plan > 1e-15))}
+            ref, _ = _sorted_1d(xv[ox], np.array([A.nodes[k].cond_prob for k in xc])[ox],
+                                yv[oy], np.array([B.nodes[k].cond_prob for k in yc])[oy], p)
+            want = {(xc[ox[i]], yc[oy[j]]): ref[i, j] for i, j in zip(*np.nonzero(ref > 1e-15))}
             got = {(c.pair_nodes[k].x_node, c.pair_nodes[k].y_node): c.pair_nodes[k].cond_prob
                    for k in c.children[pn.id]}
             assert got == want
@@ -749,6 +760,140 @@ def test_certified_path_takes_every_small_shift(kind):
             got = adapted_wasserstein._certified_pth_power(A, B, 2.0)
             assert got is not None
             assert got.hex() == adapted_wasserstein._recursion(A, B, 2.0, None).hex()
+
+
+def _mixed_sibling_sizes() -> ScenarioTree:
+    """T=3: the first time-1 node's children have families of 1, 2 and 3
+    children, so its sibling pairs meet three last-stage size classes."""
+    def fam(values, probs, kids=None):
+        return [(v, q, k) for v, q, k in zip(values, probs, kids or [[]] * len(values))]
+
+    return tree_from_nested(3, [
+        (0.0, 0.25, fam([1.0, -1.0, 0.5], [0.5, 0.25, 0.25], [
+            fam([2.0], [1.0]), fam([-1.5, -0.5], [0.75, 0.25]),
+            fam([0.25, 1.25, -0.75], [0.125, 0.375, 0.5])])),
+        (1.0, 0.75, fam([3.0, 2.0], [0.5, 0.5], [fam([2.5, 3.5], [0.5, 0.5]),
+                                                 fam([1.5, 2.5], [0.25, 0.75])])),
+    ])
+
+
+@pytest.mark.parametrize("shape", ["random 4 5", "random 5 4", "binomial 10", "binomial 2",
+                                   "random 2 3", "mixed"])
+def test_certified_path_sibling_stage_matches_the_recursion(shape):
+    # the certified path solves the last stage only at the sibling pairs,
+    # F_{T-2} m^2 of them: with small shifts it certifies, at larger ones it
+    # may refuse, and whatever it returns has the recursion's bits
+    kind, *size = shape.split()
+    for seed in range(2):
+        if kind == "random":
+            base = gen_random(*map(int, size), seed)
+        elif kind == "binomial":
+            base = gen_binomial(int(size[0]), 0.0, 1.0, -1.0, 0.5 + 0.125 * seed)
+        else:
+            base = _mixed_sibling_sizes()
+        for scale in (1e-4, 0.3):
+            cand = base.with_values(_shifted(base, "normal", scale, seed))
+            for A, B in ((base, cand), (cand, base)):
+                got = adapted_wasserstein._certified_pth_power(A, B, 2.0)
+                want = adapted_wasserstein._recursion(A, B, 2.0, None)
+                assert got is None or got.hex() == want.hex()
+                assert scale > 1e-4 or got is not None
+    groups, pairs = adapted_wasserstein._sibling_pairs(base)
+    T = base.horizon
+    assert pairs == sum(len(base.children[u]) ** 2 for u in base.levels[T - 2])
+    assert pairs == sum(len(at) for _, _, at, *_ in groups)
+    assert len(groups) == (9 if kind == "mixed" else 1)
+
+
+def test_certified_path_sibling_stage_rescales_as_the_recursion():
+    # rolled last-stage families sort their weights 0.1, 0.2, 0.7 in orders
+    # whose sums differ in the last bit, so a sibling pair's second marginal
+    # is rescaled by a ratio other than 1, and must be by the same one
+    base = gen_lattice(3, 0.1, (0.5, -1.0, 2.0), (0.1, 0.2, 0.7))
+    v = base.values.copy()
+    for k, u in enumerate(base.levels[2]):
+        kids = list(base.children[u])
+        v[kids] = np.roll(v[kids], k % 3)
+    cand = base.with_values(v)
+    (_, order), = cand._sorted_families(2)
+    w = adapted_wasserstein._size_classes(cand, 2)[2][0][3]
+    assert len(set(np.take_along_axis(w, order, axis=1).sum(axis=1).tolist())) == 2
+    for A, B in ((base, cand), (cand, base)):
+        got = adapted_wasserstein._certified_pth_power(A, B, 2.0)
+        assert got is not None
+        assert got.hex() == adapted_wasserstein._recursion(A, B, 2.0, None).hex()
+
+
+def test_certified_path_keeps_its_sibling_plans_in_the_structure_cache(monkeypatch):
+    # the sibling stage's plans live under their own key, checked against
+    # the sibling orders as the full last stage's are, per pair of classes
+    # whose plans fit _BATCH_CELLS cells; a candidate that reorders
+    # siblings replaces them
+    base = gen_random(3, 3, 0)
+    near = base.with_values(base.values + 2.0**-12)
+    aw_pth_power(base, near, P2)
+    kept = [key for key in base._shared if key[0] == "siblings"]
+    assert kept == [("siblings", 0, 0)]
+    first = base._shared[kept[0]]
+    assert not any(a.flags.writeable for a in first)  # orders and plans, read-only
+    aw_pth_power(base, base.with_values(base.values - 2.0**-12), P2)
+    assert base._shared[kept[0]] is first
+    swapped = base.with_values(_swap(base, "first"))
+    aw_pth_power(base, swapped, P2)
+    assert base._shared[kept[0]] is not first
+    assert aw_pth_power(base, near, P2).hex() == adapted_wasserstein._recursion(
+        base, near, 2.0, None).hex()
+    monkeypatch.setattr(adapted_wasserstein, "_BATCH_CELLS", 100)
+    small = gen_random(3, 3, 0)  # 27 sibling pairs of 3x3 plans exceed 100 cells
+    aw_pth_power(small, small.with_values(small.values + 2.0**-12), P2)
+    assert not any(key[0] == "siblings" for key in small._shared)
+
+
+def test_candidates_sort_their_families_on_demand():
+    # a with_values candidate keeps no sorted family until a distance reads
+    # one; both entries read only the last level's
+    base = gen_random(4, 3, 2)
+    for entry in (aw_pth_power, aw_distance):
+        cand = base.with_values(base.values + 2.0**-10)
+        assert cand._cache == {}
+        entry(base, cand, P2)
+        assert list(cand._cache) == [("sorted", 3)]
+        for (vals, order), (_, kids) in zip(cand._cache["sorted", 3], base._sibling_groups(3)):
+            assert np.array_equal(vals, np.sort(cand.values[kids], axis=1))
+            assert np.array_equal(order, np.argsort(cand.values[kids], axis=1, kind="stable"))
+
+
+@pytest.mark.parametrize("cells", [40, 100, 400])
+def test_batch_cells_bound_every_chunk(cells, monkeypatch):
+    # with _BATCH_CELLS below one x family against all y families, the y
+    # side splits too: no chunk holds more cells than the bound (a chunk of
+    # one pair may, when that pair alone is larger), and every bit stays
+    pairs = [(gen_random(3, 3, 5), gen_random(3, 4, 6)), (gen_random(2, 4, 1), gen_random(2, 4, 2))]
+    base = gen_random(3, 3, 7)
+    pairs.append((base, base.with_values(base.values + 2.0**-12)))
+    want = [(_result_bits(aw_distance(A, B, P2)), aw_pth_power(A, B, P2).hex()) for A, B in pairs]
+    sizes = []
+    real_plans, real_batch = adapted_wasserstein._monotone_plans, adapted_wasserstein.solve_batch
+
+    def plans(shared, key, xw, ox, yw, oy, paired=False):
+        problems = len(xw) if paired else len(xw) * len(yw)
+        sizes.append((problems, problems * xw.shape[1] * yw.shape[1]))
+        return real_plans(shared, key, xw, ox, yw, oy, paired)
+
+    def batch(mu, nu, cost):
+        F, m, n = cost.shape
+        sizes.append((F, F * (m + n) ** 2))
+        return real_batch(mu, nu, cost)
+
+    monkeypatch.setattr(adapted_wasserstein, "_BATCH_CELLS", cells)
+    monkeypatch.setattr(adapted_wasserstein, "_monotone_plans", plans)
+    monkeypatch.setattr(adapted_wasserstein, "solve_batch", batch)
+    for (A, B), (bits, pth) in zip(pairs, want):
+        fresh = [_constructed(X, X.values) for X in (A, B)]
+        assert _result_bits(aw_distance(*fresh, P2)) == bits
+        assert aw_pth_power(A, B, P2).hex() == pth
+    assert sizes and all(n <= cells or F == 1 for F, n in sizes)
+    assert any(F > 1 for F, _ in sizes)
 
 
 def _swap(tree: ScenarioTree, where: str) -> np.ndarray:

@@ -156,10 +156,11 @@ def test_utility_hessian_psd_and_program_level_definiteness(iid_signs):
     # pointwise the Hessian is rank one, hence only positive semidefinite
     assert sampled_hessian_min_eig(m, xs, controls) >= -1e-12
     # but the tree-level objective is strictly convex off flat steps
-    from awsens import ControlBounds
-    from awsens.multistage_opt import strong_convexity_probe
+    from awsens.multistage_opt import _variable_layout, objective_hessian
 
-    assert strong_convexity_probe(iid_signs, m, ControlBounds(2.0)) > 0.0
+    n = len(_variable_layout(iid_signs)[0])
+    for z in np.random.default_rng(0).uniform(-2.0, 2.0, size=(8, n)):
+        assert np.linalg.eigvalsh(objective_hessian(iid_signs, m, z)).min() > 0.0
 
 
 def test_loss_validation():

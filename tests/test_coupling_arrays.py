@@ -32,12 +32,22 @@ from awsens import (
     product_coupling,
     robust_curve,
     solve_exact,
-    solve_sorted_1d,
     tree_from_nested,
 )
 from awsens import adapted_wasserstein, discrete_ot
 
 # -- references: the per-record construction ----------------------------------
+
+
+def _sorted_1d(x, mu, y, nu, p):
+    """One last-stage pair as the recursion solves it, alone: the north-west
+    plan of points already sorted (:func:`_monotone_plans` on one pair) and
+    its cost summed by ``np.vdot``; returns ``(plan, objective)``."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    orders = np.arange(len(x))[None], np.arange(len(y))[None]
+    plan = adapted_wasserstein._monotone_plans(None, None, np.asarray(mu)[None], orders[0],
+                                               np.asarray(nu)[None], orders[1])[0]
+    return plan, float(np.vdot(plan, np.abs(x[:, None] - y[None, :]) ** p))
 
 
 def _reference_plans(P, Q, p):
@@ -56,17 +66,17 @@ def _reference_plans(P, Q, p):
                 yw = np.array([Q.nodes[c].cond_prob for c in yc])
                 if t == P.horizon - 1:
                     ox, oy = np.argsort(xv, kind="stable"), np.argsort(yv, kind="stable")
-                    sol = solve_sorted_1d(xv[ox], xw[ox], yv[oy], yw[oy], p)
-                    plan = np.empty_like(sol.plan)
-                    plan[np.ix_(ox, oy)] = sol.plan
+                    sorted_plan, objective = _sorted_1d(xv[ox], xw[ox], yv[oy], yw[oy], p)
+                    plan = np.empty_like(sorted_plan)
+                    plan[np.ix_(ox, oy)] = sorted_plan
                 else:
                     cost = np.abs(xv[:, None] - yv[None, :]) ** p
                     for i, cx in enumerate(xc):
                         for j, cy in enumerate(yc):
                             cost[i, j] += values[(cx, cy)]
                     sol = solve_exact(TransportProblem(xw, yw, cost))
-                    plan = sol.plan
-                level[(xn, yn)] = sol.objective
+                    plan, objective = sol.plan, sol.objective
+                level[(xn, yn)] = objective
                 plans[(xn, yn)] = plan
         values = level
     return values[(P.root, Q.root)], plans

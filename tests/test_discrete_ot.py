@@ -8,12 +8,12 @@ from awsens import (
     Infeasible,
     InvalidParams,
     MaxIterations,
+    TransportPlan,
     TransportProblem,
     solve_exact,
-    solve_sorted_1d,
 )
 from awsens import discrete_ot
-from awsens.adapted_wasserstein import _marginals
+from awsens.adapted_wasserstein import _marginals, _monotone_plans
 from awsens.discrete_ot import check_weights, transport_simplex, transport_simplex_batch
 
 
@@ -90,6 +90,22 @@ def test_batch_non_finite_weights_rejected(bad):
             check_weights(np.array(mu))
 
 
+def solve_sorted_1d(x, mu, y, nu, p: float) -> TransportPlan:
+    """Monotone plan for sorted points and cost |x - y|^p, p > 1: the
+    north-west plan, optimal there since the cost is submodular, as
+    :func:`solve_exact` would rescale the second marginal; its objective
+    is summed by ``np.vdot``.  A reference for the recursion's last stage,
+    which sorts each family itself."""
+    if p <= 1.0:
+        raise InvalidParams(f"the monotone plan needs p > 1, got {p}")
+    x, y, mu, nu = (np.asarray(a, dtype=np.float64) for a in (x, y, mu, nu))
+    if np.any(np.diff(x) < 0.0) or np.any(np.diff(y) < 0.0):
+        raise InvalidParams("points must be sorted ascending")
+    cost = np.abs(x[:, None] - y[None, :]) ** p
+    (plan,), _ = discrete_ot._northwest_batch(mu[None].copy(), nu[None] * (mu.sum() / nu.sum()))
+    return TransportPlan(plan, float(np.vdot(plan, cost)), np.empty(0), np.empty(0), ())
+
+
 def test_sorted_1d_identity():
     plan = solve_sorted_1d([0.0, 1.0], [0.5, 0.5], [0.0, 1.0], [0.5, 0.5], 2.0)
     assert plan.objective == pytest.approx(0.0, abs=1e-15)
@@ -120,6 +136,11 @@ def test_sorted_1d_agrees_with_simplex(p):
         cost = np.abs(x[:, None] - y[None, :]) ** p
         exact = solve_exact(TransportProblem(mu, nu, cost))
         assert fast.objective == pytest.approx(exact.objective, abs=1e-9)
+        # the recursion's last stage, on the points unsorted, gives the same plan
+        ox, oy = rng.permutation(m), rng.permutation(n)
+        order = np.argsort(x[ox], kind="stable")[None], np.argsort(y[oy], kind="stable")[None]
+        plan = _monotone_plans(None, None, mu[ox][None], order[0], nu[oy][None], order[1])
+        assert np.array_equal(plan[0], fast.plan)
 
 
 @given(seed=st.integers(0, 100_000))

@@ -36,11 +36,18 @@ from awsens.multistage_opt import (
     _variable_layout,
     objective_hessian,
     scatter_sum,
-    strong_convexity_probe,
 )
 from awsens.process_tree import Node, ScenarioTree
 
 L10 = ControlBounds(10.0)
+
+
+def strong_convexity_probe(tree, model, bounds, samples: int = 8, seed: int = 0) -> float:
+    """Smallest objective-Hessian eigenvalue over random feasible controls."""
+    rng = np.random.default_rng(seed)
+    n = len(_variable_layout(tree)[0])
+    return min(float(np.linalg.eigvalsh(objective_hessian(
+        tree, model, rng.uniform(-bounds.L, bounds.L, size=n))).min()) for _ in range(samples))
 
 
 def test_bounds_validation():

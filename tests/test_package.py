@@ -31,19 +31,18 @@ EXPORTS = {
         "HorizonMismatch", "Infeasible", "InvalidCoupling", "InvalidParams", "InvalidTree",
         "MaxIterations", "NonFinite", "NotCausal", "NotConvex", "TooLarge",
     ],
-    "discrete_ot": ["TransportPlan", "TransportProblem", "solve_exact", "solve_sorted_1d"],
+    "discrete_ot": ["TransportPlan", "TransportProblem", "solve_exact"],
     "multistage_opt": [
         "ControlBounds", "ControlPolicy", "ValueReport", "brute_force_value", "solve_value",
-        "strong_convexity_probe", "uniqueness_spread",
+        "uniqueness_spread",
     ],
     "optimal_stopping": [
         "SnellTable", "StoppingPolicy", "brute_force_stopping", "count_stopping_policies",
         "solve_stopping",
     ],
     "process_tree": [
-        "Node", "PathTable", "ScenarioTree", "conditional_expectation", "drop_last_stage",
-        "gen_binomial", "gen_lattice", "gen_random", "is_isomorphic", "pth_moment",
-        "tree_from_nested",
+        "Node", "PathTable", "ScenarioTree", "conditional_expectation", "gen_binomial",
+        "gen_lattice", "gen_random", "is_isomorphic", "tree_from_nested",
     ],
     "robust_oracle": ["CurveRow", "RobustCurve", "RobustQuery", "ball_membership", "robust_curve"],
     "sensitivity": [
@@ -56,7 +55,7 @@ NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
 def test_every_export_is_the_defining_modules_object():
-    assert len(NAMES) == 81
+    assert len(NAMES) == 77
     for module, name in NAMES:
         assert getattr(awsens, name) is getattr(importlib.import_module(f"awsens.{module}"), name)
 

@@ -14,14 +14,12 @@ from awsens import (
     Node,
     ScenarioTree,
     conditional_expectation,
-    drop_last_stage,
     gen_binomial,
     gen_lattice,
     gen_random,
     is_isomorphic,
     make_cost_model,
     make_utility_model,
-    pth_moment,
     sensitivity_control,
     sensitivity_stopping,
     sensitivity_terminal,
@@ -137,6 +135,13 @@ def test_path_probabilities_bulk():
     for seed in range(1000):
         tree = gen_random(T=2, branching=2, seed=20_000 + seed)
         assert abs(float(tree.paths.probs.sum()) - 1.0) <= 1e-12
+
+
+def pth_moment(tree: ScenarioTree, p: float) -> float:
+    """Sum over stages of E|X_t|^p, computed from node probabilities: the
+    reference for the path table."""
+    return sum(tree.node_prob[nid] * abs(tree.nodes[nid].value) ** p
+               for t in range(1, tree.horizon + 1) for nid in tree.levels[t])
 
 
 @given(seed=st.integers(0, 10_000))
@@ -272,6 +277,18 @@ def test_invalid_trees_rejected():
             1,
             [Node(0, 0, None, 1.0, None), Node(1, 0, None, 1.0, None), Node(2, 1, 1.0, 1.0, 0)],
         )
+
+
+def drop_last_stage(tree: ScenarioTree) -> ScenarioTree:
+    """Forget the time-T coordinate, through the validating constructor:
+    old time-(T-1) nodes become leaves."""
+    if tree.horizon < 2:
+        raise InvalidParams("cannot drop the last stage of a one-period tree")
+    ids = [n.id for n in tree.nodes if n.time < tree.horizon]
+    new = {old: k for k, old in enumerate(ids)}
+    return ScenarioTree(tree.horizon - 1, [
+        Node(new[n.id], n.time, n.value, n.cond_prob, None if n.parent is None else new[n.parent])
+        for n in (tree.nodes[k] for k in ids)])
 
 
 def test_drop_last_stage(iid_signs):
