@@ -14,18 +14,22 @@ lockstep north-west-corner kernel on the families as the trees sort them
 on first read.  Interior stages add the children's values, which breaks
 submodularity: each chunk is one :func:`~awsens.discrete_ot.solve_batch`
 call, and that module alone chooses between its lockstep and per-problem
-simplex kernels, which give the same bits.  Each chunk's costs are one
-gather, and the transport checks run once per size class and chunk
-rather than per pair.  The last stage's plans, which the families'
-weights alone decide given the sibling orders, are kept in the structure
-cache for trees of one structure when they fit ``_BATCH_CELLS`` cells,
-so the ball checks of a robust curve, which measure many ``with_values``
-candidates against one base tree, build them once.  One recursion serves
-two entries: :func:`aw_distance` (distance, per-stage costs, coupling)
-and the distance-only :func:`aw_pth_power`, which keeps no
-plans.  Batching never changes a summation order: each objective is
-summed over the row-major plan as ``np.vdot`` sums it, so results are
-bit-identical to solving one node pair at a time.  For two trees of one
+simplex kernels, which give the same bits.  Each interior pair starts
+from the north-west plan of its children sorted by value, optimal for the
+stage cost alone, or in tree order when its two marginals are equal.
+Each chunk's costs are one gather, and the transport checks run once per
+size class and chunk rather than per pair.  The last stage's plans, which
+the families' weights alone decide given the sibling orders, are kept in
+the structure cache for trees of one structure when they fit
+``_BATCH_CELLS`` cells, so the ball checks of a robust curve, which
+measure many ``with_values`` candidates against one base tree, build them
+once.  One recursion serves two entries: :func:`aw_distance` (distance,
+per-stage costs, coupling), which keeps the interior plans and rebuilds
+the last stage's plans of only the pairs its coupling reaches, and the
+distance-only :func:`aw_pth_power`, which keeps no plans.  Batching
+never changes a summation order: each objective is summed over the
+row-major plan as ``np.vdot`` sums it, so results are bit-identical to
+solving one node pair at a time.  For two trees of one
 structure, :func:`aw_pth_power` first tries
 :func:`_certified_pth_power`, which solves only what the identity plans
 read: the diagonal node pairs above the last stage, once a negative-cycle
@@ -456,11 +460,11 @@ def _size_classes(tree: ScenarioTree, t: int):
     groups them; cached per structure.
 
     Returns ``(cls, row, families)``: per node, by level position, its
-    class and its row there, and per class ``(at, kids, below, weights,
-    sums)`` with one row per family: the parents' level positions, the
-    children's ids and level positions in tree order, their conditional
+    class and its row there, and per class ``(at, kids, below, weights)``
+    with one row per family: the parents' level positions, the children's
+    ids and level positions in tree order, and their conditional
     probabilities, which pass the weight checks of
-    :class:`TransportProblem` here, once, and those rows' sums.
+    :class:`TransportProblem` here, once.
     """
     def build():
         pos, cond = tree.level_pos, tree.cond_prob
@@ -472,7 +476,8 @@ def _size_classes(tree: ScenarioTree, t: int):
             cls[at] = c
             row[at] = np.arange(len(parents))
             w = _frozen(cond[kids])
-            families.append((at, kids, _frozen(pos[kids]), w, _frozen(check_weights(w))))
+            check_weights(w)
+            families.append((at, kids, _frozen(pos[kids]), w))
         return _frozen(cls), _frozen(row), tuple(families)
     return _memo(tree._shared, ("classes", t), build)
 
@@ -492,8 +497,14 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
     so the chunk's lockstep north-west plans are optimal.  Interior stages
     add the children's values to the stage cost, which breaks
     submodularity, so each chunk is one :func:`solve_batch` call, which
-    chooses the simplex kernel by the chunk's size, with the second
-    marginal rescaled as :func:`solve_exact` rescales it.
+    chooses the simplex kernel by the chunk's size.  It starts each pair
+    from the north-west plan of the children sorted by value (a stable
+    argsort, made here and kept nowhere), the plan that is optimal for the
+    stage cost alone, with the second marginal rescaled as
+    :func:`solve_exact` rescales the sorted one.  A pair whose two
+    marginals are equal starts in tree order instead, from the identity
+    plan with the exact masses, as :func:`_certified_pth_power` needs.
+    The solved plans go back to tree order before :func:`_objectives`.
 
     The families' weights alone decide the last stage's plans, given both
     sibling orders.  Two trees of one structure (``with_values`` candidates
@@ -505,16 +516,13 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
     shift keeps the order of siblings.  A larger last stage, interior
     stages and pairs of different structures build everything afresh.
 
-    With ``kept`` given, the plans of the pairs of families in classes
-    ``a`` and ``b`` are kept, with the children in tree order, as one
-    array ``kept[a, b]`` of shape (F, m, n): the pair of rows ``i`` and
-    ``j`` is plan ``i * len(class b) + j``.
+    With ``kept`` given, at an interior stage, the plans of the pairs of
+    families in classes ``a`` and ``b`` are kept, with the children in tree
+    order, as one array ``kept[a, b]``: the pair of rows ``i`` and ``j`` is
+    plan ``kept[a, b][i, j]``.
     """
     level = np.empty((len(P.levels[t]), len(Q.levels[t])))
     xfam, yfam = _size_classes(P, t)[2], _size_classes(Q, t)[2]
-
-    def cells(m, n):  # per pair: plan cells, or tree-mask cells for the simplex
-        return m * n if value is None else (m + n) ** 2
 
     # a pair of one structure keeps the last stage's plans when they fit
     # _BATCH_CELLS cells, which is one chunk per pair of classes
@@ -522,73 +530,109 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
     if value is None:
         xsorted, ysorted = P._sorted_families(t), Q._sorted_families(t)
         if P._shared is Q._shared and sum(
-                xw.size * yw.size for *_, xw, _ in xfam for *_, yw, _ in yfam) <= _BATCH_CELLS:
+                xw.size * yw.size for *_, xw in xfam for *_, yw in yfam) <= _BATCH_CELLS:
             shared = P._shared
-    for a, (xat, xkids, xbelow, xw, xsum) in enumerate(xfam):
+    for a, (xat, xkids, xbelow, xw) in enumerate(xfam):
         m = xw.shape[1]
-        for b, (yat, ykids, ybelow, yw, ysum) in enumerate(yfam):
+        for b, (yat, ykids, ybelow, yw) in enumerate(yfam):
             fy, n = yw.shape
-            ystep = min(fy, max(1, _BATCH_CELLS // cells(m, n)))
-            xstep = max(1, _BATCH_CELLS // (ystep * cells(m, n)))
+            # per pair: plan cells, or tree-mask cells for the simplex
+            size = m * n if value is None else (m + n) ** 2
+            ystep = min(fy, max(1, _BATCH_CELLS // size))
+            xstep = max(1, _BATCH_CELLS // (ystep * size))
             for lo, ylo in itertools.product(range(0, len(xat), xstep), range(0, fy, ystep)):
                 bx, by = slice(lo, lo + xstep), slice(ylo, ylo + ystep)
                 cx, cy = len(xat[bx]), len(yat[by])
                 if value is None:
                     (xv, ox), (yv, oy) = xsorted[a], ysorted[b]
-                    ox, oy = ox[bx], oy[by]
-                    cost = np.abs(xv[bx][:, None, :, None] - yv[by][None, :, None, :]) ** p
-                    cost = cost.reshape(cx * cy, m, n)
-                    check_cost(cost)
-                    plan = _monotone_plans(shared, ("plans", t, a, b), xw[bx], ox, yw[by], oy)
-                    obj = _objectives(plan, cost)
+                    xv, yv = xv[bx], yv[by]
                 else:
                     xv, yv = P.values[xkids[bx]], Q.values[ykids[by]]
-                    cost = (np.abs(xv[:, None, :, None] - yv[None, :, None, :]) ** p
-                            + value[xbelow[bx][:, None, :, None], ybelow[by][None, :, None, :]])
-                    cost = cost.reshape(cx * cy, m, n)
-                    check_cost(cost)
-                    plan, obj = solve_batch(*_marginals(xw[bx], xsum[bx], yw[by], ysum[by]), cost)
+                cost = np.abs(xv[:, None, :, None] - yv[None, :, None, :]) ** p
+                if value is not None:
+                    cost += value[xbelow[bx][:, None, :, None], ybelow[by][None, :, None, :]]
+                cost = cost.reshape(cx * cy, m, n)
+                check_cost(cost)
+                if value is None:
+                    plan = _monotone_plans(shared, ("plans", t, a, b), xw[bx], ox[bx], yw[by],
+                                           oy[by])
+                else:
+                    xo, yo = (np.argsort(v, axis=1, kind="stable") for v in (xv, yv))
+                    ox, oy = np.repeat(xo, cy, axis=0), np.tile(yo, (cx, 1))
+                    mu, nu = _sorted_marginals(xw[bx], xo, yw[by], yo, paired=False)
+                    if m == n:  # a pair with equal marginals keeps the identity start
+                        same = np.logical_and.reduce(
+                            [xw[bx, None, k] == yw[None, by, k] for k in range(m)]).reshape(-1)
+                        ox[same] = oy[same] = np.arange(m)
+                        mu[same] = nu[same] = np.repeat(xw[bx], cy, axis=0)[same]
+                    cut = _tree_cells(ox, oy)
+                    plan = np.empty_like(cost)
+                    plan.reshape(-1)[cut] = solve_batch(mu, nu, cost.reshape(-1)[cut])[0]
+                level[xat[bx, None], yat[by]] = _objectives(plan, cost).reshape(cx, cy)
                 del cost  # before the kept plans are allocated
-                level[xat[bx, None], yat[by]] = obj.reshape(cx, cy)
                 if kept is not None:
                     if lo == ylo == 0:  # after the first solve, so its temporaries are gone
-                        kept[a, b] = whole = np.empty((len(xat) * fy, m, n))
-                    rows = ((lo + np.arange(cx))[:, None] * fy + ylo + np.arange(cy)).reshape(-1)
-                    if value is None:
-                        whole[rows[:, None, None], np.repeat(ox, cy, axis=0)[:, :, None],
-                              np.tile(oy, (cx, 1))[:, None, :]] = plan
-                    else:
-                        whole[rows] = plan
+                        kept[a, b] = whole = np.empty((len(xat), fy, m, n))
+                    whole[bx, by] = plan.reshape(cx, cy, m, n)
     return level
 
 
-def _marginals(xw, xsum, yw, ysum):
-    """Both marginals of each pair of an x family (rows of ``xw``, which
-    sum to ``xsum``) and a y family (rows of ``yw``), x-major, the second
-    rescaled as :func:`solve_exact` rescales it."""
-    ratio = (xsum[:, None] / ysum[None, :]).reshape(-1, 1)
-    return np.repeat(xw, len(yw), axis=0), np.tile(yw, (len(xw), 1)) * ratio
+def _sorted_marginals(xw, ox, yw, oy, paired: bool):
+    """Both marginals, with the children sorted by ``ox`` and ``oy``, of
+    row k of ``xw`` and row k of ``yw``, or, not ``paired``, of each pair
+    of a row of ``xw`` and a row of ``yw``, x-major; the second is rescaled
+    to the first's total as :func:`solve_exact` rescales it."""
+    xw, yw = np.take_along_axis(xw, ox, axis=1), np.take_along_axis(yw, oy, axis=1)
+    xs, ys = xw.sum(axis=1), yw.sum(axis=1)
+    if not paired:
+        F, G = len(xw), len(yw)
+        xw, xs = np.repeat(xw, G, axis=0), np.repeat(xs, G)
+        yw, ys = np.tile(yw, (F, 1)), np.tile(ys, F)
+    return xw, yw * (xs / ys)[:, None]
+
+
+def _tree_cells(ox, oy):
+    """Per cell of the (F, m, n) plans of children sorted by ``ox`` (F, m)
+    and ``oy`` (F, n), the flat index of that cell in tree order."""
+    (F, m), n = ox.shape, oy.shape[1]
+    rows = np.repeat((ox + m * np.arange(F)[:, None]) * n, n, axis=1)
+    return (rows + np.tile(oy, (1, m))).reshape(F, m, n)
 
 
 def _monotone_plans(shared: dict | None, key, xw, ox, yw, oy, paired: bool = False) -> np.ndarray:
-    """The last stage's plans of each pair of an x family (rows of ``xw``)
-    and a y family (rows of ``yw``), x-major, or, ``paired``, of row k of
-    ``xw`` and row k of ``yw``, with the children sorted by ``ox`` and
-    ``oy``: the north-west plans of the sorted weights, with the ratio of
-    :func:`_marginals` either way.  With ``shared`` given, the plans kept
-    there under ``key`` for the same orders, or new plans kept in their
-    place."""
+    """The last stage's plans of the pairs of :func:`_sorted_marginals`
+    (x-major unless ``paired``), with the children sorted by ``ox`` and
+    ``oy``: the north-west plans of the sorted weights.  With ``shared``
+    given, the plans kept there under ``key`` for the same orders, or new
+    plans kept in their place."""
     if shared is not None:
         hit = shared.get(key)
         if hit and hit[0].tobytes() == ox.tobytes() and hit[1].tobytes() == oy.tobytes():
             return hit[2]
-    xw, yw = np.take_along_axis(xw, ox, axis=1), np.take_along_axis(yw, oy, axis=1)
-    xsum, ysum = xw.sum(axis=-1), yw.sum(axis=-1)
-    mu, nu = (xw, yw * (xsum / ysum)[:, None]) if paired else _marginals(xw, xsum, yw, ysum)
-    plan = _frozen(_northwest_batch(mu, nu)[0])
+    plan = _frozen(_northwest_batch(*_sorted_marginals(xw, ox, yw, oy, paired))[0])
     if shared is not None:
         shared[key] = (_frozen(ox), _frozen(oy), plan)
     return plan
+
+
+def _last_plans(P: ScenarioTree, Q: ScenarioTree, a: int, b: int, i, j, shared: dict | None):
+    """The last-stage pairs of row ``i[k]`` of class ``a`` of P's families
+    and row ``j[k]`` of class ``b`` of Q's, in chunks of at most
+    ``_BATCH_CELLS`` plan cells (or of one pair): per chunk, its slice of
+    the pairs, both families' values and orders as the trees'
+    :meth:`~awsens.process_tree.ScenarioTree._sorted_families` sort them,
+    and the plans of :func:`_monotone_plans` on them, paired, kept in
+    ``shared`` when the pairs fit one chunk."""
+    t = P.horizon - 1
+    (xv, ox), (yv, oy) = P._sorted_families(t)[a], Q._sorted_families(t)[b]
+    xw, yw = _size_classes(P, t)[2][a][3], _size_classes(Q, t)[2][b][3]
+    step = max(1, _BATCH_CELLS // (xw.shape[1] * yw.shape[1]))
+    shared = shared if len(i) <= step else None
+    for lo in range(0, len(i), step):
+        k = slice(lo, lo + step)
+        ci, cj = i[k], j[k]
+        yield k, xv[ci], yv[cj], ox[ci], oy[cj], _monotone_plans(
+            shared, ("siblings", a, b), xw[ci], ox[ci], yw[cj], oy[cj], paired=True)
 
 
 def _recursion(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -> float:
@@ -597,13 +641,15 @@ def _recursion(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -
     ``value`` holds one level's pair values as a matrix indexed by the two
     nodes' level positions; :func:`_stage` computes each level from the one
     below.  With ``plans`` given, ``plans[t]`` keeps the optimal plans of
-    the time-t node pairs as :func:`_stage` keeps them.
+    the time-t node pairs above the last stage as :func:`_stage` keeps
+    them.
     """
     if P.horizon != Q.horizon:
         raise HorizonMismatch(f"horizons differ: {P.horizon} vs {Q.horizon}")
     value = None
     for t in range(P.horizon - 1, -1, -1):
-        value = _stage(P, Q, t, p, value, None if plans is None else plans.setdefault(t, {}))
+        value = _stage(P, Q, t, p, value,
+                       None if plans is None or value is None else plans.setdefault(t, {}))
     return float(value[0, 0])
 
 
@@ -653,7 +699,7 @@ def _sibling_pairs(tree: ScenarioTree):
         cls, row, fam = _size_classes(tree, tree.horizon - 1)
         # per family of the level above, its children's level positions as (m, m) pairs
         blocks = [np.broadcast_arrays(below[:, :, None], below[:, None, :])
-                  for *_, below, _, _ in _size_classes(tree, tree.horizon - 2)[2]]
+                  for *_, below, _ in _size_classes(tree, tree.horizon - 2)[2]]
         kx, ky = (np.concatenate([k.reshape(-1) for k in ks]) for ks in zip(*blocks))
         group = cls[kx] * len(fam) + cls[ky]
         groups = []
@@ -680,22 +726,29 @@ def _certified_pth_power(P: ScenarioTree, Q: ScenarioTree, p: float) -> float | 
     of one time-(T-2) node (:func:`_sibling_pairs`), F_{T-2} m^2 pairs of
     the F_{T-1}^2 the recursion solves.  Those are solved as :func:`_stage`
     solves the last stage: the same sorted costs, the north-west plans of
-    :func:`_monotone_plans` on the same weights and ratio, kept in the
-    structure cache under their own key per pair of classes that fits
-    ``_BATCH_CELLS`` cells, and the same :func:`_objectives`, each pair
-    alone, so each value has the recursion's bits.  Further up only the
+    :func:`_monotone_plans` on the same weights and ratio
+    (:func:`_last_plans`), kept in the structure cache under their own key
+    per pair of classes that fits ``_BATCH_CELLS`` cells, and the same
+    :func:`_objectives`, each pair alone, so each value has the
+    recursion's bits.  Further up only the
     diagonal values are known, so the other cells take 0 in their place, a
     lower bound of their cost, since values are nonnegative and fl(a + b)
     >= a for b >= 0.  The recursion's costs equal the block on the
     diagonal and are at least as large off it, so if
     :func:`_identity_certified` accepts every block, the identity is
     optimal for the recursion's costs too, and the pair's value is the
-    identity plan's, summed by the same :func:`_objectives`.  This is the
+    identity plan's, summed by the same :func:`_objectives`.  The blocks
+    and values of every level are computed first, and the blocks of one
+    family size are certified together, one :func:`_identity_certified`
+    call per size, which decides each block alone.  This is the
     recursion's value bit for bit:
 
-    - With equal marginals the rescale ratio is exactly 1, and the
-      north-west start is the identity plan with the families' exact
-      masses, plus zero-mass cells next to the diagonal.
+    - With equal marginals :func:`_stage` keeps the children in tree
+      order, the rescale ratio is exactly 1, and the north-west start is
+      the identity plan with the families' exact masses, plus zero-mass
+      cells next to the diagonal.  A start sorted by value would put the
+      two sides in different orders wherever the candidate reorders a
+      family's children, and the argument would not hold there.
     - Only a cycle whose losing cells all hold mass, all diagonal, can move
       mass (θ > 0), and its reduced cost is that cycle's weight, computed
       from potentials along a basis path of under 2m cells.  Their rounding
@@ -723,23 +776,14 @@ def _certified_pth_power(P: ScenarioTree, Q: ScenarioTree, p: float) -> float | 
     if T == 1:
         return float(_stage(P, Q, 0, p, None, None)[0, 0])
     groups, pairs = _sibling_pairs(P)
-    fam = _size_classes(P, T - 1)[2]
-    xsorted, ysorted = P._sorted_families(T - 1), Q._sorted_families(T - 1)
     sibling = np.empty(pairs)
     for a, b, at, xrow, yrow in groups:
-        (xv, ox), (yv, oy), xw, yw = xsorted[a], ysorted[b], fam[a][3], fam[b][3]
-        step = max(1, _BATCH_CELLS // (xw.shape[1] * yw.shape[1]))
-        shared = P._shared if len(at) <= step else None  # a group of one chunk keeps its plans
-        for lo in range(0, len(at), step):
-            i, j = xrow[lo:lo + step], yrow[lo:lo + step]
-            cost = np.abs(xv[i][:, :, None] - yv[j][:, None, :]) ** p
-            plan = _monotone_plans(shared, ("siblings", a, b), xw[i], ox[i], yw[j], oy[j],
-                                   paired=True)
-            sibling[at[lo:lo + step]] = _objectives(plan, cost)
-    diag, done = None, 0
+        for k, xv, yv, *_, plan in _last_plans(P, Q, a, b, xrow, yrow, P._shared):
+            sibling[at[k]] = _objectives(plan, np.abs(xv[:, :, None] - yv[:, None, :]) ** p)
+    diag, done, blocks = None, 0, {}
     for t in range(T - 2, -1, -1):
         level = np.empty(len(P.levels[t]))
-        for at, kids, below, w, _ in _size_classes(P, t)[2]:
+        for at, kids, below, w in _size_classes(P, t)[2]:
             F, m = w.shape
             cost = np.abs(P.values[kids][:, :, None] - Q.values[kids][:, None, :]) ** p
             if diag is None:  # the level below is the last stage: its sibling pairs
@@ -747,11 +791,12 @@ def _certified_pth_power(P: ScenarioTree, Q: ScenarioTree, p: float) -> float | 
                 done += F * m * m
             else:
                 cost.reshape(F, m * m)[:, ::m + 1] += diag[below]
-            if not _identity_certified(cost).all():
-                return None
+            blocks.setdefault(m, []).append(cost)
             level[at] = _objectives(w[:, :, None] * np.eye(m), cost)  # +0.0 off the diagonal
         diag = level
-    return float(diag[0])
+    if all(_identity_certified(np.concatenate(c)).all() for c in blocks.values()):
+        return float(diag[0])
+    return None
 
 
 def aw_pth_power(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> float:
@@ -782,29 +827,36 @@ def aw_distance(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> AWResult:
     The last stage has no value-function addend, so all its family pairs
     are solved at once by the monotone 1-d kernel, grouped by family size;
     interior stages solve the full transport problem by the simplex, in
-    lockstep batches or per node pair (see :func:`_stage`).  Every sum runs
-    in the order of the per-pair solvers (``np.vdot`` over the row-major
+    lockstep batches or per node pair, each from the north-west plan of
+    its children sorted by value (see :func:`_stage`).  Every sum runs in
+    the order of the per-pair solvers (``np.vdot`` over the row-major
     plan), so the distance, plans and coupling do not depend on the
     batching.  The plan cells above 1e-15 of the pairs reached from the
-    root then become the coupling's pair arrays, level by level.
+    root then become the coupling's pair arrays, level by level.  The
+    recursion keeps only the interior plans: of the last stage's F^2
+    pairs of families the coupling reaches a few per node, and
+    :func:`_last_plans` rebuilds just those, with the arithmetic of
+    :func:`_monotone_plans` and so the same bits, in chunks of at most
+    ``_BATCH_CELLS`` plan cells.
     """
     p = params.p
     plans: dict = {}
     pth_power = _recursion(P, Q, p, plans)
 
     def kernels(t, a, b, xp, yp):
-        (_, xrow, _), (_, yrow, yfam) = _size_classes(P, t), _size_classes(Q, t)
-        return plans[t][a, b][xrow[xp] * len(yfam[b][0]) + yrow[yp]]
+        (_, xrow, xfam), (_, yrow, yfam) = _size_classes(P, t), _size_classes(Q, t)
+        i, j = xrow[xp], yrow[yp]
+        if t in plans:
+            return plans[t][a, b][i, j]
+        plan = np.empty((len(i), xfam[a][3].shape[1], yfam[b][3].shape[1]))
+        for k, *_, ox, oy, part in _last_plans(P, Q, a, b, i, j, None):
+            plan[k].reshape(-1)[_tree_cells(ox, oy)] = part
+        return plan
 
     arrays = _assemble(P, Q, kernels, 1e-15)
     plans.clear()
     coupling = CouplingTree._from_arrays(P, Q, *arrays)
-    return AWResult(
-        distance=pth_power ** (1.0 / p),
-        pth_power=pth_power,
-        per_stage_costs=coupling.stage_costs(p),
-        coupling=coupling,
-    )
+    return AWResult(pth_power ** (1.0 / p), pth_power, coupling.stage_costs(p), coupling)
 
 
 def flat_wasserstein(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> tuple[float, float]:
@@ -815,20 +867,13 @@ def flat_wasserstein(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> tupl
     """
     if P.horizon != Q.horizon:
         raise HorizonMismatch(f"horizons differ: {P.horizon} vs {Q.horizon}")
-    xp = P.paths
-    yq = Q.paths
+    xp, yq = P.paths, Q.paths
     cost = np.abs(xp.values[:, None, :] - yq.values[None, :, :]) ** params.p
     plan = solve_exact(TransportProblem(xp.probs, yq.probs, cost.sum(axis=2)))
     return plan.objective ** (1.0 / params.p), plan.objective
 
 
 # -- brute-force oracle --------------------------------------------------------
-
-
-def _prefix_groups(tree: ScenarioTree, t: int) -> list[np.ndarray]:
-    """Path indices grouped by their time-t ancestor node."""
-    anc = tree.ancestor_matrix[:, t]
-    return [np.nonzero(anc == nid)[0] for nid in tree.levels[t]]
 
 
 def brute_force_bicausal(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> AWResult:
@@ -854,47 +899,30 @@ def brute_force_bicausal(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> 
 
     cost = (np.abs(xp.values[:, None, :] - yq.values[None, :, :]) ** params.p).sum(axis=2)
 
-    def var(i: int, j: int) -> int:
-        return i * n + j
+    rows, cols, data, rhs = [], [], [], []
 
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
-    rhs: list[float] = []
-
-    def add_row(entries: dict[int, float], b: float) -> None:
-        r = len(rhs)
-        for c, val in entries.items():
-            rows.append(r)
+    def add_row(entries, b) -> None:
+        for c, val in entries:
+            rows.append(len(rhs))
             cols.append(c)
             data.append(val)
         rhs.append(b)
 
     for i in range(m):
-        add_row({var(i, j): 1.0 for j in range(n)}, float(xp.probs[i]))
+        add_row([(i * n + j, 1.0) for j in range(n)], xp.probs[i])
     for j in range(n):
-        add_row({var(i, j): 1.0 for i in range(m)}, float(yq.probs[j]))
-
-    def causality_rows(groups_a, groups_b, w_a, swap: bool) -> None:
-        for ga in groups_a:
-            if len(ga) < 2:
-                continue
-            rep = int(ga[0])
-            for other in ga[1:]:
-                other = int(other)
-                for gb in groups_b:
-                    entries: dict[int, float] = {}
-                    for jb in gb:
-                        jb = int(jb)
-                        key = var(jb, rep) if swap else var(rep, jb)
-                        entries[key] = entries.get(key, 0.0) - float(w_a[other])
-                        key = var(jb, other) if swap else var(other, jb)
-                        entries[key] = entries.get(key, 0.0) + float(w_a[rep])
-                    add_row(entries, 0.0)
-
+        add_row([(i * n + j, 1.0) for i in range(m)], yq.probs[j])
     for t in range(1, T):
-        causality_rows(_prefix_groups(P, t), _prefix_groups(Q, t), xp.probs, swap=False)
-        causality_rows(_prefix_groups(Q, t), _prefix_groups(P, t), yq.probs, swap=True)
+        # path indices grouped by their time-t ancestor node
+        gp, gq = ([np.flatnonzero(X.ancestor_matrix[:, t] == v) for v in X.levels[t]]
+                  for X in (P, Q))
+        for groups_a, groups_b, w, var in ((gp, gq, xp.probs, lambda a, b: a * n + b),
+                                           (gq, gp, yq.probs, lambda a, b: b * n + a)):
+            for rep, *others in groups_a:
+                for other in others:
+                    for gb in groups_b:
+                        add_row([e for jb in gb for e in ((var(rep, jb), -w[other]),
+                                                          (var(other, jb), w[rep]))], 0.0)
 
     A = sp.coo_matrix((data, (rows, cols)), shape=(len(rhs), m * n))
     res = linprog(
@@ -910,19 +938,13 @@ def brute_force_bicausal(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> 
     )
     if res.status != 0:
         raise Infeasible(f"bicausal oracle LP failed: {res.message}")
-    pi = res.x.reshape(m, n)
-    pth_power = float(res.fun)
+    pi, pth_power = res.x.reshape(m, n), float(res.fun)
     per_stage = tuple(
         float(np.sum(pi * np.abs(xp.values[:, None, t] - yq.values[None, :, t]) ** params.p))
         for t in range(T)
     )
-    coupling = coupling_from_path_matrix(P, Q, pi)
-    return AWResult(
-        distance=pth_power ** (1.0 / params.p),
-        pth_power=pth_power,
-        per_stage_costs=per_stage,
-        coupling=coupling,
-    )
+    return AWResult(pth_power ** (1.0 / params.p), pth_power, per_stage,
+                    coupling_from_path_matrix(P, Q, pi))
 
 
 def coupling_from_path_matrix(P: ScenarioTree, Q: ScenarioTree, pi: np.ndarray) -> CouplingTree:
@@ -935,23 +957,19 @@ def coupling_from_path_matrix(P: ScenarioTree, Q: ScenarioTree, pi: np.ndarray) 
     T = P.horizon
     ancP, ancQ = P.ancestor_matrix, Q.ancestor_matrix
     pairs = [PairNode(0, 0, P.root, Q.root, 1.0, None)]
-    live = [(i, j) for i, j in zip(*np.nonzero(pi > _ORACLE_MASS_TOL))]
 
     def rec(pid: int, members: list[tuple[int, int]], t: int) -> None:
-        if t > T:
-            return
         groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for i, j in members:
             groups.setdefault((int(ancP[i, t]), int(ancQ[j, t])), []).append((i, j))
         masses = {key: sum(float(pi[i, j]) for i, j in grp) for key, grp in groups.items()}
         total = sum(masses.values())
         for key in sorted(groups):
-            grp = groups[key]
-            nid = len(pairs)
-            pairs.append(PairNode(nid, t, key[0], key[1], masses[key] / total, pid))
-            rec(nid, grp, t + 1)
+            pairs.append(PairNode(len(pairs), t, *key, masses[key] / total, pid))
+            if t < T:
+                rec(len(pairs) - 1, groups[key], t + 1)
 
-    rec(0, live, 1)
+    rec(0, list(zip(*np.nonzero(pi > _ORACLE_MASS_TOL))), 1)
     return CouplingTree(P, Q, pairs, marginal_tol=_ORACLE_MARGINAL_TOL)
 
 
@@ -996,54 +1014,36 @@ def _bicausalize_pairs(
     second-marginal tree.
     """
     T = P.horizon
-    n = len(parent)
     pv = P.values.tolist()
-    offsets: list[dict[float, float]] = [{} for _ in range(T + 1)]
-    for t in range(1, T + 1):
+    offsets = []
+    for t in range(T + 1):
         vals = sorted({pv[nid] for nid in P.levels[t]})
-        for k, v in enumerate(vals):
-            offsets[t][v] = (k + 1) * delta / (2.0 * (len(vals) + 1))
-
-    cell = [0] * n
-    ynew = [0.0] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    root = None
-    for pid in range(n):
-        if parent[pid] < 0:
-            root = pid
-            continue
-        children[parent[pid]].append(pid)
-        t = time[pid]
-        xval = pv[x_node[pid]]
-        cell[pid] = math.floor(y_value[pid] / delta)
-        ynew[pid] = cell[pid] * delta + offsets[t][xval]
+        offsets.append({v: (k + 1) * delta / (2.0 * (len(vals) + 1)) for k, v in enumerate(vals)})
+    # the root, the only pair at time 0, keeps no cell
+    cell = [math.floor(y / delta) if t else 0 for y, t in zip(y_value, time)]
+    ynew = [c * delta + offsets[t][pv[x]] for c, t, x in zip(cell, time, x_node)]
+    children = _child_lists(np.array(parent))
 
     q_nodes = [Node(0, 0, None, 1.0, None)]
     new_pairs = [PairNode(0, 0, P.root, 0, 1.0, None)]
     # classes: members share one x node and one perturbed-y history
-    stack = [(0, [root], 1.0)]
+    stack = [(0, [time.index(0)], 1.0)]
     while stack:
         new_pid, members, mass = stack.pop()
-        kids = [c for pid in members for c in children[pid]]
-        if not kids:
-            continue
-        groups: dict[float, list[int]] = {}
-        for c in sorted(kids, key=lambda c: (ynew[c], x_node[c])):
+        groups = {}
+        for c in sorted((c for pid in members for c in children[pid]),
+                        key=lambda c: (ynew[c], x_node[c])):
             groups.setdefault(ynew[c], []).append(c)
         for yv, grp in groups.items():
-            keys = {(cell[c], pv[x_node[c]]) for c in grp}
-            if len(keys) > 1:
+            if len({(cell[c], pv[x_node[c]]) for c in grp}) > 1:
                 raise DeltaTooSmall(
                     f"encoded values collide at {yv!r}; decrease the atom count or increase delta"
                 )
             gmass = sum(prob[c] for c in grp)
-            qid = len(q_nodes)
-            parent_qid = new_pairs[new_pid].y_node
-            q_nodes.append(Node(qid, time[grp[0]], yv, gmass / mass, parent_qid))
-            npid = len(new_pairs)
-            new_pairs.append(
-                PairNode(npid, time[grp[0]], x_node[grp[0]], qid, gmass / mass, new_pid)
-            )
-            stack.append((npid, grp, gmass))
+            t, w = time[grp[0]], gmass / mass
+            q_nodes.append(Node(len(q_nodes), t, yv, w, new_pairs[new_pid].y_node))
+            new_pairs.append(PairNode(len(new_pairs), t, x_node[grp[0]], len(q_nodes) - 1, w,
+                                      new_pid))
+            stack.append((len(new_pairs) - 1, grp, gmass))
     q_tree = ScenarioTree(T, q_nodes)
     return CouplingTree(P, q_tree, new_pairs), q_tree

@@ -53,6 +53,27 @@ def _sorted_1d(x, mu, y, nu, p):
     return plan, float(np.vdot(plan, np.abs(x[:, None] - y[None, :]) ** p))
 
 
+def _start_orders(xv, xw, yv, yw):
+    """The orders of an interior pair's children that the recursion's
+    north-west start reads: sorted by value (stable), or tree order when
+    the two marginals are equal."""
+    if np.array_equal(xw, yw):
+        return np.arange(len(xv)), np.arange(len(yv))
+    return np.argsort(xv, kind="stable"), np.argsort(yv, kind="stable")
+
+
+def _interior_solve(xv, xw, yv, yw, cost):
+    """One interior pair as the recursion solves it, alone: ``solve_exact``
+    from the north-west plan of the children in :func:`_start_orders`, the
+    plan put back in tree order and its cost summed by ``np.vdot``; returns
+    ``(plan, objective)``."""
+    ox, oy = _start_orders(xv, xw, yv, yw)
+    sorted_plan = solve_exact(TransportProblem(xw[ox], yw[oy], cost[np.ix_(ox, oy)])).plan
+    plan = np.empty_like(sorted_plan)
+    plan[np.ix_(ox, oy)] = sorted_plan
+    return plan, float(np.vdot(plan, cost))
+
+
 def make_causal_only_coupling():
     """Adapted Monge map merging both first-stage atoms into one y value.
 
@@ -242,8 +263,11 @@ def test_batched_last_stage_matches_per_pair_fast_path(p):
                 assert objectives[f] == objective
 
 
-def _per_pair_pth_power(P, Q, p):
-    """The recursion solved one node pair at a time, as a reference."""
+def _per_pair_pth_power(P, Q, p, problems=None):
+    """The recursion solved one node pair at a time, as a reference: the
+    last stage by :func:`_sorted_1d`, the others by
+    :func:`_interior_solve`.  With ``problems`` given, each interior pair's
+    ``(xv, xw, yv, yw, cost)``, children in tree order, is appended to it."""
     values = {}
     for t in range(P.horizon - 1, -1, -1):
         level = {}
@@ -263,7 +287,9 @@ def _per_pair_pth_power(P, Q, p):
                 for i, cx in enumerate(xc):
                     for j, cy in enumerate(yc):
                         cost[i, j] += values[(cx, cy)]
-                level[(xn, yn)] = solve_exact(TransportProblem(xw, yw, cost)).objective
+                if problems is not None:
+                    problems.append((xv, xw, yv, yw, cost))
+                level[(xn, yn)] = _interior_solve(xv, xw, yv, yw, cost)[1]
         values = level
     return values[(P.root, Q.root)]
 
@@ -894,6 +920,85 @@ def test_batch_cells_bound_every_chunk(cells, monkeypatch):
         assert aw_pth_power(A, B, P2).hex() == pth
     assert sizes and all(n <= cells or F == 1 for F, n in sizes)
     assert any(F > 1 for F, _ in sizes)
+
+
+def _pivots(mu, nu, cost):
+    """Simplex pivots of one problem from its north-west start, the second
+    marginal rescaled as ``solve_exact`` rescales it."""
+    (cells, masses), = discrete_ot._starts(mu[None], (nu * (mu.sum() / nu.sum()))[None])
+    return discrete_ot.transport_simplex(cells, masses, cost)[2]
+
+
+@pytest.mark.parametrize("seeds", [(3, 8, 1, 2), (4, 4, 3, 4)])
+def test_sorted_starts_halve_the_interior_pivots(seeds, monkeypatch):
+    # the north-west plan of sorted children is optimal for the stage cost
+    # alone, so starting there leaves the simplex at most half the pivots
+    # of a start in tree order; the recursion's pivots are the reference's
+    T, b, s1, s2 = seeds
+    A, B = gen_random(T, b, s1), gen_random(T, b, s2)
+    problems = []
+    _per_pair_pth_power(A, B, 2.0, problems)
+    tree_order = sum(_pivots(xw, yw, cost) for _, xw, _, yw, cost in problems)
+    started = 0
+    for xv, xw, yv, yw, cost in problems:
+        ox, oy = _start_orders(xv, xw, yv, yw)
+        started += _pivots(xw[ox], yw[oy], cost[np.ix_(ox, oy)])
+    seen = []
+    real = adapted_wasserstein.solve_batch
+
+    def batch(mu, nu, cost):
+        seen.append(int(discrete_ot.transport_simplex_batch(mu, nu, cost)[2].sum()))
+        return real(mu, nu, cost)
+
+    monkeypatch.setattr(adapted_wasserstein, "solve_batch", batch)
+    aw_distance(A, B, P2)
+    assert sum(seen) == started
+    assert 2 * started <= tree_order
+
+
+def test_equal_marginal_pairs_start_in_tree_order(monkeypatch):
+    # every family of the second tree lists its children in the reverse
+    # order of their values, against the first's; the diagonal pairs have
+    # equal marginals and must reach solve_batch with both sides in tree
+    # order, where the north-west start is the identity plan
+    base = gen_random(3, 3, 0)
+    flipped = base.with_values(-base.values)
+    seen = []
+    real = adapted_wasserstein.solve_batch
+
+    def batch(mu, nu, cost):
+        seen.extend(zip(map(tuple, mu.tolist()), map(tuple, nu.tolist())))
+        return real(mu, nu, cost)
+
+    monkeypatch.setattr(adapted_wasserstein, "solve_batch", batch)
+    aw_distance(base, flipped, P2)
+    reordered = 0
+    for t in range(base.horizon - 1):
+        for u in base.levels[t]:
+            kids = np.array(base.children[u])
+            w = base.cond_prob[kids]
+            assert (tuple(w.tolist()), tuple(w.tolist())) in seen
+            # a sorted start would have handed over the weights in two orders
+            reordered += not np.array_equal(w[np.argsort(base.values[kids])],
+                                            w[np.argsort(flipped.values[kids])])
+    assert reordered
+
+
+def test_certified_candidate_with_reordered_siblings_matches_the_recursion():
+    # moving the lowest child of a time-1 node just past its next sibling
+    # reorders that family but keeps the identity plan certified: the
+    # diagonal pair there has equal marginals and starts from the identity,
+    # so the certified value keeps aw_distance's bits
+    base = gen_random(3, 3, 0)
+    kids = np.array(base.children[base.levels[1][1]])
+    low, nxt = kids[np.argsort(base.values[kids])[:2]]
+    v = base.values.copy()
+    v[low] += 1.01 * (v[nxt] - v[low])
+    cand = base.with_values(v)
+    assert not np.array_equal(np.argsort(base.values[kids]), np.argsort(cand.values[kids]))
+    for A, B in ((base, cand), (cand, base)):
+        assert adapted_wasserstein._certified_pth_power(A, B, 2.0) is not None
+        assert aw_pth_power(A, B, P2).hex() == aw_distance(A, B, P2).pth_power.hex()
 
 
 def _swap(tree: ScenarioTree, where: str) -> np.ndarray:

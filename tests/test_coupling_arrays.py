@@ -50,9 +50,26 @@ def _sorted_1d(x, mu, y, nu, p):
     return plan, float(np.vdot(plan, np.abs(x[:, None] - y[None, :]) ** p))
 
 
+def _interior_solve(xv, xw, yv, yw, cost):
+    """One interior pair as the recursion solves it, alone: ``solve_exact``
+    from the north-west plan of the children sorted by value (stable), or
+    in tree order when the two marginals are equal, the plan put back in
+    tree order and its cost summed by ``np.vdot``; returns ``(plan,
+    objective)``."""
+    same = np.array_equal(xw, yw)
+    ox = np.arange(len(xv)) if same else np.argsort(xv, kind="stable")
+    oy = np.arange(len(yv)) if same else np.argsort(yv, kind="stable")
+    sorted_plan = solve_exact(TransportProblem(xw[ox], yw[oy], cost[np.ix_(ox, oy)])).plan
+    plan = np.empty_like(sorted_plan)
+    plan[np.ix_(ox, oy)] = sorted_plan
+    return plan, float(np.vdot(plan, cost))
+
+
 def _reference_plans(P, Q, p):
     """Per node pair, its optimal plan with the children in tree order,
-    solved one pair at a time; returns ``(pth_power, plans)``."""
+    solved one pair at a time from the recursion's start (sorted, or in
+    tree order when the marginals are equal; see :func:`_interior_solve`);
+    returns ``(pth_power, plans)``."""
     values, plans = {}, {}
     for t in range(P.horizon - 1, -1, -1):
         level = {}
@@ -74,8 +91,7 @@ def _reference_plans(P, Q, p):
                     for i, cx in enumerate(xc):
                         for j, cy in enumerate(yc):
                             cost[i, j] += values[(cx, cy)]
-                    sol = solve_exact(TransportProblem(xw, yw, cost))
-                    plan, objective = sol.plan, sol.objective
+                    plan, objective = _interior_solve(xv, xw, yv, yw, cost)
                 level[(xn, yn)] = objective
                 plans[(xn, yn)] = plan
         values = level

@@ -13,8 +13,16 @@ from awsens import (
     solve_exact,
 )
 from awsens import discrete_ot
-from awsens.adapted_wasserstein import _marginals, _monotone_plans
+from awsens.adapted_wasserstein import _monotone_plans, _sorted_marginals
 from awsens.discrete_ot import check_weights, transport_simplex, transport_simplex_batch
+
+
+def _marginals(xw, yw):
+    """Both marginals of each pair of a row of ``xw`` and a row of ``yw``,
+    x-major, as the adapted-distance recursion forms them (children in tree
+    order, the second rescaled as ``solve_exact`` rescales it)."""
+    ident = [np.broadcast_to(np.arange(w.shape[1]), w.shape) for w in (xw, yw)]
+    return _sorted_marginals(xw, ident[0], yw, ident[1], paired=False)
 
 
 def random_problem(rng, m, n):
@@ -591,7 +599,7 @@ def assert_per_pair_equals_solve_exact(rng, m, n, cx, cy, tied, masses):
     xw = np.array([structured_problem(rng, m, 1, tied, masses).mu for _ in range(cx)])
     yw = np.array([structured_problem(rng, 1, n, tied, masses).nu for _ in range(cy)])
     cost = np.array([structured_problem(rng, m, n, tied, masses).cost for _ in range(cx * cy)])
-    mu, nu = _marginals(xw, xw.sum(axis=-1), yw, yw.sum(axis=-1))
+    mu, nu = _marginals(xw, yw)
     starts = discrete_ot._starts(mu, nu)
     plans, obj, _ = discrete_ot._per_problem(mu, nu, cost)
     for k in range(cx * cy):
@@ -636,7 +644,7 @@ def test_per_pair_starts_hang_from_row_0_and_potentials_match_that_hang():
         masses = ("dirichlet", "zero", "integer")[draw % 3]
         xw = np.array([structured_problem(rng, m, 1, False, masses).mu for _ in range(cx)])
         yw = np.array([structured_problem(rng, 1, n, False, masses).nu for _ in range(cy)])
-        starts = discrete_ot._starts(*_marginals(xw, xw.sum(axis=-1), yw, yw.sum(axis=-1)))
+        starts = discrete_ot._starts(*_marginals(xw, yw))
         for cells, start_masses in starts:
             if draw % 2:
                 cost = rng.normal(size=(m, n)) ** 2
