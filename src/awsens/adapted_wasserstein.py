@@ -1024,8 +1024,9 @@ def _bicausalize_pairs(
     ynew = [c * delta + offsets[t][pv[x]] for c, t, x in zip(cell, time, x_node)]
     children = _child_lists(np.array(parent))
 
+    # pair k couples node k of the new tree with node x_new[k] of P
     q_nodes = [Node(0, 0, None, 1.0, None)]
-    new_pairs = [PairNode(0, 0, P.root, 0, 1.0, None)]
+    x_new = [P.root]
     # classes: members share one x node and one perturbed-y history
     stack = [(0, [time.index(0)], 1.0)]
     while stack:
@@ -1040,10 +1041,9 @@ def _bicausalize_pairs(
                     f"encoded values collide at {yv!r}; decrease the atom count or increase delta"
                 )
             gmass = sum(prob[c] for c in grp)
-            t, w = time[grp[0]], gmass / mass
-            q_nodes.append(Node(len(q_nodes), t, yv, w, new_pairs[new_pid].y_node))
-            new_pairs.append(PairNode(len(new_pairs), t, x_node[grp[0]], len(q_nodes) - 1, w,
-                                      new_pid))
-            stack.append((len(new_pairs) - 1, grp, gmass))
-    q_tree = ScenarioTree(T, q_nodes)
-    return CouplingTree(P, q_tree, new_pairs), q_tree
+            q_nodes.append(Node(len(q_nodes), time[grp[0]], yv, gmass / mass, new_pid))
+            x_new.append(x_node[grp[0]])
+            stack.append((len(q_nodes) - 1, grp, gmass))
+    q = ScenarioTree(T, q_nodes)
+    ids = np.arange(len(x_new))
+    return CouplingTree._from_arrays(P, q, q.parent, q.time, np.array(x_new), ids, q.cond_prob), q

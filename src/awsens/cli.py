@@ -236,6 +236,12 @@ def _finite(payload, command: str, skip: str | None = None):
     return payload
 
 
+def _by_id(values, ids) -> dict:
+    """``{str(id): value}`` over ``ids`` of an array by node id."""
+    vals = values.tolist()
+    return {str(k): vals[k] for k in ids}
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
     """Print ``payload`` as JSON, after writing it to ``--out`` if given."""
     text = _dumps(payload)
@@ -298,7 +304,7 @@ def cmd_value(args) -> int:
         "value": report.value,
         "kkt_residual": report.kkt_residual,
         "iterations": report.iterations,
-        "policy": {str(k): v for k, v in sorted(report.policy.values.items())},
+        "policy": _by_id(report.policy.values, [n for lv in tree.levels[:-1] for n in lv]),
     }, "value"), args.out)
     return 0
 
@@ -312,7 +318,7 @@ def cmd_stop(args) -> int:
     _emit(_finite({
         "value": value,
         "stop_nodes": sorted(policy.stop_set),
-        "tau": {str(k): v for k, v in sorted(policy.tau.items())},
+        "tau": _by_id(policy.tau, tree.leaves),
         "uniqueness_margin": table.uniqueness_margin,
     }, "stop", skip="uniqueness_margin" if tree.horizon == 1 else None), args.out)
     return 0
@@ -334,6 +340,7 @@ def cmd_sens(args) -> int:
     else:
         report = first_order(tree, model, cfg.p, ControlBounds(cfg.L), cfg.solver_tol)[0]
     direction = worst_case_direction(tree, report)
+    stages = range(1, tree.horizon + 1)
     _emit(_finite(
         {
             "problem_class": report.problem_class,
@@ -341,19 +348,13 @@ def cmd_sens(args) -> int:
             "q": report.q,
             "first_order": report.first_order,
             "stage_qnorms": list(report.stage_qnorms),
-            "cond_grads": {
-                str(t): {str(n): v for n, v in sorted(vals.items())}
-                for t, vals in report.cond_grads.items()
-            },
+            "cond_grads": {str(t): _by_id(report.cond_grads, tree.levels[t]) for t in stages},
             "direction": {
                 "stage_weights": list(direction.stage_weights),
                 "norm_check": direction.norm_check,
                 "pairing": direction.pairing,
                 "degenerate": direction.degenerate,
-                "values": {
-                    str(t): {str(n): v for n, v in sorted(vals.items())}
-                    for t, vals in direction.values.items()
-                },
+                "values": {str(t): _by_id(direction.values, tree.levels[t]) for t in stages},
             },
         },
         "sens",

@@ -28,7 +28,7 @@ import numpy as np
 
 from .cost_models import CostModel, sampled_hessian_min_eig
 from .errors import InvalidParams, MaxIterations, NotConvex, TooLarge, finite_count, is_number
-from .process_tree import ScenarioTree
+from .process_tree import ScenarioTree, _frozen
 
 ARMIJO_C = 1e-4
 BACKTRACK = 0.5
@@ -50,19 +50,20 @@ class ControlBounds:
             raise InvalidParams(f"control bound must be a positive finite number, got {self.L!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlPolicy:
-    """Control values keyed by the non-leaf node they are attached to."""
+    """Control values as a read-only array by node id: each non-leaf node
+    holds the control applied over the step leaving it, the leaves 0.0."""
 
-    values: dict[int, float]
+    values: np.ndarray
 
     def path_matrix(self, tree: ScenarioTree) -> np.ndarray:
         """(n_paths, T) matrix: entry (k, t-1) is the control applied over (t-1, t]."""
-        return self.vector(tree)[_variable_layout(tree)[1]]
+        return self.values[tree.ancestor_matrix[:, :-1]]
 
     def vector(self, tree: ScenarioTree) -> np.ndarray:
         """The controls in ``solve_value``'s variable order, as its ``z0``."""
-        return np.array([self.values[nid] for nid in _variable_layout(tree)[0]])
+        return self.values[_variable_layout(tree)[0]]
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,9 @@ class ValueReport:
 
 
 def _variable_layout(tree: ScenarioTree):
-    """Non-leaf nodes in level order and the per-path variable index matrix."""
+    """Non-leaf node ids in level order and the per-path variable index matrix."""
     T = tree.horizon
-    ids = tree.level_order[:tree.level_start[T]].tolist()
+    ids = tree.level_order[:tree.level_start[T]]
     return ids, tree.level_start[:T] + tree.level_pos[tree.ancestor_matrix[:, :T]]
 
 
@@ -223,12 +224,10 @@ def solve_value(
     for it in range(1, max_iter + 1):
         residual = float(np.maximum.reduce(np.abs(z - np.minimum(np.maximum(z - g, -L), L))))
         if residual <= tol:
-            return ValueReport(
-                value=phi,
-                policy=ControlPolicy({nid: float(z[k]) for k, nid in enumerate(ids)}),
-                kkt_residual=residual,
-                iterations=it - 1,
-            )
+            controls = np.zeros(len(tree.node_prob))  # 0.0 at the leaves
+            controls[ids] = z
+            return ValueReport(value=phi, policy=ControlPolicy(_frozen(controls)),
+                               kkt_residual=residual, iterations=it - 1)
         passed = False
         if it > NEWTON_AFTER:
             d = _newton_direction(_path_hessians(model, xs, w, z[aidx]), aidx, z, g, L, residual)

@@ -22,20 +22,28 @@ from .process_tree import ScenarioTree, _frozen, _memo
 ENUM_MAX_POLICIES = 1_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StoppingPolicy:
     """An antichain of stopping nodes meeting every path exactly once, plus
-    the induced leaf -> stopping-time map."""
+    the induced stopping time."""
 
     stop_set: frozenset[int]
-    tau: dict[int, int]
+    tau: np.ndarray  # intp by node id, read-only: each leaf's stopping stage, 0 off the leaves
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnellTable:
-    envelope: dict[int, float]
-    continuation: dict[int, float]
+    envelope: np.ndarray  # by node id, read-only: min(stop, continuation), the value at the root
+    continuation: np.ndarray  # by node id, read-only: +inf at the leaves, the value at the root
     uniqueness_margin: float
+
+
+def _stopping_policy(tree: ScenarioTree, taus: np.ndarray) -> StoppingPolicy:
+    """The policy stopping path k at stage ``taus[k]``."""
+    anc = tree.ancestor_matrix
+    tau = np.zeros(len(tree.node_prob), dtype=np.intp)
+    tau[anc[:, -1]] = taus
+    return StoppingPolicy(frozenset(anc[np.arange(len(taus)), taus].tolist()), _frozen(tau))
 
 
 def _stop_values(tree: ScenarioTree, model: CostModel) -> np.ndarray:
@@ -74,8 +82,9 @@ def solve_stopping(
     better = np.ones(len(tree.node_prob), dtype=bool)
 
     env = stop_vals[:, T - 1]
-    envelope = dict(zip(tree.leaves, env.tolist()))
-    continuation: dict[int, float] = {}
+    envelope = np.empty(len(tree.node_prob))
+    continuation = np.full(len(tree.node_prob), math.inf)
+    envelope[anc[:, T]] = env
     margin = math.inf
     for t in range(T - 1, 0, -1):
         cont = tree.average_children(t, env)
@@ -84,11 +93,10 @@ def solve_stopping(
         env = np.where(cont < sv, cont, sv)  # min(sv, cont), sv on ties
         margin = min(margin, float(np.min(np.abs(sv - cont))))
         better[ids] = sv < cont
-        continuation.update(zip(tree.levels[t], cont.tolist()))
-        envelope.update(zip(tree.levels[t], env.tolist()))
+        continuation[ids] = cont
+        envelope[ids] = env
     root_cont = float(tree.average_children(0, env)[0])
-    continuation[tree.root] = root_cont
-    envelope[tree.root] = root_cont
+    continuation[tree.root] = envelope[tree.root] = root_cont
 
     if margin <= tol:
         raise AmbiguousStopping(
@@ -97,10 +105,8 @@ def solve_stopping(
         )
 
     # each path stops at its first node where stopping beats continuing
-    taus = np.argmax(better[anc[:, 1:]], axis=1) + 1
-    stop_set = frozenset(anc[np.arange(len(taus)), taus].tolist())
-    policy = StoppingPolicy(stop_set, dict(zip(tree.leaves, taus.tolist())))
-    return envelope[tree.root], policy, SnellTable(envelope, continuation, margin)
+    policy = _stopping_policy(tree, np.argmax(better[anc[:, 1:]], axis=1) + 1)
+    return root_cont, policy, SnellTable(_frozen(envelope), _frozen(continuation), margin)
 
 
 def count_stopping_policies(tree: ScenarioTree) -> int:
@@ -137,7 +143,7 @@ def brute_force_stopping(
     time = tree.time.tolist()
 
     # contribution of stopping at nid: probability-weighted stage value below it
-    contrib: dict[int, float] = {}
+    contrib = [0.0] * len(time)
 
     def leaves_below(nid: int) -> list[int]:
         if time[nid] == T:
@@ -171,11 +177,6 @@ def brute_force_stopping(
     best_val, best_set = min(options, key=lambda vs: (vs[0], sorted(vs[1])))
     scale = 1e-12 * (1.0 + abs(best_val))
     ties = sum(1 for v, _ in options if v <= best_val + scale)
-    tau: dict[int, int] = {}
-    anc = tree.ancestor_matrix
-    for k, leaf in enumerate(tree.leaves):
-        for t in range(1, T + 1):
-            if int(anc[k, t]) in best_set:
-                tau[leaf] = t
-                break
-    return best_val, StoppingPolicy(best_set, tau), ties == 1
+    # each path meets the antichain exactly once
+    taus = np.argmax(np.isin(tree.ancestor_matrix[:, 1:], list(best_set)), axis=1) + 1
+    return best_val, _stopping_policy(tree, taus), ties == 1

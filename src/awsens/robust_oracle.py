@@ -33,7 +33,6 @@ from .errors import (
 from .multistage_opt import ControlBounds, scatter_sum
 from .process_tree import ScenarioTree
 from .sensitivity import (
-    WorstCaseDirection,
     class_solve,
     displace,
     first_order,
@@ -232,12 +231,6 @@ class _Ascent:
 
     # -- per-radius ascent ---------------------------------------------------
 
-    def seed_direction(self, direction: WorstCaseDirection) -> np.ndarray:
-        z = np.zeros(len(self.vnodes))
-        for t, vals in direction.values.items():
-            z[self.tree.level_start[t] - 1 + self.tree.level_pos[list(vals)]] = list(vals.values())
-        return z
-
     def run_radius(self, r: float, zvec: np.ndarray, extra_seeds: list[np.ndarray], rng):
         q = self.query
         best_val = -math.inf
@@ -322,8 +315,7 @@ def robust_curve(query: RobustQuery) -> RobustCurve:
     for name, v in (("base_value", base), ("first_order", report.first_order)):
         if not math.isfinite(v):
             raise NonFinite(f"robust_curve: {name} is {v!r}; the model overflows on this tree")
-    direction = worst_case_direction(query.tree, report)
-    zvec = engine.seed_direction(direction)
+    zvec = worst_case_direction(query.tree, report).values[engine.vnodes]
 
     rows: list[CurveRow] = []
     carry: list[np.ndarray] = []

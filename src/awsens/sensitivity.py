@@ -30,24 +30,24 @@ from .cost_models import CostModel, UtilityModel, build_utility_cost
 from .errors import AwsensError, DeltaTooSmall, FlatStep, InvalidParams, InvalidTree
 from .multistage_opt import ControlBounds, ControlPolicy, solve_value
 from .optimal_stopping import solve_stopping
-from .process_tree import ScenarioTree, backward_sweep
+from .process_tree import ScenarioTree, _frozen, backward_sweep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensitivityReport:
     problem_class: str
     p: float
     q: float
-    cond_grads: dict[int, dict[int, float]]  # time t -> node id -> value
+    cond_grads: np.ndarray  # G_t by node id, read-only, 0.0 at the root
     stage_qnorms: tuple[float, ...]  # E |G_t|^q per stage
     first_order: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorstCaseDirection:
     p: float
     q: float
-    values: dict[int, dict[int, float]]  # time t -> node id -> direction value
+    values: np.ndarray  # Z_t by node id, read-only, 0.0 at the root
     stage_weights: tuple[float, ...]
     norm_check: float  # sum_t E |Z_t|^p
     pairing: float  # sum_t E [G_t Z_t]
@@ -63,27 +63,34 @@ def _scaled(x: float, e: float) -> float:
         return math.inf
 
 
-def _scale_exponent(node_vals: dict[int, dict[int, float]], q: float) -> int:
+def _scale_exponent(node_vals: np.ndarray, q: float) -> int:
     """0 where the largest |G_t|^q lies inside [2^-970, 2^970]; outside,
     where the powers would lose bits to underflow or overflow, the binary
     exponent k of the largest |G_t|, by which the gradients are scaled down
     before any power is taken."""
-    big = max((abs(v) for vals in node_vals.values() for v in vals.values()), default=0.0)
+    big = float(np.max(np.abs(node_vals)))
     if big > 0.0 and not -970.0 <= q * math.log2(big) <= 970.0:
         return math.frexp(big)[1]
     return 0
 
 
-def _stage_sums(tree: ScenarioTree, node_vals: dict[int, dict[int, float]], q: float,
-                k: int) -> list[float]:
-    """Per stage E|G_t 2^-k|^q."""
-    return [sum(tree.node_prob[nid] * abs(math.ldexp(v, -k)) ** q
-                for nid, v in node_vals[t].items())
+def _stage_sums(tree: ScenarioTree, node_vals: np.ndarray, q: float, k: int) -> list[float]:
+    """Per stage E|G_t 2^-k|^q: Python float powers, summed in level order."""
+    g = node_vals.tolist()
+    return [sum(tree.node_prob[nid] * abs(math.ldexp(g[nid], -k)) ** q for nid in tree.levels[t])
             for t in range(1, tree.horizon + 1)]
 
 
+def _by_node(tree: ScenarioTree, sweep: list[np.ndarray]) -> np.ndarray:
+    """The rows of a :func:`backward_sweep` as one matrix by node id, zeros
+    at the root."""
+    out = np.zeros((len(tree.node_prob), sweep[0].shape[1]))
+    out[tree.level_order[1:]] = np.concatenate(sweep[1:])
+    return out
+
+
 def _report_from_node_values(
-    tree: ScenarioTree, node_vals: dict[int, dict[int, float]], p: float, problem_class: str
+    tree: ScenarioTree, node_vals: np.ndarray, p: float, problem_class: str
 ) -> SensitivityReport:
     """The report of these conditional gradients: per stage E|G_t|^q and
     the first-order term (sum_t E|G_t|^q)^(1/q).
@@ -112,10 +119,9 @@ def _report_from_node_values(
 def _condition_leaf_gradients(
     tree: ScenarioTree, leaf_grads: np.ndarray, p: float, problem_class: str
 ) -> SensitivityReport:
-    sweep = backward_sweep(tree, leaf_grads)
-    node_vals = {t: dict(zip(tree.levels[t], sweep[t][:, t - 1].tolist()))
-                 for t in range(1, tree.horizon + 1)}
-    return _report_from_node_values(tree, node_vals, p, problem_class)
+    rows = _by_node(tree, backward_sweep(tree, leaf_grads))
+    node_vals = rows[np.arange(len(rows)), tree.time - 1]  # the root's row is zeros
+    return _report_from_node_values(tree, _frozen(node_vals), p, problem_class)
 
 
 def class_solve(
@@ -146,7 +152,7 @@ def leaf_gradients(tree: ScenarioTree, model: CostModel, optimizer) -> np.ndarra
     if model.kind == "controlled":
         return model.grad_x_fn(xs, optimizer.path_matrix(tree))
     grads = np.zeros_like(xs)
-    taus = np.array([optimizer.tau[leaf] for leaf in tree.leaves])
+    taus = optimizer.tau[tree.ancestor_matrix[:, -1]]
     for t in range(1, tree.horizon + 1):
         mask = taus == t
         if np.any(mask):
@@ -194,7 +200,7 @@ def sensitivity_control(
 
 def sensitivity_stopping(
     tree: ScenarioTree, model: CostModel, p: float, tol: float = 1e-9
-) -> tuple[SensitivityReport, dict[int, int]]:
+) -> tuple[SensitivityReport, np.ndarray]:
     """First-order term for optimal stopping, at the unique stopping time."""
     _expect_kind(model, "stopping")
     report, _, policy = first_order(tree, model, p, tol=tol)
@@ -233,16 +239,11 @@ def utility_first_order(
     gpath = u.payoff.grad(xs)
 
     # column 0 conditions l'(W), column t the stage-t term l'(W) d/dx_t g(X)
-    sweep = backward_sweep(tree, np.column_stack([lp, lp[:, None] * gpath]))
-    action = np.zeros(len(tree.node_prob))  # 0.0 at the leaves: a*_{T+1} = 0
-    action[list(rep.policy.values)] = list(rep.policy.values.values())
-    node_vals: dict[int, dict[int, float]] = {}
-    for t in range(1, tree.horizon + 1):
-        ids = tree.level_order[tree.level_start[t]:tree.level_start[t + 1]]
-        step = action[tree.parent[ids]] - action[ids]
-        vals = sweep[t][:, t] + step * sweep[t][:, 0]
-        node_vals[t] = dict(zip(tree.levels[t], vals.tolist()))
-    return _report_from_node_values(tree, node_vals, p, "utility"), rep.policy
+    rows = _by_node(tree, backward_sweep(tree, np.column_stack([lp, lp[:, None] * gpath])))
+    action = rep.policy.values  # 0.0 at the leaves: a*_{T+1} = 0
+    # the root reads action[-1] as its parent's; its row of zeros keeps it at 0.0
+    node_vals = rows[np.arange(len(rows)), tree.time] + (action[tree.parent] - action) * rows[:, 0]
+    return _report_from_node_values(tree, _frozen(node_vals), p, "utility"), rep.policy
 
 
 def worst_case_direction(tree: ScenarioTree, report: SensitivityReport) -> WorstCaseDirection:
@@ -256,36 +257,42 @@ def worst_case_direction(tree: ScenarioTree, report: SensitivityReport) -> Worst
     Z_t does not change when every G_t is scaled by one factor, so outside
     the range of :func:`_scale_exponent` it is computed from the gradients
     scaled by 2^-k, whose powers neither overflow nor underflow; inside it
-    from the report's stage sums and the gradients as they are.
+    from the report's stage sums and the gradients as they are.  A report
+    without one gradient per node of ``tree`` raises ``InvalidParams``.
     """
     p, q = report.p, report.q
+    _check_per_node(tree, report.cond_grads, "report")
     k = _scale_exponent(report.cond_grads, q)
     qnorms = _stage_sums(tree, report.cond_grads, q, k) if k else report.stage_qnorms
     S = sum(qnorms)
+    values = [0.0] * len(tree.node_prob)
     if S <= 0.0:
-        zeros = {t: {nid: 0.0 for nid in report.cond_grads[t]} for t in report.cond_grads}
-        return WorstCaseDirection(
-            p, q, zeros, tuple(0.0 for _ in report.stage_qnorms), 0.0, 0.0, True
-        )
+        return WorstCaseDirection(p, q, _frozen(np.array(values)),
+                                  tuple(0.0 for _ in report.stage_qnorms), 0.0, 0.0, True)
     u_stage = [qn ** (1.0 / q) for qn in qnorms]
     weights = [ut ** (q / p) / S ** (1.0 / p) for ut in u_stage]
-    values: dict[int, dict[int, float]] = {}
+    grads = report.cond_grads.tolist()
     norm_check = 0.0
     pairing = 0.0
     for t in range(1, tree.horizon + 1):
-        vals: dict[int, float] = {}
         ut = u_stage[t - 1]
-        for nid, g in report.cond_grads[t].items():
+        for nid in tree.levels[t]:
+            g, z = grads[nid], 0.0
             if ut > 0.0 and g != 0.0:
                 z = (weights[t - 1] * math.copysign(abs(math.ldexp(g, -k)) ** (q - 1.0), g)
                      / ut ** (q - 1.0))
-            else:
-                z = 0.0
-            vals[nid] = z
+            values[nid] = z
             norm_check += tree.node_prob[nid] * abs(z) ** p
             pairing += tree.node_prob[nid] * g * z
-        values[t] = vals
-    return WorstCaseDirection(p, q, values, tuple(weights), norm_check, pairing, False)
+    return WorstCaseDirection(p, q, _frozen(np.array(values)), tuple(weights), norm_check,
+                              pairing, False)
+
+
+def _check_per_node(tree: ScenarioTree, values: np.ndarray, what: str) -> None:
+    """``InvalidParams`` unless ``values`` holds one entry per node of ``tree``."""
+    n = len(tree.node_prob)
+    if np.shape(values) != (n,):
+        raise InvalidParams(f"a {what} of shape {np.shape(values)} does not fit a {n}-node tree")
 
 
 def displace(tree: ScenarioTree, values, delta: float):
@@ -326,7 +333,8 @@ def perturbed_model(
     collide, the second marginal is bicausalized with resolution ``delta``
     (default r/100, so the repair cost is second order in r).  With
     ``verify`` the construction checks its own ball bound
-    distance <= r * norm + delta * T^(1/p).
+    distance <= r * norm + delta * T^(1/p).  A direction without one value
+    per node of ``tree`` raises ``InvalidParams``.
     """
     out, _coupling, _delta_used = perturbed_model_with_coupling(
         tree, direction, r, delta=delta, verify=verify
@@ -347,17 +355,12 @@ def perturbed_model_with_coupling(
         raise InvalidParams(f"radius must be nonnegative and finite, got {r}")
     if delta is not None and not math.isfinite(delta):
         raise InvalidParams(f"delta must be finite, got {delta}")
+    _check_per_node(tree, direction.values, "direction")
     if r == 0.0:
         return tree, None, 0.0
     if delta is None:
         delta = r / 100.0
-    T = tree.horizon
-    shifted = tree.values.copy()
-    for t in range(1, T + 1):
-        zs = direction.values.get(t, {})
-        for nid in tree.levels[t]:
-            shifted[nid] += r * zs.get(nid, 0.0)
-    out, coupling = displace(tree, shifted, delta)
+    out, coupling = displace(tree, tree.values + r * direction.values, delta)
     delta_used = delta
     if coupling is None:  # the identity coupling is bicausal
         delta_used = 0.0
@@ -367,7 +370,7 @@ def perturbed_model_with_coupling(
 
     if verify:
         norm = direction.norm_check ** (1.0 / direction.p) if direction.norm_check > 0 else 1.0
-        bound = r * max(norm, 1.0) + delta_used * T ** (1.0 / direction.p) + 1e-9
+        bound = r * max(norm, 1.0) + delta_used * tree.horizon ** (1.0 / direction.p) + 1e-9
         dist = aw_pth_power(tree, out, AWParams(direction.p)) ** (1.0 / direction.p)
         if dist > bound:
             raise AwsensError(

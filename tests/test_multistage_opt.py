@@ -67,7 +67,7 @@ def test_separable_quadratic_zero_policy(iid_signs):
     m = make_cost_model("quadratic_control", {"targets": [0.0, 0.0], "coeffs": [1.0, 2.0]}, 2)
     rep = solve_value(iid_signs, m, L10)
     assert rep.value == pytest.approx(0.0, abs=1e-12)  # E[X1] = E[X2] = 0
-    assert all(abs(v) <= 1e-9 for v in rep.policy.values.values())
+    assert all(abs(v) <= 1e-9 for v in rep.policy.vector(iid_signs))
     assert rep.kkt_residual <= 1e-9
 
 
@@ -75,7 +75,11 @@ def test_box_clamped_policy(iid_signs):
     m = make_cost_model("quadratic_control", {"targets": [1.0, 1.0], "coeffs": [0.0, 0.0]}, 2)
     rep = solve_value(iid_signs, m, ControlBounds(0.5))
     assert rep.value == pytest.approx(2 * 0.25, abs=1e-12)
-    assert all(v == pytest.approx(0.5, abs=1e-12) for v in rep.policy.values.values())
+    assert all(v == pytest.approx(0.5, abs=1e-12) for v in rep.policy.vector(iid_signs))
+    # a read-only array by node id, 0.0 at the leaves
+    values = rep.policy.values
+    assert values.shape == (len(iid_signs.node_prob),) and not values.flags.writeable
+    assert values[list(iid_signs.leaves)].tolist() == [0.0] * len(iid_signs.leaves)
 
 
 def test_scalar_utility_closed_forms():
@@ -256,7 +260,7 @@ def test_deterministic_across_runs():
     a = solve_value(tree, m, ControlBounds(4.0))
     b = solve_value(tree, m, ControlBounds(4.0))
     assert a.value == b.value
-    assert a.policy.values == b.policy.values
+    assert a.policy.values.tobytes() == b.policy.values.tobytes()
 
 
 def _add_at_reference(idx, vals, n):
@@ -358,8 +362,9 @@ def reference_solve_value(tree, model, bounds, tol=1e-9, max_iter=MAX_ITER_DEFAU
     for it in range(1, max_iter + 1):
         residual = float(np.max(np.abs(z - np.clip(z - g, -L, L))))
         if residual <= tol:
-            policy = ControlPolicy({nid: float(z[k]) for k, nid in enumerate(ids)})
-            return phi, policy, residual, it - 1
+            controls = np.zeros(len(tree.node_prob))
+            controls[ids] = z
+            return phi, ControlPolicy(controls), residual, it - 1
         noise = 1e-15 * (1.0 + abs(phi))
         z_new = None
         if it > NEWTON_AFTER:
@@ -428,8 +433,10 @@ def test_solver_matches_reference_bit_for_bit(name, params, b, seed, start):
     rep = solve_value(tree, model, bounds, z0=z0, check_convexity=False)
     want = reference_solve_value(tree, model, bounds, z0=z0)
     got = (rep.value, rep.policy, rep.kkt_residual, rep.iterations)
-    assert repr(got) == repr(want)
-    assert got == want
+    # the policy arrays by their bytes: numpy's repr rounds, and == compares elementwise
+    assert repr((got[0], *got[2:])) == repr((want[0], *want[2:]))
+    assert (got[0], *got[2:]) == (want[0], *want[2:])
+    assert got[1].values.tobytes() == want[1].values.tobytes()
 
 
 def _no_hessian_model():
@@ -608,7 +615,9 @@ def test_path_matrix_matches_per_stage_lookup(T, b, seed):
     tree = gen_random(T, b, seed)
     ids, _ = _variable_layout(tree)
     rng = np.random.default_rng(seed)
-    policy = ControlPolicy({nid: float(v) for nid, v in zip(ids, rng.normal(size=len(ids)))})
+    controls = np.zeros(len(tree.node_prob))
+    controls[ids] = rng.normal(size=len(ids))
+    policy = ControlPolicy(controls)
     anc = tree.ancestor_matrix
     want = np.empty((anc.shape[0], T))
     for t in range(T):

@@ -27,7 +27,7 @@ def test_one_period_stops_everywhere():
     value, policy, table = solve_stopping(tree, model)
     assert value == pytest.approx(0.3 * 2.0 + 0.7 * (-1.0), abs=1e-15)
     assert policy.stop_set == frozenset(tree.leaves)
-    assert set(policy.tau.values()) == {1}
+    assert set(policy.tau[list(tree.leaves)].tolist()) == {1}
     assert table.uniqueness_margin == math.inf
 
 
@@ -35,8 +35,19 @@ def test_drifted_binomial_waits(drifted_binomial):
     model = make_cost_model("markov_payoff", IDENTITY, 2)
     value, policy, table = solve_stopping(drifted_binomial, model)
     assert value == pytest.approx(-0.1, abs=1e-12)
-    assert set(policy.tau.values()) == {2}
+    assert set(policy.tau[list(drifted_binomial.leaves)].tolist()) == {2}
     assert table.uniqueness_margin == pytest.approx(0.1, abs=1e-12)
+    # read-only arrays by node id: tau 0 off the leaves, continuation +inf at them
+    n = len(drifted_binomial.node_prob)
+    for a in (policy.tau, table.envelope, table.continuation):
+        assert a.shape == (n,) and not a.flags.writeable
+    assert policy.tau.dtype == np.intp
+    off_leaves = np.ones(n, dtype=bool)
+    off_leaves[list(drifted_binomial.leaves)] = False
+    assert not policy.tau[off_leaves].any()
+    assert np.all(table.continuation[~off_leaves] == np.inf)
+    assert table.envelope[drifted_binomial.root] == table.continuation[drifted_binomial.root]
+    assert table.envelope[drifted_binomial.root] == value
     # the envelope is exactly min(stop, continuation) everywhere
     rep = {leaf: k for k, leaf in enumerate(drifted_binomial.leaves)}
     stop_vals = drifted_binomial.paths.values
@@ -113,6 +124,7 @@ def test_oracle_equivalence_random_instances(seed):
     assert value == pytest.approx(bvalue, abs=1e-12)
     if table.uniqueness_margin > 1e-9:
         assert policy.stop_set == bpolicy.stop_set
+        assert policy.tau.tobytes() == bpolicy.tau.tobytes()
 
 
 @given(seed=st.integers(0, 50_000))
@@ -131,7 +143,8 @@ def test_envelope_dominance(seed):
         while nid is not None and nid not in rep:
             rep[nid] = k
             nid = tree.nodes[nid].parent
-    for t in range(1, tree.horizon):
+    # the leaves too, where the continuation is +inf
+    for t in range(1, tree.horizon + 1):
         for nid in tree.levels[t]:
             sv = float(model.value_fn(xs[rep[nid]][None, :], t)[0])
             assert table.envelope[nid] <= sv

@@ -504,6 +504,12 @@ def _bits(d):
     return [(k, v.hex()) for k, v in d.items()]
 
 
+def _bits_by_id(values, ref):
+    """``_bits`` of an array by node id, read at the reference's ids in its order."""
+    values = values.tolist()
+    return _bits({nid: values[nid] for nid in ref})
+
+
 def _reference_cond_grads(tree, grads):
     return {t: _reference_conditional_expectation(
         tree, {lf: float(grads[k, t - 1]) for k, lf in enumerate(tree.leaves)}, t)
@@ -511,9 +517,12 @@ def _reference_cond_grads(tree, grads):
 
 
 def _assert_cond_grads(report, want):
-    assert list(report.cond_grads) == list(want)
+    """The report's array against the per-stage reference dicts, through node
+    ids; the one node no stage holds, the root, holds 0.0."""
     for t in want:
-        assert _bits(report.cond_grads[t]) == _bits(want[t])
+        assert _bits_by_id(report.cond_grads, want[t]) == _bits(want[t])
+    rest = set(range(len(report.cond_grads))).difference(*want.values())
+    assert [report.cond_grads[nid].hex() for nid in rest] == [(0.0).hex()]
 
 
 @st.composite
@@ -568,10 +577,14 @@ def test_the_array_sweep_matches_the_dict_references_bit_for_bit(tree, data):
     value, policy, table = solve_stopping(tree, stop, tol=-1.0)
     ref_value, ref_set, ref_tau, ref_env, ref_cont, ref_margin = _reference_snell(tree, stop)
     assert value.hex() == ref_value.hex()
-    assert _bits(table.envelope) == _bits(ref_env)
-    assert _bits(table.continuation) == _bits(ref_cont)
+    assert len(ref_env) == len(table.envelope)
+    assert _bits_by_id(table.envelope, ref_env) == _bits(ref_env)
+    assert _bits_by_id(table.continuation, ref_cont) == _bits(ref_cont)
+    assert table.continuation[list(tree.leaves)].tolist() == [math.inf] * len(tree.leaves)
     assert table.uniqueness_margin == ref_margin
-    assert policy.stop_set == ref_set and list(policy.tau.items()) == list(ref_tau.items())
+    assert policy.stop_set == ref_set
+    assert [(leaf, int(policy.tau[leaf])) for leaf in ref_tau] == list(ref_tau.items())
+    assert np.count_nonzero(policy.tau) == len(ref_tau)  # 0 off the leaves
     try:
         report, tau = sensitivity_stopping(tree, stop, 2.0)
     except AmbiguousStopping:

@@ -363,7 +363,8 @@ def test_carried_solve_is_the_maximizers(monkeypatch):
                              make_cost_model("utility", spec, 3), 2.0, (1e-2, 1e-1),
                              bounds=ControlBounds(10.0)))
     assert len(checked) == 2
-    assert all(sol[0] == val == fresh[0] and sol[1] == fresh[1] for sol, val, fresh, _ in checked)
+    assert all(sol[0] == val == fresh[0] and sol[1].values.tobytes() == fresh[1].values.tobytes()
+               for sol, val, fresh, _ in checked)
     # both maximizers were solved from a warm start
     assert all(z0 is not None for *_, z0 in checked)
 
@@ -372,16 +373,16 @@ def test_carried_solve_is_the_maximizers(monkeypatch):
 def test_ascent_and_perturbed_model_build_the_same_tree(collide):
     if collide:  # siblings 0.2 apart, pushed together by opposite unit shifts
         tree = tree_from_nested(1, [(0.1, 0.5), (-0.1, 0.5)])
-        ids = tree.levels[1]
-        direction = WorstCaseDirection(2.0, 2.0, {1: {ids[0]: -1.0, ids[1]: 1.0}},
-                                       (1.0,), 1.0, 0.0, False)
+        values = np.zeros(len(tree.node_prob))
+        values[list(tree.levels[1])] = [-1.0, 1.0]
+        direction = WorstCaseDirection(2.0, 2.0, values, (1.0,), 1.0, 0.0, False)
         model, r = make_cost_model("linear", {"coeffs": [1.0]}, 1), 0.1
     else:
         tree = gen_random(3, 3, 5)
         model, r = make_cost_model("quadratic_tracking", None, 3), 0.05
         direction = worst_case_direction(tree, sensitivity_terminal(tree, model, 2.0))
     engine = _Ascent(RobustQuery("terminal", tree, model, 2.0, (r,)))
-    shifts = r * engine.seed_direction(direction)
+    shifts = r * direction.values[engine.vnodes]  # the ascent's seed
     got, same = engine.displace(shifts)
     # the ascent's repair resolution, handed to the library entry
     delta = max(float(np.max(np.abs(shifts))), 1e-12) * 1e-6

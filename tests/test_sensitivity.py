@@ -16,6 +16,7 @@ from awsens import (
     make_cost_model,
     make_utility_model,
     perturbed_model,
+    perturbed_model_with_coupling,
     register_cost_model,
     sensitivity_control,
     sensitivity_stopping,
@@ -41,7 +42,12 @@ def test_linear_terminal_closed_form(iid_signs):
     rep = sensitivity_terminal(iid_signs, m, 2.0)
     assert rep.first_order == pytest.approx(math.sqrt(2.0), abs=1e-12)
     for t in (1, 2):
-        assert all(v == 1.0 for v in rep.cond_grads[t].values())
+        assert all(v == 1.0 for v in rep.cond_grads[list(iid_signs.levels[t])])
+    # read-only arrays by node id, 0.0 at the root
+    wcd = worst_case_direction(iid_signs, rep)
+    for a in (rep.cond_grads, wcd.values):
+        assert a.shape == (len(iid_signs.node_prob),) and not a.flags.writeable
+        assert a[iid_signs.root] == 0.0
 
 
 def test_constant_cost_has_zero_sensitivity(iid_signs):
@@ -121,7 +127,7 @@ def test_symmetric_utility_zero_optimizer_agreement(martingale_binomial):
     cm = build_utility_cost(u, 2)
     from_control, pol = sensitivity_control(martingale_binomial, cm, L, 2.0)
     from_formula, _ = utility_first_order(martingale_binomial, u, L, 2.0)
-    assert all(abs(v) <= 1e-9 for v in pol.values.values())
+    assert all(abs(v) <= 1e-9 for v in pol.vector(martingale_binomial))
     assert from_control.first_order == pytest.approx(0.0, abs=1e-8)
     assert from_formula.first_order == pytest.approx(from_control.first_order, abs=1e-8)
 
@@ -191,9 +197,9 @@ def test_utility_formula_matches_controlled_gradients_and_raises_value():
         cm = build_utility_cost(u, 2)
         want, _ = sensitivity_control(tree, cm, bounds, 2.0)
         got, _ = utility_first_order(tree, u, bounds, 2.0)
-        for t, vals in want.cond_grads.items():
-            for nid, g in vals.items():
-                assert got.cond_grads[t][nid] == pytest.approx(g, rel=0.0, abs=1e-8)
+        for nid in tree.level_order[1:]:
+            g = want.cond_grads[nid]
+            assert got.cond_grads[nid] == pytest.approx(g, rel=0.0, abs=1e-8)
         direction = worst_case_direction(tree, got)
         if direction.degenerate:
             continue
@@ -232,7 +238,7 @@ def test_markovian_shortcut_matches_general_formula(drifted_binomial):
 def test_drifted_binomial_indicator_gradients(drifted_binomial):
     model = make_cost_model("markov_payoff", {"g": {"name": "identity"}}, 2)
     rep, tau = sensitivity_stopping(drifted_binomial, model, 2.0)
-    assert set(tau.values()) == {2}
+    assert set(tau[list(drifted_binomial.leaves)].tolist()) == {2}
     assert rep.stage_qnorms[0] == 0.0
     assert rep.stage_qnorms[1] == pytest.approx(1.0, abs=1e-15)
     assert rep.first_order == pytest.approx(1.0, abs=1e-15)
@@ -258,9 +264,10 @@ def test_direction_two_stage_closed_form(iid_signs):
     rep = sensitivity_terminal(iid_signs, m, 2.0)
     wcd = worst_case_direction(iid_signs, rep)
     assert wcd.stage_weights == pytest.approx((0.0, 1.0), abs=1e-15)
-    assert all(v == 0.0 for v in wcd.values[1].values())
+    assert all(v == 0.0 for v in wcd.values[list(iid_signs.levels[1])])
     # G_2 = X_1 on the four time-2 nodes: the direction is its sign
-    for nid, z in wcd.values[2].items():
+    for nid in iid_signs.levels[2]:
+        z = wcd.values[nid]
         parent_val = iid_signs.nodes[iid_signs.nodes[nid].parent].value
         assert z == pytest.approx(math.copysign(1.0, parent_val), abs=1e-15)
     assert wcd.norm_check == pytest.approx(1.0, abs=1e-12)
@@ -272,7 +279,7 @@ def test_direction_single_stage_sign():
     m = make_cost_model("linear", {"coeffs": [-2.5]}, 1)
     rep = sensitivity_terminal(t1, m, 2.0)
     wcd = worst_case_direction(t1, rep)
-    assert all(v == -1.0 for v in wcd.values[1].values())
+    assert all(v == -1.0 for v in wcd.values[list(t1.levels[1])])
     assert wcd.pairing == pytest.approx(2.5, abs=1e-12)
 
 
@@ -307,9 +314,9 @@ def test_direction_of_extreme_gradients_is_scale_free(iid_signs, scale, p):
     model = make_cost_model("linear", {"coeffs": [scale * c for c in coeffs]}, 2)
     rep = sensitivity_terminal(iid_signs, model, p)
     wcd = worst_case_direction(iid_signs, rep)
-    for t, vals in unit.values.items():
-        for nid, z in vals.items():
-            assert wcd.values[t][nid] == pytest.approx(z, rel=1e-12)
+    for nid in iid_signs.level_order[1:]:
+        z = unit.values[nid]
+        assert wcd.values[nid] == pytest.approx(z, rel=1e-12)
     assert wcd.norm_check == pytest.approx(1.0, abs=1e-12)
     assert wcd.pairing == pytest.approx(rep.first_order, rel=1e-12)
 
@@ -340,6 +347,22 @@ def test_perturbed_model_refuses_non_finite_radius_and_delta(iid_signs, r, delta
     wcd = worst_case_direction(iid_signs, sensitivity_terminal(iid_signs, m, 2.0))
     with pytest.raises(InvalidParams, match="finite"):
         perturbed_model(iid_signs, wcd, r, delta=delta)
+
+
+def test_records_of_another_tree_are_refused(iid_signs):
+    # iid_signs has 7 nodes; a record of gen_random(2, 2, 0), which has 7
+    # too, would be read by node id, so the foreign tree has 13
+    other = gen_random(2, 3, 0)
+    m = make_cost_model("linear", {"coeffs": [0.5, 1.0]}, 2)
+    rep = sensitivity_terminal(other, m, 2.0)
+    wcd = worst_case_direction(other, rep)
+    with pytest.raises(InvalidParams, match="13"):
+        worst_case_direction(iid_signs, rep)
+    for r in (0.0, 0.1):
+        with pytest.raises(InvalidParams, match="13"):
+            perturbed_model(iid_signs, wcd, r)
+        with pytest.raises(InvalidParams, match="13"):
+            perturbed_model_with_coupling(iid_signs, wcd, r)
 
 
 def test_linear_shift_exact_gain(iid_signs):
@@ -386,9 +409,11 @@ def test_perturbed_model_bicausalizes_on_collision():
     from awsens.sensitivity import WorstCaseDirection
 
     ids = tree.levels[1]
+    values = np.zeros(len(tree.node_prob))
+    values[[ids[0], ids[1]]] = [-1.0, 1.0]
     squeeze = WorstCaseDirection(
         p=2.0, q=2.0,
-        values={1: {ids[0]: -1.0, ids[1]: 1.0}},
+        values=values,
         stage_weights=(1.0,), norm_check=1.0, pairing=0.0, degenerate=False,
     )
     moved = perturbed_model(tree, squeeze, 0.1, delta=1e-3)
