@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -67,8 +68,9 @@ from .errors import (
     InvalidParams,
     NotCausal,
     TooLarge,
+    is_number,
 )
-from .process_tree import Node, ScenarioTree, _frozen, _memo
+from .process_tree import Node, ScenarioTree, _frozen, _int_field, _memo
 
 Direction = Literal["x_to_y", "y_to_x"]
 
@@ -97,8 +99,8 @@ class AWParams:
     q: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.p > 1.0 and math.isfinite(self.p)):
-            raise InvalidParams(f"the order p must lie in (1, inf), got {self.p}")
+        if not (is_number(self.p) and 1.0 < self.p <= sys.float_info.max):
+            raise InvalidParams(f"the order p must lie in (1, inf), got {self.p!r}")
         object.__setattr__(self, "q", self.p / (self.p - 1.0))
 
 
@@ -152,10 +154,7 @@ class CouplingTree:
                 raise InvalidCoupling(f"pair node ids must equal list positions; got {pn.id} at {k}")
 
         def ints(name, values):
-            a = np.array(values)
-            if a.size and a.dtype.kind not in "iu":
-                raise InvalidCoupling(f"pair node field {name!r} must hold integers")
-            return a.astype(np.intp)
+            return _int_field(InvalidCoupling, f"pair node field {name!r}", values)
 
         self._check(
             first, second,
@@ -567,7 +566,7 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
                         mu[same] = nu[same] = np.repeat(xw[bx], cy, axis=0)[same]
                     cut = _tree_cells(ox, oy)
                     plan = np.empty_like(cost)
-                    plan.reshape(-1)[cut] = solve_batch(mu, nu, cost.reshape(-1)[cut])[0]
+                    plan.reshape(-1)[cut] = solve_batch(mu, nu, cost.reshape(-1)[cut])
                 level[xat[bx, None], yat[by]] = _objectives(plan, cost).reshape(cx, cy)
                 del cost  # before the kept plans are allocated
                 if kept is not None:

@@ -23,6 +23,9 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidParams, finite_count, finite_number
 
 Array = np.ndarray
+# the derivative audit's central-difference step and its relative tolerance
+_AUDIT_STEP = 1e-5
+_AUDIT_TOL = 1e-6
 
 
 # -- the parameter table ---------------------------------------------------------
@@ -41,6 +44,9 @@ class Param(NamedTuple):
 _RULES = {"finite": lambda v: True, "positive": lambda v: v > 0, "nonzero": lambda v: v != 0,
           ">= 1": lambda v: v >= 1, "> 1": lambda v: v > 1}
 _CLASSES = ("terminal", "controlled", "stopping")
+# what the callbacks of each class take besides the path (see CostModel._call)
+_TAKES = {"terminal": "the path only", "controlled": "a control vector",
+          "stopping": "a stopping stage t"}
 _SOFTPLUS = (Param("strike", 0.0), Param("sharpness", 1.0, rule="positive"))
 _LINEAR = (Param("coeffs", 1.0, "T-vector"),)
 _T = Param("T", None, "count")
@@ -181,23 +187,16 @@ def _expit(x: Array) -> Array:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _central_differences(f, z: Array, step: float = 1e-5) -> Array:
-    """Central differences of ``f`` in each column of the batch ``z``
-    (n, T), stacked along a new last axis."""
+def _central_differences(f, z: Array) -> Array:
+    """Central differences of step ``_AUDIT_STEP`` of ``f`` in each column
+    of the batch ``z`` (n, T), stacked along a new last axis."""
     T = z.shape[1]
     cols = []
     for t in range(T):
         e = np.zeros(T)
-        e[t] = step
-        cols.append((f(z + e) - f(z - e)) / (2.0 * step))
+        e[t] = _AUDIT_STEP
+        cols.append((f(z + e) - f(z - e)) / (2.0 * _AUDIT_STEP))
     return np.stack(cols, axis=-1)
-
-
-def _fd_hessian(model: "CostModel", x: Array, a: Array) -> Array:
-    """Central differences of the control gradient; fallback when no
-    analytic Hessian is supplied."""
-    out = _central_differences(lambda aa: model.grad_a_fn(x, aa), a)
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
 def _as_batch(arr, T: int, name: str) -> tuple[Array, bool]:
@@ -228,50 +227,59 @@ class CostModel:
     utility: "UtilityModel | None" = None
     bind_fn: Callable | None = None
 
-    def _args(self, x, a, t):
+    def _call(self, fn, x: Array, a: Array | None = None, t=None) -> Array:
+        """``fn`` on the path batch ``x`` with its class's argument: none
+        (terminal), the control batch ``a`` (controlled) or the stopping
+        stage ``t`` (stopping), one stage or one per row.  Rows of one stage
+        go to ``fn`` together, in row order, and the results come back in
+        the rows' order."""
         if self.kind == "terminal":
-            if a is not None or t is not None:
-                raise InvalidParams("terminal models take the path only")
-            return ()
+            return fn(x)
         if self.kind == "controlled":
-            if a is None or t is not None:
-                raise InvalidParams("controlled models take a control vector")
-            return (a,)
-        if t is None or a is not None:
-            raise InvalidParams("stopping models take a stopping stage t")
-        if not (1 <= int(t) <= self.horizon):
-            raise InvalidParams(f"stopping stage {t} outside 1..{self.horizon}")
-        return (int(t),)
+            return fn(x, a)
+        if np.ndim(t) == 0:
+            return fn(x, int(t))
+        out = None
+        # the stages present, ascending (np.unique would import numpy.ma, 1.7 MB)
+        for s in np.flatnonzero(np.bincount(t)).tolist():
+            rows = t == s
+            part = fn(x[rows], s)
+            if out is None:
+                out = np.empty(t.shape + part.shape[1:])
+            out[rows] = part
+        return fn(x, 1) if out is None else out  # an empty batch: fn's empty result
+
+    def _checked(self, fn, x, a=None, t=None):
+        """:meth:`_call` on a path vector or batch, after the checks of the
+        public methods: ``InvalidParams`` unless the model's class takes
+        exactly the argument given, ``DimensionMismatch`` unless ``x`` and
+        ``a`` are vectors or equal batches of horizon length.  A vector
+        ``x`` gives the result's first row."""
+        xb, single = _as_batch(x, self.horizon, "x")
+        if (a is not None, t is not None) != (self.kind == "controlled", self.kind == "stopping"):
+            raise InvalidParams(f"{self.kind} models take {_TAKES[self.kind]}")
+        if a is not None:
+            a = _as_batch(a, self.horizon, "a")[0]
+            if a.shape != xb.shape:
+                raise DimensionMismatch("x and a batches differ")
+        if t is not None:
+            t = finite_count(t, "t", "stopping stage")
+            if not 1 <= t <= self.horizon:
+                raise InvalidParams(f"stopping stage {t} outside 1..{self.horizon}")
+        out = self._call(fn, xb, a, t)
+        return out[0] if single else out
 
     def eval(self, x, a=None, t=None):
-        xb, single = _as_batch(x, self.horizon, "x")
-        extra = self._args(x, a, t)
-        if self.kind == "controlled":
-            ab, asingle = _as_batch(extra[0], self.horizon, "a")
-            if asingle != single and ab.shape[0] != xb.shape[0]:
-                raise DimensionMismatch("x and a batches differ")
-            out = self.value_fn(xb, ab)
-        else:
-            out = self.value_fn(xb, *extra)
-        return float(out[0]) if single else out
+        out = self._checked(self.value_fn, x, a, t)
+        return out if np.ndim(out) else float(out)
 
     def grad_x(self, x, a=None, t=None):
-        xb, single = _as_batch(x, self.horizon, "x")
-        extra = self._args(x, a, t)
-        if self.kind == "controlled":
-            ab, _ = _as_batch(extra[0], self.horizon, "a")
-            out = self.grad_x_fn(xb, ab)
-        else:
-            out = self.grad_x_fn(xb, *extra)
-        return out[0] if single else out
+        return self._checked(self.grad_x_fn, x, a, t)
 
     def grad_a(self, x, a):
         if self.kind != "controlled" or self.grad_a_fn is None:
             raise InvalidParams(f"model {self.name!r} has no control gradient")
-        xb, single = _as_batch(x, self.horizon, "x")
-        ab, _ = _as_batch(a, self.horizon, "a")
-        out = self.grad_a_fn(xb, ab)
-        return out[0] if single else out
+        return self._checked(self.grad_a_fn, x, a)
 
     def bind(self, x: Array):
         """Fix a path batch of a controlled model: returns ``evaluate(a) ->
@@ -288,13 +296,13 @@ class CostModel:
     def hess_a(self, x, a):
         if self.kind != "controlled":
             raise InvalidParams(f"model {self.name!r} has no control Hessian")
-        xb, single = _as_batch(x, self.horizon, "x")
-        ab, _ = _as_batch(a, self.horizon, "a")
-        if self.hess_a_fn is not None:
-            out = self.hess_a_fn(xb, ab)
-        else:
-            out = _fd_hessian(self, xb, ab)
-        return out[0] if single else out
+        return self._checked(self.hess_a_fn or self._fd_hessian, x, a)
+
+    def _fd_hessian(self, x: Array, a: Array) -> Array:
+        """Central differences of the control gradient; the Hessian of a
+        model without an analytic one."""
+        out = _central_differences(lambda aa: self.grad_a_fn(x, aa), a)
+        return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
 # -- univariate losses and payoffs for the hedging model ----------------------
@@ -669,48 +677,22 @@ def _rel_err(got: Array, want: Array) -> float:
     return float(np.max(np.abs(got - want) / scale)) if got.size else 0.0
 
 
-def audit_derivatives(
-    model: CostModel,
-    n_draws: int = 1000,
-    seed: int = 0,
-    step: float = 1e-5,
-    rel_tol: float = 1e-6,
-) -> float:
-    """Check all derivative callbacks against central finite differences.
+def audit_derivatives(model: CostModel, n_draws: int = 1000, seed: int = 0) -> float:
+    """Check all derivative callbacks against central finite differences
+    of step ``_AUDIT_STEP``.
 
-    Returns the worst relative error; raises InvalidParams above ``rel_tol``.
+    Returns the worst relative error; raises InvalidParams above
+    ``_AUDIT_TOL``.
     """
-    rng = np.random.default_rng(seed)
-    T = model.horizon
-    x, a, tvals = _random_inputs(model, n_draws, rng)
-
-    def fval(xx):
-        if model.kind == "terminal":
-            return model.value_fn(xx)
-        if model.kind == "controlled":
-            return model.value_fn(xx, a)
-        return np.concatenate(
-            [model.value_fn(xx[tvals == t], int(t)) for t in range(1, T + 1)]
-        )
-
-    if model.kind == "stopping":
-        order = np.argsort(tvals, kind="stable")
-        x, tvals = x[order], tvals[order]
-        analytic = np.concatenate(
-            [model.grad_x_fn(x[tvals == t], int(t)) for t in range(1, T + 1)]
-        )
-    elif model.kind == "terminal":
-        analytic = model.grad_x_fn(x)
-    else:
-        analytic = model.grad_x_fn(x, a)
-    worst = _rel_err(analytic, _central_differences(fval, x, step))
-
+    x, a, t = _random_inputs(model, n_draws, np.random.default_rng(seed))
+    worst = _rel_err(model._call(model.grad_x_fn, x, a, t),
+                     _central_differences(lambda xx: model._call(model.value_fn, xx, a, t), x))
     if model.kind == "controlled":
         for exact, f in ((model.grad_a_fn(x, a), lambda aa: model.value_fn(x, aa)),
                          (model.hess_a(x, a), lambda aa: model.grad_a_fn(x, aa))):
-            worst = max(worst, _rel_err(exact, _central_differences(f, a, step)))
+            worst = max(worst, _rel_err(exact, _central_differences(f, a)))
 
-    if worst > rel_tol:
+    if worst > _AUDIT_TOL:
         raise InvalidParams(
             f"model {model.name!r} derivative audit failed: relative error {worst:.3e}"
         )

@@ -132,11 +132,11 @@ def transport_simplex(cells: Sequence[tuple[int, int]], masses: Sequence[float],
     Returns the optimal flow, unclipped, as a dict from basis cell to mass
     (so ``list(flow)`` is the basis), the potentials ``[u_0..u_{m-1},
     v_0..v_{n-1}]``, the pivots taken and the switches to Bland's rule.
-    :func:`_per_problem` builds the plans and objectives of a batch of
-    flows at once, for :func:`solve_exact` and :func:`solve_batch`.  The
-    entering cell is the first least reduced cost ``(c - u) - v`` in
-    row-major order on a numpy matrix, basis cells at 0.0 (under Bland's
-    rule the first below ``-tol``).  Before each pricing the basis tree
+    :func:`_per_problem` builds the plans of a batch of flows at once, for
+    :func:`solve_exact` and :func:`solve_batch`.  The entering cell is the
+    first least reduced cost ``(c - u) - v`` in row-major order on a numpy
+    matrix, basis cells at 0.0 (under Bland's rule the first below
+    ``-tol``).  Before each pricing the basis tree
     hangs from row 0 afresh (:func:`_tree`), and the entering cell's cycle
     is read off its parent links.  A potential depends only on its node's
     path to row 0, so it has the same bits however the cells are ordered.
@@ -203,8 +203,9 @@ def solve_exact(prob: TransportProblem) -> TransportPlan:
     m = prob.mu.size
     # rescale the second marginal so both sides carry identical total mass
     nu = prob.nu * (prob.mu.sum() / prob.nu.sum())
-    (plan,), (obj,), ((flow, pot),) = _per_problem(prob.mu[None], nu[None], prob.cost[None])
-    return TransportPlan(plan, float(obj), np.array(pot[:m]), np.array(pot[m:]),
+    plans, ((flow, pot),) = _per_problem(prob.mu[None], nu[None], prob.cost[None])
+    obj = _objectives(plans, prob.cost[None])[0]
+    return TransportPlan(plans[0], float(obj), np.array(pot[:m]), np.array(pot[m:]),
                          tuple(sorted(flow)))
 
 
@@ -257,14 +258,14 @@ def transport_simplex_batch(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray):
 
     ``mu`` (F, m) and ``nu`` (F, n) have equal totals per row and ``cost``
     is (F, m, n); none of them is checked here.  Returns the (F, m, n)
-    plans, the (F,) objectives, and per problem its pivots and its switches
-    to Bland's rule.  One round pivots every problem not yet optimal, with
-    the simplex's own arithmetic and tie rules: the north-west start of
+    plans and per problem its pivots and its switches to Bland's rule.
+    One round pivots every problem not yet optimal, with the simplex's own
+    arithmetic and tie rules: the north-west start of
     :func:`_northwest_batch`, pricing on ``(c - u) - v`` with basis cells
     at 0.0, θ as the first of the least losing flows in cycle order (zeros
     of either sign are legal masses), the leaving cell as the smallest flat
     index among losing cells holding θ, the degenerate run, Bland switch
-    and pivot budget per problem, the clip and :func:`_objectives`.
+    and pivot budget per problem, and the clip.
 
     The basis tree hangs from row 0 as an ancestor mask (node y is on node
     x's root path).  Row i0's and column j0's masks differ exactly on the
@@ -276,7 +277,7 @@ def transport_simplex_batch(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray):
     path, and its potential ``c - (parent's)`` level by level from the
     entering cell.  A rooted tree has unique parents and a potential
     depends only on its root path, so every potential and reduced cost,
-    and with them the plans, objectives, pivots and switches, equal
+    and with them the plans, pivots and switches, equal
     :func:`transport_simplex`'s bit for bit.
     """
     F, m, n = cost.shape
@@ -390,15 +391,15 @@ def transport_simplex_batch(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray):
     else:
         raise MaxIterations(f"transportation simplex did not terminate within {max_iter} pivots")
     plan = np.maximum(flow.reshape(F, m + 1, n)[:, :m], 0.0)
-    return plan, _objectives(plan, cost), pivots, switches
+    return plan, pivots, switches
 
 
 def _per_problem(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray):
     """:func:`transport_simplex` on each problem of :func:`solve_batch`'s
     arguments from its start in :func:`_starts`, one at a time.  Returns
-    the plans and objectives, built from all the optimal flows at once as
-    :func:`transport_simplex_batch` builds them (one scatter, one clip and
-    :func:`_objectives`), and each problem's flow and potentials."""
+    the plans, built from all the optimal flows at once as
+    :func:`transport_simplex_batch` builds them (one scatter and one clip),
+    and each problem's flow and potentials."""
     _, m, n = cost.shape
     solved = [transport_simplex(cells, masses, c)[:2]
               for (cells, masses), c in zip(_starts(mu, nu), cost)]
@@ -406,14 +407,15 @@ def _per_problem(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray):
     plans.reshape(-1)[[(k * m + i) * n + j for k, (flow, _) in enumerate(solved)
                        for i, j in flow]] = [w for flow, _ in solved for w in flow.values()]
     np.maximum(plans, 0.0, out=plans)  # np.clip(plans, 0.0, None), without its wrapper
-    return plans, _objectives(plans, cost), solved
+    return plans, solved
 
 
 def solve_batch(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray):
-    """The optimal plans (F, m, n) and objectives (F,) of the problems that
+    """The optimal plans (F, m, n) of the problems that
     :func:`transport_simplex_batch` takes, unchecked: in lockstep from
     ``_SIMPLEX_BATCH_MIN`` problems up, else one at a time
-    (:func:`_per_problem`), which is faster there, with the same bits."""
+    (:func:`_per_problem`), which is faster there, with the same bits.  The
+    caller sums the objectives with :func:`_objectives`."""
     if len(cost) >= _SIMPLEX_BATCH_MIN:
-        return transport_simplex_batch(mu, nu, cost)[:2]
-    return _per_problem(mu, nu, cost)[:2]
+        return transport_simplex_batch(mu, nu, cost)[0]
+    return _per_problem(mu, nu, cost)[0]

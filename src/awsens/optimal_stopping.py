@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost_models import CostModel
-from .errors import AmbiguousStopping, InvalidParams, TooLarge
+from .errors import AmbiguousStopping, InvalidParams, TooLarge, is_number
 from .process_tree import ScenarioTree, _frozen, _memo
 
 ENUM_MAX_POLICIES = 1_000_000
@@ -74,6 +74,8 @@ def solve_stopping(
     """
     if model.kind != "stopping":
         raise InvalidParams(f"solve_stopping needs a stopping model, got {model.kind!r}")
+    if not is_number(tol):
+        raise InvalidParams(f"tol must be a number, got {tol!r}")
     T = tree.horizon
     stop_vals = _stop_values(tree, model)
     anc = tree.ancestor_matrix

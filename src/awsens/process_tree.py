@@ -10,14 +10,14 @@ process itself.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, InvalidTree
+from .errors import InvalidParams, InvalidTree, is_number
 
 PROB_TOL = 1e-12
 GEN_MAX_NODES = 1 << 20  # most nodes a generator builds
@@ -53,6 +53,17 @@ class PathTable:
     def __iter__(self) -> Iterator[tuple[int, np.ndarray, float]]:
         for k, leaf in enumerate(self.leaf_ids):
             yield leaf, self.values[k], float(self.probs[k])
+
+
+def _int_field(error: type, what: str, values) -> np.ndarray:
+    """``values`` as an intp array; ``error`` saying that ``what`` must
+    hold integers unless numpy reads them all as integers: floats,
+    strings, None, booleans alone and integers beyond 64 bits are
+    refused."""
+    a = np.array(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise error(f"{what} must hold integers")
+    return a.astype(np.intp)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -97,13 +108,24 @@ class ScenarioTree:
     __slots__ = _STRUCTURE + ("values", "_paths", "_nodes", "_cache")
 
     def __init__(self, horizon: int, nodes: Sequence[Node]):
-        if horizon < 1:
-            raise InvalidTree(f"horizon must be >= 1, got {horizon}")
         nodes = list(nodes)
         n = len(nodes)
-        for k, nd in enumerate(nodes):
-            if nd.id != k:
-                raise InvalidTree(f"node ids must equal list positions; nodes[{k}] has id {nd.id}")
+        _int_field(InvalidTree, "tree field 'horizon'", [horizon])
+        if horizon < 1:
+            raise InvalidTree(f"horizon must be >= 1, got {horizon}")
+        ids = _int_field(InvalidTree, "node field 'id'", [nd.id for nd in nodes])
+        bad = np.flatnonzero(ids != np.arange(n))
+        if bad.size:
+            raise InvalidTree(f"node ids must equal list positions; nodes[{bad[0]}] has id "
+                              f"{ids[bad[0]]}")
+        _int_field(InvalidTree, "node field 'time'", [nd.time for nd in nodes])
+        _int_field(InvalidTree, "node field 'parent'",
+                   [nd.parent for nd in nodes if nd.parent is not None])
+        for name, vals in (("value", [nd.value for nd in nodes if nd.value is not None]),
+                           ("cond_prob", [nd.cond_prob for nd in nodes])):
+            # is_number reads the type alone, so one value of each type decides
+            if not all(map(is_number, dict(zip(map(type, vals), vals)).values())):
+                raise InvalidTree(f"node field {name!r} must hold numbers")
 
         roots = [nd.id for nd in nodes if nd.parent is None]
         if len(roots) != 1:
@@ -124,7 +146,7 @@ class ScenarioTree:
                 raise InvalidTree(f"node {nd.id} at time {nd.time} has parent at time {par.time}")
             if nd.time > horizon:
                 raise InvalidTree(f"node {nd.id} lies beyond the horizon {horizon}")
-            if nd.value is None or not math.isfinite(nd.value):
+            if nd.value is None or not abs(nd.value) <= sys.float_info.max:  # NaN fails too
                 raise InvalidTree(f"node {nd.id} must carry a finite value")
             if not (0.0 < nd.cond_prob <= 1.0):
                 raise InvalidTree(f"node {nd.id} has cond_prob {nd.cond_prob} outside (0, 1]")
@@ -165,7 +187,9 @@ class ScenarioTree:
         self.node_prob = tuple(node_prob)
         self.parent = _frozen(np.array([-1 if nd.parent is None else nd.parent for nd in nodes],
                                        dtype=np.intp))
-        self.cond_prob = _frozen(np.array([nd.cond_prob for nd in nodes], dtype=np.float64))
+        # the root's cond_prob goes unchecked above and is stored as 1.0
+        self.cond_prob = _frozen(np.array([1.0 if nd.parent is None else nd.cond_prob
+                                           for nd in nodes], dtype=np.float64))
         sizes = [len(lv) for lv in levels]
         self.level_order = _frozen(np.fromiter(order, np.intp, n))
         self.level_start = _frozen(np.cumsum([0] + sizes))

@@ -29,6 +29,7 @@ from .errors import (
     MaxIterations,
     NonFinite,
     NotConvex,
+    finite_count,
 )
 from .multistage_opt import ControlBounds, scatter_sum
 from .process_tree import ScenarioTree
@@ -57,6 +58,9 @@ class RobustQuery:
     def __post_init__(self):
         if self.problem_class not in CATALOG:
             raise InvalidParams(f"unknown problem class {self.problem_class!r}")
+        AWParams(self.p)
+        for name in ("restarts", "max_iters", "seed"):
+            object.__setattr__(self, name, finite_count(getattr(self, name), name, "RobustQuery"))
         radii = tuple(float(r) for r in self.radii)
         object.__setattr__(self, "radii", radii)
         if not radii or not all(0.0 < r < math.inf for r in radii):  # NaN fails too

@@ -146,18 +146,9 @@ def class_solve(
 def leaf_gradients(tree: ScenarioTree, model: CostModel, optimizer) -> np.ndarray:
     """Path gradient of the integrand at ``class_solve``'s optimizer, one
     row per leaf; a stopped path takes the gradient of its stopping stage."""
-    xs = tree.paths.values
-    if model.kind == "terminal":
-        return model.grad_x_fn(xs)
-    if model.kind == "controlled":
-        return model.grad_x_fn(xs, optimizer.path_matrix(tree))
-    grads = np.zeros_like(xs)
-    taus = optimizer.tau[tree.ancestor_matrix[:, -1]]
-    for t in range(1, tree.horizon + 1):
-        mask = taus == t
-        if np.any(mask):
-            grads[mask] = model.grad_x_fn(xs[mask], t)
-    return grads
+    a = optimizer.path_matrix(tree) if model.kind == "controlled" else None
+    t = optimizer.tau[tree.ancestor_matrix[:, -1]] if model.kind == "stopping" else None
+    return model._call(model.grad_x_fn, tree.paths.values, a, t)
 
 
 def first_order(

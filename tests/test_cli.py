@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from awsens import (
     InvalidTree,
     NonFinite,
     NotConvex,
+    ScenarioTree,
     TooLarge,
     catalog_names,
     gen_binomial,
@@ -741,6 +743,30 @@ def test_parse_tree_fuzz_raises_only_typed_errors(doc):
     try:
         parse_tree(json.dumps(doc))
     except AwsensError:
+        pass
+
+
+# record fields of another type than a valid tree's: floats where integers
+# belong, strings, None, booleans, NaN and an integer beyond the float range
+FIELD_VALUES = st.sampled_from([0, 1, 2, -1, 0.0, 1.0, 0.5, "1", None, True, False, math.nan,
+                                10 ** 400])
+
+
+@given(changes=st.lists(st.tuples(
+    st.integers(0, 6), st.sampled_from(["horizon", "id", "time", "value", "cond_prob", "parent"]),
+    FIELD_VALUES), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_tree_record_fuzz_raises_only_invalid_tree(changes):
+    # the library entry below the parser: Node records straight to ScenarioTree
+    horizon, nodes = 2, list(gen_binomial(2, 0.0, 1.0, -1.0, 0.5, 0.0).nodes)
+    for k, field, value in changes:
+        if field == "horizon":
+            horizon = value
+        else:
+            nodes[k] = dataclasses.replace(nodes[k], **{field: value})
+    try:
+        ScenarioTree(horizon, nodes)
+    except InvalidTree:
         pass
 
 

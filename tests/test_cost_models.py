@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from awsens import (
+    ControlBounds,
     DimensionMismatch,
     InvalidParams,
     audit_derivatives,
     build_utility_cost,
     catalog_names,
+    gen_random,
     make_cost_model,
     make_loss,
     make_payoff,
@@ -19,9 +21,12 @@ from awsens import (
 from awsens.cost_models import (
     CATALOG,
     PARAMS,
+    CostModel,
     probe_stopping_measurability,
     sampled_hessian_min_eig,
 )
+from awsens.sensitivity import class_solve, leaf_gradients
+from test_multistage_opt import CONTROL_MODELS
 
 T = 3
 
@@ -319,3 +324,120 @@ def test_params_hold_the_readers_values(name, params, T):
             assert isinstance(got[key], np.ndarray) and got[key].tolist() == value
         else:
             assert got[key] == value and type(got[key]) is type(value)
+
+
+# -- one dispatch over the classes: CostModel._call ------------------------------
+
+
+def _reference_leaf_gradients(tree, model, optimizer):
+    """The per-class ``leaf_gradients``: the stopping class masks the paths
+    stage by stage."""
+    xs = tree.paths.values
+    if model.kind == "terminal":
+        return model.grad_x_fn(xs)
+    if model.kind == "controlled":
+        return model.grad_x_fn(xs, optimizer.path_matrix(tree))
+    grads = np.zeros_like(xs)
+    taus = optimizer.tau[tree.ancestor_matrix[:, -1]]
+    for t in range(1, tree.horizon + 1):
+        mask = taus == t
+        if np.any(mask):
+            grads[mask] = model.grad_x_fn(xs[mask], t)
+    return grads
+
+
+def _reference_differences(f, z, step=1e-5):
+    cols = []
+    for t in range(z.shape[1]):
+        e = np.zeros(z.shape[1])
+        e[t] = step
+        cols.append((f(z + e) - f(z - e)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
+
+
+def _reference_rel_err(got, want):
+    scale = np.maximum(1.0, np.maximum(np.abs(got), np.abs(want)))
+    return float(np.max(np.abs(got - want) / scale)) if got.size else 0.0
+
+
+def _reference_audit(model, n_draws, seed):
+    """The per-class worst relative error of ``audit_derivatives``: the
+    stopping class sorts the draws by stage and evaluates stage by stage."""
+    rng = np.random.default_rng(seed)
+    T = model.horizon
+    x = rng.uniform(-2.0, 2.0, size=(n_draws, T))
+    a = rng.uniform(-1.0, 1.0, size=(n_draws, T)) if model.kind == "controlled" else None
+    tvals = rng.integers(1, T + 1, size=n_draws) if model.kind == "stopping" else None
+
+    def fval(xx):
+        if model.kind == "terminal":
+            return model.value_fn(xx)
+        if model.kind == "controlled":
+            return model.value_fn(xx, a)
+        return np.concatenate([model.value_fn(xx[tvals == t], t) for t in range(1, T + 1)])
+
+    if model.kind == "stopping":
+        order = np.argsort(tvals, kind="stable")
+        x, tvals = x[order], tvals[order]
+        analytic = np.concatenate([model.grad_x_fn(x[tvals == t], t) for t in range(1, T + 1)])
+    elif model.kind == "terminal":
+        analytic = model.grad_x_fn(x)
+    else:
+        analytic = model.grad_x_fn(x, a)
+    worst = _reference_rel_err(analytic, _reference_differences(fval, x))
+    if model.kind == "controlled":
+        for exact, f in ((model.grad_a_fn(x, a), lambda aa: model.value_fn(x, aa)),
+                         (model.hess_a(x, a), lambda aa: model.grad_a_fn(x, aa))):
+            worst = max(worst, _reference_rel_err(exact, _reference_differences(f, a)))
+    return worst
+
+
+DISPATCH_MODELS = all_catalog_models() + [make_cost_model(n, p, T) for n, p in CONTROL_MODELS]
+
+
+@pytest.mark.parametrize("model", DISPATCH_MODELS,
+                         ids=[f"{m.name}-{i}" for i, m in enumerate(DISPATCH_MODELS)])
+def test_dispatch_matches_the_per_class_reference_bit_for_bit(model):
+    for seed in (1, 123):
+        for n in (0, 7, 200):
+            got = audit_derivatives(model, n_draws=n, seed=seed)
+            assert got.hex() == _reference_audit(model, n, seed).hex()
+    assert audit_derivatives(model, n_draws=0) == 0.0  # an empty batch audits nothing
+    mixed = False
+    for seed in range(4):
+        tree = gen_random(T, 3, seed)
+        _, optimizer = class_solve(tree, model, ControlBounds(2.0), 1e-9)
+        got = leaf_gradients(tree, model, optimizer)
+        want = _reference_leaf_gradients(tree, model, optimizer)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        if model.kind == "stopping":
+            mixed |= len(set(optimizer.tau[tree.ancestor_matrix[:, -1]].tolist())) > 1
+    assert mixed or model.kind != "stopping"  # some policy stops at mixed stages
+
+
+def test_call_hands_each_stage_its_rows_together_in_row_order():
+    calls = []
+
+    def value(x, t):
+        calls.append((type(t), t, x[:, 0].tolist()))
+        return 10.0 * x[:, 0] + t
+
+    model = CostModel("stopping", "recording", T, {}, value, lambda x, t: np.zeros_like(x))
+    x = np.zeros((8, T))
+    x[:, 0] = np.arange(8)
+    stages = np.array([2, 1, 2, 3, 1, 2, 3, 1])
+    assert model._call(value, x, t=stages).tolist() == (10.0 * x[:, 0] + stages).tolist()
+    assert calls == [(int, 1, [1.0, 4.0, 7.0]), (int, 2, [0.0, 2.0, 5.0]), (int, 3, [3.0, 6.0])]
+    calls.clear()
+    assert model._call(value, x, t=np.full(8, 3)).tolist() == (10.0 * x[:, 0] + 3).tolist()
+    assert model.eval(x, t=2).tolist() == (10.0 * x[:, 0] + 2).tolist()
+    assert calls == [(int, 3, list(range(8))), (int, 2, list(range(8)))]
+    # an empty batch is one call on the empty rows and gives an empty result
+    calls.clear()
+    empty = np.zeros((0, T))
+    for m in DISPATCH_MODELS[:1] + [model]:
+        t = np.zeros(0, dtype=np.intp) if m.kind == "stopping" else None
+        assert m._call(m.value_fn, empty, None, t).shape == (0,)
+        assert m._call(m.grad_x_fn, empty, None, t).shape == (0, T)
+    assert calls == [(int, 1, [])]

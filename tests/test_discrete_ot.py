@@ -491,7 +491,8 @@ def assert_batch_equals_simplex(mu, nu, cost):
     """``transport_simplex_batch`` against ``transport_simplex`` problem by
     problem: plan bytes, objective bits, pivots and Bland switches.
     Returns the batch's pivots and switches."""
-    plan, obj, pivots, switches = transport_simplex_batch(mu, nu, cost)
+    plan, pivots, switches = transport_simplex_batch(mu, nu, cost)
+    obj = discrete_ot._objectives(plan, cost)
     for k in range(len(cost)):
         want, want_obj, _, want_pivots, want_switches = simplex(
             mu[k].tolist(), nu[k].tolist(), cost[k])
@@ -499,6 +500,21 @@ def assert_batch_equals_simplex(mu, nu, cost):
         assert obj[k].hex() == want_obj.hex()
         assert (pivots[k], switches[k]) == (want_pivots, want_switches)
     return pivots, switches
+
+
+def test_kernels_return_plans_and_leave_the_objectives_to_the_caller(monkeypatch):
+    # the recursion sums each plan once, in tree order; a kernel that
+    # summed its sorted plans too would do the work twice
+    def refuse(plan, cost):
+        raise AssertionError("a kernel summed its plans")
+
+    monkeypatch.setattr(discrete_ot, "_objectives", refuse)
+    rng = np.random.default_rng(5)
+    for size in (1, discrete_ot._SIMPLEX_BATCH_MIN):  # one at a time, then in lockstep
+        mu, nu, cost = structured_batch(rng, size, 3, 4, False, "dirichlet")
+        plans = discrete_ot.solve_batch(mu, nu, cost)
+        assert plans.shape == cost.shape
+        assert np.allclose(plans.sum(axis=2), mu) and np.allclose(plans.sum(axis=1), nu)
 
 
 def structured_batch(rng, size, m, n, tied, masses):
@@ -601,7 +617,8 @@ def assert_per_pair_equals_solve_exact(rng, m, n, cx, cy, tied, masses):
     cost = np.array([structured_problem(rng, m, n, tied, masses).cost for _ in range(cx * cy)])
     mu, nu = _marginals(xw, yw)
     starts = discrete_ot._starts(mu, nu)
-    plans, obj, _ = discrete_ot._per_problem(mu, nu, cost)
+    plans, _ = discrete_ot._per_problem(mu, nu, cost)
+    obj = discrete_ot._objectives(plans, cost)
     for k in range(cx * cy):
         want = solve_exact(TransportProblem(xw[k // cy], yw[k % cy], cost[k]))
         assert plans[k].tobytes() == want.plan.tobytes()

@@ -24,12 +24,14 @@ from awsens import (
     perturbed_model_with_coupling,
     robust_curve,
     sensitivity_terminal,
+    solve_stopping,
     tree_from_nested,
+    utility_first_order,
     worst_case_direction,
 )
 from awsens import adapted_wasserstein, discrete_ot
 from awsens.robust_oracle import _Ascent
-from awsens.sensitivity import WorstCaseDirection
+from awsens.sensitivity import WorstCaseDirection, first_order
 
 RADII = (1e-4, 1e-3, 1e-2, 1e-1)
 
@@ -47,6 +49,35 @@ def test_query_validation(iid_signs):
     cm = make_cost_model("quadratic_control", {}, 2)
     with pytest.raises(InvalidParams):
         RobustQuery("controlled", iid_signs, cm, 2.0, RADII)  # missing bounds
+
+
+def _query(iid_signs, problem_class="terminal", **fields):
+    name = {"terminal": "linear", "stopping": "markov_payoff"}[problem_class]
+    fields = {"p": 2.0, "radii": RADII, **fields}
+    return RobustQuery(problem_class, iid_signs, make_cost_model(name, None, 2), **fields)
+
+
+@pytest.mark.parametrize("call", [
+    lambda tree: AWParams("2"),
+    lambda tree: AWParams(None),
+    lambda tree: sensitivity_terminal(tree, make_cost_model("linear", None, 2), "2"),
+    lambda tree: first_order(tree, make_cost_model("linear", None, 2), None),
+    lambda tree: utility_first_order(tree, make_utility_model({}, 2), ControlBounds(1.0), "2"),
+    lambda tree: robust_curve(_query(tree, p="2")),
+    lambda tree: robust_curve(_query(tree, restarts="2")),
+    lambda tree: robust_curve(_query(tree, max_iters="3")),
+    lambda tree: robust_curve(_query(tree, seed="3")),
+    lambda tree: robust_curve(_query(tree, seed=-1)),
+    lambda tree: robust_curve(_query(tree, "stopping", solver_tol="x")),
+    lambda tree: solve_stopping(tree, make_cost_model("markov_payoff", None, 2), tol="x"),
+    lambda tree: make_cost_model("markov_payoff", None, 2).eval(np.zeros(2), t="x"),
+], ids=["AWParams-str", "AWParams-None", "sensitivity_terminal", "first_order",
+        "utility_first_order", "p", "restarts", "max_iters", "seed-str", "seed-negative",
+        "solver_tol", "solve_stopping", "stopping-stage"])
+def test_public_number_arguments_raise_invalid_params(iid_signs, call):
+    # each was a bare TypeError or ValueError before the number rules
+    with pytest.raises(InvalidParams):
+        call(iid_signs)
 
 
 @pytest.mark.parametrize("radii", [(math.nan,), (1e-3, math.inf), (-math.inf, 1e-3),
