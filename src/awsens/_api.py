@@ -5,7 +5,6 @@ from .adapted_wasserstein import (
     AWParams,
     AWResult,
     CouplingTree,
-    PairNode,
     aw_distance,
     aw_pth_power,
     bicausalize,

@@ -47,7 +47,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -69,8 +69,9 @@ from .errors import (
     NotCausal,
     TooLarge,
     is_number,
+    tolerance,
 )
-from .process_tree import Node, ScenarioTree, _frozen, _int_field, _memo
+from .process_tree import Node, ScenarioTree, _frozen, _memo
 
 Direction = Literal["x_to_y", "y_to_x"]
 
@@ -104,19 +105,6 @@ class AWParams:
         object.__setattr__(self, "q", self.p / (self.p - 1.0))
 
 
-@dataclass(frozen=True)
-class PairNode:
-    """Node of a synchronized product tree: one x node, one y node, a joint
-    transition probability given the parent pair."""
-
-    id: int
-    time: int
-    x_node: int
-    y_node: int
-    cond_prob: float
-    parent: int | None
-
-
 class CouplingTree:
     """A coupling between two scenario trees as a synchronized product tree.
 
@@ -124,70 +112,38 @@ class CouplingTree:
     ``y_node[k]`` of the second at ``time[k]``; ``parent[k]`` is its parent
     pair (-1 at the root pair ``root``), ``cond_prob[k]`` the joint
     transition probability given that parent and ``prob[k]`` the joint
-    probability.  These read-only arrays are the coupling; the
-    :class:`PairNode` records ``pair_nodes`` and the child id tuples
-    ``children`` are built from them on first read.
+    probability.  These read-only arrays are the coupling.
 
-    Every construction validates, from records or arrays alike: one root
+    The constructor takes the first five as 1-d sequences of one length,
+    integers and numbers (see :func:`_pair_field`), and validates: one root
     pair covers both roots, each edge steps one time level along both
     trees' edges, conditional probabilities lie in (0, 1], each joint
     kernel sums to 1 without repeating a child pair, pairs end only at the
     horizon, and projecting the joint node probabilities onto either
     coordinate reproduces that tree's node probabilities within
-    ``marginal_tol``.  Causality is a property of the transition kernels
-    and is *not* enforced here; use :func:`check_causal`.
+    ``marginal_tol``.  A failure names the pair node the checks meet
+    first: the edge checks run in id order, the family checks breadth
+    first.  Causality is a property of the transition kernels and is
+    *not* enforced here; use :func:`check_causal`.
     """
 
     __slots__ = ("first", "second", "parent", "time", "x_node", "y_node", "cond_prob", "prob",
-                 "root", "_pair_nodes", "_children")
+                 "root")
 
-    def __init__(
-        self,
-        first: ScenarioTree,
-        second: ScenarioTree,
-        pair_nodes: Sequence[PairNode],
-        marginal_tol: float = 1e-10,
-    ):
-        pair_nodes = tuple(pair_nodes)
-        for k, pn in enumerate(pair_nodes):
-            if pn.id != k:
-                raise InvalidCoupling(f"pair node ids must equal list positions; got {pn.id} at {k}")
-
-        def ints(name, values):
-            return _int_field(InvalidCoupling, f"pair node field {name!r}", values)
-
-        self._check(
-            first, second,
-            ints("parent", [-1 if pn.parent is None else pn.parent for pn in pair_nodes]),
-            ints("time", [pn.time for pn in pair_nodes]),
-            ints("x_node", [pn.x_node for pn in pair_nodes]),
-            ints("y_node", [pn.y_node for pn in pair_nodes]),
-            np.array([pn.cond_prob for pn in pair_nodes], dtype=np.float64),
-            marginal_tol,
-        )
-        self._pair_nodes = pair_nodes
-
-    @classmethod
-    def _from_arrays(cls, first, second, parent, time, x_node, y_node, cond_prob,
-                     marginal_tol: float = 1e-10) -> CouplingTree:
-        """The coupling held by these pair arrays, validated as the records are."""
-        out = object.__new__(cls)
-        out._check(first, second, parent, time, x_node, y_node, cond_prob, marginal_tol)
-        out._pair_nodes = None
-        return out
-
-    def _check(self, first, second, parent, time, x_node, y_node, cond_prob, marginal_tol):
-        """Validate the pair arrays and keep them with the joint probabilities.
-
-        A failure names the pair node the per-record checks met first: the
-        edge checks run in id order, the family checks in breadth-first
-        order.  Every pair is reachable once the edge checks pass, because
-        each parent chain then steps down one time level per edge until it
-        ends at the only root.
-        """
+    def __init__(self, first: ScenarioTree, second: ScenarioTree, parent, time, x_node, y_node,
+                 cond_prob, marginal_tol: float = 1e-10):
+        marginal_tol = tolerance(marginal_tol, "marginal_tol")
         if first.horizon != second.horizon:
             raise HorizonMismatch("coupled trees must share one horizon")
+        parent, time, x_node, y_node = (
+            _pair_field(name, v, "iu")
+            for name, v in (("parent", parent), ("time", time), ("x_node", x_node),
+                            ("y_node", y_node))
+        )
+        cond_prob = _pair_field("cond_prob", cond_prob, "iuf")
         n = len(parent)
+        if any(len(a) != n for a in (time, x_node, y_node, cond_prob)):
+            raise InvalidCoupling("pair node fields must share one length")
         roots = np.flatnonzero(parent == -1)
         if len(roots) != 1 or x_node[roots[0]] != first.root or y_node[roots[0]] != second.root:
             raise InvalidCoupling("expected exactly one root pair covering both tree roots")
@@ -210,6 +166,8 @@ class CouplingTree:
             msg = next(m for f, m in faults if f[k])
             raise InvalidCoupling(f"pair node {k} " + msg.format(parent[k]))
 
+        # every pair is now reachable: each parent chain steps down one time
+        # level per edge until it ends at the only root
         kids = np.flatnonzero(parent >= 0)
         nkids = np.bincount(parent[kids], minlength=n)
         ksum = np.bincount(parent[kids], weights=cond_prob[kids], minlength=n)
@@ -222,9 +180,8 @@ class CouplingTree:
         if kernel_off.any() or early.any() or (skey[1:] == skey[:-1]).any():
             children = _child_lists(parent)
             order = [root]
-            for v in order:
+            for v in order:  # breadth first
                 order.extend(children[v])
-            for v in order:
                 if early[v]:
                     raise InvalidCoupling(f"pair node {v} ends before the horizon")
                 if kernel_off[v]:
@@ -256,30 +213,10 @@ class CouplingTree:
 
         self.first = first
         self.second = second
-        self.parent, self.time, self.x_node, self.y_node, self.cond_prob, self.prob = (
-            _frozen(a) for a in (parent, time, x_node, y_node, cond_prob, prob)
-        )
+        self.parent, self.time, self.x_node, self.y_node, self.cond_prob = (
+            parent, time, x_node, y_node, cond_prob)
+        self.prob = _frozen(prob)
         self.root = root
-        self._children = None
-
-    @property
-    def pair_nodes(self) -> tuple[PairNode, ...]:
-        """The pair records, in id order; built on first read."""
-        if self._pair_nodes is None:
-            cols = (a.tolist() for a in (self.time, self.x_node, self.y_node, self.cond_prob,
-                                         self.parent))
-            self._pair_nodes = tuple(
-                PairNode(k, t, x, y, c, None if par < 0 else par)
-                for k, (t, x, y, c, par) in enumerate(zip(*cols))
-            )
-        return self._pair_nodes
-
-    @property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """Child pair ids per pair, in id order; built on first read."""
-        if self._children is None:
-            self._children = tuple(tuple(c) for c in _child_lists(self.parent))
-        return self._children
 
     def stage_costs(self, p: float) -> tuple[float, ...]:
         """E[|X_t - Y_t|^p] per stage under the coupling, summed in pair-id order."""
@@ -305,6 +242,26 @@ def _child_lists(parent: np.ndarray) -> list[list[int]]:
     order = kids[np.argsort(parent[kids], kind="stable")]
     counts = np.bincount(parent[kids], minlength=len(parent))
     return [c.tolist() for c in np.split(order, np.cumsum(counts)[:-1])]
+
+
+def _pair_field(name: str, values, kinds: str) -> np.ndarray:
+    """Pair field ``name`` as a read-only 1-d array, or ``InvalidCoupling``
+    unless it is a 1-d array of a dtype kind in ``kinds`` ("iu" for ids,
+    "iuf" for numbers), or a sequence of numbers by
+    :func:`~awsens.errors.is_number` (no booleans, strings or None) that
+    numpy reads as one, which it does not for integers beyond 64 bits.  A
+    read-only array of the field's dtype is kept as it is, any other input
+    copied."""
+    a = values
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in kinds):
+        items = list(a) if np.iterable(a) else [None]  # a scalar is refused below
+        # is_number reads the type alone, so one value of each type decides
+        numbers = all(map(is_number, dict(zip(map(type, items), items)).values()))
+        a = np.array(items) if numbers else None
+    if a is None or a.ndim != 1 or (a.size and a.dtype.kind not in kinds):
+        what = "numbers within the float range" if "f" in kinds else "integers"
+        raise InvalidCoupling(f"pair node field {name!r} must hold {what} in a 1-d array")
+    return _frozen(a.astype(np.float64 if "f" in kinds else np.intp, copy=a.flags.writeable))
 
 
 def _child_index(tree: ScenarioTree):
@@ -344,6 +301,7 @@ def check_causal(coupling: CouplingTree, direction: Direction, tol: float = 1e-1
     are one ``np.bincount`` over (parent pair, marginal child) slots, each
     summed in pair-id order.
     """
+    tol = tolerance(tol, "tol")
     if direction == "x_to_y":
         tree, nodes = coupling.first, coupling.x_node
     elif direction == "y_to_x":
@@ -377,7 +335,7 @@ def product_coupling(P: ScenarioTree, Q: ScenarioTree) -> CouplingTree:
         (_, xrow, xf), (_, yrow, yf) = _size_classes(P, t), _size_classes(Q, t)
         return xf[a][3][xrow[xp]][:, :, None] * yf[b][3][yrow[yp]][:, None, :]
 
-    return CouplingTree._from_arrays(P, Q, *_assemble(P, Q, kernels, -np.inf))
+    return CouplingTree(P, Q, *_assemble(P, Q, kernels, -np.inf))
 
 
 def _assemble(P: ScenarioTree, Q: ScenarioTree, kernels, cutoff: float):
@@ -448,7 +406,7 @@ def _assemble(P: ScenarioTree, Q: ScenarioTree, kernels, cutoff: float):
         parent[kid_ids], time[kid_ids], x_node[kid_ids], y_node[kid_ids] = ids[par], t, xs, ys
         cond[kid_ids] = w
         ids = kid_ids
-    return parent, time, x_node, y_node, cond
+    return tuple(map(_frozen, (parent, time, x_node, y_node, cond)))
 
 
 # -- exact distance via backward recursion ------------------------------------
@@ -854,7 +812,7 @@ def aw_distance(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> AWResult:
 
     arrays = _assemble(P, Q, kernels, 1e-15)
     plans.clear()
-    coupling = CouplingTree._from_arrays(P, Q, *arrays)
+    coupling = CouplingTree(P, Q, *arrays)
     return AWResult(pth_power ** (1.0 / p), pth_power, coupling.stage_costs(p), coupling)
 
 
@@ -955,7 +913,8 @@ def coupling_from_path_matrix(P: ScenarioTree, Q: ScenarioTree, pi: np.ndarray) 
     """
     T = P.horizon
     ancP, ancQ = P.ancestor_matrix, Q.ancestor_matrix
-    pairs = [PairNode(0, 0, P.root, Q.root, 1.0, None)]
+    # (parent, time, x node, y node, cond_prob) per pair, in id order
+    rows = [(-1, 0, P.root, Q.root, 1.0)]
 
     def rec(pid: int, members: list[tuple[int, int]], t: int) -> None:
         groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -964,12 +923,12 @@ def coupling_from_path_matrix(P: ScenarioTree, Q: ScenarioTree, pi: np.ndarray) 
         masses = {key: sum(float(pi[i, j]) for i, j in grp) for key, grp in groups.items()}
         total = sum(masses.values())
         for key in sorted(groups):
-            pairs.append(PairNode(len(pairs), t, *key, masses[key] / total, pid))
+            rows.append((pid, t, *key, masses[key] / total))
             if t < T:
-                rec(len(pairs) - 1, groups[key], t + 1)
+                rec(len(rows) - 1, groups[key], t + 1)
 
     rec(0, list(zip(*np.nonzero(pi > _ORACLE_MASS_TOL))), 1)
-    return CouplingTree(P, Q, pairs, marginal_tol=_ORACLE_MARGINAL_TOL)
+    return CouplingTree(P, Q, *zip(*rows), marginal_tol=_ORACLE_MARGINAL_TOL)
 
 
 # -- bicausalization (discrete second-marginal perturbation) -------------------
@@ -988,30 +947,22 @@ def bicausalize(coupling: CouplingTree, delta: float) -> tuple[CouplingTree, Sce
         raise InvalidParams(f"delta must be positive and finite, got {delta}")
     if not check_causal(coupling, "x_to_y"):
         raise NotCausal("bicausalize requires a coupling causal from x to y")
-    return _bicausalize_pairs(
-        coupling.first, coupling.parent.tolist(), coupling.time.tolist(),
-        coupling.x_node.tolist(),
-        coupling.second.values[coupling.y_node].tolist(),  # the root's is never read
-        coupling.prob.tolist(), delta,
-    )
+    return _bicausalize_pairs(coupling.first, coupling.parent, coupling.time, coupling.x_node,
+                              coupling.second.values[coupling.y_node],  # the root's is never read
+                              coupling.prob, delta)
 
 
-def _bicausalize_pairs(
-    P: ScenarioTree,
-    parent: list[int],
-    time: list[int],
-    x_node: list[int],
-    y_value: list[float | None],
-    prob: list[float],
-    delta: float,
-) -> tuple[CouplingTree, ScenarioTree]:
+def _bicausalize_pairs(P: ScenarioTree, parent, time, x_node, y_value, prob,
+                       delta: float) -> tuple[CouplingTree, ScenarioTree]:
     """Shared quotient construction behind :func:`bicausalize`.
 
-    The pair tree is given explicitly (parents, -1 at the root, x nodes,
-    raw y values, joint node probabilities); the output merges pair nodes
-    with equal perturbed y histories into canonical nodes of the new
-    second-marginal tree.
+    The pair tree is given as arrays by pair id (parents, -1 at the root,
+    times, x nodes, raw y values, joint node probabilities); the output
+    merges pair nodes with equal perturbed y histories into canonical
+    nodes of the new second-marginal tree.
     """
+    children = _child_lists(parent)
+    time, x_node, y_value, prob = (np.asarray(a).tolist() for a in (time, x_node, y_value, prob))
     T = P.horizon
     pv = P.values.tolist()
     offsets = []
@@ -1021,7 +972,6 @@ def _bicausalize_pairs(
     # the root, the only pair at time 0, keeps no cell
     cell = [math.floor(y / delta) if t else 0 for y, t in zip(y_value, time)]
     ynew = [c * delta + offsets[t][pv[x]] for c, t, x in zip(cell, time, x_node)]
-    children = _child_lists(np.array(parent))
 
     # pair k couples node k of the new tree with node x_new[k] of P
     q_nodes = [Node(0, 0, None, 1.0, None)]
@@ -1044,5 +994,4 @@ def _bicausalize_pairs(
             x_new.append(x_node[grp[0]])
             stack.append((len(q_nodes) - 1, grp, gmass))
     q = ScenarioTree(T, q_nodes)
-    ids = np.arange(len(x_new))
-    return CouplingTree._from_arrays(P, q, q.parent, q.time, np.array(x_new), ids, q.cond_prob), q
+    return CouplingTree(P, q, q.parent, q.time, x_new, np.arange(len(x_new)), q.cond_prob), q

@@ -154,19 +154,10 @@ def _dumps(doc) -> str:
 
 
 def serialize_coupling(coupling: CouplingTree) -> dict:
-    return {
-        "pair_nodes": [
-            {
-                "id": pn.id,
-                "time": pn.time,
-                "x_node": pn.x_node,
-                "y_node": pn.y_node,
-                "cond_prob": pn.cond_prob,
-                "parent": pn.parent,
-            }
-            for pn in coupling.pair_nodes
-        ]
-    }
+    keys = ("parent", "time", "x_node", "y_node", "cond_prob")
+    rows = zip(*(getattr(coupling, k).tolist() for k in keys))
+    return {"pair_nodes": [dict(zip(keys, row), id=k, parent=None if row[0] < 0 else row[0])
+                           for k, row in enumerate(rows)]}
 
 
 # -- run configuration ---------------------------------------------------------

@@ -3,9 +3,11 @@
 Each error carries the process exit code the CLI maps it to; anything not
 listed here exits with code 1.  :func:`finite_number` and
 :func:`finite_count` are the number rules of every param, config field and
-generator param (see ``cost_models.PARAMS``).
+generator param (see ``cost_models.PARAMS``), :func:`tolerance` that of the
+solver and coupling tolerances.
 """
 
+import math
 import numbers
 import sys
 
@@ -49,6 +51,14 @@ def finite_count(v, name: str, where: str = "config") -> int:
     if not (is_number(v) and abs(v) <= sys.float_info.max and float(v).is_integer() and v >= 0):
         raise InvalidParams(f"{where} {name!r} must be a nonnegative integer, got {v!r}")
     return int(v)
+
+
+def tolerance(v, name: str) -> float:
+    """``v`` as a float, or ``InvalidParams`` unless it is a nonnegative
+    number (NaN fails); an integer beyond the float range reads as inf."""
+    if not (is_number(v) and v >= 0):
+        raise InvalidParams(f"{name} must be a nonnegative number, got {v!r}")
+    return float(v) if v <= sys.float_info.max else math.inf
 
 
 class InvalidCoupling(AwsensError):

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost_models import CostModel, sampled_hessian_min_eig
-from .errors import InvalidParams, MaxIterations, NotConvex, TooLarge, finite_count, is_number
+from .errors import (InvalidParams, MaxIterations, NotConvex, TooLarge, finite_count, is_number,
+                     tolerance)
 from .process_tree import ScenarioTree, _frozen
 
 ARMIJO_C = 1e-4
@@ -184,8 +185,7 @@ def solve_value(
     """
     if model.kind != "controlled":
         raise InvalidParams(f"solve_value needs a controlled model, got {model.kind!r}")
-    if not (is_number(tol) and tol >= 0.0):
-        raise InvalidParams(f"tol must be a nonnegative number, got {tol!r}")
+    tol = tolerance(tol, "tol")
     max_iter = finite_count(max_iter, "max_iter", "solve_value")
     ids, aidx = _variable_layout(tree)
     nvar = len(ids)

@@ -304,10 +304,8 @@ def displace(tree: ScenarioTree, values, delta: float):
         raise DeltaTooSmall(
             "shifted sibling values collide and delta = 0 leaves nothing to separate them"
         )
-    coupling, out = _bicausalize_pairs(
-        tree, tree.parent.tolist(), tree.time.tolist(), list(range(len(values))),
-        values.tolist(), list(tree.node_prob), delta,
-    )
+    coupling, out = _bicausalize_pairs(tree, tree.parent, tree.time, np.arange(len(values)),
+                                       values, tree.node_prob, delta)
     return out, coupling
 
 
@@ -356,8 +354,7 @@ def perturbed_model_with_coupling(
     if coupling is None:  # the identity coupling is bicausal
         delta_used = 0.0
         ids = np.arange(len(tree.parent))
-        coupling = CouplingTree._from_arrays(tree, out, tree.parent, tree.time, ids, ids,
-                                             tree.cond_prob)
+        coupling = CouplingTree(tree, out, tree.parent, tree.time, ids, ids, tree.cond_prob)
 
     if verify:
         norm = direction.norm_check ** (1.0 / direction.p) if direction.norm_check > 0 else 1.0

@@ -410,7 +410,7 @@ def test_acceptance_7_dual_direction_and_perturbation():
 
 
 def test_acceptance_8_discrete_bicausalization():
-    from awsens import CouplingTree, PairNode
+    from pair_records import PairNode, coupling_of, records
 
     P = gen_binomial(2, 0.0, 1.0, -1.0, 0.5, 0.0)
     Q = tree_from_nested(2, [(0.0, 1.0, [(2.0, 0.25), (0.0, 0.5), (-2.0, 0.25)])])
@@ -423,7 +423,7 @@ def test_acceptance_8_discrete_bicausalization():
         PairNode(5, 2, 5, 3, 0.5, 2),
         PairNode(6, 2, 6, 4, 0.5, 2),
     ]
-    coupling = CouplingTree(P, Q, pairs)
+    coupling = coupling_of(P, Q, pairs)
     assert check_causal(coupling, "x_to_y") and not check_causal(coupling, "y_to_x")
     delta = 0.05
     fixed, Qd = bicausalize(coupling, delta)
@@ -432,8 +432,8 @@ def test_acceptance_8_discrete_bicausalization():
     # each x node appears in exactly one pair here, so it identifies the
     # original y value the perturbed one must stay close to
     orig_y = {pn.x_node: Q.nodes[pn.y_node].value
-              for pn in coupling.pair_nodes if pn.parent is not None}
-    for pn in fixed.pair_nodes:
+              for pn in records(coupling) if pn.parent is not None}
+    for pn in records(fixed):
         if pn.parent is None:
             continue
         moved = max(moved, abs(Qd.nodes[pn.y_node].value - orig_y[pn.x_node]))

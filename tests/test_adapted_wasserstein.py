@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from awsens import (
     AWParams,
-    CouplingTree,
     DeltaTooSmall,
     HorizonMismatch,
     InvalidCoupling,
@@ -17,7 +16,6 @@ from awsens import (
     InvalidTree,
     NotCausal,
     Node,
-    PairNode,
     ScenarioTree,
     TooLarge,
     TransportProblem,
@@ -38,6 +36,7 @@ from awsens import (
 )
 from awsens import adapted_wasserstein, discrete_ot
 from awsens.discrete_ot import _objectives
+from pair_records import PairNode, child_ids, coupling_of, records
 
 P2 = AWParams(2.0)
 
@@ -91,7 +90,7 @@ def make_causal_only_coupling():
         PairNode(5, 2, 5, 3, 0.5, 2),
         PairNode(6, 2, 6, 4, 0.5, 2),
     ]
-    return CouplingTree(P, Q, pairs), P, Q
+    return coupling_of(P, Q, pairs), P, Q
 
 
 def test_params_validation():
@@ -106,7 +105,7 @@ def test_params_validation():
 def test_identical_trees_distance_zero(iid_signs):
     res = aw_distance(iid_signs, iid_signs, P2)
     assert res.distance == 0.0
-    for pn in res.coupling.pair_nodes:
+    for pn in records(res.coupling):
         if pn.parent is not None:
             assert res.coupling.first.nodes[pn.x_node].value == res.coupling.second.nodes[pn.y_node].value
 
@@ -312,7 +311,8 @@ def test_recursion_matches_per_pair_reference_with_mixed_family_sizes(p):
         assert res.pth_power == _per_pair_pth_power(A, B, p)
         # the coupling's last-stage kernels are the per-pair monotone plans
         c = res.coupling
-        for pn in c.pair_nodes:
+        pairs, children = records(c), child_ids(c)
+        for pn in pairs:
             if pn.time != 1:
                 continue
             xc, yc = A.children[pn.x_node], B.children[pn.y_node]
@@ -322,8 +322,8 @@ def test_recursion_matches_per_pair_reference_with_mixed_family_sizes(p):
             ref, _ = _sorted_1d(xv[ox], np.array([A.nodes[k].cond_prob for k in xc])[ox],
                                 yv[oy], np.array([B.nodes[k].cond_prob for k in yc])[oy], p)
             want = {(xc[ox[i]], yc[oy[j]]): ref[i, j] for i, j in zip(*np.nonzero(ref > 1e-15))}
-            got = {(c.pair_nodes[k].x_node, c.pair_nodes[k].y_node): c.pair_nodes[k].cond_prob
-                   for k in c.children[pn.id]}
+            got = {(pairs[k].x_node, pairs[k].y_node): pairs[k].cond_prob
+                   for k in children[pn.id]}
             assert got == want
 
 
@@ -333,7 +333,7 @@ def test_chunked_last_stage_is_bit_identical(monkeypatch):
     monkeypatch.setattr(adapted_wasserstein, "_BATCH_CELLS", 20)  # one x family per chunk
     chunked = aw_distance(A, B, P2)
     assert chunked.pth_power == whole.pth_power
-    assert chunked.coupling.pair_nodes == whole.coupling.pair_nodes
+    assert records(chunked.coupling) == records(whole.coupling)
 
 
 @pytest.mark.parametrize("T,b", [(1, 5), (2, 3), (3, 3), (4, 2)])
@@ -443,7 +443,7 @@ def test_anticipating_coupling_fails_forward_direction(split_dirac_pair):
         PairNode(3, 2, 2, 2, 1.0, 1),  # (X2=+1, Y2=+1)
         PairNode(4, 2, 3, 4, 1.0, 2),  # (X2=-1, Y2=-1)
     ]
-    coupling = CouplingTree(P, Q, pairs)
+    coupling = coupling_of(P, Q, pairs)
     assert not check_causal(coupling, "x_to_y")
     assert check_causal(coupling, "y_to_x")
     assert not is_bicausal(coupling)
@@ -459,7 +459,7 @@ def test_coupling_validation_rejects_bad_marginals(split_dirac_pair):
         PairNode(4, 2, 3, 4, 1.0, 2),
     ]
     with pytest.raises(InvalidCoupling):
-        CouplingTree(P, Q, pairs)
+        coupling_of(P, Q, pairs)
 
 
 def test_check_causal_rejects_unknown_direction(split_dirac_pair):
@@ -482,9 +482,9 @@ def test_bicausalize_flips_causal_only_coupling():
     # per-stage displacement of the second marginal stays below delta:
     # each new pair node's y value sits within delta of the y it came from
     orig = {
-        (pn.x_node,): Q.nodes[pn.y_node].value for pn in coupling.pair_nodes if pn.parent is not None
+        (pn.x_node,): Q.nodes[pn.y_node].value for pn in records(coupling) if pn.parent is not None
     }
-    for pn in fixed.pair_nodes:
+    for pn in records(fixed):
         if pn.parent is None:
             continue
         moved = abs(Qd.nodes[pn.y_node].value - orig[(pn.x_node,)])
@@ -511,7 +511,7 @@ def test_bicausalize_keeps_bicausal_monge_fixed_points(iid_signs):
             pairs.append(PairNode(nid, iid_signs.nodes[xc].time, xc, yc,
                                   iid_signs.nodes[xc].cond_prob, pid))
             stack.append((nid, xc, yc))
-    coupling = CouplingTree(iid_signs, shifted, pairs)
+    coupling = coupling_of(iid_signs, shifted, pairs)
     assert is_bicausal(coupling)
     delta = 0.125
     fixed, Qd = bicausalize(coupling, delta)
@@ -531,7 +531,7 @@ def test_bicausalize_requires_causal_input(split_dirac_pair):
         PairNode(3, 2, 2, 2, 1.0, 1),
         PairNode(4, 2, 3, 4, 1.0, 2),
     ]
-    anticipating = CouplingTree(P, Q, pairs)
+    anticipating = coupling_of(P, Q, pairs)
     with pytest.raises(NotCausal):
         bicausalize(anticipating, 0.1)
     for delta in (0.0, math.nan, math.inf):
@@ -561,10 +561,9 @@ def test_bicausalize_delta_collision_detected():
     coupling, P, Q = make_causal_only_coupling()
     # at y = 1e16, sub-delta offsets of order 1e-18 vanish in binary64
     huge = tree_from_nested(2, [(1e16, 1.0, [(2.0, 0.25), (0.0, 0.5), (-2.0, 0.25)])])
-    pairs = [PairNode(pn.id, pn.time, pn.x_node, pn.y_node, pn.cond_prob, pn.parent)
-             for pn in coupling.pair_nodes]
+    pairs = records(coupling)
     # reuse the same structure but against the huge-valued first stage
-    moved = CouplingTree(P, huge, [
+    moved = coupling_of(P, huge, [
         pairs[0],
         PairNode(1, 1, 1, 1, 0.5, 0),
         PairNode(2, 1, 2, 1, 0.5, 0),
@@ -583,7 +582,7 @@ def test_bicausalize_delta_collision_detected():
 def _result_bits(res) -> tuple:
     return (res.distance.hex(), res.pth_power.hex(), [c.hex() for c in res.per_stage_costs],
             [(pn.id, pn.time, pn.x_node, pn.y_node, pn.cond_prob.hex(), pn.parent)
-             for pn in res.coupling.pair_nodes])
+             for pn in records(res.coupling)])
 
 
 def _constructed(tree: ScenarioTree, values: np.ndarray) -> ScenarioTree:

@@ -3,8 +3,11 @@
 The references below are the record-by-record assembly, validator,
 causality check and stage costs that ``CouplingTree`` and ``aw_distance``
 used before the coupling became arrays; the plans come from solving one
-node pair at a time.  The array path must give the same pair ids, order
-and bits, and fail with the same error on the same pair node.
+node pair at a time, and the records are ``pair_records.PairNode``.  The
+array path must give the same pair ids, order and bits, and fail with the
+same error on the same pair node.  The constructor must also refuse
+malformed fields and tolerances with a typed error, and build every
+coupling the library returns.
 """
 
 import math
@@ -21,20 +24,28 @@ from awsens import (
     CouplingTree,
     HorizonMismatch,
     InvalidCoupling,
-    PairNode,
+    InvalidParams,
     RobustQuery,
     TransportProblem,
     aw_distance,
+    bicausalize,
+    brute_force_bicausal,
     check_causal,
     gen_binomial,
     gen_random,
+    is_bicausal,
     make_cost_model,
+    perturbed_model_with_coupling,
     product_coupling,
     robust_curve,
+    sensitivity_terminal,
     solve_exact,
     tree_from_nested,
+    worst_case_direction,
 )
 from awsens import adapted_wasserstein, discrete_ot
+from awsens.sensitivity import displace
+from pair_records import PairNode, arrays, child_ids, coupling_of, records
 
 # -- references: the per-record construction ----------------------------------
 
@@ -196,13 +207,14 @@ def _reference_validate(first, second, pair_nodes, marginal_tol=1e-10):
 def _reference_check_causal(coupling, direction, tol=1e-10):
     tree = coupling.first if direction == "x_to_y" else coupling.second
     pick = (lambda pn: pn.x_node) if direction == "x_to_y" else (lambda pn: pn.y_node)
-    for pn in coupling.pair_nodes:
-        kids = coupling.children[pn.id]
+    pairs, children = records(coupling), child_ids(coupling)
+    for pn in pairs:
+        kids = children[pn.id]
         if not kids:
             continue
         proj = {}
         for c in kids:
-            child = coupling.pair_nodes[c]
+            child = pairs[c]
             proj[pick(child)] = proj.get(pick(child), 0.0) + child.cond_prob
         for marg_child in tree.children[pick(pn)]:
             if abs(proj.pop(marg_child, 0.0) - tree.nodes[marg_child].cond_prob) > tol:
@@ -294,8 +306,8 @@ def _check_against_references(A, B, p, cells):
     children, prob = _reference_validate(A, B, pairs)
     c = res.coupling
     assert res.pth_power == pth
-    assert _records(c.pair_nodes) == _records(pairs)
-    assert c.children == children
+    assert _records(records(c)) == _records(pairs)
+    assert child_ids(c) == children
     assert _hexes(c.prob) == _hexes(prob)
     assert _hexes(res.per_stage_costs) == _hexes(_reference_stage_costs(A, B, pairs, prob, p))
     for direction in ("x_to_y", "y_to_x"):
@@ -381,29 +393,34 @@ def test_product_coupling_matches_per_record_assembly(kind, seed):
     c = product_coupling(A, B)
     pairs = _reference_product(A, B)
     children, prob = _reference_validate(A, B, pairs)
-    assert _records(c.pair_nodes) == _records(pairs)
-    assert c.children == children
+    assert _records(records(c)) == _records(pairs)
+    assert child_ids(c) == children
     assert _hexes(c.prob) == _hexes(prob)
     assert _hexes(c.stage_costs(2.0)) == _hexes(_reference_stage_costs(A, B, pairs, prob, 2.0))
     for direction in ("x_to_y", "y_to_x"):
         assert check_causal(c, direction) is _reference_check_causal(c, direction) is True
 
 
-def test_coupling_arrays_are_read_only_and_records_lazy():
+def test_coupling_arrays_are_read_only():
     A, B = gen_random(3, 3, 1), gen_random(3, 2, 2)
     c = aw_distance(A, B, AWParams(2.0)).coupling
-    assert c._pair_nodes is None and c._children is None
     for a in (c.parent, c.time, c.x_node, c.y_node, c.cond_prob, c.prob):
-        assert len(a) == len(c.pair_nodes)
+        assert len(a) == len(c.parent)
         with pytest.raises(ValueError):
             a[0] = a[1]
-    assert c._pair_nodes is not None and c._children is None
-    assert c.children[c.root] == tuple(np.flatnonzero(c.parent == c.root).tolist())
+    # the constructor keeps read-only arrays of its dtypes and copies the
+    # rest, so it never makes a caller's array read-only
+    fields = [np.array(col) for col in (c.parent, c.time, c.x_node, c.y_node, c.cond_prob)]
+    fields[1].setflags(write=False)
+    d = CouplingTree(A, B, *fields)
+    assert d.time is fields[1]
+    assert all(f.flags.writeable for k, f in enumerate(fields) if k != 1)
+    assert not any(a is f for a in (d.parent, d.x_node, d.y_node, d.cond_prob) for f in fields)
 
 
 # -- malformed couplings -------------------------------------------------------
 
-FAULTS = ["id", "second root", "root node", "time", "x node", "y node", "x out of range",
+FAULTS = ["second root", "root node", "time", "x node", "y node", "x out of range",
           "cond zero", "cond above one", "cond nan", "kernel", "duplicate", "marginal", "leaf",
           "sibling swap"]
 
@@ -420,9 +437,7 @@ def _inject(pairs, fault, k, nx):
         fields.update(changes)
         pairs[k] = PairNode(**fields)
 
-    if fault == "id":
-        put(id=len(pairs) + 3)
-    elif fault == "second root":
+    if fault == "second root":
         put(parent=None)
     elif fault == "root node":
         r = pairs[0]
@@ -479,8 +494,8 @@ def _outcome(build):
 @settings(max_examples=80, deadline=None)
 def test_malformed_couplings_fail_as_the_record_checks_did(kind, seed, fault, where, source):
     A, B = _pair(kind, seed)
-    good = (aw_distance(A, B, AWParams(2.0)).coupling if source == "aw"
-            else product_coupling(A, B)).pair_nodes
+    good = records(aw_distance(A, B, AWParams(2.0)).coupling if source == "aw"
+                   else product_coupling(A, B))
     k = 1 + where % (len(good) - 1)
     if fault == "leaf":
         internal = [pn.id for pn in good if pn.parent is not None and pn.time < A.horizon]
@@ -489,7 +504,7 @@ def test_malformed_couplings_fail_as_the_record_checks_did(kind, seed, fault, wh
         k = internal[where % len(internal)]
     bad = _inject(good, fault, k, len(A.node_prob))
     want = _outcome(lambda: _reference_validate(A, B, bad))
-    assert _outcome(lambda: CouplingTree(A, B, bad)) == want
+    assert _outcome(lambda: coupling_of(A, B, bad)) == want
     if fault not in ("duplicate", "sibling swap", "marginal", "x node"):
         assert want is not None
 
@@ -498,16 +513,15 @@ def test_parent_outside_the_pair_list_is_invalid():
     P = gen_binomial(1, 0.0, 1.0, -1.0, 0.5, 0.0)
     good = [PairNode(0, 0, 0, 0, 1.0, None), PairNode(1, 1, 1, 1, 0.5, 0),
             PairNode(2, 1, 2, 2, 0.5, 0)]
-    CouplingTree(P, P, good)
+    coupling_of(P, P, good)
     for parent in (7, 3, -3, -2):
         with pytest.raises(InvalidCoupling, match=f"node 2 references unknown parent {parent}"):
-            CouplingTree(P, P, good[:2] + [PairNode(2, 1, 2, 2, 0.5, parent)])
+            coupling_of(P, P, good[:2] + [PairNode(2, 1, 2, 2, 0.5, parent)])
     with pytest.raises(InvalidCoupling, match="must hold integers"):
-        CouplingTree(P, P, good[:2] + [PairNode(2, 1.5, 2, 2, 0.5, 0)])
+        coupling_of(P, P, good[:2] + [PairNode(2, 1.5, 2, 2, 0.5, 0)])
     with pytest.raises(InvalidCoupling, match="unknown parent 5"):
-        CouplingTree._from_arrays(P, P, np.array([-1, 0, 5]), np.array([0, 1, 1]),
-                                  np.array([0, 1, 2]), np.array([0, 1, 2]),
-                                  np.array([1.0, 0.5, 0.5]))
+        CouplingTree(P, P, np.array([-1, 0, 5]), np.array([0, 1, 1]), np.array([0, 1, 2]),
+                     np.array([0, 1, 2]), np.array([1.0, 0.5, 0.5]))
 
 
 # -- causality ------------------------------------------------------------------
@@ -522,9 +536,9 @@ def test_check_causal_matches_the_record_walk(kind, seed, direction, where):
     # other: the array check and the record walk must both see it
     A, B = _pair(kind, seed)
     c = product_coupling(A, B)
-    pairs = list(c.pair_nodes)
+    pairs = records(c)
     mine, other = ("x_node", "y_node") if direction == "x_to_y" else ("y_node", "x_node")
-    moves = [(u, v) for kids in c.children for u in kids for v in kids
+    moves = [(u, v) for kids in child_ids(c) for u in kids for v in kids
              if getattr(pairs[u], other) == getattr(pairs[v], other)
              and getattr(pairs[u], mine) != getattr(pairs[v], mine)]
     if not moves:
@@ -534,9 +548,163 @@ def test_check_causal_matches_the_record_walk(kind, seed, direction, where):
     for k, d in ((u, -eps), (v, eps)):
         q = pairs[k]
         pairs[k] = PairNode(q.id, q.time, q.x_node, q.y_node, q.cond_prob + d, q.parent)
-    bent = CouplingTree(A, B, pairs, marginal_tol=1e-6)
+    bent = coupling_of(A, B, pairs, marginal_tol=1e-6)
     for dirn in ("x_to_y", "y_to_x"):
         assert check_causal(bent, dirn) is _reference_check_causal(bent, dirn)
     assert not check_causal(bent, direction)
     flipped = "y_to_x" if direction == "x_to_y" else "x_to_y"
     assert check_causal(bent, flipped)
+
+
+# -- typed input ----------------------------------------------------------------
+
+FIELDS = ("parent", "time", "x_node", "y_node", "cond_prob")
+# entries of another type than a valid coupling's: floats where integers
+# belong, strings, None, booleans, NaN, infinities, integers beyond 64 bits
+# and beyond the float range, numpy scalars
+ENTRY_VALUES = st.sampled_from([0, 1, 2, -1, 0.0, 1.0, 0.5, "0.5", "abc", None, True, False,
+                                math.nan, math.inf, 2 ** 64, 10 ** 400, np.float64(0.5),
+                                np.int64(1), np.bool_(True)])
+# whole fields of another shape or dtype
+WHOLE_FIELDS = {
+    "scalar": lambda col: 3,
+    "none": lambda col: None,
+    "string": lambda col: "abc",
+    "empty": lambda col: [],
+    "short": lambda col: col[:-1],
+    "2-d list": lambda col: [col, col],
+    "2-d array": lambda col: np.array([col, col]),
+    "generator": lambda col: iter(col),
+    "dict": lambda col: {0: 1},
+    "bool array": lambda col: np.ones(len(col), dtype=bool),
+    "object array": lambda col: np.array(col, dtype=object),
+    "uint64 array": lambda col: np.full(len(col), 2 ** 64 - 1, dtype=np.uint64),
+    "float32 array": lambda col: np.full(len(col), 0.5, dtype=np.float32),
+    "0-d array": lambda col: np.array(1),
+}
+
+
+@given(changes=st.lists(st.tuples(st.integers(0, 20), st.sampled_from(FIELDS), ENTRY_VALUES),
+                        max_size=3),
+       whole=st.lists(st.tuples(st.sampled_from(FIELDS), st.sampled_from(sorted(WHOLE_FIELDS))),
+                      max_size=2),
+       container=st.sampled_from(["list", "tuple", "array"]))
+@settings(max_examples=300, deadline=None)
+def test_coupling_field_fuzz_raises_only_invalid_coupling(changes, whole, container):
+    # the library entry below the recursion: pair fields straight to CouplingTree
+    P = gen_binomial(2, 0.0, 1.0, -1.0, 0.5, 0.0)
+    cols = dict(zip(FIELDS, arrays(records(product_coupling(P, P)))))
+    for k, field, value in changes:
+        cols[field][k % len(cols[field])] = value
+    wrap = {"list": list, "tuple": tuple, "array": np.array}[container]
+    args = {f: wrap(col) for f, col in cols.items()}
+    for field, kind in whole:
+        args[field] = WHOLE_FIELDS[kind](cols[field])
+    try:
+        CouplingTree(P, P, *(args[f] for f in FIELDS))
+    except InvalidCoupling:
+        pass
+
+
+def _one_step():
+    P = gen_binomial(1, 0.0, 1.0, -1.0, 0.5, 0.0)
+    return P, arrays([PairNode(0, 0, 0, 0, 1.0, None), PairNode(1, 1, 1, 1, 0.5, 0),
+                      PairNode(2, 1, 2, 2, 0.5, 0)])
+
+
+@pytest.mark.parametrize("value", ["0.5", "abc", 10 ** 400, True, None, 1 + 0j])
+def test_cond_prob_must_hold_numbers(value):
+    P, (parent, time, x_node, y_node, cond_prob) = _one_step()
+    CouplingTree(P, P, parent, time, x_node, y_node, cond_prob)
+    cond_prob[1] = value
+    with pytest.raises(InvalidCoupling, match="field 'cond_prob' must hold numbers"):
+        CouplingTree(P, P, parent, time, x_node, y_node, cond_prob)
+
+
+def test_pair_ids_are_1d_integer_arrays_of_one_length():
+    P, fields = _one_step()
+    parent, time, x_node, y_node, cond_prob = map(np.array, fields)
+    for short in range(5):
+        cut = [f[:2] if k == short else f for k, f in enumerate(map(np.array, fields))]
+        with pytest.raises(InvalidCoupling, match="fields must share one length"):
+            CouplingTree(P, P, *cut)
+    with pytest.raises(InvalidCoupling, match="field 'x_node' must hold integers in a 1-d array"):
+        CouplingTree(P, P, parent, time, np.stack([x_node, x_node]), y_node, cond_prob)
+    with pytest.raises(InvalidCoupling, match="field 'y_node' must hold integers"):
+        CouplingTree(P, P, parent, time, x_node, y_node.astype(float), cond_prob)
+    with pytest.raises(InvalidCoupling, match="field 'time' must hold integers"):
+        CouplingTree(P, P, parent, [0, 1, True], x_node, y_node, cond_prob)
+
+
+# -- tolerances -------------------------------------------------------------------
+
+BAD_TOLERANCES = [math.nan, -1e-12, -math.inf, "x", "1e-9", None, True, [1e-10]]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_marginal_tol_refuses_nan_negatives_and_non_numbers(tol):
+    # the second marginal is off by 0.4 at both children
+    P = gen_binomial(1, 0.0, 1.0, -1.0, 0.5, 0.0)
+    Q = tree_from_nested(1, [(1.0, 0.1), (-1.0, 0.9)])
+    fields = ([-1, 0, 0], [0, 1, 1], [0, 1, 2], [0, 1, 2], [1.0, 0.5, 0.5])
+    with pytest.raises(InvalidCoupling, match="second marginal off by 0.4"):
+        CouplingTree(P, Q, *fields)
+    assert CouplingTree(P, Q, *fields, marginal_tol=0.5).prob.tolist() == [1.0, 0.5, 0.5]
+    CouplingTree(P, Q, *fields, marginal_tol=10 ** 400)  # reads as inf
+    with pytest.raises(InvalidParams, match="marginal_tol must be a nonnegative number"):
+        CouplingTree(P, Q, *fields, marginal_tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_causality_tol_refuses_nan_negatives_and_non_numbers(tol, split_dirac_pair):
+    P, Q = split_dirac_pair
+    # X2's sign follows Y1's: not causal from x to y at the default tol
+    anticipating = coupling_of(P, Q, [
+        PairNode(0, 0, 0, 0, 1.0, None), PairNode(1, 1, 1, 1, 0.5, 0),
+        PairNode(2, 1, 1, 3, 0.5, 0), PairNode(3, 2, 2, 2, 1.0, 1), PairNode(4, 2, 3, 4, 1.0, 2),
+    ])
+    assert not check_causal(anticipating, "x_to_y")
+    assert check_causal(anticipating, "x_to_y", 0.5)
+    for check in (lambda: check_causal(anticipating, "x_to_y", tol),
+                  lambda: check_causal(anticipating, "y_to_x", tol=tol),
+                  lambda: is_bicausal(anticipating, tol)):
+        with pytest.raises(InvalidParams, match="tol must be a nonnegative number"):
+            check()
+
+
+# -- one constructor ------------------------------------------------------------
+
+
+def test_every_coupling_is_built_by_the_constructor():
+    # each entry returns a coupling that CouplingTree.__init__ built and
+    # validated, and builds no other
+    A, B = gen_random(2, 2, 1), gen_random(2, 2, 2)
+    tree = gen_random(2, 3, 0)
+    model = make_cost_model("linear", None, 2)
+    direction = worst_case_direction(tree, sensitivity_terminal(tree, model, 2.0))
+    colliding = tree.values.copy()
+    kids = tree.children[tree.root]
+    colliding[kids[1]] = colliding[kids[0]]
+    causal = aw_distance(A, B, AWParams(2.0)).coupling
+    runs = {
+        "aw_distance": lambda: aw_distance(A, B, AWParams(2.0)).coupling,
+        "product_coupling": lambda: product_coupling(A, B),
+        "bicausalize": lambda: bicausalize(causal, 0.05)[0],
+        "brute_force_bicausal": lambda: brute_force_bicausal(A, B, AWParams(2.0)).coupling,
+        "perturbed_model_with_coupling":
+            lambda: perturbed_model_with_coupling(tree, direction, 0.05)[1],
+        "displace": lambda: displace(tree, colliding, 1e-3)[1],
+    }
+    built = []
+    init = CouplingTree.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    with mock.patch.object(CouplingTree, "__init__", spy):
+        for name, run in runs.items():
+            built.clear()
+            coupling = run()
+            assert isinstance(coupling, CouplingTree), name
+            assert len(built) == 1 and built[0] is coupling, name

@@ -27,9 +27,10 @@ from awsens import (
     utility_first_order,
     worst_case_direction,
 )
-from awsens.adapted_wasserstein import CouplingTree, PairNode, check_causal
+from awsens.adapted_wasserstein import check_causal
 from awsens.cost_models import CATALOG
 from awsens.sensitivity import first_order, leaf_gradients
+from pair_records import PairNode, coupling_of
 
 L = ControlBounds(10.0)
 
@@ -394,7 +395,7 @@ def test_perturbed_model_is_bicausal_displacement(iid_signs):
             pairs.append(PairNode(nid, iid_signs.nodes[xc].time, xc, yc,
                                   iid_signs.nodes[xc].cond_prob, pid))
             stack.append((nid, xc, yc))
-    coupling = CouplingTree(iid_signs, moved, pairs)
+    coupling = coupling_of(iid_signs, moved, pairs)
     assert check_causal(coupling, "x_to_y") and check_causal(coupling, "y_to_x")
 
 
