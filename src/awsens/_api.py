@@ -8,9 +8,7 @@ from .adapted_wasserstein import (
     aw_distance,
     aw_pth_power,
     bicausalize,
-    brute_force_bicausal,
     check_causal,
-    flat_wasserstein,
     is_bicausal,
     product_coupling,
 )
@@ -55,6 +53,7 @@ from .multistage_opt import (
     solve_value,
     uniqueness_spread,
 )
+from .oracles import brute_force_bicausal, flat_wasserstein
 from .optimal_stopping import (
     SnellTable,
     StoppingPolicy,

@@ -7,6 +7,15 @@ to the stage cost |x - y|^p plus the already-computed value of the child
 pair.  The recursion's optimal plans assemble into a coupling tree that is
 bicausal by construction.
 
+A pair's value depends only on the two subtrees below it, so each level
+of each tree is split into subtree classes (:func:`_subtree_classes`):
+nodes whose children, in child order, carry the same value bits,
+``cond_prob`` bits and classes.  Two pairs in the same two classes pose
+the same transport problem bit for bit, so one representative pair per
+pair of classes is solved, and each level's values and kept plans are
+held by class; random trees, whose nodes are all their own classes, run
+the per-position layout unchanged.
+
 Node pairs are solved per pair of family sizes, in chunks of at most
 ``_BATCH_CELLS`` cells.  At the last stage the cost is |x - y|^p alone,
 so every pair of child families is a sorted 1-d problem, solved by the
@@ -36,9 +45,7 @@ read: the diagonal node pairs above the last stage, once a negative-cycle
 certificate shows the identity plan optimal at each of them, and the
 last stage's pairs of siblings below them, with the same bits.
 
-A brute-force LP over joint path probabilities with explicit (cross-
-multiplied) causality constraints serves as an independent oracle for the
-same quantity at small scale.
+The independent oracles for the same quantity live in :mod:`awsens.oracles`.
 """
 
 from __future__ import annotations
@@ -51,23 +58,13 @@ from typing import Literal
 
 import numpy as np
 
-from .discrete_ot import (
-    TransportProblem,
-    _northwest_batch,
-    _objectives,
-    check_cost,
-    check_weights,
-    solve_batch,
-    solve_exact,
-)
+from .discrete_ot import _northwest_batch, _objectives, check_cost, check_weights, solve_batch
 from .errors import (
     DeltaTooSmall,
     HorizonMismatch,
-    Infeasible,
     InvalidCoupling,
     InvalidParams,
     NotCausal,
-    TooLarge,
     is_number,
     tolerance,
 )
@@ -75,12 +72,6 @@ from .process_tree import Node, ScenarioTree, _frozen, _memo
 
 Direction = Literal["x_to_y", "y_to_x"]
 
-ORACLE_MAX_PAIRS = 10_000
-ORACLE_MAX_HORIZON = 3
-# the oracle's path-pair masses below this are solver dust; its coupling's
-# marginals are checked to the LP's accuracy
-_ORACLE_MASS_TOL = 1e-12
-_ORACLE_MARGINAL_TOL = 1e-7
 # plan cells per batched solve, or tree-mask cells, (m + n)^2 per problem, for
 # the simplex; bounds the kernels' temporaries
 _BATCH_CELLS = 1 << 18
@@ -439,10 +430,75 @@ def _size_classes(tree: ScenarioTree, t: int):
     return _memo(tree._shared, ("classes", t), build)
 
 
+def _class_key(values: np.ndarray, cond: np.ndarray, below: np.ndarray) -> np.ndarray:
+    """One row per family of one size: its children's value bits,
+    ``cond_prob`` bits and subtree classes, in tree order."""
+    return np.concatenate([values.view(np.int64), cond.view(np.int64), below], axis=1)
+
+
+def _subtree_classes(tree: ScenarioTree):
+    """Per level t < horizon, the subtree classes of the time-t nodes;
+    computed bottom-up on first use and kept in the per-tree cache, since
+    they depend on the values.
+
+    The leaves form one class, and two nodes of one level share a class
+    when their keys (:func:`_class_key`) are equal.  Their subtrees are
+    then equal bit for bit, with the children in the same order, so every
+    pair of nodes in two given classes has the same transport problem, and
+    the recursion solves one representative pair per pair of classes.  The
+    classes of a level are numbered by their first member in level order,
+    so a level of distinct subtrees numbers them by level position.
+
+    Returns per level ``(count, row, families, keep)``: the number of
+    classes; per node, by level position, the row of its class in
+    ``families``; per size class of :func:`_size_classes` ``(at, kids,
+    below, weights)`` of each class's first member: the class ids, the
+    children's ids, the children's classes and their weights; and per size
+    class the rows of these members in :func:`_size_classes`.  When each
+    class of this level and the next is one node, ``keep`` is empty and
+    the rest is :func:`_size_classes`'s own layout.
+    """
+    def build():
+        T = tree.horizon
+        below, distinct = np.zeros(len(tree.levels[T]), dtype=np.intp), True
+        layouts = []
+        for t in range(T - 1, -1, -1):
+            _, row, fam = _size_classes(tree, t)
+            # per node, its class's first member; no np.unique, which imports numpy.ma
+            first = np.arange(len(row))
+            for at, kids, pos, _ in fam:
+                key = _class_key(tree.values[kids], tree.cond_prob[kids], below[pos])
+                head = np.sort(key[:, 0])
+                if (head[1:] != head[:-1]).all():  # distinct first children
+                    continue
+                o = np.lexsort(key.T)  # stable: each run of equal keys starts at its first
+                new = np.ones(len(o), dtype=bool)
+                new[1:] = (key[o[1:]] != key[o[:-1]]).any(axis=1)
+                first[at[o]] = at[o[np.maximum.accumulate(np.where(new, np.arange(len(o)), 0))]]
+            rep = first == np.arange(len(row))
+            count, cls = int(rep.sum()), (np.cumsum(rep) - 1)[first]
+            if count == len(row) and distinct:
+                layouts.append((count, row, fam, ()))
+            else:
+                keep = tuple(_frozen(np.flatnonzero(rep[at])) for at, *_ in fam)
+                crow = np.empty(count, dtype=np.intp)
+                families = []
+                for (at, kids, pos, w), k in zip(fam, keep):
+                    c = cls[at[k]]
+                    crow[c] = np.arange(len(k))
+                    families.append(tuple(map(_frozen, (c, kids[k], below[pos[k]], w[k]))))
+                layouts.append((count, _frozen(crow[cls]), tuple(families), keep))
+            below, distinct = cls, count == len(row)
+        return tuple(layouts[::-1])
+    return _memo(tree._cache, "subtree classes", build)
+
+
 def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray | None,
            kept: dict | None) -> np.ndarray:
-    """Values of all time-t node pairs, given ``value``, those of the
-    time-(t+1) pairs (None at the last stage), by level positions.
+    """Values of the time-t node pairs, given ``value``, those of the
+    time-(t+1) pairs (None at the last stage), by the two nodes' subtree
+    classes of :func:`_subtree_classes`: one representative pair per pair
+    of classes is solved.
 
     The pairs are solved per pair of size classes of :func:`_size_classes`
     and in chunks of at most ``_BATCH_CELLS`` cells (or of one pair, when
@@ -468,24 +524,25 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
     and their base) share the weights, so for them, when the last stage
     has at most ``_BATCH_CELLS`` plan cells (one chunk per pair of
     classes), its plans live in the structure cache, read-only, as one
-    entry per pair of classes with the orders they were built for,
-    replaced when a pair's orders differ, which is rare since a small
-    shift keeps the order of siblings.  A larger last stage, interior
-    stages and pairs of different structures build everything afresh.
+    entry per pair of classes with the weights and orders they were built
+    for, replaced when these differ, which is rare since a small shift
+    keeps the order of siblings and, mostly, the subtree classes.  A
+    larger last stage, interior stages and pairs of different structures
+    build everything afresh.
 
-    With ``kept`` given, at an interior stage, the plans of the pairs of
-    families in classes ``a`` and ``b`` are kept, with the children in tree
-    order, as one array ``kept[a, b]``: the pair of rows ``i`` and ``j`` is
-    plan ``kept[a, b][i, j]``.
+    With ``kept`` given, at an interior stage, the plans of the
+    representative pairs of families in size classes ``a`` and ``b`` are
+    kept, with the children in tree order, as one array ``kept[a, b]``:
+    the pair of rows ``i`` and ``j`` is plan ``kept[a, b][i, j]``.
     """
-    level = np.empty((len(P.levels[t]), len(Q.levels[t])))
-    xfam, yfam = _size_classes(P, t)[2], _size_classes(Q, t)[2]
+    (xn, _, xfam, xkeep), (yn, _, yfam, ykeep) = _subtree_classes(P)[t], _subtree_classes(Q)[t]
+    level = np.empty((xn, yn))
 
     # a pair of one structure keeps the last stage's plans when they fit
     # _BATCH_CELLS cells, which is one chunk per pair of classes
     shared = None
     if value is None:
-        xsorted, ysorted = P._sorted_families(t), Q._sorted_families(t)
+        xsorted, ysorted = _sorted_reps(P, t, xkeep), _sorted_reps(Q, t, ykeep)
         if P._shared is Q._shared and sum(
                 xw.size * yw.size for *_, xw in xfam for *_, yw in yfam) <= _BATCH_CELLS:
             shared = P._shared
@@ -534,6 +591,13 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
     return level
 
 
+def _sorted_reps(tree: ScenarioTree, t: int, keep: tuple):
+    """``tree._sorted_families(t)`` at the rows ``keep`` of each size
+    class (all rows when ``keep`` is empty)."""
+    families = tree._sorted_families(t)
+    return tuple((v[k], o[k]) for (v, o), k in zip(families, keep)) if keep else families
+
+
 def _sorted_marginals(xw, ox, yw, oy, paired: bool):
     """Both marginals, with the children sorted by ``ox`` and ``oy``, of
     row k of ``xw`` and row k of ``yw``, or, not ``paired``, of each pair
@@ -560,15 +624,16 @@ def _monotone_plans(shared: dict | None, key, xw, ox, yw, oy, paired: bool = Fal
     """The last stage's plans of the pairs of :func:`_sorted_marginals`
     (x-major unless ``paired``), with the children sorted by ``ox`` and
     ``oy``: the north-west plans of the sorted weights.  With ``shared``
-    given, the plans kept there under ``key`` for the same orders, or new
-    plans kept in their place."""
+    given, the plans kept there under ``key`` for the same orders and
+    weights, or new plans kept in their place."""
+    args = (ox, oy, xw, yw)
     if shared is not None:
         hit = shared.get(key)
-        if hit and hit[0].tobytes() == ox.tobytes() and hit[1].tobytes() == oy.tobytes():
-            return hit[2]
+        if hit and all(h.tobytes() == a.tobytes() for h, a in zip(hit, args)):
+            return hit[-1]
     plan = _frozen(_northwest_batch(*_sorted_marginals(xw, ox, yw, oy, paired))[0])
     if shared is not None:
-        shared[key] = (_frozen(ox), _frozen(oy), plan)
+        shared[key] = (*map(_frozen, args), plan)
     return plan
 
 
@@ -596,10 +661,10 @@ def _recursion(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -
     """p-th power of the adapted distance by backward recursion.
 
     ``value`` holds one level's pair values as a matrix indexed by the two
-    nodes' level positions; :func:`_stage` computes each level from the one
-    below.  With ``plans`` given, ``plans[t]`` keeps the optimal plans of
-    the time-t node pairs above the last stage as :func:`_stage` keeps
-    them.
+    nodes' subtree classes; :func:`_stage` computes each level from the
+    one below.  With ``plans`` given, ``plans[t]`` keeps the optimal plans
+    of the representative time-t node pairs above the last stage as
+    :func:`_stage` keeps them.
     """
     if P.horizon != Q.horizon:
         raise HorizonMismatch(f"horizons differ: {P.horizon} vs {Q.horizon}")
@@ -789,10 +854,12 @@ def aw_distance(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> AWResult:
     the order of the per-pair solvers (``np.vdot`` over the row-major
     plan), so the distance, plans and coupling do not depend on the
     batching.  The plan cells above 1e-15 of the pairs reached from the
-    root then become the coupling's pair arrays, level by level.  The
-    recursion keeps only the interior plans: of the last stage's F^2
-    pairs of families the coupling reaches a few per node, and
-    :func:`_last_plans` rebuilds just those, with the arithmetic of
+    root then become the coupling's pair arrays, level by level, each
+    pair reading the plan of its two subtree classes' representatives,
+    which has its own plan's bits (see :func:`_subtree_classes`).  The
+    recursion keeps only the interior plans: of the last stage's pairs of
+    classes the coupling reaches a few per node, and :func:`_last_plans`
+    rebuilds just those, once per pair of classes, with the arithmetic of
     :func:`_monotone_plans` and so the same bits, in chunks of at most
     ``_BATCH_CELLS`` plan cells.
     """
@@ -801,134 +868,26 @@ def aw_distance(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> AWResult:
     pth_power = _recursion(P, Q, p, plans)
 
     def kernels(t, a, b, xp, yp):
-        (_, xrow, xfam), (_, yrow, yfam) = _size_classes(P, t), _size_classes(Q, t)
+        (_, xrow, xfam, xkeep), (_, yrow, yfam, ykeep) = (_subtree_classes(P)[t],
+                                                          _subtree_classes(Q)[t])
         i, j = xrow[xp], yrow[yp]
         if t in plans:
             return plans[t][a, b][i, j]
-        plan = np.empty((len(i), xfam[a][3].shape[1], yfam[b][3].shape[1]))
-        for k, *_, ox, oy, part in _last_plans(P, Q, a, b, i, j, None):
+        fy, n = yfam[b][3].shape
+        pair = i * fy + j
+        reached = np.sort(pair)
+        reached = reached[np.concatenate(([True], reached[1:] != reached[:-1]))]
+        i, j = np.divmod(reached, fy)
+        plan = np.empty((len(reached), xfam[a][3].shape[1], n))
+        for k, *_, ox, oy, part in _last_plans(P, Q, a, b, xkeep[a][i] if xkeep else i,
+                                               ykeep[b][j] if ykeep else j, None):
             plan[k].reshape(-1)[_tree_cells(ox, oy)] = part
-        return plan
+        return plan[np.searchsorted(reached, pair)]
 
     arrays = _assemble(P, Q, kernels, 1e-15)
     plans.clear()
     coupling = CouplingTree(P, Q, *arrays)
     return AWResult(pth_power ** (1.0 / p), pth_power, coupling.stage_costs(p), coupling)
-
-
-def flat_wasserstein(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> tuple[float, float]:
-    """Ordinary Wasserstein-p distance with cost sum_t |x_t - y_t|^p.
-
-    One transport problem over whole paths, ignoring both filtrations.
-    Returns ``(distance, pth_power)``.
-    """
-    if P.horizon != Q.horizon:
-        raise HorizonMismatch(f"horizons differ: {P.horizon} vs {Q.horizon}")
-    xp, yq = P.paths, Q.paths
-    cost = np.abs(xp.values[:, None, :] - yq.values[None, :, :]) ** params.p
-    plan = solve_exact(TransportProblem(xp.probs, yq.probs, cost.sum(axis=2)))
-    return plan.objective ** (1.0 / params.p), plan.objective
-
-
-# -- brute-force oracle --------------------------------------------------------
-
-
-def brute_force_bicausal(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> AWResult:
-    """LP over joint path probabilities with explicit bicausality constraints.
-
-    The causality identities are written multiplicatively, cleared of
-    denominators: for paths x, x' sharing their time-t prefix and any time-t
-    prefix class H of the other tree,
-    ``pi(x, H) * w(x') == pi(x', H) * w(x)``.
-    """
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
-
-    if P.horizon != Q.horizon:
-        raise HorizonMismatch(f"horizons differ: {P.horizon} vs {Q.horizon}")
-    T = P.horizon
-    xp, yq = P.paths, Q.paths
-    m, n = len(xp), len(yq)
-    if m * n > ORACLE_MAX_PAIRS or T > ORACLE_MAX_HORIZON:
-        raise TooLarge(
-            f"oracle limited to {ORACLE_MAX_PAIRS} path pairs and horizon {ORACLE_MAX_HORIZON}"
-        )
-
-    cost = (np.abs(xp.values[:, None, :] - yq.values[None, :, :]) ** params.p).sum(axis=2)
-
-    rows, cols, data, rhs = [], [], [], []
-
-    def add_row(entries, b) -> None:
-        for c, val in entries:
-            rows.append(len(rhs))
-            cols.append(c)
-            data.append(val)
-        rhs.append(b)
-
-    for i in range(m):
-        add_row([(i * n + j, 1.0) for j in range(n)], xp.probs[i])
-    for j in range(n):
-        add_row([(i * n + j, 1.0) for i in range(m)], yq.probs[j])
-    for t in range(1, T):
-        # path indices grouped by their time-t ancestor node
-        gp, gq = ([np.flatnonzero(X.ancestor_matrix[:, t] == v) for v in X.levels[t]]
-                  for X in (P, Q))
-        for groups_a, groups_b, w, var in ((gp, gq, xp.probs, lambda a, b: a * n + b),
-                                           (gq, gp, yq.probs, lambda a, b: b * n + a)):
-            for rep, *others in groups_a:
-                for other in others:
-                    for gb in groups_b:
-                        add_row([e for jb in gb for e in ((var(rep, jb), -w[other]),
-                                                          (var(other, jb), w[rep]))], 0.0)
-
-    A = sp.coo_matrix((data, (rows, cols)), shape=(len(rhs), m * n))
-    res = linprog(
-        c=cost.reshape(-1),
-        A_eq=A.tocsr(),
-        b_eq=np.array(rhs),
-        bounds=(0.0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if res.status != 0:
-        raise Infeasible(f"bicausal oracle LP failed: {res.message}")
-    pi, pth_power = res.x.reshape(m, n), float(res.fun)
-    per_stage = tuple(
-        float(np.sum(pi * np.abs(xp.values[:, None, t] - yq.values[None, :, t]) ** params.p))
-        for t in range(T)
-    )
-    return AWResult(pth_power ** (1.0 / params.p), pth_power, per_stage,
-                    coupling_from_path_matrix(P, Q, pi))
-
-
-def coupling_from_path_matrix(P: ScenarioTree, Q: ScenarioTree, pi: np.ndarray) -> CouplingTree:
-    """Fold a joint law over path pairs into a synchronized product tree.
-
-    Entries below ``_ORACLE_MASS_TOL`` are dropped and each transition
-    family is renormalized, so solver dust does not produce spurious pair
-    nodes; the marginals are checked to ``_ORACLE_MARGINAL_TOL``.
-    """
-    T = P.horizon
-    ancP, ancQ = P.ancestor_matrix, Q.ancestor_matrix
-    # (parent, time, x node, y node, cond_prob) per pair, in id order
-    rows = [(-1, 0, P.root, Q.root, 1.0)]
-
-    def rec(pid: int, members: list[tuple[int, int]], t: int) -> None:
-        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for i, j in members:
-            groups.setdefault((int(ancP[i, t]), int(ancQ[j, t])), []).append((i, j))
-        masses = {key: sum(float(pi[i, j]) for i, j in grp) for key, grp in groups.items()}
-        total = sum(masses.values())
-        for key in sorted(groups):
-            rows.append((pid, t, *key, masses[key] / total))
-            if t < T:
-                rec(len(rows) - 1, groups[key], t + 1)
-
-    rec(0, list(zip(*np.nonzero(pi > _ORACLE_MASS_TOL))), 1)
-    return CouplingTree(P, Q, *zip(*rows), marginal_tol=_ORACLE_MARGINAL_TOL)
 
 
 # -- bicausalization (discrete second-marginal perturbation) -------------------

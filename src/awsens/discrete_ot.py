@@ -211,37 +211,45 @@ def solve_exact(prob: TransportProblem) -> TransportPlan:
 
 def _northwest_batch(a: np.ndarray, b: np.ndarray):
     """The north-west corner walk on the rows of ``a`` (F, m) and ``b``
-    (F, n) in lockstep: m + n - 1 vectorised steps that consume ``a`` and
-    ``b``, each advancing one pointer, so the cells span a tree.  Returns
-    the (F, m, n) plans and the cells in walk order, as pairs of (F,) row
-    and column arrays."""
+    (F, n) in lockstep: m + n - 1 vectorised steps, each advancing one
+    pointer, so the cells span a tree.  Each step moves the lesser of the
+    current row's and column's remainders, which it carries to the next
+    step, and reads a fresh weight only for the pointer it advances;
+    ``a`` and ``b`` are not written.  Returns the (F, m, n) plans and the
+    cells in walk order, as (m + n - 1, F) row and column arrays."""
     F, m = a.shape
     n = b.shape[1]
-    plan = np.zeros((F, m, n))
-    rows = np.arange(F)
-    i = j = np.zeros(F, dtype=np.intp)
-    cells = []
+    flat_a, flat_b = a.reshape(-1), b.reshape(-1)
+    # flat pointers to each problem's current row and column
+    i, j = np.arange(0, F * m, m), np.arange(0, F * n, n)
+    last_i, last_j = i + (m - 1), j + (n - 1)
+    ai, bj = flat_a[i], flat_b[j]
+    rows, cols, masses = [i], [j], []
     for step in range(m + n - 1):
-        ai, bj = a[rows, i], b[rows, j]
         w = np.where(bj < ai, bj, ai)  # Python's min: ties, signed zeros too, keep ai
-        plan[rows, i, j] = w
-        cells.append((i, j))
-        ai -= w
-        bj -= w
-        a[rows, i] = ai
-        b[rows, j] = bj
+        masses.append(w)
         if step < m + n - 2:
-            down = ((ai <= bj) & (i < m - 1)) | (j == n - 1)
-            i, j = i + down, j + ~down
-    return plan, cells
+            ai, bj = ai - w, bj - w
+            down = ((ai <= bj) & (i < last_i)) | (j == last_j)
+            right = ~down
+            i, j = i + down, j + right
+            rows.append(i)
+            cols.append(j)
+            ai = np.where(down, flat_a[i], ai)
+            bj = np.where(right, flat_b[j], bj)
+    k = np.arange(F)
+    i, j = np.array(rows) - k * m, np.array(cols) - k * n
+    plan = np.zeros((F, m, n))
+    plan[k, i, j] = masses
+    return plan, (i, j)
 
 
 def _starts(mu: np.ndarray, nu: np.ndarray) -> list:
     """Each problem's north-west start, as :func:`transport_simplex` takes
     it: its cells in walk order and their masses, as Python lists read off
-    :func:`_northwest_batch` on copies of ``mu`` (F, m) and ``nu`` (F, n)."""
-    plan, cells = _northwest_batch(mu.copy(), nu.copy())
-    i, j = np.array(cells).transpose(1, 2, 0)  # each (F, m + n - 1)
+    :func:`_northwest_batch` on ``mu`` (F, m) and ``nu`` (F, n)."""
+    plan, (i, j) = _northwest_batch(mu, nu)
+    i, j = i.T, j.T  # each (F, m + n - 1)
     mass = plan[np.arange(len(plan))[:, None], i, j]
     return [(list(zip(r, c)), w) for r, c, w in zip(i.tolist(), j.tolist(), mass.tolist())]
 
@@ -290,7 +298,7 @@ def transport_simplex_batch(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray):
     # f * N + x.  The cells are padded by one row, whose first cell, K,
     # stands for the root's missing edge.
     flow, padded, red = np.zeros((3, F, m + 1, n))
-    flow[:, :m], cells = _northwest_batch(mu.copy(), nu.copy())
+    flow[:, :m], (walk_i, walk_j) = _northwest_batch(mu, nu)
     padded[:, :m] = cost
     flow, padded = flow.reshape(-1), padded.reshape(-1)
     red_v, red2 = red.reshape(-1), red.reshape(F, L)
@@ -300,8 +308,8 @@ def transport_simplex_batch(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray):
     pot = np.zeros(F * N)
     depth2, pot2 = depth.reshape(F, N), pot.reshape(F, N)
     # each cell of the walk hangs a new row (going down) or column from the node it meets
-    last_i = cells[0][0]
-    for i, j in cells:
+    last_i = walk_i[0]
+    for i, j in zip(walk_i, walk_j):
         down = i != last_i
         new, old = at_n + np.where(down, i, m + j), at_n + np.where(down, m + j, i)
         pot[new] = cost[rows, i, j] - pot[old]

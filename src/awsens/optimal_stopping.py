@@ -74,8 +74,9 @@ def solve_stopping(
     """
     if model.kind != "stopping":
         raise InvalidParams(f"solve_stopping needs a stopping model, got {model.kind!r}")
-    if not is_number(tol):
-        raise InvalidParams(f"tol must be a number, got {tol!r}")
+    # a negative tol never refuses; NaN would never refuse either, silently
+    if not (is_number(tol) and tol == tol):
+        raise InvalidParams(f"tol must be a number, not NaN, got {tol!r}")
     T = tree.horizon
     stop_vals = _stop_values(tree, model)
     anc = tree.ancestor_matrix

@@ -98,7 +98,8 @@ class ScenarioTree:
     is cached on it on first use as read-only arrays, so instances are safe
     to share between workers: so are a level's families sorted by value,
     which the adapted distance reads at the last stage only, built on the
-    first read of :meth:`_sorted_families`.
+    first read of :meth:`_sorted_families`, and the subtree classes its
+    recursion solves by, which depend on the values too.
     """
 
     _STRUCTURE = (

@@ -626,9 +626,30 @@ def test_recursion_caches_do_not_leak_between_trees(seed, order):
     assert kids[0]._shared is kids[1]._shared is base._shared
     assert kids[0]._cache is not kids[1]._cache
     for kid in kids:
-        for entries in kid._cache.values():
+        for key, entries in kid._cache.items():
+            if key == "subtree classes":  # labels, not values: a fresh tree's
+                fresh = adapted_wasserstein._subtree_classes(_constructed(base, kid.values))
+                assert _class_bits(entries) == _class_bits(fresh)
+                continue
             for vals, *_ in entries:
                 assert set(vals.ravel()) <= set(kid.values)
+
+
+def _class_bits(layouts) -> list:
+    """The bytes of every array of :func:`_subtree_classes`'s layouts."""
+    out = []
+
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            out.append(obj.tobytes())
+        elif isinstance(obj, tuple):
+            for item in obj:
+                walk(item)
+        else:
+            out.append(obj)
+
+    walk(layouts)
+    return out
 
 
 def _plan_bits(P: ScenarioTree, Q: ScenarioTree, p: float) -> dict:
@@ -675,10 +696,11 @@ def test_same_structure_pairs_match_the_uncached_recursion(shape, seed, scales, 
 def test_structure_cache_keeps_only_levels_within_batch_cells(monkeypatch):
     # a same-structure pair keeps weight-only entries only for the last
     # stage, and only when it fits _BATCH_CELLS: on binomial T=7 the last
-    # stage has 64^2 pairs of 2x2 plans, which the default fits and 256
-    # does not; interior stages keep nothing
+    # stage has 7^2 pairs of subtree classes, each solved once as a 2x2
+    # plan, which the default fits and 128 does not; interior stages keep
+    # nothing
     T = 7
-    for cells in (None, 256):
+    for cells in (None, 128):
         if cells is not None:
             monkeypatch.setattr(adapted_wasserstein, "_BATCH_CELLS", cells)
         base = gen_binomial(T, 0.0, 1.0, -1.0, 0.5)
@@ -691,7 +713,9 @@ def test_structure_cache_keeps_only_levels_within_batch_cells(monkeypatch):
             fresh, _constructed(base, base.values), params).hex()
         kept = [key for key in base._shared if key[0] in ("plans", "starts", "marginals")]
         assert sorted(kept) == ([("plans", T - 1, 0, 0)] if cells is None else [])
-        assert len(base.levels[T - 1]) ** 2 * 2 * 2 > 256
+        classes = adapted_wasserstein._subtree_classes
+        assert classes(base)[T - 1][0] == classes(cand)[T - 1][0] == T
+        assert T ** 2 * 2 * 2 > 128
 
 
 def test_cached_arrays_are_read_only():
@@ -876,13 +900,14 @@ def test_certified_path_keeps_its_sibling_plans_in_the_structure_cache(monkeypat
 
 def test_candidates_sort_their_families_on_demand():
     # a with_values candidate keeps no sorted family until a distance reads
-    # one; both entries read only the last level's
+    # one; both entries read only the last level's, and the recursion,
+    # which aw_distance runs, its subtree classes too
     base = gen_random(4, 3, 2)
-    for entry in (aw_pth_power, aw_distance):
+    for entry, also in ((aw_pth_power, []), (aw_distance, ["subtree classes"])):
         cand = base.with_values(base.values + 2.0**-10)
         assert cand._cache == {}
         entry(base, cand, P2)
-        assert list(cand._cache) == [("sorted", 3)]
+        assert sorted(cand._cache, key=str) == [("sorted", 3)] + also
         for (vals, order), (_, kids) in zip(cand._cache["sorted", 3], base._sibling_groups(3)):
             assert np.array_equal(vals, np.sort(cand.values[kids], axis=1))
             assert np.array_equal(order, np.argsort(cand.values[kids], axis=1, kind="stable"))

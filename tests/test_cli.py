@@ -251,7 +251,7 @@ def test_import_leaves_scipy_unloaded():
 
 
 AWSENS_MODULES = {"adapted_wasserstein", "cost_models", "discrete_ot", "errors", "multistage_opt",
-                  "optimal_stopping", "process_tree", "robust_oracle", "sensitivity"}
+                  "optimal_stopping", "oracles", "process_tree", "robust_oracle", "sensitivity"}
 
 
 def _loaded_modules(*args: str) -> set[str]:
@@ -289,8 +289,9 @@ _CONFIGURED = {"errors", "cost_models", "process_tree"}
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, loads):
     loaded = _loaded_modules("-m", "awsens.cli", *[a.format(out=tmp_path / "out") for a in argv])
     assert {m.removeprefix("awsens.") for m in loaded if m.startswith("awsens.")} == loads
-    # not even the commands that load the whole library import the oracles' scipy
-    assert "scipy" not in loaded
+    # not even the commands that load the whole library import the oracles'
+    # scipy, nor numpy.ma, which np.unique imports on its first call
+    assert "scipy" not in loaded and "numpy.ma" not in loaded
 
 
 def test_help_and_the_bare_package_load_no_library():

@@ -359,14 +359,16 @@ def _solves_by_shape(run):
 
 
 def test_simplex_calls_by_family_shape():
-    # a binomial tree's time-t level has 4^t pairs of 2-child families: the
-    # levels of 16 pairs and more run in lockstep, the two above per pair
+    # a binomial tree's time-t level has 4^t pairs of 2-child families, but
+    # only one solve per pair of subtree classes: t + 1 classes at level t
+    # in A and 1, 2, 3, 4, 6 in B, whose steps do not recombine exactly, so
+    # the levels of 16 and 30 class pairs run in lockstep, the three above
+    # per pair
     A = gen_binomial(6, 0.0, 1.0, -1.0, 0.5)
     B = gen_binomial(6, 0.0, 1.1, -0.9, 0.45, 0.02)
     counts, _ = _solves_by_shape(lambda: aw_distance(A, B, AWParams(2.0)))
     assert discrete_ot._SIMPLEX_BATCH_MIN == 16
-    assert counts == {("batch", 16, 2, 2): 1, ("batch", 64, 2, 2): 1, ("batch", 256, 2, 2): 1,
-                      ("pair", 2, 2): 5}
+    assert counts == {("batch", 16, 2, 2): 1, ("batch", 30, 2, 2): 1, ("pair", 2, 2): 14}
     # the curve's trees branch by 3: its 9-pair level stays below the batch
     # size, so each of its 10 interior pairs is solved alone, in each of
     # the curve's 76 exact ball checks, when they run the recursion; the

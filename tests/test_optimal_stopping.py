@@ -181,3 +181,17 @@ def test_rejects_wrong_kind(iid_signs):
         solve_stopping(iid_signs, lin)
     with pytest.raises(InvalidParams):
         brute_force_stopping(iid_signs, lin)
+
+
+def test_nan_tol_is_refused_not_read_as_no_refusal():
+    # the margin of this instance is 0.0: the default tol refuses it, a
+    # negative tol never refuses, and NaN, which every comparison fails,
+    # would have passed it silently
+    tree = gen_binomial(2, 0.0, 1.0, -1.0, 0.5, 0.0)
+    model = make_cost_model("markov_payoff", IDENTITY, 2)
+    with pytest.raises(AmbiguousStopping):
+        solve_stopping(tree, model)
+    assert solve_stopping(tree, model, tol=-1.0)[2].uniqueness_margin == 0.0
+    for tol in (math.nan, -math.nan, float("nan")):
+        with pytest.raises(InvalidParams):
+            solve_stopping(tree, model, tol=tol)

@@ -2,6 +2,7 @@
 name read: every name it exported when it imported its modules eagerly
 still resolves, to the same object."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -18,9 +19,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXPORTS = {
     "adapted_wasserstein": [
         "AWParams", "AWResult", "CouplingTree", "aw_distance", "aw_pth_power",
-        "bicausalize", "brute_force_bicausal", "check_causal", "flat_wasserstein", "is_bicausal",
-        "product_coupling",
+        "bicausalize", "check_causal", "is_bicausal", "product_coupling",
     ],
+    "oracles": ["brute_force_bicausal", "flat_wasserstein"],
     "cost_models": [
         "CostModel", "LossFunction", "PayoffFunction", "UtilityModel", "audit_derivatives",
         "build_utility_cost", "catalog_names", "make_cost_model", "make_loss", "make_payoff",
@@ -88,3 +89,16 @@ def test_submodules_import_from_a_fresh_package():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.split() == ["awsens.adapted_wasserstein", "awsens.process_tree"]
+
+
+def test_oracles_read_none_of_the_fast_paths():
+    # the oracles are the independent check on the recursion: they may
+    # import its records and the per-problem simplex, but neither import
+    # nor name its stages or its batched kernel
+    tree = ast.parse((ROOT / "src" / "awsens" / "oracles.py").read_text(encoding="utf-8"))
+    imported = {alias.name.rsplit(".", 1)[-1] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert {"AWParams", "CouplingTree", "solve_exact"} <= imported
+    assert not {"_recursion", "_stage", "solve_batch"} & (imported | named)
