@@ -523,12 +523,13 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
     sibling orders.  Two trees of one structure (``with_values`` candidates
     and their base) share the weights, so for them, when the last stage
     has at most ``_BATCH_CELLS`` plan cells (one chunk per pair of
-    classes), its plans live in the structure cache, read-only, as one
-    entry per pair of classes with the weights and orders they were built
-    for, replaced when these differ, which is rare since a small shift
-    keeps the order of siblings and, mostly, the subtree classes.  A
-    larger last stage, interior stages and pairs of different structures
-    build everything afresh.
+    classes) and each node is its own class, its plans live in the
+    structure cache, read-only, as one entry per pair of classes with the
+    orders they were built for, replaced when a pair's orders differ,
+    which is rare since a small shift keeps the order of siblings.  A
+    larger last stage, merged classes (whose representatives, and so
+    whose weights, depend on the values), interior stages and pairs of
+    different structures build everything afresh.
 
     With ``kept`` given, at an interior stage, the plans of the
     representative pairs of families in size classes ``a`` and ``b`` are
@@ -539,11 +540,12 @@ def _stage(P: ScenarioTree, Q: ScenarioTree, t: int, p: float, value: np.ndarray
     level = np.empty((xn, yn))
 
     # a pair of one structure keeps the last stage's plans when they fit
-    # _BATCH_CELLS cells, which is one chunk per pair of classes
+    # _BATCH_CELLS cells, which is one chunk per pair of classes, and when
+    # no classes merge, so its rows are the structure's, with its weights
     shared = None
     if value is None:
         xsorted, ysorted = _sorted_reps(P, t, xkeep), _sorted_reps(Q, t, ykeep)
-        if P._shared is Q._shared and sum(
+        if P._shared is Q._shared and not (xkeep or ykeep) and sum(
                 xw.size * yw.size for *_, xw in xfam for *_, yw in yfam) <= _BATCH_CELLS:
             shared = P._shared
     for a, (xat, xkids, xbelow, xw) in enumerate(xfam):
@@ -624,16 +626,15 @@ def _monotone_plans(shared: dict | None, key, xw, ox, yw, oy, paired: bool = Fal
     """The last stage's plans of the pairs of :func:`_sorted_marginals`
     (x-major unless ``paired``), with the children sorted by ``ox`` and
     ``oy``: the north-west plans of the sorted weights.  With ``shared``
-    given, the plans kept there under ``key`` for the same orders and
-    weights, or new plans kept in their place."""
-    args = (ox, oy, xw, yw)
+    given, the plans kept there under ``key`` for the same orders, or new
+    plans kept in their place."""
     if shared is not None:
         hit = shared.get(key)
-        if hit and all(h.tobytes() == a.tobytes() for h, a in zip(hit, args)):
-            return hit[-1]
+        if hit and hit[0].tobytes() == ox.tobytes() and hit[1].tobytes() == oy.tobytes():
+            return hit[2]
     plan = _frozen(_northwest_batch(*_sorted_marginals(xw, ox, yw, oy, paired))[0])
     if shared is not None:
-        shared[key] = (*map(_frozen, args), plan)
+        shared[key] = (_frozen(ox), _frozen(oy), plan)
     return plan
 
 

@@ -695,15 +695,16 @@ def test_same_structure_pairs_match_the_uncached_recursion(shape, seed, scales, 
 
 def test_structure_cache_keeps_only_levels_within_batch_cells(monkeypatch):
     # a same-structure pair keeps weight-only entries only for the last
-    # stage, and only when it fits _BATCH_CELLS: on binomial T=7 the last
-    # stage has 7^2 pairs of subtree classes, each solved once as a 2x2
-    # plan, which the default fits and 128 does not; interior stages keep
-    # nothing
+    # stage, and only when it fits _BATCH_CELLS: on a binomial T=7
+    # structure whose values make every subtree distinct the last stage has
+    # 64^2 pairs of 2x2 plans, which the default fits and 256 does not;
+    # interior stages keep nothing
     T = 7
-    for cells in (None, 128):
+    for cells in (None, 256):
         if cells is not None:
             monkeypatch.setattr(adapted_wasserstein, "_BATCH_CELLS", cells)
-        base = gen_binomial(T, 0.0, 1.0, -1.0, 0.5)
+        lattice = gen_binomial(T, 0.0, 1.0, -1.0, 0.5)
+        base = lattice.with_values(lattice.values + np.linspace(0.0, 0.5, len(lattice.values)))
         cand = base.with_values(base.values + 0.01)
         fresh = _constructed(base, cand.values)
         params = AWParams(2.0)
@@ -713,9 +714,9 @@ def test_structure_cache_keeps_only_levels_within_batch_cells(monkeypatch):
             fresh, _constructed(base, base.values), params).hex()
         kept = [key for key in base._shared if key[0] in ("plans", "starts", "marginals")]
         assert sorted(kept) == ([("plans", T - 1, 0, 0)] if cells is None else [])
-        classes = adapted_wasserstein._subtree_classes
-        assert classes(base)[T - 1][0] == classes(cand)[T - 1][0] == T
-        assert T ** 2 * 2 * 2 > 128
+        for tree in (base, cand):
+            assert adapted_wasserstein._subtree_classes(tree)[T - 1][0] == len(base.levels[T - 1])
+        assert len(base.levels[T - 1]) ** 2 * 2 * 2 > 256
 
 
 def test_cached_arrays_are_read_only():

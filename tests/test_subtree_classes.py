@@ -210,10 +210,10 @@ def test_distinct_subtrees_solve_every_level_pair(monkeypatch):
     assert solved == {0: 1, 1: 4}
 
 
-def test_kept_last_stage_plans_are_matched_by_weights_too():
+def test_merged_classes_keep_no_last_stage_plans():
     # two candidates of one structure whose classes keep representatives
-    # with the same sibling orders but other weights: the plans kept for
-    # the first must not serve the second
+    # with the same sibling orders but other weights: plans kept for the
+    # first would serve the second, so merged classes keep none
     def tree(leaves):
         return tree_from_nested(2, [
             (float(k), 0.25, [(lo, w), (lo + 1.0, 1.0 - w)])
@@ -226,4 +226,7 @@ def test_kept_last_stage_plans_are_matched_by_weights_too():
         assert adapted_wasserstein._subtree_classes(cand)[1][0] == 3
         fresh = aw_distance(tree((10.0, 20.0, 30.0, 40.0)), tree(leaves), params)
         assert _bits(aw_distance(base, cand, params)) == _bits(fresh)
-        assert any(key[0] == "plans" for key in base._shared)
+    assert not any(key[0] == "plans" for key in base._shared)
+    # a pair of distinct subtrees keeps them
+    aw_distance(base, base.with_values(tree((0.0, 2.0, 5.0, 7.0)).values), params)
+    assert any(key[0] == "plans" for key in base._shared)
