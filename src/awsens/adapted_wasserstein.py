@@ -68,7 +68,7 @@ from .errors import (
     is_number,
     tolerance,
 )
-from .process_tree import Node, ScenarioTree, _frozen, _memo
+from .process_tree import ScenarioTree, _child_lists, _frozen, _memo
 
 Direction = Literal["x_to_y", "y_to_x"]
 
@@ -227,14 +227,6 @@ def _on_edges(tree: ScenarioTree, nodes: np.ndarray, par: np.ndarray) -> np.ndar
     return (up >= 0) & (up == nodes[par])
 
 
-def _child_lists(parent: np.ndarray) -> list[list[int]]:
-    """Child ids per id, in id order, of a parent array with -1 at roots."""
-    kids = np.flatnonzero(parent >= 0)
-    order = kids[np.argsort(parent[kids], kind="stable")]
-    counts = np.bincount(parent[kids], minlength=len(parent))
-    return [c.tolist() for c in np.split(order, np.cumsum(counts)[:-1])]
-
-
 def _pair_field(name: str, values, kinds: str) -> np.ndarray:
     """Pair field ``name`` as a read-only 1-d array, or ``InvalidCoupling``
     unless it is a 1-d array of a dtype kind in ``kinds`` ("iu" for ids,
@@ -253,21 +245,6 @@ def _pair_field(name: str, values, kinds: str) -> np.ndarray:
         what = "numbers within the float range" if "f" in kinds else "integers"
         raise InvalidCoupling(f"pair node field {name!r} must hold {what} in a 1-d array")
     return _frozen(a.astype(np.float64 if "f" in kinds else np.intp, copy=a.flags.writeable))
-
-
-def _child_index(tree: ScenarioTree):
-    """``(size, start, flat, rank)``: per node its family size, the start of
-    its children in ``flat`` (all children, grouped by parent id, in tree
-    order) and its own rank among its siblings; cached per structure."""
-    def build():
-        parent = tree.parent
-        size = np.bincount(parent[parent >= 0], minlength=len(parent))
-        flat = np.argsort(parent, kind="stable")[1:]  # the root's -1 sorts first
-        start = np.cumsum(size) - size
-        rank = np.zeros(len(parent), dtype=np.intp)
-        rank[flat] = np.arange(len(flat)) - start[parent[flat]]
-        return tuple(_frozen(a) for a in (size, start, flat, rank))
-    return _memo(tree._shared, "child index", build)
 
 
 @dataclass(frozen=True)
@@ -299,7 +276,7 @@ def check_causal(coupling: CouplingTree, direction: Direction, tol: float = 1e-1
         tree, nodes = coupling.second, coupling.y_node
     else:
         raise InvalidParams(f"unknown direction {direction!r}")
-    size, start, flat, rank = _child_index(tree)
+    size, start, flat, rank = tree._child_index()
     kids = np.flatnonzero(coupling.parent >= 0)
     par = coupling.parent[kids]
     # one slot per child of each parent pair's node; validation put every
@@ -420,7 +397,7 @@ def _size_classes(tree: ScenarioTree, t: int):
         row = np.empty_like(cls)
         families = []
         for c, (parents, kids) in enumerate(tree._sibling_groups(t)):
-            at = _frozen(pos[list(parents)])
+            at = _frozen(pos[parents])
             cls[at] = c
             row[at] = np.arange(len(parents))
             w = _frozen(cond[kids])
@@ -927,15 +904,15 @@ def _bicausalize_pairs(P: ScenarioTree, parent, time, x_node, y_value, prob,
     pv = P.values.tolist()
     offsets = []
     for t in range(T + 1):
-        vals = sorted({pv[nid] for nid in P.levels[t]})
+        vals = sorted(set(P.values[P.levels[t]].tolist()))
         offsets.append({v: (k + 1) * delta / (2.0 * (len(vals) + 1)) for k, v in enumerate(vals)})
     # the root, the only pair at time 0, keeps no cell
     cell = [math.floor(y / delta) if t else 0 for y, t in zip(y_value, time)]
     ynew = [c * delta + offsets[t][pv[x]] for c, t, x in zip(cell, time, x_node)]
 
-    # pair k couples node k of the new tree with node x_new[k] of P
-    q_nodes = [Node(0, 0, None, 1.0, None)]
-    x_new = [P.root]
+    # row k: node k of the new tree (parent, time, value, cond_prob) and the
+    # node of P that pair k couples with it
+    rows = [(-1, 0, 0.0, 1.0, P.root)]
     # classes: members share one x node and one perturbed-y history
     stack = [(0, [time.index(0)], 1.0)]
     while stack:
@@ -950,8 +927,8 @@ def _bicausalize_pairs(P: ScenarioTree, parent, time, x_node, y_value, prob,
                     f"encoded values collide at {yv!r}; decrease the atom count or increase delta"
                 )
             gmass = sum(prob[c] for c in grp)
-            q_nodes.append(Node(len(q_nodes), time[grp[0]], yv, gmass / mass, new_pid))
-            x_new.append(x_node[grp[0]])
-            stack.append((len(q_nodes) - 1, grp, gmass))
-    q = ScenarioTree(T, q_nodes)
+            rows.append((new_pid, time[grp[0]], yv, gmass / mass, x_node[grp[0]]))
+            stack.append((len(rows) - 1, grp, gmass))
+    *fields, x_new = zip(*rows)
+    q = ScenarioTree._from_arrays(T, *fields)
     return CouplingTree(P, q, q.parent, q.time, x_new, np.arange(len(x_new)), q.cond_prob), q

@@ -35,24 +35,13 @@ def _fmt(v: float) -> str:
 
 
 def serialize_tree(tree: ScenarioTree) -> str:
-    lines = [
-        "{",
-        f'  "schema_version": "{TREE_SCHEMA}",',
-        f'  "horizon": {tree.horizon},',
-        '  "nodes": [',
-    ]
-    rows = []
-    for nd in tree.nodes:
-        parent = "null" if nd.parent is None else str(nd.parent)
-        value = "null" if nd.value is None else _fmt(nd.value)
-        rows.append(
-            f'    {{"id": {nd.id}, "parent": {parent}, "time": {nd.time}, '
-            f'"value": {value}, "cond_prob": {_fmt(nd.cond_prob)}}}'
-        )
-    lines.append(",\n".join(rows))
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    cols = zip(tree.parent.tolist(), tree.time.tolist(), tree.values.tolist(),
+               tree.cond_prob.tolist())
+    rows = (f'    {{"id": {k}, "parent": {"null" if par < 0 else par}, "time": {t}, '
+            f'"value": {"null" if par < 0 else _fmt(v)}, "cond_prob": {_fmt(c)}}}'
+            for k, (par, t, v, c) in enumerate(cols))
+    return (f'{{\n  "schema_version": "{TREE_SCHEMA}",\n  "horizon": {tree.horizon},\n'
+            '  "nodes": [\n' + ",\n".join(rows) + "\n  ]\n}\n")
 
 
 def _read_json(error: type[AwsensError], where: str, text: str | None = None):
@@ -80,7 +69,7 @@ def parse_tree(text: str) -> ScenarioTree:
 
 def _tree_from_doc(doc) -> ScenarioTree:
     """Validate a parsed tree file, anchoring errors to node entries."""
-    from .process_tree import Node, ScenarioTree
+    from .process_tree import _read_records
 
     if not isinstance(doc, dict):
         raise InvalidTree("top level must be an object")
@@ -104,7 +93,7 @@ def _tree_from_doc(doc) -> ScenarioTree:
             raise InvalidTree(f"nodes[{i}] (id={label!r}): duplicate id")
         ids[label] = i
 
-    nodes = []
+    fields = []  # (time, value, cond_prob, parent) per node
     for i, row in enumerate(raw_nodes):
         label = row["id"]
         where = f"nodes[{i}] (id={label!r})"
@@ -123,11 +112,11 @@ def _tree_from_doc(doc) -> ScenarioTree:
         if not is_number(cond_prob):
             raise InvalidTree(f"{where}: cond_prob must be a number")
         try:
-            nodes.append(Node(i, time, None if value is None else float(value),
-                              float(cond_prob), parent))
+            fields.append((time, None if value is None else float(value), float(cond_prob),
+                           parent))
         except OverflowError:  # an integer literal beyond the float range
             raise InvalidTree(f"{where}: number out of range") from None
-    return ScenarioTree(horizon, nodes)
+    return _read_records(horizon, *zip(*fields))
 
 
 def load_tree(path: str) -> ScenarioTree:
@@ -230,7 +219,7 @@ def _finite(payload, command: str, skip: str | None = None):
 def _by_id(values, ids) -> dict:
     """``{str(id): value}`` over ``ids`` of an array by node id."""
     vals = values.tolist()
-    return {str(k): vals[k] for k in ids}
+    return {str(k): vals[k] for k in ids.tolist()}
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -295,7 +284,7 @@ def cmd_value(args) -> int:
         "value": report.value,
         "kkt_residual": report.kkt_residual,
         "iterations": report.iterations,
-        "policy": _by_id(report.policy.values, [n for lv in tree.levels[:-1] for n in lv]),
+        "policy": _by_id(report.policy.values, tree.level_order[:tree.level_start[-2]]),
     }, "value"), args.out)
     return 0
 

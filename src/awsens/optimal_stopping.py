@@ -91,7 +91,7 @@ def solve_stopping(
     margin = math.inf
     for t in range(T - 1, 0, -1):
         cont = tree.average_children(t, env)
-        ids = tree.level_order[tree.level_start[t]:tree.level_start[t + 1]]
+        ids = tree.levels[t]
         sv = stop_vals[first[ids], t - 1]
         env = np.where(cont < sv, cont, sv)  # min(sv, cont), sv on ties
         margin = min(margin, float(np.min(np.abs(sv - cont))))
@@ -142,26 +142,16 @@ def brute_force_stopping(
         raise TooLarge(f"more than {ENUM_MAX_POLICIES} stopping policies")
     T = tree.horizon
     stop_vals = _stop_values(tree, model)
-    leaf_pos = {leaf: k for k, leaf in enumerate(tree.leaves)}
-    time = tree.time.tolist()
+    time, n = tree.time.tolist(), len(tree.node_prob)
 
-    # contribution of stopping at nid: probability-weighted stage value below it
-    contrib = [0.0] * len(time)
-
-    def leaves_below(nid: int) -> list[int]:
-        if time[nid] == T:
-            return [nid]
-        out: list[int] = []
-        for c in tree.children[nid]:
-            out.extend(leaves_below(c))
-        return out
-
-    for nid, t in enumerate(time):
-        if t >= 1:
-            contrib[nid] = sum(
-                tree.node_prob[leaf] * stop_vals[leaf_pos[leaf], t - 1]
-                for leaf in leaves_below(nid)
-            )
+    # contribution of stopping at a node: probability-weighted stage value
+    # below it, summed over its leaves in level order
+    contrib = np.zeros(n)
+    for t in range(1, T + 1):
+        at = tree.levels[t]
+        contrib[at] = np.bincount(tree.ancestor_matrix[:, t], minlength=n,
+                                  weights=tree.paths.probs * stop_vals[:, t - 1])[at]
+    contrib = contrib.tolist()
 
     def enum(nid: int) -> list[tuple[float, frozenset[int]]]:
         if time[nid] == T:

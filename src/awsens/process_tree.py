@@ -10,6 +10,7 @@ process itself.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, InvalidTree, is_number
+from .errors import InvalidParams, InvalidTree, finite_count, finite_number, is_number
 
 PROB_TOL = 1e-12
 GEN_MAX_NODES = 1 << 20  # most nodes a generator builds
@@ -43,7 +44,7 @@ class Node:
 class PathTable:
     """All root-to-leaf paths: leaf ids, value vectors and path probabilities."""
 
-    leaf_ids: tuple[int, ...]
+    leaf_ids: np.ndarray  # the tree's leaves
     values: np.ndarray  # shape (n_paths, T)
     probs: np.ndarray  # shape (n_paths,)
 
@@ -81,144 +82,155 @@ def _memo(cache: dict | None, key, build):
     return cache[key]
 
 
+def _child_lists(parent: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Child ids per id, in id order, of a parent array with -1 at roots."""
+    kids = np.flatnonzero(parent >= 0)
+    order = kids[np.argsort(parent[kids], kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(parent[kids], minlength=len(parent))).tolist()
+    return tuple(tuple(order[a:b]) for a, b in zip([0] + ends, ends))
+
+
+def _check_horizon(horizon) -> None:
+    _int_field(InvalidTree, "tree field 'horizon'", [horizon])
+    if horizon < 1:
+        raise InvalidTree(f"horizon must be >= 1, got {horizon}")
+
+
 class ScenarioTree:
     """Immutable rooted tree with one value per non-root node.
 
-    Node ids are their indices in ``nodes``.  The tree holds its nodes as
-    read-only arrays by id: ``parent`` (-1 at the root), ``time``,
-    ``cond_prob`` and ``values`` (0.0 at the root).  Its level layout lists
-    the nodes breadth first: ``level_order`` holds the ids level by level,
-    level t at ``level_order[level_start[t]:level_start[t + 1]]``, and
-    ``level_pos`` gives each node's position in its level; the children of
-    one parent are contiguous there, in ``children`` order.  The structure
-    (these arrays but ``values``, children, levels, leaves, node
-    probabilities, ancestor matrix, path probabilities) is computed once at
-    construction and shared, with one structure cache, by every tree
-    :meth:`with_values` derives from it.  What algorithms derive from a tree
-    is cached on it on first use as read-only arrays, so instances are safe
-    to share between workers: so are a level's families sorted by value,
-    which the adapted distance reads at the last stage only, built on the
-    first read of :meth:`_sorted_families`, and the subtree classes its
-    recursion solves by, which depend on the values too.
+    A tree is its read-only arrays by node id: ``parent`` (-1 at the
+    root), ``time``, ``cond_prob`` (1.0 at the root) and ``values`` (0.0
+    there).  One array validator, :meth:`_from_arrays`, checks and lays
+    out every tree; ``ScenarioTree(horizon, nodes)`` reads :class:`Node`
+    records into it, and :attr:`nodes` views a tree as records again.
+    The layout lists the nodes breadth first: ``levels[t]`` is the time-t
+    slice of ``level_order``, from ``level_start[t]``, ``leaves`` is
+    ``levels[horizon]`` and ``level_pos`` a node's position in its level,
+    where each family is contiguous, in id order.  ``node_prob`` holds
+    the node probabilities, and ``children``, built on first read, the
+    child ids per node as tuples.  The structure (all but ``values`` and
+    what depends on them) is shared, with one structure cache, by every
+    tree :meth:`with_values` derives from it.  What algorithms derive
+    from a tree is cached on it on first use as read-only arrays, so
+    instances are safe to share between workers: so are a level's
+    families sorted by value (:meth:`_sorted_families`) and the subtree
+    classes of the adapted distance, which depend on the values too.
     """
 
     _STRUCTURE = (
-        "horizon", "root", "children", "levels", "leaves", "node_prob", "parent", "time",
-        "cond_prob", "level_order", "level_pos", "level_start", "_ancestors", "_shared",
+        "horizon", "root", "levels", "leaves", "node_prob", "parent", "time", "cond_prob",
+        "level_order", "level_pos", "level_start", "_ancestors", "_shared",
     )
-    __slots__ = _STRUCTURE + ("values", "_paths", "_nodes", "_cache")
+    _PER_TREE = ("values", "_paths", "_nodes", "_cache")
+    __slots__ = _STRUCTURE + _PER_TREE
 
     def __init__(self, horizon: int, nodes: Sequence[Node]):
         nodes = list(nodes)
-        n = len(nodes)
-        _int_field(InvalidTree, "tree field 'horizon'", [horizon])
-        if horizon < 1:
-            raise InvalidTree(f"horizon must be >= 1, got {horizon}")
+        _check_horizon(horizon)
         ids = _int_field(InvalidTree, "node field 'id'", [nd.id for nd in nodes])
-        bad = np.flatnonzero(ids != np.arange(n))
+        bad = np.flatnonzero(ids != np.arange(len(nodes)))
         if bad.size:
             raise InvalidTree(f"node ids must equal list positions; nodes[{bad[0]}] has id "
                               f"{ids[bad[0]]}")
-        _int_field(InvalidTree, "node field 'time'", [nd.time for nd in nodes])
-        _int_field(InvalidTree, "node field 'parent'",
-                   [nd.parent for nd in nodes if nd.parent is not None])
-        for name, vals in (("value", [nd.value for nd in nodes if nd.value is not None]),
-                           ("cond_prob", [nd.cond_prob for nd in nodes])):
-            # is_number reads the type alone, so one value of each type decides
-            if not all(map(is_number, dict(zip(map(type, vals), vals)).values())):
-                raise InvalidTree(f"node field {name!r} must hold numbers")
+        tree = _read_records(horizon, [nd.time for nd in nodes], [nd.value for nd in nodes],
+                             [nd.cond_prob for nd in nodes], [nd.parent for nd in nodes])
+        for name in self._STRUCTURE + self._PER_TREE:
+            setattr(self, name, getattr(tree, name))
 
-        roots = [nd.id for nd in nodes if nd.parent is None]
+    @classmethod
+    def _from_arrays(cls, horizon: int, parent, time, values, cond_prob,
+                     shown=None) -> ScenarioTree:
+        """The tree of these per-node arrays (the root's value and
+        ``cond_prob`` are ignored), or ``InvalidTree`` naming the first
+        fault: one root at time 0; per node in id order, a known parent one
+        level up, a time within the horizon, a finite value, a ``cond_prob``
+        in (0, 1]; per node in id order, children below the horizon, their
+        ``cond_prob`` summing to 1 (a left fold in id order, as the leaf sum
+        is in level order); leaf path probabilities summing to 1; distinct
+        sibling values.  Once the per-node checks pass, every parent chain
+        steps down one level per edge and so ends at the root.  Messages
+        show the parents and ``cond_prob`` of ``shown`` if given.
+        """
+        _check_horizon(horizon)
+        tree = object.__new__(cls)
+        parent = np.array(parent, dtype=np.intp)
+        time = np.array(time, dtype=np.intp)
+        values = np.array(values, dtype=np.float64)
+        cond = np.array(cond_prob, dtype=np.float64)
+        n = len(parent)
+        roots = np.flatnonzero(parent == -1)
         if len(roots) != 1:
             raise InvalidTree(f"expected exactly one root, found {len(roots)}")
-        root = roots[0]
-        rn = nodes[root]
-        if rn.time != 0 or rn.value is not None:
+        root = int(roots[0])
+        if time[root] != 0:
             raise InvalidTree("root must sit at time 0 and carry no value")
+        values[root], cond[root] = 0.0, 1.0
 
-        children: list[list[int]] = [[] for _ in range(n)]
-        for nd in nodes:
-            if nd.parent is None:
-                continue
-            if not (0 <= nd.parent < n):
-                raise InvalidTree(f"node {nd.id} references unknown parent {nd.parent}")
-            par = nodes[nd.parent]
-            if nd.time != par.time + 1:
-                raise InvalidTree(f"node {nd.id} at time {nd.time} has parent at time {par.time}")
-            if nd.time > horizon:
-                raise InvalidTree(f"node {nd.id} lies beyond the horizon {horizon}")
-            if nd.value is None or not abs(nd.value) <= sys.float_info.max:  # NaN fails too
-                raise InvalidTree(f"node {nd.id} must carry a finite value")
-            if not (0.0 < nd.cond_prob <= 1.0):
-                raise InvalidTree(f"node {nd.id} has cond_prob {nd.cond_prob} outside (0, 1]")
-            children[nd.parent].append(nd.id)
+        stray = (parent < -1) | (parent >= n)
+        par = np.where(stray, root, parent)
+        faults = (
+            (stray, "references unknown parent {p}"),
+            (time != time[par] + 1, "at time {t} has parent at time {pt}"),
+            (time > horizon, "lies beyond the horizon {h}"),
+            (~np.isfinite(values), "must carry a finite value"),
+            (~((cond > 0.0) & (cond <= 1.0)), "has cond_prob {c} outside (0, 1]"),
+        )
+        bad = np.logical_or.reduce([f for f, _ in faults])
+        bad[root] = False
+        if bad.any():
+            k = int(np.argmax(bad))
+            msg = next(m for f, m in faults if f[k])
+            p, c = shown or (parent, cond_prob)
+            raise InvalidTree(f"node {k} " + msg.format(p=p[k], t=time[k], pt=time[par[k]],
+                                                        h=horizon, c=c[k]))
 
-        for nd in nodes:
-            kids = children[nd.id]
-            if not kids:
-                if nd.time != horizon:
-                    raise InvalidTree(f"node {nd.id} is a leaf at time {nd.time} != horizon {horizon}")
-                continue
-            s = sum(nodes[c].cond_prob for c in kids)
-            if abs(s - 1.0) > PROB_TOL:
-                raise InvalidTree(f"children of node {nd.id} have probabilities summing to {s!r}")
+        kids = np.flatnonzero(parent >= 0)
+        nkids = np.bincount(parent[kids], minlength=n)
+        ksum = np.bincount(parent[kids], weights=cond[kids], minlength=n)
+        early = (nkids == 0) & (time != horizon)
+        off = (nkids > 0) & (np.abs(ksum - 1.0) > PROB_TOL)
+        if (early | off).any():
+            k = int(np.argmax(early | off))
+            raise InvalidTree(f"node {k} is a leaf at time {time[k]} != horizon {horizon}"
+                              if early[k] else
+                              f"children of node {k} have probabilities summing to "
+                              f"{float(ksum[k])!r}")
 
-        levels: list[list[int]] = [[] for _ in range(horizon + 1)]
-        order: list[int] = [root]
-        node_prob = [0.0] * n
-        node_prob[root] = 1.0
-        for nid in order:
-            levels[nodes[nid].time].append(nid)
-            for c in children[nid]:
-                node_prob[c] = node_prob[nid] * nodes[c].cond_prob
-                order.append(c)
-        if len(order) != n:
-            raise InvalidTree("tree contains nodes unreachable from the root")
-
-        leaves = levels[horizon]
-        total = sum(node_prob[leaf] for leaf in leaves)
+        # breadth first, level by level: each level's ids in id order,
+        # stably sorted by their parents' level positions
+        start = np.concatenate(([0], np.cumsum(np.bincount(time, minlength=horizon + 1))))
+        order = np.argsort(time, kind="stable")
+        pos, prob = np.zeros(n, dtype=np.intp), np.ones(n)
+        for t in range(1, horizon + 1):
+            ids = order[start[t]:start[t + 1]]
+            ids[:] = ids[np.argsort(pos[parent[ids]], kind="stable")]
+            pos[ids] = np.arange(len(ids))
+            prob[ids] = prob[parent[ids]] * cond[ids]
+        leaves = order[start[horizon]:]
+        total = float(np.bincount(np.zeros_like(leaves), weights=prob[leaves])[0])
         if abs(total - 1.0) > PROB_TOL:
             raise InvalidTree(f"leaf path probabilities sum to {total!r}")
 
-        self.horizon = horizon
-        self.root = root
-        self.children = tuple(tuple(c) for c in children)
-        self.levels = tuple(tuple(lv) for lv in levels)
-        self.leaves = tuple(leaves)
-        self.node_prob = tuple(node_prob)
-        self.parent = _frozen(np.array([-1 if nd.parent is None else nd.parent for nd in nodes],
-                                       dtype=np.intp))
-        # the root's cond_prob goes unchecked above and is stored as 1.0
-        self.cond_prob = _frozen(np.array([1.0 if nd.parent is None else nd.cond_prob
-                                           for nd in nodes], dtype=np.float64))
-        sizes = [len(lv) for lv in levels]
-        self.level_order = _frozen(np.fromiter(order, np.intp, n))
-        self.level_start = _frozen(np.cumsum([0] + sizes))
-        pos, time = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-        pos[self.level_order] = np.arange(n) - np.repeat(self.level_start[:-1], sizes)
-        time[self.level_order] = np.repeat(np.arange(horizon + 1), sizes)
-        self.level_pos, self.time = _frozen(pos), _frozen(time)
+        tree.horizon, tree.root = horizon, root
+        tree.parent, tree.time, tree.cond_prob = _frozen(parent), _frozen(time), _frozen(cond)
+        tree.level_order, tree.level_start = _frozen(order), _frozen(start)
+        tree.level_pos = _frozen(pos)
+        tree.levels = tuple(order[a:b] for a, b in zip(start[:-1], start[1:]))
+        tree.leaves, tree.node_prob = tree.levels[horizon], _frozen(prob)
         anc = np.empty((len(leaves), horizon + 1), dtype=np.int64)
         anc[:, horizon] = leaves
         for t in range(horizon, 0, -1):
-            anc[:, t - 1] = self.parent[anc[:, t]]
-        self._ancestors = _frozen(anc)
-        self._shared: dict = {}
-        self._nodes = None
-        probs = _frozen(np.array([node_prob[leaf] for leaf in leaves]))
-        self._set_values(np.array([0.0 if nd.value is None else nd.value for nd in nodes]), probs)
+            anc[:, t - 1] = parent[anc[:, t]]
+        tree._ancestors = _frozen(anc)
+        tree._shared, tree._nodes = {}, None
+        tree._set_values(values, _frozen(prob[leaves]))
+        return tree
 
     def _set_values(self, values: np.ndarray, probs: np.ndarray) -> None:
-        """Check finiteness and sibling distinctness; gather the path values
-        and start an empty per-tree cache.
-
-        The check sorts each family size once over all levels; nothing of
-        it is kept, since the adapted distance reads one level's sorts, and
-        only for some trees (see :meth:`_sorted_families`).
-        """
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise InvalidTree(f"node {bad[0]} must carry a finite value")
+        """Check sibling distinctness of finite ``values`` (no sort is kept:
+        see :meth:`_sorted_families`); gather the path values and start an
+        empty per-tree cache."""
         clash = self._collision(values)
         if clash is not None:
             raise InvalidTree(f"children of node {clash} carry duplicate values")
@@ -234,6 +246,9 @@ class ScenarioTree:
         if v.shape != (len(self.node_prob),):
             raise InvalidTree(f"expected {len(self.node_prob)} node values, got shape {v.shape}")
         v[self.root] = 0.0
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise InvalidTree(f"node {bad[0]} must carry a finite value")
         out = object.__new__(type(self))
         for name in self._STRUCTURE:
             setattr(out, name, getattr(self, name))
@@ -258,39 +273,48 @@ class ScenarioTree:
 
     def _collision(self, values: np.ndarray) -> int | None:
         """Smallest id of a node whose children carry equal values, or None:
-        one sort per family size of :meth:`_families`, over all levels."""
+        one sort per family size over all levels, of the :meth:`_groups` of
+        the families of two or more, cached per structure."""
+        families = _memo(self._shared, "families",
+                         lambda: self._groups(np.flatnonzero(self._child_index()[0] > 1)))
         clash = []
-        for parents, kids in self._families():
+        for parents, kids in families:
             s = np.sort(values[kids], axis=1)
             hit = (s[:, 1:] == s[:, :-1]).any(axis=1)
             if hit.any():
                 clash.append(int(parents[hit].min()))
         return min(clash, default=None)
 
-    def _families(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Families of two or more children, grouped by size over all
-        levels: ``(parents, kids)`` with one row of child ids per parent id,
-        read-only; cached per structure."""
+    def _child_index(self):
+        """``(size, start, flat, rank)``: per node its family size, the
+        start of its children in ``flat`` (all children, grouped by parent
+        id, in id order) and its own rank among its siblings; read-only,
+        cached per structure."""
         def build():
-            by_size: dict[int, list[int]] = {}
-            for nid, kids in enumerate(self.children):
-                if len(kids) > 1:
-                    by_size.setdefault(len(kids), []).append(nid)
-            return tuple((_frozen(np.array(ps)), _frozen(np.array([self.children[p] for p in ps])))
-                         for ps in by_size.values())
-        return _memo(self._shared, "families", build)
+            parent = self.parent
+            size = np.bincount(parent[parent >= 0], minlength=len(parent))
+            flat = np.argsort(parent, kind="stable")[1:]  # the root's -1 sorts first
+            start = np.cumsum(size) - size
+            rank = np.zeros(len(parent), dtype=np.intp)
+            rank[flat] = np.arange(len(flat)) - start[parent[flat]]
+            return tuple(_frozen(a) for a in (size, start, flat, rank))
+        return _memo(self._shared, "child index", build)
 
-    def _sibling_groups(self, t: int) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-        """Families of the time-t nodes grouped by size, in level order:
-        ``(parents, kids)`` with one row of child ids per parent; cached
-        per structure."""
-        def build():
-            by_size: dict[int, list[int]] = {}
-            for nid in self.levels[t]:
-                by_size.setdefault(len(self.children[nid]), []).append(nid)
-            return tuple((tuple(ps), _frozen(np.array([self.children[c] for c in ps])))
-                         for ps in by_size.values())
-        return _memo(self._shared, ("groups", t), build)
+    def _groups(self, parents: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``parents`` grouped by family size, sizes in order of first
+        appearance: ``(parents, kids)`` with one row of child ids, in id
+        order, per parent, read-only."""
+        size, start, flat, _ = self._child_index()
+        sizes, out = size[parents], []
+        for s in dict.fromkeys(sizes.tolist()):
+            ps = parents[sizes == s]
+            out.append((_frozen(ps), _frozen(flat[start[ps][:, None] + np.arange(s)])))
+        return tuple(out)
+
+    def _sibling_groups(self, t: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """:meth:`_groups` of the time-t nodes, in level order; cached per
+        structure."""
+        return _memo(self._shared, ("groups", t), lambda: self._groups(self.levels[t]))
 
     def average_children(self, t: int, v: np.ndarray) -> np.ndarray:
         """Conditional expectation one level up: ``v`` holds one value or
@@ -303,9 +327,9 @@ class ScenarioTree:
         contiguous in its level.
         """
         def build():
-            kids = self.level_order[self.level_start[t + 1]:self.level_start[t + 2]]
-            size = int(self.level_start[t + 1] - self.level_start[t])
-            return _frozen(self.level_pos[self.parent[kids]]), _frozen(self.cond_prob[kids]), size
+            kids = self.levels[t + 1]
+            at = self.level_pos[self.parent[kids]]
+            return _frozen(at), _frozen(self.cond_prob[kids]), len(self.levels[t])
         at, w, size = _memo(self._shared, ("up", t), build)
         if v.ndim == 1:
             return np.bincount(at, weights=w * v, minlength=size)
@@ -324,17 +348,22 @@ class ScenarioTree:
         return self._nodes
 
     @property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Child ids per node id, in id order; built on first read and
+        cached per structure."""
+        return _memo(self._shared, "children", lambda: _child_lists(self.parent))
+
+    @property
     def paths(self) -> PathTable:
         return self._paths
 
     def ancestor(self, leaf: int, t: int) -> int:
         """Node id of the time-t ancestor of ``leaf`` (t = horizon gives the leaf)."""
         _check_time(t, self.horizon)
-        try:
-            k = self.leaves.index(leaf)
-        except ValueError:
-            raise InvalidParams(f"node {leaf!r} is not a leaf") from None
-        return int(self._ancestors[k, t])
+        _check_int(leaf, "node id")
+        if not (0 <= leaf < len(self.time) and self.time[leaf] == self.horizon):
+            raise InvalidParams(f"node {leaf!r} is not a leaf")
+        return int(self._ancestors[self.level_pos[leaf], t])
 
     @property
     def ancestor_matrix(self) -> np.ndarray:
@@ -349,6 +378,28 @@ def _records(time, values, cond_prob, parent) -> tuple[Node, ...]:
                  for k, (t, v, c, par) in enumerate(cols))
 
 
+def _read_records(horizon, time, value, cond_prob, parent) -> ScenarioTree:
+    """The tree of record fields by id, None as the root's parent and
+    value, as the constructor and the CLI's tree reader read them: type
+    checks, the root's None value, then :meth:`ScenarioTree._from_arrays`."""
+    time = _int_field(InvalidTree, "node field 'time'", time)
+    _int_field(InvalidTree, "node field 'parent'", [p for p in parent if p is not None])
+    for name, vals in (("value", [v for v in value if v is not None]), ("cond_prob", cond_prob)):
+        # is_number reads the type alone, so one value of each type decides
+        if not all(map(is_number, dict(zip(map(type, vals), vals)).values())):
+            raise InvalidTree(f"node field {name!r} must hold numbers")
+    roots = [k for k, p in enumerate(parent) if p is None]
+    if len(roots) == 1 and value[roots[0]] is not None:
+        raise InvalidTree("root must sit at time 0 and carry no value")
+    # -1 marks the root alone: an unknown parent, -1 too, goes in as n, and
+    # numbers beyond the float range as infinities; messages show them as given
+    n, big = len(parent), sys.float_info.max
+    ids = [-1 if p is None else p if 0 <= p < n else n for p in parent]
+    values = [math.nan if v is None else v if abs(v) <= big else math.inf for v in value]
+    cond = [c if abs(c) <= big else math.inf for c in cond_prob]
+    return ScenarioTree._from_arrays(horizon, ids, time, values, cond, (parent, cond_prob))
+
+
 def backward_sweep(tree: ScenarioTree, leaf_values: np.ndarray) -> list[np.ndarray]:
     """E[V | F_t] for t = 0..T of leaf values V, one row per leaf in leaf
     order (any trailing shape): entry t holds one row per time-t node, in
@@ -360,10 +411,15 @@ def backward_sweep(tree: ScenarioTree, leaf_values: np.ndarray) -> list[np.ndarr
     return out[::-1]
 
 
+def _check_int(v, what: str) -> None:
+    """``InvalidParams`` unless ``v`` is an integer; a boolean is not."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise InvalidParams(f"{what} must be an integer, got {v!r}")
+
+
 def _check_time(t, horizon: int) -> None:
     """``InvalidParams`` unless ``t`` is an integer in 0..``horizon``."""
-    if isinstance(t, bool) or not isinstance(t, numbers.Integral):
-        raise InvalidParams(f"time must be an integer, got {t!r}")
+    _check_int(t, "time")
     if not (0 <= t <= horizon):
         raise InvalidParams(f"time {t} outside 0..{horizon}")
 
@@ -379,28 +435,13 @@ def conditional_expectation(
     """
     _check_time(t, tree.horizon)
     try:
-        vals = [float(leaf_values[leaf]) for leaf in tree.leaves]
+        vals = [float(leaf_values[leaf]) for leaf in tree.leaves.tolist()]
     except KeyError as e:
         raise InvalidParams(f"leaf_values is missing leaf {e.args[0]}") from None
-    return dict(zip(tree.levels[t], backward_sweep(tree, vals)[t].tolist()))
+    return dict(zip(tree.levels[t].tolist(), backward_sweep(tree, vals)[t].tolist()))
 
 
 # -- generators --------------------------------------------------------------
-
-
-class _Builder:
-    """Accumulates nodes in BFS order."""
-
-    def __init__(self) -> None:
-        self.records: list[Node] = [Node(0, 0, None, 1.0, None)]
-
-    def add(self, parent: int, time: int, value: float, cond_prob: float) -> int:
-        nid = len(self.records)
-        self.records.append(Node(nid, time, float(value), float(cond_prob), parent))
-        return nid
-
-    def build(self, horizon: int) -> ScenarioTree:
-        return ScenarioTree(horizon, self.records)
 
 
 def tree_from_nested(horizon: int, spec: Sequence) -> ScenarioTree:
@@ -408,20 +449,19 @@ def tree_from_nested(horizon: int, spec: Sequence) -> ScenarioTree:
 
     ``spec`` lists the children of the root; each entry is
     ``(value, prob, [children...])`` with the child list omitted or empty at
-    the leaves.
+    the leaves.  Ids are depth first, in ``spec`` order.
     """
-    b = _Builder()
+    rows = [(-1, 0, 0.0, 1.0)]  # (parent, time, value, cond_prob) per node
 
-    def rec(parent: int, time: int, entries: Sequence) -> None:
+    def rec(par: int, t: int, entries: Sequence) -> None:
         for entry in entries:
-            value, prob = entry[0], entry[1]
             kids = entry[2] if len(entry) > 2 else ()
-            nid = b.add(parent, time, value, prob)
+            rows.append((par, t, float(entry[0]), float(entry[1])))
             if kids:
-                rec(nid, time + 1, kids)
+                rec(len(rows) - 1, t + 1, kids)
 
     rec(0, 1, spec)
-    return b.build(horizon)
+    return ScenarioTree._from_arrays(horizon, *zip(*rows))
 
 
 def _check_node_budget(T: int, branching: int) -> None:
@@ -436,6 +476,33 @@ def _check_node_budget(T: int, branching: int) -> None:
                                 f"over {GEN_MAX_NODES} nodes")
 
 
+def _horizon(T) -> int:
+    """A generator's ``T`` as an int >= 1, or ``InvalidParams``."""
+    T = finite_count(T, "T", "generator")
+    if T < 1:
+        raise InvalidParams(f"T must be >= 1, got {T}")
+    return T
+
+
+def _full_tree(T: int, b: int, x0: float, cond: np.ndarray, grow) -> ScenarioTree:
+    """The full tree of horizon ``T`` with ``b`` children per node, ids
+    breadth first: ``cond`` holds the families' ``cond_prob`` rows, one per
+    parent or one for all; ``grow(x, at)`` gives the children's values, in
+    turn, of the values ``x`` (``x0`` at the root) of the parents ``at``, a
+    slice of ids."""
+    sizes = b ** np.arange(T + 1)
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    n = int(bounds[-1])
+    x, values = np.array([x0]), [np.zeros(1)]
+    with np.errstate(over="ignore"):  # an infinite value is refused as such
+        for t in range(1, T + 1):
+            x = grow(x, slice(bounds[t - 1], bounds[t]))
+            values.append(x)
+    cond = np.broadcast_to(cond, ((n - 1) // b, b)).ravel()
+    return ScenarioTree._from_arrays(T, (np.arange(n) - 1) // b, np.repeat(np.arange(T + 1), sizes),
+                                     np.concatenate(values), np.concatenate(([1.0], cond)))
+
+
 def gen_binomial(
     T: int, start: float, up: float, down: float, p_up: float, drift: float = 0.0
 ) -> ScenarioTree:
@@ -443,8 +510,9 @@ def gen_binomial(
 
     Recombination is never merged; the result has 2^T leaves.
     """
-    if T < 1:
-        raise InvalidParams(f"T must be >= 1, got {T}")
+    T = _horizon(T)
+    up, down, p_up = (finite_number(v, k, "generator")
+                      for k, v in (("up", up), ("down", down), ("p_up", p_up)))
     if not (0.0 < p_up < 1.0):
         raise InvalidParams(f"p_up must lie in (0, 1), got {p_up}")
     if up == down:
@@ -460,12 +528,13 @@ def gen_lattice(
     drift: float = 0.0,
 ) -> ScenarioTree:
     """Random walk with an arbitrary finite step distribution, emitted as a full tree."""
-    if T < 1:
-        raise InvalidParams(f"T must be >= 1, got {T}")
+    T = _horizon(T)
+    start, drift = (finite_number(v, name, "generator")
+                    for name, v in (("start", start), ("drift", drift)))
     try:
-        steps = [float(s) for s in steps]
-        probs = [float(w) for w in probs]
-    except (TypeError, ValueError, OverflowError) as e:
+        steps, probs = ([finite_number(v, name, "generator") for v in seq]
+                        for name, seq in (("steps", steps), ("probs", probs)))
+    except (TypeError, InvalidParams) as e:
         raise InvalidParams(f"steps and probs must be sequences of numbers: {e}") from None
     if len(steps) < 2 or len(steps) != len(probs):
         raise InvalidParams("steps and probs must have equal length >= 2")
@@ -476,17 +545,9 @@ def gen_lattice(
     if abs(sum(probs) - 1.0) > PROB_TOL:
         raise InvalidParams(f"step probabilities sum to {sum(probs)!r}")
     _check_node_budget(T, len(steps))
-    b = _Builder()
-    frontier = [(0, float(start))]
-    for t in range(1, T + 1):
-        nxt = []
-        for parent, x in frontier:
-            for step, prob in zip(steps, probs):
-                v = x + drift + step
-                nid = b.add(parent, t, v, prob)
-                nxt.append((nid, v))
-        frontier = nxt
-    return b.build(T)
+    step = np.array(steps)
+    return _full_tree(T, len(steps), start, np.array(probs),
+                      lambda x, at: ((x + drift)[:, None] + step).ravel())
 
 
 def gen_random(T: int, branching: int, seed: int) -> ScenarioTree:
@@ -496,28 +557,22 @@ def gen_random(T: int, branching: int, seed: int) -> ScenarioTree:
     multiples of 2^-20, so families sum to exactly 1.0 in binary64 and
     repeated calls with one seed reproduce the tree bit for bit.
     """
-    if T < 1:
-        raise InvalidParams(f"T must be >= 1, got {T}")
-    if not 2 <= branching <= 1024:
-        raise InvalidParams(f"branching must lie in 2..1024, got {branching}")
-    if seed < 0:
-        raise InvalidParams(f"seed must be nonnegative, got {seed}")
-    _check_node_budget(T, branching)
+    T = _horizon(T)
+    b = finite_count(branching, "branching", "generator")
+    seed = finite_count(seed, "seed", "generator")
+    if not 2 <= b <= 1024:
+        raise InvalidParams(f"branching must lie in 2..1024, got {b}")
+    _check_node_budget(T, b)
     rng = np.random.default_rng(seed)
-    b = _Builder()
-    frontier = [(0, 0.0)]
-    for t in range(1, T + 1):
-        nxt = []
-        for parent, x in frontier:
-            counts = rng.multinomial(1024 - branching, [1.0 / branching] * branching) + 1
-            incs = rng.choice(2**21, size=branching, replace=False)
-            for k in range(branching):
-                prob = counts[k] / 1024.0
-                v = x + (int(incs[k]) - 2**20) / 2.0**20
-                nid = b.add(parent, t, v, prob)
-                nxt.append((nid, v))
-        frontier = nxt
-    return b.build(T)
+    # one family per parent, in id order: its counts, then its increments
+    m = (b ** T - 1) // (b - 1)
+    counts, incs = np.empty((m, b), dtype=np.int64), np.empty((m, b), dtype=np.int64)
+    for k in range(m):
+        counts[k] = rng.multinomial(1024 - b, [1.0 / b] * b) + 1
+        incs[k] = rng.choice(2**21, size=b, replace=False)
+    step = (incs - 2**20) / 2.0**20
+    return _full_tree(T, b, 0.0, counts / 1024.0,
+                      lambda x, at: (x[:, None] + step[at]).ravel())
 
 
 # -- structural utilities ----------------------------------------------------
@@ -529,24 +584,9 @@ def is_isomorphic(a: ScenarioTree, b: ScenarioTree) -> bool:
     Sibling-distinct values make this equivalent to equality of the adapted
     laws, hence to a vanishing adapted distance.
     """
-    if a.horizon != b.horizon:
-        return False
-    av, bv = a.values.tolist(), b.values.tolist()
-    ac, bc = a.cond_prob.tolist(), b.cond_prob.tolist()
+    def canonical(tree: ScenarioTree, nid: int) -> list:
+        # siblings sort by their values alone, which are distinct
+        return sorted((tree.values[c], tree.cond_prob[c], canonical(tree, c))
+                      for c in tree.children[nid])
 
-    def rec(na: int, nb: int) -> bool:
-        ka, kb = a.children[na], b.children[nb]
-        if len(ka) != len(kb):
-            return False
-        sa = sorted(ka, key=av.__getitem__)
-        sb = sorted(kb, key=bv.__getitem__)
-        for ca, cb in zip(sa, sb):
-            if av[ca] != bv[cb]:
-                return False
-            if ac[ca] != bc[cb]:
-                return False
-            if not rec(ca, cb):
-                return False
-        return True
-
-    return rec(a.root, b.root)
+    return a.horizon == b.horizon and canonical(a, a.root) == canonical(b, b.root)

@@ -145,7 +145,7 @@ class _Ascent:
         # the displaced nodes, in level order, and per path their indices there
         self.vnodes = tree.level_order[1:]
         self.vidx = tree.level_start[1:-1] - 1 + tree.level_pos[tree.ancestor_matrix[:, 1:]]
-        self.vprob = np.array(tree.node_prob)[self.vnodes]
+        self.vprob = tree.node_prob[self.vnodes]
         self.last = None  # (shifts bytes, try_solve result) of the last solve
         self.carried = None  # the same for the maximizer seeding this radius
         self.warm = None  # control vector of the last solve, if it kept the structure

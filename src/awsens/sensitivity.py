@@ -76,8 +76,8 @@ def _scale_exponent(node_vals: np.ndarray, q: float) -> int:
 
 def _stage_sums(tree: ScenarioTree, node_vals: np.ndarray, q: float, k: int) -> list[float]:
     """Per stage E|G_t 2^-k|^q: Python float powers, summed in level order."""
-    g = node_vals.tolist()
-    return [sum(tree.node_prob[nid] * abs(math.ldexp(g[nid], -k)) ** q for nid in tree.levels[t])
+    g, prob = node_vals.tolist(), tree.node_prob.tolist()
+    return [sum(prob[nid] * abs(math.ldexp(g[nid], -k)) ** q for nid in tree.levels[t].tolist())
             for t in range(1, tree.horizon + 1)]
 
 
@@ -262,19 +262,19 @@ def worst_case_direction(tree: ScenarioTree, report: SensitivityReport) -> Worst
                                   tuple(0.0 for _ in report.stage_qnorms), 0.0, 0.0, True)
     u_stage = [qn ** (1.0 / q) for qn in qnorms]
     weights = [ut ** (q / p) / S ** (1.0 / p) for ut in u_stage]
-    grads = report.cond_grads.tolist()
+    grads, prob = report.cond_grads.tolist(), tree.node_prob.tolist()
     norm_check = 0.0
     pairing = 0.0
     for t in range(1, tree.horizon + 1):
         ut = u_stage[t - 1]
-        for nid in tree.levels[t]:
+        for nid in tree.levels[t].tolist():
             g, z = grads[nid], 0.0
             if ut > 0.0 and g != 0.0:
                 z = (weights[t - 1] * math.copysign(abs(math.ldexp(g, -k)) ** (q - 1.0), g)
                      / ut ** (q - 1.0))
             values[nid] = z
-            norm_check += tree.node_prob[nid] * abs(z) ** p
-            pairing += tree.node_prob[nid] * g * z
+            norm_check += prob[nid] * abs(z) ** p
+            pairing += prob[nid] * g * z
     return WorstCaseDirection(p, q, _frozen(np.array(values)), tuple(weights), norm_check,
                               pairing, False)
 

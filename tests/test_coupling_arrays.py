@@ -195,10 +195,10 @@ def _reference_validate(first, second, pair_nodes, marginal_tol=1e-10):
     for pn in pair_nodes:
         marg_x[pn.x_node] += prob[pn.id]
         marg_y[pn.y_node] += prob[pn.id]
-    for nid, target in enumerate(first.node_prob):
+    for nid, target in enumerate(first.node_prob.tolist()):
         if abs(marg_x[nid] - target) > marginal_tol:
             raise InvalidCoupling(f"first marginal off by {marg_x[nid] - target!r} at node {nid}")
-    for nid, target in enumerate(second.node_prob):
+    for nid, target in enumerate(second.node_prob.tolist()):
         if abs(marg_y[nid] - target) > marginal_tol:
             raise InvalidCoupling(f"second marginal off by {marg_y[nid] - target!r} at node {nid}")
     return tuple(tuple(c) for c in children), tuple(prob)

@@ -239,6 +239,43 @@ def test_ancestor_refuses_bad_times_and_non_leaves():
         tree.ancestor(leaf, 5)
     with pytest.raises(InvalidParams, match="not a leaf"):
         tree.ancestor(tree.root, 1)
+    for node in (-1, len(tree.values), 10**30):
+        with pytest.raises(InvalidParams, match="not a leaf"):
+            tree.ancestor(node, 1)
+    assert tree.ancestor(np.int64(leaf), 1) == tree.ancestor(leaf, 1)
+    # a bool or a float is not a node id, though list.index would find one
+    one = tree_from_nested(1, [(1.0, 0.5), (2.0, 0.5)])
+    for node, t in ((True, 0), (1.0, 1), (2.5, 1), ("1", 1), (None, 1)):
+        with pytest.raises(InvalidParams, match="node id must be an integer"):
+            one.ancestor(node, t)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_random(2, 2, 1.5),
+    lambda: gen_random(2, 2.5, 0),
+    lambda: gen_random(2.0001, 2, 0),
+    lambda: gen_random(True, 2, 0),
+    lambda: gen_random(2, 2, "0"),
+    lambda: gen_binomial(2.5, 0.0, 1.0, -1.0, 0.5),
+    lambda: gen_binomial(True, 0.0, 1.0, -1.0, 0.5),
+    lambda: gen_binomial(2, "a", 1, -1, 0.5),
+    lambda: gen_binomial(2, 0, 1, -1, "0.5"),
+    lambda: gen_binomial(2, 0, None, -1, 0.5),
+    lambda: gen_binomial(2, 0, 1, -1, 0.5, math.nan),
+    lambda: gen_binomial(2, 0, math.inf, -1, 0.5),
+    lambda: gen_lattice(2, 0.0, [1.0, -1.0], [0.5, 0.5], "0"),
+    lambda: gen_lattice(2, 10**400, [1.0, -1.0], [0.5, 0.5]),
+    lambda: gen_lattice(2, 0.0, [1.0, math.nan], [0.5, 0.5]),
+    lambda: gen_lattice(2, 0.0, [1.0, -1.0], [0.5, True]),
+])
+def test_generators_refuse_non_numbers_with_invalid_params(build):
+    with pytest.raises(InvalidParams):
+        build()
+
+
+def test_generators_read_integral_floats_as_counts():
+    assert gen_random(2.0, 2.0, 7.0).values.tobytes() == gen_random(2, 2, 7).values.tobytes()
+    assert gen_binomial(np.int64(3), 0, 1, -1, 0.5).horizon == 3
 
 
 @pytest.mark.parametrize("steps, probs", [
@@ -351,10 +388,11 @@ _NODE_ARRAYS = ("parent", "time", "cond_prob", "level_order", "level_pos", "leve
 
 def _public_views(tree):
     return (
-        tree.horizon, tree.root, tree.children, tree.levels, tree.leaves, tree.node_prob,
+        tree.horizon, tree.root, tree.children, [lv.tolist() for lv in tree.levels],
+        tree.leaves.tolist(), tree.node_prob.tobytes(),
         [(n.id, n.time, None if n.value is None else n.value.hex(), n.cond_prob.hex(), n.parent)
          for n in tree.nodes],
-        tree.paths.leaf_ids, tree.paths.values.tobytes(), tree.paths.values.shape,
+        tree.paths.leaf_ids.tolist(), tree.paths.values.tobytes(), tree.paths.values.shape,
         tree.paths.probs.tobytes(), tree.ancestor_matrix.tobytes(), tree.values.tobytes(),
     )
 
