@@ -283,15 +283,17 @@ class CostModel:
 
     def bind(self, x: Array):
         """Fix a path batch of a controlled model: returns ``evaluate(a) ->
-        (values, grad)`` over control batches shaped like ``x``, where
-        ``values`` and ``grad()`` equal ``value_fn(x, a)`` and
-        ``grad_a_fn(x, a)`` bit for bit; ``grad`` reuses what ``values``
-        computed."""
+        (values, grad, hess)`` over control batches shaped like ``x``, where
+        ``values``, ``grad()`` and ``hess()`` equal ``value_fn(x, a)``,
+        ``grad_a_fn(x, a)`` and ``hess_a(x, a)`` bit for bit; ``grad`` and
+        ``hess`` reuse what ``values`` computed, and each ``hess()`` builds
+        one new (n, T, T) array."""
         if self.kind != "controlled" or self.grad_a_fn is None:
             raise InvalidParams(f"model {self.name!r} has no control gradient")
         if self.bind_fn is not None:
             return self.bind_fn(x)
-        return lambda a: (self.value_fn(x, a), lambda: self.grad_a_fn(x, a))
+        hess = self.hess_a_fn or self._fd_hessian
+        return lambda a: (self.value_fn(x, a), lambda: self.grad_a_fn(x, a), lambda: hess(x, a))
 
     def hess_a(self, x, a):
         if self.kind != "controlled":
@@ -454,7 +456,7 @@ def build_utility_cost(u: UtilityModel, T: int) -> CostModel:
     with Z = g(x) + sum_t a_t (x_t - x_{t-1}).
 
     ``bind(x)`` computes g(x) and the increments dx once for the batch and
-    then only Z per control batch, shared by l(Z) and l'(Z) dx.
+    then only Z per control batch, shared by l(Z), l'(Z) dx and l''(Z) dx dx'.
     """
     zgrid = np.linspace(-3.0, 3.0, 13)
     if np.any(u.loss.second(zgrid) <= 0.0):
@@ -466,7 +468,8 @@ def build_utility_cost(u: UtilityModel, T: int) -> CostModel:
         def evaluate(a):
             # np.add.reduce is np.sum without its Python wrapper
             z = gx + np.add.reduce(a * dx, axis=1)
-            return u.loss.value(z), lambda: u.loss.deriv(z)[:, None] * dx
+            return (u.loss.value(z), lambda: u.loss.deriv(z)[:, None] * dx,
+                    lambda: u.loss.second(z)[:, None, None] * dx[:, :, None] * dx[:, None, :])
 
         return evaluate
 
@@ -720,13 +723,12 @@ def sampled_hessian_min_eig(model: CostModel, xs: Array, controls: Array) -> flo
 
     Each Hessian's spectrum is scaled by its own magnitude so badly scaled
     but semidefinite models (exponential losses far from the money) do not
-    trip the check on eigensolver dust.
+    trip the check on eigensolver dust.  One stacked eigensolve serves the
+    batch; ``fmax`` and ``fmin`` skip NaNs as Python's ``max`` and ``min``
+    of a per-matrix loop did.
     """
     hess = model.hess_a(xs, controls)
     if hess.ndim == 2:
         hess = hess[None]
-    worst = np.inf
-    for h in hess:
-        scale = max(1.0, float(np.max(np.abs(h))))
-        worst = min(worst, float(np.linalg.eigvalsh(h).min()) / scale)
-    return worst
+    scale = np.fmax(1.0, np.max(np.abs(hess), axis=(1, 2)))
+    return float(np.fmin.reduce(np.linalg.eigvalsh(hess).min(axis=1) / scale, initial=np.inf))

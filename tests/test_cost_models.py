@@ -26,7 +26,7 @@ from awsens.cost_models import (
     sampled_hessian_min_eig,
 )
 from awsens.sensitivity import class_solve, leaf_gradients
-from test_multistage_opt import CONTROL_MODELS
+from test_multistage_opt import CONTROL_MODELS, _no_hessian_model
 
 T = 3
 
@@ -244,14 +244,19 @@ def _check_binding(m, rng, n=64):
     evaluate = m.bind(x)
     for _ in range(3):
         a = rng.uniform(-1.5, 1.5, size=(n, T))
-        v, grad = evaluate(a)
+        v, grad, hess = evaluate(a)
         assert _same_bits(v, m.value_fn(x, a))
         assert _same_bits(grad(), m.grad_a_fn(x, a))
-        # a gradient taken after a later evaluation still belongs to its own a
-        v2, grad2 = evaluate(-a)
+        assert _same_bits(hess(), m.hess_a(x, a))
+        # derivatives taken after a later evaluation still belong to their own a
+        v2, grad2, hess2 = evaluate(-a)
         assert _same_bits(grad(), m.grad_a_fn(x, a))
+        assert _same_bits(hess(), m.hess_a(x, a))
         assert _same_bits(v2, m.value_fn(x, -a))
         assert _same_bits(grad2(), m.grad_a_fn(x, -a))
+        assert _same_bits(hess2(), m.hess_a(x, -a))
+        # each call builds a new array: the solver weights it in place
+        assert hess() is not hess()
 
 
 @pytest.mark.parametrize("loss", LOSSES, ids=[name for name, _ in LOSSES])
@@ -271,6 +276,55 @@ def test_utility_binding_matches_callbacks_bit_for_bit(loss, payoff):
 ])
 def test_default_binding_matches_callbacks_bit_for_bit(name, params):
     _check_binding(make_cost_model(name, params, T), np.random.default_rng(3))
+
+
+def _registered_models():
+    """A registered convex model with coupled controls, with and without
+    ``hess_a_fn`` (then its Hessian comes from ``_fd_hessian``)."""
+    m = _no_hessian_model()
+
+    def hess_a(x, a):
+        out = np.broadcast_to((1.0 + x[:, -1] ** 2)[:, None, None], (x.shape[0], T, T)).copy()
+        out[:, np.arange(T), np.arange(T)] += a**2
+        return out
+
+    return [register_cost_model("controlled", "with_hessian", T, m.value_fn, m.grad_x_fn,
+                                grad_a_fn=m.grad_a_fn, hess_a_fn=hess_a), m]
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["with-hessian", "without-hessian"])
+def test_registered_binding_matches_callbacks_bit_for_bit(k):
+    _check_binding(_registered_models()[k], np.random.default_rng(k))
+
+
+def _min_eig_loop(model, xs, controls):
+    """``sampled_hessian_min_eig`` as a per-matrix loop, the reference its
+    stacked eigensolve must equal bit for bit."""
+    hess = model.hess_a(xs, controls)
+    worst = np.inf
+    for h in (hess[None] if hess.ndim == 2 else hess):
+        scale = max(1.0, float(np.max(np.abs(h))))
+        worst = min(worst, float(np.linalg.eigvalsh(h).min()) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("k", range(len(CONTROL_MODELS) + 2),
+                         ids=[f"{n}-{i}" for i, (n, _) in enumerate(CONTROL_MODELS)]
+                         + ["registered-with-hessian", "registered-without-hessian"])
+def test_sampled_min_eig_matches_per_matrix_loop_bit_for_bit(k):
+    if k < len(CONTROL_MODELS):
+        m = make_cost_model(*CONTROL_MODELS[k], T)
+    else:
+        m = _registered_models()[k - len(CONTROL_MODELS)]
+    rng = np.random.default_rng(k)
+    for scale in (1.0, 10.0, 100.0):  # far from the money the Hessians spread widely
+        xs = rng.uniform(-2.0, 2.0, size=(32, T))
+        controls = rng.uniform(-scale, scale, size=xs.shape)
+        got = sampled_hessian_min_eig(m, xs, controls)
+        assert got.hex() == _min_eig_loop(m, xs, controls).hex()
+        assert sampled_hessian_min_eig(m, xs[0], controls[0]).hex() == \
+            _min_eig_loop(m, xs[0], controls[0]).hex()
+    assert sampled_hessian_min_eig(m, xs[:0], controls[:0]) == np.inf
 
 
 def test_readme_parameter_table_lists_the_library_table():

@@ -23,6 +23,7 @@ from awsens import (
     uniqueness_spread,
 )
 from awsens import multistage_opt
+from awsens.cost_models import CostModel
 from awsens.multistage_opt import (
     ARMIJO_C,
     BACKTRACK,
@@ -338,9 +339,10 @@ def reference_solve_value(tree, model, bounds, tol=1e-9, max_iter=MAX_ITER_DEFAU
     """``solve_value``'s loop before its ufunc and single-evaluation rewrite,
     on the model's callbacks: np.clip, np.max and a value-only evaluation
     per Armijo trial, then a fresh value and gradient at the accepted point.
-    After ``NEWTON_AFTER`` iterations it tries the projected Newton step
-    first, with up to ``NEWTON_TRIALS`` Armijo trials from the full step.
-    Kept as the reference the solver must equal bit for bit."""
+    After ``NEWTON_AFTER`` iterations from a cold start, and from the
+    first from a start ``z0``, it tries the projected Newton step first,
+    with up to ``NEWTON_TRIALS`` Armijo trials from the full step.  Kept as
+    the reference the solver must equal bit for bit."""
     ids, aidx = _variable_layout(tree)
     xs = tree.paths.values
     w = tree.paths.probs
@@ -367,7 +369,7 @@ def reference_solve_value(tree, model, bounds, tol=1e-9, max_iter=MAX_ITER_DEFAU
             return phi, ControlPolicy(controls), residual, it - 1
         noise = 1e-15 * (1.0 + abs(phi))
         z_new = None
-        if it > NEWTON_AFTER:
+        if it > (NEWTON_AFTER if z0 is None else 0):
             d = _newton_direction_reference(model, xs, w, aidx, z, g, L, residual)
             if d is not None:
                 s = 1.0
@@ -473,12 +475,16 @@ def test_hessian_product_matches_objective_hessian(name, params, b, seed):
     v = rng.normal(size=len(ids))
     held = rng.random(len(ids)) < 0.3
     hw = _path_hessians(model, tree.paths.values, tree.paths.probs, z[aidx])
-    got = _hessian_product(hw, aidx, held, v)
     H = objective_hessian(tree, model, z)
+    # the product's input is zero on the held controls, as every CG direction is
     vf = np.where(held, 0.0, v)
+    got = _hessian_product(hw, aidx, held, vf)
     want = np.where(held, 0.0, H @ vf)
     assert np.all(got[held] == 0.0)
     assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(H) @ np.abs(vf)) + 1e-300)
+    # None holds no control: the full product
+    got = _hessian_product(hw, aidx, None, v)
+    assert np.all(np.abs(got - H @ v) <= 1e-12 * (np.abs(H) @ np.abs(v)) + 1e-300)
 
 
 def test_large_tree_solve_takes_newton_steps(monkeypatch):
@@ -514,6 +520,64 @@ def test_ill_conditioned_solve_takes_few_newton_steps():
                       ControlBounds(100.0), check_convexity=False)
     assert rep.iterations <= 60
     assert rep.kkt_residual <= 1e-9
+
+
+def test_box_start_takes_newton_steps_from_the_first_iteration():
+    # the slowest case of a gen_random fuzz, exponential loss at L=100 from
+    # a box start: 219 iterations when NEWTON_AFTER projected-gradient steps
+    # came first, 177 with Newton steps from the first
+    name, params = CONTROL_MODELS[6]
+    tree = gen_random(3, 4, 39733)
+    model = make_cost_model(name, params, 3)
+    bounds = ControlBounds(100.0)
+    z0 = np.random.default_rng(39733).uniform(-100.0, 100.0, size=len(_variable_layout(tree)[0]))
+    warm = solve_value(tree, model, bounds, z0=z0, check_convexity=False)
+    cold = solve_value(tree, model, bounds, check_convexity=False)
+    assert warm.iterations < 219
+    assert warm.kkt_residual <= 1e-9
+    assert abs(warm.value - cold.value) <= 1e-9
+
+
+def test_solves_take_the_hessian_from_the_binding(monkeypatch):
+    # a Newton step reads its Hessian from the evaluation the line search
+    # made, never through the checked hess_a and a second payoff evaluation
+    models = [make_cost_model(name, params, 3) for name, params in CONTROL_MODELS[5:16:5]]
+    models.append(_no_hessian_model())  # registration audits hess_a, so before the patch
+    directions = []
+    real = multistage_opt._newton_direction
+
+    def counting(*args):
+        directions.append(1)
+        return real(*args)
+
+    def refuse(self, x, a):
+        raise AssertionError("a solve called CostModel.hess_a")
+
+    monkeypatch.setattr(multistage_opt, "_newton_direction", counting)
+    monkeypatch.setattr(CostModel, "hess_a", refuse)
+    tree = gen_random(3, 3, 0)
+    z0 = np.random.default_rng(0).uniform(-2.0, 2.0, size=len(_variable_layout(tree)[0]))
+    for model in models:
+        for start in (None, z0):
+            directions.clear()
+            rep = solve_value(tree, model, ControlBounds(2.0), z0=start, check_convexity=False)
+            assert rep.kkt_residual <= 1e-9
+            # a warm start's first iteration is already a Newton iteration
+            assert bool(directions) == (rep.iterations > (NEWTON_AFTER if start is None else 0))
+
+
+def test_variable_layout_is_built_once_per_structure():
+    tree = gen_random(3, 3, 4)
+    moved = tree.with_values(tree.values + 0.25)
+    ids, aidx = _variable_layout(tree)
+    assert _variable_layout(moved) is _variable_layout(tree)
+    assert not (ids.flags.writeable or aidx.flags.writeable)
+    T = tree.horizon
+    assert ids.tobytes() == tree.level_order[:tree.level_start[T]].tobytes()
+    want = tree.level_start[:T] + tree.level_pos[tree.ancestor_matrix[:, :T]]
+    assert aidx.dtype == want.dtype and aidx.tobytes() == want.tobytes()
+    # a tree of another structure has its own
+    assert _variable_layout(gen_random(3, 3, 4)) is not _variable_layout(tree)
 
 
 @pytest.mark.parametrize("name, params", CONTROL_MODELS,
