@@ -49,16 +49,14 @@ from .multistage_opt import (
     ControlBounds,
     ControlPolicy,
     ValueReport,
-    brute_force_value,
     solve_value,
     uniqueness_spread,
 )
-from .oracles import brute_force_bicausal, flat_wasserstein
+from .oracles import (brute_force_bicausal, brute_force_stopping, brute_force_value,
+                      count_stopping_policies, flat_wasserstein)
 from .optimal_stopping import (
     SnellTable,
     StoppingPolicy,
-    brute_force_stopping,
-    count_stopping_policies,
     solve_stopping,
 )
 from .process_tree import (

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParams, finite_count, finite_number
+from .errors import DimensionMismatch, InvalidParams, NonFinite, finite_count, finite_number
 
 Array = np.ndarray
 # the derivative audit's central-difference step and its relative tolerance
@@ -456,7 +456,8 @@ def build_utility_cost(u: UtilityModel, T: int) -> CostModel:
     with Z = g(x) + sum_t a_t (x_t - x_{t-1}).
 
     ``bind(x)`` computes g(x) and the increments dx once for the batch and
-    then only Z per control batch, shared by l(Z), l'(Z) dx and l''(Z) dx dx'.
+    then only Z per control batch, shared by l(Z), l'(Z) dx and l''(Z) dx dx';
+    the value, control gradient and Hessian callbacks are its reads.
     """
     zgrid = np.linspace(-3.0, 3.0, 13)
     if np.any(u.loss.second(zgrid) <= 0.0):
@@ -473,28 +474,12 @@ def build_utility_cost(u: UtilityModel, T: int) -> CostModel:
 
         return evaluate
 
-    def zval_and_dx(x, a):
-        dx = _increments(x, u.x0)
-        return u.payoff.value(x) + np.sum(a * dx, axis=1), dx
-
-    def value(x, a):
-        return u.loss.value(zval_and_dx(x, a)[0])
-
-    def grad_a(x, a):
-        z, dx = zval_and_dx(x, a)
-        return u.loss.deriv(z)[:, None] * dx
-
     def grad_x(x, a):
-        lp = u.loss.deriv(zval_and_dx(x, a)[0])
+        lp = u.loss.deriv(u.payoff.value(x) + np.add.reduce(a * _increments(x, u.x0), axis=1))
         astep = np.empty_like(a)
         astep[:, :-1] = a[:, :-1] - a[:, 1:]
         astep[:, -1] = a[:, -1]
         return lp[:, None] * (u.payoff.grad(x) + astep)
-
-    def hess_a(x, a):
-        z, dx = zval_and_dx(x, a)
-        lpp = u.loss.second(z)
-        return lpp[:, None, None] * dx[:, :, None] * dx[:, None, :]
 
     return CostModel(
         kind="controlled",
@@ -505,10 +490,10 @@ def build_utility_cost(u: UtilityModel, T: int) -> CostModel:
             "payoff": {"name": u.payoff.name, "params": u.payoff.params},
             "x0": u.x0,
         },
-        value_fn=value,
+        value_fn=lambda x, a: bind(x)(a)[0],
         grad_x_fn=grad_x,
-        grad_a_fn=grad_a,
-        hess_a_fn=hess_a,
+        grad_a_fn=lambda x, a: bind(x)(a)[1](),
+        hess_a_fn=lambda x, a: bind(x)(a)[2](),
         utility=u,
         bind_fn=bind,
     )
@@ -684,8 +669,8 @@ def audit_derivatives(model: CostModel, n_draws: int = 1000, seed: int = 0) -> f
     """Check all derivative callbacks against central finite differences
     of step ``_AUDIT_STEP``.
 
-    Returns the worst relative error; raises InvalidParams above
-    ``_AUDIT_TOL``.
+    Returns the worst relative error; raises InvalidParams unless it is
+    at most ``_AUDIT_TOL``, so a NaN derivative fails.
     """
     x, a, t = _random_inputs(model, n_draws, np.random.default_rng(seed))
     worst = _rel_err(model._call(model.grad_x_fn, x, a, t),
@@ -693,9 +678,10 @@ def audit_derivatives(model: CostModel, n_draws: int = 1000, seed: int = 0) -> f
     if model.kind == "controlled":
         for exact, f in ((model.grad_a_fn(x, a), lambda aa: model.value_fn(x, aa)),
                          (model.hess_a(x, a), lambda aa: model.grad_a_fn(x, aa))):
-            worst = max(worst, _rel_err(exact, _central_differences(f, a)))
+            # np.maximum keeps a NaN, where Python's max drops a NaN second argument
+            worst = float(np.maximum(worst, _rel_err(exact, _central_differences(f, a))))
 
-    if worst > _AUDIT_TOL:
+    if not worst <= _AUDIT_TOL:
         raise InvalidParams(
             f"model {model.name!r} derivative audit failed: relative error {worst:.3e}"
         )
@@ -724,11 +710,17 @@ def sampled_hessian_min_eig(model: CostModel, xs: Array, controls: Array) -> flo
     Each Hessian's spectrum is scaled by its own magnitude so badly scaled
     but semidefinite models (exponential losses far from the money) do not
     trip the check on eigensolver dust.  One stacked eigensolve serves the
-    batch; ``fmax`` and ``fmin`` skip NaNs as Python's ``max`` and ``min``
-    of a per-matrix loop did.
+    finite samples, as a per-matrix loop would; a sample with a non-finite
+    entry is left out, since the eigensolver's answer for it means nothing.
+    Raises NonFinite when samples exist but none is finite; +inf for none.
     """
     hess = model.hess_a(xs, controls)
     if hess.ndim == 2:
         hess = hess[None]
+    finite = np.isfinite(hess).all(axis=(1, 2))
+    if hess.shape[0] and not finite.any():
+        raise NonFinite(f"model {model.name!r} has no finite control Hessian at any sampled "
+                        "point, so its convexity cannot be checked")
+    hess = hess[finite]
     scale = np.fmax(1.0, np.max(np.abs(hess), axis=(1, 2)))
     return float(np.fmin.reduce(np.linalg.eigvalsh(hess).min(axis=1) / scale, initial=np.inf))

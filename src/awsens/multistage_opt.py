@@ -19,6 +19,8 @@ the model evaluation the line search made at the current point
 5.1 and 7.1), which undoes the node probabilities' scaling of the controls.
 A Newton step that meets non-positive curvature at once, or finds no
 Armijo point, gives way to the projected-gradient step for that iteration.
+Its independent check, the control-grid sweep, lives in
+:mod:`awsens.oracles`, which reads none of the layout, sums or products here.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost_models import CostModel, sampled_hessian_min_eig
-from .errors import (InvalidParams, MaxIterations, NotConvex, TooLarge, finite_count, is_number,
-                     tolerance)
+from .errors import InvalidParams, MaxIterations, NotConvex, finite_count, is_number, tolerance
 from .process_tree import ScenarioTree, _frozen, _memo
 
 ARMIJO_C = 1e-4
@@ -39,7 +40,6 @@ BACKTRACK = 0.5
 MAX_ITER_DEFAULT = 100_000
 NEWTON_AFTER = 5  # projected-gradient iterations before the Newton phase
 NEWTON_TRIALS = 30  # Armijo trials of a Newton step, from the full step down
-BRUTE_FORCE_MAX_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,6 @@ def _weighted(hess: np.ndarray, w: np.ndarray) -> np.ndarray:
         return w[:, None, None] * hess
     hess *= w[:, None, None]
     return hess
-
-
-def _path_hessians(model: CostModel, xs: np.ndarray, w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The per-path control Hessians weighted by the path probabilities,
-    ``w[k] * hess_a(xs[k], a[k])``, shape (paths, T, T)."""
-    return _weighted(model.hess_a(xs, a), w)
 
 
 def _hessian_product(
@@ -271,42 +265,6 @@ def solve_value(
                         f"in {max_iter} iterations")
 
 
-def brute_force_value(
-    tree: ScenarioTree, model: CostModel, bounds: ControlBounds, grid_n: int
-) -> float:
-    """Exhaustive minimum over a uniform control grid; upper-bounds the value."""
-    if model.kind != "controlled":
-        raise InvalidParams(f"brute_force_value needs a controlled model, got {model.kind!r}")
-    if grid_n < 2:
-        raise InvalidParams(f"grid_n must be >= 2, got {grid_n}")
-    ids, aidx = _variable_layout(tree)
-    nvar = len(ids)
-    if grid_n**nvar > BRUTE_FORCE_MAX_POINTS:
-        raise TooLarge(f"{grid_n}^{nvar} grid points exceed {BRUTE_FORCE_MAX_POINTS}")
-    grid = np.linspace(-bounds.L, bounds.L, grid_n)
-    combos = np.stack(
-        np.meshgrid(*([grid] * nvar), indexing="ij"), axis=-1
-    ).reshape(-1, nvar)
-    xs = tree.paths.values
-    w = tree.paths.probs
-    total = np.zeros(combos.shape[0])
-    for k in range(xs.shape[0]):
-        actions = combos[:, aidx[k]]
-        xrow = np.broadcast_to(xs[k], actions.shape)
-        total += w[k] * model.value_fn(xrow, actions)
-    return float(total.min())
-
-
-def objective_hessian(tree: ScenarioTree, model: CostModel, policy_vec: np.ndarray) -> np.ndarray:
-    """Hessian of the expected cost in node-control space at the given point."""
-    ids, aidx = _variable_layout(tree)
-    hw = _path_hessians(model, tree.paths.values, tree.paths.probs, policy_vec[aidx])
-    n = len(ids)
-    # flat (vi, vj) cells in (k, ti, tj) C order: each cell sums its terms in k order
-    cells = aidx[:, :, None] * n + aidx[:, None, :]
-    return scatter_sum(cells, hw, n * n).reshape(n, n)
-
-
 def uniqueness_spread(
     tree: ScenarioTree,
     model: CostModel,
@@ -325,21 +283,3 @@ def uniqueness_spread(
         sols.append(rep.policy.vector(tree))
     stack = np.stack(sols)
     return float(np.max(stack.max(axis=0) - stack.min(axis=0)))
-
-
-def control_grid_error_bound(
-    tree: ScenarioTree, model: CostModel, bounds: ControlBounds,
-    policy_vec: np.ndarray, grid_n: int,
-) -> float:
-    """Curvature bound on the gap between the grid minimum and the true one.
-
-    The nearest grid point sits within half a grid cell of the optimum per
-    coordinate, so for objectives whose control Hessian does not depend on
-    the control (all quadratic-in-a catalog entries) the excess cost is at
-    most lambda_max/2 times the squared distance.
-    """
-    h = 2.0 * bounds.L / (grid_n - 1)
-    H = objective_hessian(tree, model, policy_vec)
-    lam = float(np.linalg.eigvalsh(H).max())
-    n = H.shape[0]
-    return 0.5 * lam * n * (0.5 * h) ** 2 + 1e-12

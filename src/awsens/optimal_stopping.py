@@ -5,7 +5,9 @@ and the expected continuation value.  Stopping at time 0 is not allowed;
 stopping times take values in 1..T.  Uniqueness of the optimal stopping time
 is certified through a strict margin between stop and continuation values at
 every interior node; ambiguous instances are refused rather than tie-broken,
-because the sensitivity theory needs the unique optimizer.
+because the sensitivity theory needs the unique optimizer.  Its independent
+check, the enumeration of all stopping antichains, lives in
+:mod:`awsens.oracles`, which shares with this module only the policy record.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost_models import CostModel
-from .errors import AmbiguousStopping, InvalidParams, TooLarge, is_number
+from .errors import AmbiguousStopping, InvalidParams, is_number
 from .process_tree import ScenarioTree, _frozen, _memo
-
-ENUM_MAX_POLICIES = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,66 +110,3 @@ def solve_stopping(
     # each path stops at its first node where stopping beats continuing
     policy = _stopping_policy(tree, np.argmax(better[anc[:, 1:]], axis=1) + 1)
     return root_cont, policy, SnellTable(_frozen(envelope), _frozen(continuation), margin)
-
-
-def count_stopping_policies(tree: ScenarioTree) -> int:
-    """Number of stopping antichains, capped to avoid overflow."""
-    cap = 10 * ENUM_MAX_POLICIES
-    time = tree.time.tolist()
-
-    def rec(nid: int) -> int:
-        if time[nid] == tree.horizon:
-            return 1
-        prod = 1
-        for c in tree.children[nid]:
-            prod = min(cap, prod * rec(c))
-        return prod if time[nid] == 0 else min(cap, prod + 1)
-
-    return rec(tree.root)
-
-
-def brute_force_stopping(
-    tree: ScenarioTree, model: CostModel
-) -> tuple[float, StoppingPolicy, bool]:
-    """Exact minimum over all stopping antichains.
-
-    Returns ``(value, policy, unique)`` where ``unique`` reports whether a
-    single antichain attains the minimum (ties detected at 1e-12 scale).
-    """
-    if model.kind != "stopping":
-        raise InvalidParams(f"brute_force_stopping needs a stopping model, got {model.kind!r}")
-    if count_stopping_policies(tree) > ENUM_MAX_POLICIES:
-        raise TooLarge(f"more than {ENUM_MAX_POLICIES} stopping policies")
-    T = tree.horizon
-    stop_vals = _stop_values(tree, model)
-    time, n = tree.time.tolist(), len(tree.node_prob)
-
-    # contribution of stopping at a node: probability-weighted stage value
-    # below it, summed over its leaves in level order
-    contrib = np.zeros(n)
-    for t in range(1, T + 1):
-        at = tree.levels[t]
-        contrib[at] = np.bincount(tree.ancestor_matrix[:, t], minlength=n,
-                                  weights=tree.paths.probs * stop_vals[:, t - 1])[at]
-    contrib = contrib.tolist()
-
-    def enum(nid: int) -> list[tuple[float, frozenset[int]]]:
-        if time[nid] == T:
-            return [(contrib[nid], frozenset((nid,)))]
-        combos: list[tuple[float, frozenset[int]]] = [(0.0, frozenset())]
-        for c in tree.children[nid]:
-            child_opts = enum(c)
-            combos = [
-                (v0 + v1, s0 | s1) for v0, s0 in combos for v1, s1 in child_opts
-            ]
-        if time[nid] >= 1:
-            combos.append((contrib[nid], frozenset((nid,))))
-        return combos
-
-    options = enum(tree.root)
-    best_val, best_set = min(options, key=lambda vs: (vs[0], sorted(vs[1])))
-    scale = 1e-12 * (1.0 + abs(best_val))
-    ties = sum(1 for v, _ in options if v <= best_val + scale)
-    # each path meets the antichain exactly once
-    taus = np.argmax(np.isin(tree.ancestor_matrix[:, 1:], list(best_set)), axis=1) + 1
-    return best_val, _stopping_policy(tree, taus), ties == 1

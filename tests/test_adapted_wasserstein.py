@@ -1092,6 +1092,19 @@ def test_certified_path_refuses_trees_whose_costs_could_overflow():
         small, small.with_values(small.values + 2.0**-10), 2.0) is not None
 
 
+def test_the_last_stage_refuses_costs_that_overflow():
+    # at T=1 the last stage is the only one, so no interior stage re-checks
+    # its costs: |1e200 - (-1e200)|^2 overflows to inf
+    P = tree_from_nested(1, [(1e200, 0.5), (-1e200, 0.5)])
+    Q = tree_from_nested(1, [(-1e200, 0.25), (1e200, 0.75)])
+    with np.errstate(over="ignore"):
+        for A, B in ((P, Q), (Q, P)):
+            with pytest.raises(InvalidParams, match="cost entries must be finite"):
+                aw_distance(A, B, P2)
+            with pytest.raises(InvalidParams, match="cost entries must be finite"):
+                aw_pth_power(A, B, P2)
+
+
 def test_identity_certificate_against_every_permutation():
     # integer costs sum exactly: the identity is certified exactly when
     # every other assignment costs more, as a cycle decomposition says

@@ -8,6 +8,7 @@ from awsens import (
     ControlBounds,
     DimensionMismatch,
     InvalidParams,
+    NonFinite,
     audit_derivatives,
     build_utility_cost,
     catalog_names,
@@ -17,6 +18,7 @@ from awsens import (
     make_payoff,
     make_utility_model,
     register_cost_model,
+    solve_value,
 )
 from awsens.cost_models import (
     CATALOG,
@@ -161,7 +163,8 @@ def test_utility_hessian_psd_and_program_level_definiteness(iid_signs):
     # pointwise the Hessian is rank one, hence only positive semidefinite
     assert sampled_hessian_min_eig(m, xs, controls) >= -1e-12
     # but the tree-level objective is strictly convex off flat steps
-    from awsens.multistage_opt import _variable_layout, objective_hessian
+    from awsens.multistage_opt import _variable_layout
+    from awsens.oracles import objective_hessian
 
     n = len(_variable_layout(iid_signs)[0])
     for z in np.random.default_rng(0).uniform(-2.0, 2.0, size=(8, n)):
@@ -207,6 +210,24 @@ def test_register_audits_gradients():
     assert ok.eval(np.zeros(T)) == 0.0
     with pytest.raises(InvalidParams):
         register_cost_model("terminal", "sumsq_bad", T, value, bad_grad)
+
+
+def test_register_refuses_nan_derivatives():
+    # NaN compares False with the tolerance and drops out of Python's max,
+    # so the audit must fail it explicitly
+    def nan_like(x, *_):
+        return np.full_like(x, np.nan)
+
+    with pytest.raises(InvalidParams, match="derivative audit failed"):
+        register_cost_model("terminal", "nan_grad_x", T, lambda x: np.sum(x, axis=1), nan_like)
+    m = _no_hessian_model()
+    with pytest.raises(InvalidParams, match="derivative audit failed"):
+        register_cost_model("controlled", "nan_grad_a", T, m.value_fn, m.grad_x_fn,
+                            grad_a_fn=nan_like)
+    with pytest.raises(InvalidParams, match="derivative audit failed"):
+        register_cost_model("controlled", "nan_hessian", T, m.value_fn, m.grad_x_fn,
+                            grad_a_fn=m.grad_a_fn,
+                            hess_a_fn=lambda x, a: np.full((len(x), T, T), np.nan))
 
 
 def test_register_controlled_uses_fd_hessian_fallback():
@@ -325,6 +346,27 @@ def test_sampled_min_eig_matches_per_matrix_loop_bit_for_bit(k):
         assert sampled_hessian_min_eig(m, xs[0], controls[0]).hex() == \
             _min_eig_loop(m, xs[0], controls[0]).hex()
     assert sampled_hessian_min_eig(m, xs[:0], controls[:0]) == np.inf
+
+
+def _fixed_hessians(*blocks):
+    """A controlled model of horizon 2 whose sampled Hessians repeat ``blocks``."""
+    return CostModel("controlled", "fixed", 2, {}, value_fn=lambda x, a: np.sum(a**2, axis=1),
+                     grad_x_fn=lambda x, a: np.zeros_like(x), grad_a_fn=lambda x, a: 2.0 * a,
+                     hess_a_fn=lambda x, a: np.resize(np.array(blocks, dtype=float), (len(x), 2, 2)))
+
+
+def test_sampled_min_eig_leaves_out_non_finite_samples(iid_signs):
+    # LAPACK answers for a NaN entry too (-7.07 for [[nan, 5], [5, 1]]), so
+    # such samples are left out; with none finite there is no evidence
+    good, nan = [[2.0, 1.0], [1.0, 2.0]], [[np.nan, 5.0], [5.0, 1.0]]
+    inf = [[np.inf, 0.0], [0.0, 1.0]]
+    z = np.zeros((3, 2))
+    assert sampled_hessian_min_eig(_fixed_hessians(nan, good, inf), z, z) == 0.5
+    with pytest.raises(NonFinite, match="no finite control Hessian"):
+        sampled_hessian_min_eig(_fixed_hessians(nan, inf, nan), z, z)
+    # the control solver's convexity check, exit 6 on the command line
+    with pytest.raises(NonFinite, match="no finite control Hessian"):
+        solve_value(iid_signs, _fixed_hessians(nan, inf), ControlBounds(1.0))
 
 
 def test_readme_parameter_table_lists_the_library_table():

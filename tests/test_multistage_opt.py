@@ -33,11 +33,11 @@ from awsens.multistage_opt import (
     ControlPolicy,
     _hessian_product,
     _newton_direction,
-    _path_hessians,
     _variable_layout,
-    objective_hessian,
+    _weighted,
     scatter_sum,
 )
+from awsens.oracles import control_grid_error_bound, objective_hessian
 from awsens.process_tree import Node, ScenarioTree
 
 L10 = ControlBounds(10.0)
@@ -129,7 +129,6 @@ def test_brute_force_grid_convergence(drifted_binomial):
     rep = solve_value(drifted_binomial, m, bounds)
     ids, _ = _variable_layout(drifted_binomial)
     zstar = np.array([rep.policy.values[n] for n in ids])
-    from awsens.multistage_opt import control_grid_error_bound
 
     for grid_n in (11, 41):
         grid_val = brute_force_value(drifted_binomial, m, bounds, grid_n)
@@ -474,7 +473,7 @@ def test_hessian_product_matches_objective_hessian(name, params, b, seed):
     z = rng.uniform(-2.0, 2.0, size=len(ids))
     v = rng.normal(size=len(ids))
     held = rng.random(len(ids)) < 0.3
-    hw = _path_hessians(model, tree.paths.values, tree.paths.probs, z[aidx])
+    hw = _weighted(model.hess_a(tree.paths.values, z[aidx]), tree.paths.probs)
     H = objective_hessian(tree, model, z)
     # the product's input is zero on the held controls, as every CG direction is
     vf = np.where(held, 0.0, v)
@@ -600,7 +599,7 @@ def test_newton_direction_is_an_inexact_newton_step(name, params, b, seed, z_see
     xs, w = tree.paths.values, tree.paths.probs
     g = scatter_sum(aidx, w[:, None] * model.grad_a_fn(xs, z[aidx]), len(ids))
     residual = float(np.max(np.abs(z - np.clip(z - g, -L, L))))
-    d = _newton_direction(_path_hessians(model, xs, w, z[aidx]), aidx, z, g, L, residual)
+    d = _newton_direction(_weighted(model.hess_a(xs, z[aidx]), w), aidx, z, g, L, residual)
     eps = min(1e-3 * L, residual)
     held = ((z <= -L + eps) & (g > 0.0)) | ((z >= L - eps) & (g < 0.0))
     H = objective_hessian(tree, model, z)[np.ix_(~held, ~held)]

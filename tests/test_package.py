@@ -21,7 +21,10 @@ EXPORTS = {
         "AWParams", "AWResult", "CouplingTree", "aw_distance", "aw_pth_power",
         "bicausalize", "check_causal", "is_bicausal", "product_coupling",
     ],
-    "oracles": ["brute_force_bicausal", "flat_wasserstein"],
+    "oracles": [
+        "brute_force_bicausal", "brute_force_stopping", "brute_force_value",
+        "count_stopping_policies", "flat_wasserstein",
+    ],
     "cost_models": [
         "CostModel", "LossFunction", "PayoffFunction", "UtilityModel", "audit_derivatives",
         "build_utility_cost", "catalog_names", "make_cost_model", "make_loss", "make_payoff",
@@ -34,12 +37,10 @@ EXPORTS = {
     ],
     "discrete_ot": ["TransportPlan", "TransportProblem", "solve_exact"],
     "multistage_opt": [
-        "ControlBounds", "ControlPolicy", "ValueReport", "brute_force_value", "solve_value",
-        "uniqueness_spread",
+        "ControlBounds", "ControlPolicy", "ValueReport", "solve_value", "uniqueness_spread",
     ],
     "optimal_stopping": [
-        "SnellTable", "StoppingPolicy", "brute_force_stopping", "count_stopping_policies",
-        "solve_stopping",
+        "SnellTable", "StoppingPolicy", "solve_stopping",
     ],
     "process_tree": [
         "Node", "PathTable", "ScenarioTree", "conditional_expectation", "gen_binomial",
@@ -92,13 +93,18 @@ def test_submodules_import_from_a_fresh_package():
 
 
 def test_oracles_read_none_of_the_fast_paths():
-    # the oracles are the independent check on the recursion: they may
-    # import its records and the per-problem simplex, but neither import
-    # nor name its stages or its batched kernel
+    # the oracles are the independent check on the distance recursion, the
+    # control solver and the Snell recursion: they may import their records
+    # and the per-problem simplex, but neither import nor name the solvers,
+    # their stages, layouts, sums, products or batched kernels
     tree = ast.parse((ROOT / "src" / "awsens" / "oracles.py").read_text(encoding="utf-8"))
     imported = {alias.name.rsplit(".", 1)[-1] for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
         node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert {"AWParams", "CouplingTree", "solve_exact"} <= imported
-    assert not {"_recursion", "_stage", "solve_batch"} & (imported | named)
+    assert {"AWParams", "CouplingTree", "solve_exact", "StoppingPolicy"} <= imported
+    assert not {
+        "_recursion", "_stage", "solve_batch", "solve_value", "solve_stopping",
+        "_variable_layout", "scatter_sum", "_weighted", "_newton_direction", "_hessian_product",
+        "_stop_values", "average_children", "backward_sweep",
+    } & (imported | named)
