@@ -65,6 +65,7 @@ from .errors import (
     InvalidCoupling,
     InvalidParams,
     NotCausal,
+    TooLarge,
     is_number,
     tolerance,
 )
@@ -81,6 +82,11 @@ _CERTIFY_MARGIN = 8.0
 _EPS = float(np.finfo(np.float64).eps)
 # trees of one structure whose costs could reach this take the full recursion
 _COST_CEILING = 1e300
+# bytes of one level's joint kernels, 8 per plan cell of each reached node pair,
+# that a coupling may gather; the pairs below scale with it, and a binomial pair's
+# coupling peaks at about 30 times it (0.5 GB at T=13), so one above it raises
+# TooLarge before it exhausts memory: the largest binomial pair allowed is T=14
+_COUPLING_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -318,14 +324,20 @@ def _assemble(P: ScenarioTree, Q: ScenarioTree, kernels, cutoff: float):
     order.  The tree is grown one level at a time, and the ids are those of
     a last-in-first-out expansion from the root pair: the popped pair gives
     its cells the next ids in row-major order and pushes those before the
-    horizon, so its last child is expanded next.
+    horizon, so its last child is expanded next.  A level whose kernels
+    exceed ``_COUPLING_BYTES`` raises ``TooLarge`` before any is gathered.
     """
     T = P.horizon
     xpos, ypos = P.level_pos, Q.level_pos
+    xsize, ysize = P._child_index()[0], Q._child_index()[0]
     # per level: parent (position in the level above), x node, y node, cond_prob
     levels = [(np.array([-1]), np.array([P.root]), np.array([Q.root]), np.array([1.0]))]
     for t in range(T):
         _, xs, ys, _ = levels[-1]
+        need = 8 * np.dot(xsize[xs], ysize[ys])
+        if need > _COUPLING_BYTES:
+            raise TooLarge(f"the coupling's time-{t + 1} kernels need {need} bytes, above its "
+                           f"budget of {_COUPLING_BYTES}")
         (xcls, xrow, xfam), (ycls, yrow, yfam) = _size_classes(P, t), _size_classes(Q, t)
         xp, yp = xpos[xs], ypos[ys]
         group = xcls[xp] * len(yfam) + ycls[yp]
@@ -626,13 +638,20 @@ def _last_plans(P: ScenarioTree, Q: ScenarioTree, a: int, b: int, i, j, shared: 
     t = P.horizon - 1
     (xv, ox), (yv, oy) = P._sorted_families(t)[a], Q._sorted_families(t)[b]
     xw, yw = _size_classes(P, t)[2][a][3], _size_classes(Q, t)[2][b][3]
-    step = max(1, _BATCH_CELLS // (xw.shape[1] * yw.shape[1]))
+    step = _chunk_pairs(xw, yw)
     shared = shared if len(i) <= step else None
     for lo in range(0, len(i), step):
         k = slice(lo, lo + step)
         ci, cj = i[k], j[k]
         yield k, xv[ci], yv[cj], ox[ci], oy[cj], _monotone_plans(
             shared, ("siblings", a, b), xw[ci], ox[ci], yw[cj], oy[cj], paired=True)
+
+
+def _chunk_pairs(xw: np.ndarray, yw: np.ndarray) -> int:
+    """Last-stage pairs of families of ``xw``'s and ``yw``'s sizes (their
+    columns) per chunk of at most ``_BATCH_CELLS`` plan cells, or 1 when
+    one pair alone is larger."""
+    return max(1, _BATCH_CELLS // (xw.shape[1] * yw.shape[1]))
 
 
 def _recursion(P: ScenarioTree, Q: ScenarioTree, p: float, plans: dict | None) -> float:
@@ -662,24 +681,45 @@ def _identity_certified(cost: np.ndarray) -> np.ndarray:
     c_kk`` along it, so the identity is optimal exactly when no cycle of
     ``d`` weighs less than 0 (Ahuja, Magnanti & Orlin, *Network Flows*,
     1993, ch. 9).  The lightest cycle through each k is the diagonal of the
-    min-plus closure of ``d`` with +inf on its diagonal, m vectorised
-    Floyd-Warshall steps.  Each ``d`` entry is off by at most eps/2 * max
-    c, and each of a cycle's at most m - 1 additions by eps/2 * m * max c,
-    so a computed weight is within m^2 eps/2 * max c of the exact weight
+    min-plus closure of ``d`` with +inf on its diagonal
+    (:func:`_lightest_cycles`).  Each ``d`` entry is off by at most eps/2 *
+    max c, and each of a cycle's at most m - 1 additions by eps/2 * m * max
+    c, so a computed weight is within m^2 eps/2 * max c of the exact weight
     of the float costs.  A problem is certified when every lightest cycle
     computes above ``_CERTIFY_MARGIN * m^2 * eps * (1 + max c)``: then every
     cycle exactly weighs more than 7.5 m^2 eps * (1 + max c), a tie or near
     tie is refused, and :func:`_certified_pth_power` has the headroom its
     argument needs.  A family of one child has no cycle and is certified.
+
+    Most blocks are settled before the closure, by dominance: when every
+    off-diagonal ``d`` entry computes above the margin and above 0 (a
+    margin of costs all below -1 is negative), every cycle has at least two
+    such arcs, and a float sum of positive terms is at least each of them,
+    since rounding is monotone, so every weight the closure could compute
+    is above the margin and it would certify the block.  Only the other
+    blocks run the closure, which decides each block alone, so the
+    decisions are those of the closure on every block.
     """
     F, m, _ = cost.shape
-    eye = np.arange(m)
-    d = cost - cost[:, eye, eye][:, :, None]
-    d[:, eye, eye] = np.inf
+    flat = cost.reshape(F, m * m)
+    d = cost - flat[:, ::m + 1, None]
+    d.reshape(F, m * m)[:, ::m + 1] = np.inf
+    margin = _CERTIFY_MARGIN * m * m * _EPS * (1.0 + flat.max(axis=1))
+    ok = d.reshape(F, m * m).min(axis=1) > np.maximum(margin, 0.0)
+    if not ok.all():
+        rest = np.flatnonzero(~ok)
+        ok[rest] = (_lightest_cycles(d[rest]) > margin[rest, None]).all(axis=1)
+    return ok
+
+
+def _lightest_cycles(d: np.ndarray) -> np.ndarray:
+    """Per block of the (F, m, m) ``d``, +inf on its diagonal, the weight of
+    the lightest cycle through each k: the diagonal of its min-plus closure,
+    m vectorised Floyd-Warshall steps, taken in place."""
+    m = d.shape[1]
     for j in range(m):
         np.minimum(d, d[:, :, j, None] + d[:, None, j, :], out=d)
-    margin = _CERTIFY_MARGIN * m * m * _EPS * (1.0 + cost.reshape(F, -1).max(axis=1))
-    return (d[:, eye, eye] > margin[:, None]).all(axis=1)
+    return d[:, np.arange(m), np.arange(m)]
 
 
 def _sibling_pairs(tree: ScenarioTree):
@@ -768,35 +808,83 @@ def _certified_pth_power(P: ScenarioTree, Q: ScenarioTree, p: float) -> float | 
     could have had an infinite cost, and the costs it computes are finite.
     Refused pairs go to :func:`_recursion`, which raises the same errors as
     ever.
+
+    What depends on P alone is read from P's check plan
+    (:func:`_check_plan`), built once per base tree, so a check gathers
+    only Q's values, forms the costs and runs :func:`_objectives` and the
+    certificate.  A group of sibling pairs that fits one chunk of
+    :func:`_last_plans` is solved straight from the plan, with the same
+    arrays, plan memo and arithmetic, and a larger group through its
+    chunks.  Most blocks are certified by the dominance pre-test of
+    :func:`_identity_certified`, and only the rest run its closure.
     """
     T = P.horizon
-    reach = 2.0 * max(float(np.abs(P.values).max()), float(np.abs(Q.values).max()))
+    top, last, upper = _check_plan(P)
+    reach = 2.0 * max(top, float(np.abs(Q.values).max()))
     if not reach < (_COST_CEILING / T) ** (1.0 / p):
         return None
     if T == 1:
         return float(_stage(P, Q, 0, p, None, None)[0, 0])
     groups, pairs = _sibling_pairs(P)
     sibling = np.empty(pairs)
-    for a, b, at, xrow, yrow in groups:
+    for (a, b, at, xrow, yrow), fit in zip(groups, last):
+        if fit and len(at) <= _chunk_pairs(fit[2], fit[3]):  # one chunk, from the plan
+            xv, xo, xw, yw = fit
+            yv, oy = Q._sorted_families(T - 1)[b]
+            plan = _monotone_plans(P._shared, ("siblings", a, b), xw, xo, yw, oy[yrow], True)
+            sibling[at] = _objectives(plan, np.abs(xv - yv[yrow][:, None, :]) ** p)
+            continue
         for k, xv, yv, *_, plan in _last_plans(P, Q, a, b, xrow, yrow, P._shared):
             sibling[at[k]] = _objectives(plan, np.abs(xv[:, :, None] - yv[:, None, :]) ** p)
     diag, done, blocks = None, 0, {}
-    for t in range(T - 2, -1, -1):
+    for t, classes in zip(range(T - 2, -1, -1), upper):
         level = np.empty(len(P.levels[t]))
-        for at, kids, below, w in _size_classes(P, t)[2]:
-            F, m = w.shape
-            cost = np.abs(P.values[kids][:, :, None] - Q.values[kids][:, None, :]) ** p
+        for at, kids, below, xv, identity in classes:
+            F, m = kids.shape
+            cost = np.abs(xv - Q.values[kids][:, None, :]) ** p
             if diag is None:  # the level below is the last stage: its sibling pairs
                 cost += sibling[done:done + F * m * m].reshape(F, m, m)
                 done += F * m * m
             else:
                 cost.reshape(F, m * m)[:, ::m + 1] += diag[below]
             blocks.setdefault(m, []).append(cost)
-            level[at] = _objectives(w[:, :, None] * np.eye(m), cost)  # +0.0 off the diagonal
+            level[at] = _objectives(identity, cost)
         diag = level
     if all(_identity_certified(np.concatenate(c)).all() for c in blocks.values()):
         return float(diag[0])
     return None
+
+
+def _check_plan(P: ScenarioTree):
+    """What :func:`_certified_pth_power` reads of its first tree P alone,
+    built on first use and kept, read-only, in P's per-tree cache, so the
+    ball checks of many candidates against one base tree build it once.
+
+    Returns ``(top, last, upper)``: ``max |P.values|``; per group of
+    :func:`_sibling_pairs` that fits one chunk of :func:`_last_plans`, P's
+    sorted last-stage values at its x rows shaped (k, m, 1), their order,
+    and the x and y families' weights at its rows (an empty tuple for a
+    larger group, which goes through the chunks); and per level from
+    T - 2 up to the root, per size class of :func:`_size_classes`, ``(at,
+    kids, below, values, identity)``: its own first three arrays, P's
+    values of the children shaped (F, m, 1), and the identity plans
+    ``w[:, :, None] * np.eye(m)``, +0.0 off the diagonal.
+    """
+    def build():
+        T, last = P.horizon, []
+        if T > 1:
+            classes, families = _size_classes(P, T - 1)[2], P._sorted_families(T - 1)
+            for a, b, at, xrow, yrow in _sibling_pairs(P)[0]:
+                (xv, ox), xw, yw = families[a], classes[a][3], classes[b][3]
+                fits = len(at) <= _chunk_pairs(xw, yw)
+                last.append(tuple(map(_frozen, (xv[xrow][:, :, None], ox[xrow], xw[xrow],
+                                                yw[yrow]))) if fits else ())
+        upper = tuple(tuple((at, kids, below, _frozen(P.values[kids][:, :, None]),
+                             _frozen(w[:, :, None] * np.eye(w.shape[1])))
+                            for at, kids, below, w in _size_classes(P, t)[2])
+                      for t in range(T - 2, -1, -1))
+        return float(np.abs(P.values).max()), tuple(last), upper
+    return _memo(P._cache, "check plan", build)
 
 
 def aw_pth_power(P: ScenarioTree, Q: ScenarioTree, params: AWParams) -> float:

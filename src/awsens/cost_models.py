@@ -711,10 +711,13 @@ def sampled_hessian_min_eig(model: CostModel, xs: Array, controls: Array) -> flo
     but semidefinite models (exponential losses far from the money) do not
     trip the check on eigensolver dust.  One stacked eigensolve serves the
     finite samples, as a per-matrix loop would; a sample with a non-finite
-    entry is left out, since the eigensolver's answer for it means nothing.
+    entry is left out, since the eigensolver's answer for it means nothing,
+    so the Hessians are evaluated without numpy's overflow and invalid-value
+    warnings, which would reach users as noise or, under ``-W error``, fail.
     Raises NonFinite when samples exist but none is finite; +inf for none.
     """
-    hess = model.hess_a(xs, controls)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hess = model.hess_a(xs, controls)
     if hess.ndim == 2:
         hess = hess[None]
     finite = np.isfinite(hess).all(axis=(1, 2))

@@ -74,7 +74,8 @@ class Infeasible(AwsensError):
 
 
 class TooLarge(AwsensError):
-    """A brute-force oracle was asked for an instance above its size guard."""
+    """An instance above a size guard: a brute-force oracle's, or the byte
+    budget of a coupling's kernels."""
 
     exit_code = 5
 

@@ -164,6 +164,24 @@ def test_oracle_guards(iid_signs):
         brute_force_bicausal(big, big, P2)
 
 
+def test_coupling_refuses_a_level_above_its_byte_budget(monkeypatch):
+    # the optimal coupling of two binomial T=4 trees reaches 27 pairs of 2x2
+    # families at time 3, 8 * 27 * 4 = 864 bytes of kernels, its largest
+    # level; the product coupling reaches all 64 there
+    A, B = gen_binomial(4, 0.0, 1.0, -1.0, 0.5), gen_binomial(4, 0.0, 1.1, -0.9, 0.45, 0.02)
+    want = _result_bits(aw_distance(A, B, P2))
+    pth = aw_pth_power(A, B, P2).hex()
+    monkeypatch.setattr(adapted_wasserstein, "_COUPLING_BYTES", 864)
+    assert _result_bits(aw_distance(A, B, P2)) == want
+    monkeypatch.setattr(adapted_wasserstein, "_COUPLING_BYTES", 863)
+    with pytest.raises(TooLarge, match="^the coupling's time-4 kernels need 864 bytes, above "
+                                       "its budget of 863$"):
+        aw_distance(A, B, P2)
+    with pytest.raises(TooLarge, match="time-4 kernels need 2048 bytes"):
+        product_coupling(A, B)
+    assert aw_pth_power(A, B, P2).hex() == pth  # no coupling, no guard
+
+
 @given(seed=st.integers(0, 20_000))
 @settings(max_examples=25, deadline=None)
 def test_metric_axioms_random_triples(seed):
@@ -627,9 +645,10 @@ def test_recursion_caches_do_not_leak_between_trees(seed, order):
     assert kids[0]._cache is not kids[1]._cache
     for kid in kids:
         for key, entries in kid._cache.items():
-            if key == "subtree classes":  # labels, not values: a fresh tree's
-                fresh = adapted_wasserstein._subtree_classes(_constructed(base, kid.values))
-                assert _class_bits(entries) == _class_bits(fresh)
+            if key in ("subtree classes", "check plan"):  # a fresh tree's, bit for bit
+                build = {"subtree classes": adapted_wasserstein._subtree_classes,
+                         "check plan": adapted_wasserstein._check_plan}[key]
+                assert _class_bits(entries) == _class_bits(build(_constructed(base, kid.values)))
                 continue
             for vals, *_ in entries:
                 assert set(vals.ravel()) <= set(kid.values)
@@ -1127,3 +1146,64 @@ def test_identity_certificate_refuses_ties_and_near_ties(s):
                   (s, True)):
         cost = np.array([[[s, s + w], [s, s]], [[s, s], [s + w, s]]])
         assert adapted_wasserstein._identity_certified(cost).tolist() == [ok, ok]
+
+
+def _closure_certified(cost: np.ndarray) -> np.ndarray:
+    """The identity certificate by the min-plus closure alone, on every
+    block: the reference the dominance pre-test must decide as."""
+    F, m, _ = cost.shape
+    eye = np.arange(m)
+    d = cost - cost[:, eye, eye][:, :, None]
+    d[:, eye, eye] = np.inf
+    for j in range(m):
+        np.minimum(d, d[:, :, j, None] + d[:, None, j, :], out=d)
+    margin = 8.0 * m * m * np.finfo(float).eps * (1.0 + cost.reshape(F, -1).max(axis=1))
+    return (d[:, eye, eye] > margin[:, None]).all(axis=1)
+
+
+@st.composite
+def _cost_blocks(draw):
+    """F blocks of m x m costs, each random, tied (small integers), zero,
+    negative (so its margin is below 0), or with its arcs ``d_kl`` at the
+    margin: a zero diagonal, one arc 1.0, which fixes max c and so the
+    margin, and the others drawn from the margin, its two float
+    neighbours, half of it and 1.0."""
+    F, m = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    margin = 8.0 * m * m * np.finfo(float).eps * 2.0
+    blocks = []
+    for kind in draw(st.lists(st.sampled_from(["random", "tied", "zero", "negative", "edge"]),
+                              min_size=F, max_size=F)):
+        if kind == "random":
+            c = rng.uniform(0.0, 4.0, (m, m))
+        elif kind in ("tied", "negative"):
+            c = rng.integers(0, 3, (m, m)).astype(float) - (5.0 if kind == "negative" else 0.0)
+        elif kind == "zero":
+            c = np.zeros((m, m))
+        else:
+            c = rng.choice([np.nextafter(margin, -np.inf), margin, np.nextafter(margin, np.inf),
+                            margin / 2, 1.0], size=(m, m))
+            c[np.arange(m), np.arange(m)] = 0.0
+            c[0, -1] = 1.0 if m > 1 else 0.0
+        blocks.append(c)
+    return np.array(blocks)
+
+
+@given(cost=_cost_blocks())
+@settings(max_examples=300, deadline=None)
+def test_identity_certificate_pretest_decides_as_the_closure(cost):
+    # the dominance pre-test settles exactly the blocks whose off-diagonal
+    # arcs all compute above the margin and 0, which the closure would
+    # certify; the closure runs on the rest, and every decision is its own
+    F, m, _ = cost.shape
+    before = cost.tobytes()
+    with mock.patch.object(adapted_wasserstein, "_lightest_cycles",
+                           wraps=adapted_wasserstein._lightest_cycles) as closure:
+        got = adapted_wasserstein._identity_certified(cost)
+    assert got.tolist() == _closure_certified(cost).tolist()
+    assert cost.tobytes() == before
+    eye = np.arange(m)
+    d = (cost - cost[:, eye, eye][:, :, None])[:, ~np.eye(m, dtype=bool)]
+    margin = 8.0 * m * m * np.finfo(float).eps * (1.0 + cost.reshape(F, -1).max(axis=1))
+    settled = (d > np.maximum(margin, 0.0)[:, None]).all(axis=1)
+    assert sum(len(c.args[0]) for c in closure.call_args_list) == F - settled.sum()

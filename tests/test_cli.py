@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -544,6 +545,43 @@ def test_curve_refuses_a_non_finite_base_value(tmp_path, capsys):
     assert (code, out) == (NonFinite.exit_code, "") and "NonFinite" in err
     assert "base_value is inf" in err
     assert not (tmp_path / "c.csv").exists() and not (tmp_path / "c.json").exists()
+
+
+def test_value_with_a_large_control_bound_warns_nothing(tmp_path, capsys):
+    # at L = 1e3 the convexity check's sampled exponential Hessians
+    # overflow; those samples are left out, and numpy must not say so on
+    # stderr (nor raise, under -W error::RuntimeWarning)
+    cfg = tmp_path / "cfg.json"
+    config = json.loads((FIXTURES / "config_value_hedge.json").read_text())
+    cfg.write_text(json.dumps({**config, "bounds": {"L": 1e3}}))
+    argv = ["value", str(FIXTURES / "drifted_binomial.json"), "--config", str(cfg)]
+    res = subprocess.run([sys.executable, "-m", "awsens.cli", *argv], capture_output=True,
+                         text=True, env=_child_env(), timeout=120)
+    assert res.returncode == 0 and "RuntimeWarning" not in res.stderr, res.stderr[-500:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, res.stdout, "")
+
+
+def test_aw_refuses_a_coupling_above_its_byte_budget(tmp_path, capsys, monkeypatch):
+    # two binomial T=4 trees: their coupling's time-4 kernels take 864 bytes
+    from awsens import adapted_wasserstein
+
+    trees = []
+    for name, params in (("a", {"T": 4, "start": 0, "up": 1, "down": -1, "p_up": 0.5}),
+                         ("b", {"T": 4, "start": 0, "up": 1.1, "down": -0.9, "p_up": 0.45,
+                                "drift": 0.02})):
+        trees.append(tmp_path / f"{name}.json")
+        assert run_cli(capsys, "gen", "--kind", "binomial", "--params", json.dumps(params),
+                       "--out", trees[-1])[0] == 0
+    monkeypatch.setattr(adapted_wasserstein, "_COUPLING_BYTES", 863)
+    code, out, err = run_cli(capsys, "aw", *trees, "--out", tmp_path / "aw.json")
+    assert (code, out) == (TooLarge.exit_code, "") and not (tmp_path / "aw.json").exists()
+    assert err == ("error: TooLarge: the coupling's time-4 kernels need 864 bytes, above its "
+                   "budget of 863\n")
+    monkeypatch.setattr(adapted_wasserstein, "_COUPLING_BYTES", 864)
+    assert run_cli(capsys, "aw", *trees)[0] == 0
 
 
 @pytest.mark.parametrize("field, needle", [

@@ -520,6 +520,54 @@ def test_every_curve_ball_check_is_certified(monkeypatch):
     assert recursions.call_count == 0
 
 
+def _plan_arrays(obj) -> list:
+    """Every array of a check plan; its containers are tuples, its other
+    entries floats."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tuple):
+        return [a for item in obj for a in _plan_arrays(item)]
+    assert isinstance(obj, float)
+    return []
+
+
+def test_curve_ball_checks_read_one_check_plan_per_base(monkeypatch):
+    # every ball check of the terminal curve reads the one plan of its base
+    # tree, kept read-only in the base's per-tree cache; a second base of
+    # the same structure with other values gets its own plan, and its
+    # checks keep the recursion's bits
+    plans = []
+    real = adapted_wasserstein._check_plan
+
+    def recording(P):
+        plans.append((P, real(P)))
+        return plans[-1][1]
+
+    monkeypatch.setattr(adapted_wasserstein, "_check_plan", recording)
+    tree = gen_random(3, 3, 0)
+    robust_curve(RobustQuery("terminal", tree, make_cost_model("linear", None, 3), 2.0,
+                             (1e-3, 1e-2, 1e-1)))
+    assert len(plans) > 50 and all(P is tree for P, _ in plans)
+    plan = tree._cache["check plan"]
+    assert all(got is plan for _, got in plans)
+    arrays = _plan_arrays(plan)
+    assert len(arrays) == 4 + 5 * 2 and not any(a.flags.writeable for a in arrays)
+
+    other = tree.with_values(tree.values * 1.5 + 0.25)
+    for shift in (2.0**-12, -(2.0**-12), 0.01):
+        cand = other.with_values(other.values + shift)
+        got = aw_pth_power(other, cand, AWParams(2.0))
+        assert got.hex() == adapted_wasserstein._recursion(other, cand, 2.0, None).hex()
+    assert other._cache["check plan"] is not plan
+    assert tree._cache["check plan"] is plan
+    top, _, upper = other._cache["check plan"]
+    assert top == float(np.abs(other.values).max()) != plan[0]
+    for (_, kids, _, values, _), (*_, base_values, _) in zip(upper[0] + upper[1],
+                                                             plan[2][0] + plan[2][1]):
+        assert np.array_equal(values[:, :, 0], other.values[kids])
+        assert not np.array_equal(values, base_values)
+
+
 def test_overflowing_model_stops_before_the_ascent(iid_signs):
     # exp(800 x) overflows on the tree: the curve raises NonFinite once the
     # base value is infinite, with no ball check and none of the ascent's
